@@ -33,7 +33,8 @@
 //! cost-model retuning, not machine noise.
 
 use std::sync::Arc;
-use vizsched_bench::json::{fmt_f64, obj, parse, Json};
+use vizsched_bench::harness::{conclude, gate_ceiling, Cli};
+use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::uniform_datasets;
@@ -314,34 +315,19 @@ fn headline(doc: &Json, key: &str) -> Result<f64, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
-    let quick = args.iter().any(|a| a == "--quick");
+    let cli = Cli::parse();
 
     eprintln!("chaos: node-faults across all nine policies, shard-loss under OURS");
-    let node_faults = run_node_faults(quick);
-    let shard_loss = run_shard_loss(quick);
+    let node_faults = run_node_faults(cli.quick);
+    let shard_loss = run_shard_loss(cli.quick);
     print_table(&node_faults, &shard_loss);
     let doc = to_json(&node_faults, &shard_loss);
+    cli.write_json(&doc);
 
-    if let Some(path) = &json_path {
-        std::fs::write(path, doc.pretty()).expect("write json output");
-        println!("\n(wrote {path})");
-    }
-
-    let Some(path) = check_path else { return };
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    let committed = parse(&committed).expect("baseline parses as JSON");
-
-    println!("\n== regression check vs {path} ==");
+    let Some(baseline) = cli.baseline() else {
+        return;
+    };
+    println!("\n== regression check vs {} ==", baseline.path);
     // Loss is gated with no tolerance: the committed report says zero, and
     // zero it stays.
     let fresh_loss = headline(&doc, "admitted_job_loss").expect("fresh report has loss");
@@ -350,24 +336,11 @@ fn main() {
         std::process::exit(1);
     }
     println!("  admitted_job_loss: 0 -> OK");
-    let mut regressed = false;
+    let mut ok = true;
     for key in ["max_node_fault_mttr_ms", "max_interactive_mttr_ms"] {
-        let base = headline(&committed, key).expect("baseline headline");
+        let base = headline(&baseline.doc, key).expect("baseline headline");
         let fresh = headline(&doc, key).expect("fresh headline");
-        let ceiling = base * TOLERANCE;
-        let ok = fresh <= ceiling;
-        println!(
-            "  {key}: fresh {} vs committed {} (ceiling {}) -> {}",
-            fmt_f64(fresh),
-            fmt_f64(base),
-            fmt_f64(ceiling),
-            if ok { "OK" } else { "REGRESSED" }
-        );
-        regressed |= !ok;
+        ok &= gate_ceiling(key, fresh, base, base * TOLERANCE);
     }
-    if regressed {
-        eprintln!("chaos: recovery MTTR regression beyond tolerance");
-        std::process::exit(1);
-    }
-    println!("  no regression");
+    conclude(ok, "chaos: recovery MTTR regression beyond tolerance");
 }

@@ -40,7 +40,8 @@
 use vizsched_bench::experiments::{
     cell_starvation_and_imbalance, overload_policy_for, overload_scenario, run_overload,
 };
-use vizsched_bench::json::{fmt_f64, obj, parse, Json};
+use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::json::{obj, Json};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 
@@ -226,58 +227,38 @@ fn baseline_gains(doc: &Json) -> Result<(f64, f64), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
-    let quick = args.iter().any(|a| a == "--quick");
+    let cli = Cli::parse();
 
     eprintln!(
         "policy_matrix: {:?} x {SHARDS:?} shards x {FACTORS:?} saturation{}",
         POLICIES.map(|p| p.name()),
-        if quick { " (quick)" } else { "" }
+        if cli.quick { " (quick)" } else { "" }
     );
-    let cells = run_matrix(quick);
+    let cells = run_matrix(cli.quick);
     print_table(&cells);
-    let doc = to_json(&cells, quick);
+    let doc = to_json(&cells, cli.quick);
+    cli.write_json(&doc);
 
-    if let Some(path) = &json_path {
-        std::fs::write(path, doc.pretty()).expect("write json output");
-        println!("\n(wrote {path})");
-    }
-
-    let Some(path) = check_path else { return };
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    let base = baseline_gains(&parse(&committed).expect("baseline parses as JSON"))
-        .expect("baseline has headline gains");
+    let Some(baseline) = cli.baseline() else {
+        return;
+    };
+    let base = baseline_gains(&baseline.doc).expect("baseline has headline gains");
     let fresh = baseline_gains(&doc).expect("fresh document has headline gains");
 
-    println!("\n== regression check vs {path} (tolerance: {TOLERANCE}x committed, floor 1.0) ==");
+    println!(
+        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed, floor 1.0) ==",
+        baseline.path
+    );
     let mut ok = true;
     for (axis, base, fresh) in [
         ("starvation gain", base.0, fresh.0),
         ("imbalance gain", base.1, fresh.1),
     ] {
-        let floor = (base * TOLERANCE).max(1.0);
-        let pass = fresh >= floor;
-        ok &= pass;
-        println!(
-            "  MOBJ 4x/2-shard {axis}: fresh {} vs committed {} (floor {}) -> {}",
-            fmt_f64(fresh),
-            fmt_f64(base),
-            fmt_f64(floor),
-            if pass { "OK" } else { "REGRESSED" }
-        );
+        let label = format!("MOBJ 4x/2-shard {axis}");
+        ok &= gate_floor(&label, fresh, base, (base * TOLERANCE).max(1.0));
     }
-    if !ok {
-        eprintln!("policy_matrix: policy-family gain regression beyond tolerance");
-        std::process::exit(1);
-    }
-    println!("  no regression");
+    conclude(
+        ok,
+        "policy_matrix: policy-family gain regression beyond tolerance",
+    );
 }

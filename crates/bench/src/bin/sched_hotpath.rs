@@ -28,7 +28,8 @@
 //! over all samples (default 30, `--quick` 8).
 
 use std::time::Instant;
-use vizsched_bench::json::{fmt_f64, obj, parse, Json};
+use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -323,59 +324,34 @@ fn baseline_geomeans(doc: &Json) -> Result<(f64, f64), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
-    let quick = args.iter().any(|a| a == "--quick");
-    let samples: usize = arg_value("--samples")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 8 } else { 30 });
+    let cli = Cli::parse();
+    let samples: usize = cli.number("--samples", 8, 30);
 
     eprintln!("sched_hotpath: {samples} samples/cell, grid {ACTIONS:?} actions x {NODES:?} nodes");
     let cells = run_grid(samples);
     print_table(&cells);
     let doc = to_json(&cells, samples);
+    cli.write_json(&doc);
 
-    if let Some(path) = &json_path {
-        std::fs::write(path, doc.pretty()).expect("write json output");
-        println!("\n(wrote {path})");
-    }
-
-    let Some(path) = check_path else { return };
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    let Some(baseline) = cli.baseline() else {
+        return;
+    };
     let (base_ours, base_fcfsl) =
-        baseline_geomeans(&parse(&committed).expect("baseline parses as JSON"))
-            .expect("baseline has summary geomeans");
+        baseline_geomeans(&baseline.doc).expect("baseline has summary geomeans");
     let (fresh_ours, fresh_fcfsl) =
         baseline_geomeans(&doc).expect("fresh document has summary geomeans");
 
-    println!("\n== regression check vs {path} (tolerance: {TOLERANCE}x committed) ==");
-    let mut failed = false;
+    println!(
+        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
+        baseline.path
+    );
+    let mut ok = true;
     for (policy, fresh, base) in [
         ("OURS", fresh_ours, base_ours),
         ("FCFSL", fresh_fcfsl, base_fcfsl),
     ] {
-        let floor = base * TOLERANCE;
-        let ok = fresh >= floor;
-        println!(
-            "  {policy:-6} geomean speedup: fresh {} vs committed {} (floor {}) -> {}",
-            fmt_f64(fresh),
-            fmt_f64(base),
-            fmt_f64(floor),
-            if ok { "OK" } else { "REGRESSED" }
-        );
-        failed |= !ok;
+        let label = format!("{policy:-6} geomean speedup");
+        ok &= gate_floor(&label, fresh, base, base * TOLERANCE);
     }
-    if failed {
-        eprintln!("sched_hotpath: speedup regression beyond tolerance");
-        std::process::exit(1);
-    }
-    println!("  no regression");
+    conclude(ok, "sched_hotpath: speedup regression beyond tolerance");
 }

@@ -2,9 +2,8 @@
 //! machine-readable baseline for CI regression gating.
 //!
 //! Sweeps a {16, 128, 1024} connections × {1, 10, 30} fps grid against the
-//! event-driven plane ([`TcpServer::start_with`]) plus one cell against the
-//! retained thread-per-connection baseline ([`TcpServer::start_threaded`]),
-//! and reports p50/p99 frame latency and sustained throughput per cell.
+//! event-driven plane ([`TcpServer::start_with`]) and reports p50/p99 frame
+//! latency and sustained throughput per cell.
 //! The head behind the socket is a synthetic responder that answers every
 //! request with a prebuilt 16×16 frame, so the numbers isolate the service
 //! plane itself — framing, socket I/O, buffer pooling, reply routing — not
@@ -28,11 +27,8 @@
 //! run **fails** (exit 1) if its fresh p99 regresses more than 25 % over
 //! the committed baseline, or if the plane no longer sustains the full
 //! 1024-connection grid point (a dead connection, or under 99 % of
-//! connections served). The gate is absolute microseconds rather than a
-//! ratio against the threaded plane: thread-per-connection tail latency is
-//! a lottery of kernel scheduling (its p99 swings 100× run to run on a
-//! loaded core), so it is recorded for the record but useless as a
-//! denominator.
+//! connections served). The gate is absolute microseconds: the plane has
+//! no second implementation to take a ratio against.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -40,7 +36,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polling::{Events, Interest, Poller, Token};
-use vizsched_bench::json::{fmt_f64, obj, parse, Json};
+use vizsched_bench::harness::Cli;
+use vizsched_bench::json::{fmt_f64, obj, Json};
 use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, JobKind};
 use vizsched_core::time::SimDuration;
@@ -53,9 +50,11 @@ use vizsched_service::{
 
 const CONNS: [usize; 3] = [16, 128, 1024];
 const FPS: [u32; 3] = [1, 10, 30];
-/// The cell the thread-per-connection baseline is recorded at, and where
-/// the two planes are compared head-to-head: {128 conns, 10 fps}.
+/// The mid-grid cell `--quick` runs beside the gated largest point.
 const BASELINE_CELL: (usize, u32) = (128, 10);
+/// The `plane` column/field of every cell (the report schema predates the
+/// removal of the thread-per-connection plane).
+const PLANE: &str = "evented";
 /// Synthetic responder threads draining the admission channel.
 const RESPONDERS: usize = 2;
 /// Edge length of the prebuilt reply frame (16×16 RGBA8 = 1 KiB payload).
@@ -67,23 +66,7 @@ const TOLERANCE: f64 = 1.25;
 /// this fraction of connections completed a frame.
 const SUSTAIN_FRACTION: f64 = 0.99;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Plane {
-    Evented,
-    Threaded,
-}
-
-impl Plane {
-    fn as_str(self) -> &'static str {
-        match self {
-            Plane::Evented => "evented",
-            Plane::Threaded => "threaded",
-        }
-    }
-}
-
 struct Cell {
-    plane: Plane,
     conns: usize,
     fps: u32,
     samples: usize,
@@ -153,12 +136,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-fn run_cell(plane: Plane, conns: usize, fps: u32, warmup: Duration, measure: Duration) -> Cell {
+fn run_cell(conns: usize, fps: u32, warmup: Duration, measure: Duration) -> Cell {
     let (tx, rx) = crossbeam::channel::unbounded::<RenderRequest>();
-    let server = match plane {
-        Plane::Evented => TcpServer::start_with("127.0.0.1:0", tx, conns).expect("bind"),
-        Plane::Threaded => TcpServer::start_threaded("127.0.0.1:0", tx, conns).expect("bind"),
-    };
+    let server = TcpServer::start_with("127.0.0.1:0", tx, conns).expect("bind");
     let responders = spawn_responders(rx);
     let addr = server.addr();
 
@@ -296,7 +276,6 @@ fn run_cell(plane: Plane, conns: usize, fps: u32, warmup: Duration, measure: Dur
 
     latencies_us.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     Cell {
-        plane,
         conns,
         fps,
         samples: latencies_us.len(),
@@ -327,28 +306,21 @@ fn write_all(stream: &TcpStream, mut buf: &[u8]) -> io::Result<()> {
 }
 
 fn run_grid(quick: bool, warmup: Duration, measure: Duration) -> Vec<Cell> {
-    let grid: Vec<(Plane, usize, u32)> = if quick {
-        vec![
-            (Plane::Evented, BASELINE_CELL.0, BASELINE_CELL.1),
-            (Plane::Evented, 1024, 30),
-            (Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1),
-        ]
+    let grid: Vec<(usize, u32)> = if quick {
+        vec![BASELINE_CELL, (1024, 30)]
     } else {
-        let mut grid: Vec<_> = CONNS
+        CONNS
             .iter()
-            .flat_map(|&c| FPS.iter().map(move |&f| (Plane::Evented, c, f)))
-            .collect();
-        grid.push((Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1));
-        grid
+            .flat_map(|&c| FPS.iter().map(move |&f| (c, f)))
+            .collect()
     };
 
     grid.into_iter()
-        .map(|(plane, conns, fps)| {
-            let cell = run_cell(plane, conns, fps, warmup, measure);
+        .map(|(conns, fps)| {
+            let cell = run_cell(conns, fps, warmup, measure);
             eprintln!(
-                "  {:>8} conns={conns:>4} fps={fps:>2}: p50 {:>9.1} us  p99 {:>9.1} us  \
+                "  {PLANE:>8} conns={conns:>4} fps={fps:>2}: p50 {:>9.1} us  p99 {:>9.1} us  \
                  {:>8.1}/{:<8.1} rps  served {}/{}",
-                plane.as_str(),
                 cell.p50_us,
                 cell.p99_us,
                 cell.throughput_rps,
@@ -361,26 +333,24 @@ fn run_grid(quick: bool, warmup: Duration, measure: Duration) -> Vec<Cell> {
         .collect()
 }
 
-fn find(cells: &[Cell], plane: Plane, conns: usize, fps: u32) -> &Cell {
+fn find(cells: &[Cell], (conns, fps): (usize, u32)) -> &Cell {
     cells
         .iter()
-        .find(|c| c.plane == plane && c.conns == conns && c.fps == fps)
-        .unwrap_or_else(|| panic!("missing cell {} {conns}x{fps}", plane.as_str()))
+        .find(|c| c.conns == conns && c.fps == fps)
+        .unwrap_or_else(|| panic!("missing cell {conns}x{fps}"))
 }
 
-/// The largest evented grid point present (max conns, then max fps).
+/// The largest grid point present (max conns, then max fps).
 fn largest(cells: &[Cell]) -> &Cell {
     cells
         .iter()
-        .filter(|c| c.plane == Plane::Evented)
         .max_by_key(|c| (c.conns, c.fps))
-        .expect("at least one evented cell")
+        .expect("at least one cell")
 }
 
 fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
     let big = largest(cells);
-    let threaded = find(cells, Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1);
-    let evented = find(cells, Plane::Evented, BASELINE_CELL.0, BASELINE_CELL.1);
+    let evented = find(cells, BASELINE_CELL);
     obj([
         (
             "schema",
@@ -403,7 +373,7 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
                     .iter()
                     .map(|c| {
                         obj([
-                            ("plane", Json::Str(c.plane.as_str().into())),
+                            ("plane", Json::Str(PLANE.into())),
                             ("conns", Json::Num(c.conns as f64)),
                             ("fps", Json::Num(c.fps as f64)),
                             ("samples", Json::Num(c.samples as f64)),
@@ -427,15 +397,6 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
                 ("p99_largest_us", Json::Num(big.p99_us)),
                 ("sustained_largest", Json::Bool(big.sustained())),
                 ("evented_p99_baseline_us", Json::Num(evented.p99_us)),
-                ("threaded_p99_baseline_us", Json::Num(threaded.p99_us)),
-                (
-                    "evented_vs_threaded_p99",
-                    Json::Num(evented.p99_us / threaded.p99_us),
-                ),
-                (
-                    "normalized_p99_largest",
-                    Json::Num(big.p99_us / threaded.p99_us),
-                ),
             ]),
         ),
     ])
@@ -449,8 +410,7 @@ fn print_table(cells: &[Cell]) {
     );
     for c in cells {
         println!(
-            "{:>8} {:>6} {:>4} {:>8} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>9}",
-            c.plane.as_str(),
+            "{PLANE:>8} {:>6} {:>4} {:>8} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>9}",
             c.conns,
             c.fps,
             c.samples,
@@ -478,21 +438,9 @@ fn summary_metrics(doc: &Json) -> Result<(f64, bool), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
-    let quick = args.iter().any(|a| a == "--quick");
-    let measure = Duration::from_secs_f64(
-        arg_value("--measure-secs")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(if quick { 2.0 } else { 4.0 }),
-    );
+    let cli = Cli::parse();
+    let quick = cli.quick;
+    let measure = Duration::from_secs_f64(cli.number("--measure-secs", 2.0, 4.0));
     let warmup = Duration::from_secs_f64(if quick { 0.5 } else { 1.0 });
 
     eprintln!(
@@ -504,22 +452,20 @@ fn main() {
     let cells = run_grid(quick, warmup, measure);
     print_table(&cells);
     let doc = to_json(&cells, warmup, measure);
+    cli.write_json(&doc);
 
-    if let Some(path) = &json_path {
-        std::fs::write(path, doc.pretty()).expect("write json output");
-        println!("\n(wrote {path})");
-    }
-
-    let Some(path) = check_path else { return };
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    let Some(baseline) = cli.baseline() else {
+        return;
+    };
     let (base_p99, base_sustained) =
-        summary_metrics(&parse(&committed).expect("baseline parses as JSON"))
-            .expect("baseline has summary metrics");
+        summary_metrics(&baseline.doc).expect("baseline has summary metrics");
     let (fresh_p99, fresh_sustained) =
         summary_metrics(&doc).expect("fresh document has summary metrics");
 
-    println!("\n== regression check vs {path} (tolerance: {TOLERANCE}x committed) ==");
+    println!(
+        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
+        baseline.path
+    );
     let ceiling = base_p99 * TOLERANCE;
     println!(
         "  largest-point p99: fresh {} us vs committed {} us (ceiling {})",
@@ -530,16 +476,14 @@ fn main() {
     println!(
         "  largest grid point sustained: fresh {fresh_sustained} vs committed {base_sustained}"
     );
-    let mut failed = false;
+    // Two independent gates, each with its own failure line.
     if fresh_p99 > ceiling {
         eprintln!("service_scaling: p99 regression at the largest grid point beyond tolerance");
-        failed = true;
     }
     if !fresh_sustained {
         eprintln!("service_scaling: the plane no longer sustains the largest grid point");
-        failed = true;
     }
-    if failed {
+    if fresh_p99 > ceiling || !fresh_sustained {
         std::process::exit(1);
     }
     println!("  no regression");

@@ -42,7 +42,8 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use vizsched_bench::json::{fmt_f64, obj, parse, Json};
+use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -355,50 +356,33 @@ fn baseline_headline(doc: &Json) -> Result<f64, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
-    let quick = args.iter().any(|a| a == "--quick");
-    let samples: usize = arg_value("--samples")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 3 } else { 7 });
+    let cli = Cli::parse();
+    let samples: usize = cli.number("--samples", 3, 7);
 
     eprintln!("shard_scaling: {samples} samples/cell, grid {SHARDS:?} shards x {NODES:?} nodes");
     let cells = run_grid(samples);
     print_table(&cells);
     let doc = to_json(&cells, samples);
+    cli.write_json(&doc);
 
-    if let Some(path) = &json_path {
-        std::fs::write(path, doc.pretty()).expect("write json output");
-        println!("\n(wrote {path})");
-    }
-
-    let Some(path) = check_path else { return };
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    let base = baseline_headline(&parse(&committed).expect("baseline parses as JSON"))
-        .expect("baseline has headline speedup");
+    let Some(baseline) = cli.baseline() else {
+        return;
+    };
+    let base = baseline_headline(&baseline.doc).expect("baseline has headline speedup");
     let fresh = baseline_headline(&doc).expect("fresh document has headline speedup");
 
-    println!("\n== regression check vs {path} (tolerance: {TOLERANCE}x committed) ==");
-    let floor = base * TOLERANCE;
-    let ok = fresh >= floor;
     println!(
-        "  16 shards / 1024 nodes speedup: fresh {} vs committed {} (floor {}) -> {}",
-        fmt_f64(fresh),
-        fmt_f64(base),
-        fmt_f64(floor),
-        if ok { "OK" } else { "REGRESSED" }
+        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
+        baseline.path
     );
-    if !ok {
-        eprintln!("shard_scaling: sharded speedup regression beyond tolerance");
-        std::process::exit(1);
-    }
-    println!("  no regression");
+    let ok = gate_floor(
+        "16 shards / 1024 nodes speedup",
+        fresh,
+        base,
+        base * TOLERANCE,
+    );
+    conclude(
+        ok,
+        "shard_scaling: sharded speedup regression beyond tolerance",
+    );
 }

@@ -26,7 +26,8 @@
 //! committed report.
 
 use vizsched_bench::experiments::p99;
-use vizsched_bench::json::{obj, parse, Json};
+use vizsched_bench::harness::{verdict, Cli};
+use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -322,15 +323,7 @@ fn doc_ours_p99(doc: &Json, shape: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = arg_value("--json");
-    let check_path = arg_value("--check");
+    let cli = Cli::parse();
 
     let shapes = TrafficShape::demo_suite(SEED);
     eprintln!(
@@ -357,7 +350,9 @@ fn main() {
         slo,
     );
 
-    if let Some(path) = &json_path {
+    // Not `Cli::write_json`: this report's note follows the SLO line
+    // directly, with no blank line between.
+    if let Some(path) = &cli.json {
         std::fs::write(path, doc.pretty()).expect("write json output");
         println!("(wrote {path})");
     }
@@ -368,14 +363,14 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = check_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let base = parse(&committed).expect("baseline parses as JSON");
-        println!("\n== regression check vs {path} (tolerance {TOLERANCE}x committed + 1 ms) ==");
+    if let Some(baseline) = cli.baseline() {
+        println!(
+            "\n== regression check vs {} (tolerance {TOLERANCE}x committed + 1 ms) ==",
+            baseline.path
+        );
         for name in TrafficShape::NAMES {
             let fresh = doc_ours_p99(&doc, name).expect("fresh document has every shape");
-            let Some(committed) = doc_ours_p99(&base, name) else {
+            let Some(committed) = doc_ours_p99(&baseline.doc, name) else {
                 eprintln!("  {name}: missing from baseline");
                 ok = false;
                 continue;
@@ -386,7 +381,7 @@ fn main() {
             println!(
                 "  {name}: OURS p99 fresh {fresh:.1} ms vs committed {committed:.1} ms \
                  (bound {bound:.1}) -> {}",
-                if pass { "OK" } else { "REGRESSED" }
+                verdict(pass)
             );
         }
     }

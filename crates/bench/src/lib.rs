@@ -9,4 +9,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+pub mod harness;
 pub mod json;

@@ -57,7 +57,7 @@
 pub mod fault;
 pub mod shard;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use shard::{Head, ShardOutcome, ShardedOutcome, ShardedRuntime};
+pub use shard::{ShardOutcome, ShardedOutcome, ShardedRuntime};
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -11,6 +11,15 @@
 //! its shard ends up caching — lands on one shard: `Cache[c]` locality
 //! survives the routing hop.
 //!
+//! `ShardedRuntime` is the one head type both substrates hold. The
+//! paper's single head node is its one-shard case: an identity
+//! [`ShardMap`] around one `HeadRuntime`, placing — and tracing, and
+//! reporting — exactly as that bare runtime would. Everything the routing
+//! tier does on its own account starts at two shards, decided from the
+//! shard count alone: `shard_assigned` events, the saturation steal,
+//! fault pressure and degraded-mode shedding, shard-head failover, and
+//! the per-shard outcome breakdown.
+//!
 //! Node numbering is the seam. Each shard's runtime schedules over
 //! *local* node indices `0..n_s`; this module translates at every
 //! boundary crossing — assignments local→global on dispatch (via a
@@ -39,13 +48,13 @@
 //! ([`TraceEvent::ShardFailed`] / [`TraceEvent::ShardRecovered`]), and
 //! every admitted-but-unfinished job drained off the dead head is
 //! re-admitted exactly once on its dataset's new home shard. Because the
-//! caller power-cycles the dead slice's render nodes first, no stale
-//! completion can race the rebuilt control state. Sustained fault
-//! pressure (node faults, shard loss) drives an explicit *degraded mode*
-//! with hysteresis: while degraded, new batch arrivals are shed
-//! ([`RejectReason::Degraded`]) so surviving capacity protects
-//! interactive sessions; pressure decays at cycle boundaries and batch
-//! admission resumes below the exit threshold.
+//! caller power-cycles the dead slice's render nodes first
+//! ([`ShardedRuntime::failover_slice`]), no stale completion can race the
+//! rebuilt control state. Sustained fault pressure (node faults, shard
+//! loss) drives an explicit *degraded mode* with hysteresis: while
+//! degraded, new batch arrivals are shed ([`RejectReason::Degraded`]) so
+//! surviving capacity protects interactive sessions; pressure decays at
+//! cycle boundaries and batch admission resumes below the exit threshold.
 
 use std::sync::{Arc, RwLock};
 use vizsched_core::cluster::ClusterSpec;
@@ -159,11 +168,12 @@ pub struct ShardedOutcome {
     /// shaped exactly like a single-head [`RuntimeOutcome`] so existing
     /// reporting keeps working.
     pub merged: RuntimeOutcome,
-    /// Per-shard breakdown, in shard order.
+    /// Per-shard breakdown, in shard order; empty for a one-shard run
+    /// (there is no routing to break down).
     pub per_shard: Vec<ShardOutcome>,
     /// Batch arrivals shed by the routing tier while in degraded mode
     /// (they never reached a shard, so they are not in any shard's
-    /// overload counters).
+    /// overload counters). Always zero for a one-shard run.
     pub degraded_shed: u64,
 }
 
@@ -309,8 +319,19 @@ impl ShardedRuntime {
         (shard as usize, NodeId(local))
     }
 
-    /// Raise fault pressure, entering degraded mode at the threshold.
+    /// Whether there is a routing tier at all. One shard is the paper's
+    /// single head node: every call passes straight through to it.
+    fn routed(&self) -> bool {
+        self.shards.len() > 1
+    }
+
+    /// Raise fault pressure, entering degraded mode at the threshold. A
+    /// single head has no surviving capacity to protect by shedding, so it
+    /// keeps no pressure score.
     fn bump_pressure(&mut self, now: SimTime, amount: u32) {
+        if !self.routed() {
+            return;
+        }
         self.pressure = self.pressure.saturating_add(amount);
         if !self.degraded && self.pressure >= Self::DEGRADED_ENTER {
             self.degraded = true;
@@ -344,14 +365,35 @@ impl ShardedRuntime {
     }
 
     /// The global node ids a shard currently owns (its original slice
-    /// plus adoptions, minus anything it was itself — empty once dead).
-    pub fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
+    /// plus adoptions — empty once dead).
+    fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
         self.locals[shard.index()]
             .read()
             .expect("locals lock")
             .iter()
             .map(|&g| NodeId(g))
             .collect()
+    }
+
+    /// Whether losing this shard's head can be survived: the shard exists,
+    /// is alive, and is not the last live one.
+    fn can_fail_over(&self, shard: ShardId) -> bool {
+        let live = self.dead.iter().filter(|&&d| !d).count();
+        self.dead.get(shard.index()) == Some(&false) && live > 1
+    }
+
+    /// The nodes a substrate must power-cycle before
+    /// [`on_shard_fail`](Self::on_shard_fail): the shard's current slice
+    /// when its head can fail over, empty when it cannot (already dead,
+    /// out of range, or the last live shard — including every one-shard
+    /// run). An empty slice means the crash is a no-op end to end: no
+    /// node restarts, no state changes.
+    pub fn failover_slice(&self, shard: ShardId) -> Vec<NodeId> {
+        if self.can_fail_over(shard) {
+            self.shard_nodes(shard)
+        } else {
+            Vec::new()
+        }
     }
 
     /// Whether a shard's head has died.
@@ -454,16 +496,26 @@ impl ShardedRuntime {
 
     /// Route one arriving job to its shard and hand it to that shard's
     /// runtime. Returns the owning shard alongside the shard's admission
-    /// verdict. Emits [`TraceEvent::ShardAssigned`] for every admitted
-    /// arrival. While degraded, new *batch* arrivals are shed with
+    /// verdict. With more than one shard, emits
+    /// [`TraceEvent::ShardAssigned`] for every admitted arrival. While
+    /// degraded, new *batch* arrivals are shed with
     /// [`RejectReason::Degraded`] before they reach a shard — surviving
     /// capacity is reserved for interactive sessions.
+    ///
+    /// This is the one entry point shared by both substrates, so it is
+    /// where [`Probe::on_job_offered`] fires — exactly once per offered
+    /// job. Batch migration and shard failover re-admit through the
+    /// per-shard runtimes, bypassing this method, and therefore never
+    /// double-record.
     pub fn on_job_arrival<S: Substrate>(
         &mut self,
         sub: &mut S,
         now: SimTime,
         job: Job,
     ) -> (ShardId, Admission) {
+        if self.probe.enabled() {
+            self.probe.on_job_offered(now, &job);
+        }
         let shard = self.ring.shard_for_dataset(job.dataset);
         if self.degraded && !job.kind.is_interactive() {
             self.degraded_shed += 1;
@@ -477,7 +529,7 @@ impl ShardedRuntime {
             return (shard, Admission::Rejected(RejectReason::Degraded));
         }
         self.counters[shard.index()].assigned += 1;
-        if self.probe.enabled() {
+        if self.routed() && self.probe.enabled() {
             self.probe.on_event(&TraceEvent::ShardAssigned {
                 now,
                 job: job.id,
@@ -500,7 +552,7 @@ impl ShardedRuntime {
     /// shards are merged into one [`CycleOutcome`].
     pub fn on_cycle<S: Substrate>(&mut self, sub: &mut S, now: SimTime) -> CycleOutcome {
         self.decay_pressure(now);
-        if self.shards.len() > 1 {
+        if self.routed() {
             self.steal_from_saturated(sub, now);
         }
         let mut outcome = CycleOutcome::default();
@@ -636,25 +688,28 @@ impl ShardedRuntime {
     /// admitted). Interactive sessions re-pin to the new home — the ring
     /// gives every surviving client of a dataset the same answer.
     ///
-    /// The caller must power-cycle the dead slice's render nodes *before*
-    /// calling this, so completions dispatched by the dead head can never
-    /// race the rebuilt control state; adopted nodes therefore join
-    /// cold-cached and idle, which is exactly what [`HeadRuntime::adopt_node`]
+    /// The caller must power-cycle the dead slice's render nodes
+    /// ([`failover_slice`](Self::failover_slice)) *before* calling this,
+    /// so completions dispatched by the dead head can never race the
+    /// rebuilt control state; adopted nodes therefore join cold-cached
+    /// and idle, which is exactly what [`HeadRuntime::adopt_node`]
     /// records.
     ///
     /// Returns the number of orphaned jobs re-admitted. A second failure
-    /// of the same shard and the loss of the last live shard are no-ops
-    /// (there is nothing left to fail over to).
+    /// of the same shard, an unknown shard id and the loss of the last
+    /// live shard are no-ops (there is nothing to fail over, or nothing
+    /// left to fail over to) — exactly the cases in which
+    /// [`failover_slice`](Self::failover_slice) is empty.
     pub fn on_shard_fail<S: Substrate>(
         &mut self,
         sub: &mut S,
         now: SimTime,
         shard: ShardId,
     ) -> usize {
-        let s = shard.index();
-        if self.dead[s] || self.dead.iter().filter(|&&d| !d).count() <= 1 {
+        if !self.can_fail_over(shard) {
             return 0;
         }
+        let s = shard.index();
         self.dead[s] = true;
         self.ring.remove_shard(shard);
         let drained = self.shards[s].drain_for_failover();
@@ -715,8 +770,17 @@ impl ShardedRuntime {
     }
 
     /// Consume the runtime into the merged cluster-global outcome plus
-    /// the per-shard breakdown.
-    pub fn into_outcome(self) -> ShardedOutcome {
+    /// the per-shard breakdown. One shard's outcome is already
+    /// cluster-global and is returned as is, with no breakdown.
+    pub fn into_outcome(mut self) -> ShardedOutcome {
+        if !self.routed() {
+            let only = self.shards.pop().expect("at least one shard");
+            return ShardedOutcome {
+                merged: only.into_outcome(),
+                per_shard: Vec::new(),
+                degraded_shed: self.degraded_shed,
+            };
+        }
         let ShardedRuntime {
             shards,
             map,
@@ -806,230 +870,6 @@ impl ShardedRuntime {
             merged,
             per_shard,
             degraded_shed,
-        }
-    }
-}
-
-/// The head of a run: either the paper's single head node or the sharded
-/// control plane, behind one driving contract so the simulator's engine
-/// and the live service hold a single field and stay oblivious to which
-/// they got. `shards <= 1` stays [`Head::Single`] — an unsharded run is
-/// the unmodified [`HeadRuntime`], bit for bit (no routing events, no
-/// translation layer).
-#[allow(clippy::large_enum_variant)]
-pub enum Head {
-    /// The unmodified single head node.
-    Single(HeadRuntime),
-    /// The sharded control plane.
-    Sharded(ShardedRuntime),
-}
-
-impl Head {
-    /// Install an overload policy (on every shard, when sharded).
-    pub fn set_overload_policy(&mut self, policy: OverloadPolicy) {
-        match self {
-            Head::Single(rt) => rt.set_overload_policy(policy),
-            Head::Sharded(rt) => rt.set_overload_policy(policy),
-        }
-    }
-
-    /// Aggregate overload counters.
-    pub fn overload_stats(&self) -> OverloadStats {
-        match self {
-            Head::Single(rt) => rt.overload_stats(),
-            Head::Sharded(rt) => rt.overload_stats(),
-        }
-    }
-
-    /// The policy's invocation trigger.
-    pub fn trigger(&self) -> Trigger {
-        match self {
-            Head::Single(rt) => rt.trigger(),
-            Head::Sharded(rt) => rt.trigger(),
-        }
-    }
-
-    /// Whether any head holds deferred work.
-    pub fn has_deferred(&self) -> bool {
-        match self {
-            Head::Single(rt) => rt.has_deferred(),
-            Head::Sharded(rt) => rt.has_deferred(),
-        }
-    }
-
-    /// The policy's display name.
-    pub fn scheduler_name(&self) -> &str {
-        match self {
-            Head::Single(rt) => rt.scheduler_name(),
-            Head::Sharded(rt) => rt.scheduler_name(),
-        }
-    }
-
-    /// The decomposition catalog.
-    pub fn catalog(&self) -> &Catalog {
-        match self {
-            Head::Single(rt) => rt.catalog(),
-            Head::Sharded(rt) => rt.catalog(),
-        }
-    }
-
-    /// Jobs buffered for the next cycle, cluster-wide.
-    pub fn queued_jobs(&self) -> usize {
-        match self {
-            Head::Single(rt) => rt.queued_jobs(),
-            Head::Sharded(rt) => rt.queued_jobs(),
-        }
-    }
-
-    /// Jobs fully completed, cluster-wide.
-    pub fn jobs_completed(&self) -> u64 {
-        match self {
-            Head::Single(rt) => rt.jobs_completed(),
-            Head::Sharded(rt) => rt.jobs_completed(),
-        }
-    }
-
-    /// Whether a (global) node is currently marked down.
-    pub fn is_node_down(&self, node: NodeId) -> bool {
-        match self {
-            Head::Single(rt) => rt.is_node_down(node),
-            Head::Sharded(rt) => rt.is_node_down(node),
-        }
-    }
-
-    /// The shard a dataset routes to; `None` for a single head.
-    pub fn shard_of_dataset(&self, dataset: DatasetId) -> Option<ShardId> {
-        match self {
-            Head::Single(_) => None,
-            Head::Sharded(rt) => Some(rt.shard_of_dataset(dataset)),
-        }
-    }
-
-    /// Seed one `Estimate[c]` prior.
-    pub fn seed_estimate(&mut self, chunk: ChunkId, estimate: SimDuration) {
-        match self {
-            Head::Single(rt) => rt.tables_mut().estimate.record(chunk, estimate),
-            Head::Sharded(rt) => rt.seed_estimate(chunk, estimate),
-        }
-    }
-
-    /// Mirror a pre-run cache placement (global node numbering).
-    pub fn record_warm_load(&mut self, node: NodeId, chunk: ChunkId, bytes: u64) {
-        match self {
-            Head::Single(rt) => rt.record_warm_load(node, chunk, bytes),
-            Head::Sharded(rt) => rt.record_warm_load(node, chunk, bytes),
-        }
-    }
-
-    /// Accept one job (routing it to its shard first, when sharded).
-    ///
-    /// This is the one entry point shared by both substrates, so it is
-    /// where [`Probe::on_job_offered`] fires — exactly once per offered
-    /// job. The sharded runtime re-admits jobs internally during batch
-    /// migration and shard failover through the per-shard runtimes,
-    /// which bypass this method and therefore never double-record.
-    pub fn on_job_arrival<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        job: Job,
-    ) -> Admission {
-        match self {
-            Head::Single(rt) => {
-                if rt.probe.enabled() {
-                    rt.probe.on_job_offered(now, &job);
-                }
-                rt.on_job_arrival(sub, now, job)
-            }
-            Head::Sharded(rt) => {
-                if rt.probe.enabled() {
-                    rt.probe.on_job_offered(now, &job);
-                }
-                rt.on_job_arrival(sub, now, job).1
-            }
-        }
-    }
-
-    /// Run one cycle boundary (on every shard, when sharded).
-    pub fn on_cycle<S: Substrate>(&mut self, sub: &mut S, now: SimTime) -> CycleOutcome {
-        match self {
-            Head::Single(rt) => rt.on_cycle(sub, now),
-            Head::Sharded(rt) => rt.on_cycle(sub, now),
-        }
-    }
-
-    /// Apply one completion (global node numbering).
-    pub fn on_task_done(&mut self, now: SimTime, done: Completion) -> Option<JobFinish> {
-        match self {
-            Head::Single(rt) => rt.on_task_done(now, done),
-            Head::Sharded(rt) => rt.on_task_done(now, done),
-        }
-    }
-
-    /// Handle a (global) node fault.
-    pub fn on_node_fault<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        node: NodeId,
-    ) -> usize {
-        match self {
-            Head::Single(rt) => rt.on_node_fault(sub, now, node),
-            Head::Sharded(rt) => rt.on_node_fault(sub, now, node),
-        }
-    }
-
-    /// Handle a (global) node rejoining.
-    pub fn on_node_recover(&mut self, now: SimTime, node: NodeId) {
-        match self {
-            Head::Single(rt) => rt.on_node_recover(now, node),
-            Head::Sharded(rt) => rt.on_node_recover(now, node),
-        }
-    }
-
-    /// Survive one shard head's loss; see
-    /// [`ShardedRuntime::on_shard_fail`]. A single head has no failover
-    /// target, so the call is a no-op returning zero.
-    pub fn on_shard_fail<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        shard: ShardId,
-    ) -> usize {
-        match self {
-            Head::Single(_) => 0,
-            Head::Sharded(rt) => rt.on_shard_fail(sub, now, shard),
-        }
-    }
-
-    /// The global node ids a shard currently owns; empty for a single
-    /// head (which has no shard slices).
-    pub fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
-        match self {
-            Head::Single(_) => Vec::new(),
-            Head::Sharded(rt) => rt.shard_nodes(shard),
-        }
-    }
-
-    /// Whether the routing tier is shedding batch arrivals; a single
-    /// head has no degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        match self {
-            Head::Single(_) => false,
-            Head::Sharded(rt) => rt.is_degraded(),
-        }
-    }
-
-    /// Consume the head into its outcome. A single head reports an empty
-    /// per-shard list.
-    pub fn into_outcome(self) -> ShardedOutcome {
-        match self {
-            Head::Single(rt) => ShardedOutcome {
-                merged: rt.into_outcome(),
-                per_shard: Vec::new(),
-                degraded_shed: 0,
-            },
-            Head::Sharded(rt) => rt.into_outcome(),
         }
     }
 }
@@ -1301,46 +1141,168 @@ mod tests {
         assert!(!rt.is_node_down(victim));
     }
 
+    enum Step {
+        Arrive(Job),
+        Cycle,
+        CompleteAll,
+        Fault(NodeId),
+        Recover(NodeId),
+    }
+
+    /// Interactive and batch arrivals, cycles, completions, and two fresh
+    /// node faults with recovery: enough fault pressure to put a routing
+    /// tier into degraded mode, with a batch arrival landing inside the
+    /// window in which it would be shed.
+    fn parity_script() -> Vec<(SimTime, Step)> {
+        let ms = SimTime::from_millis;
+        let mut script = vec![
+            (ms(1), Step::Arrive(interactive(0, 0, ms(1)))),
+            (ms(1), Step::Arrive(interactive(1, 1, ms(1)))),
+            (ms(1), Step::Arrive(batch(2, 2, ms(1)))),
+            (ms(1), Step::Arrive(batch(3, 2, ms(1)))),
+            (ms(30), Step::Cycle),
+            (ms(40), Step::CompleteAll),
+            (ms(45), Step::Arrive(interactive(4, 0, ms(45)))),
+            (ms(45), Step::Arrive(interactive(5, 1, ms(45)))),
+            (ms(60), Step::Cycle),
+            (ms(61), Step::Fault(NodeId(0))),
+            (ms(62), Step::Fault(NodeId(2))),
+            (ms(63), Step::Arrive(batch(6, 2, ms(63)))),
+            (ms(63), Step::Arrive(interactive(7, 0, ms(63)))),
+            (ms(90), Step::Cycle),
+            (ms(91), Step::Recover(NodeId(0))),
+            (ms(92), Step::Recover(NodeId(2))),
+            (ms(95), Step::Arrive(batch(8, 0, ms(95)))),
+        ];
+        // Drain: OURS holds cold batch back until a node has been
+        // interactive-idle for ε (seconds at this chunk size), then
+        // trickles it out a load per node per cycle.
+        for round in 1..=8 {
+            script.push((ms(10_000 * round), Step::Cycle));
+            script.push((ms(10_000 * round + 10), Step::CompleteAll));
+        }
+        script
+    }
+
+    /// Run [`parity_script`] on a head and return every dispatch it made.
+    /// A macro because the two heads share the driving contract by method
+    /// name, not by trait; `$degraded` is re-evaluated after every step.
+    macro_rules! drive_parity_script {
+        ($rt:ident, $degraded:expr) => {{
+            let mut sub = StubSubstrate::default();
+            // Dispatched, neither completed nor lost with a node.
+            let mut live: Vec<Assignment> = Vec::new();
+            for (now, step) in parity_script() {
+                let seen = sub.dispatched.len();
+                match step {
+                    Step::Arrive(job) => {
+                        let _ = $rt.on_job_arrival(&mut sub, now, job);
+                    }
+                    Step::Cycle => {
+                        $rt.on_cycle(&mut sub, now);
+                    }
+                    Step::CompleteAll => {
+                        for a in live.drain(..) {
+                            $rt.on_task_done(now, completion_for(&a, now));
+                        }
+                    }
+                    Step::Fault(node) => {
+                        $rt.on_node_fault(&mut sub, now, node);
+                        live.retain(|a| a.node != node);
+                    }
+                    Step::Recover(node) => $rt.on_node_recover(now, node),
+                }
+                live.extend_from_slice(&sub.dispatched[seen..]);
+                assert!(!$degraded, "degraded after the step at {now}");
+            }
+            sub.dispatched
+        }};
+    }
+
+    /// Host scheduling cost is the one field two runs never share.
+    fn without_wall_clock(mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+        for e in &mut events {
+            if let TraceEvent::CycleEnd { wall_micros, .. } = e {
+                *wall_micros = 0;
+            }
+        }
+        events
+    }
+
     #[test]
     fn single_shard_matches_single_head_placements() {
-        // With one shard the routing tier must be a pass-through: same
-        // placements as a bare HeadRuntime over the same cluster.
+        // With one shard the routing tier must be a pass-through: the
+        // same trace, placements and outcome as a bare HeadRuntime over
+        // the same cluster, bit for bit.
         let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
         let catalog = Catalog::new(
             uniform_datasets(4, 2 * GIB),
             DecompositionPolicy::MaxChunkSize { max_bytes: GIB },
         );
+        let single_probe = Arc::new(CollectingProbe::new());
         let mut single = HeadRuntime::new(
-            SchedulerKind::Fcfsl.build(SimDuration::from_millis(30)),
+            SchedulerKind::Ours.build(SimDuration::from_millis(30)),
             HeadTables::new(&cluster),
-            catalog.clone(),
+            catalog,
             CostParams::default(),
-            Arc::new(vizsched_metrics::NoopProbe),
-            "single",
+            single_probe.clone(),
+            "shard-unit",
         );
-        let mut sharded = sharded(
-            4,
-            1,
-            SchedulerKind::Fcfsl,
-            4,
-            Arc::new(vizsched_metrics::NoopProbe),
-            None,
+        let sharded_probe = Arc::new(CollectingProbe::new());
+        let mut sharded = sharded(4, 1, SchedulerKind::Ours, 4, sharded_probe.clone(), None);
+
+        let single_dispatched = drive_parity_script!(single, false);
+        let sharded_dispatched = drive_parity_script!(sharded, sharded.is_degraded());
+        assert_eq!(single_dispatched, sharded_dispatched);
+        assert!(
+            single_dispatched.iter().any(|a| !a.task.interactive),
+            "the script placed batch work too"
         );
-        let mut sub_a = StubSubstrate::default();
-        let mut sub_b = StubSubstrate::default();
-        for d in 0..4u32 {
-            single.on_job_arrival(
-                &mut sub_a,
-                SimTime::ZERO,
-                interactive(d as u64, d, SimTime::ZERO),
-            );
-            sharded.on_job_arrival(
-                &mut sub_b,
-                SimTime::ZERO,
-                interactive(d as u64, d, SimTime::ZERO),
+
+        let single_events = without_wall_clock(single_probe.take());
+        let sharded_events = without_wall_clock(sharded_probe.take());
+        for e in &sharded_events {
+            assert!(
+                !e.tag().starts_with("shard_") && !e.tag().starts_with("degraded_"),
+                "routing-tier event {} in a one-shard trace",
+                e.tag()
             );
         }
-        assert_eq!(sub_a.dispatched, sub_b.dispatched);
+        assert_eq!(single_events, sharded_events);
+        let faults = single_events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::NodeFault { .. }))
+            .count();
+        assert_eq!(faults, 2, "two fresh faults reached the head");
+
+        let want = single.into_outcome();
+        let ShardedOutcome {
+            merged: got,
+            per_shard,
+            degraded_shed,
+        } = sharded.into_outcome();
+        assert!(per_shard.is_empty(), "no routing, no breakdown");
+        assert_eq!(degraded_shed, 0);
+        assert_eq!(
+            got.jobs_completed, 9,
+            "every job ran, the late batch included"
+        );
+        assert_eq!(got.record.jobs, want.record.jobs);
+        assert_eq!(got.record.scheduler, want.record.scheduler);
+        assert_eq!(got.record.scenario, want.record.scenario);
+        assert_eq!(got.record.cache_hits, want.record.cache_hits);
+        assert_eq!(got.record.cache_misses, want.record.cache_misses);
+        assert_eq!(got.record.sched_invocations, want.record.sched_invocations);
+        assert_eq!(got.record.jobs_scheduled, want.record.jobs_scheduled);
+        assert_eq!(got.record.makespan, want.record.makespan);
+        assert_eq!(got.incomplete_jobs, want.incomplete_jobs);
+        assert_eq!(got.per_node, want.per_node);
+        assert_eq!(got.jobs_completed, want.jobs_completed);
+        assert_eq!(got.overload, want.overload);
+        assert_eq!(
+            got.mean_latency_secs.to_bits(),
+            want.mean_latency_secs.to_bits()
+        );
     }
 
     /// Satellite regression: a batch job work-stolen onto a shard whose
@@ -1506,11 +1468,19 @@ mod tests {
             None,
         );
         let mut sub = StubSubstrate::default();
+        // An unknown shard has nothing to fail over.
+        assert!(rt.failover_slice(ShardId(7)).is_empty());
+        assert_eq!(rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(7)), 0);
+        assert_eq!(rt.failover_slice(ShardId(0)).len(), 4);
         rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(0));
         // Shard 0 is now dead; killing it again is a no-op...
+        assert!(rt.failover_slice(ShardId(0)).is_empty());
         assert_eq!(rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(0)), 0);
         assert!(rt.is_shard_dead(ShardId(0)));
-        // ...and the last survivor refuses to die.
+        // ...and the last survivor refuses to die, so the substrate is
+        // told to power-cycle none of the eight nodes it now owns.
+        assert_eq!(rt.shard_nodes(ShardId(1)).len(), 8);
+        assert!(rt.failover_slice(ShardId(1)).is_empty());
         assert_eq!(rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(1)), 0);
         assert!(!rt.is_shard_dead(ShardId(1)));
     }

@@ -4,8 +4,8 @@
 //! `wire::write_message` / `wire::read_message` (deprecated for one
 //! release, now removed). Both transport paths go through it:
 //!
-//! - **Sync** (blocking sockets, the threaded baseline server and the
-//!   remote client): [`Codec::read`] / [`Codec::write`].
+//! - **Sync** (blocking sockets: the remote client): [`Codec::read`] /
+//!   [`Codec::write`].
 //! - **Event loop** (non-blocking sockets under the `polling` shim):
 //!   [`Codec::try_read`] resumes an in-flight frame across arbitrary read
 //!   boundaries, and [`Codec::encode`] yields [`Encoded`] segments for

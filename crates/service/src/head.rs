@@ -34,7 +34,7 @@ use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{DropReason, NoopProbe, Probe, RunRecord, TraceEvent};
 use vizsched_render::Layer;
 use vizsched_runtime::{
-    Admission, Completion, FaultKind, FaultPlan, Head, HeadRuntime, OverloadPolicy, OverloadStats,
+    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadPolicy, OverloadStats,
     ShardOutcome, ShardedRuntime, Substrate,
 };
 
@@ -79,10 +79,10 @@ pub struct ServiceConfig {
     /// anti-starvation. Inactive by default (everything is admitted).
     pub overload: OverloadPolicy,
     /// Number of shards behind the consistent-hash routing tier. `1` (the
-    /// default) runs the paper's single head node, bit-identical to an
-    /// unsharded build; above 1, each shard runs its own cycle loop over
-    /// a leaf-aligned slice of the render nodes and every request routes
-    /// by dataset.
+    /// default) is the paper's single head node: one cycle loop over
+    /// every render node, no routing events. Above 1, each shard runs its
+    /// own cycle loop over a leaf-aligned slice of the render nodes and
+    /// every request routes by dataset.
     pub shards: usize,
     /// Seedable fault schedule, executed on the service clock with the
     /// same semantics as the simulator's plan execution: node
@@ -201,7 +201,7 @@ impl ServiceConfig {
     }
 
     /// Split the render nodes into `n` shards behind the consistent-hash
-    /// routing tier (`n <= 1` keeps the single head node).
+    /// routing tier (`n <= 1` is the paper's single head node).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -236,11 +236,11 @@ pub struct ServiceStats {
     /// Admission-control counters (all zero unless
     /// [`ServiceConfig::overload`] set an active policy).
     pub overload: OverloadStats,
-    /// Per-shard routing and completion counters (empty unless
-    /// [`ServiceConfig::shards`] is above 1).
+    /// Per-shard routing and completion counters (empty for a one-shard
+    /// service, the [`ServiceConfig::shards`] default).
     pub per_shard: Vec<ShardOutcome>,
     /// Batch arrivals shed by the routing tier's degraded mode (always
-    /// zero on a single-head service).
+    /// zero for a one-shard service, which has no degraded mode).
     pub degraded_shed: u64,
 }
 
@@ -455,33 +455,22 @@ fn head_loop(
     let now = || SimTime::from_micros(start.elapsed().as_micros() as u64);
 
     let cluster = ClusterSpec::homogeneous(config.nodes, config.mem_quota);
-    let mut runtime = if config.shards <= 1 {
-        Head::Single(HeadRuntime::new(
-            config.scheduler.build(config.cycle),
-            HeadTables::new(&cluster),
-            store.catalog().clone(),
-            config.cost,
-            config.probe.clone(),
-            "live-service",
-        ))
-    } else {
-        Head::Sharded(ShardedRuntime::new(
-            &cluster,
-            config.shards,
-            config.probe.clone(),
-            None,
-            |_, slice, shard_probe| {
-                HeadRuntime::new(
-                    config.scheduler.build(config.cycle),
-                    HeadTables::new(slice),
-                    store.catalog().clone(),
-                    config.cost,
-                    shard_probe,
-                    "live-service",
-                )
-            },
-        ))
-    };
+    let mut runtime = ShardedRuntime::new(
+        &cluster,
+        config.shards,
+        config.probe.clone(),
+        None,
+        |_, slice, shard_probe| {
+            HeadRuntime::new(
+                config.scheduler.build(config.cycle),
+                HeadTables::new(slice),
+                store.catalog().clone(),
+                config.cost,
+                shard_probe,
+                "live-service",
+            )
+        },
+    );
     runtime.set_overload_policy(config.overload);
     let (to_head_tx, from_nodes) = unbounded::<ToHead>();
     let mut sub = LiveSubstrate::spawn(config, store.clone(), to_head_tx);
@@ -551,7 +540,7 @@ fn head_loop(
                 });
                 let t = job.issue_time;
                 let id = job.id;
-                match runtime.on_job_arrival(&mut sub, t, job) {
+                match runtime.on_job_arrival(&mut sub, t, job).1 {
                     Admission::Rejected(reason) => {
                         shed(&mut sub, id, RenderOutcome::Rejected(reason));
                     }
@@ -629,7 +618,7 @@ fn shed(sub: &mut LiveSubstrate, job: JobId, outcome: RenderOutcome) {
 /// `restart_nodes` — otherwise the chaos schedule would be un-replayable.
 fn node_fault(
     config: &ServiceConfig,
-    runtime: &mut Head,
+    runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
     now: SimTime,
     node: NodeId,
@@ -646,7 +635,7 @@ fn node_fault(
 /// simulator's semantics (same trace event, same recovery path).
 fn plan_fault(
     config: &ServiceConfig,
-    runtime: &mut Head,
+    runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
     now: SimTime,
     kind: FaultKind,
@@ -700,8 +689,9 @@ fn plan_fault(
         FaultKind::ShardCrash(shard) => {
             // Power-cycle the dead head's slice first: each worker's
             // epoch bump makes in-flight reports stale, so nothing the
-            // dead head dispatched can race the rebuilt control state.
-            for node in runtime.shard_nodes(shard) {
+            // dead head dispatched can race the rebuilt control state. A
+            // head that cannot fail over has no slice to cycle.
+            for node in runtime.failover_slice(shard) {
                 sub.kill(node.index());
                 sub.respawn(node.index());
             }
@@ -712,7 +702,7 @@ fn plan_fault(
 
 fn handle_task_done(
     done: TaskDone,
-    runtime: &mut Head,
+    runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
     config: &ServiceConfig,
     now: SimTime,

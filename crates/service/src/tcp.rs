@@ -11,20 +11,18 @@
 //! reused frame-to-frame, requests from many users multiplex over one
 //! connection (correlated by client-chosen request ids), and responses are
 //! queued per-connection and written with vectored I/O as the socket
-//! drains. [`TcpServer::start_threaded`] keeps the original
-//! thread-per-connection plane as a measured baseline — same protocol,
-//! same overload behavior, two OS threads per connection.
+//! drains. It is the only server plane.
 //!
-//! Overload behavior (both planes): requests enter the service's bounded
-//! admission queue with a non-blocking send; when the queue is full the
-//! request is answered with [`WireResponse::Overloaded`] right at the
-//! boundary instead of stalling the socket. Requests shed further in — by
-//! the head's in-flight caps, stale-frame coalescing, or deadline expiry —
-//! come back as `Overloaded` or [`WireResponse::Expired`]. The evented
-//! plane adds one more shedding point: a connection whose client stops
-//! reading accumulates queued responses, and past
-//! [`MAX_OUTBOX_BYTES`] the connection is closed rather than letting a
-//! slow consumer grow server memory without bound.
+//! Overload behavior: requests enter the service's bounded admission
+//! queue with a non-blocking send; when the queue is full the request is
+//! answered with [`WireResponse::Overloaded`] right at the boundary
+//! instead of stalling the socket. Requests shed further in — by the
+//! head's in-flight caps, stale-frame coalescing, or deadline expiry —
+//! come back as `Overloaded` or [`WireResponse::Expired`]. There is one
+//! more shedding point: a connection whose client stops reading
+//! accumulates queued responses, and past [`MAX_OUTBOX_BYTES`] the
+//! connection is closed rather than letting a slow consumer grow server
+//! memory without bound.
 //!
 //! ## Client
 //!
@@ -47,7 +45,7 @@ use polling::{Events, Interest, Poller, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,9 +54,9 @@ use vizsched_core::job::{FrameParams, JobKind};
 use vizsched_metrics::RejectReason;
 
 /// Default cap on concurrent connections for [`TcpServer::start`]. The
-/// evented plane spends a few kilobytes per idle connection, not two OS
-/// threads, so the default is sized for the paper's "many simultaneous
-/// users" regime.
+/// event loop spends a few kilobytes per idle connection, not OS threads,
+/// so the default is sized for the paper's "many simultaneous users"
+/// regime.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// Per-connection bound on queued-but-unwritten response bytes. A client
@@ -97,9 +95,8 @@ const MAX_IOV: usize = 8;
 pub struct TcpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// `Some` for the evented plane (stop wakes the poller); `None` for
-    /// the threaded plane (stop wakes `accept` with a loopback connect).
-    waker: Option<Arc<Waker>>,
+    /// Wakes the poller so `stop` is seen promptly.
+    waker: Arc<Waker>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -168,57 +165,7 @@ impl TcpServer {
         Ok(TcpServer {
             addr: local,
             stop,
-            waker: Some(waker),
-            thread: Some(thread),
-        })
-    }
-
-    /// The original thread-per-connection plane: a blocking accept loop
-    /// plus a reader and a writer thread per connection. Kept as the
-    /// measured baseline the evented plane is benchmarked against
-    /// (`service_scaling` records both in `BENCH_service.json`).
-    pub fn start_threaded(
-        addr: &str,
-        requests: Sender<RenderRequest>,
-        max_connections: usize,
-    ) -> io::Result<TcpServer> {
-        assert!(max_connections > 0, "connection cap must be nonzero");
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let epoch = service_epoch();
-        let thread = std::thread::spawn(move || {
-            // One slot per allowed connection; a worker thread is spawned
-            // per accepted connection and returns its slot on exit, so at
-            // most `max_connections` serving threads exist at any moment.
-            let active = Arc::new(AtomicUsize::new(0));
-            loop {
-                let (stream, _peer) = match listener.accept() {
-                    Ok(conn) => conn,
-                    Err(_) => break,
-                };
-                // `stop()` connects once just to wake this accept call.
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                if active.load(Ordering::Relaxed) >= max_connections {
-                    drop(stream); // over the cap: shed the connection
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let requests = requests.clone();
-                let active2 = active.clone();
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, requests, epoch);
-                    active2.fetch_sub(1, Ordering::Relaxed);
-                });
-            }
-        });
-        Ok(TcpServer {
-            addr: local,
-            stop,
-            waker: None,
+            waker,
             thread: Some(thread),
         })
     }
@@ -228,18 +175,10 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stop serving. Existing connections are dropped (evented plane) or
-    /// drain on their own when clients disconnect (threaded plane).
+    /// Stop serving. Existing connections are dropped.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        match &self.waker {
-            Some(waker) => {
-                let _ = waker.wake();
-            }
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        let _ = self.waker.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -262,7 +201,7 @@ fn to_wire_response(request_id: u64, outcome: RenderOutcome) -> WireResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Event-driven plane
+// Server event loop
 // ---------------------------------------------------------------------------
 
 /// One queued write: an encoded segment and how much of it has gone out.
@@ -596,78 +535,6 @@ impl EventLoop {
             // replies arrive; the generation check drops them then.
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded baseline plane
-// ---------------------------------------------------------------------------
-
-fn serve_connection(
-    stream: TcpStream,
-    requests: Sender<RenderRequest>,
-    epoch: u64,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = stream.try_clone()?;
-
-    // Every request on this connection shares one reply channel; the head
-    // echoes each request's correlation id, so a single writer thread owns
-    // the socket's send side and no per-request forwarder is needed.
-    let (reply_tx, reply_rx) = unbounded::<RenderReply>();
-    let mut write_side = stream;
-    let mut write_codec = Codec::new();
-    // Greet with this head's incarnation before any response.
-    write_codec.write(&mut write_side, &WireMessage::Hello { epoch })?;
-    let write_thread = std::thread::spawn(move || {
-        let mut codec = write_codec;
-        while let Ok(reply) = reply_rx.recv() {
-            let response = to_wire_response(reply.correlation, reply.outcome);
-            if codec
-                .write(&mut write_side, &WireMessage::Response(response))
-                .is_err()
-            {
-                break; // client went away
-            }
-        }
-    });
-
-    let mut codec = Codec::new();
-    loop {
-        match codec.read(&mut reader)? {
-            None => break, // clean disconnect
-            Some(WireMessage::Response(_)) | Some(WireMessage::Hello { .. }) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "client sent a server-side frame",
-                ));
-            }
-            Some(WireMessage::Request(req)) => {
-                let render = RenderRequest {
-                    user: req.user,
-                    kind: req.kind,
-                    dataset: req.dataset,
-                    frame: req.frame,
-                    correlation: req.request_id,
-                    reply: reply_tx.clone(),
-                };
-                match requests.try_send(render) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(render)) => {
-                        // The admission queue is full: answer Overloaded
-                        // at the boundary instead of blocking the socket.
-                        let _ = reply_tx.send(RenderReply {
-                            correlation: render.correlation,
-                            outcome: RenderOutcome::Rejected(RejectReason::QueueFull),
-                        });
-                    }
-                    Err(TrySendError::Disconnected(_)) => break, // service shut down
-                }
-            }
-        }
-    }
-    drop(reply_tx);
-    let _ = write_thread.join();
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,7 +880,7 @@ impl RemoteClient {
     }
 
     /// [`RemoteClient::render_interactive`] on behalf of another user —
-    /// the evented server multiplexes many users over one connection, so a
+    /// the server multiplexes many users over one connection, so a
     /// gateway can fan a user population through a single socket.
     pub fn render_interactive_as(
         &self,
@@ -1037,27 +904,9 @@ impl RemoteClient {
         dataset: DatasetId,
         frame: FrameParams,
     ) -> io::Result<WireResponse> {
-        let options = self.options.clone();
-        self.render_blocking_with(
-            self.user,
-            JobKind::Interactive {
-                user: self.user,
-                action,
-            },
-            dataset,
-            frame,
-            &options,
-        )
-    }
-
-    fn render_blocking_with(
-        &self,
-        user: UserId,
-        kind: JobKind,
-        dataset: DatasetId,
-        frame: FrameParams,
-        options: &ClientOptions,
-    ) -> io::Result<WireResponse> {
+        let options = &self.options;
+        let user = self.user;
+        let kind = JobKind::Interactive { user, action };
         let deadline = options.deadline.map(|d| Instant::now() + d);
         let timed_out =
             || io::Error::new(io::ErrorKind::TimedOut, "deadline passed before a response");
@@ -1142,33 +991,6 @@ impl RemoteClient {
                 other => return Ok(other),
             }
         }
-    }
-
-    /// Render one interactive frame, resubmitting with exponential backoff
-    /// each time the service answers `Overloaded`; blocks until a terminal
-    /// response.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure retries via `ClientOptions` and use `render_interactive_blocking`"
-    )]
-    pub fn render_interactive_with_retry(
-        &self,
-        action: ActionId,
-        dataset: DatasetId,
-        frame: FrameParams,
-        max_retries: u32,
-    ) -> io::Result<WireResponse> {
-        let options = self.options.clone().retries(max_retries);
-        self.render_blocking_with(
-            self.user,
-            JobKind::Interactive {
-                user: self.user,
-                action,
-            },
-            dataset,
-            frame,
-            &options,
-        )
     }
 
     /// Submit one batch frame.

@@ -35,7 +35,7 @@ use vizsched_core::sched::{Assignment, Trigger};
 use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{Probe, RunRecord, TraceEvent};
 use vizsched_runtime::{
-    Admission, Completion, FaultKind, FaultPlan, Head, HeadRuntime, OverloadStats, ShardOutcome,
+    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome,
     ShardedRuntime, Substrate,
 };
 
@@ -168,8 +168,9 @@ pub struct SimOutcome {
     /// Admission-control counters (all zero unless the run sets an
     /// [`OverloadPolicy`](vizsched_runtime::OverloadPolicy)).
     pub overload: OverloadStats,
-    /// Per-shard routing and completion counters (empty unless the run
-    /// set [`RunOptions::shards`](crate::RunOptions::shards) above 1).
+    /// Per-shard routing and completion counters (empty for a one-shard
+    /// run, the [`RunOptions::shards`](crate::RunOptions::shards)
+    /// default).
     pub per_shard: Vec<ShardOutcome>,
 }
 
@@ -342,7 +343,7 @@ impl SimSubstrate<'_> {
 }
 
 struct Engine<'a> {
-    runtime: Head,
+    runtime: ShardedRuntime,
     sub: SimSubstrate<'a>,
     /// The run's probe, kept for engine-level events (`fault_injected`)
     /// that no single shard's runtime owns.
@@ -365,48 +366,36 @@ impl<'a> Engine<'a> {
             }
             None => vizsched_core::tables::HeadTables::with_eviction(cluster, config.eviction),
         };
-        let runtime = if shards <= 1 {
-            let scheduler = match scheduler {
-                SchedulerChoice::Kind(kind) => kind.build(config.cycle),
-                SchedulerChoice::Instance(instance) => instance,
-            };
-            Head::Single(HeadRuntime::new(
-                scheduler,
-                tables_for(&config.cluster),
-                catalog,
-                config.cost,
-                probe,
-                scenario,
-            ))
-        } else {
-            // Schedulers are stateful, so a sharded run builds one fresh
-            // instance per shard — which needs a buildable kind, not a
-            // single pre-built instance.
-            let kind = match scheduler {
-                SchedulerChoice::Kind(kind) => kind,
-                SchedulerChoice::Instance(s) => panic!(
-                    "sharded runs build one scheduler per shard; pass SchedulerKind, \
-                     not a pre-built {} instance",
-                    s.name()
-                ),
-            };
-            Head::Sharded(ShardedRuntime::new(
-                &config.cluster,
-                shards,
-                probe,
-                None,
-                |_, slice, shard_probe| {
-                    HeadRuntime::new(
-                        kind.build(config.cycle),
-                        tables_for(slice),
-                        catalog.clone(),
-                        config.cost,
-                        shard_probe,
-                        scenario,
-                    )
-                },
-            ))
+        // Schedulers are stateful, so every shard runs its own: a kind
+        // builds a fresh one per shard, a pre-built instance serves the one
+        // shard of an unsharded run.
+        let (kind, mut instance) = match scheduler {
+            SchedulerChoice::Kind(kind) => (Some(kind), None),
+            SchedulerChoice::Instance(instance) => (None, Some(instance)),
         };
+        let runtime = ShardedRuntime::new(
+            &config.cluster,
+            shards,
+            probe,
+            None,
+            |_, slice, shard_probe| {
+                let scheduler = match kind {
+                    Some(kind) => kind.build(config.cycle),
+                    None => instance.take().expect(
+                        "sharded runs build one scheduler per shard; pass SchedulerKind, \
+                         not a pre-built instance",
+                    ),
+                };
+                HeadRuntime::new(
+                    scheduler,
+                    tables_for(slice),
+                    catalog.clone(),
+                    config.cost,
+                    shard_probe,
+                    scenario,
+                )
+            },
+        );
         let nodes = config
             .cluster
             .nodes
@@ -511,7 +500,7 @@ impl<'a> Engine<'a> {
 
     fn on_arrival(&mut self, job: Job) {
         let now = self.sub.now;
-        match self.runtime.on_job_arrival(&mut self.sub, now, job) {
+        match self.runtime.on_job_arrival(&mut self.sub, now, job).1 {
             Admission::Buffered { .. } => {
                 let trigger = self.runtime.trigger();
                 self.sub.arm_tick(trigger);
@@ -628,8 +617,9 @@ impl<'a> Engine<'a> {
                 // Power-cycle the dead head's current slice first: its
                 // in-flight dispatches become stale (generation bump) and
                 // the nodes rejoin cold, so nothing the dead head started
-                // can race the rebuilt control state on the adopters.
-                for node in self.runtime.shard_nodes(shard) {
+                // can race the rebuilt control state on the adopters. A
+                // head that cannot fail over has no slice to cycle.
+                for node in self.runtime.failover_slice(shard) {
                     let _ = self.sub.nodes[node.index()].crash();
                     self.sub.nodes[node.index()].recover();
                 }

@@ -233,10 +233,10 @@ impl RunOptions {
     /// Split the cluster into `n` shards behind the consistent-hash
     /// routing tier: each shard runs its own head-node cycle loop over a
     /// leaf-aligned slice of the nodes, and jobs route by dataset.
-    /// `n <= 1` (the default) runs the paper's single head node,
-    /// bit-identical to an unsharded build. Sharded runs build one
-    /// scheduler per shard, so they require a named policy
-    /// ([`RunOptions::new`]), not a pre-built instance.
+    /// `n <= 1` (the default) is the paper's single head node: one
+    /// cycle loop over every node, no routing events. Runs with more
+    /// shards build one scheduler per shard, so they require a named
+    /// policy ([`RunOptions::new`]), not a pre-built instance.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self

@@ -3,7 +3,7 @@
 //! tolerance.
 
 use vizsched_core::prelude::*;
-use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
+use vizsched_sim::{Fault, FaultPlan, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
@@ -188,6 +188,46 @@ fn crash_mid_run_still_completes_jobs() {
         .jobs
         .iter()
         .all(|j| j.timing.finish.is_some()));
+}
+
+#[test]
+fn shard_crash_that_cannot_fail_over_power_cycles_nothing() {
+    // The first crash fails over: S1 adopts S0's slice. Neither later
+    // crash can — an unknown shard id, then the last live head — so both
+    // must leave the cluster alone. Power-cycling the survivor's nodes
+    // with no failover behind it would silently drop every task in flight
+    // there.
+    let plan = FaultPlan::new()
+        .shard_crash_at(SimTime::from_secs(1), ShardId(0))
+        .shard_crash_at(SimTime::from_millis(1_500), ShardId(7))
+        .shard_crash_at(SimTime::from_millis(2_005), ShardId(1));
+    let cluster = ClusterSpec::homogeneous(8, 2 * GIB);
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB));
+    let jobs = || -> Vec<Job> {
+        (0..60)
+            .map(|i| interactive(i, i % 4, (i % 4) as u32, SimTime::from_millis(50 * i)))
+            .collect()
+    };
+    let outcome = sim.run_opts(
+        jobs(),
+        RunOptions::new(SchedulerKind::Ours)
+            .label("two-crash")
+            .shards(2)
+            .fault_plan(plan),
+    );
+    assert_eq!(outcome.record.jobs.len(), 60);
+    assert_eq!(outcome.incomplete_jobs, 0, "no admitted job may be lost");
+
+    // One head is its own last live shard: crashing it is a no-op too.
+    let lone = FaultPlan::new().shard_crash_at(SimTime::from_secs(1), ShardId(0));
+    let outcome = sim.run_opts(
+        jobs(),
+        RunOptions::new(SchedulerKind::Ours)
+            .label("lone-crash")
+            .fault_plan(lone),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0);
 }
 
 #[test]

@@ -357,7 +357,8 @@ impl ScenarioRecord {
                     record.requests.push(job);
                 }
                 "fault" => {
-                    let l = parse_fault(&val, at).map_err(|m| err(no, &m))?;
+                    let nodes = record.header.cluster.len() as u64;
+                    let l = parse_fault(&val, at, nodes).map_err(|m| err(no, &m))?;
                     record.faults.push(l);
                 }
                 "header" => {
@@ -705,7 +706,10 @@ fn parse_request(val: &json::Val, at_us: u64) -> Result<Job, String> {
     })
 }
 
-fn parse_fault(val: &json::Val, at_us: u64) -> Result<FaultLine, String> {
+/// `nodes` is the recorded cluster's size: every fault addresses it — a
+/// node, a leaf group of nodes, or a shard, and a shard owns at least one
+/// node, so `nodes` also bounds every shard id a replay could use.
+fn parse_fault(val: &json::Val, at_us: u64, nodes: u64) -> Result<FaultLine, String> {
     let name = val.str_field("kind")?;
     let kind = [
         InjectedFault::NodeCrash,
@@ -719,11 +723,22 @@ fn parse_fault(val: &json::Val, at_us: u64) -> Result<FaultLine, String> {
     .into_iter()
     .find(|k| k.as_str() == name)
     .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
+    let target = val.u64_field("target")?;
+    let param = val.u64_field("param")?;
+    let width = match kind {
+        InjectedFault::LeafOutage | InjectedFault::LeafRecover => param,
+        _ => 1,
+    };
+    if target.saturating_add(width) > nodes {
+        return Err(format!(
+            "{name} target {target} (width {width}) is outside the recorded {nodes}-node cluster"
+        ));
+    }
     Ok(FaultLine {
         at: SimTime::from_micros(at_us),
         kind,
-        target: val.u64_field("target")? as u32,
-        param: val.u64_field("param")? as u32,
+        target: target as u32,
+        param: u32::try_from(param).map_err(|_| format!("param {param} does not fit 32 bits"))?,
     })
 }
 
@@ -1195,6 +1210,37 @@ mod tests {
         let e = ScenarioRecord::parse(&text).expect_err("must fail");
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("mystery"), "{e}");
+    }
+
+    #[test]
+    fn fault_targets_outside_the_cluster_are_rejected() {
+        // small_header() records a 2-node cluster.
+        let header = ScenarioRecord::from_jobs(small_header(), &[]).to_jsonl();
+        let fault = |kind: &str, target: u64, param: u64| {
+            format!(
+                "{header}{{\"t\":\"fault\",\"at_us\":5,\"kind\":\"{kind}\",\
+                 \"target\":{target},\"param\":{param}}}\n"
+            )
+        };
+        for (kind, target, param) in [
+            ("node_crash", 2, 0),
+            ("shard_crash", 7, 0),
+            ("leaf_outage", 1, 2),
+            ("node_degrade", u64::MAX, 1500),
+        ] {
+            let e = ScenarioRecord::parse(&fault(kind, target, param)).expect_err(kind);
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.to_string().contains("outside the recorded 2-node"), "{e}");
+        }
+        for (kind, target, param) in [
+            ("node_crash", 1, 0),
+            ("shard_crash", 1, 0),
+            ("leaf_outage", 0, 2),
+            ("node_degrade", 0, 1500),
+        ] {
+            let record = ScenarioRecord::parse(&fault(kind, target, param)).expect(kind);
+            assert_eq!(record.faults.len(), 1);
+        }
     }
 
     #[test]
