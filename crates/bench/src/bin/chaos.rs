@@ -20,9 +20,9 @@
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin chaos                          # print table
-//! cargo run --release -p vizsched-bench --bin chaos -- --json results/chaos_report.json
+//! cargo run --release -p vizsched-bench --bin chaos -- --json BENCH_chaos.json
 //! cargo run --release -p vizsched-bench --bin chaos -- \
-//!     --check results/chaos_report.json                                      # CI gate
+//!     --check BENCH_chaos.json                                               # CI gate
 //! ```
 //!
 //! `--check <path>` gates two headline numbers against the committed

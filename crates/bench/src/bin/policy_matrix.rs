@@ -109,7 +109,7 @@ fn find(cells: &[Cell], policy: SchedulerKind, shards: usize, factor: u32) -> &C
 }
 
 /// The headline MOBJ-over-OURS gains at 4× saturation on 2 shards — the
-/// two axes the PR 8 acceptance criterion holds the scorer to. A gain
+/// two axes the PR 8 acceptance bar holds the scorer to. A gain
 /// above 1.0 means MOBJ beats OURS on that axis.
 fn headline_gains(cells: &[Cell]) -> (f64, f64) {
     let ours = find(cells, SchedulerKind::Ours, 2, 4);

@@ -12,9 +12,9 @@
 //! ```text
 //! cargo run --release -p vizsched-bench --bin traffic_sweep
 //! cargo run --release -p vizsched-bench --bin traffic_sweep -- \
-//!     --json results/traffic_report.json                        # regenerate
+//!     --json BENCH_traffic.json                                 # regenerate
 //! cargo run --release -p vizsched-bench --bin traffic_sweep -- \
-//!     --check results/traffic_report.json                       # CI gate
+//!     --check BENCH_traffic.json                                # CI gate
 //! ```
 //!
 //! The flash-crowd cell carries the sweep's headline SLO: under the sized

@@ -464,7 +464,7 @@ mod tests {
         );
     }
 
-    /// The policy-family acceptance criterion: at 4x saturation the
+    /// The policy-family acceptance bar: at 4x saturation the
     /// multi-objective scorer (plain and adaptive) must shorten the
     /// longest batch starvation gap and level the hottest shard relative
     /// to OURS — its starvation-age term routes batch at long-idle nodes

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON support for the benchmark binaries.
 //!
-//! The workspace deliberately carries no `serde_json` (third-party crates
+//! The workspace deliberately carries no JSON crate (third-party crates
 //! are shimmed; see `shims/`), but the machine-readable bench outputs —
 //! `BENCH_sched.json`, `--json` modes of `fig8_actions`/`scenario` — need
 //! real JSON so CI and downstream tooling can diff them. This module is

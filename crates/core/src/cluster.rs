@@ -1,9 +1,7 @@
 //! Cluster descriptions: the head node plus a set of rendering nodes `ϕ`.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one rendering node.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeSpec {
     /// Main-memory quota available for chunk caching, in bytes.
     pub mem_quota: u64,
@@ -28,7 +26,7 @@ impl NodeSpec {
 
 /// Static description of the whole cluster (rendering nodes only; the head
 /// node does no rendering).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// The rendering nodes `R_k, k = 1..p`.
     pub nodes: Vec<NodeSpec>,

@@ -9,7 +9,6 @@
 //! paper's magnitudes: seconds of I/O versus milliseconds of rendering.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Cost-model constants. Calibrated so that the Fig. 2 stage breakdown holds:
 /// fetching a 512 MB chunk takes seconds while rendering plus compositing
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cold - warm, cost.io_time(chunk));
 /// assert!(cold.as_secs_f64() > 1.0 && warm.as_millis_f64() < 20.0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostParams {
     /// Sustained disk (or parallel-FS) read bandwidth per node, bytes/s.
     /// Includes the host-to-GPU upload, which is pipelined with the read.
@@ -164,7 +163,7 @@ impl CostParams {
 /// Job-level timing (Definitions 2 and 3), accumulated as tasks start and
 /// finish. `JS(i)` is the minimum task start time, `JF(i)` the maximum task
 /// finish time, latency is `JF(i) − JI(i)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobTiming {
     /// `JI(i)`: issue time.
     pub issue: SimTime,

@@ -13,10 +13,9 @@
 //!   unbounded total size is supported.
 
 use crate::ids::{ChunkId, DatasetId};
-use serde::{Deserialize, Serialize};
 
 /// Description of one registered dataset.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DatasetDesc {
     /// Identifier; must equal the dataset's index in the catalog.
     pub id: DatasetId,
@@ -41,7 +40,7 @@ impl DatasetDesc {
 }
 
 /// One chunk of a decomposed dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkDesc {
     /// Identity of the chunk.
     pub id: ChunkId,
@@ -60,7 +59,7 @@ pub struct ChunkDesc {
 /// let dataset = DatasetDesc::sized(DatasetId(0), 2 << 30);
 /// assert_eq!(policy.decompose(&dataset).len(), 4);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecompositionPolicy {
     /// `m = ceil(bytes / max_bytes)` equal chunks, each `<= max_bytes`.
     MaxChunkSize {

@@ -4,16 +4,12 @@
 //! paths stay allocation-free while the type system prevents mixing up,
 //! say, a node index and a dataset index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -74,7 +70,7 @@ id_type!(
 /// A data chunk `c`: one piece of a decomposed dataset. Tasks are associated
 /// with exactly one chunk, and the head node's `Cache` and `Estimate` tables
 /// are keyed by chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId {
     /// The dataset this chunk belongs to.
     pub dataset: DatasetId,

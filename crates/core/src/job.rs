@@ -9,12 +9,11 @@
 use crate::data::Catalog;
 use crate::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, UserId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Whether a job came from a live user interaction or a batch submission.
 /// Interactive jobs have absolute priority in the proposed scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
     /// One frame of a continuous user action.
     Interactive {
@@ -59,7 +58,7 @@ impl JobKind {
 
 /// Camera parameters carried by a job. The scheduler never looks at these;
 /// the live service hands them to the renderer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FrameParams {
     /// Camera azimuth in radians.
     pub azimuth: f32,
@@ -83,7 +82,7 @@ impl Default for FrameParams {
 }
 
 /// A rendering job `J_i`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Job {
     /// Unique id (assigned by the listening thread in arrival order).
     pub id: JobId,
@@ -117,7 +116,7 @@ impl Job {
 }
 
 /// A task `T_{i,j}`: the piece of job `J_i` responsible for one chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Task {
     /// Owning job.
     pub job: JobId,

@@ -11,11 +11,10 @@ use crate::fxhash::FxHashMap;
 use crate::ids::ChunkId;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which cached chunk to evict when the quota is exceeded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Least recently *used* (touched on every cache hit). The paper's choice.
     Lru,

@@ -29,7 +29,7 @@
 //! `φ_max` (batch trickles). The share also stands in for ε on cold batch
 //! placements: a load-incurring placement on node `k` needs an
 //! interactive idle age covering `φ_k`/1000 of the load estimate
-//! ([`cold_batch_protected`](super::cold_batch_protected)), so the same
+//! (`cold_batch_protected`), so the same
 //! learned signal drives both the window and the eviction shield. Every
 //! change is reported as a
 //! [`PolicyEvent::ShareAdjusted`] and surfaces on the probe stream as a
@@ -297,7 +297,7 @@ impl FracScheduler {
     /// 23–31, with the node's *learned share* standing in for the static
     /// ε fraction: a load-incurring placement needs an interactive idle
     /// age covering `φ_k`/1000 of the load estimate
-    /// ([`cold_batch_protected`](super::cold_batch_protected)), so busy
+    /// (`cold_batch_protected`), so busy
     /// nodes (high `φ_k`) are strongly shielded from cold batch evictions
     /// while drained nodes (low `φ_k`) admit cold work sooner than OURS's
     /// fixed 0.5 would.

@@ -26,7 +26,7 @@
 //!   starvation gap in the overload sweep.
 //!
 //! Batch candidates additionally pass the cold-placement protection gate
-//! ([`cold_batch_protected`](super::cold_batch_protected), fraction
+//! (`cold_batch_protected`, fraction
 //! [`MobjParams::protect_pm`]): a load-incurring batch placement needs an
 //! interactive idle age covering `protect_pm`/1000 of the load estimate,
 //! exactly OURS's ε-idle rule in integer form. The scorer alone cannot
@@ -40,7 +40,7 @@
 //! bit-identical by the placement-equivalence suite. The optimized path
 //! exploits that the balance anchor (`min_k ready_at`) shifts every
 //! candidate's score equally: it anchors at `now` instead and skips the
-//! extra minimum scan (see [`objective_score`]); the reference twin keeps
+//! extra minimum scan (see `objective_score`); the reference twin keeps
 //! the textbook anchor, and the equivalence suite is the proof the shift
 //! really is invariant.
 //!
@@ -104,7 +104,7 @@ pub struct MobjParams {
     /// Cold-placement protection, per-mille: a batch placement that incurs
     /// a load is only admitted on a node whose interactive idle age covers
     /// this fraction of the load's estimate (see
-    /// [`cold_batch_protected`](super::cold_batch_protected)). 500 mirrors
+    /// `cold_batch_protected`). 500 mirrors
     /// OURS's default `epsilon_frac` of 0.5.
     pub protect_pm: u32,
 }

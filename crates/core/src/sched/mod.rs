@@ -41,7 +41,6 @@ use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
 use crate::tables::{AvailHeap, HeadTables};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 pub use fcfs::FcfsScheduler;
 pub use fcfsl::FcfslScheduler;
@@ -507,7 +506,7 @@ pub trait Scheduler: Send {
 }
 
 /// Which policy to run — the x-axis of every comparison figure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// First-Come-First-Serve.
     Fcfs,

@@ -287,7 +287,7 @@ impl Scheduler for ReferenceFcfslScheduler {
 
 /// Straight-line FRAC: the same per-node share controller and batch
 /// windows as [`FracScheduler`](super::FracScheduler) (the share
-/// arithmetic is literally shared — [`share_step`] / [`batch_lambda`]),
+/// arithmetic is literally shared — `share_step` / `batch_lambda`),
 /// but with OURS-reference interactive placement (full O(p) scans, fresh
 /// bucket maps each cycle) and no reused scratch.
 #[derive(Debug)]
@@ -517,8 +517,8 @@ impl Scheduler for ReferenceFracScheduler {
 /// balance anchored at `min_k ready_at(k)`, computed by a dedicated full
 /// scan before every placement — with fresh allocations each cycle. The
 /// scoring kernel and adaptive rule are shared with the optimized
-/// scheduler ([`objective_score`] / [`feedback_step`] /
-/// [`retuned_weights`]); what the equivalence suite proves is that the
+/// scheduler (`objective_score` / `feedback_step` /
+/// `retuned_weights`); what the equivalence suite proves is that the
 /// optimized path's constant-shift anchor (`now`) and scratch reuse
 /// change nothing.
 #[derive(Debug)]

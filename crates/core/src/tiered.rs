@@ -16,10 +16,9 @@
 
 use crate::ids::ChunkId;
 use crate::memory::{EvictionPolicy, NodeMemory};
-use serde::{Deserialize, Serialize};
 
 /// Where an accessed chunk was found.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     /// Resident in video memory: zero data movement.
     Gpu,

@@ -2,14 +2,13 @@
 //! discrete-event simulator or the live service) and consumed by the
 //! report aggregators.
 
-use serde::{Deserialize, Serialize};
 use vizsched_core::cost::JobTiming;
 use vizsched_core::ids::{DatasetId, JobId};
 use vizsched_core::job::JobKind;
 use vizsched_core::time::SimTime;
 
 /// Everything recorded about one completed (or still-open) job.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobRecord {
     /// The job.
     pub id: JobId,
@@ -33,7 +32,7 @@ impl JobRecord {
 }
 
 /// The complete outcome of one run of one scheduler over one workload.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunRecord {
     /// Scheduler display name ("OURS", "FCFSL", …).
     pub scheduler: String,

@@ -5,7 +5,6 @@
 
 use crate::record::RunRecord;
 use crate::stats::Summary;
-use serde::{Deserialize, Serialize};
 use vizsched_core::cost::framerate;
 use vizsched_core::fxhash::FxHashMap;
 use vizsched_core::ids::ActionId;
@@ -13,7 +12,7 @@ use vizsched_core::time::SimTime;
 
 /// Aggregated results for one scheduler on one scenario — one bar group in
 /// the paper's figures.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SchedulerReport {
     /// Scheduler display name.
     pub scheduler: String,

@@ -1,10 +1,9 @@
 //! Small descriptive-statistics helpers used by every report.
 
-use serde::{Deserialize, Serialize};
 use vizsched_core::time::SimDuration;
 
 /// Summary statistics over a sample of non-negative values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub count: usize,

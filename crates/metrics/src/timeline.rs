@@ -4,11 +4,10 @@
 //! stalls).
 
 use crate::record::RunRecord;
-use serde::{Deserialize, Serialize};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// One bucket of the series.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimelinePoint {
     /// Bucket start time, seconds.
     pub t_secs: f64,
@@ -24,7 +23,7 @@ pub struct TimelinePoint {
 }
 
 /// A bucketed completion series.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Timeline {
     /// Bucket width.
     pub bucket: SimDuration,

@@ -1,8 +1,6 @@
 //! Float RGBA images with premultiplied alpha — the unit of exchange in
 //! sort-last compositing — plus PPM export for the Fig. 10 renders.
 
-use serde::{Deserialize, Serialize};
-
 /// One pixel: premultiplied RGBA in `[0, 1]`.
 pub type Rgba = [f32; 4];
 
@@ -19,7 +17,7 @@ pub fn over(front: Rgba, back: Rgba) -> Rgba {
 }
 
 /// A dense RGBA image.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RgbaImage {
     /// Width in pixels.
     pub width: usize,

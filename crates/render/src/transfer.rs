@@ -2,11 +2,10 @@
 //! applied at every sample point during ray casting (§II-A).
 
 use crate::image::Rgba;
-use serde::{Deserialize, Serialize};
 
 /// One control point: scalar value in `[0, 1]` to straight (not
 /// premultiplied) RGBA.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlPoint {
     /// Scalar value.
     pub value: f32,
@@ -26,7 +25,7 @@ pub struct ControlPoint {
 /// let mid = tf.classify(0.5);
 /// assert!((mid[3] - 0.4).abs() < 0.01); // opacity interpolates linearly
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransferFunction {
     table: Vec<[f32; 4]>,
 }

@@ -18,9 +18,9 @@
 //!
 //! All head-node logic lives in `vizsched-runtime`; this module only
 //! implements the event-driven [`Substrate`]: the virtual clock, the node
-//! model, and the event queue. Fault injection (node crash/recovery)
-//! exercises the §VI-D claim that rendering continues as long as replicas
-//! or reloads are possible.
+//! model, and the event queue. Fault injection (a [`FaultPlan`] walked in
+//! the event queue) exercises the §VI-D claim that rendering continues as
+//! long as replicas or reloads are possible.
 
 use crate::event::{EventKind, EventQueue};
 use crate::node::SimNode;
@@ -28,7 +28,7 @@ use crate::options::{RunOptions, SchedulerChoice};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{Catalog, DatasetDesc};
-use vizsched_core::ids::{ChunkId, JobId, NodeId};
+use vizsched_core::ids::{ChunkId, NodeId};
 use vizsched_core::job::Job;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{Assignment, Trigger};
@@ -38,17 +38,6 @@ use vizsched_runtime::{
     Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome,
     ShardedRuntime, Substrate,
 };
-
-/// A fault-injection event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fault {
-    /// When it happens.
-    pub time: SimTime,
-    /// The affected node.
-    pub node: NodeId,
-    /// True for a crash, false for a recovery.
-    pub crash: bool,
-}
 
 /// Static configuration of one simulation.
 #[derive(Clone, Debug)]
@@ -63,15 +52,6 @@ pub struct SimConfig {
     pub cycle: SimDuration,
     /// Cache eviction policy on every node (LRU in the paper).
     pub eviction: EvictionPolicy,
-    /// Fault injections, if any.
-    pub faults: Vec<Fault>,
-    /// Seedable fault schedule covering the full taxonomy (crash,
-    /// respawn, degrade, restore, leaf outage, shard-head crash).
-    /// Executed alongside (and identically to) the live service's plan
-    /// execution, so a chaos run replays bit-identically in the sim.
-    pub fault_plan: Option<FaultPlan>,
-    /// Record a per-task trace (memory-hungry; tests only).
-    pub record_trace: bool,
     /// Amplitude of the deterministic per-task execution-time perturbation
     /// (0.0 = exact cost model; the scenario experiments use 0.05 to model
     /// real render/disk variance).
@@ -92,15 +72,10 @@ pub struct SimConfig {
     /// models independent per-node disks. The slowdown is fixed at load
     /// start — a first-order approximation of fair-shared bandwidth.
     pub shared_fs_capacity: Option<u32>,
-    /// Perturbation seed folded into the per-task execution-jitter hash;
-    /// two runs differing only in seed see independent (but each fully
-    /// reproducible) noise realizations. Usually set per run via
-    /// [`RunOptions::seed`].
-    pub jitter_seed: u64,
 }
 
 impl SimConfig {
-    /// A configuration with no faults and no tracing.
+    /// The paper's defaults: `ω` = 30 ms, LRU, exact cost model, cold start.
     pub fn new(cluster: ClusterSpec, cost: CostParams, chunk_max: u64) -> Self {
         SimConfig {
             cluster,
@@ -108,33 +83,12 @@ impl SimConfig {
             chunk_max,
             cycle: SimDuration::from_millis(30),
             eviction: EvictionPolicy::Lru,
-            faults: Vec::new(),
-            fault_plan: None,
-            record_trace: false,
             exec_jitter: 0.0,
             warm_start: false,
             gpu_quota: None,
             shared_fs_capacity: None,
-            jitter_seed: 0,
         }
     }
-}
-
-/// One executed task, as recorded when `record_trace` is on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskTrace {
-    /// Owning job.
-    pub job: JobId,
-    /// Task index within the job.
-    pub index: u32,
-    /// Node that executed it.
-    pub node: NodeId,
-    /// Start time.
-    pub start: SimTime,
-    /// Finish time.
-    pub finish: SimTime,
-    /// True if the chunk was fetched from disk.
-    pub miss: bool,
 }
 
 /// Per-node execution counters for one run.
@@ -159,8 +113,6 @@ pub struct NodeStats {
 pub struct SimOutcome {
     /// The aggregate record consumed by `vizsched-metrics`.
     pub record: RunRecord,
-    /// Per-task trace (empty unless `record_trace`).
-    pub trace: Vec<TaskTrace>,
     /// Per-node execution counters (load-balance view).
     pub node_stats: Vec<NodeStats>,
     /// Jobs that never completed (should be zero unless nodes stayed down).
@@ -197,37 +149,16 @@ impl Simulation {
     /// pre-seeding.
     pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> SimOutcome {
         let mut config = self.config.clone();
-        if let Some(cost) = opts.cost {
-            config.cost = cost;
-        }
-        if let Some(cycle) = opts.cycle {
-            config.cycle = cycle;
-        }
-        if let Some(eviction) = opts.eviction {
-            config.eviction = eviction;
-        }
-        if let Some(faults) = opts.faults {
-            config.faults = faults;
-        }
-        if let Some(plan) = opts.fault_plan {
-            config.fault_plan = Some(plan);
-        }
         if let Some(jitter) = opts.exec_jitter {
             config.exec_jitter = jitter;
         }
         if let Some(warm) = opts.warm_start {
             config.warm_start = warm;
         }
-        if let Some(trace) = opts.record_trace {
-            config.record_trace = trace;
-        }
-        if let Some(seed) = opts.seed {
-            config.jitter_seed = seed;
-            if let EvictionPolicy::Random { seed: base } = config.eviction {
-                config.eviction = EvictionPolicy::Random {
-                    seed: base.wrapping_add(seed),
-                };
-            }
+        if let (Some(seed), EvictionPolicy::Random { seed: base }) = (opts.seed, config.eviction) {
+            config.eviction = EvictionPolicy::Random {
+                seed: base.wrapping_add(seed),
+            };
         }
         let catalog = match opts.catalog {
             Some(catalog) => catalog,
@@ -250,12 +181,13 @@ impl Simulation {
             opts.shards,
             &opts.label,
             opts.probe,
+            opts.seed.unwrap_or(0),
         );
         engine.runtime.set_overload_policy(opts.overload);
         for (chunk, estimate) in opts.initial_estimates {
             engine.runtime.seed_estimate(chunk, estimate);
         }
-        engine.run(jobs)
+        engine.run(jobs, opts.fault_plan)
     }
 }
 
@@ -267,7 +199,6 @@ struct SimSubstrate<'a> {
     events: EventQueue,
     now: SimTime,
     tick_armed: bool,
-    trace: Vec<TaskTrace>,
     /// Disk loads currently in flight (shared-FS contention input).
     loads_in_flight: u32,
 }
@@ -358,6 +289,7 @@ impl<'a> Engine<'a> {
         shards: usize,
         scenario: &str,
         probe: std::sync::Arc<dyn Probe>,
+        jitter_seed: u64,
     ) -> Self {
         let engine_probe = probe.clone();
         let tables_for = |cluster: &ClusterSpec| match config.gpu_quota {
@@ -409,7 +341,7 @@ impl<'a> Engine<'a> {
                     spec.disk_scale,
                     config.gpu_quota,
                 );
-                node.jitter_seed = config.jitter_seed;
+                node.jitter_seed = jitter_seed;
                 node
             })
             .collect();
@@ -421,18 +353,17 @@ impl<'a> Engine<'a> {
                 events: EventQueue::new(),
                 now: SimTime::ZERO,
                 tick_armed: false,
-                trace: Vec::new(),
                 loads_in_flight: 0,
             },
             probe: engine_probe,
         }
     }
 
-    fn run(mut self, jobs: Vec<Job>) -> SimOutcome {
+    fn run(mut self, jobs: Vec<Job>, fault_plan: Option<FaultPlan>) -> SimOutcome {
         if self.sub.config.warm_start {
             self.warm_start();
         }
-        // Seed the event queue with arrivals and faults.
+        // Seed the event queue with arrivals and the fault plan.
         let mut last = SimTime::ZERO;
         for job in jobs {
             assert!(job.issue_time >= last, "jobs must be sorted by issue time");
@@ -441,15 +372,7 @@ impl<'a> Engine<'a> {
                 .events
                 .push(job.issue_time, EventKind::Arrival(job));
         }
-        for fault in &self.sub.config.faults {
-            let kind = if fault.crash {
-                EventKind::NodeCrash(fault.node)
-            } else {
-                EventKind::NodeRecover(fault.node)
-            };
-            self.sub.events.push(fault.time, kind);
-        }
-        if let Some(plan) = &self.sub.config.fault_plan {
+        if let Some(plan) = &fault_plan {
             for event in plan.events() {
                 self.sub
                     .events
@@ -463,8 +386,6 @@ impl<'a> Engine<'a> {
                 EventKind::Arrival(job) => self.on_arrival(job),
                 EventKind::Tick => self.on_tick(),
                 EventKind::TaskDone { node, generation } => self.on_task_done(node, generation),
-                EventKind::NodeCrash(node) => self.on_crash(node),
-                EventKind::NodeRecover(node) => self.on_recover(node),
                 EventKind::PlanFault(kind) => self.on_plan_fault(kind),
             }
         }
@@ -531,16 +452,6 @@ impl<'a> Engine<'a> {
             self.sub.loads_in_flight = self.sub.loads_in_flight.saturating_sub(1);
         }
         let task = done.assignment.task;
-        if self.sub.config.record_trace {
-            self.sub.trace.push(TaskTrace {
-                job: task.job,
-                index: task.index,
-                node,
-                start: done.started,
-                finish: done.finish,
-                miss: done.miss,
-            });
-        }
         let completion = Completion {
             node,
             job: task.job,
@@ -666,7 +577,6 @@ impl<'a> Engine<'a> {
         record.evictions = evictions;
         SimOutcome {
             record,
-            trace: self.sub.trace,
             node_stats,
             incomplete_jobs: outcome.incomplete_jobs,
             overload: outcome.overload,

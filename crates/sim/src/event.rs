@@ -24,10 +24,6 @@ pub enum EventKind {
         /// The node's crash generation at the time the task started.
         generation: u32,
     },
-    /// Fault injection: the node dies, losing its memory and queue.
-    NodeCrash(NodeId),
-    /// Fault injection: the node rejoins with a cold cache.
-    NodeRecover(NodeId),
     /// A scheduled [`FaultPlan`](vizsched_runtime::FaultPlan) entry fires:
     /// the full taxonomy (crash, respawn, degrade, restore, leaf outage,
     /// shard-head crash), traced as `fault_injected` so a chaos run can be
@@ -127,12 +123,12 @@ mod tests {
     fn simultaneous_events_fire_in_insertion_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        q.push(t, EventKind::NodeCrash(NodeId(0)));
-        q.push(t, EventKind::NodeCrash(NodeId(1)));
-        q.push(t, EventKind::NodeCrash(NodeId(2)));
+        q.push(t, EventKind::PlanFault(FaultKind::NodeCrash(NodeId(0))));
+        q.push(t, EventKind::PlanFault(FaultKind::NodeCrash(NodeId(1))));
+        q.push(t, EventKind::PlanFault(FaultKind::NodeCrash(NodeId(2))));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::NodeCrash(n) => n.0,
+                EventKind::PlanFault(FaultKind::NodeCrash(n)) => n.0,
                 _ => unreachable!(),
             })
             .collect();

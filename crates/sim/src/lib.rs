@@ -6,13 +6,14 @@
 //! cache and a disk model; all head-node logic — scheduler invocation,
 //! run-time table correction, fault handling — is the shared
 //! `vizsched-runtime`, driven here by a virtual clock and an event queue;
-//! node crashes and recoveries can be injected to exercise the
+//! a [`FaultPlan`] injects node crashes and recoveries to exercise the
 //! fault-tolerance claim of §VI-D.
 //!
 //! Runs are configured through the builder-style [`RunOptions`]: the
-//! policy, a scenario label, per-run overrides (cycle, eviction, faults,
-//! jitter seed), and an optional [`vizsched_metrics::Probe`] receiving
-//! every scheduling decision, completion, and table correction.
+//! policy, a scenario label, the fault plan, per-run overrides (jitter,
+//! warm start, seed), and an optional [`vizsched_metrics::Probe`]
+//! receiving every scheduling decision, completion, and table correction
+//! — the probe stream is the only per-task record a run keeps.
 //!
 //! ```
 //! use vizsched_core::prelude::*;
@@ -41,13 +42,11 @@ pub mod engine;
 pub mod event;
 pub mod node;
 pub mod options;
-pub mod trace;
 
-pub use engine::{Fault, NodeStats, SimConfig, SimOutcome, Simulation, TaskTrace};
+pub use engine::{NodeStats, SimConfig, SimOutcome, Simulation};
 pub use event::{Event, EventKind, EventQueue};
 pub use node::{RunningTask, SimNode};
 pub use options::{RunOptions, SchedulerChoice};
-pub use trace::{ascii_gantt, node_utilization, trace_to_csv, NodeUtilization};
 pub use vizsched_runtime::{
     FaultEvent, FaultKind, FaultPlan, OverloadPolicy, OverloadStats, ShardOutcome,
 };
@@ -55,7 +54,7 @@ pub use vizsched_runtime::{
 /// The one-line import for simulation experiments: the simulation types,
 /// run configuration, and the probe machinery they plug into.
 pub mod prelude {
-    pub use crate::engine::{Fault, SimConfig, SimOutcome, Simulation};
+    pub use crate::engine::{SimConfig, SimOutcome, Simulation};
     pub use crate::options::{RunOptions, SchedulerChoice};
     pub use vizsched_metrics::{CollectingProbe, JsonlProbe, NoopProbe, Probe, TraceEvent};
     pub use vizsched_runtime::{FaultKind, FaultPlan};

@@ -69,7 +69,7 @@ pub struct SimNode {
     /// Total busy time (for utilization accounting).
     pub busy: SimDuration,
     /// Seed folded into the per-task jitter hash (see
-    /// [`SimConfig::jitter_seed`](crate::SimConfig)); zero reproduces the
+    /// [`RunOptions::seed`](crate::RunOptions::seed)); zero reproduces the
     /// unseeded stream.
     pub jitter_seed: u64,
     /// Degraded-node slowdown in per-mille (1000 = nominal): every task's

@@ -4,9 +4,10 @@
 //! [`SimConfig`](crate::SimConfig) describes the *substrate* — cluster,
 //! cost model, decomposition. [`RunOptions`] describes one *run* over that
 //! substrate: which policy, under what label, observed by which probe,
-//! with optional per-run overrides (cycle, eviction, fault plan, jitter,
-//! seed) and an `Estimate[c]` pre-seed for prediction-feedback
-//! experiments.
+//! under which fault plan, overload policy and shard count, with per-run
+//! overrides of the two substrate values experiments sweep (jitter, warm
+//! start), a perturbation seed, and an `Estimate[c]` pre-seed for
+//! prediction-feedback experiments.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -23,14 +24,11 @@
 //! assert_eq!(opts.label_str(), "traced");
 //! ```
 
-use crate::engine::Fault;
 use std::sync::Arc;
-use vizsched_core::cost::CostParams;
 use vizsched_core::data::Catalog;
 use vizsched_core::ids::ChunkId;
-use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{Scheduler, SchedulerKind};
-use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_core::time::SimDuration;
 use vizsched_metrics::{NoopProbe, Probe};
 use vizsched_runtime::{FaultPlan, OverloadPolicy};
 
@@ -59,14 +57,9 @@ pub struct RunOptions {
     pub(crate) scheduler: SchedulerChoice,
     pub(crate) label: String,
     pub(crate) probe: Arc<dyn Probe>,
-    pub(crate) cost: Option<CostParams>,
-    pub(crate) cycle: Option<SimDuration>,
-    pub(crate) eviction: Option<EvictionPolicy>,
-    pub(crate) faults: Option<Vec<Fault>>,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) exec_jitter: Option<f64>,
     pub(crate) warm_start: Option<bool>,
-    pub(crate) record_trace: Option<bool>,
     pub(crate) seed: Option<u64>,
     pub(crate) initial_estimates: Vec<(ChunkId, SimDuration)>,
     pub(crate) catalog: Option<Catalog>,
@@ -80,14 +73,9 @@ impl std::fmt::Debug for RunOptions {
             .field("scheduler", &self.scheduler)
             .field("label", &self.label)
             .field("probe_enabled", &self.probe.enabled())
-            .field("cost", &self.cost)
-            .field("cycle", &self.cycle)
-            .field("eviction", &self.eviction)
-            .field("faults", &self.faults)
             .field("fault_plan", &self.fault_plan)
             .field("exec_jitter", &self.exec_jitter)
             .field("warm_start", &self.warm_start)
-            .field("record_trace", &self.record_trace)
             .field("seed", &self.seed)
             .field("initial_estimates", &self.initial_estimates.len())
             .field("catalog_override", &self.catalog.is_some())
@@ -114,14 +102,9 @@ impl RunOptions {
             scheduler,
             label: String::new(),
             probe: Arc::new(NoopProbe),
-            cost: None,
-            cycle: None,
-            eviction: None,
-            faults: None,
             fault_plan: None,
             exec_jitter: None,
             warm_start: None,
-            record_trace: None,
             seed: None,
             initial_estimates: Vec::new(),
             catalog: None,
@@ -141,30 +124,6 @@ impl RunOptions {
     /// [`NoopProbe`], which costs nothing.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Override the cost-model constants for this run.
-    pub fn cost(mut self, cost: CostParams) -> Self {
-        self.cost = Some(cost);
-        self
-    }
-
-    /// Override the scheduling cycle `ω` for this run.
-    pub fn cycle(mut self, cycle: SimDuration) -> Self {
-        self.cycle = Some(cycle);
-        self
-    }
-
-    /// Override the per-node eviction policy for this run.
-    pub fn eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = Some(eviction);
-        self
-    }
-
-    /// Replace the fault-injection plan for this run.
-    pub fn faults(mut self, faults: Vec<Fault>) -> Self {
-        self.faults = Some(faults);
         self
     }
 
@@ -190,26 +149,12 @@ impl RunOptions {
         self
     }
 
-    /// Override whether a per-task `TaskTrace` is recorded.
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = Some(on);
-        self
-    }
-
     /// Perturbation seed: folded into the deterministic per-task jitter
     /// hash (and, under `EvictionPolicy::Random`, into the eviction
     /// stream), so the same workload can be replayed under independent
     /// noise realizations. Runs with equal seeds are bit-identical.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Pre-seed `Estimate[c]` for one chunk — the paper's "test run"
-    /// initialization, or a deliberately wrong prior for
-    /// prediction-feedback experiments.
-    pub fn initial_estimate(mut self, chunk: ChunkId, estimate: SimDuration) -> Self {
-        self.initial_estimates.push((chunk, estimate));
         self
     }
 
@@ -242,7 +187,8 @@ impl RunOptions {
         self
     }
 
-    /// Pre-seed `Estimate[c]` for many chunks at once.
+    /// Pre-seed `Estimate[c]` — the paper's "test run" initialization, or
+    /// a deliberately wrong prior for prediction-feedback experiments.
     pub fn initial_estimates(
         mut self,
         estimates: impl IntoIterator<Item = (ChunkId, SimDuration)>,
@@ -257,50 +203,26 @@ impl RunOptions {
     }
 }
 
-/// Convenience: fault plan entries without struct-literal noise.
-impl Fault {
-    /// A crash of `node` at `time`.
-    pub fn crash_at(time: SimTime, node: vizsched_core::ids::NodeId) -> Fault {
-        Fault {
-            time,
-            node,
-            crash: true,
-        }
-    }
-
-    /// A recovery of `node` at `time`.
-    pub fn recover_at(time: SimTime, node: vizsched_core::ids::NodeId) -> Fault {
-        Fault {
-            time,
-            node,
-            crash: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vizsched_core::ids::{DatasetId, NodeId};
+    use vizsched_core::time::SimTime;
 
     #[test]
     fn builder_accumulates_overrides() {
         let opts = RunOptions::new(SchedulerKind::Fs)
             .label("x")
-            .cycle(SimDuration::from_millis(10))
-            .eviction(EvictionPolicy::Lru)
             .exec_jitter(0.1)
             .warm_start(true)
-            .record_trace(true)
             .seed(7)
-            .cost(CostParams::default())
-            .faults(vec![Fault::crash_at(SimTime::from_secs(1), NodeId(0))])
-            .initial_estimate(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5));
+            .fault_plan(FaultPlan::new().crash_at(SimTime::from_secs(1), NodeId(0)))
+            .initial_estimates([(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5))]);
         assert_eq!(opts.label_str(), "x");
-        assert_eq!(opts.cycle, Some(SimDuration::from_millis(10)));
+        assert_eq!(opts.exec_jitter, Some(0.1));
         assert_eq!(opts.seed, Some(7));
         assert_eq!(opts.initial_estimates.len(), 1);
-        assert_eq!(opts.faults.as_ref().map(Vec::len), Some(1));
+        assert_eq!(opts.fault_plan.as_ref().map(FaultPlan::len), Some(1));
         // Debug is implemented by hand (trait objects aren't Debug).
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("Kind(Fs)"), "{dbg}");

@@ -2,8 +2,10 @@
 //! cost model, table correction, determinism, deferral draining, and fault
 //! tolerance.
 
+use std::sync::Arc;
 use vizsched_core::prelude::*;
-use vizsched_sim::{Fault, FaultPlan, RunOptions, SimConfig, Simulation};
+use vizsched_metrics::{CollectingProbe, TraceEvent};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
@@ -158,26 +160,22 @@ fn ours_defers_batch_but_drains_it() {
 fn crash_mid_run_still_completes_jobs() {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
     let cost = CostParams::default();
-    let mut config = SimConfig::new(cluster, cost, 512 * MIB);
+    let config = SimConfig::new(cluster, cost, 512 * MIB);
     // Crash node 1 while the first job's cold loads are in flight; recover
     // much later.
-    config.faults = vec![
-        Fault {
-            time: SimTime::from_millis(500),
-            node: NodeId(1),
-            crash: true,
-        },
-        Fault {
-            time: SimTime::from_secs(60),
-            node: NodeId(1),
-            crash: false,
-        },
-    ];
+    let plan = FaultPlan::new()
+        .crash_at(SimTime::from_millis(500), NodeId(1))
+        .respawn_at(SimTime::from_secs(60), NodeId(1));
     let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
     let jobs: Vec<Job> = (0..20)
         .map(|i| interactive(i, 0, 0, SimTime::from_millis(30 * i)))
         .collect();
-    let outcome = sim.run_opts(jobs, RunOptions::new(SchedulerKind::Ours).label("crash"));
+    let outcome = sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .label("crash")
+            .fault_plan(plan),
+    );
     assert_eq!(
         outcome.incomplete_jobs, 0,
         "work lost in the crash must be re-placed"
@@ -188,6 +186,41 @@ fn crash_mid_run_still_completes_jobs() {
         .jobs
         .iter()
         .all(|j| j.timing.finish.is_some()));
+}
+
+/// The fault plan is the only way to take a node down, so pin the path by
+/// its event stream as well as its outcome: each entry is announced
+/// (`fault_injected`) before the runtime reacts (`node_fault`, `node_up`).
+#[test]
+fn plan_crash_then_respawn_is_traced_in_order() {
+    let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
+    let plan = FaultPlan::new()
+        .crash_at(SimTime::from_millis(500), NodeId(1))
+        .respawn_at(SimTime::from_secs(2), NodeId(1));
+    let jobs: Vec<Job> = (0..20)
+        .map(|i| interactive(i, 0, 0, SimTime::from_millis(30 * i)))
+        .collect();
+    let probe = Arc::new(CollectingProbe::new());
+    let outcome = sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .label("crash-trace")
+            .fault_plan(plan)
+            .probe(probe.clone()),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0);
+    let fault_tags: Vec<&str> = probe
+        .take()
+        .iter()
+        .map(TraceEvent::tag)
+        .filter(|tag| matches!(*tag, "fault_injected" | "node_fault" | "node_up"))
+        .collect();
+    assert_eq!(
+        fault_tags,
+        ["fault_injected", "node_fault", "fault_injected", "node_up"]
+    );
 }
 
 #[test]
@@ -233,18 +266,27 @@ fn shard_crash_that_cannot_fail_over_power_cycles_nothing() {
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    config.record_trace = true;
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
     let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
-    let outcome = sim.run_opts(
+    let probe = Arc::new(CollectingProbe::new());
+    sim.run_opts(
         vec![interactive(0, 0, 0, SimTime::ZERO)],
-        RunOptions::new(SchedulerKind::Fcfs).label("t"),
+        RunOptions::new(SchedulerKind::Fcfs)
+            .label("t")
+            .probe(probe.clone()),
     );
-    assert_eq!(outcome.trace.len(), 4);
-    for t in &outcome.trace {
-        assert!(t.finish > t.start);
-        assert!(t.miss, "first touch of every chunk is a miss");
+    let mut tasks = 0;
+    for event in probe.take() {
+        if let TraceEvent::TaskDone {
+            now, started, miss, ..
+        } = event
+        {
+            tasks += 1;
+            assert!(now > started);
+            assert!(miss, "first touch of every chunk is a miss");
+        }
     }
+    assert_eq!(tasks, 4);
 }
 
 #[test]

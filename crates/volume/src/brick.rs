@@ -4,10 +4,9 @@
 //! brick boundaries.
 
 use crate::grid::{Scalar, Volume};
-use serde::{Deserialize, Serialize};
 
 /// One brick of a decomposed volume.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Brick<T> {
     /// Index of this brick within the decomposition.
     pub index: usize,

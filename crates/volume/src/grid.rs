@@ -1,7 +1,5 @@
 //! Regular scalar grids: the in-memory representation of volumetric data.
 
-use serde::{Deserialize, Serialize};
-
 /// Scalar voxel types the renderer can sample.
 pub trait Scalar: Copy + Send + Sync + 'static {
     /// Convert to a normalized `f32` (u8/u16 map to `[0, 1]`).
@@ -38,7 +36,7 @@ impl Scalar for u16 {
 }
 
 /// A dense regular grid of scalars in x-fastest (row-major z-slowest) order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Volume<T> {
     /// Grid dimensions `[nx, ny, nz]`.
     pub dims: [usize; 3],

@@ -4,16 +4,14 @@
 //! z-slab bricking with ghost layers (the data decomposition of §III-C at
 //! the voxel level), procedurally generated stand-ins for the paper's
 //! plume / combustion / supernova simulation datasets (Fig. 10),
-//! time-varying series for batch rendering, value histograms, and a raw
-//! on-disk format for the live service's chunk store.
+//! time-varying series for batch rendering, and a raw on-disk format for
+//! the live service's chunk store.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod brick;
-pub mod gradient;
 pub mod grid;
-pub mod histogram;
 pub mod io;
 pub mod lod;
 pub mod synth;
@@ -21,7 +19,6 @@ pub mod timevarying;
 
 pub use brick::{split_z, Brick};
 pub use grid::{Scalar, Volume};
-pub use histogram::Histogram;
 pub use lod::{build_pyramid, downsample_by_2};
 pub use synth::Field;
 pub use timevarying::TimeSeries;

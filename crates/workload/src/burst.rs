@@ -14,7 +14,6 @@
 use crate::arrival::uniform_duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::time::{SimDuration, SimTime};
@@ -28,7 +27,7 @@ pub const BURST_USER_OFFSET: u32 = 10_000;
 pub const BURST_ACTION_OFFSET: u64 = 1_000_000;
 
 /// A window of extra interactive demand overlaid on a base workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BurstSpec {
     /// Number of additional full-length interactive users during the
     /// window. Zero is a valid no-op overlay.

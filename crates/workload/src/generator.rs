@@ -15,13 +15,12 @@
 use crate::arrival::{exp_duration, uniform_duration, uniform_u32};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vizsched_core::ids::{ActionId, BatchId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// How sessions pick datasets.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DatasetChoice {
     /// Every dataset equally likely (the Table II scenarios).
     Uniform,
@@ -63,7 +62,7 @@ impl DatasetChoice {
 }
 
 /// How a user slot behaves over the run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ActionBehavior {
     /// One action spanning the whole run; slot `i` explores dataset
     /// `i mod datasets` (Scenario 1's "six users, six datasets").
@@ -79,7 +78,7 @@ pub enum ActionBehavior {
 }
 
 /// The interactive side of a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InteractiveModel {
     /// Number of concurrently active user slots.
     pub slots: u32,
@@ -90,7 +89,7 @@ pub struct InteractiveModel {
 }
 
 /// The batch side of a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchModel {
     /// Number of batch submissions over the run.
     pub submissions: u32,
@@ -138,7 +137,7 @@ impl BatchModel {
 /// assert!(jobs.len() >= 190 && jobs.len() <= 200); // ~2 x 100 frames
 /// assert!(jobs.windows(2).all(|w| w[0].issue_time <= w[1].issue_time));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Total simulated length of the arrival process.
     pub length: SimDuration,

@@ -15,7 +15,6 @@
 
 use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
 use crate::record::ScenarioRecord;
-use serde::{Deserialize, Serialize};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DatasetDesc, DecompositionPolicy};
@@ -26,7 +25,7 @@ const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
 /// Everything needed to run one experiment: cluster, costs, data, workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Display label ("scenario-1", …).
     pub label: String,
@@ -52,7 +51,7 @@ pub struct Scenario {
 }
 
 /// The captured side of a replay scenario (see [`Scenario::from_record`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplayPlan {
     /// The recorded request stream, ids and issue times included.
     pub jobs: Vec<Job>,

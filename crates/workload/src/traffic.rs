@@ -40,7 +40,6 @@ use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveMod
 use crate::record::{RecordHeader, ScenarioRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
 use vizsched_core::data::{Catalog, ChunkDesc, DatasetDesc};
 use vizsched_core::ids::{ActionId, ChunkId, DatasetId, JobId, UserId};
@@ -107,7 +106,7 @@ fn assemble(mut proto: Proto) -> Vec<Job> {
 /// A diurnal load curve: the number of active user slots follows a
 /// raised cosine between `trough_frac · slots_peak` (at t = 0) and
 /// `slots_peak` (half a `curve_period` later).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiurnalSpec {
     /// Active slots at the peak of the curve.
     pub slots_peak: u32,
@@ -216,7 +215,7 @@ impl DiurnalSpec {
 
 /// A flash crowd: steady background sessions, then `crowd_users` extra
 /// users pile onto `hot_dataset` across a short ramp and hold it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlashCrowdSpec {
     /// Steady background slots (full-length actions, round-robin
     /// datasets).
@@ -296,7 +295,7 @@ impl FlashCrowdSpec {
 /// group `g` visits datasets `g·path_len + k (mod dataset_count)` for
 /// `k = 0..path_len`, dwelling on each; neighbours overlap on the same
 /// dataset almost all the time, so `Cache[c]` sharing carries the group.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CameraPathSpec {
     /// Number of independent tours.
     pub groups: u32,
@@ -365,7 +364,7 @@ impl CameraPathSpec {
 
 /// Mixed GPU tiers: a standard session workload over a cluster whose
 /// nodes cycle through heterogeneous disk-speed factors.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MixedTiersSpec {
     /// The session workload to run over the tiered cluster.
     pub workload: WorkloadSpec,
@@ -421,7 +420,7 @@ impl MixedTiersSpec {
 /// `interval` elapses and timestep `s + 1` lands, every cached chunk of
 /// timestep `s` is dead weight — the shape that punishes cache-affinity
 /// heuristics which assume a stable working set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimeVaryingSpec {
     /// Concurrent viewers following the stream.
     pub viewers: u32,
@@ -536,7 +535,7 @@ pub fn heterogeneous_catalog(count: u32, bytes: u64, chunk_max: u64, seed: u64) 
 }
 
 /// One of the five traffic shapes, for sweeping them uniformly.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TrafficShape {
     /// Diurnal load curve.
     Diurnal(DiurnalSpec),
@@ -552,7 +551,7 @@ pub enum TrafficShape {
 
 impl TrafficShape {
     /// The canonical shape names, in sweep order (pinned by
-    /// `results/traffic_report.json` and the docs-consistency tests).
+    /// `BENCH_traffic.json` and the docs-consistency tests).
     pub const NAMES: [&'static str; 5] = [
         "diurnal",
         "flash_crowd",

@@ -2,8 +2,10 @@
 //! every `TraceEvent` variant, the README's policy table must stay in
 //! sync with `SchedulerKind`, docs/SCENARIO_FORMAT.md must cover every
 //! record line kind, docs/OPERATORS_GUIDE.md must name every traffic
-//! shape, and the top-level markdown documents (including the guides in
-//! docs/) must not carry dead intra-repo links. Run by the CI docs job.
+//! shape, the top-level markdown documents (including the guides in
+//! docs/) must not carry dead intra-repo links, every CI `--check` must
+//! name a committed root `BENCH_*.json`, and the shim inventory must
+//! agree with itself. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -297,5 +299,81 @@ fn readme_links_the_guides() {
         "docs/ARCHITECTURE.md",
     ] {
         assert!(readme.contains(guide), "README.md does not link {guide}");
+    }
+}
+
+/// Gated baselines have one home and one name: every `--check <path>` in
+/// the CI workflow names a `BENCH_*.json` that exists at the repo root.
+#[test]
+fn ci_check_paths_are_root_bench_baselines() {
+    let ci = read(".github/workflows/ci.yml");
+    // `--check <path>` on one line; `cargo fmt --check` takes no value.
+    let checked: Vec<&str> = ci
+        .lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace().skip_while(|w| *w != "--check");
+            words.nth(1)
+        })
+        .collect();
+    assert!(
+        checked.len() >= 6,
+        "ci.yml gates look truncated: {checked:?}"
+    );
+    for path in checked {
+        assert!(
+            path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/'),
+            "ci.yml gates on `{path}`, which is not a root BENCH_*.json"
+        );
+        assert!(
+            repo_root().join(path).is_file(),
+            "ci.yml gates on `{path}`, which is not committed"
+        );
+    }
+}
+
+/// The offline shims are listed three times — the table in
+/// shims/README.md, the directories under shims/, and the `shims/` path
+/// entries of `[workspace.dependencies]` — and the three must be the same
+/// set, each still a dependency of at least one product crate.
+#[test]
+fn shims_readme_dirs_and_workspace_entries_agree() {
+    use std::collections::BTreeSet;
+
+    let documented: BTreeSet<String> = read("shims/README.md")
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .map(|row| row.split('`').nth(1).expect("backticked name").to_string())
+        .collect();
+    let on_disk: BTreeSet<String> = std::fs::read_dir(repo_root().join("shims"))
+        .expect("read shims/")
+        .map(|entry| entry.expect("dir entry"))
+        .filter(|entry| entry.path().is_dir())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    let wired: BTreeSet<String> = read("Cargo.toml")
+        .lines()
+        .filter_map(|line| {
+            let (name, rest) = line.split_once(" = { path = \"shims/")?;
+            let dir = rest.split('"').next()?;
+            assert_eq!(name, dir, "shim `{name}` lives in shims/{dir}");
+            Some(name.to_string())
+        })
+        .collect();
+    assert_eq!(documented, on_disk, "shims/README.md table vs shims/ dirs");
+    assert_eq!(wired, on_disk, "[workspace.dependencies] vs shims/ dirs");
+
+    let manifests: Vec<String> = std::fs::read_dir(repo_root().join("crates"))
+        .expect("read crates/")
+        .map(|entry| entry.expect("dir entry").path().join("Cargo.toml"))
+        .map(|path| std::fs::read_to_string(&path).expect("crate manifest"))
+        .collect();
+    for shim in &on_disk {
+        let dependency = format!("{shim} = {{ workspace = true");
+        assert!(
+            manifests
+                .iter()
+                .any(|m| m.lines().any(|l| l.starts_with(&dependency))),
+            "shim `{shim}` is a dependency of no crate under crates/"
+        );
     }
 }

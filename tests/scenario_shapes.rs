@@ -5,7 +5,7 @@
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_workload::Scenario;
 
 fn run(scenario: &Scenario, kind: SchedulerKind) -> SchedulerReport {
@@ -141,28 +141,20 @@ fn table3_shape_holds() {
 fn crash_during_scenario_is_absorbed() {
     use vizsched_core::ids::NodeId;
     use vizsched_core::time::SimTime;
-    use vizsched_sim::Fault;
 
     let scenario = Scenario::table2(1).shortened(SimDuration::from_secs(8));
     let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
     config.exec_jitter = 0.05;
     config.warm_start = true;
-    config.faults = vec![
-        Fault {
-            time: SimTime::from_secs(3),
-            node: NodeId(2),
-            crash: true,
-        },
-        Fault {
-            time: SimTime::from_secs(6),
-            node: NodeId(2),
-            crash: false,
-        },
-    ];
+    let plan = FaultPlan::new()
+        .crash_at(SimTime::from_secs(3), NodeId(2))
+        .respawn_at(SimTime::from_secs(6), NodeId(2));
     let sim = Simulation::new(config, scenario.datasets());
     let outcome = sim.run_opts(
         scenario.jobs(),
-        RunOptions::new(SchedulerKind::Ours).label("crash"),
+        RunOptions::new(SchedulerKind::Ours)
+            .label("crash")
+            .fault_plan(plan),
     );
     assert_eq!(
         outcome.incomplete_jobs, 0,

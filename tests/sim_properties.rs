@@ -3,8 +3,10 @@
 //! shapes, and fault injections.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use vizsched_core::prelude::*;
-use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
+use vizsched_metrics::{CollectingProbe, TraceEvent};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
@@ -49,7 +51,6 @@ fn build(case: &WorkloadCase) -> (Simulation, Vec<Job>) {
     let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
     config.warm_start = case.warm;
     config.exec_jitter = if case.jitter { 0.05 } else { 0.0 };
-    config.record_trace = true;
     let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
     let jobs: Vec<Job> = case
         .jobs
@@ -77,6 +78,21 @@ fn build(case: &WorkloadCase) -> (Simulation, Vec<Job>) {
     (sim, jobs)
 }
 
+/// Every executed task as `(node, start, finish)`, read off the probe's
+/// `task_done` events.
+fn task_spans(probe: &CollectingProbe) -> Vec<(NodeId, SimTime, SimTime)> {
+    probe
+        .take()
+        .into_iter()
+        .filter_map(|event| match event {
+            TraceEvent::TaskDone {
+                node, started, now, ..
+            } => Some((node, started, now)),
+            _ => None,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -87,12 +103,13 @@ proptest! {
         let kind = SchedulerKind::ALL[case.kind_pick];
         let (sim, jobs) = build(&case);
         let total_jobs = jobs.len();
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop"));
+        let probe = Arc::new(CollectingProbe::new());
+        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop").probe(probe.clone()));
         prop_assert_eq!(outcome.incomplete_jobs, 0, "{}", kind.name());
         prop_assert_eq!(outcome.record.jobs.len(), total_jobs);
         let decomposed: u64 = outcome.record.jobs.iter().map(|j| u64::from(j.tasks)).sum();
         prop_assert_eq!(outcome.record.cache_hits + outcome.record.cache_misses, decomposed);
-        prop_assert_eq!(outcome.trace.len() as u64, decomposed);
+        prop_assert_eq!(task_spans(&probe).len() as u64, decomposed);
     }
 
     /// Ordering: JS ≥ JI, JF ≥ JS, latency ≥ execution, makespan = max JF.
@@ -119,11 +136,12 @@ proptest! {
     fn nodes_never_overlap(case in workload_case()) {
         let kind = SchedulerKind::ALL[case.kind_pick];
         let (sim, jobs) = build(&case);
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop"));
+        let probe = Arc::new(CollectingProbe::new());
+        sim.run_opts(jobs, RunOptions::new(kind).label("prop").probe(probe.clone()));
         let mut per_node: std::collections::HashMap<u32, Vec<(SimTime, SimTime)>> =
             std::collections::HashMap::new();
-        for t in &outcome.trace {
-            per_node.entry(t.node.0).or_default().push((t.start, t.finish));
+        for (node, start, finish) in task_spans(&probe) {
+            per_node.entry(node.0).or_default().push((start, finish));
         }
         for (node, mut spans) in per_node {
             spans.sort();
@@ -144,15 +162,12 @@ proptest! {
     fn faults_do_not_lose_jobs(case in workload_case(), crash_ms in 1u64..3_000) {
         prop_assume!(case.nodes >= 2);
         let kind = SchedulerKind::ALL[case.kind_pick];
-        let (sim0, jobs) = build(&case);
-        let mut config = sim0.config().clone();
-        config.faults = vec![
-            Fault { time: SimTime::from_millis(crash_ms), node: NodeId(0), crash: true },
-            Fault { time: SimTime::from_millis(crash_ms + 30_000), node: NodeId(0), crash: false },
-        ];
-        let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
+        let (sim, jobs) = build(&case);
+        let plan = FaultPlan::new()
+            .crash_at(SimTime::from_millis(crash_ms), NodeId(0))
+            .respawn_at(SimTime::from_millis(crash_ms + 30_000), NodeId(0));
         let total = jobs.len();
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("fault"));
+        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("fault").fault_plan(plan));
         prop_assert_eq!(outcome.incomplete_jobs, 0, "{}", kind.name());
         prop_assert_eq!(outcome.record.jobs.len(), total);
     }
