@@ -86,28 +86,34 @@ impl Camera {
         }
     }
 
-    /// Generate the view ray through pixel `(px, py)` of a `width`×`height`
-    /// image (pixel centers, y down).
-    pub fn ray(&self, px: usize, py: usize, width: usize, height: usize) -> Ray {
+    /// [`ray`](Camera::ray) as a function of the pixel alone: the view
+    /// basis and image-plane scale are computed here, once per frame.
+    pub fn rays(&self, width: usize, height: usize) -> impl Fn(usize, usize) -> Ray {
+        let eye = self.eye;
         let forward = vec3::normalize(vec3::sub(self.target, self.eye));
         let right = vec3::normalize(vec3::cross(forward, self.up));
         let up = vec3::cross(right, forward);
         let aspect = width as f32 / height as f32;
         let tan_half = (self.fov_y * 0.5).tan();
-        // NDC in [-1, 1], y flipped so row 0 is the top.
-        let ndc_x = ((px as f32 + 0.5) / width as f32) * 2.0 - 1.0;
-        let ndc_y = 1.0 - ((py as f32 + 0.5) / height as f32) * 2.0;
-        let dir = vec3::normalize(vec3::add(
-            forward,
-            vec3::add(
-                vec3::scale(right, ndc_x * tan_half * aspect),
-                vec3::scale(up, ndc_y * tan_half),
-            ),
-        ));
-        Ray {
-            origin: self.eye,
-            dir,
+        move |px, py| {
+            // NDC in [-1, 1], y flipped so row 0 is the top.
+            let ndc_x = ((px as f32 + 0.5) / width as f32) * 2.0 - 1.0;
+            let ndc_y = 1.0 - ((py as f32 + 0.5) / height as f32) * 2.0;
+            let dir = vec3::normalize(vec3::add(
+                forward,
+                vec3::add(
+                    vec3::scale(right, ndc_x * tan_half * aspect),
+                    vec3::scale(up, ndc_y * tan_half),
+                ),
+            ));
+            Ray { origin: eye, dir }
         }
+    }
+
+    /// Generate the view ray through pixel `(px, py)` of a `width`×`height`
+    /// image (pixel centers, y down).
+    pub fn ray(&self, px: usize, py: usize, width: usize, height: usize) -> Ray {
+        self.rays(width, height)(px, py)
     }
 }
 

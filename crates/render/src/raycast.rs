@@ -8,7 +8,8 @@
 //! The integrator is generic over a [`VolumeSampler`] so a full volume and
 //! a distributed brick share the same code path — the brick case simply
 //! restricts the box to the brick's core region (sort-last task
-//! decomposition).
+//! decomposition). It is the executable reference: [`render_brick`], the
+//! one entry point the live service calls, must draw the same bits.
 
 use crate::camera::{vec3, Camera};
 use crate::image::{over, Rgba, RgbaImage};
@@ -139,7 +140,7 @@ pub fn integrate<S: VolumeSampler>(
     acc
 }
 
-fn normalize(g: [f32; 3]) -> Option<[f32; 3]> {
+pub(crate) fn normalize(g: [f32; 3]) -> Option<[f32; 3]> {
     let len = vec3::length(g);
     if len < 1e-6 {
         return None;
@@ -164,160 +165,6 @@ pub fn render<S: VolumeSampler>(
     img
 }
 
-/// Render with rayon, one task per row — the stand-in for the paper's GPU
-/// fragment-parallel ray casting.
-pub fn render_parallel<S: VolumeSampler>(
-    sampler: &S,
-    camera: &Camera,
-    tf: &TransferFunction,
-    settings: &RenderSettings,
-) -> RgbaImage {
-    use rayon::prelude::*;
-    let width = settings.width;
-    let rows: Vec<Vec<Rgba>> = (0..settings.height)
-        .into_par_iter()
-        .map(|y| {
-            (0..width)
-                .map(|x| {
-                    let ray = camera.ray(x, y, width, settings.height);
-                    integrate(sampler, &ray, tf, settings)
-                })
-                .collect()
-        })
-        .collect();
-    let mut img = RgbaImage::transparent(width, settings.height);
-    for (y, row) in rows.into_iter().enumerate() {
-        for (x, px) in row.into_iter().enumerate() {
-            *img.at_mut(x, y) = px;
-        }
-    }
-    img
-}
-
-/// Integrate one ray with min–max empty-space skipping: block-sized leaps
-/// over regions the transfer function maps to zero opacity. Returns the
-/// pixel and the number of samples actually taken.
-pub fn integrate_skipping<S: VolumeSampler>(
-    sampler: &S,
-    ray: &Ray,
-    tf: &TransferFunction,
-    settings: &RenderSettings,
-    skip: &crate::skip::MinMaxGrid,
-) -> (Rgba, u32) {
-    let Some((t0, t1)) = sampler.bounds().intersect(ray) else {
-        return ([0.0; 4], 0);
-    };
-    let mut acc: Rgba = [0.0; 4];
-    let mut samples = 0u32;
-    let mut t = t0;
-    while t <= t1 {
-        let p = ray.at(t);
-        if skip.is_empty_at(p[0], p[1], p[2], tf) {
-            // Leap to the exit of the current (empty) block.
-            t += block_exit_distance(p, ray.dir, skip.block) + settings.step * 0.01;
-            continue;
-        }
-        let v = sampler.value(p);
-        samples += 1;
-        let mut s = tf.sample(v, settings.step, settings.base_step);
-        if s[3] > 0.0 && settings.shading {
-            if let Some(n) = normalize(sampler.gradient(p)) {
-                let diffuse = vec3::dot(n, ray.dir).abs();
-                let shade = settings.ambient + (1.0 - settings.ambient) * diffuse;
-                s[0] *= shade;
-                s[1] *= shade;
-                s[2] *= shade;
-            }
-        }
-        acc = over(acc, s);
-        if acc[3] >= settings.early_termination {
-            break;
-        }
-        t += settings.step;
-    }
-    (acc, samples)
-}
-
-/// Distance along `dir` (unit) from `p` to the exit face of the
-/// `block`-sized grid cell containing `p`.
-fn block_exit_distance(p: [f32; 3], dir: [f32; 3], block: usize) -> f32 {
-    let b = block as f32;
-    let mut exit = f32::INFINITY;
-    for axis in 0..3 {
-        if dir[axis].abs() < 1e-12 {
-            continue;
-        }
-        let cell = (p[axis] / b).floor();
-        let bound = if dir[axis] > 0.0 {
-            (cell + 1.0) * b
-        } else {
-            cell * b
-        };
-        let t = (bound - p[axis]) / dir[axis];
-        if t > 0.0 {
-            exit = exit.min(t);
-        }
-    }
-    if exit.is_finite() {
-        exit.max(1e-3)
-    } else {
-        1e-3
-    }
-}
-
-/// Render with empty-space skipping; returns the image and the total
-/// samples taken (compare with `width * height * rays * steps` without
-/// skipping).
-pub fn render_with_skip<S: VolumeSampler>(
-    sampler: &S,
-    camera: &Camera,
-    tf: &TransferFunction,
-    settings: &RenderSettings,
-    skip: &crate::skip::MinMaxGrid,
-) -> (RgbaImage, u64) {
-    let mut img = RgbaImage::transparent(settings.width, settings.height);
-    let mut samples = 0u64;
-    for y in 0..settings.height {
-        for x in 0..settings.width {
-            let ray = camera.ray(x, y, settings.width, settings.height);
-            let (px, n) = integrate_skipping(sampler, &ray, tf, settings, skip);
-            *img.at_mut(x, y) = px;
-            samples += u64::from(n);
-        }
-    }
-    (img, samples)
-}
-
-/// Count the samples the plain integrator takes (for skip-speedup tests).
-pub fn count_samples<S: VolumeSampler>(
-    sampler: &S,
-    camera: &Camera,
-    tf: &TransferFunction,
-    settings: &RenderSettings,
-) -> u64 {
-    let mut samples = 0u64;
-    for y in 0..settings.height {
-        for x in 0..settings.width {
-            let ray = camera.ray(x, y, settings.width, settings.height);
-            if let Some((t0, t1)) = sampler.bounds().intersect(&ray) {
-                let mut acc = 0.0f32;
-                let mut t = t0;
-                while t <= t1 {
-                    samples += 1;
-                    let v = sampler.value(ray.at(t));
-                    let s = tf.sample(v, settings.step, settings.base_step);
-                    acc = s[3] + acc * (1.0 - s[3]);
-                    if acc >= settings.early_termination {
-                        break;
-                    }
-                    t += settings.step;
-                }
-            }
-        }
-    }
-    samples
-}
-
 /// A rendered sub-image tagged with its view depth, the unit sort-last
 /// compositing works on.
 #[derive(Clone, Debug, PartialEq)]
@@ -329,16 +176,16 @@ pub struct Layer {
     pub depth: f32,
 }
 
-/// Render one brick of a distributed volume into a depth-tagged layer.
+/// Render one brick of a distributed volume into a depth-tagged layer:
+/// [`render`] over a [`BrickSampler`], bit for bit, by [`crate::skip`].
 pub fn render_brick<T: Scalar>(
     brick: &Brick<T>,
     camera: &Camera,
     tf: &TransferFunction,
     settings: &RenderSettings,
 ) -> Layer {
-    let sampler = BrickSampler::new(brick);
-    let image = render_parallel(&sampler, camera, tf, settings);
-    let center = sampler.bounds().center();
+    let (image, _work) = crate::skip::render(brick, camera, tf, settings);
+    let center = BrickSampler::new(brick).bounds().center();
     let depth = vec3::length(vec3::sub(center, camera.eye));
     Layer { image, depth }
 }
@@ -373,17 +220,6 @@ mod tests {
         let img = render(&v, &cam, &tf, &small_settings());
         assert!(img.coverage() > 0.02, "coverage = {}", img.coverage());
         assert!(img.pixels.iter().all(|p| p.iter().all(|c| c.is_finite())));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let v: Volume<f32> = Field::Plume.sample([12, 12, 12]);
-        let cam = Camera::orbit(v.dims, 1.0, 0.2, 2.0);
-        let tf = TransferFunction::preset(0);
-        let s = small_settings();
-        let seq = render(&v, &cam, &tf, &s);
-        let par = render_parallel(&v, &cam, &tf, &s);
-        assert_eq!(seq, par);
     }
 
     #[test]

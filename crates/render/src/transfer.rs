@@ -86,6 +86,24 @@ impl TransferFunction {
         [c[0] * alpha, c[1] * alpha, c[2] * alpha, alpha]
     }
 
+    /// Every answer [`sample`](Self::sample) can give at one `step` and
+    /// `base_step`: `premultiplied(s, b)[table_index(v)]` is
+    /// `sample(v, s, b)` bit for bit, without a `powf` per sample.
+    pub fn premultiplied(&self, step: f32, base_step: f32) -> Vec<Rgba> {
+        // Entry `i` was built from, and classifies back to, `i / 255`.
+        let values = (0..Self::RESOLUTION).map(|i| i as f32 / (Self::RESOLUTION - 1) as f32);
+        values.map(|v| self.sample(v, step, base_step)).collect()
+    }
+
+    /// The table entry [`classify`](Self::classify) picks for `value`: in
+    /// `[0, 255]` its `round` is truncation plus a test of the fraction.
+    #[inline]
+    pub fn table_index(value: f32) -> usize {
+        let scaled = value.clamp(0.0, 1.0) * (Self::RESOLUTION - 1) as f32;
+        let below = scaled as usize;
+        below + usize::from(scaled - below as f32 >= 0.5)
+    }
+
     /// The maximum opacity the function assigns anywhere in `[lo, hi]` —
     /// the emptiness test behind min–max empty-space skipping.
     pub fn max_opacity_between(&self, lo: f32, hi: f32) -> f32 {
@@ -98,9 +116,12 @@ impl TransferFunction {
             .fold(0.0, f32::max)
     }
 
+    /// How many distinct [`preset`](Self::preset)s there are.
+    pub const PRESETS: u32 = 3;
+
     /// The paper's presets, indexed by `FrameParams::transfer_fn`.
     pub fn preset(index: u32) -> TransferFunction {
-        match index % 3 {
+        match index % Self::PRESETS {
             // 0: "bone and tissue" — low values transparent blue haze,
             // high values opaque warm.
             0 => TransferFunction::from_points(vec![
@@ -212,6 +233,26 @@ mod tests {
                 two_halves[i],
                 full[i]
             );
+        }
+    }
+
+    #[test]
+    fn premultiplied_table_reproduces_sample_bit_for_bit() {
+        let tf = TransferFunction::preset(0);
+        let lut = tf.premultiplied(0.4, 1.0);
+        // Dense sweep past both clamps, plus every rounding tie k + 0.5.
+        let sweep = (-50..=2600).map(|i| i as f32 / 2550.0);
+        let ties = (0..255).map(|k| (k as f32 + 0.5) / 255.0);
+        for v in sweep.chain(ties).chain([f32::NAN, f32::INFINITY, -0.0]) {
+            let scaled = v.clamp(0.0, 1.0) * 255.0;
+            let index = TransferFunction::table_index(v);
+            assert_eq!(index, scaled.round() as usize, "index of {v}");
+            let bits = |px: Rgba| px.map(f32::to_bits);
+            assert_eq!(bits(lut[index]), bits(tf.sample(v, 0.4, 1.0)), "at {v}");
+        }
+        for (i, entry) in lut.iter().enumerate() {
+            assert_eq!(TransferFunction::table_index(i as f32 / 255.0), i);
+            assert_eq!(entry[3] > 0.0, tf.table[i][3] > 0.0);
         }
     }
 

@@ -34,7 +34,9 @@ pub struct NodeConfig {
 /// FIFO (§III-A). A raised kill flag is an abrupt fault: queued render
 /// tasks are dropped on the floor (the head reroutes them when it sees
 /// the `Stopped` report), though a render already underway still
-/// completes and reports — a thread cannot be preempted mid-task.
+/// completes and reports — a thread cannot be preempted mid-task. A task
+/// whose brick cannot be read back from the store ends the node the same
+/// way: it says why on stderr and reports `Stopped`.
 pub fn run_node(
     config: NodeConfig,
     store: Arc<ChunkStore>,
@@ -42,8 +44,18 @@ pub fn run_node(
     to_head: Sender<ToHead>,
     kill: Arc<AtomicBool>,
 ) {
-    let mut cache = NodeMemory::new(config.mem_quota);
-    let mut bricks: HashMap<ChunkId, Arc<Brick<f32>>> = HashMap::new();
+    let mut node = Node {
+        cache: NodeMemory::new(config.mem_quota),
+        bricks: HashMap::new(),
+        presets: (0..TransferFunction::PRESETS)
+            .map(TransferFunction::preset)
+            .collect(),
+        settings: RenderSettings {
+            width: config.image_size.0,
+            height: config.image_size.1,
+            ..RenderSettings::default()
+        },
+    };
     let mut slow_pm: u32 = 1000;
     while let Ok(msg) = tasks.recv() {
         if kill.load(Ordering::Relaxed) {
@@ -53,7 +65,13 @@ pub fn run_node(
             ToNode::Shutdown => break,
             ToNode::Degrade(pm) => slow_pm = pm.max(1000),
             ToNode::Render(task) => {
-                let mut done = execute(&config, &store, &mut cache, &mut bricks, task);
+                let mut done = match node.execute(&config, &store, task) {
+                    Ok(done) => done,
+                    Err(e) => {
+                        eprintln!("node {}: stopping, task failed: {e}", config.id.0);
+                        break;
+                    }
+                };
                 if slow_pm > 1000 {
                     // Degraded: pad the task to elapsed × slow_pm/1000,
                     // mirroring the simulator's cost multiplier.
@@ -73,71 +91,73 @@ pub fn run_node(
     });
 }
 
-fn execute(
-    config: &NodeConfig,
-    store: &ChunkStore,
-    cache: &mut NodeMemory,
-    bricks: &mut HashMap<ChunkId, Arc<Brick<f32>>>,
-    task: RenderTask,
-) -> TaskDone {
-    let t0 = std::time::Instant::now();
-    // Fetch: the data I/O stage of the pipeline (Fig. 2).
-    let (brick, io, miss, evicted) = if cache.contains(task.chunk) {
-        cache.touch(task.chunk);
-        (
-            bricks[&task.chunk].clone(),
-            SimDuration::ZERO,
-            false,
-            Vec::new(),
-        )
-    } else {
-        let (brick, took) = store
-            .load(task.chunk)
-            .expect("chunk store lost a brick file");
-        let bytes = store.chunk_bytes(task.chunk);
-        let evicted = cache.load(task.chunk, bytes);
-        for victim in &evicted {
-            bricks.remove(victim);
-        }
-        bricks.insert(task.chunk, brick.clone());
-        (
-            brick,
-            SimDuration::from_micros(took.as_micros() as u64),
-            true,
+/// What a node thread keeps between tasks.
+struct Node {
+    cache: NodeMemory,
+    bricks: HashMap<ChunkId, Arc<Brick<f32>>>,
+    /// `TransferFunction::preset(i)` for every distinct `i`, built once.
+    presets: Vec<TransferFunction>,
+    settings: RenderSettings,
+}
+
+impl Node {
+    fn execute(
+        &mut self,
+        config: &NodeConfig,
+        store: &ChunkStore,
+        task: RenderTask,
+    ) -> std::io::Result<TaskDone> {
+        let t0 = std::time::Instant::now();
+        // Fetch: the data I/O stage of the pipeline (Fig. 2).
+        let (brick, io, miss, evicted) = if self.cache.contains(task.chunk) {
+            self.cache.touch(task.chunk);
+            (
+                self.bricks[&task.chunk].clone(),
+                SimDuration::ZERO,
+                false,
+                Vec::new(),
+            )
+        } else {
+            let (brick, took) = store.load(task.chunk)?;
+            let bytes = store.chunk_bytes(task.chunk);
+            let evicted = self.cache.load(task.chunk, bytes);
+            for victim in &evicted {
+                self.bricks.remove(victim);
+            }
+            self.bricks.insert(task.chunk, brick.clone());
+            (
+                brick,
+                SimDuration::from_micros(took.as_micros() as u64),
+                true,
+                evicted,
+            )
+        };
+
+        // Render: ray-cast the brick into a depth-tagged layer.
+        let dataset = task.chunk.dataset;
+        let dims =
+            store.catalog().dataset(dataset).dims.ok_or_else(|| {
+                std::io::Error::other(format!("dataset {dataset} has no grid dims"))
+            })?;
+        let camera = Camera::orbit(
+            dims.map(|n| n as usize),
+            task.frame.azimuth,
+            task.frame.elevation,
+            task.frame.distance,
+        );
+        let tf = &self.presets[(task.frame.transfer_fn % TransferFunction::PRESETS) as usize];
+        let layer = render_brick(brick.as_ref(), &camera, tf, &self.settings);
+
+        Ok(TaskDone {
+            node: config.id.0,
+            job: task.job,
+            index: task.index,
+            chunk: task.chunk,
+            layer,
+            io,
+            elapsed: SimDuration::from_micros(t0.elapsed().as_micros() as u64),
+            miss,
             evicted,
-        )
-    };
-
-    // Render: ray-cast the brick into a depth-tagged layer.
-    let dims = store
-        .catalog()
-        .dataset(task.chunk.dataset)
-        .dims
-        .expect("store datasets always carry dims");
-    let full_dims = [dims[0] as usize, dims[1] as usize, dims[2] as usize];
-    let camera = Camera::orbit(
-        full_dims,
-        task.frame.azimuth,
-        task.frame.elevation,
-        task.frame.distance,
-    );
-    let tf = TransferFunction::preset(task.frame.transfer_fn);
-    let settings = RenderSettings {
-        width: config.image_size.0,
-        height: config.image_size.1,
-        ..RenderSettings::default()
-    };
-    let layer = render_brick(brick.as_ref(), &camera, &tf, &settings);
-
-    TaskDone {
-        node: config.id.0,
-        job: task.job,
-        index: task.index,
-        chunk: task.chunk,
-        layer,
-        io,
-        elapsed: SimDuration::from_micros(t0.elapsed().as_micros() as u64),
-        miss,
-        evicted,
+        })
     }
 }

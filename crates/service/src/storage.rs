@@ -147,6 +147,7 @@ impl ChunkStore {
             ghost_lo: meta.ghost_lo,
             ghost_hi: meta.ghost_hi,
             volume,
+            minmax: Default::default(),
         };
         Ok((Arc::new(brick), start.elapsed()))
     }

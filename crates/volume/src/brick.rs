@@ -4,9 +4,11 @@
 //! brick boundaries.
 
 use crate::grid::{Scalar, Volume};
+use crate::skip::MinMaxGrid;
+use std::sync::OnceLock;
 
 /// One brick of a decomposed volume.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Brick<T> {
     /// Index of this brick within the decomposition.
     pub index: usize,
@@ -20,6 +22,8 @@ pub struct Brick<T> {
     pub ghost_hi: [usize; 3],
     /// The voxel data including ghosts.
     pub volume: Volume<T>,
+    /// Filled by [`minmax_grid`](Brick::minmax_grid); construct it empty.
+    pub minmax: OnceLock<MinMaxGrid>,
 }
 
 impl<T: Scalar> Brick<T> {
@@ -32,6 +36,11 @@ impl<T: Scalar> Brick<T> {
             self.offset[2] + self.core_dims[2] - 1,
         ];
         (self.offset, max)
+    }
+
+    /// The min–max grid over `volume`: built on first use, dropped with the brick.
+    pub fn minmax_grid(&self) -> &MinMaxGrid {
+        self.minmax.get_or_init(|| MinMaxGrid::build(&self.volume))
     }
 
     /// Sample the brick at *source-volume* continuous coordinates; the
@@ -82,6 +91,7 @@ pub fn split_z<T: Scalar>(volume: &Volume<T>, count: usize) -> Vec<Brick<T>> {
                 spacing: volume.spacing,
                 data,
             },
+            minmax: OnceLock::new(),
         });
         z0 += core_z;
     }

@@ -14,11 +14,13 @@ pub mod brick;
 pub mod grid;
 pub mod io;
 pub mod lod;
+pub mod skip;
 pub mod synth;
 pub mod timevarying;
 
 pub use brick::{split_z, Brick};
 pub use grid::{Scalar, Volume};
 pub use lod::{build_pyramid, downsample_by_2};
+pub use skip::MinMaxGrid;
 pub use synth::Field;
 pub use timevarying::TimeSeries;

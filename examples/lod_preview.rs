@@ -8,9 +8,8 @@
 //! ```
 
 use std::time::Instant;
-use vizsched_render::raycast::{render_parallel, render_with_skip};
-use vizsched_render::{Camera, MinMaxGrid, RenderSettings, TransferFunction};
-use vizsched_volume::{build_pyramid, Field, Volume};
+use vizsched_render::{skip, Camera, RenderSettings, TransferFunction};
+use vizsched_volume::{build_pyramid, split_z, Field, Volume};
 
 fn main() {
     let dims = [96usize, 96, 96];
@@ -28,11 +27,13 @@ fn main() {
         ..RenderSettings::default()
     };
 
-    // Coarse preview: render the smallest level.
+    // Coarse preview: render the smallest level (one brick = the whole
+    // level, through the same skipping ray caster as the full pass).
     let coarse = pyramid.last().expect("non-empty pyramid");
     let cam_coarse = Camera::orbit(coarse.dims, 0.5, 0.3, 2.3);
+    let coarse_brick = &split_z(coarse, 1)[0];
     let t0 = Instant::now();
-    let preview = render_parallel(coarse, &cam_coarse, &tf, &settings);
+    let (preview, _) = skip::render(coarse_brick, &cam_coarse, &tf, &settings);
     let preview_time = t0.elapsed();
     preview
         .save_ppm(std::path::Path::new("lod-preview.ppm"))
@@ -41,9 +42,9 @@ fn main() {
     // Full-resolution pass, accelerated by empty-space skipping.
     let full = &pyramid[0];
     let cam_full = Camera::orbit(full.dims, 0.5, 0.3, 2.3);
-    let grid = MinMaxGrid::build(full, 8);
+    let whole = &split_z(full, 1)[0];
     let t1 = Instant::now();
-    let (final_frame, samples) = render_with_skip(full, &cam_full, &tf, &settings, &grid);
+    let (final_frame, [samples, lattice]) = skip::render(whole, &cam_full, &tf, &settings);
     let full_time = t1.elapsed();
     final_frame
         .save_ppm(std::path::Path::new("lod-full.ppm"))
@@ -56,7 +57,7 @@ fn main() {
         preview.coverage() * 100.0
     );
     println!(
-        "full ({dims:?}): {:.0} ms, {samples} samples with skipping -> lod-full.ppm \
+        "full ({dims:?}): {:.0} ms, {samples} of {lattice} samples with skipping -> lod-full.ppm \
          ({:.1}% coverage)",
         full_time.as_secs_f64() * 1e3,
         final_frame.coverage() * 100.0

@@ -3,7 +3,7 @@
 //! and the full simulator/service stack must agree on the basics.
 
 use vizsched_compositing::{composite, CompositeAlgo};
-use vizsched_render::raycast::{render_brick, render_parallel};
+use vizsched_render::raycast::{render, render_brick};
 use vizsched_render::{Camera, RenderSettings, TransferFunction};
 use vizsched_volume::{split_z, Field, Volume};
 
@@ -37,7 +37,7 @@ fn distributed_render_matches_monolithic() {
     let s = settings();
     for (azimuth, elevation) in [(0.0f32, 0.0f32), (0.7, 0.3), (2.5, -0.4), (4.0, 0.9)] {
         let camera = Camera::orbit(volume.dims, azimuth, elevation, 2.4);
-        let monolithic = render_parallel(&volume, &camera, &tf, &s);
+        let monolithic = render(&volume, &camera, &tf, &s);
         for brick_count in [2usize, 3, 4] {
             let bricks = split_z(&volume, brick_count);
             let layers: Vec<_> = bricks
@@ -81,8 +81,8 @@ fn transfer_function_controls_what_is_visible() {
     let volume: Volume<f32> = Field::Shells.sample([24, 24, 24]);
     let camera = Camera::orbit(volume.dims, 0.5, 0.3, 2.3);
     let s = settings();
-    let a = render_parallel(&volume, &camera, &TransferFunction::preset(0), &s);
-    let b = render_parallel(&volume, &camera, &TransferFunction::preset(1), &s);
+    let a = render(&volume, &camera, &TransferFunction::preset(0), &s);
+    let b = render(&volume, &camera, &TransferFunction::preset(1), &s);
     assert!(
         a.max_abs_diff(&b) > 0.05,
         "presets 0 and 1 rendered identically"
@@ -114,8 +114,7 @@ fn simulator_and_cost_model_agree_on_pipeline_ratios() {
 
 #[test]
 fn empty_space_skipping_preserves_the_image_and_saves_samples() {
-    use vizsched_render::raycast::{count_samples, render, render_with_skip};
-    use vizsched_render::MinMaxGrid;
+    use vizsched_render::raycast::BrickSampler;
 
     // Supernova: a dense shell surrounded by lots of empty space.
     let volume: Volume<f32> = Field::Supernova.sample([48, 48, 48]);
@@ -128,17 +127,21 @@ fn empty_space_skipping_preserves_the_image_and_saves_samples() {
     };
     let camera = Camera::orbit(volume.dims, 0.6, 0.25, 2.4);
 
-    let plain = render(&volume, &camera, &tf, &s);
-    let plain_samples = count_samples(&volume, &camera, &tf, &s);
+    // One brick is the whole volume: the skipping path and the plain
+    // integrator see the same box and the same voxels.
+    let whole = &split_z(&volume, 1)[0];
+    let plain = render(&BrickSampler::new(whole), &camera, &tf, &s);
+    let (skipped, [skip_samples, plain_samples]) =
+        vizsched_render::skip::render(whole, &camera, &tf, &s);
 
-    let grid = MinMaxGrid::build(&volume, 8);
-    let (skipped, skip_samples) = render_with_skip(&volume, &camera, &tf, &s, &grid);
-
-    // Same image (skip only jumps regions with zero classified opacity;
-    // small differences come from sample-phase shifts after leaps).
-    let diff = mean_diff(&plain, &skipped);
-    assert!(diff < 0.01, "skipping changed the image: mean diff {diff}");
-    // And substantially fewer samples.
+    // The same image exactly: skipping keeps the sample lattice and only
+    // leaves out samples that classify to zero opacity.
+    assert!(
+        plain == skipped && plain == render(&volume, &camera, &tf, &s),
+        "skipping changed the image"
+    );
+    // And substantially fewer samples than the lattice the plain
+    // integrator fetches in full (`brick_equivalence` pins that count).
     assert!(
         (skip_samples as f64) < plain_samples as f64 * 0.8,
         "skipping saved too little: {skip_samples} vs {plain_samples}"
