@@ -48,9 +48,12 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct ReferenceOursScheduler {
     params: OursParams,
-    /// `H_B`: batch tasks held back, grouped by chunk.
-    pending_batch: FxHashMap<ChunkId, VecDeque<Task>>,
+    /// `H_B`: batch tasks held back, grouped by chunk, tagged with their
+    /// first-deferral time (the escalation age basis).
+    pending_batch: FxHashMap<ChunkId, VecDeque<(SimTime, Task)>>,
     pending_count: usize,
+    /// Batch tasks promoted by [`Scheduler::escalate_deferred`].
+    escalated: Vec<Task>,
 }
 
 impl ReferenceOursScheduler {
@@ -61,6 +64,7 @@ impl ReferenceOursScheduler {
             params,
             pending_batch: FxHashMap::default(),
             pending_count: 0,
+            escalated: Vec::new(),
         }
     }
 
@@ -78,11 +82,11 @@ impl ReferenceOursScheduler {
         }
     }
 
-    fn push_batch(&mut self, task: Task) {
+    fn push_batch(&mut self, now: SimTime, task: Task) {
         self.pending_batch
             .entry(task.chunk)
             .or_default()
-            .push_back(task);
+            .push_back((now, task));
         self.pending_count += 1;
     }
 
@@ -150,7 +154,7 @@ impl ReferenceOursScheduler {
                     .pending_batch
                     .get_mut(&chunk)
                     .expect("candidate has work");
-                let task = queue.pop_front().expect("queues are never left empty");
+                let (_, task) = queue.pop_front().expect("queues are never left empty");
                 if queue.is_empty() {
                     self.pending_batch.remove(&chunk);
                 }
@@ -196,7 +200,7 @@ impl ReferenceOursScheduler {
                     .pending_batch
                     .get_mut(&chunk)
                     .expect("cursor points at work");
-                let task = queue.pop_front().expect("queues are never left empty");
+                let (_, task) = queue.pop_front().expect("queues are never left empty");
                 if queue.is_empty() {
                     self.pending_batch.remove(&chunk);
                 }
@@ -220,13 +224,18 @@ impl Scheduler for ReferenceOursScheduler {
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let lambda = ctx.now + self.params.cycle;
 
+        // Escalated tasks first (they ride the interactive pass), then
+        // this cycle's arrivals.
         let mut hi: FxHashMap<ChunkId, Vec<Task>> = FxHashMap::default();
+        for task in std::mem::take(&mut self.escalated) {
+            hi.entry(task.chunk).or_default().push(task);
+        }
         for job in incoming {
             for task in job.decompose(ctx.catalog) {
                 if task.interactive || !self.params.defer_batch {
                     hi.entry(task.chunk).or_default().push(task);
                 } else {
-                    self.push_batch(task);
+                    self.push_batch(ctx.now, task);
                 }
             }
         }
@@ -239,12 +248,47 @@ impl Scheduler for ReferenceOursScheduler {
     }
 
     fn has_deferred(&self) -> bool {
-        self.pending_count > 0
+        self.pending_count > 0 || !self.escalated.is_empty()
     }
 
     fn retract_deferred(&mut self) {
         self.pending_batch.clear();
         self.pending_count = 0;
+        self.escalated.clear();
+    }
+
+    fn escalate_deferred(&mut self, now: SimTime, age: SimDuration) -> Vec<(JobId, SimDuration)> {
+        if self.pending_count == 0 {
+            return Vec::new();
+        }
+        let mut moved: Vec<(SimTime, Task)> = Vec::new();
+        self.pending_batch.retain(|_, queue| {
+            let mut kept = VecDeque::with_capacity(queue.len());
+            while let Some((since, task)) = queue.pop_front() {
+                if now.saturating_since(since) >= age {
+                    moved.push((since, task));
+                } else {
+                    kept.push_back((since, task));
+                }
+            }
+            std::mem::swap(queue, &mut kept);
+            !queue.is_empty()
+        });
+        if moved.is_empty() {
+            return Vec::new();
+        }
+        self.pending_count -= moved.len();
+        moved.sort_unstable_by_key(|&(_, t)| (t.job.0, t.index));
+        let mut per_job: Vec<(JobId, SimDuration)> = Vec::new();
+        for &(since, task) in &moved {
+            let waited = now.saturating_since(since);
+            match per_job.last_mut() {
+                Some((job, max)) if *job == task.job => *max = (*max).max(waited),
+                _ => per_job.push((task.job, waited)),
+            }
+        }
+        self.escalated.extend(moved.into_iter().map(|(_, t)| t));
+        per_job
     }
 }
 

@@ -57,6 +57,8 @@ struct Case {
     cost: CostParams,
     cycles: usize,
     seed: u64,
+    /// Crash/recover one node at a time between cycles (off by default).
+    node_faults: bool,
 }
 
 impl Case {
@@ -83,6 +85,7 @@ impl Case {
             cost,
             cycles: 4 + rng.below(10) as usize,
             seed,
+            node_faults: false,
         }
     }
 
@@ -136,68 +139,15 @@ impl Case {
         }
     }
 
-    /// Drive `opt` and `reference` through the identical stream and demand
-    /// bit-identical assignment vectors every cycle.
-    fn run(&self, cycle: SimDuration, opt: &mut dyn Scheduler, reference: &mut dyn Scheduler) {
-        let mut rng = Rng(self.seed ^ 0xdead_beef);
-        let mut tables_opt = HeadTables::new(&self.cluster);
-        let mut tables_ref = HeadTables::new(&self.cluster);
-        let mut next_id = 0u64;
-        let mut now = SimTime::ZERO;
-
-        for cycle_no in 0..self.cycles {
-            let jobs = self.random_jobs(&mut rng, now, &mut next_id);
-            let out_opt = opt.schedule(
-                &mut ScheduleCtx {
-                    now,
-                    tables: &mut tables_opt,
-                    catalog: &self.catalog,
-                    cost: &self.cost,
-                },
-                jobs.clone(),
-            );
-            let out_ref = reference.schedule(
-                &mut ScheduleCtx {
-                    now,
-                    tables: &mut tables_ref,
-                    catalog: &self.catalog,
-                    cost: &self.cost,
-                },
-                jobs,
-            );
-            assert_eq!(
-                out_opt,
-                out_ref,
-                "placement divergence: case seed {} ({} vs {}), cycle {cycle_no}",
-                self.seed,
-                opt.name(),
-                reference.name(),
-            );
-            assert_eq!(
-                opt.has_deferred(),
-                reference.has_deferred(),
-                "deferral divergence: case seed {}, cycle {cycle_no}",
-                self.seed
-            );
-
-            self.perturb_tables(&mut rng, now, &mut tables_opt, &mut tables_ref);
-            // Occasionally jump far ahead (idle gaps let deferred batch
-            // work drain through the ε gate).
-            now += if rng.chance(15) {
-                SimDuration::from_secs(30 + rng.below(60))
-            } else {
-                cycle
-            };
-        }
-    }
-
-    /// The policy-family driver: on top of [`Case::run`]'s assignment and
-    /// deferral equality it also demands identical
-    /// [`Scheduler::drain_policy_events`] streams and identical
-    /// [`Scheduler::escalate_deferred`] promotions, and (when
-    /// `feed_completions` is set) pushes the same synthesized
-    /// [`CompletionFeedback`] reports — jittered starts, random misses —
-    /// into both schedulers so the adaptive retune rule is exercised.
+    /// Drive `opt` and `reference` through the identical stream and demand,
+    /// every cycle, bit-identical assignment vectors, equal deferral state,
+    /// identical [`Scheduler::drain_policy_events`] streams and identical
+    /// [`Scheduler::escalate_deferred`] promotions (all vacuously equal for
+    /// a policy with the default hooks). When `feed_completions` is set it
+    /// also pushes the same synthesized [`CompletionFeedback`] reports —
+    /// jittered starts, random misses — into both schedulers so the
+    /// adaptive retune rule is exercised; when [`Case::node_faults`] is set
+    /// it crashes or recovers a node between invocations.
     fn run_policy(
         &self,
         cycle: SimDuration,
@@ -210,6 +160,7 @@ impl Case {
         let mut tables_ref = HeadTables::new(&self.cluster);
         let mut next_id = 0u64;
         let mut now = SimTime::ZERO;
+        let mut down: Option<NodeId> = None;
 
         for cycle_no in 0..self.cycles {
             let jobs = self.random_jobs(&mut rng, now, &mut next_id);
@@ -277,6 +228,22 @@ impl Case {
                 );
             }
 
+            if self.node_faults {
+                match down {
+                    None if rng.chance(40) => {
+                        let k = NodeId(rng.below(self.cluster.len() as u64) as u32);
+                        tables_opt.mark_down(k);
+                        tables_ref.mark_down(k);
+                        down = Some(k);
+                    }
+                    Some(k) if rng.chance(50) => {
+                        tables_opt.mark_up(k, now);
+                        tables_ref.mark_up(k, now);
+                        down = None;
+                    }
+                    _ => {}
+                }
+            }
             self.perturb_tables(&mut rng, now, &mut tables_opt, &mut tables_ref);
             now += if rng.chance(15) {
                 SimDuration::from_secs(30 + rng.below(60))
@@ -294,7 +261,7 @@ fn ours_matches_reference_across_random_cases() {
         let case = Case::generate(0x5eed_0000 + case_no);
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
-        case.run(cycle, &mut opt, &mut reference);
+        case.run_policy(cycle, &mut opt, &mut reference, false);
     }
 }
 
@@ -311,7 +278,7 @@ fn ours_matches_reference_with_defer_batch_off() {
         let case = Case::generate(0xab1a_0000 + case_no);
         let mut opt = OursScheduler::new(params);
         let mut reference = ReferenceOursScheduler::new(params);
-        case.run(cycle, &mut opt, &mut reference);
+        case.run_policy(cycle, &mut opt, &mut reference, false);
     }
 }
 
@@ -324,7 +291,7 @@ fn fcfsl_matches_reference_across_random_cases() {
         let case = Case::generate(0xfcf5_1000 + case_no);
         let mut opt = FcfslScheduler::new();
         let mut reference = ReferenceFcfslScheduler::new();
-        case.run(cycle, &mut opt, &mut reference);
+        case.run_policy(cycle, &mut opt, &mut reference, false);
     }
 }
 
@@ -335,63 +302,14 @@ fn ours_matches_reference_under_node_faults() {
     // through crash/recovery transitions applied between cycles.
     let cycle = SimDuration::from_millis(30);
     for case_no in 0..20u64 {
-        let case = Case::generate(0xfa17_0000 + case_no);
+        let mut case = Case::generate(0xfa17_0000 + case_no);
         if case.cluster.len() < 2 {
             continue;
         }
-        let mut rng = Rng(case.seed ^ 0x0ddc_0ffe);
+        case.node_faults = true;
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
-        let mut tables_opt = HeadTables::new(&case.cluster);
-        let mut tables_ref = HeadTables::new(&case.cluster);
-        let mut next_id = 0u64;
-        let mut now = SimTime::ZERO;
-        let mut down: Option<NodeId> = None;
-
-        for cycle_no in 0..case.cycles {
-            let jobs = case.random_jobs(&mut rng, now, &mut next_id);
-            let out_opt = opt.schedule(
-                &mut ScheduleCtx {
-                    now,
-                    tables: &mut tables_opt,
-                    catalog: &case.catalog,
-                    cost: &case.cost,
-                },
-                jobs.clone(),
-            );
-            let out_ref = reference.schedule(
-                &mut ScheduleCtx {
-                    now,
-                    tables: &mut tables_ref,
-                    catalog: &case.catalog,
-                    cost: &case.cost,
-                },
-                jobs,
-            );
-            assert_eq!(
-                out_opt, out_ref,
-                "fault-path divergence: case seed {}, cycle {cycle_no}",
-                case.seed
-            );
-
-            // Crash or recover a node between invocations.
-            match down {
-                None if rng.chance(40) => {
-                    let k = NodeId(rng.below(case.cluster.len() as u64) as u32);
-                    tables_opt.mark_down(k);
-                    tables_ref.mark_down(k);
-                    down = Some(k);
-                }
-                Some(k) if rng.chance(50) => {
-                    tables_opt.mark_up(k, now);
-                    tables_ref.mark_up(k, now);
-                    down = None;
-                }
-                _ => {}
-            }
-            case.perturb_tables(&mut rng, now, &mut tables_opt, &mut tables_ref);
-            now += cycle;
-        }
+        case.run_policy(cycle, &mut opt, &mut reference, false);
     }
 }
 
