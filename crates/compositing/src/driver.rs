@@ -1,7 +1,9 @@
 //! A convenience driver that runs a swap algorithm across threads — one
-//! thread per "rendering node" — and returns the final frame. The live
-//! service uses the per-rank functions directly; this driver serves the
-//! single-process examples, tests, and benches.
+//! thread per "rendering node" — and returns the final frame. It serves
+//! the single-process examples, tests, and benches, which is where the
+//! paper's 2-3 swap is reproduced; the live service's head already holds
+//! every layer, so it calls [`composite`] with
+//! [`CompositeAlgo::DirectSend`], the plain front-to-back fold.
 
 use crate::algorithms::{binary_swap, composite_reference, factor_23, swap_compositing};
 use crate::comm::InProcComm;

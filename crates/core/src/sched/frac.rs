@@ -38,19 +38,19 @@
 //! lets [`reference::ReferenceFracScheduler`](super::reference) be held
 //! bit-identical by the placement-equivalence suite.
 //!
-//! The interactive pass is exactly OURS's (heuristics 1–3: chunk grouping,
-//! cached-first then longest-estimate-first, heap-assisted locality pick);
-//! only the batch side differs. Deferred batch tasks keep their deferral
-//! timestamps, so [`Scheduler::escalate_deferred`] anti-starvation works
-//! unchanged.
+//! FRAC runs on the shared cycle skeleton (`sched/cycle.rs`). The
+//! interactive pass is exactly OURS's (heuristics 1–3: chunk grouping,
+//! cached-first then longest-estimate-first, heap-assisted locality pick)
+//! plus a per-commit hook that accumulates the demand signal; the batch
+//! fills are OURS's with the window `λ_B(k)` and the share-driven gate
+//! passed in. Deferred batch tasks keep their deferral timestamps, so
+//! [`Scheduler::escalate_deferred`] anti-starvation works unchanged.
 
+use super::cycle::{Cycle, Deferred};
 use super::{Assignment, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
-use crate::fxhash::FxHashMap;
-use crate::ids::{ChunkId, JobId, NodeId};
-use crate::job::{Job, Task};
-use crate::tables::AvailHeap;
+use crate::ids::{JobId, NodeId};
+use crate::job::Job;
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// Tuning knobs for FRAC. Shares are per-mille of the cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,39 +105,21 @@ pub(super) fn batch_lambda(now: SimTime, cycle: SimDuration, share_pm: u32) -> S
     now + SimDuration::from_micros(window_us)
 }
 
-/// Per-cycle scratch buffers, reused across invocations (see
-/// [`ours`](super::ours) for the pattern).
-#[derive(Debug, Default)]
-struct CycleScratch {
-    heap: AvailHeap,
-    tasks: Vec<(u32, Task)>,
-    groups: Vec<(ChunkId, u32, u32)>,
-    cached: Vec<u32>,
-    non_cached: Vec<(SimDuration, ChunkId, u32)>,
-    nodes: Vec<NodeId>,
-    batch_order: Vec<ChunkId>,
-    /// Interactive execution time committed per node this cycle (µs),
-    /// indexed by node id — the share controller's demand signal.
-    committed_us: Vec<u64>,
-}
-
 /// The fractional time-slicing scheduler.
 #[derive(Debug)]
 pub struct FracScheduler {
     params: FracParams,
     /// `φ_k` per node, lazily sized on first invocation.
     shares_pm: Vec<u32>,
-    /// `H_B`: batch tasks held back, grouped by chunk, tagged with their
-    /// first-deferral time (the escalation age basis).
-    pending_batch: FxHashMap<ChunkId, VecDeque<(SimTime, Task)>>,
-    pending_count: usize,
-    /// Batch tasks promoted by [`Scheduler::escalate_deferred`]; the next
-    /// cycle schedules them in the interactive pass, bypassing the batch
-    /// window.
-    escalated: Vec<Task>,
+    /// Interactive execution time committed per node this cycle (µs),
+    /// indexed by node id — the share controller's demand signal.
+    committed_us: Vec<u64>,
+    /// `H_B`: batch tasks held back until a batch window opens.
+    held: Deferred,
+    /// Intake, the interactive pass and escalated re-entries.
+    cycle: Cycle,
     /// Control moves since the last [`Scheduler::drain_policy_events`].
     events: Vec<PolicyEvent>,
-    scratch: CycleScratch,
 }
 
 impl FracScheduler {
@@ -147,11 +129,10 @@ impl FracScheduler {
         FracScheduler {
             params,
             shares_pm: Vec::new(),
-            pending_batch: FxHashMap::default(),
-            pending_count: 0,
-            escalated: Vec::new(),
+            committed_us: Vec::new(),
+            held: Deferred::default(),
+            cycle: Cycle::default(),
             events: Vec::new(),
-            scratch: CycleScratch::default(),
         }
     }
 
@@ -170,80 +151,16 @@ impl FracScheduler {
 
     /// Number of batch tasks currently held back.
     pub fn pending_batch_tasks(&self) -> usize {
-        self.pending_count
-    }
-
-    fn push_batch(&mut self, now: SimTime, task: Task) {
-        self.pending_batch
-            .entry(task.chunk)
-            .or_default()
-            .push_back((now, task));
-        self.pending_count += 1;
-    }
-
-    /// The OURS interactive pass (Algorithm 1 lines 8–15), additionally
-    /// accumulating each node's committed interactive execution time into
-    /// `s.committed_us` for the share controller.
-    fn schedule_interactive(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.tasks.sort_unstable_by_key(|&(seq, t)| (t.chunk, seq));
-        s.groups.clear();
-        s.cached.clear();
-        s.non_cached.clear();
-        let mut i = 0usize;
-        while i < s.tasks.len() {
-            let chunk = s.tasks[i].1.chunk;
-            let start = i as u32;
-            while i < s.tasks.len() && s.tasks[i].1.chunk == chunk {
-                i += 1;
-            }
-            let g = s.groups.len() as u32;
-            s.groups.push((chunk, start, i as u32));
-            if ctx.tables.cache.is_cached_anywhere(chunk) {
-                s.cached.push(g);
-            } else {
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                s.non_cached
-                    .push((ctx.tables.estimate.get(chunk, bytes, ctx.cost), chunk, g));
-            }
-        }
-        s.non_cached
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        s.heap.rebuild(ctx.tables, ctx.now);
-        let live = ctx.tables.live_nodes().count().max(1) as u32;
-        let ordered = s
-            .cached
-            .iter()
-            .chain(s.non_cached.iter().map(|(_, _, g)| g));
-        for &g in ordered {
-            let (chunk, start, end) = s.groups[g as usize];
-            let bytes = s.tasks[start as usize].1.bytes;
-            let node = ctx.earliest_node_with_locality_via(&mut s.heap, chunk, bytes);
-            for idx in start..end {
-                let task = s.tasks[idx as usize].1;
-                let group = ctx.catalog.task_count(task.chunk.dataset).min(live);
-                let a = ctx.commit(task, node, group);
-                if task.interactive {
-                    s.committed_us[node.index()] += a.predicted_exec.as_micros();
-                }
-                out.push(a);
-            }
-            s.heap.update(ctx.tables, node);
-        }
+        self.held.len()
     }
 
     /// The once-per-cycle share EMA step, after the interactive pass and
     /// before the batch fill (so a fresh demand spike shrinks the batch
     /// window immediately).
-    fn adjust_shares(&mut self, ctx: &ScheduleCtx<'_>, s: &CycleScratch) {
+    fn adjust_shares(&mut self, ctx: &ScheduleCtx<'_>) {
         let cycle_us = self.params.cycle.as_micros();
         for node in ctx.tables.live_nodes() {
-            let committed = s.committed_us[node.index()];
+            let committed = self.committed_us[node.index()];
             let demand_pm = (committed.saturating_mul(1000) / cycle_us).min(1000) as u32;
             let old = self.shares_pm[node.index()];
             let new = share_step(&self.params, old, demand_pm);
@@ -253,100 +170,6 @@ impl FracScheduler {
                     node,
                     interactive_pm: new,
                 });
-            }
-        }
-    }
-
-    /// Cached batch fill: like OURS lines 16–22, but bounded by each
-    /// node's batch window `λ_B(k)` instead of the full `λ`.
-    fn schedule_cached_batch(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.nodes.clear();
-        s.nodes.extend(ctx.tables.live_nodes());
-        for &node in &s.nodes {
-            let lambda_b = batch_lambda(ctx.now, self.params.cycle, self.shares_pm[node.index()]);
-            while ctx.tables.available.get(node) < lambda_b {
-                let candidate = ctx
-                    .tables
-                    .cache
-                    .node_memory(node)
-                    .chunks()
-                    .filter(|c| self.pending_batch.contains_key(c))
-                    .min();
-                let Some(chunk) = candidate else { break };
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("candidate has work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(ctx.commit(task, node, group));
-            }
-        }
-    }
-
-    /// Non-cached batch fill: fewest replicas first like OURS lines
-    /// 23–31, with the node's *learned share* standing in for the static
-    /// ε fraction: a load-incurring placement needs an interactive idle
-    /// age covering `φ_k`/1000 of the load estimate
-    /// (`cold_batch_protected`), so busy
-    /// nodes (high `φ_k`) are strongly shielded from cold batch evictions
-    /// while drained nodes (low `φ_k`) admit cold work sooner than OURS's
-    /// fixed 0.5 would.
-    fn schedule_noncached_batch(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.batch_order.clear();
-        s.batch_order.extend(self.pending_batch.keys().copied());
-        s.batch_order
-            .sort_unstable_by_key(|&c| (ctx.tables.cache.replica_count(c), c));
-        let order = &s.batch_order;
-        let mut cursor = 0usize;
-
-        for &node in &s.nodes {
-            let lambda_b = batch_lambda(ctx.now, self.params.cycle, self.shares_pm[node.index()]);
-            while ctx.tables.available.get(node) < lambda_b {
-                while cursor < order.len() && !self.pending_batch.contains_key(&order[cursor]) {
-                    cursor += 1;
-                }
-                if cursor >= order.len() {
-                    return;
-                }
-                let chunk = order[cursor];
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                if super::cold_batch_protected(
-                    ctx,
-                    node,
-                    chunk,
-                    bytes,
-                    self.shares_pm[node.index()],
-                ) {
-                    // This node served interactive work too recently for a
-                    // cold load of this size; leave it free and move on.
-                    break;
-                }
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("cursor points at work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(ctx.commit(task, node, group));
             }
         }
     }
@@ -364,82 +187,69 @@ impl Scheduler for FracScheduler {
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let nodes = ctx.tables.node_count();
         self.shares_pm.resize(nodes, self.params.initial_share_pm);
+        self.committed_us.clear();
+        self.committed_us.resize(nodes, 0);
+        let (now, cycle) = (ctx.now, self.params.cycle);
 
-        let mut s = std::mem::take(&mut self.scratch);
-        s.committed_us.clear();
-        s.committed_us.resize(nodes, 0);
-
-        s.tasks.clear();
-        let mut seq = 0u32;
-        for task in self.escalated.drain(..) {
-            s.tasks.push((seq, task));
-            seq += 1;
-        }
-        for job in incoming {
-            for task in job.decompose(ctx.catalog) {
-                if task.interactive {
-                    s.tasks.push((seq, task));
-                    seq += 1;
-                } else {
-                    self.push_batch(ctx.now, task);
-                }
+        self.cycle.intake(ctx, incoming, |task| {
+            if !task.interactive {
+                self.held.push(now, task);
             }
-        }
-
+            !task.interactive
+        });
         let mut out = Vec::new();
-        self.schedule_interactive(ctx, &mut s, &mut out);
-        self.adjust_shares(ctx, &s);
-        self.schedule_cached_batch(ctx, &mut s, &mut out);
-        self.schedule_noncached_batch(ctx, &mut s, &mut out);
-        self.scratch = s;
+        // The OURS interactive pass, additionally accumulating each node's
+        // committed interactive execution time for the share controller.
+        self.cycle.heap.rebuild(ctx.tables, now);
+        self.cycle.interactive(
+            ctx,
+            |ctx, heap, chunk, bytes| ctx.earliest_node_with_locality_via(heap, chunk, bytes),
+            |ctx, task, node, group| {
+                let a = ctx.commit(task, node, group);
+                if task.interactive {
+                    self.committed_us[node.index()] += a.predicted_exec.as_micros();
+                }
+                a
+            },
+            |ctx, heap, node| heap.update(ctx.tables, node),
+            &mut out,
+        );
+        self.adjust_shares(ctx);
+        // The OURS batch fills, bounded by each node's batch window
+        // `λ_B(k)` instead of the full `λ`, and with the node's *learned
+        // share* standing in for the static ε fraction: a load-incurring
+        // placement needs an interactive idle age covering `φ_k`/1000 of
+        // the load estimate (`cold_batch_protected`), so busy nodes (high
+        // `φ_k`) are strongly shielded from cold batch evictions while
+        // drained nodes (low `φ_k`) admit cold work sooner than OURS's
+        // fixed 0.5 would.
+        let shares = &self.shares_pm;
+        self.held.fill(
+            ctx,
+            |node| batch_lambda(now, cycle, shares[node.index()]),
+            |ctx, node, chunk, bytes| {
+                super::cold_batch_protected(ctx, node, chunk, bytes, shares[node.index()])
+            },
+            |ctx, task, node, group| ctx.commit(task, node, group),
+            &mut out,
+        );
         out
     }
 
     fn has_deferred(&self) -> bool {
-        self.pending_count > 0 || !self.escalated.is_empty()
+        self.held.len() > 0 || self.cycle.has_escalated()
     }
 
     fn retract_deferred(&mut self) {
-        self.pending_batch.clear();
-        self.pending_count = 0;
-        self.escalated.clear();
+        self.held.retract();
+        self.cycle.retract();
     }
 
     /// Identical promotion semantics to OURS: deferred tasks whose age
     /// reached `age` ride the next interactive pass, bypassing the batch
     /// window entirely.
     fn escalate_deferred(&mut self, now: SimTime, age: SimDuration) -> Vec<(JobId, SimDuration)> {
-        if self.pending_count == 0 {
-            return Vec::new();
-        }
-        let mut moved: Vec<(SimTime, Task)> = Vec::new();
-        self.pending_batch.retain(|_, queue| {
-            let mut kept = VecDeque::with_capacity(queue.len());
-            while let Some((since, task)) = queue.pop_front() {
-                if now.saturating_since(since) >= age {
-                    moved.push((since, task));
-                } else {
-                    kept.push_back((since, task));
-                }
-            }
-            std::mem::swap(queue, &mut kept);
-            !queue.is_empty()
-        });
-        if moved.is_empty() {
-            return Vec::new();
-        }
-        self.pending_count -= moved.len();
-        moved.sort_unstable_by_key(|&(_, t)| (t.job.0, t.index));
-        let mut per_job: Vec<(JobId, SimDuration)> = Vec::new();
-        for &(since, task) in &moved {
-            let waited = now.saturating_since(since);
-            match per_job.last_mut() {
-                Some((job, max)) if *job == task.job => *max = (*max).max(waited),
-                _ => per_job.push((task.job, waited)),
-            }
-        }
-        self.escalated.extend(moved.into_iter().map(|(_, t)| t));
-        per_job
+        self.cycle.promote(now, self.held.take_aged(now, age))
     }
 
     fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {

@@ -54,6 +54,7 @@
 //! [`PolicyEvent::WeightsUpdated`], surfaced as a `weights_updated`
 //! trace event.
 
+use super::cycle::Cycle;
 use super::{Assignment, CompletionFeedback, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
@@ -236,8 +237,6 @@ pub struct MobjScheduler {
     /// its deferral time. Timestamps are monotone, so the escalation scan
     /// is a front-prefix pop.
     pending_batch: VecDeque<(SimTime, Task)>,
-    /// Batch tasks promoted by [`Scheduler::escalate_deferred`].
-    escalated: Vec<Task>,
     /// Control moves since the last drain.
     events: Vec<PolicyEvent>,
     /// Miss-rate EMA, per-mille (adaptive mode).
@@ -246,17 +245,9 @@ pub struct MobjScheduler {
     start_err_ema_us: u64,
     /// Completions observed (adaptive mode).
     seen: u32,
-    /// Reused per-cycle buffers (see [`ours`](super::ours) for the
-    /// pattern).
-    scratch: CycleScratch,
-}
-
-#[derive(Debug, Default)]
-struct CycleScratch {
-    tasks: Vec<(u32, Task)>,
-    groups: Vec<(ChunkId, u32, u32)>,
-    cached: Vec<u32>,
-    non_cached: Vec<(SimDuration, ChunkId, u32)>,
+    /// Intake, the interactive pass and escalated re-entries (the shared
+    /// cycle skeleton).
+    cycle: Cycle,
 }
 
 impl MobjScheduler {
@@ -268,12 +259,11 @@ impl MobjScheduler {
             weights: params.weights,
             params,
             pending_batch: VecDeque::new(),
-            escalated: Vec::new(),
             events: Vec::new(),
             miss_ema_pm: 0,
             start_err_ema_us: 0,
             seen: 0,
-            scratch: CycleScratch::default(),
+            cycle: Cycle::default(),
         }
     }
 
@@ -328,63 +318,6 @@ impl MobjScheduler {
         best.map(|(_, k)| k)
     }
 
-    /// The interactive pass: OURS's chunk grouping and ordering
-    /// (heuristics 1–3), with the per-group node choice swapped from the
-    /// completion-time greedy to the objective argmin.
-    fn schedule_interactive(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.tasks.sort_unstable_by_key(|&(seq, t)| (t.chunk, seq));
-        s.groups.clear();
-        s.cached.clear();
-        s.non_cached.clear();
-        let mut i = 0usize;
-        while i < s.tasks.len() {
-            let chunk = s.tasks[i].1.chunk;
-            let start = i as u32;
-            while i < s.tasks.len() && s.tasks[i].1.chunk == chunk {
-                i += 1;
-            }
-            let g = s.groups.len() as u32;
-            s.groups.push((chunk, start, i as u32));
-            if ctx.tables.cache.is_cached_anywhere(chunk) {
-                s.cached.push(g);
-            } else {
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                s.non_cached
-                    .push((ctx.tables.estimate.get(chunk, bytes, ctx.cost), chunk, g));
-            }
-        }
-        s.non_cached
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let live = ctx.tables.live_nodes().count().max(1) as u32;
-        let ordered = s
-            .cached
-            .iter()
-            .chain(s.non_cached.iter().map(|(_, _, g)| g));
-        for &g in ordered {
-            let (chunk, start, end) = s.groups[g as usize];
-            let bytes = s.tasks[start as usize].1.bytes;
-            let node = self
-                .best_node(ctx, chunk, bytes, false, None)
-                .expect("at least one live node");
-            for idx in start..end {
-                let task = s.tasks[idx as usize].1;
-                let group = ctx.catalog.task_count(task.chunk.dataset).min(live);
-                out.push(ctx.commit(task, node, group));
-            }
-        }
-    }
-
-    /// Drain deferred batch oldest-first: each task goes to the objective
-    /// argmin (starvation term active) among nodes whose queue start is
-    /// still inside the cycle; stop at the first task with no candidate.
-    /// There is no ε gate — the starvation term *attracts* batch to
-    /// interactive-idle nodes instead of merely permitting them.
     /// Drain the deferred queue oldest-first, *scanning past* tasks no
     /// node can currently take (their caching nodes are saturated or
     /// protected): a blocked head must not starve placeable work behind
@@ -445,40 +378,42 @@ impl Scheduler for MobjScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
-        let lambda = ctx.now + self.params.cycle;
-        let mut s = std::mem::take(&mut self.scratch);
-
-        s.tasks.clear();
-        let mut seq = 0u32;
-        for task in self.escalated.drain(..) {
-            s.tasks.push((seq, task));
-            seq += 1;
-        }
-        for job in incoming {
-            for task in job.decompose(ctx.catalog) {
-                if task.interactive {
-                    s.tasks.push((seq, task));
-                    seq += 1;
-                } else {
-                    self.pending_batch.push_back((ctx.now, task));
-                }
+        let (now, lambda) = (ctx.now, ctx.now + self.params.cycle);
+        self.cycle.intake(ctx, incoming, |task| {
+            if !task.interactive {
+                self.pending_batch.push_back((now, task));
             }
-        }
-
+            !task.interactive
+        });
         let mut out = Vec::new();
-        self.schedule_interactive(ctx, &mut s, &mut out);
+        // OURS's chunk grouping and ordering (heuristics 1–3), with the
+        // per-group node choice swapped from the completion-time greedy to
+        // the objective argmin. The skeleton is taken out of `self` so the
+        // node choice can borrow `self` whole; moved back (with its
+        // allocations) after the pass.
+        let mut cycle = std::mem::take(&mut self.cycle);
+        cycle.interactive(
+            ctx,
+            |ctx, _, chunk, bytes| {
+                self.best_node(ctx, chunk, bytes, false, None)
+                    .expect("at least one live node")
+            },
+            |ctx, task, node, group| ctx.commit(task, node, group),
+            |_, _, _| {},
+            &mut out,
+        );
+        self.cycle = cycle;
         self.schedule_batch(ctx, lambda, &mut out);
-        self.scratch = s;
         out
     }
 
     fn has_deferred(&self) -> bool {
-        !self.pending_batch.is_empty() || !self.escalated.is_empty()
+        !self.pending_batch.is_empty() || self.cycle.has_escalated()
     }
 
     fn retract_deferred(&mut self) {
         self.pending_batch.clear();
-        self.escalated.clear();
+        self.cycle.retract();
     }
 
     /// Deferral timestamps are monotone in the FIFO, so escalation pops
@@ -493,20 +428,7 @@ impl Scheduler for MobjScheduler {
             let (since, task) = self.pending_batch.pop_front().expect("front exists");
             moved.push((since, task));
         }
-        if moved.is_empty() {
-            return Vec::new();
-        }
-        moved.sort_unstable_by_key(|&(_, t)| (t.job.0, t.index));
-        let mut per_job: Vec<(JobId, SimDuration)> = Vec::new();
-        for &(since, task) in &moved {
-            let waited = now.saturating_since(since);
-            match per_job.last_mut() {
-                Some((job, max)) if *job == task.job => *max = (*max).max(waited),
-                _ => per_job.push((task.job, waited)),
-            }
-        }
-        self.escalated.extend(moved.into_iter().map(|(_, t)| t));
-        per_job
+        self.cycle.promote(now, moved)
     }
 
     fn observe_completion(&mut self, feedback: &CompletionFeedback) {

@@ -24,6 +24,7 @@
 //! moves through [`Scheduler::drain_policy_events`]; see
 //! `docs/POLICY_GUIDE.md` for the end-to-end recipe for adding a policy.
 
+mod cycle;
 pub mod fcfs;
 pub mod fcfsl;
 pub mod fcfsu;
@@ -755,6 +756,42 @@ mod tests {
         {
             let s = kind.build(SimDuration::from_millis(30));
             assert_eq!(s.name(), kind.name());
+        }
+    }
+
+    /// The failover-livelock shape: a head that escalated aged batch work
+    /// and then died must come out of `retract_deferred` holding nothing,
+    /// or `has_deferred` stays latched on a head no cycle will drive again.
+    #[test]
+    fn retract_after_escalate_leaves_nothing_deferred() {
+        let cycle = SimDuration::from_millis(30);
+        for kind in [SchedulerKind::Ours]
+            .into_iter()
+            .chain(SchedulerKind::EXTENDED)
+        {
+            // One node, busy with interactive work: the batch job is held.
+            let mut fx = Fixture::standard(1, 2);
+            let jobs = vec![
+                fx.interactive_job(0, 0, SimTime::ZERO),
+                fx.batch_job(1, 0, SimTime::ZERO),
+            ];
+            let mut sched = kind.build(cycle);
+            let out = sched.schedule(&mut fx.ctx(SimTime::ZERO), jobs);
+            assert!(out.iter().all(|a| a.task.interactive), "{}", kind.name());
+            assert!(sched.has_deferred(), "{}", kind.name());
+
+            // Half the backlog is promoted, half stays in the store.
+            let younger = fx.batch_job(1, 1, SimTime::from_millis(60));
+            let out = sched.schedule(&mut fx.ctx(SimTime::from_millis(60)), vec![younger]);
+            assert!(out.is_empty(), "{}", kind.name());
+            let report = sched.escalate_deferred(SimTime::from_millis(90), cycle * 2);
+            assert_eq!(report.len(), 1, "{}: only the older job", kind.name());
+            assert!(sched.has_deferred());
+
+            sched.retract_deferred();
+            assert!(!sched.has_deferred(), "{}", kind.name());
+            let out = sched.schedule(&mut fx.ctx(SimTime::from_secs(600)), vec![]);
+            assert!(out.is_empty(), "{}", kind.name());
         }
     }
 

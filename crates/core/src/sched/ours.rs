@@ -27,12 +27,14 @@
 //! amortized without changing a single placement:
 //!
 //! * node selection for interactive chunk groups goes through an
-//!   [`AvailHeap`] rebuilt once per cycle (O(p)) and queried in O(log p),
+//!   [`AvailHeap`](crate::tables::AvailHeap) rebuilt once per cycle
+//!   (O(p)) and queried in O(log p),
 //!   and the candidate scan is restricted to `Cache[c]` plus the heap's
 //!   global best ([`ScheduleCtx::earliest_node_with_locality_via`]);
 //! * per-cycle scratch — the task buffer, chunk-group index, sort keys,
-//!   live-node list and batch order — lives in `CycleScratch` and is
-//!   reused across invocations instead of reallocated;
+//!   live-node list and batch order — lives in the shared cycle skeleton
+//!   (`sched/cycle.rs`, which FRAC and MOBJ run on too) and is reused
+//!   across invocations instead of reallocated;
 //! * chunk grouping is a single unstable sort over `(chunk, arrival
 //!   sequence)` pairs, which groups tasks contiguously while preserving
 //!   arrival order within a group (no per-chunk `Vec` allocations).
@@ -41,13 +43,11 @@
 //! holds this implementation bit-identical to the reference across random
 //! catalogs, clusters and multi-cycle job streams.
 
+use super::cycle::{Cycle, Deferred};
 use super::{Assignment, ScheduleCtx, Scheduler, Trigger};
-use crate::fxhash::FxHashMap;
-use crate::ids::{ChunkId, JobId, NodeId};
-use crate::job::{Job, Task};
-use crate::tables::AvailHeap;
+use crate::ids::JobId;
+use crate::job::Job;
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// Tuning knobs for OURS. The defaults follow the paper; the extra switches
 /// exist for the ablation benchmarks.
@@ -80,43 +80,14 @@ impl Default for OursParams {
     }
 }
 
-/// Per-cycle scratch buffers, reused across invocations so the steady
-/// state cycle allocates nothing but its output vector. Everything here is
-/// dead outside one `schedule()` call; only the allocations persist.
-#[derive(Debug, Default)]
-struct CycleScratch {
-    /// Ordered view over `Available[R_k]`, rebuilt each cycle.
-    heap: AvailHeap,
-    /// This cycle's interactive tasks as `(arrival sequence, task)`.
-    tasks: Vec<(u32, Task)>,
-    /// Chunk groups as contiguous `(chunk, start, end)` ranges in `tasks`.
-    groups: Vec<(ChunkId, u32, u32)>,
-    /// Group indices whose chunk is cached somewhere, ascending chunk id.
-    cached: Vec<u32>,
-    /// `(Estimate[c], chunk, group index)` for non-cached groups.
-    non_cached: Vec<(SimDuration, ChunkId, u32)>,
-    /// Live-node list for the batch fill loops.
-    nodes: Vec<NodeId>,
-    /// Non-cached batch chunk order (fewest replicas first).
-    batch_order: Vec<ChunkId>,
-}
-
 /// The proposed scheduler.
 #[derive(Debug)]
 pub struct OursScheduler {
     params: OursParams,
-    /// `H_B`: batch tasks held back, grouped by chunk, each tagged with
-    /// the cycle time it was first deferred at (the deferral-age basis for
-    /// anti-starvation escalation). Persists across cycles until nodes
-    /// free up.
-    pending_batch: FxHashMap<ChunkId, VecDeque<(SimTime, Task)>>,
-    pending_count: usize,
-    /// Batch tasks promoted out of `pending_batch` by
-    /// [`Scheduler::escalate_deferred`]; the next cycle schedules them in
-    /// the interactive pass, bypassing the ε and λ gates.
-    escalated: Vec<Task>,
-    /// Reused per-cycle buffers; never carries data between cycles.
-    scratch: CycleScratch,
+    /// `H_B`: batch tasks held back until nodes free up.
+    held: Deferred,
+    /// Intake, the interactive pass and escalated re-entries.
+    cycle: Cycle,
 }
 
 impl OursScheduler {
@@ -129,10 +100,8 @@ impl OursScheduler {
         );
         OursScheduler {
             params,
-            pending_batch: FxHashMap::default(),
-            pending_count: 0,
-            escalated: Vec::new(),
-            scratch: CycleScratch::default(),
+            held: Deferred::default(),
+            cycle: Cycle::default(),
         }
     }
 
@@ -143,199 +112,7 @@ impl OursScheduler {
 
     /// Number of batch tasks currently held back.
     pub fn pending_batch_tasks(&self) -> usize {
-        self.pending_count
-    }
-
-    fn commit(
-        &self,
-        ctx: &mut ScheduleCtx<'_>,
-        task: Task,
-        node: crate::ids::NodeId,
-        group: u32,
-    ) -> Assignment {
-        if self.params.gpu_aware {
-            ctx.commit_gpu_aware(task, node, group)
-        } else {
-            ctx.commit(task, node, group)
-        }
-    }
-
-    fn push_batch(&mut self, now: SimTime, task: Task) {
-        self.pending_batch
-            .entry(task.chunk)
-            .or_default()
-            .push_back((now, task));
-        self.pending_count += 1;
-    }
-
-    /// Lines 8–15: schedule the cycle's interactive tasks, cached chunks
-    /// first, non-cached chunks in descending `Estimate[c]` order (longest
-    /// I/O first, the classic LPT makespan heuristic).
-    ///
-    /// `s.tasks` holds the cycle's interactive tasks tagged with their
-    /// arrival sequence; everything else in `s` is filled here.
-    fn schedule_interactive(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        // Group tasks by chunk: an unstable sort on (chunk, arrival seq)
-        // is a stable grouping without per-chunk buckets.
-        s.tasks.sort_unstable_by_key(|&(seq, t)| (t.chunk, seq));
-        s.groups.clear();
-        s.cached.clear();
-        s.non_cached.clear();
-        let mut i = 0usize;
-        while i < s.tasks.len() {
-            let chunk = s.tasks[i].1.chunk;
-            let start = i as u32;
-            while i < s.tasks.len() && s.tasks[i].1.chunk == chunk {
-                i += 1;
-            }
-            let g = s.groups.len() as u32;
-            s.groups.push((chunk, start, i as u32));
-            if ctx.tables.cache.is_cached_anywhere(chunk) {
-                // Discovery order is ascending chunk id already.
-                s.cached.push(g);
-            } else {
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                s.non_cached
-                    .push((ctx.tables.estimate.get(chunk, bytes, ctx.cost), chunk, g));
-            }
-        }
-        // Deterministic orders: cached by id (already); non-cached
-        // longest-first.
-        s.non_cached
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let gpu = self.params.gpu_aware;
-        if !gpu {
-            s.heap.rebuild(ctx.tables, ctx.now);
-        }
-        // Live-node count is invariant within a cycle; hoist the O(p)
-        // count out of the per-task group_size computation.
-        let live = ctx.tables.live_nodes().count().max(1) as u32;
-        let ordered = s
-            .cached
-            .iter()
-            .chain(s.non_cached.iter().map(|(_, _, g)| g));
-        for &g in ordered {
-            let (chunk, start, end) = s.groups[g as usize];
-            let bytes = s.tasks[start as usize].1.bytes;
-            // Line 11: the node minimizing predicted completion, counting
-            // the I/O only where the chunk is absent.
-            let node = if gpu {
-                ctx.earliest_node_with_gpu_locality(chunk, bytes)
-            } else {
-                ctx.earliest_node_with_locality_via(&mut s.heap, chunk, bytes)
-            };
-            for idx in start..end {
-                let task = s.tasks[idx as usize].1;
-                let group = ctx.catalog.task_count(task.chunk.dataset).min(live);
-                out.push(if gpu {
-                    ctx.commit_gpu_aware(task, node, group)
-                } else {
-                    ctx.commit(task, node, group)
-                });
-            }
-            if !gpu {
-                // One re-key per group: every task above landed on `node`.
-                s.heap.update(ctx.tables, node);
-            }
-        }
-    }
-
-    /// Lines 16–22: fill each node with held batch tasks whose chunk it
-    /// already caches, up to the next scheduling time `λ`.
-    fn schedule_cached_batch(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        lambda: crate::time::SimTime,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.nodes.clear();
-        s.nodes.extend(ctx.tables.live_nodes());
-        for &node in &s.nodes {
-            while ctx.tables.available.get(node) < lambda {
-                // Smallest resident chunk id with pending batch work keeps
-                // the choice deterministic.
-                let candidate = ctx
-                    .tables
-                    .cache
-                    .node_memory(node)
-                    .chunks()
-                    .filter(|c| self.pending_batch.contains_key(c))
-                    .min();
-                let Some(chunk) = candidate else { break };
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("candidate has work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(self.commit(ctx, task, node, group));
-            }
-        }
-    }
-
-    /// Lines 23–31: place batch tasks that need a disk load, chunks with the
-    /// fewest cache replicas first, only on nodes that have been free of
-    /// interactive work for at least `ε = epsilon_frac · Estimate[c]`.
-    fn schedule_noncached_batch(
-        &mut self,
-        ctx: &mut ScheduleCtx<'_>,
-        lambda: crate::time::SimTime,
-        s: &mut CycleScratch,
-        out: &mut Vec<Assignment>,
-    ) {
-        s.batch_order.clear();
-        s.batch_order.extend(self.pending_batch.keys().copied());
-        s.batch_order
-            .sort_unstable_by_key(|&c| (ctx.tables.cache.replica_count(c), c));
-        let order = &s.batch_order;
-        let mut cursor = 0usize;
-
-        // `s.nodes` still holds this cycle's live set from the cached fill.
-        for &node in &s.nodes {
-            while ctx.tables.available.get(node) < lambda {
-                // Advance past chunks whose queues have drained.
-                while cursor < order.len() && !self.pending_batch.contains_key(&order[cursor]) {
-                    cursor += 1;
-                }
-                if cursor >= order.len() {
-                    return;
-                }
-                let chunk = order[cursor];
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                let epsilon = ctx
-                    .tables
-                    .estimate
-                    .get(chunk, bytes, ctx.cost)
-                    .mul_f64(self.params.epsilon_frac);
-                if ctx.tables.interactive_idle(node, ctx.now) <= epsilon {
-                    // This node served interactive work too recently; leave
-                    // it free (line 26) and move on.
-                    break;
-                }
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("cursor points at work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(self.commit(ctx, task, node, group));
-            }
-        }
+        self.held.len()
     }
 }
 
@@ -349,98 +126,83 @@ impl Scheduler for OursScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
+        let (now, params) = (ctx.now, self.params);
+        let gpu = params.gpu_aware;
         // Line 1: λ, the next scheduling time.
-        let lambda = ctx.now + self.params.cycle;
-
-        // Take the scratch out of `self` so the phase methods can borrow
-        // both; moved back (with its allocations) before returning.
-        let mut s = std::mem::take(&mut self.scratch);
-
-        // Lines 2–7: decompose into H_I (the scratch task buffer, tagged
-        // with arrival sequence) and H_B (`pending_batch`). Escalated batch
-        // tasks re-enter ahead of this cycle's arrivals: their deferral age
-        // already exceeded the anti-starvation bound, so they ride the
-        // interactive pass (no ε or λ gate) this cycle.
-        s.tasks.clear();
-        let mut seq = 0u32;
-        for task in self.escalated.drain(..) {
-            s.tasks.push((seq, task));
-            seq += 1;
-        }
-        for job in incoming {
-            for task in job.decompose(ctx.catalog) {
-                if task.interactive || !self.params.defer_batch {
-                    s.tasks.push((seq, task));
-                    seq += 1;
-                } else {
-                    self.push_batch(ctx.now, task);
-                }
+        let lambda = now + params.cycle;
+        let commit = move |ctx: &mut ScheduleCtx<'_>, task, node, group| {
+            if gpu {
+                ctx.commit_gpu_aware(task, node, group)
+            } else {
+                ctx.commit(task, node, group)
             }
-        }
+        };
 
+        self.cycle.intake(ctx, incoming, |task| {
+            let defer = !task.interactive && params.defer_batch;
+            if defer {
+                self.held.push(now, task);
+            }
+            defer
+        });
         let mut out = Vec::new();
-        self.schedule_interactive(ctx, &mut s, &mut out);
-        self.schedule_cached_batch(ctx, lambda, &mut s, &mut out);
-        self.schedule_noncached_batch(ctx, lambda, &mut s, &mut out);
-        self.scratch = s;
+        if !gpu {
+            self.cycle.heap.rebuild(ctx.tables, now);
+        }
+        self.cycle.interactive(
+            ctx,
+            |ctx, heap, chunk, bytes| {
+                if gpu {
+                    ctx.earliest_node_with_gpu_locality(chunk, bytes)
+                } else {
+                    ctx.earliest_node_with_locality_via(heap, chunk, bytes)
+                }
+            },
+            commit,
+            |ctx, heap, node| {
+                if !gpu {
+                    heap.update(ctx.tables, node);
+                }
+            },
+            &mut out,
+        );
+        // Lines 16–31: batch fills up to λ; a cold load only on nodes that
+        // have been free of interactive work for at least
+        // `ε = epsilon_frac · Estimate[c]`.
+        self.held.fill(
+            ctx,
+            |_| lambda,
+            |ctx, node, chunk, bytes| {
+                let estimate = ctx.tables.estimate.get(chunk, bytes, ctx.cost);
+                ctx.tables.interactive_idle(node, now) <= estimate.mul_f64(params.epsilon_frac)
+            },
+            commit,
+            &mut out,
+        );
         out
     }
 
     fn has_deferred(&self) -> bool {
-        self.pending_count > 0 || !self.escalated.is_empty()
+        self.held.len() > 0 || self.cycle.has_escalated()
     }
 
     fn retract_deferred(&mut self) {
-        self.pending_batch.clear();
-        self.pending_count = 0;
-        self.escalated.clear();
+        self.held.retract();
+        self.cycle.retract();
     }
 
     /// Promote deferred batch tasks whose deferral age reached `age` into
-    /// the next cycle's interactive pass. The promotion order is made
-    /// deterministic by sorting on `(job, task index)`, so it is identical
-    /// across substrates regardless of hash-map iteration order.
+    /// the next cycle's interactive pass, where no ε or λ gate applies.
     fn escalate_deferred(&mut self, now: SimTime, age: SimDuration) -> Vec<(JobId, SimDuration)> {
-        if self.pending_count == 0 {
-            return Vec::new();
-        }
-        let mut moved: Vec<(SimTime, Task)> = Vec::new();
-        self.pending_batch.retain(|_, queue| {
-            let mut kept = VecDeque::with_capacity(queue.len());
-            while let Some((since, task)) = queue.pop_front() {
-                if now.saturating_since(since) >= age {
-                    moved.push((since, task));
-                } else {
-                    kept.push_back((since, task));
-                }
-            }
-            std::mem::swap(queue, &mut kept);
-            !queue.is_empty()
-        });
-        if moved.is_empty() {
-            return Vec::new();
-        }
-        self.pending_count -= moved.len();
-        moved.sort_unstable_by_key(|&(_, t)| (t.job.0, t.index));
-        let mut per_job: Vec<(JobId, SimDuration)> = Vec::new();
-        for &(since, task) in &moved {
-            let waited = now.saturating_since(since);
-            match per_job.last_mut() {
-                Some((job, max)) if *job == task.job => *max = (*max).max(waited),
-                _ => per_job.push((task.job, waited)),
-            }
-        }
-        self.escalated.extend(moved.into_iter().map(|(_, t)| t));
-        per_job
+        self.cycle.promote(now, self.held.take_aged(now, age))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
+    use crate::ids::{ChunkId, NodeId};
     use crate::sched::testutil::{assert_complete_assignment, Fixture};
-    use crate::time::SimTime;
 
     fn ours() -> OursScheduler {
         OursScheduler::new(OursParams::default())
@@ -630,7 +392,7 @@ mod tests {
         assert!(first_noncached.predicted_exec > fx.cost.alpha(first_noncached.task.bytes, 2));
     }
 
-    /// Regression test for the reused [`CycleScratch`]: state from one
+    /// Regression test for the reused cycle scratch: state from one
     /// cycle must never leak into the next. A busy cycle fills every
     /// scratch buffer (interactive groups, batch order, node list); the
     /// following cycles must neither re-emit old tasks nor deviate from a

@@ -10,7 +10,10 @@
 //! were written *as* the spec for the policy-family PR: fresh allocations
 //! each cycle, full scans, and — for MOBJ — the textbook balance anchor
 //! (`min_k ready_at`) that the optimized path replaces with a constant
-//! shift (see [`mobj`](super::mobj) for the invariance argument). Two
+//! shift (see [`mobj`](super::mobj) for the invariance argument). All
+//! three cycle twins carry their own copy of the anti-starvation path
+//! (deferral timestamps, `escalate_deferred`), so the escalation the
+//! optimized policies share through `sched/cycle.rs` is pinned too. Two
 //! things depend on them staying put:
 //!
 //! * the **placement-equivalence suite** (`tests/placement_equivalence.rs`)

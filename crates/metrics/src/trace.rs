@@ -38,6 +38,10 @@ pub enum RejectReason {
     /// The control plane is in degraded mode under sustained fault
     /// pressure: new batch work is shed to protect interactive latency.
     Degraded,
+    /// The request names a dataset outside the service's catalog. Like
+    /// [`RejectReason::QueueFull`] this is a boundary verdict — answered
+    /// before the request becomes a job — and emits no trace event.
+    UnknownDataset,
 }
 
 impl RejectReason {
@@ -48,6 +52,7 @@ impl RejectReason {
             RejectReason::UserCap => "user_cap",
             RejectReason::QueueFull => "queue_full",
             RejectReason::Degraded => "degraded",
+            RejectReason::UnknownDataset => "unknown_dataset",
         }
     }
 
@@ -58,6 +63,7 @@ impl RejectReason {
             RejectReason::UserCap => 1,
             RejectReason::QueueFull => 2,
             RejectReason::Degraded => 3,
+            RejectReason::UnknownDataset => 4,
         }
     }
 
@@ -68,6 +74,7 @@ impl RejectReason {
             1 => Some(RejectReason::UserCap),
             2 => Some(RejectReason::QueueFull),
             3 => Some(RejectReason::Degraded),
+            4 => Some(RejectReason::UnknownDataset),
             _ => None,
         }
     }
@@ -1682,6 +1689,7 @@ mod tests {
             RejectReason::UserCap,
             RejectReason::QueueFull,
             RejectReason::Degraded,
+            RejectReason::UnknownDataset,
         ] {
             assert_eq!(RejectReason::from_code(reason.code()), Some(reason));
         }

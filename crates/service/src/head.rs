@@ -31,7 +31,7 @@ use vizsched_core::job::{FrameParams, Job};
 use vizsched_core::sched::{Assignment, SchedulerKind};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{DropReason, NoopProbe, Probe, RunRecord, TraceEvent};
+use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason, RunRecord, TraceEvent};
 use vizsched_render::Layer;
 use vizsched_runtime::{
     Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadPolicy, OverloadStats,
@@ -58,10 +58,6 @@ pub struct ServiceConfig {
     pub scheduler: SchedulerKind,
     /// Scheduling cycle `ω`.
     pub cycle: SimDuration,
-    /// Cost model used for predictions.
-    pub cost: CostParams,
-    /// Compositing strategy for assembled frames.
-    pub composite: CompositeAlgo,
     /// Observability sink: the head runtime reports every scheduling
     /// decision, completion, and table correction here. Defaults to
     /// [`NoopProbe`] (free).
@@ -70,10 +66,6 @@ pub struct ServiceConfig {
     /// cold-cached (the recovery half of §VI-D). Off by default: a dead
     /// node stays down and its work runs elsewhere.
     pub restart_nodes: bool,
-    /// Capacity of the bounded request queue in front of the head loop.
-    /// In-process clients block when it fills (backpressure); the TCP
-    /// front sheds instead, answering `Overloaded` without blocking.
-    pub queue_capacity: usize,
     /// Admission-control policy applied by the head runtime: in-flight
     /// caps, per-job deadlines, stale-frame coalescing, batch
     /// anti-starvation. Inactive by default (everything is admitted).
@@ -100,11 +92,8 @@ impl std::fmt::Debug for ServiceConfig {
             .field("image_size", &self.image_size)
             .field("scheduler", &self.scheduler)
             .field("cycle", &self.cycle)
-            .field("cost", &self.cost)
-            .field("composite", &self.composite)
             .field("probe_enabled", &self.probe.enabled())
             .field("restart_nodes", &self.restart_nodes)
-            .field("queue_capacity", &self.queue_capacity)
             .field("overload", &self.overload)
             .field("shards", &self.shards)
             .field("fault_plan", &self.fault_plan)
@@ -120,11 +109,8 @@ impl Default for ServiceConfig {
             image_size: (128, 128),
             scheduler: SchedulerKind::Ours,
             cycle: SimDuration::from_millis(30),
-            cost: CostParams::default(),
-            composite: CompositeAlgo::Auto,
             probe: Arc::new(NoopProbe),
             restart_nodes: false,
-            queue_capacity: 1024,
             overload: OverloadPolicy::default(),
             shards: 1,
             fault_plan: None,
@@ -163,18 +149,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the cost model used for predictions.
-    pub fn cost(mut self, cost: CostParams) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Set the compositing strategy.
-    pub fn composite(mut self, composite: CompositeAlgo) -> Self {
-        self.composite = composite;
-        self
-    }
-
     /// Attach an observability probe.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
@@ -184,13 +158,6 @@ impl ServiceConfig {
     /// Respawn render-node workers after faults.
     pub fn restart_nodes(mut self, on: bool) -> Self {
         self.restart_nodes = on;
-        self
-    }
-
-    /// Set the bounded request-queue capacity (must be nonzero).
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be nonzero");
-        self.queue_capacity = capacity;
         self
     }
 
@@ -244,6 +211,11 @@ pub struct ServiceStats {
     pub degraded_shed: u64,
 }
 
+/// Capacity of the bounded request queue in front of the head loop.
+/// In-process clients block when it fills (backpressure); the TCP front
+/// sheds instead, answering `Overloaded(queue_full)` without blocking.
+const QUEUE_CAPACITY: usize = 1024;
+
 /// Control-plane commands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Control {
@@ -266,11 +238,10 @@ impl VizService {
     /// Start the service over an existing chunk store.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
-        assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.
         crate::tcp::bump_service_epoch();
-        let (req_tx, req_rx) = bounded::<RenderRequest>(config.queue_capacity);
+        let (req_tx, req_rx) = bounded::<RenderRequest>(QUEUE_CAPACITY);
         let (ctl_tx, ctl_rx) = unbounded::<Control>();
         let head = std::thread::spawn(move || head_loop(&config, &store, req_rx, ctl_rx));
         VizService {
@@ -465,7 +436,7 @@ fn head_loop(
                 config.scheduler.build(config.cycle),
                 HeadTables::new(slice),
                 store.catalog().clone(),
-                config.cost,
+                CostParams::default(),
                 shard_probe,
                 "live-service",
             )
@@ -523,6 +494,16 @@ fn head_loop(
             },
             recv(requests) -> msg => {
                 let Ok(req) = msg else { break };
+                // The one intake point: a dataset outside the catalog is
+                // refused here, before it costs a job id or a pending
+                // entry (the runtime indexes the catalog unchecked).
+                if req.dataset.index() >= store.catalog().datasets().len() {
+                    let _ = req.reply.send(RenderReply {
+                        correlation: req.correlation,
+                        outcome: RenderOutcome::Rejected(RejectReason::UnknownDataset),
+                    });
+                    continue;
+                }
                 let job = Job {
                     id: JobId(next_job),
                     kind: req.kind,
@@ -555,7 +536,7 @@ fn head_loop(
             }
             recv(from_nodes) -> msg => match msg {
                 Ok(ToHead::TaskDone(done)) => {
-                    handle_task_done(done, &mut runtime, &mut sub, config, now());
+                    handle_task_done(done, &mut runtime, &mut sub, now());
                 }
                 Ok(ToHead::Stopped { node, epoch }) => {
                     // A replaced thread's parting report is stale; the
@@ -704,7 +685,6 @@ fn handle_task_done(
     done: TaskDone,
     runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
-    config: &ServiceConfig,
     now: SimTime,
 ) {
     let node = NodeId(done.node);
@@ -735,7 +715,10 @@ fn handle_task_done(
     let Some(job) = sub.pending.remove(&fin.job) else {
         return;
     };
-    let image = composite(job.layers, config.composite);
+    // Every layer is already in the head's memory, so the frame is a
+    // front-to-back fold; the parallel swap algorithms exchange halves
+    // between ranks that do not exist here.
+    let image = composite(job.layers, CompositeAlgo::DirectSend);
     let _ = job.reply.send(RenderReply {
         correlation: job.correlation,
         outcome: RenderOutcome::Frame(FrameResult {

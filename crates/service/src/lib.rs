@@ -11,8 +11,9 @@
 //! policies compare at cluster scale"; this crate answers "does the whole
 //! pipeline actually render frames end-to-end".
 //!
-//! Overload control: [`ServiceConfig::queue_capacity`] bounds the request
-//! queue, and [`ServiceConfig::overload`] applies an
+//! Overload control: a bounded request queue sits in front of the head
+//! loop (the TCP front answers `Overloaded(queue_full)` when it fills), and
+//! [`ServiceConfig::overload`] applies an
 //! [`OverloadPolicy`] — in-flight caps, per-job deadlines, stale-frame
 //! coalescing, batch anti-starvation — inside the shared head runtime, so
 //! the live service and the simulator shed identically.

@@ -897,7 +897,8 @@ impl RemoteClient {
     /// backoff on `Overloaded` (up to the configured retries) and honor
     /// the per-call deadline across all attempts. `Expired` verdicts are
     /// returned as-is — retrying a superseded frame is pointless, a newer
-    /// one already rendered.
+    /// one already rendered — and so is `Overloaded(unknown_dataset)`:
+    /// backing off does not make a dataset exist.
     pub fn render_interactive_blocking(
         &self,
         action: ActionId,
@@ -976,7 +977,9 @@ impl RemoteClient {
                 Err(err) => return Err(err),
             };
             match response {
-                WireResponse::Overloaded { .. } if overloads_left > 0 => {
+                WireResponse::Overloaded { reason, .. }
+                    if overloads_left > 0 && reason != RejectReason::UnknownDataset =>
+                {
                     overloads_left -= 1;
                     let mut pause = backoff;
                     if let Some(at) = deadline {

@@ -232,6 +232,7 @@ mod tests {
             RejectReason::GlobalCap,
             RejectReason::UserCap,
             RejectReason::QueueFull,
+            RejectReason::UnknownDataset,
         ] {
             let msg = WireMessage::Response(WireResponse::Overloaded {
                 request_id: 11,

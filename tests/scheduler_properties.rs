@@ -1,6 +1,6 @@
-//! Property-based tests over all six scheduling policies: completeness
-//! (every task assigned exactly once, eventually), validity (live nodes
-//! only), and determinism.
+//! Property-based tests over all nine scheduling policies: completeness
+//! (every task assigned exactly once, eventually — also when deferred work
+//! is escalated mid-drain), validity (live nodes only), and determinism.
 
 use proptest::prelude::*;
 use vizsched_core::cluster::ClusterSpec;
@@ -59,8 +59,12 @@ fn build_jobs(specs: &[JobSpec]) -> Vec<Job> {
 
 /// Drive a scheduler to quiescence: invoke with the jobs, then keep
 /// invoking with empty input (advancing time and freeing nodes) until
-/// nothing is deferred.
-fn drain(kind: SchedulerKind, nodes: usize, jobs: Vec<Job>) -> Vec<Assignment> {
+/// nothing is deferred. Before drain round `escalate_at` (0 = never) the
+/// anti-starvation hook promotes everything still deferred — a no-op for
+/// policies with the default hook; for the cycle policies it sends the
+/// backlog through the shared escalation path and the next interactive
+/// pass.
+fn drain(kind: SchedulerKind, nodes: usize, jobs: Vec<Job>, escalate_at: u32) -> Vec<Assignment> {
     let cluster = ClusterSpec::homogeneous(nodes, 2 * GIB);
     let mut tables = HeadTables::new(&cluster);
     let mut sched = kind.build(SimDuration::from_millis(30));
@@ -86,6 +90,18 @@ fn drain(kind: SchedulerKind, nodes: usize, jobs: Vec<Job>) -> Vec<Assignment> {
         rounds += 1;
         assert!(rounds < 10_000, "{} failed to drain", kind.name());
         now += SimDuration::from_secs(30);
+        if rounds == escalate_at {
+            // Everything was deferred at t = 0, so every held task is aged.
+            let report = sched.escalate_deferred(now, SimDuration::from_secs(30));
+            assert!(
+                report.windows(2).all(|w| w[0].0 < w[1].0),
+                "{}: escalation reports each job once, in job order: {report:?}",
+                kind.name()
+            );
+            assert!(report
+                .iter()
+                .all(|&(_, waited)| waited == now - SimTime::ZERO));
+        }
         // All nodes idle again.
         for k in 0..nodes {
             tables
@@ -113,6 +129,7 @@ proptest! {
         specs in job_specs(),
         nodes in 1usize..9,
         kind_pick in 0usize..9,
+        escalate_at in 0u32..4,
     ) {
         // The paper's six plus the post-paper family (FRAC/MOBJ/MOBJ-A).
         let kind = *SchedulerKind::ALL
@@ -131,7 +148,7 @@ proptest! {
             .iter()
             .flat_map(|j| (0..catalog.task_count(j.dataset)).map(move |t| (j.id, t)))
             .collect();
-        let out = drain(kind, nodes, jobs);
+        let out = drain(kind, nodes, jobs, escalate_at);
         let mut got: Vec<(JobId, u32)> =
             out.iter().map(|a| (a.task.job, a.task.index)).collect();
         expected.sort_unstable();
@@ -146,14 +163,15 @@ proptest! {
         specs in job_specs(),
         nodes in 1usize..9,
         kind_pick in 0usize..9,
+        escalate_at in 0u32..4,
     ) {
         let kind = *SchedulerKind::ALL
             .iter()
             .chain(SchedulerKind::EXTENDED.iter())
             .nth(kind_pick)
             .unwrap();
-        let a = drain(kind, nodes, build_jobs(&specs));
-        let b = drain(kind, nodes, build_jobs(&specs));
+        let a = drain(kind, nodes, build_jobs(&specs), escalate_at);
+        let b = drain(kind, nodes, build_jobs(&specs), escalate_at);
         prop_assert_eq!(a, b);
     }
 

@@ -294,3 +294,57 @@ fn tcp_retry_recovers_once_the_cap_drains() {
     assert!(stats.overload.rejected >= 6);
     std::fs::remove_dir_all(root).ok();
 }
+
+/// A request naming a dataset outside the store's catalog is one
+/// malformed request, not a reason to lose the head: the service answers
+/// `Overloaded(UnknownDataset)` — at once, without spending the client's
+/// retries, since backing off does not make a dataset exist — and keeps
+/// serving the same connection.
+#[test]
+fn unknown_dataset_is_rejected_and_the_head_keeps_serving() {
+    let (service, root) = overload_service("unknownds", OverloadPolicy::default());
+    let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
+    // The deadline only matters where the head dies instead of answering:
+    // it turns the wait on a dead head into a test failure.
+    let options = ClientOptions::new()
+        .retries(20)
+        .backoff(Duration::from_secs(2), Duration::from_secs(2))
+        .deadline(Duration::from_secs(20));
+    let client = RemoteClient::connect_with(server.addr(), UserId(0), options).expect("connect");
+
+    let good = client
+        .render_interactive_blocking(ActionId(0), DatasetId(0), frame(0.1))
+        .expect("submit");
+    assert!(good.into_frame().is_some(), "the first frame renders");
+
+    let asked = std::time::Instant::now();
+    let bad = client
+        .render_interactive_blocking(ActionId(1), DatasetId(7), frame(0.2))
+        .expect("submit");
+    assert!(
+        matches!(
+            bad,
+            WireResponse::Overloaded {
+                reason: RejectReason::UnknownDataset,
+                ..
+            }
+        ),
+        "expected UnknownDataset, got {bad:?}"
+    );
+    assert!(
+        asked.elapsed() < Duration::from_secs(2),
+        "the verdict must come back without a retry backoff"
+    );
+
+    let again = client
+        .render_interactive_blocking(ActionId(2), DatasetId(1), frame(0.3))
+        .expect("the connection is still served");
+    assert!(again.into_frame().is_some(), "the head survived");
+
+    drop(client);
+    server.stop();
+    let stats = service.shutdown();
+    assert_eq!(stats.jobs_completed, 2);
+    assert_eq!(stats.overload.rejected, 0, "a boundary verdict, not a job");
+    std::fs::remove_dir_all(root).ok();
+}
