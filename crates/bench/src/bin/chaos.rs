@@ -34,7 +34,6 @@
 
 use std::sync::Arc;
 use vizsched_bench::harness::{conclude, gate_ceiling, Cli};
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::uniform_datasets;
@@ -42,6 +41,7 @@ use vizsched_core::ids::{ActionId, BatchId, DatasetId, JobId, NodeId, ShardId, U
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::{recovery_report, CollectingProbe, RecoveryReport};
 use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 
@@ -217,16 +217,16 @@ fn run_shard_loss(quick: bool) -> ScenarioRow {
 fn row_json(row: &ScenarioRow) -> Json {
     obj([
         ("policy", Json::Str(row.policy.into())),
-        ("jobs", Json::Num(row.jobs as f64)),
-        ("incomplete", Json::Num(row.incomplete as f64)),
-        ("frames_lost", Json::Num(row.report.frames_lost as f64)),
-        ("faults", Json::Num(row.report.faults.len() as f64)),
-        ("jobs_rerouted", Json::Num(row.report.jobs_rerouted as f64)),
-        ("max_mttr_ms", Json::Num(ms(row.report.max_mttr))),
-        ("mean_mttr_ms", Json::Num(ms(row.report.mean_mttr))),
+        ("jobs", Json::num(row.jobs as f64)),
+        ("incomplete", Json::num(row.incomplete as f64)),
+        ("frames_lost", Json::num(row.report.frames_lost as f64)),
+        ("faults", Json::num(row.report.faults.len() as f64)),
+        ("jobs_rerouted", Json::num(row.report.jobs_rerouted as f64)),
+        ("max_mttr_ms", Json::num(ms(row.report.max_mttr))),
+        ("mean_mttr_ms", Json::num(ms(row.report.mean_mttr))),
         (
             "max_interactive_mttr_ms",
-            Json::Num(ms(row.report.max_interactive_mttr)),
+            Json::num(ms(row.report.max_interactive_mttr)),
         ),
     ])
 }
@@ -246,13 +246,13 @@ fn to_json(node_faults: &[ScenarioRow], shard_loss: &ScenarioRow) -> Json {
         (
             "config",
             obj([
-                ("nodes", Json::Num(NODES as f64)),
-                ("datasets", Json::Num(DATASETS as f64)),
-                ("node_quota_gib", Json::Num(2.0)),
-                ("chunk_mib", Json::Num(512.0)),
+                ("nodes", Json::num(NODES as f64)),
+                ("datasets", Json::num(DATASETS as f64)),
+                ("node_quota_gib", Json::num(2.0)),
+                ("chunk_mib", Json::num(512.0)),
                 (
                     "interactive_mttr_bound_ms",
-                    Json::Num(INTERACTIVE_MTTR_BOUND_MS as f64),
+                    Json::num(INTERACTIVE_MTTR_BOUND_MS as f64),
                 ),
             ]),
         ),
@@ -264,11 +264,11 @@ fn to_json(node_faults: &[ScenarioRow], shard_loss: &ScenarioRow) -> Json {
         (
             "summary",
             obj([
-                ("admitted_job_loss", Json::Num(loss as f64)),
-                ("max_node_fault_mttr_ms", Json::Num(worst_node_mttr)),
+                ("admitted_job_loss", Json::num(loss as f64)),
+                ("max_node_fault_mttr_ms", Json::num(worst_node_mttr)),
                 (
                     "max_interactive_mttr_ms",
-                    Json::Num(ms(shard_loss.report.max_interactive_mttr)),
+                    Json::num(ms(shard_loss.report.max_interactive_mttr)),
                 ),
             ]),
         ),

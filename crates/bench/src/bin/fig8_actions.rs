@@ -18,9 +18,9 @@
 //! µs/cycle) so plots and regression diffs don't scrape the table.
 
 use vizsched_bench::experiments::simulation_for;
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
+use vizsched_metrics::json::{obj, Json};
 use vizsched_sim::RunOptions;
 use vizsched_workload::Scenario;
 
@@ -85,11 +85,11 @@ fn main() {
             actions, row[0], row[1], row[2], ours_per_cycle
         );
         points.push(obj([
-            ("actions", Json::Num(actions as f64)),
-            ("ours_us_per_job", Json::Num(row[0])),
-            ("fcfsl_us_per_job", Json::Num(row[1])),
-            ("fcfsu_us_per_job", Json::Num(row[2])),
-            ("ours_us_per_cycle", Json::Num(ours_per_cycle)),
+            ("actions", Json::num(actions as f64)),
+            ("ours_us_per_job", Json::num(row[0])),
+            ("fcfsl_us_per_job", Json::num(row[1])),
+            ("fcfsu_us_per_job", Json::num(row[2])),
+            ("ours_us_per_cycle", Json::num(ours_per_cycle)),
         ]));
     }
     println!(
@@ -103,10 +103,10 @@ fn main() {
             (
                 "config",
                 obj([
-                    ("nodes", Json::Num(nodes as f64)),
-                    ("datasets", Json::Num(16.0)),
-                    ("dataset_gib", Json::Num(4.0)),
-                    ("length_secs", Json::Num(length as f64)),
+                    ("nodes", Json::num(nodes as f64)),
+                    ("datasets", Json::num(16.0)),
+                    ("dataset_gib", Json::num(4.0)),
+                    ("length_secs", Json::num(length as f64)),
                 ]),
             ),
             ("points", Json::Arr(points)),

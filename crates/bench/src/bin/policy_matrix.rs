@@ -41,9 +41,9 @@ use vizsched_bench::experiments::{
     cell_starvation_and_imbalance, overload_policy_for, overload_scenario, run_overload,
 };
 use vizsched_bench::harness::{conclude, gate_floor, Cli};
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
+use vizsched_metrics::json::{obj, Json};
 
 const POLICIES: [SchedulerKind; 5] = [
     SchedulerKind::Ours,
@@ -131,16 +131,16 @@ fn to_json(cells: &[Cell], quick: bool) -> Json {
             "config",
             obj([
                 ("scenario", Json::Str("overload".into())),
-                ("scenario_secs", Json::Num(if quick { 12.0 } else { 60.0 })),
-                ("nodes", Json::Num(8.0)),
-                ("datasets", Json::Num(8.0)),
+                ("scenario_secs", Json::num(if quick { 12.0 } else { 60.0 })),
+                ("nodes", Json::num(8.0)),
+                ("datasets", Json::num(8.0)),
                 (
                     "factors",
-                    Json::Arr(FACTORS.iter().map(|&f| Json::Num(f as f64)).collect()),
+                    Json::Arr(FACTORS.iter().map(|&f| Json::num(f as f64)).collect()),
                 ),
                 (
                     "shards",
-                    Json::Arr(SHARDS.iter().map(|&s| Json::Num(s as f64)).collect()),
+                    Json::Arr(SHARDS.iter().map(|&s| Json::num(s as f64)).collect()),
                 ),
             ]),
         ),
@@ -152,19 +152,19 @@ fn to_json(cells: &[Cell], quick: bool) -> Json {
                     .map(|c| {
                         obj([
                             ("policy", Json::Str(c.policy.name().into())),
-                            ("shards", Json::Num(c.shards as f64)),
-                            ("factor", Json::Num(c.factor as f64)),
-                            ("interactive_p99_ms", Json::Num(c.interactive_p99_ms)),
-                            ("unloaded_p99_ms", Json::Num(c.unloaded_p99_ms)),
-                            ("batch_completed", Json::Num(c.batch_completed as f64)),
-                            ("batch_admitted", Json::Num(c.batch_admitted as f64)),
+                            ("shards", Json::num(c.shards as f64)),
+                            ("factor", Json::num(c.factor as f64)),
+                            ("interactive_p99_ms", Json::num(c.interactive_p99_ms)),
+                            ("unloaded_p99_ms", Json::num(c.unloaded_p99_ms)),
+                            ("batch_completed", Json::num(c.batch_completed as f64)),
+                            ("batch_admitted", Json::num(c.batch_admitted as f64)),
                             (
                                 "max_batch_start_delay_ms",
-                                Json::Num(c.max_batch_start_delay_ms),
+                                Json::num(c.max_batch_start_delay_ms),
                             ),
                             (
                                 "hottest_shard_imbalance",
-                                Json::Num(c.hottest_shard_imbalance),
+                                Json::num(c.hottest_shard_imbalance),
                             ),
                         ])
                     })
@@ -174,8 +174,8 @@ fn to_json(cells: &[Cell], quick: bool) -> Json {
         (
             "summary",
             obj([
-                ("mobj_starvation_gain_4x_2shards", Json::Num(starve_gain)),
-                ("mobj_imbalance_gain_4x_2shards", Json::Num(imbalance_gain)),
+                ("mobj_starvation_gain_4x_2shards", Json::num(starve_gain)),
+                ("mobj_imbalance_gain_4x_2shards", Json::num(imbalance_gain)),
             ]),
         ),
     ])

@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 use vizsched_bench::harness::{conclude, gate_floor, Cli};
-use vizsched_bench::json::{obj, Json};
+use vizsched_metrics::json::{obj, Json};
 use vizsched_render::raycast::{render, render_brick, BrickSampler};
 use vizsched_render::{skip, Camera, RenderSettings, RgbaImage, TransferFunction};
 use vizsched_volume::{split_z, Field, MinMaxGrid, Volume};
@@ -148,12 +148,12 @@ fn to_json(cells: &[Cell], passes: usize) -> Json {
         (
             "config",
             obj([
-                ("passes", Json::Num(passes as f64)),
-                ("volume_edge", Json::Num(DIMS[0] as f64)),
-                ("bricks", Json::Num(BRICKS as f64)),
-                ("image_edge", Json::Num(IMAGE as f64)),
-                ("azimuths", Json::Num(AZIMUTHS as f64)),
-                ("transfer_fn", Json::Num(0.0)),
+                ("passes", Json::num(passes as f64)),
+                ("volume_edge", Json::num(DIMS[0] as f64)),
+                ("bricks", Json::num(BRICKS as f64)),
+                ("image_edge", Json::num(IMAGE as f64)),
+                ("azimuths", Json::num(AZIMUTHS as f64)),
+                ("transfer_fn", Json::num(0.0)),
             ]),
         ),
         (
@@ -164,11 +164,11 @@ fn to_json(cells: &[Cell], passes: usize) -> Json {
                     .map(|c| {
                         obj([
                             ("field", Json::Str(c.field.into())),
-                            ("opt_ms_per_brick", Json::Num(c.opt_ms)),
-                            ("ref_ms_per_brick", Json::Num(c.ref_ms)),
-                            ("speedup", Json::Num(c.ref_ms / c.opt_ms)),
-                            ("fetched_share", Json::Num(c.fetched_share)),
-                            ("grid_build_ms", Json::Num(c.grid_build_ms)),
+                            ("opt_ms_per_brick", Json::num(c.opt_ms)),
+                            ("ref_ms_per_brick", Json::num(c.ref_ms)),
+                            ("speedup", Json::num(c.ref_ms / c.opt_ms)),
+                            ("fetched_share", Json::num(c.fetched_share)),
+                            ("grid_build_ms", Json::num(c.grid_build_ms)),
                         ])
                     })
                     .collect(),
@@ -178,7 +178,7 @@ fn to_json(cells: &[Cell], passes: usize) -> Json {
             "summary",
             obj([(
                 "geomean_speedup",
-                Json::Num(geomean(cells.iter().map(|c| c.ref_ms / c.opt_ms))),
+                Json::num(geomean(cells.iter().map(|c| c.ref_ms / c.opt_ms))),
             )]),
         ),
     ])

@@ -29,7 +29,6 @@
 
 use std::time::Instant;
 use vizsched_bench::harness::{conclude, gate_floor, Cli};
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -41,6 +40,7 @@ use vizsched_core::sched::{
 };
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_metrics::json::{obj, Json};
 
 const GIB: u64 = 1 << 30;
 const ACTIONS: [usize; 3] = [8, 32, 128];
@@ -232,14 +232,14 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
         (
             "config",
             obj([
-                ("samples", Json::Num(samples as f64)),
-                ("warmup_cycles", Json::Num(WARMUP_CYCLES as f64)),
-                ("timed_cycles", Json::Num(TIMED_CYCLES as f64)),
-                ("datasets", Json::Num(DATASETS as f64)),
-                ("dataset_gib", Json::Num(4.0)),
-                ("chunk_mib", Json::Num(512.0)),
-                ("node_quota_gib", Json::Num(8.0)),
-                ("cycle_ms", Json::Num(30.0)),
+                ("samples", Json::num(samples as f64)),
+                ("warmup_cycles", Json::num(WARMUP_CYCLES as f64)),
+                ("timed_cycles", Json::num(TIMED_CYCLES as f64)),
+                ("datasets", Json::num(DATASETS as f64)),
+                ("dataset_gib", Json::num(4.0)),
+                ("chunk_mib", Json::num(512.0)),
+                ("node_quota_gib", Json::num(8.0)),
+                ("cycle_ms", Json::num(30.0)),
             ]),
         ),
         (
@@ -251,10 +251,10 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
                         obj([
                             ("policy", Json::Str(c.policy.into())),
                             ("impl", Json::Str(c.implementation.into())),
-                            ("actions", Json::Num(c.actions as f64)),
-                            ("nodes", Json::Num(c.nodes as f64)),
-                            ("us_per_job", Json::Num(c.us_per_job)),
-                            ("us_per_invocation", Json::Num(c.us_per_invocation)),
+                            ("actions", Json::num(c.actions as f64)),
+                            ("nodes", Json::num(c.nodes as f64)),
+                            ("us_per_job", Json::num(c.us_per_job)),
+                            ("us_per_invocation", Json::num(c.us_per_invocation)),
                         ])
                     })
                     .collect(),
@@ -268,9 +268,9 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
                     .map(|(policy, actions, nodes, ratio)| {
                         obj([
                             ("policy", Json::Str(policy.clone())),
-                            ("actions", Json::Num(*actions as f64)),
-                            ("nodes", Json::Num(*nodes as f64)),
-                            ("ratio", Json::Num(*ratio)),
+                            ("actions", Json::num(*actions as f64)),
+                            ("nodes", Json::num(*nodes as f64)),
+                            ("ratio", Json::num(*ratio)),
                         ])
                     })
                     .collect(),
@@ -279,8 +279,8 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
         (
             "summary",
             obj([
-                ("geomean_speedup_ours", Json::Num(gm("OURS"))),
-                ("geomean_speedup_fcfsl", Json::Num(gm("FCFSL"))),
+                ("geomean_speedup_ours", Json::num(gm("OURS"))),
+                ("geomean_speedup_fcfsl", Json::num(gm("FCFSL"))),
             ]),
         ),
     ])

@@ -37,10 +37,10 @@ use std::time::{Duration, Instant};
 
 use polling::{Events, Interest, Poller, Token};
 use vizsched_bench::harness::Cli;
-use vizsched_bench::json::{fmt_f64, obj, Json};
 use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, JobKind};
 use vizsched_core::time::SimDuration;
+use vizsched_metrics::json::{fmt_f64, obj, Json};
 use vizsched_render::RgbaImage;
 use vizsched_service::codec::TryRead;
 use vizsched_service::{
@@ -359,11 +359,11 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
         (
             "config",
             obj([
-                ("warmup_secs", Json::Num(warmup.as_secs_f64())),
-                ("measure_secs", Json::Num(measure.as_secs_f64())),
-                ("frame_dim", Json::Num(FRAME_DIM as f64)),
-                ("responders", Json::Num(RESPONDERS as f64)),
-                ("sustain_fraction", Json::Num(SUSTAIN_FRACTION)),
+                ("warmup_secs", Json::num(warmup.as_secs_f64())),
+                ("measure_secs", Json::num(measure.as_secs_f64())),
+                ("frame_dim", Json::num(FRAME_DIM as f64)),
+                ("responders", Json::num(RESPONDERS as f64)),
+                ("sustain_fraction", Json::num(SUSTAIN_FRACTION)),
             ]),
         ),
         (
@@ -374,15 +374,15 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
                     .map(|c| {
                         obj([
                             ("plane", Json::Str(PLANE.into())),
-                            ("conns", Json::Num(c.conns as f64)),
-                            ("fps", Json::Num(c.fps as f64)),
-                            ("samples", Json::Num(c.samples as f64)),
-                            ("p50_us", Json::Num(c.p50_us)),
-                            ("p99_us", Json::Num(c.p99_us)),
-                            ("throughput_rps", Json::Num(c.throughput_rps)),
-                            ("offered_rps", Json::Num(c.offered_rps)),
-                            ("conns_served", Json::Num(c.conns_served as f64)),
-                            ("dead_conns", Json::Num(c.dead_conns as f64)),
+                            ("conns", Json::num(c.conns as f64)),
+                            ("fps", Json::num(c.fps as f64)),
+                            ("samples", Json::num(c.samples as f64)),
+                            ("p50_us", Json::num(c.p50_us)),
+                            ("p99_us", Json::num(c.p99_us)),
+                            ("throughput_rps", Json::num(c.throughput_rps)),
+                            ("offered_rps", Json::num(c.offered_rps)),
+                            ("conns_served", Json::num(c.conns_served as f64)),
+                            ("dead_conns", Json::num(c.dead_conns as f64)),
                             ("sustained", Json::Bool(c.sustained())),
                         ])
                     })
@@ -392,11 +392,11 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
         (
             "summary",
             obj([
-                ("largest_conns", Json::Num(big.conns as f64)),
-                ("largest_fps", Json::Num(big.fps as f64)),
-                ("p99_largest_us", Json::Num(big.p99_us)),
+                ("largest_conns", Json::num(big.conns as f64)),
+                ("largest_fps", Json::num(big.fps as f64)),
+                ("p99_largest_us", Json::num(big.p99_us)),
                 ("sustained_largest", Json::Bool(big.sustained())),
-                ("evented_p99_baseline_us", Json::Num(evented.p99_us)),
+                ("evented_p99_baseline_us", Json::num(evented.p99_us)),
             ]),
         ),
     ])

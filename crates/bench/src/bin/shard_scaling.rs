@@ -43,7 +43,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vizsched_bench::harness::{conclude, gate_floor, Cli};
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -52,6 +51,7 @@ use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::sched::{Assignment, SchedulerKind};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::NoopProbe;
 use vizsched_routing::{HashRing, ShardMap};
 use vizsched_runtime::{Completion, HeadRuntime, Substrate};
@@ -276,15 +276,15 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
         (
             "config",
             obj([
-                ("samples", Json::Num(samples as f64)),
-                ("warmup_cycles", Json::Num(WARMUP_CYCLES as f64)),
-                ("timed_cycles", Json::Num(TIMED_CYCLES as f64)),
-                ("datasets", Json::Num(DATASETS as f64)),
-                ("dataset_gib", Json::Num(4.0)),
-                ("chunk_mib", Json::Num(512.0)),
-                ("node_quota_gib", Json::Num(8.0)),
-                ("cycle_ms", Json::Num(30.0)),
-                ("jobs_per_cycle_per_node", Json::Num(0.25)),
+                ("samples", Json::num(samples as f64)),
+                ("warmup_cycles", Json::num(WARMUP_CYCLES as f64)),
+                ("timed_cycles", Json::num(TIMED_CYCLES as f64)),
+                ("datasets", Json::num(DATASETS as f64)),
+                ("dataset_gib", Json::num(4.0)),
+                ("chunk_mib", Json::num(512.0)),
+                ("node_quota_gib", Json::num(8.0)),
+                ("cycle_ms", Json::num(30.0)),
+                ("jobs_per_cycle_per_node", Json::num(0.25)),
             ]),
         ),
         (
@@ -294,10 +294,10 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
                     .iter()
                     .map(|c| {
                         obj([
-                            ("shards", Json::Num(c.shards as f64)),
-                            ("nodes", Json::Num(c.nodes as f64)),
-                            ("jobs_per_sec", Json::Num(c.jobs_per_sec)),
-                            ("us_per_cycle", Json::Num(c.us_per_cycle)),
+                            ("shards", Json::num(c.shards as f64)),
+                            ("nodes", Json::num(c.nodes as f64)),
+                            ("jobs_per_sec", Json::num(c.jobs_per_sec)),
+                            ("us_per_cycle", Json::num(c.us_per_cycle)),
                         ])
                     })
                     .collect(),
@@ -310,9 +310,9 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
                     .iter()
                     .map(|&(shards, nodes, ratio)| {
                         obj([
-                            ("shards", Json::Num(shards as f64)),
-                            ("nodes", Json::Num(nodes as f64)),
-                            ("ratio", Json::Num(ratio)),
+                            ("shards", Json::num(shards as f64)),
+                            ("nodes", Json::num(nodes as f64)),
+                            ("ratio", Json::num(ratio)),
                         ])
                     })
                     .collect(),
@@ -320,7 +320,7 @@ fn to_json(cells: &[Cell], samples: usize) -> Json {
         ),
         (
             "summary",
-            obj([("speedup_16_shards_1024_nodes", Json::Num(headline))]),
+            obj([("speedup_16_shards_1024_nodes", Json::num(headline))]),
         ),
     ])
 }

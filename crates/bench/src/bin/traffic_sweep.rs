@@ -27,12 +27,12 @@
 
 use vizsched_bench::experiments::p99;
 use vizsched_bench::harness::{verdict, Cli};
-use vizsched_bench::json::{obj, Json};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
+use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::SchedulerReport;
 use vizsched_sim::{OverloadPolicy, RunOptions, SimConfig, Simulation};
 use vizsched_workload::{
@@ -274,34 +274,34 @@ fn to_json(reports: &[ShapeReport], unloaded_p99: f64) -> Json {
                 .map(|c| {
                     obj([
                         ("scheduler", Json::Str(c.scheduler.name().into())),
-                        ("offered_jobs", Json::Num(c.offered as f64)),
-                        ("interactive_completed", Json::Num(c.completed as f64)),
-                        ("shed", Json::Num(c.shed as f64)),
-                        ("interactive_p99_ms", Json::Num(c.interactive_p99_ms)),
-                        ("interactive_mean_ms", Json::Num(c.interactive_mean_ms)),
-                        ("hit_rate", Json::Num(c.hit_rate)),
+                        ("offered_jobs", Json::num(c.offered as f64)),
+                        ("interactive_completed", Json::num(c.completed as f64)),
+                        ("shed", Json::num(c.shed as f64)),
+                        ("interactive_p99_ms", Json::num(c.interactive_p99_ms)),
+                        ("interactive_mean_ms", Json::num(c.interactive_mean_ms)),
+                        ("hit_rate", Json::num(c.hit_rate)),
                     ])
                 })
                 .collect();
             obj([
                 ("shape", Json::Str(r.name.into())),
-                ("offered_jobs", Json::Num(r.offered as f64)),
+                ("offered_jobs", Json::num(r.offered as f64)),
                 ("cells", Json::Arr(cells)),
             ])
         })
         .collect();
     obj([
         ("schema", Json::Str("vizsched-bench/traffic/v1".into())),
-        ("seed", Json::Num(SEED as f64)),
+        ("seed", Json::num(SEED as f64)),
         ("shapes", Json::Arr(shapes)),
         (
             "summary",
             obj([
-                ("flash_crowd_unloaded_p99_ms", Json::Num(unloaded_p99)),
-                ("flash_crowd_p99_ms", Json::Num(ours_flash)),
+                ("flash_crowd_unloaded_p99_ms", Json::num(unloaded_p99)),
+                ("flash_crowd_p99_ms", Json::num(ours_flash)),
                 (
                     "flash_crowd_slo_factor",
-                    Json::Num(ours_flash / unloaded_p99.max(f64::EPSILON)),
+                    Json::num(ours_flash / unloaded_p99.max(f64::EPSILON)),
                 ),
             ]),
         ),

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
+use vizsched_metrics::stats::percentile;
 use vizsched_metrics::{node_activity, CollectingProbe, SchedulerReport, TraceEvent};
 use vizsched_sim::{OverloadPolicy, OverloadStats, RunOptions, SimConfig, Simulation};
 use vizsched_workload::{BurstSpec, Scenario};
@@ -338,12 +339,8 @@ fn shard_loads(
 
 /// The 99th-percentile of `values` (sorted in place); 0 when empty.
 pub fn p99(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     values.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((values.len() as f64 * 0.99).ceil() as usize).clamp(1, values.len());
-    values[rank - 1]
+    percentile(values, 0.99)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! is its own — the measurement, its `TOLERANCE`, and which baseline
 //! fields it gates.
 
-use crate::json::{fmt_f64, parse, Json};
+use vizsched_metrics::json::{fmt_f64, parse, Json};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     let at = args.iter().position(|a| a == flag)?;

@@ -10,4 +10,3 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod json;

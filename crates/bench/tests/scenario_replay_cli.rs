@@ -1,7 +1,8 @@
 //! `scenario` on bad outside input — a record whose fault line targets a
-//! shard the recorded cluster cannot have, a record or a `--policy` flag
-//! naming a policy this build does not register: exit code 2 and a
-//! message naming the offender on stderr, never a panic.
+//! shard the recorded cluster cannot have, whose faults down every node,
+//! or whose JSON nests without end; a record or a `--policy` flag naming
+//! a policy this build does not register: exit code 2 and a message
+//! naming the offender on stderr, never a panic or an abort.
 
 use std::process::Command;
 use vizsched_core::prelude::*;
@@ -54,6 +55,36 @@ fn replaying_an_out_of_range_fault_target_exits_2_with_its_line() {
     let stderr = stderr_of_exit_2(&["--replay", path.to_str().expect("utf-8 path")]);
     assert!(stderr.contains("line 3"), "stderr: {stderr}");
     assert!(stderr.contains("shard_crash target 7"), "stderr: {stderr}");
+}
+
+#[test]
+fn replaying_faults_that_down_every_node_exits_2_naming_the_last_one() {
+    let mut text = empty_record("all-down", "OURS");
+    text.push_str(
+        "{\"t\":\"fault\",\"at_us\":10,\"kind\":\"node_crash\",\"target\":1,\"param\":0}\n",
+    );
+    text.push_str(
+        "{\"t\":\"fault\",\"at_us\":20,\"kind\":\"leaf_outage\",\"target\":0,\"param\":1}\n",
+    );
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("all-down.jsonl");
+    std::fs::write(&path, text).expect("write record");
+
+    let stderr = stderr_of_exit_2(&["--replay", path.to_str().expect("utf-8 path")]);
+    assert!(stderr.contains("leaf_outage fault at 20 us"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn replaying_a_bottomlessly_nested_record_exits_2_without_overflowing() {
+    let text =
+        empty_record("deep", "OURS").replacen('{', &format!("{{\"x\":{},", "[".repeat(100_000)), 1);
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep.jsonl");
+    std::fs::write(&path, text).expect("write record");
+
+    let stderr = stderr_of_exit_2(&["--replay", path.to_str().expect("utf-8 path")]);
+    assert!(stderr.contains("line 1"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(!stderr.contains("overflow"), "stderr: {stderr}");
 }
 
 #[test]

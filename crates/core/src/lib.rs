@@ -69,6 +69,7 @@
 pub mod cluster;
 pub mod cost;
 pub mod data;
+pub mod fault;
 pub mod fxhash;
 pub mod ids;
 pub mod job;

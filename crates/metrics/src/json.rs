@@ -1,14 +1,24 @@
-//! Minimal hand-rolled JSON support for the benchmark binaries.
+//! The workspace's one hand-rolled JSON module.
 //!
 //! The workspace deliberately carries no JSON crate (third-party crates
-//! are shimmed; see `shims/`), but the machine-readable bench outputs —
-//! `BENCH_sched.json`, `--json` modes of `fig8_actions`/`scenario` — need
-//! real JSON so CI and downstream tooling can diff them. This module is
-//! the small subset we need: an order-preserving value tree, a serializer
-//! with stable float formatting, and a recursive-descent parser used by
-//! `sched_hotpath --check` to read the committed baseline back.
+//! are shimmed; see `shims/`), but three planes speak JSON: the committed
+//! bench reports (`BENCH_*.json`, `--json` modes), the scenario record
+//! (`vizsched-workload::record`, one object per line) and the JSONL trace.
+//! This is the subset they share: an order-preserving value tree, a
+//! serializer with stable float formatting, the string escaper, and a
+//! recursive-descent parser with typed field accessors.
+//!
+//! Numbers keep their raw token: a parsed number is never routed through
+//! `f64`, so a `u64` fingerprint above 2⁵³ and an `f32` camera angle read
+//! back to identical bits, and `parse(text).pretty()` reproduces a
+//! committed report byte for byte.
 
-use std::fmt::Write as _;
+use std::fmt;
+
+/// How deep arrays and objects may nest. Outside input reaches the
+/// parser (`scenario --replay`), and unbounded recursion would turn a
+/// line of `[[[[…` into a stack overflow instead of an error.
+const MAX_DEPTH: usize = 64;
 
 /// An order-preserving JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,8 +27,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; serialized via [`fmt_f64`].
-    Num(f64),
+    /// A number, as its token: what [`parse`] read, or what
+    /// [`Json::num`] formatted.
+    Num(String),
     /// A string (unescaped).
     Str(String),
     /// An array.
@@ -28,6 +39,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// A number in the committed-file format ([`fmt_f64`]); non-finite
+    /// values become `null`.
+    pub fn num(n: f64) -> Json {
+        if n.is_finite() {
+            Json::Num(fmt_f64(n))
+        } else {
+            Json::Null
+        }
+    }
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -38,10 +59,7 @@ impl Json {
 
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
+        self.number().ok()
     }
 
     /// Boolean value, if this is a boolean.
@@ -68,6 +86,55 @@ impl Json {
         }
     }
 
+    /// A required object field.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// The elements of an array value.
+    pub fn elements(&self) -> Result<&[Json], String> {
+        self.as_arr().ok_or_else(|| "expected an array".to_string())
+    }
+
+    /// This number's token parsed as `T` — straight from the text, so
+    /// integers stay exact and floats re-parse to the bits their
+    /// shortest-round-trip formatting came from.
+    pub fn number<T: std::str::FromStr>(&self) -> Result<T, String> {
+        match self {
+            Json::Num(raw) => raw.parse().map_err(|_| format!("bad number {raw:?}")),
+            _ => Err("expected a number".to_string()),
+        }
+    }
+
+    /// A required string field.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("field {key:?} must be a string"))
+    }
+
+    /// A required unsigned-integer field.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?
+            .number()
+            .map_err(|_| format!("field {key:?} must be an unsigned integer"))
+    }
+
+    /// A required `f64` field.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .number()
+            .map_err(|_| format!("field {key:?} must be a number"))
+    }
+
+    /// A required `f32` field.
+    pub fn f32_field(&self, key: &str) -> Result<f32, String> {
+        self.field(key)?
+            .number()
+            .map_err(|_| format!("field {key:?} must be a number"))
+    }
+
     /// Serialize with two-space indentation and a trailing newline —
     /// the committed-file format (stable diffs).
     pub fn pretty(&self) -> String {
@@ -78,11 +145,14 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: usize) {
+        use fmt::Write as _;
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&fmt_f64(*n)),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Str(s) => {
+                let _ = write!(out, "{}", Escaped(s));
+            }
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
                 out.push('[');
@@ -107,8 +177,7 @@ impl Json {
                     }
                     out.push('\n');
                     pad(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
+                    let _ = write!(out, "{}: ", Escaped(k));
                     v.write(out, indent + 1);
                 }
                 out.push('\n');
@@ -156,30 +225,37 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Displays a string as a JSON string literal: quoted and escaped. The
+/// one escaper — the tree serializer and the record writer's `write!`
+/// lines both go through it.
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        f.write_char('"')
     }
-    out.push('"');
 }
 
-/// Parse a JSON document. Strict enough for round-tripping our own output
-/// and hand-edited baselines; errors carry a byte offset.
+/// Parse a JSON document. Total: malformed input of any shape — including
+/// nesting deeper than 64 levels — is an `Err` carrying a byte offset,
+/// never a panic.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -203,8 +279,14 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -219,7 +301,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -241,7 +323,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -275,8 +357,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             std::str::from_utf8(&bytes[start..*pos])
                 .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
+                .filter(|raw| raw.parse::<f64>().is_ok())
+                .map(|raw| Json::Num(raw.to_string()))
                 .ok_or_else(|| format!("invalid number at byte {start}"))
         }
     }
@@ -343,16 +425,38 @@ mod tests {
                 "cells",
                 Json::Arr(vec![obj([
                     ("policy", Json::Str("OURS".into())),
-                    ("us_per_job", Json::Num(1.234)),
-                    ("nodes", Json::Num(256.0)),
+                    ("us_per_job", Json::num(1.234)),
+                    ("nodes", Json::num(256.0)),
                 ])]),
             ),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
+            ("nan", Json::num(f64::NAN)),
         ]);
         let text = doc.pretty();
         let back = parse(&text).expect("own output parses");
         assert_eq!(back, doc);
+    }
+
+    /// The writer did not move: every committed document `pretty()`
+    /// produced parses and re-serializes to its own bytes.
+    #[test]
+    fn committed_reports_reparse_to_their_own_bytes() {
+        for name in [
+            "BENCH_chaos.json",
+            "BENCH_policy.json",
+            "BENCH_render.json",
+            "BENCH_sched.json",
+            "BENCH_service.json",
+            "BENCH_shard.json",
+            "BENCH_traffic.json",
+            "results/overload_report.json",
+        ] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(doc.pretty() == text, "{name} does not round-trip");
+        }
     }
 
     #[test]
@@ -361,11 +465,33 @@ mod tests {
         assert_eq!(fmt_f64(1.2345), "1.234"); // 3 places, then trimmed
         assert_eq!(fmt_f64(1.200), "1.2");
         assert_eq!(fmt_f64(0.0), "0");
+        assert_eq!(Json::num(1.200), Json::Num("1.2".into()));
+    }
+
+    #[test]
+    fn numbers_read_back_exactly() {
+        let doc = parse(r#"{"big": 18446744073709551615, "neg": -3}"#).unwrap();
+        assert_eq!(doc.u64_field("big"), Ok(u64::MAX));
+        assert!(doc.u64_field("neg").is_err());
+        assert_eq!(doc.f64_field("neg"), Ok(-3.0));
+        // f32 → shortest round-trip text → f32 is the identity on bits,
+        // which a detour through f64-then-narrow does not guarantee.
+        for bits in [
+            0x3ca3_d70a_u32,
+            0x0000_0001,
+            0x7f7f_ffff,
+            0xbfc9_0fdb,
+            0x3eaa_aaab,
+        ] {
+            let x = f32::from_bits(bits);
+            let doc = parse(&format!("{{\"azimuth\":{x}}}")).unwrap();
+            assert_eq!(doc.f32_field("azimuth").map(f32::to_bits), Ok(bits));
+        }
     }
 
     #[test]
     fn accessors_navigate() {
-        let doc = parse(r#"{"summary": {"geomean": 2.5}, "cells": [1, 2]}"#).unwrap();
+        let doc = parse(r#"{"summary": {"geomean": 2.5}, "cells": [1, 2], "s": "x"}"#).unwrap();
         assert_eq!(
             doc.get("summary")
                 .and_then(|s| s.get("geomean"))
@@ -376,12 +502,24 @@ mod tests {
             doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
             Some(2)
         );
+        assert_eq!(
+            doc.field("cells")
+                .and_then(Json::elements)
+                .map(<[Json]>::len),
+            Ok(2)
+        );
+        assert_eq!(doc.str_field("s"), Ok("x"));
+        assert!(doc.field("absent").unwrap_err().contains("absent"));
+        assert!(doc.str_field("cells").is_err());
+        assert!(doc.u64_field("s").is_err());
+        assert!(doc.field("s").unwrap().elements().is_err());
     }
 
     #[test]
     fn strings_escape_and_unescape() {
         let doc = Json::Str("a\"b\\c\nd\u{1}".into());
         let text = doc.pretty();
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\u0001\"\n");
         assert_eq!(parse(&text).unwrap(), doc);
     }
 
@@ -389,5 +527,17 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(parse("{} extra").is_err());
         assert!(parse("[1,]").is_err());
+        assert!(parse("[1-2e]").is_err());
+        assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        for open in ["[", "{\"k\":"] {
+            let e = parse(&open.repeat(100_000)).expect_err("must not overflow the stack");
+            assert!(e.contains("nesting"), "{e}");
+        }
     }
 }

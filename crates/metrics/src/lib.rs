@@ -10,11 +10,16 @@
 //! cycles, assignments with their predictions, completions with observed
 //! reality, §V-B table corrections), and derived reports turn the stream
 //! into prediction-accuracy summaries and per-node activity timelines.
+//!
+//! The [`json`] module is the workspace's one JSON reader/writer, shared
+//! by the bench reports, the scenario record and (for its escaper) anyone
+//! else who writes JSON text.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod bars;
+pub mod json;
 pub mod record;
 pub mod report;
 pub mod stats;
@@ -31,6 +36,6 @@ pub use timeline::{Timeline, TimelinePoint};
 pub use trace::{
     estimate_trajectory, events_to_jsonl, format_node_activity, format_prediction_report,
     node_activity, prediction_by_cycle, recovery_report, CollectingProbe, CyclePrediction,
-    DropReason, EstimatePoint, FaultRecovery, InjectedFault, JsonlProbe, NodeActivity, NoopProbe,
-    Probe, RecoveryReport, RejectReason, TraceEvent,
+    DropReason, EstimatePoint, FaultRecovery, JsonlProbe, NodeActivity, NoopProbe, Probe,
+    RecoveryReport, RejectReason, TraceEvent,
 };

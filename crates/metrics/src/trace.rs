@@ -20,6 +20,7 @@
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::Mutex;
+use vizsched_core::fault::FaultKind;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, ShardId};
 use vizsched_core::job::Job;
 use vizsched_core::time::{SimDuration, SimTime};
@@ -76,42 +77,6 @@ impl RejectReason {
             3 => Some(RejectReason::Degraded),
             4 => Some(RejectReason::UnknownDataset),
             _ => None,
-        }
-    }
-}
-
-/// The kind of a deterministically injected fault (the `FaultPlan`
-/// taxonomy in `vizsched-runtime::fault`), as recorded by
-/// [`TraceEvent::FaultInjected`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum InjectedFault {
-    /// A node crashed (queue and cache lost).
-    NodeCrash,
-    /// A crashed node rejoined, cold-cached.
-    NodeRespawn,
-    /// A node entered a slow/degraded state (execution multiplier).
-    NodeDegrade,
-    /// A degraded node returned to full speed.
-    NodeRestore,
-    /// A correlated outage took down a whole leaf group of nodes.
-    LeafOutage,
-    /// A leaf group's nodes all rejoined.
-    LeafRecover,
-    /// A shard head's cycle loop died.
-    ShardCrash,
-}
-
-impl InjectedFault {
-    /// Stable lowercase label, as written to JSONL traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            InjectedFault::NodeCrash => "node_crash",
-            InjectedFault::NodeRespawn => "node_respawn",
-            InjectedFault::NodeDegrade => "node_degrade",
-            InjectedFault::NodeRestore => "node_restore",
-            InjectedFault::LeafOutage => "leaf_outage",
-            InjectedFault::LeafRecover => "leaf_recover",
-            InjectedFault::ShardCrash => "shard_crash",
         }
     }
 }
@@ -410,15 +375,9 @@ pub enum TraceEvent {
     FaultInjected {
         /// Injection time (the plan's scheduled time, substrate clock).
         now: SimTime,
-        /// The fault's taxonomy kind.
-        kind: InjectedFault,
-        /// The target id: a global node id, the base node of a leaf
-        /// group, or a shard id, per `kind`.
-        target: u32,
-        /// The kind-specific parameter: leaf-group node count for
-        /// `leaf_outage`/`leaf_recover`, slowdown per-mille for
-        /// `node_degrade`, zero otherwise.
-        param: u32,
+        /// The fault, serialized as its [`FaultKind::wire`] triple
+        /// (`kind`, `target`, `param`).
+        fault: FaultKind,
     },
     /// A shard head's cycle loop died (`t = "shard_failed"`). Its node
     /// slice, buffered jobs, and in-flight work are orphaned until the
@@ -839,18 +798,13 @@ impl TraceEvent {
                     node.0
                 );
             }
-            TraceEvent::FaultInjected {
-                now,
-                kind,
-                target,
-                param,
-            } => {
+            TraceEvent::FaultInjected { now, fault } => {
+                let (kind, target, param) = fault.wire();
                 let _ = write!(
                     s,
-                    "{{\"t\":\"fault_injected\",\"now_us\":{},\"kind\":\"{}\",\
+                    "{{\"t\":\"fault_injected\",\"now_us\":{},\"kind\":\"{kind}\",\
                      \"target\":{target},\"param\":{param}}}",
-                    now.as_micros(),
-                    kind.as_str()
+                    now.as_micros()
                 );
             }
             TraceEvent::ShardFailed {
@@ -1261,10 +1215,8 @@ pub fn node_activity(events: &[TraceEvent], nodes: usize, horizon: SimTime) -> V
 pub struct FaultRecovery {
     /// When the fault fired.
     pub at: SimTime,
-    /// The fault's taxonomy kind.
-    pub kind: InjectedFault,
-    /// The fault's target id (node, leaf base, or shard, per `kind`).
-    pub target: u32,
+    /// What was injected.
+    pub kind: FaultKind,
     /// Time from injection to the first subsequent [`TraceEvent::JobDone`]
     /// — the service's observable time-to-recovery. `None` if no job ever
     /// completed after the fault.
@@ -1319,19 +1271,16 @@ pub fn recovery_report(events: &[TraceEvent]) -> RecoveryReport {
     let mut open_interactive: Vec<usize> = Vec::new();
     for e in events {
         match *e {
-            TraceEvent::FaultInjected {
-                now, kind, target, ..
-            } => {
+            TraceEvent::FaultInjected { now, fault } => {
                 let idx = report.faults.len();
                 report.faults.push(FaultRecovery {
                     at: now,
-                    kind,
-                    target,
+                    kind: fault,
                     mttr: None,
                     interactive_mttr: None,
                 });
                 open.push(idx);
-                if kind == InjectedFault::ShardCrash {
+                if matches!(fault, FaultKind::ShardCrash(_)) {
                     open_interactive.push(idx);
                 }
             }
@@ -1641,9 +1590,10 @@ mod tests {
             },
             TraceEvent::FaultInjected {
                 now: SimTime::ZERO,
-                kind: InjectedFault::NodeDegrade,
-                target: 3,
-                param: 2000,
+                fault: FaultKind::NodeDegrade {
+                    node: NodeId(3),
+                    factor_pm: 2000,
+                },
             },
             TraceEvent::ShardFailed {
                 now: SimTime::ZERO,
@@ -1665,7 +1615,16 @@ mod tests {
             },
         ];
         assert_eq!(events.len(), TraceEvent::TAGS.len());
+        // Carrying the whole `FaultKind` must not widen every event.
+        assert!(std::mem::size_of::<TraceEvent>() <= 64);
         let jsonl = events_to_jsonl(&events);
+        assert!(
+            jsonl.contains(
+                "{\"t\":\"fault_injected\",\"now_us\":0,\"kind\":\"node_degrade\",\
+                 \"target\":3,\"param\":2000}\n"
+            ),
+            "{jsonl}"
+        );
         assert_eq!(jsonl.lines().count(), events.len());
         for (line, event) in jsonl.lines().zip(&events) {
             assert!(
@@ -1785,9 +1744,7 @@ mod tests {
             assign(1, 0, 0, 0, 5),
             TraceEvent::FaultInjected {
                 now: SimTime::from_millis(10),
-                kind: InjectedFault::NodeCrash,
-                target: 0,
-                param: 0,
+                fault: FaultKind::NodeCrash(NodeId(0)),
             },
             TraceEvent::NodeFault {
                 now: SimTime::from_millis(10),
@@ -1801,9 +1758,7 @@ mod tests {
             },
             TraceEvent::FaultInjected {
                 now: SimTime::from_millis(50),
-                kind: InjectedFault::ShardCrash,
-                target: 1,
-                param: 0,
+                fault: FaultKind::ShardCrash(ShardId(1)),
             },
             TraceEvent::ShardFailed {
                 now: SimTime::from_millis(50),
@@ -1829,6 +1784,7 @@ mod tests {
         ];
         let report = recovery_report(&events);
         assert_eq!(report.faults.len(), 2);
+        assert_eq!(report.faults[0].kind, FaultKind::NodeCrash(NodeId(0)));
         assert_eq!(report.faults[0].mttr, Some(SimDuration::from_millis(30)));
         assert_eq!(report.faults[0].interactive_mttr, None);
         assert_eq!(report.faults[1].mttr, Some(SimDuration::from_millis(10)));

@@ -17,75 +17,10 @@
 //! always re-place lost work and the property tests may assert zero
 //! admitted-job loss.
 
+pub use vizsched_core::fault::{FaultEvent, FaultKind};
 use vizsched_core::ids::{NodeId, ShardId};
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::InjectedFault;
 use vizsched_routing::ShardMap;
-
-/// One kind of injectable fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A node crashes: queue, running task, and cache are lost.
-    NodeCrash(NodeId),
-    /// A crashed node rejoins, cold-cached.
-    NodeRespawn(NodeId),
-    /// A node degrades: every execution is stretched by
-    /// `factor_pm / 1000` (per-mille; `2000` = half speed).
-    NodeDegrade {
-        /// The degraded node (global id).
-        node: NodeId,
-        /// Execution-time multiplier, per-mille (≥ 1000).
-        factor_pm: u32,
-    },
-    /// A degraded node returns to full speed.
-    NodeRestore(NodeId),
-    /// A correlated outage crashes the `count` nodes `[base, base+count)`
-    /// at once (one leaf switch dying).
-    LeafOutage {
-        /// First node of the group (global id).
-        base: NodeId,
-        /// Nodes in the group.
-        count: u32,
-    },
-    /// The leaf group `[base, base+count)` rejoins, cold-cached.
-    LeafRecover {
-        /// First node of the group (global id).
-        base: NodeId,
-        /// Nodes in the group.
-        count: u32,
-    },
-    /// A shard head's cycle loop dies; its node slice and backlog must
-    /// fail over to the surviving shards.
-    ShardCrash(ShardId),
-}
-
-impl FaultKind {
-    /// The `(kind, target, param)` triple recorded in the
-    /// `fault_injected` trace event.
-    pub fn injected(self) -> (InjectedFault, u32, u32) {
-        match self {
-            FaultKind::NodeCrash(n) => (InjectedFault::NodeCrash, n.0, 0),
-            FaultKind::NodeRespawn(n) => (InjectedFault::NodeRespawn, n.0, 0),
-            FaultKind::NodeDegrade { node, factor_pm } => {
-                (InjectedFault::NodeDegrade, node.0, factor_pm)
-            }
-            FaultKind::NodeRestore(n) => (InjectedFault::NodeRestore, n.0, 0),
-            FaultKind::LeafOutage { base, count } => (InjectedFault::LeafOutage, base.0, count),
-            FaultKind::LeafRecover { base, count } => (InjectedFault::LeafRecover, base.0, count),
-            FaultKind::ShardCrash(s) => (InjectedFault::ShardCrash, s.0, 0),
-        }
-    }
-}
-
-/// One scheduled fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When the fault fires: virtual time in the simulator, elapsed time
-    /// since service start in the live plane.
-    pub at: SimTime,
-    /// What happens.
-    pub kind: FaultKind,
-}
 
 /// A deterministic, time-sorted fault schedule.
 ///
@@ -168,6 +103,27 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
+    /// The first scheduled fault that leaves none of `nodes` nodes up, if
+    /// any. No substrate can place work on such a cluster (the scheduler
+    /// panics), so a plan that came from outside the program — a replayed
+    /// record — is checked with this before it runs.
+    pub fn total_outage(&self, nodes: usize) -> Option<FaultEvent> {
+        let mut up = vec![true; nodes];
+        self.events.iter().copied().find(|e| {
+            let (base, count, alive) = match e.kind {
+                FaultKind::NodeCrash(n) => (n, 1, false),
+                FaultKind::NodeRespawn(n) => (n, 1, true),
+                FaultKind::LeafOutage { base, count } => (base, count, false),
+                FaultKind::LeafRecover { base, count } => (base, count, true),
+                _ => return false,
+            };
+            for slot in up.iter_mut().skip(base.index()).take(count as usize) {
+                *slot = alive;
+            }
+            !up.contains(&true)
+        })
+    }
+
     /// A random *recoverable* plan over a `nodes`-node cluster split into
     /// `shards` shards (the standard [`ShardMap`] partition), with every
     /// fault inside `[0, horizon]`.
@@ -239,6 +195,18 @@ impl FaultPlan {
     }
 }
 
+/// Collect recorded faults back into a plan (record replay), under the
+/// same ordering rule as [`FaultPlan::push`].
+impl FromIterator<FaultEvent> for FaultPlan {
+    fn from_iter<I: IntoIterator<Item = FaultEvent>>(events: I) -> Self {
+        let mut plan = FaultPlan::new();
+        for e in events {
+            plan.push(e.at, e.kind);
+        }
+        plan
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +231,37 @@ mod tests {
             .respawn_at(t, NodeId(3));
         assert_eq!(plan.events()[0].kind, FaultKind::NodeCrash(NodeId(3)));
         assert_eq!(plan.events()[1].kind, FaultKind::NodeRespawn(NodeId(3)));
+    }
+
+    #[test]
+    fn collecting_events_sorts_like_push() {
+        let t = SimTime::from_secs(2);
+        let plan = FaultPlan::new()
+            .crash_at(t, NodeId(3))
+            .respawn_at(t, NodeId(3))
+            .degrade_at(SimTime::from_secs(1), NodeId(0), 2000);
+        let shuffled = [plan.events()[1], plan.events()[2], plan.events()[0]];
+        assert_eq!(shuffled.into_iter().collect::<FaultPlan>(), plan);
+        let same: FaultPlan = plan.events().iter().copied().collect();
+        assert_eq!(same, plan);
+    }
+
+    #[test]
+    fn total_outage_names_the_fault_that_downs_the_last_node() {
+        let s = SimTime::from_secs;
+        let plan = FaultPlan::new()
+            .crash_at(s(1), NodeId(0))
+            .respawn_at(s(2), NodeId(0))
+            .crash_at(s(3), NodeId(1))
+            .leaf_recover_at(s(4), NodeId(0), 2)
+            .leaf_outage_at(s(5), NodeId(1), 1)
+            .degrade_at(s(6), NodeId(0), 3000);
+        assert_eq!(plan.total_outage(2), None);
+        let last = plan.clone().crash_at(s(7), NodeId(0));
+        assert_eq!(last.total_outage(2).map(|e| e.at), Some(s(7)));
+        let leaf = plan.leaf_outage_at(s(7), NodeId(0), 2);
+        assert_eq!(leaf.total_outage(2).map(|e| e.at), Some(s(7)));
+        assert_eq!(leaf.total_outage(3), None);
     }
 
     #[test]

@@ -623,13 +623,9 @@ fn plan_fault(
     plan_down: &mut [bool],
 ) {
     if config.probe.enabled() {
-        let (injected, target, param) = kind.injected();
-        config.probe.on_event(&TraceEvent::FaultInjected {
-            now,
-            kind: injected,
-            target,
-            param,
-        });
+        config
+            .probe
+            .on_event(&TraceEvent::FaultInjected { now, fault: kind });
     }
     match kind {
         FaultKind::NodeCrash(node) => {

@@ -497,13 +497,8 @@ impl<'a> Engine<'a> {
     fn on_plan_fault(&mut self, kind: FaultKind) {
         let now = self.sub.now;
         if self.probe.enabled() {
-            let (injected, target, param) = kind.injected();
-            self.probe.on_event(&TraceEvent::FaultInjected {
-                now,
-                kind: injected,
-                target,
-                param,
-            });
+            self.probe
+                .on_event(&TraceEvent::FaultInjected { now, fault: kind });
         }
         match kind {
             FaultKind::NodeCrash(node) => self.on_crash(node),

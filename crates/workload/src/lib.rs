@@ -27,7 +27,7 @@ pub mod traffic;
 pub use burst::{BurstSpec, BURST_ACTION_OFFSET, BURST_USER_OFFSET};
 pub use generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
 pub use record::{
-    FaultLine, RecordError, RecordHeader, RecordingProbe, ScenarioRecord, SessionKind, SessionLine,
+    RecordError, RecordHeader, RecordingProbe, ScenarioRecord, SessionKind, SessionLine,
     RECORD_KINDS, RECORD_VERSION,
 };
 pub use scenario::{ReplayPlan, Scenario};

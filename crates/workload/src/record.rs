@@ -25,10 +25,12 @@ use std::sync::Mutex;
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{Catalog, ChunkDesc, DatasetDesc};
+use vizsched_core::fault::{FaultEvent, FaultKind};
 use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{InjectedFault, Probe, TraceEvent};
+use vizsched_metrics::json::{self, Escaped, Json};
+use vizsched_metrics::{Probe, TraceEvent};
 
 /// The record-format version this crate writes (and the only one it
 /// reads; see `docs/SCENARIO_FORMAT.md` for the compatibility rules).
@@ -198,20 +200,6 @@ pub enum SessionKind {
     },
 }
 
-/// A `fault` line: one `fault_injected` trace event, re-playable through
-/// a `FaultPlan` built from the same `(kind, target, param)` triple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultLine {
-    /// When the fault took effect.
-    pub at: SimTime,
-    /// The fault taxonomy kind.
-    pub kind: InjectedFault,
-    /// Global node id, leaf-group base, or shard id, per `kind`.
-    pub target: u32,
-    /// Leaf-group size, degrade per-mille, or zero, per `kind`.
-    pub param: u32,
-}
-
 /// A parsed or captured scenario record: header plus the three line
 /// streams, each in record order.
 #[derive(Clone, Debug, PartialEq)]
@@ -223,8 +211,9 @@ pub struct ScenarioRecord {
     /// The offered jobs, exactly as the head saw them (ids, issue times,
     /// camera parameters).
     pub requests: Vec<Job>,
-    /// Injected faults, in injection order.
-    pub faults: Vec<FaultLine>,
+    /// Injected faults, in injection order: one `fault` line per
+    /// `fault_injected` trace event, replayable as a `FaultPlan`.
+    pub faults: Vec<FaultEvent>,
 }
 
 /// A parse failure, pointing at the offending line.
@@ -315,8 +304,9 @@ impl ScenarioRecord {
         let (first_no, first) = lines
             .next()
             .ok_or_else(|| err(1, "empty record: expected a header line"))?;
-        let val = json::parse(first).map_err(|m| err(first_no + 1, &m))?;
-        let header = parse_header(&val).map_err(|m| err(first_no + 1, &m))?;
+        let header = json::parse(first)
+            .and_then(|val| parse_header(&val))
+            .map_err(|m| err(first_no + 1, &m))?;
 
         let mut record = ScenarioRecord {
             header,
@@ -325,51 +315,44 @@ impl ScenarioRecord {
             faults: Vec::new(),
         };
         let mut last_us = 0u64;
-        let mut last_job: Option<u64> = None;
         for (idx, line) in lines {
-            let no = idx + 1;
-            let val = json::parse(line).map_err(|m| err(no, &m))?;
-            let tag = val.str_field("t").map_err(|m| err(no, &m))?;
-            let at = val.u64_field("at_us").map_err(|m| err(no, &m))?;
-            if at < last_us {
-                return Err(err(
-                    no,
-                    &format!("time goes backwards: at_us {at} after {last_us}"),
-                ));
-            }
-            last_us = at;
-            match tag.as_str() {
-                "session" => {
-                    let l = parse_session(&val, at).map_err(|m| err(no, &m))?;
-                    record.sessions.push(l);
-                }
-                "request" => {
-                    let job = parse_request(&val, at).map_err(|m| err(no, &m))?;
-                    if let Some(prev) = last_job {
-                        if job.id.0 <= prev {
-                            return Err(err(
-                                no,
-                                &format!("job ids must increase: {} after {prev}", job.id.0),
-                            ));
-                        }
-                    }
-                    last_job = Some(job.id.0);
-                    record.requests.push(job);
-                }
-                "fault" => {
-                    let nodes = record.header.cluster.len() as u64;
-                    let l = parse_fault(&val, at, nodes).map_err(|m| err(no, &m))?;
-                    record.faults.push(l);
-                }
-                "header" => {
-                    return Err(err(no, "duplicate header line"));
-                }
-                other => {
-                    return Err(err(no, &format!("unknown line kind {other:?}")));
-                }
-            }
+            record
+                .push_line(line, &mut last_us)
+                .map_err(|m| err(idx + 1, &m))?;
         }
         Ok(record)
+    }
+
+    /// Parse one non-header line onto the record. `last_us` is the
+    /// previous line's `at_us`.
+    fn push_line(&mut self, line: &str, last_us: &mut u64) -> Result<(), String> {
+        let val = json::parse(line)?;
+        let tag = val.str_field("t")?;
+        let at = val.u64_field("at_us")?;
+        if at < *last_us {
+            return Err(format!("time goes backwards: at_us {at} after {last_us}"));
+        }
+        *last_us = at;
+        match tag {
+            "session" => self.sessions.push(parse_session(&val, at)?),
+            "request" => {
+                let job = parse_request(&val, at)?;
+                if let Some(prev) = self.requests.last().filter(|p| job.id.0 <= p.id.0) {
+                    return Err(format!(
+                        "job ids must increase: {} after {}",
+                        job.id.0, prev.id.0
+                    ));
+                }
+                self.requests.push(job);
+            }
+            "fault" => {
+                let nodes = self.header.cluster.len() as u64;
+                self.faults.push(parse_fault(&val, at, nodes)?);
+            }
+            "header" => return Err("duplicate header line".to_string()),
+            other => return Err(format!("unknown line kind {other:?}")),
+        }
+        Ok(())
     }
 }
 
@@ -404,32 +387,14 @@ fn note_session(sessions: &mut Vec<SessionLine>, seen: &mut BTreeSet<(bool, u32,
 // Writing
 // ---------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_header(out: &mut String, h: &RecordHeader) {
     let _ = write!(
         out,
-        "{{\"t\":\"header\",\"v\":{},\"label\":\"{}\",\"seed\":{},\"policy\":\"{}\",\"cycle_us\":{},\"fingerprint\":\"{:016x}\"",
+        "{{\"t\":\"header\",\"v\":{},\"label\":{},\"seed\":{},\"policy\":{},\"cycle_us\":{},\"fingerprint\":\"{:016x}\"",
         h.version,
-        escape(&h.label),
+        Escaped(&h.label),
         h.seed,
-        escape(&h.policy),
+        Escaped(&h.policy),
         h.cycle.as_micros(),
         h.fingerprint(),
     );
@@ -462,9 +427,9 @@ fn write_header(out: &mut String, h: &RecordHeader) {
         }
         let _ = write!(
             out,
-            "{{\"id\":{},\"name\":\"{}\",\"bytes\":{}",
+            "{{\"id\":{},\"name\":{},\"bytes\":{}",
             d.id.0,
-            escape(&d.name),
+            Escaped(&d.name),
             d.bytes
         );
         if let Some([x, y, z]) = d.dims {
@@ -484,29 +449,17 @@ fn write_header(out: &mut String, h: &RecordHeader) {
 }
 
 fn write_session(out: &mut String, l: &SessionLine) {
-    match l.kind {
-        SessionKind::Interactive { action } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"session\",\"at_us\":{},\"kind\":\"interactive\",\"user\":{},\"action\":{},\"dataset\":{}}}",
-                l.at.as_micros(),
-                l.user.0,
-                action.0,
-                l.dataset.0
-            );
-        }
-        SessionKind::Batch { request } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"session\",\"at_us\":{},\"kind\":\"batch\",\"user\":{},\"request\":{},\"dataset\":{}}}",
-                l.at.as_micros(),
-                l.user.0,
-                request.0,
-                l.dataset.0
-            );
-        }
-    }
-    out.push('\n');
+    let (kind, id_key, id) = match l.kind {
+        SessionKind::Interactive { action } => ("interactive", "action", action.0),
+        SessionKind::Batch { request } => ("batch", "request", request.0),
+    };
+    let _ = writeln!(
+        out,
+        "{{\"t\":\"session\",\"at_us\":{},\"kind\":\"{kind}\",\"user\":{},\"{id_key}\":{id},\"dataset\":{}}}",
+        l.at.as_micros(),
+        l.user.0,
+        l.dataset.0
+    );
 }
 
 fn write_request(out: &mut String, job: &Job) {
@@ -545,23 +498,20 @@ fn write_request(out: &mut String, job: &Job) {
     out.push('\n');
 }
 
-fn write_fault(out: &mut String, l: &FaultLine) {
-    let _ = write!(
+fn write_fault(out: &mut String, l: &FaultEvent) {
+    let (kind, target, param) = l.kind.wire();
+    let _ = writeln!(
         out,
-        "{{\"t\":\"fault\",\"at_us\":{},\"kind\":\"{}\",\"target\":{},\"param\":{}}}",
-        l.at.as_micros(),
-        l.kind.as_str(),
-        l.target,
-        l.param
+        "{{\"t\":\"fault\",\"at_us\":{},\"kind\":\"{kind}\",\"target\":{target},\"param\":{param}}}",
+        l.at.as_micros()
     );
-    out.push('\n');
 }
 
 // ---------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------
 
-fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
+fn parse_header(val: &Json) -> Result<RecordHeader, String> {
     let tag = val.str_field("t")?;
     if tag != "header" {
         return Err(format!("expected a header line first, got {tag:?}"));
@@ -601,13 +551,12 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
                 "dataset ids must be dense: got {id} at position {i}"
             ));
         }
-        let sizes: Result<Vec<u64>, String> = d
+        let sizes = d
             .field("chunks")?
             .elements()?
             .iter()
-            .map(|c| c.num::<u64>())
-            .collect();
-        let sizes = sizes?;
+            .map(Json::number)
+            .collect::<Result<Vec<u64>, _>>()?;
         if sizes.is_empty() {
             return Err(format!("dataset {id} has no chunks"));
         }
@@ -618,16 +567,16 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
                     return Err(format!("dataset {id} dims must have 3 entries"));
                 }
                 Some([
-                    els[0].num::<u32>()?,
-                    els[1].num::<u32>()?,
-                    els[2].num::<u32>()?,
+                    els[0].number::<u32>()?,
+                    els[1].number::<u32>()?,
+                    els[2].number::<u32>()?,
                 ])
             }
             Err(_) => None,
         };
         datasets.push(DatasetDesc {
             id: DatasetId(id),
-            name: d.str_field("name")?,
+            name: d.str_field("name")?.to_string(),
             bytes: d.u64_field("bytes")?,
             dims,
         });
@@ -638,9 +587,9 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
     }
     let header = RecordHeader {
         version,
-        label: val.str_field("label")?,
+        label: val.str_field("label")?.to_string(),
         seed: val.u64_field("seed")?,
-        policy: val.str_field("policy")?,
+        policy: val.str_field("policy")?.to_string(),
         cycle: SimDuration::from_micros(val.u64_field("cycle_us")?),
         cost,
         cluster: ClusterSpec { nodes },
@@ -657,11 +606,11 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
     Ok(header)
 }
 
-fn parse_session(val: &json::Val, at_us: u64) -> Result<SessionLine, String> {
+fn parse_session(val: &Json, at_us: u64) -> Result<SessionLine, String> {
     let at = SimTime::from_micros(at_us);
     let user = UserId(val.u64_field("user")? as u32);
     let dataset = DatasetId(val.u64_field("dataset")? as u32);
-    let kind = match val.str_field("kind")?.as_str() {
+    let kind = match val.str_field("kind")? {
         "interactive" => SessionKind::Interactive {
             action: ActionId(val.u64_field("action")?),
         },
@@ -678,9 +627,9 @@ fn parse_session(val: &json::Val, at_us: u64) -> Result<SessionLine, String> {
     })
 }
 
-fn parse_request(val: &json::Val, at_us: u64) -> Result<Job, String> {
+fn parse_request(val: &Json, at_us: u64) -> Result<Job, String> {
     let user = UserId(val.u64_field("user")? as u32);
-    let kind = match val.str_field("kind")?.as_str() {
+    let kind = match val.str_field("kind")? {
         "interactive" => JobKind::Interactive {
             user,
             action: ActionId(val.u64_field("action")?),
@@ -709,24 +658,18 @@ fn parse_request(val: &json::Val, at_us: u64) -> Result<Job, String> {
 /// `nodes` is the recorded cluster's size: every fault addresses it — a
 /// node, a leaf group of nodes, or a shard, and a shard owns at least one
 /// node, so `nodes` also bounds every shard id a replay could use.
-fn parse_fault(val: &json::Val, at_us: u64, nodes: u64) -> Result<FaultLine, String> {
+fn parse_fault(val: &Json, at_us: u64, nodes: u64) -> Result<FaultEvent, String> {
     let name = val.str_field("kind")?;
-    let kind = [
-        InjectedFault::NodeCrash,
-        InjectedFault::NodeRespawn,
-        InjectedFault::NodeDegrade,
-        InjectedFault::NodeRestore,
-        InjectedFault::LeafOutage,
-        InjectedFault::LeafRecover,
-        InjectedFault::ShardCrash,
-    ]
-    .into_iter()
-    .find(|k| k.as_str() == name)
-    .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
     let target = val.u64_field("target")?;
     let param = val.u64_field("param")?;
+    let param32 =
+        u32::try_from(param).map_err(|_| format!("param {param} does not fit 32 bits"))?;
+    // `as` may truncate `target`; the range check below, on the untruncated
+    // value, rejects every line where it did.
+    let kind = FaultKind::from_wire(name, target as u32, param32)
+        .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
     let width = match kind {
-        InjectedFault::LeafOutage | InjectedFault::LeafRecover => param,
+        FaultKind::LeafOutage { .. } | FaultKind::LeafRecover { .. } => param,
         _ => 1,
     };
     if target.saturating_add(width) > nodes {
@@ -734,11 +677,9 @@ fn parse_fault(val: &json::Val, at_us: u64, nodes: u64) -> Result<FaultLine, Str
             "{name} target {target} (width {width}) is outside the recorded {nodes}-node cluster"
         ));
     }
-    Ok(FaultLine {
+    Ok(FaultEvent {
         at: SimTime::from_micros(at_us),
         kind,
-        target: target as u32,
-        param: u32::try_from(param).map_err(|_| format!("param {param} does not fit 32 bits"))?,
     })
 }
 
@@ -755,16 +696,13 @@ fn parse_fault(val: &json::Val, at_us: u64, nodes: u64) -> Result<FaultLine, Str
 /// [`RecordingProbe::finish`] when the run is done.
 #[derive(Debug)]
 pub struct RecordingProbe {
-    header: RecordHeader,
     state: Mutex<RecState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecState {
-    sessions: Vec<SessionLine>,
+    record: ScenarioRecord,
     seen: BTreeSet<(bool, u32, u64)>,
-    requests: Vec<Job>,
-    faults: Vec<FaultLine>,
     events: Vec<TraceEvent>,
 }
 
@@ -772,20 +710,17 @@ impl RecordingProbe {
     /// A recorder whose header pins the given run configuration.
     pub fn new(header: RecordHeader) -> Self {
         RecordingProbe {
-            header,
-            state: Mutex::new(RecState::default()),
+            state: Mutex::new(RecState {
+                record: ScenarioRecord::from_jobs(header, &[]),
+                seen: BTreeSet::new(),
+                events: Vec::new(),
+            }),
         }
     }
 
     /// Snapshot the capture as a [`ScenarioRecord`].
     pub fn finish(&self) -> ScenarioRecord {
-        let st = self.state.lock().expect("recorder lock");
-        ScenarioRecord {
-            header: self.header.clone(),
-            sessions: st.sessions.clone(),
-            requests: st.requests.clone(),
-            faults: st.faults.clone(),
-        }
+        self.state.lock().expect("recorder lock").record.clone()
     }
 
     /// Copy out every trace event seen so far (the recorder doubles as a
@@ -796,7 +731,8 @@ impl RecordingProbe {
 
     /// Number of requests captured so far.
     pub fn request_count(&self) -> usize {
-        self.state.lock().expect("recorder lock").requests.len()
+        let st = self.state.lock().expect("recorder lock");
+        st.record.requests.len()
     }
 
     /// Serialize the capture and write it to `path`.
@@ -808,18 +744,10 @@ impl RecordingProbe {
 impl Probe for RecordingProbe {
     fn on_event(&self, event: &TraceEvent) {
         let mut st = self.state.lock().expect("recorder lock");
-        if let TraceEvent::FaultInjected {
-            now,
-            kind,
-            target,
-            param,
-        } = event
-        {
-            st.faults.push(FaultLine {
-                at: *now,
-                kind: *kind,
-                target: *target,
-                param: *param,
+        if let TraceEvent::FaultInjected { now, fault } = *event {
+            st.record.faults.push(FaultEvent {
+                at: now,
+                kind: fault,
             });
         }
         st.events.push(*event);
@@ -827,261 +755,9 @@ impl Probe for RecordingProbe {
 
     fn on_job_offered(&self, _now: SimTime, job: &Job) {
         let mut st = self.state.lock().expect("recorder lock");
-        let RecState {
-            sessions,
-            seen,
-            requests,
-            ..
-        } = &mut *st;
-        note_session(sessions, seen, job);
-        requests.push(job.clone());
-    }
-}
-
-// ---------------------------------------------------------------------
-// A minimal single-line JSON reader. `vizsched-bench` has a fuller JSON
-// module, but bench depends on this crate, so the record parser carries
-// its own. Numbers keep their raw text until the caller names a type —
-// u64 seeds stay exact, f32 camera angles re-parse to the identical bits.
-// ---------------------------------------------------------------------
-
-mod json {
-    /// One parsed JSON value; numbers stay as raw text.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Val {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, kept as its raw token.
-        Num(String),
-        /// A string (escapes decoded).
-        Str(String),
-        /// An array.
-        Arr(Vec<Val>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Val)>),
-    }
-
-    impl Val {
-        /// Look up a required object field.
-        pub fn field(&self, key: &str) -> Result<&Val, String> {
-            match self {
-                Val::Obj(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("missing field {key:?}")),
-                _ => Err(format!("expected an object with field {key:?}")),
-            }
-        }
-
-        /// The elements of an array value.
-        pub fn elements(&self) -> Result<&[Val], String> {
-            match self {
-                Val::Arr(items) => Ok(items),
-                _ => Err("expected an array".to_string()),
-            }
-        }
-
-        /// Parse this value's raw number token as `T`.
-        pub fn num<T: std::str::FromStr>(&self) -> Result<T, String> {
-            match self {
-                Val::Num(raw) => raw.parse::<T>().map_err(|_| format!("bad number {raw:?}")),
-                _ => Err("expected a number".to_string()),
-            }
-        }
-
-        /// A required string field.
-        pub fn str_field(&self, key: &str) -> Result<String, String> {
-            match self.field(key)? {
-                Val::Str(s) => Ok(s.clone()),
-                _ => Err(format!("field {key:?} must be a string")),
-            }
-        }
-
-        /// A required unsigned-integer field.
-        pub fn u64_field(&self, key: &str) -> Result<u64, String> {
-            self.field(key)?
-                .num::<u64>()
-                .map_err(|_| format!("field {key:?} must be an unsigned integer"))
-        }
-
-        /// A required f64 field.
-        pub fn f64_field(&self, key: &str) -> Result<f64, String> {
-            self.field(key)?
-                .num::<f64>()
-                .map_err(|_| format!("field {key:?} must be a number"))
-        }
-
-        /// A required f32 field (parsed straight from the raw token, so
-        /// the writer's shortest-round-trip formatting is exact).
-        pub fn f32_field(&self, key: &str) -> Result<f32, String> {
-            self.field(key)?
-                .num::<f32>()
-                .map_err(|_| format!("field {key:?} must be a number"))
-        }
-    }
-
-    /// Parse one line of JSON.
-    pub fn parse(line: &str) -> Result<Val, String> {
-        let bytes = line.as_bytes();
-        let mut pos = 0;
-        let val = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at column {}", pos + 1));
-        }
-        Ok(val)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Val::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Val::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Val::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Val::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-            Some(c) => Err(format!(
-                "unexpected byte {:?} at column {}",
-                *c as char,
-                *pos + 1
-            )),
-            None => Err("unexpected end of line".to_string()),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, word: &str, val: Val) -> Result<Val, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(val)
-        } else {
-            Err(format!("bad literal at column {}", *pos + 1))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-            *pos += 1;
-        }
-        let raw = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-        if raw.is_empty() || raw == "-" {
-            return Err(format!("bad number at column {}", start + 1));
-        }
-        Ok(Val::Num(raw.to_string()))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            *pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*pos..])
-                        .map_err(|_| "bad utf8 in string".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        *pos += 1; // '{'
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected a key at column {}", *pos + 1));
-            }
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected ':' at column {}", *pos + 1));
-            }
-            *pos += 1;
-            let val = value(b, pos)?;
-            fields.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at column {}", *pos + 1)),
-            }
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at column {}", *pos + 1)),
-            }
-        }
+        let RecState { record, seen, .. } = &mut *st;
+        note_session(&mut record.sessions, seen, job);
+        record.requests.push(job.clone());
     }
 }
 
@@ -1089,6 +765,7 @@ mod json {
 mod tests {
     use super::*;
     use vizsched_core::data::{uniform_datasets, DecompositionPolicy};
+    use vizsched_core::ids::NodeId;
 
     fn small_header() -> RecordHeader {
         let catalog = Catalog::new(
@@ -1241,6 +918,49 @@ mod tests {
             let record = ScenarioRecord::parse(&fault(kind, target, param)).expect(kind);
             assert_eq!(record.faults.len(), 1);
         }
+    }
+
+    #[test]
+    fn faults_round_trip_byte_identically() {
+        let mut record = ScenarioRecord::from_jobs(small_header(), &small_jobs());
+        record.faults = vec![
+            FaultEvent {
+                at: SimTime::from_millis(1),
+                kind: FaultKind::NodeDegrade {
+                    node: NodeId(1),
+                    factor_pm: 1500,
+                },
+            },
+            FaultEvent {
+                at: SimTime::from_millis(2),
+                kind: FaultKind::LeafOutage {
+                    base: NodeId(1),
+                    count: 1,
+                },
+            },
+        ];
+        let text = record.to_jsonl();
+        assert!(
+            text.contains(
+                "{\"t\":\"fault\",\"at_us\":1000,\"kind\":\"node_degrade\",\"target\":1,\"param\":1500}\n"
+            ),
+            "{text}"
+        );
+        let back = ScenarioRecord::parse(&text).expect("parse");
+        assert_eq!(back, record);
+        assert_eq!(back.to_jsonl(), text);
+    }
+
+    /// The parser under `parse` bounds nesting: a hostile line is a
+    /// line-numbered error, not a stack overflow that aborts the process.
+    #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        let text = ScenarioRecord::from_jobs(small_header(), &[])
+            .to_jsonl()
+            .replacen("{", &format!("{{\"x\":{},", "[".repeat(100_000)), 1);
+        let e = ScenarioRecord::parse(&text).expect_err("must fail");
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.to_string().contains("nesting"), "{e}");
     }
 
     #[test]

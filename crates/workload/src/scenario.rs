@@ -18,6 +18,7 @@ use crate::record::ScenarioRecord;
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DatasetDesc, DecompositionPolicy};
+use vizsched_core::fault::FaultEvent;
 use vizsched_core::job::Job;
 use vizsched_core::time::SimDuration;
 
@@ -59,6 +60,9 @@ pub struct ReplayPlan {
     pub datasets: Vec<DatasetDesc>,
     /// Per-dataset chunk sizes in bytes (the exact recorded bricking).
     pub chunks: Vec<Vec<u64>>,
+    /// The recorded faults, in injection order; collect them into a
+    /// `FaultPlan` to re-inject them.
+    pub faults: Vec<FaultEvent>,
 }
 
 impl Scenario {
@@ -199,8 +203,8 @@ impl Scenario {
     /// cluster, cost constants, and decomposition come from the record's
     /// header, and [`Scenario::jobs`] returns the recorded request
     /// stream verbatim — same ids, issue times, and camera parameters —
-    /// so the simulator re-places every task exactly as the recorded run
-    /// did.
+    /// and [`Scenario::faults`] the recorded faults, so the simulator
+    /// re-places every task exactly as the recorded run did.
     pub fn from_record(record: &ScenarioRecord) -> Scenario {
         let h = &record.header;
         let length = record
@@ -239,6 +243,7 @@ impl Scenario {
                 jobs: record.requests.clone(),
                 datasets: h.datasets.clone(),
                 chunks: h.chunks.clone(),
+                faults: record.faults.clone(),
             }),
         }
     }
@@ -288,6 +293,12 @@ impl Scenario {
                 },
             ),
         }
+    }
+
+    /// The faults a replay must re-inject (none unless replaying a
+    /// record that carries `fault` lines).
+    pub fn faults(&self) -> &[FaultEvent] {
+        self.replay.as_ref().map_or(&[], |r| &r.faults)
     }
 
     /// Generate the job list (or return the recorded stream when

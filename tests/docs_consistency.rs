@@ -272,6 +272,44 @@ fn scenario_format_documents_every_record_kind() {
     );
 }
 
+/// The fault taxonomy is written down twice for readers — the
+/// `fault_injected` row of DESIGN.md §8 and the `kind` row of
+/// SCENARIO_FORMAT.md's `fault` table — and once for the program:
+/// `FaultKind::NAMES`. Each row must list exactly that list.
+#[test]
+fn fault_kind_names_match_the_documented_taxonomy() {
+    use vizsched_core::fault::FaultKind;
+
+    let design = read("DESIGN.md");
+    let spec = read("docs/SCENARIO_FORMAT.md");
+    let fault_lines = spec
+        .split("\n## ")
+        .find(|section| section.starts_with("`fault` lines"))
+        .expect("SCENARIO_FORMAT.md has a `fault` lines section");
+    for (what, body, row_start) in [
+        (
+            "DESIGN.md section 8",
+            design_section(&design, 8),
+            "| `FaultInjected` |",
+        ),
+        ("docs/SCENARIO_FORMAT.md", fault_lines, "| `kind` |"),
+    ] {
+        let row = body
+            .lines()
+            .find(|l| l.starts_with(row_start))
+            .unwrap_or_else(|| panic!("{what}: no table row starting {row_start:?}"));
+        // The backticked snake_case words of the row: the fault kinds,
+        // plus (in DESIGN.md) the row's own tag and its time field.
+        let named: Vec<&str> = row
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|w| w.contains('_') && !matches!(*w, "fault_injected" | "now_us"))
+            .collect();
+        assert_eq!(named, FaultKind::NAMES, "{what}: fault-kind list drifted");
+    }
+}
+
 /// The operator's guide documents the traffic-shape catalogue as
 /// complete: every `TrafficShape` name must appear (in backticks), so a
 /// new generator can't ship undocumented.

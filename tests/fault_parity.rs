@@ -24,7 +24,7 @@ use vizsched_core::prelude::*;
 use vizsched_metrics::{CollectingProbe, TraceEvent};
 use vizsched_routing::ShardMap;
 use vizsched_service::{
-    ChunkStore, FaultPlan, ServiceClient, ServiceConfig, StoreDataset, VizService,
+    ChunkStore, FaultKind, FaultPlan, ServiceClient, ServiceConfig, StoreDataset, VizService,
 };
 use vizsched_sim::{RunOptions, SimConfig, Simulation};
 use vizsched_volume::Field;
@@ -108,7 +108,7 @@ fn shard_assignments(events: &[TraceEvent]) -> Vec<(u64, u32)> {
 /// pairs of the failure and recovery events.
 #[derive(Debug, PartialEq, Eq)]
 struct FailoverTrace {
-    injected: Vec<(vizsched_metrics::InjectedFault, u32, u32)>,
+    injected: Vec<FaultKind>,
     failed: Vec<(u32, usize)>,
     recovered: Vec<(u32, usize)>,
 }
@@ -121,12 +121,7 @@ fn failover_trace(events: &[TraceEvent]) -> FailoverTrace {
     };
     for e in events {
         match e {
-            TraceEvent::FaultInjected {
-                kind,
-                target,
-                param,
-                ..
-            } => trace.injected.push((*kind, *target, *param)),
+            TraceEvent::FaultInjected { fault, .. } => trace.injected.push(*fault),
             TraceEvent::ShardFailed {
                 shard, orphaned, ..
             } => trace.failed.push((shard.0, *orphaned)),
@@ -291,8 +286,7 @@ fn assert_fault_parity(kind: SchedulerKind) {
                 matches!(
                     e,
                     TraceEvent::FaultInjected {
-                        kind: vizsched_metrics::InjectedFault::NodeCrash,
-                        target: 0,
+                        fault: FaultKind::NodeCrash(NodeId(0)),
                         ..
                     }
                 )
@@ -304,8 +298,7 @@ fn assert_fault_parity(kind: SchedulerKind) {
                 matches!(
                     e,
                     TraceEvent::FaultInjected {
-                        kind: vizsched_metrics::InjectedFault::NodeRespawn,
-                        target: 0,
+                        fault: FaultKind::NodeRespawn(NodeId(0)),
                         ..
                     }
                 )

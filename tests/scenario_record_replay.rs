@@ -14,7 +14,7 @@ use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::prelude::*;
 use vizsched_metrics::{events_to_jsonl, CollectingProbe, TraceEvent};
 use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_volume::Field;
 use vizsched_workload::{
     CameraPathSpec, RecordHeader, RecordingProbe, Scenario, ScenarioRecord, TrafficShape,
@@ -159,17 +159,18 @@ fn scrub_wall_clock(jsonl: &str) -> String {
     out
 }
 
-#[test]
-fn sim_run_recorded_then_replayed_is_bit_identical() {
+/// Pass 1: run the small stream under `plan` with a recorder attached,
+/// then round trip the capture through the serialized format. Returns
+/// the recorded run's scrubbed event stream and the parsed record.
+fn record_small_run(plan: FaultPlan) -> (String, ScenarioRecord) {
     let jobs = small_shape().generate();
-
-    // Pass 1: run and record.
     let recorder = Arc::new(RecordingProbe::new(small_header("OURS")));
     let outcome = small_sim().run_opts(
         jobs.clone(),
         RunOptions::new(SchedulerKind::Ours)
             .label("record-replay")
             .catalog(small_catalog())
+            .fault_plan(plan)
             .probe(recorder.clone()),
     );
     assert_eq!(outcome.incomplete_jobs, 0);
@@ -180,29 +181,71 @@ fn sim_run_recorded_then_replayed_is_bit_identical() {
         "recorder must capture the offered stream verbatim"
     );
 
-    // Round trip the capture through the serialized format.
     let jsonl = record.to_jsonl();
     let parsed = ScenarioRecord::parse(&jsonl).expect("own serialization parses");
     assert_eq!(parsed, record);
     assert_eq!(parsed.to_jsonl(), jsonl, "serialization is canonical");
+    (
+        scrub_wall_clock(&events_to_jsonl(&recorder.events())),
+        parsed,
+    )
+}
 
-    // Pass 2: replay the parsed record in a fresh simulator.
-    let scenario = Scenario::from_record(&parsed);
+/// Pass 2: replay a parsed record — requests and faults — in a fresh
+/// simulator; returns the replay's scrubbed event stream.
+fn replay_small_run(record: &ScenarioRecord) -> String {
+    let scenario = Scenario::from_record(record);
     let twin = Arc::new(CollectingProbe::new());
     let replay = small_sim().run_opts(
         scenario.jobs(),
         RunOptions::new(SchedulerKind::Ours)
             .label("record-replay")
             .catalog(scenario.catalog())
+            .fault_plan(scenario.faults().iter().copied().collect())
             .probe(twin.clone()),
     );
     assert_eq!(replay.incomplete_jobs, 0);
+    scrub_wall_clock(&events_to_jsonl(&twin.take()))
+}
+
+#[test]
+fn sim_run_recorded_then_replayed_is_bit_identical() {
+    let (recorded, parsed) = record_small_run(FaultPlan::new());
     assert_eq!(
-        scrub_wall_clock(&events_to_jsonl(&twin.take())),
-        scrub_wall_clock(&events_to_jsonl(&recorder.events())),
+        replay_small_run(&parsed),
+        recorded,
         "replayed event stream must be bit-identical to the recorded run \
          (modulo the measured wall-clock cost of each scheduling pass)"
     );
+}
+
+/// The same claim with a fault plan in the recorded run: its `fault`
+/// lines replay, so crash re-placements, the slow node and the leaf
+/// outage all reproduce — and they are what makes the streams equal.
+#[test]
+fn faulted_sim_run_recorded_then_replayed_is_bit_identical() {
+    let ms = SimTime::from_millis;
+    let plan = FaultPlan::new()
+        .degrade_at(ms(300), NodeId(2), 2500)
+        .crash_at(ms(400), NodeId(1))
+        .respawn_at(ms(900), NodeId(1))
+        .restore_at(ms(1200), NodeId(2))
+        .leaf_outage_at(ms(1300), NodeId(2), 2)
+        .leaf_recover_at(ms(1700), NodeId(2), 2);
+    let (recorded, parsed) = record_small_run(plan.clone());
+    assert_eq!(parsed.faults, plan.events(), "every fault became a line");
+    assert!(recorded.contains("\"t\":\"node_fault\""), "the crash bit");
+    assert_eq!(
+        replay_small_run(&parsed),
+        recorded,
+        "a faulted run must replay bit-identically from its record"
+    );
+
+    // Not vacuous: without its fault lines the same record replays a
+    // different run.
+    let mut stripped = parsed;
+    stripped.faults.clear();
+    assert_ne!(replay_small_run(&stripped), recorded);
 }
 
 // -------------------------------------------------------------------
