@@ -147,17 +147,6 @@ impl CostParams {
         let micros = (bytes as u128 * 1_000_000 / self.upload_bw as u128) as u64;
         SimDuration::from_micros(micros.max(1))
     }
-
-    /// Data-movement cost of an access that found the chunk in `tier`
-    /// (two-tier extension): nothing on a GPU hit, one upload on a host
-    /// hit, disk plus upload on a miss.
-    pub fn movement_time(&self, bytes: u64, tier: crate::tiered::Tier) -> SimDuration {
-        match tier {
-            crate::tiered::Tier::Gpu => SimDuration::ZERO,
-            crate::tiered::Tier::Host => self.upload_time(bytes),
-            crate::tiered::Tier::Disk => self.io_time(bytes) + self.upload_time(bytes),
-        }
-    }
 }
 
 /// Job-level timing (Definitions 2 and 3), accumulated as tasks start and

@@ -104,6 +104,20 @@ impl FaultKind {
         .into_iter()
         .find(|kind| kind.wire().0 == name)
     }
+
+    /// The global node ids this fault addresses: one node, `base..base +
+    /// count` for a leaf group, none for a shard crash (an unknown shard is
+    /// a no-op, not an index). Whatever accepts a fault from outside holds
+    /// this inside the cluster first. `u64`, so the end cannot wrap.
+    pub fn node_range(self) -> Option<std::ops::Range<u64>> {
+        let width = match self {
+            FaultKind::ShardCrash(_) => return None,
+            FaultKind::LeafOutage { count, .. } | FaultKind::LeafRecover { count, .. } => count,
+            _ => 1,
+        };
+        let base = u64::from(self.wire().1);
+        Some(base..base + u64::from(width))
+    }
 }
 
 /// One scheduled (or recorded) fault.

@@ -401,19 +401,9 @@ impl ShardedRuntime {
         self.dead[shard.index()]
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The node partition.
     pub fn map(&self) -> &ShardMap {
         &self.map
-    }
-
-    /// The routing ring.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
     }
 
     /// The shard a dataset's jobs route to.

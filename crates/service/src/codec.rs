@@ -195,13 +195,8 @@ impl Default for Codec {
 impl Codec {
     /// A codec with the default pool size.
     pub fn new() -> Codec {
-        Codec::with_pool(BufferPool::default())
-    }
-
-    /// A codec over an explicit buffer pool.
-    pub fn with_pool(pool: BufferPool) -> Codec {
         Codec {
-            pool,
+            pool: BufferPool::default(),
             header: [0; HEADER_LEN],
             state: DecodeState::Header { have: 0 },
             stats: CodecStats::default(),

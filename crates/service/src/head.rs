@@ -34,8 +34,8 @@ use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason, RunRecord, TraceEvent};
 use vizsched_render::Layer;
 use vizsched_runtime::{
-    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadPolicy, OverloadStats,
-    ShardOutcome, ShardedRuntime, Substrate,
+    Admission, Completion, FaultEvent, FaultKind, FaultPlan, HeadRuntime, OverloadPolicy,
+    OverloadStats, ShardOutcome, ShardedRuntime, Substrate,
 };
 
 /// Service configuration, built up fluently:
@@ -235,9 +235,17 @@ pub struct VizService {
 }
 
 impl VizService {
-    /// Start the service over an existing chunk store.
+    /// Start the service over an existing chunk store. Panics here, on the
+    /// caller's thread, if the fault plan addresses a node outside the cluster.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
+        let nodes = config.nodes as u64;
+        for &FaultEvent { at, kind } in config.fault_plan.iter().flat_map(FaultPlan::events) {
+            assert!(
+                kind.node_range().map_or(0, |hit| hit.end) <= nodes,
+                "fault plan: {kind:?} at {at} is outside the {nodes}-node cluster"
+            );
+        }
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.
         crate::tcp::bump_service_epoch();
@@ -452,7 +460,7 @@ fn head_loop(
     // ticker bounds the delay to one cycle). `plan_down` marks nodes a
     // plan crash took out: they stay down until their planned respawn,
     // even under `restart_nodes`.
-    let plan: Vec<vizsched_runtime::FaultEvent> = config
+    let plan: Vec<FaultEvent> = config
         .fault_plan
         .as_ref()
         .map(|p| p.events().to_vec())

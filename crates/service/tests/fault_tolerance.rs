@@ -5,13 +5,17 @@
 //! simulator's crash injection drives — and, when configured, respawns
 //! the worker cold-cached.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::ids::{BatchId, DatasetId, NodeId, UserId};
 use vizsched_core::job::FrameParams;
+use vizsched_core::time::SimTime;
 use vizsched_metrics::{CollectingProbe, TraceEvent};
-use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
+use vizsched_service::{
+    ChunkStore, FaultPlan, ServiceClient, ServiceConfig, StoreDataset, VizService,
+};
 use vizsched_volume::Field;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -160,4 +164,41 @@ fn restarted_node_rejoins_and_serves() {
         .expect("recovery observed");
     assert!(fault_pos < up_pos, "fault precedes the respawn");
     std::fs::remove_dir_all(root).ok();
+}
+
+/// Start a 4-node service under `plan`, letting a panic through only if
+/// it came from the `start` call itself: the head thread is never joined,
+/// so nothing it does later can satisfy a `should_panic`.
+fn start_under_plan(tag: &str, plan: FaultPlan) {
+    let root = temp_root(tag);
+    let dataset = StoreDataset {
+        field: Field::Shells,
+        dims: [16, 16, 32],
+        bricks: 4,
+    };
+    let store = Arc::new(ChunkStore::create(&root, &[dataset]).unwrap());
+    let config = ServiceConfig::default().nodes(4).fault_plan(plan);
+    let started = catch_unwind(AssertUnwindSafe(|| VizService::start(config, store)));
+    std::fs::remove_dir_all(root).ok();
+    if let Err(panic) = started {
+        resume_unwind(panic);
+    }
+}
+
+/// A plan addressing a node the cluster does not have is refused on the
+/// caller's thread, with the entry named — not by an index panic on the
+/// head thread that abandons every client and only surfaces at shutdown.
+#[test]
+#[should_panic(expected = "NodeCrash(NodeId(99)) at 0.010000s is outside the 4-node cluster")]
+fn plan_naming_a_node_outside_the_cluster_is_refused_at_start() {
+    let plan = FaultPlan::new().crash_at(SimTime::from_millis(10), NodeId(99));
+    start_under_plan("oob-node", plan);
+}
+
+#[test]
+#[should_panic(expected = "LeafOutage { base: NodeId(3), count: 2 } at 0.020000s is outside")]
+fn plan_with_a_leaf_group_straddling_the_cluster_end_is_refused_at_start() {
+    // Node 3 exists, node 4 does not.
+    let plan = FaultPlan::new().leaf_outage_at(SimTime::from_millis(20), NodeId(3), 2);
+    start_under_plan("oob-leaf", plan);
 }

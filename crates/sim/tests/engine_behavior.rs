@@ -263,6 +263,30 @@ fn shard_crash_that_cannot_fail_over_power_cycles_nothing() {
     assert_eq!(outcome.incomplete_jobs, 0);
 }
 
+/// A plan addressing a node the cluster does not have is refused by
+/// `run_opts` itself, with the entry named — not by an index panic
+/// when the fault fires mid-run.
+#[test]
+#[should_panic(expected = "NodeCrash(NodeId(99)) at 0.010000s is outside the 4-node cluster")]
+fn plan_naming_a_node_outside_the_cluster_is_refused_before_the_run() {
+    let plan = FaultPlan::new().crash_at(SimTime::from_millis(10), NodeId(99));
+    small_sim().run_opts(
+        vec![],
+        RunOptions::new(SchedulerKind::Ours).fault_plan(plan),
+    );
+}
+
+#[test]
+#[should_panic(expected = "LeafRecover { base: NodeId(3), count: 2 } at 0.020000s is outside")]
+fn plan_with_a_leaf_group_straddling_the_cluster_end_is_refused_before_the_run() {
+    // Node 3 exists, node 4 does not.
+    let plan = FaultPlan::new().leaf_recover_at(SimTime::from_millis(20), NodeId(3), 2);
+    small_sim().run_opts(
+        vec![],
+        RunOptions::new(SchedulerKind::Ours).fault_plan(plan),
+    );
+}
+
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);

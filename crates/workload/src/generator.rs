@@ -306,11 +306,6 @@ impl WorkloadSpec {
             }
         }
     }
-
-    /// Expected number of batch jobs.
-    pub fn expected_batch_jobs(&self) -> f64 {
-        self.batch.submissions as f64 * (self.batch.frames_min + self.batch.frames_max) as f64 / 2.0
-    }
 }
 
 #[cfg(test)]

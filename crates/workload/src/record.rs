@@ -668,10 +668,7 @@ fn parse_fault(val: &Json, at_us: u64, nodes: u64) -> Result<FaultEvent, String>
     // value, rejects every line where it did.
     let kind = FaultKind::from_wire(name, target as u32, param32)
         .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
-    let width = match kind {
-        FaultKind::LeafOutage { .. } | FaultKind::LeafRecover { .. } => param,
-        _ => 1,
-    };
+    let width = kind.node_range().map_or(1, |hit| hit.end - hit.start);
     if target.saturating_add(width) > nodes {
         return Err(format!(
             "{name} target {target} (width {width}) is outside the recorded {nodes}-node cluster"

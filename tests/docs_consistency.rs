@@ -4,8 +4,9 @@
 //! record line kind, docs/OPERATORS_GUIDE.md must name every traffic
 //! shape, the top-level markdown documents (including the guides in
 //! docs/) must not carry dead intra-repo links, every CI `--check` must
-//! name a committed root `BENCH_*.json`, and the shim inventory must
-//! agree with itself. Run by the CI docs job.
+//! name a committed root `BENCH_*.json`, every root test and example must
+//! be a registered cargo target, and the shim inventory must agree with
+//! itself. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -414,4 +415,38 @@ fn shims_readme_dirs_and_workspace_entries_agree() {
             "shim `{shim}` is a dependency of no crate under crates/"
         );
     }
+}
+
+/// Root tests and examples are path-registered targets of the host crate:
+/// a `tests/foo.rs` nobody lists there compiles nowhere and fails nothing.
+/// Every `tests/*.rs` and `examples/*.rs` must be the `path` of exactly
+/// one `[[test]]` / `[[example]]` table in crates/integration/Cargo.toml.
+#[test]
+fn every_root_test_and_example_is_a_registered_target() {
+    let mut table = "";
+    let mut registered: Vec<(&str, String)> = Vec::new();
+    let manifest = read("crates/integration/Cargo.toml");
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            table = line;
+        } else if let Some(path) = line.strip_prefix("path = \"../../") {
+            registered.push((table, path.trim_end_matches('"').to_string()));
+        }
+    }
+    let mut on_disk: Vec<(&str, String)> = Vec::new();
+    for (table, dir) in [("[[test]]", "tests"), ("[[example]]", "examples")] {
+        for entry in std::fs::read_dir(repo_root().join(dir)).expect("read target dir") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".rs") {
+                on_disk.push((table, format!("{dir}/{name}")));
+            }
+        }
+    }
+    registered.sort();
+    on_disk.sort();
+    assert_eq!(
+        registered, on_disk,
+        "crates/integration/Cargo.toml targets (left) vs tests/*.rs and examples/*.rs (right)"
+    );
 }

@@ -18,21 +18,18 @@
 //! out of a shard's slice (with `restart_nodes` on) rejoins *its own*
 //! shard and serves cache-local work again.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vizsched_core::prelude::*;
-use vizsched_metrics::{CollectingProbe, TraceEvent};
-use vizsched_routing::ShardMap;
-use vizsched_service::{
-    ChunkStore, FaultKind, FaultPlan, ServiceClient, ServiceConfig, StoreDataset, VizService,
+use vizsched_integration::parity::{
+    assignments, datasets, frame, serial_jobs, shard_assignments, Pair,
 };
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
-use vizsched_volume::Field;
+use vizsched_metrics::TraceEvent;
+use vizsched_routing::ShardMap;
+use vizsched_service::{FaultKind, FaultPlan, ServiceClient};
 
 const NODES: usize = 4;
 const SHARDS: usize = 2;
 const BRICKS: usize = NODES / SHARDS;
-const MEM_QUOTA: u64 = 1 << 20;
 
 /// The plan both substrates execute, timed into the gaps of a
 /// one-job-per-second workload: shard 0's head dies at 2.5 s (its slice
@@ -45,63 +42,18 @@ fn plan() -> FaultPlan {
         .respawn_at(SimTime::from_millis(6_500), NodeId(0))
 }
 
-fn store_datasets() -> Vec<StoreDataset> {
-    [Field::Shells, Field::Plume, Field::Shells, Field::Plume]
-        .into_iter()
-        .map(|field| StoreDataset {
-            field,
-            dims: [16, 16, 32],
-            bricks: BRICKS,
-        })
-        .collect()
-}
-
 /// Every dataset twice (cold then warm), one job per second so each
 /// frame drains before the next fault can fire.
-fn workload() -> Vec<(u64, f32)> {
-    vec![
-        (0, 0.10),
-        (1, 0.20),
-        (2, 0.30),
-        (3, 0.40),
-        (0, 0.50),
-        (1, 0.60),
-        (2, 0.70),
-        (3, 0.80),
-    ]
-}
-
-type AssignKey = (u64, u32, u64, u32);
-
-fn assignments(events: &[TraceEvent]) -> Vec<AssignKey> {
-    let mut keys: Vec<AssignKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Assignment {
-                job,
-                task,
-                chunk,
-                node,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-fn shard_assignments(events: &[TraceEvent]) -> Vec<(u64, u32)> {
-    let mut keys: Vec<(u64, u32)> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::ShardAssigned { job, shard, .. } => Some((job.0, shard.0)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
+const WORKLOAD: [(u32, f32); 8] = [
+    (0, 0.10),
+    (1, 0.20),
+    (2, 0.30),
+    (3, 0.40),
+    (0, 0.50),
+    (1, 0.60),
+    (2, 0.70),
+    (3, 0.80),
+];
 
 /// The failover accounting a substrate reports, time-stripped: the
 /// injected fault sequence plus the (shard, orphaned) / (shard, adopted)
@@ -134,101 +86,22 @@ fn failover_trace(events: &[TraceEvent]) -> FailoverTrace {
     trace
 }
 
-/// Run the paced workload through the live sharded service under the
-/// plan: frame `i` is issued `i` seconds after service start, so the
-/// fault timeline interleaves with the job stream exactly as in the sim.
-fn run_service(kind: SchedulerKind) -> Vec<TraceEvent> {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-fault-parity-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let mut store = ChunkStore::create(&root, &store_datasets()).unwrap();
-    store.set_throttle(Some(4 << 20));
-    let probe = Arc::new(CollectingProbe::new());
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .shards(SHARDS)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .scheduler(kind)
-        .fault_plan(plan())
-        .probe(probe.clone());
-    let start = Instant::now();
-    let service = VizService::start(config, Arc::new(store));
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let due = Duration::from_secs(i as u64);
-        let elapsed = start.elapsed();
-        if elapsed < due {
-            std::thread::sleep(due - elapsed);
-        }
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        rx.recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{}: frame {i} never arrived: {e}", kind.name()));
-    }
-    service.drain_and_shutdown();
-    std::fs::remove_dir_all(root).ok();
-    probe.take()
-}
-
-/// Replay the same workload and plan in the sharded simulator over the
-/// same physical catalog.
-fn run_sim(kind: SchedulerKind) -> Vec<TraceEvent> {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-fault-parity-cat-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let store = ChunkStore::create(&root, &store_datasets()).unwrap();
-    let catalog = store.catalog().clone();
-    std::fs::remove_dir_all(root).ok();
-
-    let cluster = ClusterSpec::homogeneous(NODES, MEM_QUOTA);
-    let config = SimConfig::new(cluster, CostParams::default(), 1 << 30);
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| Job {
-            id: JobId(i as u64),
-            kind: JobKind::Interactive {
-                user: UserId(0),
-                action: ActionId(i as u64),
-            },
-            dataset: DatasetId(dataset as u32),
-            issue_time: SimTime::from_secs(i as u64),
-            frame: FrameParams {
-                azimuth,
-                ..FrameParams::default()
-            },
-        })
-        .collect();
-    let probe = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, Vec::new()).run_opts(
-        jobs,
-        RunOptions::new(kind)
-            .label("fault-parity")
-            .catalog(catalog)
-            .shards(SHARDS)
-            .fault_plan(plan())
-            .probe(probe.clone()),
-    );
-    assert_eq!(
-        outcome.incomplete_jobs,
-        0,
-        "{}: sim lost jobs across the failover",
-        kind.name()
-    );
-    probe.take()
-}
-
+/// Both substrates run the paced workload under the plan: the sim issues
+/// job `i` at `i` seconds, the live client issues frame `i` that long
+/// after service start, so the fault timeline interleaves with the job
+/// stream identically.
 fn assert_fault_parity(kind: SchedulerKind) {
-    let sim = run_sim(kind);
-    let live = run_service(kind);
+    let rig = Pair {
+        scheduler: kind,
+        datasets: datasets(4, BRICKS),
+        nodes: NODES,
+        shards: SHARDS,
+        fault_plan: plan(),
+        ..Pair::default()
+    }
+    .open();
+    let (sim, _) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, _) = rig.live_traced(rig.paced(&WORKLOAD));
     let name = kind.name();
 
     // Identical failover accounting: same injected faults in the same
@@ -258,7 +131,7 @@ fn assert_fault_parity(kind: SchedulerKind) {
         shard_assignments(&live),
         "{name}: shard routing diverged between substrates"
     );
-    assert_eq!(routed.len(), workload().len(), "{name}: every job routes");
+    assert_eq!(routed.len(), WORKLOAD.len(), "{name}: every job routes");
     // Jobs issued after the 2.5 s crash never route to the dead shard.
     for &(job, shard) in &routed {
         if job >= 3 {
@@ -323,6 +196,20 @@ fn fcfsl_replays_an_identical_fault_plan_identically() {
     assert_fault_parity(SchedulerKind::Fcfsl);
 }
 
+/// The post-paper family through the same failover: FRAC's interactive
+/// pass is OURS verbatim and MOBJ's objective reads only the shared head
+/// tables, so neither decides on a measured duration across the crash,
+/// adoption and re-admission.
+#[test]
+fn frac_replays_an_identical_fault_plan_identically() {
+    assert_fault_parity(SchedulerKind::Frac);
+}
+
+#[test]
+fn mobj_replays_an_identical_fault_plan_identically() {
+    assert_fault_parity(SchedulerKind::Mobj);
+}
+
 /// `restart_nodes` under `shards(n)`: a node killed out of a shard's
 /// slice respawns, rejoins *its owning shard*, and serves cache-local
 /// work for that shard's datasets again.
@@ -334,78 +221,54 @@ fn fcfsl_replays_an_identical_fault_plan_identically() {
 /// repeat visit must find their chunks in its cache.
 #[test]
 fn respawned_node_rejoins_its_shard_slice() {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-fault-parity-respawn-{}",
-        std::process::id()
-    ));
     // Eight datasets: 0..4 feed round 1 (before the kill), 4..8 stay
     // untouched until after the respawn.
-    let datasets: Vec<StoreDataset> = (0..8)
-        .map(|i| StoreDataset {
-            field: if i % 2 == 0 {
-                Field::Shells
-            } else {
-                Field::Plume
-            },
-            dims: [16, 16, 32],
-            bricks: BRICKS,
-        })
-        .collect();
-    let mut store = ChunkStore::create(&root, &datasets).unwrap();
-    store.set_throttle(Some(256 << 10)); // slow loads: the kill lands mid-burst
-    let probe = Arc::new(CollectingProbe::new());
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .shards(SHARDS)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .restart_nodes(true)
-        .probe(probe.clone());
-    let service = VizService::start(config, Arc::new(store));
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-
-    let frames: Vec<FrameParams> = (0..4)
-        .map(|i| FrameParams {
-            azimuth: i as f32 * 0.1,
-            ..FrameParams::default()
-        })
-        .collect();
-
-    // Round 1: a burst over datasets 0..4 (the ring feeds both shards),
-    // with node 2 — shard 1's slice — killed while loads grind.
-    let round1: Vec<_> = (0..4u32)
-        .map(|d| client.render_batch(BatchId(d as u64), DatasetId(d), &frames))
-        .collect();
-    std::thread::sleep(Duration::from_millis(40));
-    service.kill_node(2);
-    for rx in &round1 {
-        for _ in 0..frames.len() {
-            rx.recv_timeout(Duration::from_secs(60))
-                .expect("every round-1 frame survives the kill");
-        }
+    let rig = Pair {
+        datasets: datasets(8, BRICKS),
+        nodes: NODES,
+        shards: SHARDS,
+        throttle: Some(256 << 10), // slow loads: the kill lands mid-burst
+        restart_nodes: true,
+        ..Pair::default()
     }
+    .open();
+    let (events, stats) = rig.live_traced(|service| {
+        let client = ServiceClient::new(UserId(0), service.request_sender());
+        let frames: Vec<FrameParams> = (0..4).map(|i| frame(i as f32 * 0.1)).collect();
 
-    // Rounds 2 and 3, after the respawn, over the fresh datasets 4..8: a
-    // cold round that must spread one chunk per slice node — including
-    // the respawned one — and a warm round that must find those chunks
-    // where round 2 cached them.
-    for round in 2..4u64 {
-        let receivers: Vec<_> = (4..8u32)
-            .map(|d| client.render_batch(BatchId(round * 10 + d as u64), DatasetId(d), &frames))
+        // Round 1: a burst over datasets 0..4 (the ring feeds both
+        // shards), with node 2 — shard 1's slice — killed while loads
+        // grind.
+        let round1: Vec<_> = (0..4u32)
+            .map(|d| client.render_batch(BatchId(d as u64), DatasetId(d), &frames))
             .collect();
-        for rx in &receivers {
+        std::thread::sleep(Duration::from_millis(40));
+        service.kill_node(2);
+        for rx in &round1 {
             for _ in 0..frames.len() {
                 rx.recv_timeout(Duration::from_secs(60))
-                    .expect("every post-respawn frame arrives");
+                    .expect("every round-1 frame survives the kill");
             }
         }
-    }
 
-    let stats = service.drain_and_shutdown();
+        // Rounds 2 and 3, after the respawn, over the fresh datasets
+        // 4..8: a cold round that must spread one chunk per slice node —
+        // including the respawned one — and a warm round that must find
+        // those chunks where round 2 cached them.
+        for round in 2..4u64 {
+            let receivers: Vec<_> = (4..8u32)
+                .map(|d| client.render_batch(BatchId(round * 10 + d as u64), DatasetId(d), &frames))
+                .collect();
+            for rx in &receivers {
+                for _ in 0..frames.len() {
+                    rx.recv_timeout(Duration::from_secs(60))
+                        .expect("every post-respawn frame arrives");
+                }
+            }
+        }
+    });
     assert_eq!(stats.jobs_completed, 48, "3 rounds x 4 datasets x 4 frames");
-    std::fs::remove_dir_all(root).ok();
 
-    let events = probe.take();
     let fault_pos = events
         .iter()
         .position(|e| matches!(e, TraceEvent::NodeFault { node, .. } if node.0 == 2))

@@ -7,87 +7,19 @@
 //! chunks (cold jobs spread one chunk per node, warm jobs map to their
 //! unique cache holders).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::prelude::*;
-use vizsched_metrics::{events_to_jsonl, CollectingProbe, TraceEvent};
-use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
+use vizsched_integration::parity::{assignments, cache_loads, dones, job_done_order, Pair};
+use vizsched_metrics::{events_to_jsonl, CollectingProbe};
 use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
-use vizsched_volume::Field;
 use vizsched_workload::{
     CameraPathSpec, RecordHeader, RecordingProbe, Scenario, ScenarioRecord, TrafficShape,
 };
 
 const NODES: usize = 4;
-const MEM_QUOTA: u64 = 1 << 20;
 const CYCLE: SimDuration = SimDuration::from_millis(30);
-
-// -------------------------------------------------------------------
-// Substrate-independent placement keys (the sim_service_parity normal
-// form): sorted, so dispatch interleaving across cycles doesn't matter.
-// -------------------------------------------------------------------
-
-type AssignKey = (u64, u32, u64, u32, bool);
-
-fn assignments(events: &[TraceEvent]) -> Vec<AssignKey> {
-    let mut keys: Vec<AssignKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Assignment {
-                job,
-                task,
-                chunk,
-                node,
-                interactive,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0, *interactive)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-fn dones(events: &[TraceEvent]) -> Vec<AssignKey> {
-    let mut keys: Vec<AssignKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::TaskDone {
-                job,
-                task,
-                chunk,
-                node,
-                miss,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0, *miss)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-fn cache_loads(events: &[TraceEvent]) -> BTreeSet<(u32, u64)> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::CacheLoad { node, chunk, .. } => Some((node.0, chunk.as_u64())),
-            _ => None,
-        })
-        .collect()
-}
-
-fn job_done_order(events: &[TraceEvent]) -> Vec<u64> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::JobDone { job, .. } => Some(job.0),
-            _ => None,
-        })
-        .collect()
-}
 
 // -------------------------------------------------------------------
 // Sim-record -> sim-replay: the strongest possible claim, bit-identical
@@ -255,99 +187,59 @@ fn faulted_sim_run_recorded_then_replayed_is_bit_identical() {
 /// The serialized live workload: `(dataset, azimuth)` per frame, one in
 /// flight at a time. Dataset 0 runs cold then warm, dataset 1
 /// interleaves — the parity harness's cache-coexistence pattern.
-fn live_workload() -> Vec<(u32, f32)> {
-    vec![
-        (0, 0.10),
-        (0, 0.20),
-        (1, 0.30),
-        (0, 0.40),
-        (1, 0.50),
-        (1, 0.60),
-    ]
-}
+const LIVE_WORKLOAD: [(u32, f32); 6] = [
+    (0, 0.10),
+    (0, 0.20),
+    (1, 0.30),
+    (0, 0.40),
+    (1, 0.50),
+    (1, 0.60),
+];
 
 #[test]
 fn live_recording_replays_in_sim_with_identical_placements() {
-    let root = std::env::temp_dir().join(format!("vizsched-recrep-{}", std::process::id()));
-    let mut store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .unwrap();
-    // Nonzero measured loads, as in the parity harness: a zero estimate
-    // would erase the locality advantage deterministic placement needs.
-    store.set_throttle(Some(4 << 20));
-    let catalog = store.catalog().clone();
-
+    // The rig's default pair: OURS, two datasets bricked one chunk per
+    // node, a throttled store (nonzero measured loads, as in the parity
+    // harness).
+    let rig = Pair {
+        cycle: CYCLE,
+        ..Pair::default()
+    }
+    .open();
     let header = RecordHeader::new(
         "live-capture",
         0,
         "OURS",
         CYCLE,
         CostParams::default(),
-        ClusterSpec::homogeneous(NODES, MEM_QUOTA),
-        &catalog,
+        rig.cluster(),
+        rig.catalog(),
     );
     let recorder = Arc::new(RecordingProbe::new(header));
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .scheduler(SchedulerKind::Ours)
-        .probe(recorder.clone());
-    let service = VizService::start(config, Arc::new(store));
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in live_workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset), frame);
-        rx.recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("frame {i} never arrived: {e}"));
-        // Space the recorded arrivals out beyond anything the simulated
-        // executions can take (a couple of cycles plus virtual render
-        // time), so the replay keeps the live run's one-job-in-flight
-        // serialization and the placement argument carries over.
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    service.drain_and_shutdown();
-    std::fs::remove_dir_all(root).ok();
+    // Space the recorded arrivals out beyond anything the simulated
+    // executions can take (a couple of cycles plus virtual render time),
+    // so the replay keeps the live run's one-job-in-flight serialization
+    // and the placement argument carries over.
+    let spaced = |_, _| std::thread::sleep(Duration::from_millis(200));
+    rig.live(recorder.clone(), rig.serial(&LIVE_WORKLOAD, spaced));
     let live_events = recorder.events();
     let record = recorder.finish();
-    assert_eq!(record.jobs().len(), live_workload().len());
+    assert_eq!(record.jobs().len(), LIVE_WORKLOAD.len());
 
     // Round trip through the on-disk format, exactly as an operator would.
     let jsonl = record.to_jsonl();
     let parsed = ScenarioRecord::parse(&jsonl).expect("live capture parses");
     assert_eq!(parsed, record);
 
-    // Replay in the simulator over the recorded (physical) catalog.
+    // Replay in the simulator: the recorded request stream over the
+    // recorded catalog, which is the store's physical bricking.
     let scenario = Scenario::from_record(&parsed);
-    let cluster = ClusterSpec::homogeneous(NODES, MEM_QUOTA);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 1 << 30);
-    config.cycle = CYCLE;
-    let twin = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, Vec::new()).run_opts(
-        scenario.jobs(),
-        RunOptions::new(SchedulerKind::Ours)
-            .label("live-capture-replay")
-            .catalog(scenario.catalog())
-            .probe(twin.clone()),
+    assert_eq!(
+        format!("{:?}", scenario.catalog()),
+        format!("{:?}", rig.catalog()),
+        "the record must carry the store's catalog"
     );
-    assert_eq!(outcome.incomplete_jobs, 0, "replay stalled");
-    let sim_events = twin.take();
+    let (sim_events, _) = rig.sim(scenario.jobs());
 
     assert_eq!(
         assignments(&sim_events),

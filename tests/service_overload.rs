@@ -10,50 +10,30 @@
 use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::prelude::*;
-use vizsched_metrics::{DropReason, RejectReason};
+use vizsched_integration::parity::{frame, Pair};
+use vizsched_metrics::{DropReason, NoopProbe, RejectReason};
 use vizsched_service::{
-    ChunkStore, ClientOptions, OverloadPolicy, RemoteClient, RenderOutcome, RenderReply,
-    ServiceClient, ServiceConfig, StoreDataset, TcpServer, VizService, WireResponse,
+    ClientOptions, OverloadPolicy, RemoteClient, RenderOutcome, RenderReply, ServiceClient,
+    ServiceStats, TcpServer, VizService, WireResponse,
 };
-use vizsched_volume::Field;
 
-const NODES: usize = 4;
 const WIDE_CYCLE: SimDuration = SimDuration::from_millis(300);
 
-/// A policed live service over two small datasets that each brick into
-/// exactly `NODES` chunks (one interactive job occupies every node, which
-/// is what makes the ε gate defer a cold batch deterministically).
-fn overload_service(tag: &str, policy: OverloadPolicy) -> (VizService, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!("vizsched-overload-{tag}-{}", std::process::id()));
-    let store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .expect("store");
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .image_size(32, 32)
-        .cycle(WIDE_CYCLE)
-        .overload(policy);
-    (VizService::start(config, Arc::new(store)), root)
-}
-
-fn frame(azimuth: f32) -> FrameParams {
-    FrameParams {
-        azimuth,
-        ..FrameParams::default()
+/// Run `drive` against a policed live service over the rig's two small
+/// datasets, which each brick into exactly one chunk per node (one
+/// interactive job occupies every node, which is what makes the ε gate
+/// defer a cold batch deterministically). Unlike the parity files, the
+/// store runs unthrottled and the nodes keep the service's default quota.
+fn policed(overload: OverloadPolicy, drive: impl FnOnce(&VizService)) -> ServiceStats {
+    let rig = Pair {
+        mem_quota: 256 << 20,
+        throttle: None,
+        cycle: WIDE_CYCLE,
+        overload,
+        ..Pair::default()
     }
+    .open();
+    rig.live(Arc::new(NoopProbe), drive)
 }
 
 fn recv(rx: &crossbeam::channel::Receiver<RenderReply>, what: &str) -> RenderReply {
@@ -72,40 +52,38 @@ fn burst_coalesces_stale_frames_and_admitted_batch_completes() {
         batch_escalation_age: Some(SimDuration::ZERO),
         ..OverloadPolicy::default()
     };
-    let (service, root) = overload_service("burst", policy);
-    let user = ServiceClient::new(UserId(0), service.request_sender());
-    let batch_user = ServiceClient::new(UserId(1), service.request_sender());
+    let stats = policed(policy, |service| {
+        let user = ServiceClient::new(UserId(0), service.request_sender());
+        let batch_user = ServiceClient::new(UserId(1), service.request_sender());
 
-    // Six frames of one camera drag, submitted without waiting — far
-    // faster than any cycle. Then a three-frame batch over the other
-    // (cold) dataset.
-    let receivers: Vec<_> = (0..6)
-        .map(|i| user.render_interactive(ActionId(0), DatasetId(0), frame(0.1 * i as f32)))
-        .collect();
-    let batch_frames: Vec<FrameParams> = (0..3).map(|i| frame(1.0 + 0.2 * i as f32)).collect();
-    let batch_rx = batch_user.render_batch(BatchId(0), DatasetId(1), &batch_frames);
+        // Six frames of one camera drag, submitted without waiting — far
+        // faster than any cycle. Then a three-frame batch over the other
+        // (cold) dataset.
+        let receivers: Vec<_> = (0..6)
+            .map(|i| user.render_interactive(ActionId(0), DatasetId(0), frame(0.1 * i as f32)))
+            .collect();
+        let batch_frames: Vec<FrameParams> = (0..3).map(|i| frame(1.0 + 0.2 * i as f32)).collect();
+        let batch_rx = batch_user.render_batch(BatchId(0), DatasetId(1), &batch_frames);
 
-    let replies: Vec<RenderReply> = receivers
-        .iter()
-        .map(|rx| recv(rx, "interactive burst"))
-        .collect();
-    for (i, reply) in replies.iter().enumerate().take(5) {
-        assert!(
-            matches!(
-                reply.outcome,
-                RenderOutcome::Dropped(DropReason::Superseded)
-            ),
-            "frame {i} should be superseded, got {:?}",
-            reply.outcome
-        );
-    }
-    replies[5].clone().expect_frame();
-    for i in 0..batch_frames.len() {
-        recv(&batch_rx, "batch frame").expect_frame();
-        let _ = i;
-    }
-
-    let stats = service.drain_and_shutdown();
+        let replies: Vec<RenderReply> = receivers
+            .iter()
+            .map(|rx| recv(rx, "interactive burst"))
+            .collect();
+        for (i, reply) in replies.iter().enumerate().take(5) {
+            assert!(
+                matches!(
+                    reply.outcome,
+                    RenderOutcome::Dropped(DropReason::Superseded)
+                ),
+                "frame {i} should be superseded, got {:?}",
+                reply.outcome
+            );
+        }
+        replies[5].clone().expect_frame();
+        for _ in 0..batch_frames.len() {
+            recv(&batch_rx, "batch frame").expect_frame();
+        }
+    });
     assert_eq!(stats.overload.admitted, 9, "6 interactive + 3 batch");
     assert_eq!(stats.overload.coalesced, 5);
     assert_eq!(stats.overload.rejected, 0);
@@ -133,7 +111,6 @@ fn burst_coalesces_stale_frames_and_admitted_batch_completes() {
             bound
         );
     }
-    std::fs::remove_dir_all(root).ok();
 }
 
 /// Per-user caps shed the flooding user's excess frames without touching
@@ -144,44 +121,42 @@ fn per_user_cap_rejects_the_flooder_not_the_neighbor() {
         max_per_user: Some(2),
         ..OverloadPolicy::default()
     };
-    let (service, root) = overload_service("usercap", policy);
-    let flooder = ServiceClient::new(UserId(0), service.request_sender());
-    let neighbor = ServiceClient::new(UserId(1), service.request_sender());
+    let stats = policed(policy, |service| {
+        let flooder = ServiceClient::new(UserId(0), service.request_sender());
+        let neighbor = ServiceClient::new(UserId(1), service.request_sender());
 
-    // Ten frames of *distinct* actions (so coalescing can't thin them)
-    // from one user, then a single frame from another user, all inside
-    // one wide cycle.
-    let flood: Vec<_> = (0..10)
-        .map(|i| flooder.render_interactive(ActionId(i), DatasetId(0), frame(0.1 * i as f32)))
-        .collect();
-    let neighbor_rx = neighbor.render_interactive(ActionId(100), DatasetId(1), frame(0.9));
+        // Ten frames of *distinct* actions (so coalescing can't thin them)
+        // from one user, then a single frame from another user, all inside
+        // one wide cycle.
+        let flood: Vec<_> = (0..10)
+            .map(|i| flooder.render_interactive(ActionId(i), DatasetId(0), frame(0.1 * i as f32)))
+            .collect();
+        let neighbor_rx = neighbor.render_interactive(ActionId(100), DatasetId(1), frame(0.9));
 
-    let replies: Vec<RenderReply> = flood.iter().map(|rx| recv(rx, "flood")).collect();
-    for (i, reply) in replies.iter().enumerate() {
-        if i < 2 {
-            assert!(
-                matches!(reply.outcome, RenderOutcome::Frame(_)),
-                "frame {i} is under the cap, got {:?}",
-                reply.outcome
-            );
-        } else {
-            assert!(
-                matches!(
-                    reply.outcome,
-                    RenderOutcome::Rejected(RejectReason::UserCap)
-                ),
-                "frame {i} is over the cap, got {:?}",
-                reply.outcome
-            );
+        let replies: Vec<RenderReply> = flood.iter().map(|rx| recv(rx, "flood")).collect();
+        for (i, reply) in replies.iter().enumerate() {
+            if i < 2 {
+                assert!(
+                    matches!(reply.outcome, RenderOutcome::Frame(_)),
+                    "frame {i} is under the cap, got {:?}",
+                    reply.outcome
+                );
+            } else {
+                assert!(
+                    matches!(
+                        reply.outcome,
+                        RenderOutcome::Rejected(RejectReason::UserCap)
+                    ),
+                    "frame {i} is over the cap, got {:?}",
+                    reply.outcome
+                );
+            }
         }
-    }
-    recv(&neighbor_rx, "neighbor frame").expect_frame();
-
-    let stats = service.drain_and_shutdown();
+        recv(&neighbor_rx, "neighbor frame").expect_frame();
+    });
     assert_eq!(stats.overload.admitted, 3);
     assert_eq!(stats.overload.rejected, 8);
     assert_eq!(stats.jobs_completed, 3);
-    std::fs::remove_dir_all(root).ok();
 }
 
 /// The TCP boundary: a full admission queue answers `Overloaded
@@ -250,49 +225,48 @@ fn tcp_retry_recovers_once_the_cap_drains() {
         max_in_flight: Some(2),
         ..OverloadPolicy::default()
     };
-    let (service, root) = overload_service("tcpretry", policy);
-    let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
-    let client =
-        RemoteClient::connect_with(server.addr(), UserId(0), ClientOptions::new().retries(50))
-            .expect("connect");
+    let stats = policed(policy, |service| {
+        let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
+        let client =
+            RemoteClient::connect_with(server.addr(), UserId(0), ClientOptions::new().retries(50))
+                .expect("connect");
 
-    let receivers: Vec<_> = (0..8)
-        .map(|i| {
-            client
-                .render_interactive(ActionId(i), DatasetId(0), frame(0.1 * i as f32))
-                .expect("submit")
-        })
-        .collect();
-    let mut frames = 0;
-    let mut overloaded = 0;
-    for rx in &receivers {
-        match rx.recv_timeout(Duration::from_secs(60)).expect("a reply") {
-            WireResponse::Frame(_) => frames += 1,
-            WireResponse::Overloaded {
-                reason: RejectReason::GlobalCap,
-                ..
-            } => overloaded += 1,
-            other => panic!("unexpected reply: {other:?}"),
+        let receivers: Vec<_> = (0..8)
+            .map(|i| {
+                client
+                    .render_interactive(ActionId(i), DatasetId(0), frame(0.1 * i as f32))
+                    .expect("submit")
+            })
+            .collect();
+        let mut frames = 0;
+        let mut overloaded = 0;
+        for rx in &receivers {
+            match rx.recv_timeout(Duration::from_secs(60)).expect("a reply") {
+                WireResponse::Frame(_) => frames += 1,
+                WireResponse::Overloaded {
+                    reason: RejectReason::GlobalCap,
+                    ..
+                } => overloaded += 1,
+                other => panic!("unexpected reply: {other:?}"),
+            }
         }
-    }
-    assert_eq!(frames, 2, "the cap admits exactly two of the burst");
-    assert_eq!(overloaded, 6);
+        assert_eq!(frames, 2, "the cap admits exactly two of the burst");
+        assert_eq!(overloaded, 6);
 
-    // A patient client retries past the transient rejections and renders.
-    let recovered = client
-        .render_interactive_blocking(ActionId(99), DatasetId(1), frame(0.7))
-        .expect("submit");
-    assert!(
-        recovered.into_frame().is_some(),
-        "retry must recover once the in-flight frames complete"
-    );
+        // A patient client retries past the transient rejections and renders.
+        let recovered = client
+            .render_interactive_blocking(ActionId(99), DatasetId(1), frame(0.7))
+            .expect("submit");
+        assert!(
+            recovered.into_frame().is_some(),
+            "retry must recover once the in-flight frames complete"
+        );
 
-    drop(client);
-    server.stop();
-    let stats = service.drain_and_shutdown();
+        drop(client);
+        server.stop();
+    });
     assert_eq!(stats.jobs_completed, 3, "two burst frames + the retry");
     assert!(stats.overload.rejected >= 6);
-    std::fs::remove_dir_all(root).ok();
 }
 
 /// A request naming a dataset outside the store's catalog is one
@@ -302,49 +276,49 @@ fn tcp_retry_recovers_once_the_cap_drains() {
 /// serving the same connection.
 #[test]
 fn unknown_dataset_is_rejected_and_the_head_keeps_serving() {
-    let (service, root) = overload_service("unknownds", OverloadPolicy::default());
-    let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
-    // The deadline only matters where the head dies instead of answering:
-    // it turns the wait on a dead head into a test failure.
-    let options = ClientOptions::new()
-        .retries(20)
-        .backoff(Duration::from_secs(2), Duration::from_secs(2))
-        .deadline(Duration::from_secs(20));
-    let client = RemoteClient::connect_with(server.addr(), UserId(0), options).expect("connect");
+    let stats = policed(OverloadPolicy::default(), |service| {
+        let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
+        // The deadline only matters where the head dies instead of
+        // answering: it turns the wait on a dead head into a test failure.
+        let options = ClientOptions::new()
+            .retries(20)
+            .backoff(Duration::from_secs(2), Duration::from_secs(2))
+            .deadline(Duration::from_secs(20));
+        let client =
+            RemoteClient::connect_with(server.addr(), UserId(0), options).expect("connect");
 
-    let good = client
-        .render_interactive_blocking(ActionId(0), DatasetId(0), frame(0.1))
-        .expect("submit");
-    assert!(good.into_frame().is_some(), "the first frame renders");
+        let good = client
+            .render_interactive_blocking(ActionId(0), DatasetId(0), frame(0.1))
+            .expect("submit");
+        assert!(good.into_frame().is_some(), "the first frame renders");
 
-    let asked = std::time::Instant::now();
-    let bad = client
-        .render_interactive_blocking(ActionId(1), DatasetId(7), frame(0.2))
-        .expect("submit");
-    assert!(
-        matches!(
-            bad,
-            WireResponse::Overloaded {
-                reason: RejectReason::UnknownDataset,
-                ..
-            }
-        ),
-        "expected UnknownDataset, got {bad:?}"
-    );
-    assert!(
-        asked.elapsed() < Duration::from_secs(2),
-        "the verdict must come back without a retry backoff"
-    );
+        let asked = std::time::Instant::now();
+        let bad = client
+            .render_interactive_blocking(ActionId(1), DatasetId(7), frame(0.2))
+            .expect("submit");
+        assert!(
+            matches!(
+                bad,
+                WireResponse::Overloaded {
+                    reason: RejectReason::UnknownDataset,
+                    ..
+                }
+            ),
+            "expected UnknownDataset, got {bad:?}"
+        );
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "the verdict must come back without a retry backoff"
+        );
 
-    let again = client
-        .render_interactive_blocking(ActionId(2), DatasetId(1), frame(0.3))
-        .expect("the connection is still served");
-    assert!(again.into_frame().is_some(), "the head survived");
+        let again = client
+            .render_interactive_blocking(ActionId(2), DatasetId(1), frame(0.3))
+            .expect("the connection is still served");
+        assert!(again.into_frame().is_some(), "the head survived");
 
-    drop(client);
-    server.stop();
-    let stats = service.shutdown();
+        drop(client);
+        server.stop();
+    });
     assert_eq!(stats.jobs_completed, 2);
     assert_eq!(stats.overload.rejected, 0, "a boundary verdict, not a job");
-    std::fs::remove_dir_all(root).ok();
 }

@@ -12,94 +12,14 @@
 //! *magnitudes* — the one quantity that legitimately differs between the
 //! virtual and the wall clock.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::prelude::*;
-use vizsched_metrics::{CollectingProbe, RejectReason, TraceEvent};
-use vizsched_service::{
-    ChunkStore, OverloadPolicy, RenderOutcome, RenderReply, ServiceClient, ServiceConfig,
-    StoreDataset, VizService,
+use vizsched_integration::parity::{
+    assignments, cache_loads, dones, estimate_chunks, frame, interactive_job, job_done_order,
+    policy_decisions, serial_jobs, Pair, PolicyKey, Rig, TaskKey,
 };
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
-use vizsched_volume::Field;
-
-const NODES: usize = 4;
-const MEM_QUOTA: u64 = 1 << 20;
-
-/// (job, task, chunk, node, interactive) — sorted, so dispatch interleaving
-/// across cycles doesn't matter, only the placements themselves.
-type AssignKey = (u64, u32, u64, u32, bool);
-/// (job, task, chunk, node, miss).
-type DoneKey = (u64, u32, u64, u32, bool);
-
-fn assignments(events: &[TraceEvent]) -> Vec<AssignKey> {
-    let mut keys: Vec<AssignKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Assignment {
-                job,
-                task,
-                chunk,
-                node,
-                interactive,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0, *interactive)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-fn dones(events: &[TraceEvent]) -> Vec<DoneKey> {
-    let mut keys: Vec<DoneKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::TaskDone {
-                job,
-                task,
-                chunk,
-                node,
-                miss,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0, *miss)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-fn cache_loads(events: &[TraceEvent]) -> BTreeSet<(u32, u64)> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::CacheLoad { node, chunk, .. } => Some((node.0, chunk.as_u64())),
-            _ => None,
-        })
-        .collect()
-}
-
-fn estimate_chunks(events: &[TraceEvent]) -> BTreeSet<u64> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::EstimateCorrection { chunk, .. } => Some(chunk.as_u64()),
-            _ => None,
-        })
-        .collect()
-}
-
-fn job_done_order(events: &[TraceEvent]) -> Vec<u64> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::JobDone { job, .. } => Some(job.0),
-            _ => None,
-        })
-        .collect()
-}
+use vizsched_metrics::{DropReason, RejectReason, TraceEvent};
+use vizsched_service::{OverloadPolicy, RenderOutcome, RenderReply, ServiceClient};
 
 fn count(events: &[TraceEvent], f: impl Fn(&TraceEvent) -> bool) -> usize {
     events.iter().filter(|e| f(e)).count()
@@ -107,142 +27,33 @@ fn count(events: &[TraceEvent], f: impl Fn(&TraceEvent) -> bool) -> usize {
 
 /// The serialized workload both substrates replay: `(dataset, azimuth)`
 /// per job, one job in flight at a time. Dataset 0 runs cold then warm,
-/// dataset 1 interleaves to exercise per-node cache coexistence.
-fn workload() -> Vec<(u64, f32)> {
-    vec![
-        (0, 0.10),
-        (0, 0.20),
-        (1, 0.30),
-        (0, 0.40),
-        (1, 0.50),
-        (1, 0.60),
-    ]
-}
+/// dataset 1 interleaves to exercise per-node cache coexistence. The sim
+/// spaces the jobs a second apart, so each completes before the next
+/// issues — the virtual-clock image of the serialized client.
+const WORKLOAD: [(u32, f32); 6] = [
+    (0, 0.10),
+    (0, 0.20),
+    (1, 0.30),
+    (0, 0.40),
+    (1, 0.50),
+    (1, 0.60),
+];
 
-/// Run the workload through the live service, one frame at a time.
-fn run_service(kind: SchedulerKind) -> (Vec<TraceEvent>, u64, u64) {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-parity-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let mut store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .unwrap();
-    // Throttle the store so every measured load is comfortably nonzero:
-    // a zero measured estimate would erase the locality advantage the
-    // deterministic placement argument rests on.
-    store.set_throttle(Some(4 << 20));
-    let probe = Arc::new(CollectingProbe::new());
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .scheduler(kind)
-        .probe(probe.clone());
-    let service = VizService::start(config, Arc::new(store));
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        rx.recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{}: frame {i} never arrived: {e}", kind.name()));
+/// The rig's default pair — two datasets, each bricked into exactly as
+/// many chunks as there are nodes — under `kind`.
+fn open(kind: SchedulerKind) -> Rig {
+    Pair {
+        scheduler: kind,
+        ..Pair::default()
     }
-    let stats = service.drain_and_shutdown();
-    std::fs::remove_dir_all(root).ok();
-    (probe.take(), stats.cache_hits, stats.cache_misses)
-}
-
-/// Replay the same workload in the simulator over the *same physical
-/// catalog* (the store's bricking), jobs spaced far enough apart that each
-/// completes before the next issues — the virtual-clock image of the
-/// serialized client.
-fn run_sim(kind: SchedulerKind) -> (Vec<TraceEvent>, u64, u64) {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-parity-cat-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .unwrap();
-    let catalog = store.catalog().clone();
-    std::fs::remove_dir_all(root).ok();
-
-    let cluster = ClusterSpec::homogeneous(NODES, MEM_QUOTA);
-    let config = SimConfig::new(cluster, CostParams::default(), 1 << 30);
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| Job {
-            id: JobId(i as u64),
-            kind: JobKind::Interactive {
-                user: UserId(0),
-                action: ActionId(i as u64),
-            },
-            dataset: DatasetId(dataset as u32),
-            issue_time: SimTime::from_secs(i as u64),
-            frame: FrameParams {
-                azimuth,
-                ..FrameParams::default()
-            },
-        })
-        .collect();
-    let probe = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, Vec::new()).run_opts(
-        jobs,
-        RunOptions::new(kind)
-            .label("parity")
-            .catalog(catalog)
-            .probe(probe.clone()),
-    );
-    assert_eq!(
-        outcome.incomplete_jobs,
-        0,
-        "{}: sim run stalled",
-        kind.name()
-    );
-    (
-        probe.take(),
-        outcome.record.cache_hits,
-        outcome.record.cache_misses,
-    )
+    .open()
 }
 
 /// Invariants that must hold for *any* policy, placement-deterministic or
 /// not: same work items, same completion order, same invocation balance.
 fn assert_weak_parity(kind: SchedulerKind, sim: &[TraceEvent], live: &[TraceEvent]) {
     let name = kind.name();
-    let strip_node = |keys: Vec<AssignKey>| -> Vec<(u64, u32, u64, bool)> {
+    let strip_node = |keys: Vec<TaskKey>| -> Vec<(u64, u32, u64, bool)> {
         let mut k: Vec<_> = keys
             .into_iter()
             .map(|(j, t, c, _, i)| (j, t, c, i))
@@ -255,7 +66,7 @@ fn assert_weak_parity(kind: SchedulerKind, sim: &[TraceEvent], live: &[TraceEven
         strip_node(assignments(live)),
         "{name}: dispatched work items differ"
     );
-    let strip_done = |keys: Vec<DoneKey>| -> Vec<(u64, u32, u64)> {
+    let strip_done = |keys: Vec<TaskKey>| -> Vec<(u64, u32, u64)> {
         let mut k: Vec<_> = keys.into_iter().map(|(j, t, c, _, _)| (j, t, c)).collect();
         k.sort_unstable();
         k
@@ -286,8 +97,9 @@ fn assert_weak_parity(kind: SchedulerKind, sim: &[TraceEvent], live: &[TraceEven
 /// node choices, identical per-node cache evolution, identical hit/miss
 /// realization.
 fn assert_strict_parity(kind: SchedulerKind) {
-    let (sim, sim_hits, sim_misses) = run_sim(kind);
-    let (live, live_hits, live_misses) = run_service(kind);
+    let rig = open(kind);
+    let (sim, sim_outcome) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, stats) = rig.live_traced(rig.serial(&WORKLOAD, |_, _| {}));
     let name = kind.name();
     assert_weak_parity(kind, &sim, &live);
     assert_eq!(
@@ -311,8 +123,11 @@ fn assert_strict_parity(kind: SchedulerKind) {
         "{name}: estimate-corrected chunk sets differ"
     );
     assert_eq!(
-        (sim_hits, sim_misses),
-        (live_hits, live_misses),
+        (
+            sim_outcome.record.cache_hits,
+            sim_outcome.record.cache_misses
+        ),
+        (stats.cache_hits, stats.cache_misses),
         "{name}: aggregate hit/miss counters differ"
     );
 }
@@ -357,9 +172,27 @@ fn fcfs_work_items_match_across_substrates() {
     // FCFS breaks idle ties with a time-salted hash, so *placement* is
     // substrate-dependent by design; the scheduler-visible work stream
     // must still agree.
-    let (sim, ..) = run_sim(SchedulerKind::Fcfs);
-    let (live, ..) = run_service(SchedulerKind::Fcfs);
+    let rig = open(SchedulerKind::Fcfs);
+    let (sim, _) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, _) = rig.live_traced(rig.serial(&WORKLOAD, |_, _| {}));
     assert_weak_parity(SchedulerKind::Fcfs, &sim, &live);
+}
+
+/// The suite can fail: one placement moved to another node is a
+/// different `assignments` projection.
+#[test]
+fn a_single_moved_placement_breaks_assignment_equality() {
+    let (events, _) = open(SchedulerKind::Ours).sim(serial_jobs(&WORKLOAD));
+    let mut moved = events.clone();
+    let node = moved
+        .iter_mut()
+        .find_map(|e| match e {
+            TraceEvent::Assignment { node, .. } => Some(node),
+            _ => None,
+        })
+        .expect("the run places tasks");
+    node.0 += 1;
+    assert_ne!(assignments(&events), assignments(&moved));
 }
 
 // ---------------------------------------------------------------------
@@ -373,132 +206,14 @@ fn fcfs_work_items_match_across_substrates() {
 // that wall-clock jitter cannot reorder arrivals across cycles.
 // ---------------------------------------------------------------------
 
-/// An admission-layer decision in substrate-independent normal form.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum PolicyKey {
-    Admitted(u64),
-    Rejected(u64, RejectReason),
-    Coalesced { superseded: u64, by: u64 },
-    Expired(u64),
-    Escalated(u64),
-}
-
-fn policy_decisions(events: &[TraceEvent]) -> Vec<PolicyKey> {
-    let mut keys: Vec<PolicyKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Admitted { job, .. } => Some(PolicyKey::Admitted(job.0)),
-            TraceEvent::Rejected { job, reason, .. } => Some(PolicyKey::Rejected(job.0, *reason)),
-            TraceEvent::Coalesced { superseded, by, .. } => Some(PolicyKey::Coalesced {
-                superseded: superseded.0,
-                by: by.0,
-            }),
-            TraceEvent::Expired { job, .. } => Some(PolicyKey::Expired(job.0)),
-            TraceEvent::BatchEscalated { job, .. } => Some(PolicyKey::Escalated(job.0)),
-            _ => None,
-        })
-        .collect();
-    keys.sort();
-    keys
-}
-
-/// A policed live service over the parity store; the caller drives it and
-/// must call `drain_and_shutdown` itself.
-fn policed_service(
-    tag: &str,
-    policy: OverloadPolicy,
-    cycle: SimDuration,
-) -> (VizService, Arc<CollectingProbe>, std::path::PathBuf) {
-    let root =
-        std::env::temp_dir().join(format!("vizsched-parity-pol-{tag}-{}", std::process::id()));
-    let mut store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .unwrap();
-    store.set_throttle(Some(4 << 20));
-    let probe = Arc::new(CollectingProbe::new());
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .cycle(cycle)
-        .overload(policy)
-        .probe(probe.clone());
-    (VizService::start(config, Arc::new(store)), probe, root)
-}
-
-/// The simulator's image of a policed run: the same physical catalog, an
-/// explicit job list, the same cycle and policy.
-fn run_sim_policy(
-    tag: &str,
-    policy: OverloadPolicy,
-    cycle: SimDuration,
-    jobs: Vec<Job>,
-) -> (Vec<TraceEvent>, vizsched_sim::SimOutcome) {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-parity-polcat-{tag}-{}",
-        std::process::id()
-    ));
-    let store = ChunkStore::create(
-        &root,
-        &[
-            StoreDataset {
-                field: Field::Shells,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-            StoreDataset {
-                field: Field::Plume,
-                dims: [16, 16, 32],
-                bricks: NODES,
-            },
-        ],
-    )
-    .unwrap();
-    let catalog = store.catalog().clone();
-    std::fs::remove_dir_all(root).ok();
-
-    let cluster = ClusterSpec::homogeneous(NODES, MEM_QUOTA);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 1 << 30);
-    config.cycle = cycle;
-    let probe = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, Vec::new()).run_opts(
-        jobs,
-        RunOptions::new(SchedulerKind::Ours)
-            .label("parity-policy")
-            .catalog(catalog)
-            .overload(policy)
-            .probe(probe.clone()),
-    );
-    (probe.take(), outcome)
-}
-
-fn interactive_job(id: u64, action: u64, dataset: u32, at_ms: u64, azimuth: f32) -> Job {
-    Job {
-        id: JobId(id),
-        kind: JobKind::Interactive {
-            user: UserId(0),
-            action: ActionId(action),
-        },
-        dataset: DatasetId(dataset),
-        issue_time: SimTime::from_millis(at_ms),
-        frame: FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        },
+/// OURS over the default pair under `overload` and `cycle`.
+fn policed(overload: OverloadPolicy, cycle: SimDuration) -> Rig {
+    Pair {
+        overload,
+        cycle,
+        ..Pair::default()
     }
+    .open()
 }
 
 const CYCLE_30MS: SimDuration = SimDuration::from_millis(30);
@@ -520,31 +235,11 @@ fn permissive_policy() -> OverloadPolicy {
 
 #[test]
 fn permissive_policy_admits_identically_and_preserves_strict_parity() {
-    let policy = permissive_policy();
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| {
-            interactive_job(i as u64, i as u64, dataset as u32, i as u64 * 1000, azimuth)
-        })
-        .collect();
-    let (sim, sim_outcome) = run_sim_policy("permissive", policy, CYCLE_30MS, jobs);
-
-    let (service, probe, root) = policed_service("permissive", policy, CYCLE_30MS);
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("frame arrives")
-            .expect_frame();
-    }
-    let stats = service.drain_and_shutdown();
-    let live = probe.take();
-    std::fs::remove_dir_all(root).ok();
+    let rig = policed(permissive_policy(), CYCLE_30MS);
+    let (sim, sim_outcome) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, stats) = rig.live_traced(rig.serial(&WORKLOAD, |_, reply| {
+        reply.expect_frame();
+    }));
 
     assert_weak_parity(SchedulerKind::Ours, &sim, &live);
     assert_eq!(
@@ -557,7 +252,7 @@ fn permissive_policy_admits_identically_and_preserves_strict_parity() {
     // Every job admitted, nothing shed on either substrate.
     assert_eq!(
         decisions,
-        (0..workload().len() as u64)
+        (0..WORKLOAD.len() as u64)
             .map(PolicyKey::Admitted)
             .collect::<Vec<_>>()
     );
@@ -571,26 +266,9 @@ fn zero_cap_rejects_identically_on_both_substrates() {
         max_in_flight: Some(0),
         ..OverloadPolicy::default()
     };
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| {
-            interactive_job(i as u64, i as u64, dataset as u32, i as u64 * 1000, azimuth)
-        })
-        .collect();
-    let (sim, sim_outcome) = run_sim_policy("cap0", policy, CYCLE_30MS, jobs);
-
-    let (service, probe, root) = policed_service("cap0", policy, CYCLE_30MS);
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        let reply = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("a verdict arrives");
+    let rig = policed(policy, CYCLE_30MS);
+    let (sim, sim_outcome) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, stats) = rig.live_traced(rig.serial(&WORKLOAD, |i, reply| {
         assert!(
             matches!(
                 reply.outcome,
@@ -599,16 +277,13 @@ fn zero_cap_rejects_identically_on_both_substrates() {
             "frame {i}: expected GlobalCap rejection, got {:?}",
             reply.outcome
         );
-    }
-    let stats = service.drain_and_shutdown();
-    let live = probe.take();
-    std::fs::remove_dir_all(root).ok();
+    }));
 
     let decisions = policy_decisions(&sim);
     assert_eq!(decisions, policy_decisions(&live));
     assert_eq!(
         decisions,
-        (0..workload().len() as u64)
+        (0..WORKLOAD.len() as u64)
             .map(|j| PolicyKey::Rejected(j, RejectReason::GlobalCap))
             .collect::<Vec<_>>()
     );
@@ -627,40 +302,20 @@ fn zero_deadline_expires_identically_on_both_substrates() {
         deadline: Some(SimDuration::ZERO),
         ..OverloadPolicy::default()
     };
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| {
-            interactive_job(i as u64, i as u64, dataset as u32, i as u64 * 1000, azimuth)
-        })
-        .collect();
-    let (sim, sim_outcome) = run_sim_policy("deadline0", policy, CYCLE_30MS, jobs);
-
-    let (service, probe, root) = policed_service("deadline0", policy, CYCLE_30MS);
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        let reply = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("a verdict arrives");
+    let rig = policed(policy, CYCLE_30MS);
+    let (sim, sim_outcome) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, stats) = rig.live_traced(rig.serial(&WORKLOAD, |i, reply| {
         assert!(
             matches!(
                 reply.outcome,
-                RenderOutcome::Dropped(vizsched_metrics::DropReason::DeadlineExpired)
+                RenderOutcome::Dropped(DropReason::DeadlineExpired)
             ),
             "frame {i}: expected deadline drop, got {:?}",
             reply.outcome
         );
-    }
-    let stats = service.drain_and_shutdown();
-    let live = probe.take();
-    std::fs::remove_dir_all(root).ok();
+    }));
 
-    let expected: Vec<PolicyKey> = (0..workload().len() as u64)
+    let expected: Vec<PolicyKey> = (0..WORKLOAD.len() as u64)
         .flat_map(|j| [PolicyKey::Admitted(j), PolicyKey::Expired(j)])
         .collect();
     let normalize = |mut keys: Vec<PolicyKey>| {
@@ -671,7 +326,7 @@ fn zero_deadline_expires_identically_on_both_substrates() {
     assert_eq!(decisions, policy_decisions(&live));
     assert_eq!(normalize(decisions), normalize(expected));
     assert_eq!(sim_outcome.overload, stats.overload);
-    assert_eq!(stats.overload.expired, workload().len() as u64);
+    assert_eq!(stats.overload.expired, WORKLOAD.len() as u64);
 }
 
 #[test]
@@ -691,39 +346,31 @@ fn coalescing_supersedes_identically_on_both_substrates() {
         interactive_job(2, 1, 1, 3, 0.30),
         interactive_job(3, 0, 0, 4, 0.40),
     ];
-    let (sim, sim_outcome) = run_sim_policy("coalesce", policy, WIDE_CYCLE, jobs);
-
-    let (service, probe, root) = policed_service("coalesce", policy, WIDE_CYCLE);
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    let frame = |azimuth: f32| FrameParams {
-        azimuth,
-        ..FrameParams::default()
-    };
-    let receivers = [
-        client.render_interactive(ActionId(0), DatasetId(0), frame(0.10)),
-        client.render_interactive(ActionId(0), DatasetId(0), frame(0.20)),
-        client.render_interactive(ActionId(1), DatasetId(1), frame(0.30)),
-        client.render_interactive(ActionId(0), DatasetId(0), frame(0.40)),
-    ];
-    let replies: Vec<RenderReply> = receivers
-        .iter()
-        .map(|rx| {
+    let rig = policed(policy, WIDE_CYCLE);
+    let (sim, sim_outcome) = rig.sim(jobs);
+    let mut replies: Vec<RenderReply> = Vec::new();
+    let (live, stats) = rig.live_traced(|service| {
+        let client = ServiceClient::new(UserId(0), service.request_sender());
+        let receivers = [
+            client.render_interactive(ActionId(0), DatasetId(0), frame(0.10)),
+            client.render_interactive(ActionId(0), DatasetId(0), frame(0.20)),
+            client.render_interactive(ActionId(1), DatasetId(1), frame(0.30)),
+            client.render_interactive(ActionId(0), DatasetId(0), frame(0.40)),
+        ];
+        replies.extend(receivers.iter().map(|rx| {
             rx.recv_timeout(Duration::from_secs(60))
                 .expect("every frame gets a reply")
-        })
-        .collect();
-    let stats = service.drain_and_shutdown();
-    let live = probe.take();
-    std::fs::remove_dir_all(root).ok();
+        }));
+    });
 
     // Frames 0 and 1 superseded (by 1 then by 3); frames 2 and 3 render.
     assert!(matches!(
         replies[0].outcome,
-        RenderOutcome::Dropped(vizsched_metrics::DropReason::Superseded)
+        RenderOutcome::Dropped(DropReason::Superseded)
     ));
     assert!(matches!(
         replies[1].outcome,
-        RenderOutcome::Dropped(vizsched_metrics::DropReason::Superseded)
+        RenderOutcome::Dropped(DropReason::Superseded)
     ));
     assert!(matches!(replies[2].outcome, RenderOutcome::Frame(_)));
     assert!(matches!(replies[3].outcome, RenderOutcome::Frame(_)));
@@ -750,7 +397,7 @@ fn zero_escalation_age_escalates_identically_on_both_substrates() {
         ..OverloadPolicy::default()
     };
     // One interactive job occupies every node in the arrival cycle (the
-    // parity datasets brick into exactly NODES chunks), so the ε gate
+    // parity datasets brick into exactly one chunk per node), so the ε gate
     // defers the whole cold batch on both substrates; the zero
     // anti-starvation age then escalates it wholesale at the next cycle.
     // Issue times start at 1 ms so every job buffers into the same cycle
@@ -767,10 +414,7 @@ fn zero_escalation_age_escalates_identically_on_both_substrates() {
             },
             dataset: DatasetId(1),
             issue_time: SimTime::from_millis(2),
-            frame: FrameParams {
-                azimuth: 0.50,
-                ..FrameParams::default()
-            },
+            frame: frame(0.50),
         },
         Job {
             id: JobId(2),
@@ -781,46 +425,28 @@ fn zero_escalation_age_escalates_identically_on_both_substrates() {
             },
             dataset: DatasetId(1),
             issue_time: SimTime::from_millis(3),
-            frame: FrameParams {
-                azimuth: 0.60,
-                ..FrameParams::default()
-            },
+            frame: frame(0.60),
         },
     ];
-    let (sim, sim_outcome) = run_sim_policy("escalate0", policy, WIDE_CYCLE, jobs);
-
-    let (service, probe, root) = policed_service("escalate0", policy, WIDE_CYCLE);
-    let interactive = ServiceClient::new(UserId(0), service.request_sender());
-    let batch_user = ServiceClient::new(UserId(1), service.request_sender());
-    let rx_int = interactive.render_interactive(
-        ActionId(0),
-        DatasetId(0),
-        FrameParams {
-            azimuth: 0.10,
-            ..FrameParams::default()
-        },
-    );
-    let batch_frames: Vec<FrameParams> = [0.50f32, 0.60]
-        .iter()
-        .map(|&azimuth| FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        })
-        .collect();
-    let rx_batch = batch_user.render_batch(BatchId(0), DatasetId(1), &batch_frames);
-    rx_int
-        .recv_timeout(Duration::from_secs(60))
-        .expect("interactive frame")
-        .expect_frame();
-    for _ in 0..batch_frames.len() {
-        rx_batch
+    let rig = policed(policy, WIDE_CYCLE);
+    let (sim, sim_outcome) = rig.sim(jobs);
+    let (live, stats) = rig.live_traced(|service| {
+        let interactive = ServiceClient::new(UserId(0), service.request_sender());
+        let batch_user = ServiceClient::new(UserId(1), service.request_sender());
+        let rx_int = interactive.render_interactive(ActionId(0), DatasetId(0), frame(0.10));
+        let batch_frames = [frame(0.50), frame(0.60)];
+        let rx_batch = batch_user.render_batch(BatchId(0), DatasetId(1), &batch_frames);
+        rx_int
             .recv_timeout(Duration::from_secs(60))
-            .expect("batch frame")
+            .expect("interactive frame")
             .expect_frame();
-    }
-    let stats = service.drain_and_shutdown();
-    let live = probe.take();
-    std::fs::remove_dir_all(root).ok();
+        for _ in 0..batch_frames.len() {
+            rx_batch
+                .recv_timeout(Duration::from_secs(60))
+                .expect("batch frame")
+                .expect_frame();
+        }
+    });
 
     let decisions = policy_decisions(&sim);
     assert_eq!(decisions, policy_decisions(&live));

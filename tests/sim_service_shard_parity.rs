@@ -18,54 +18,16 @@
 //! span of the shard that owned the job at dispatch time.
 
 use std::sync::Arc;
-use std::time::Duration;
 use vizsched_core::prelude::*;
+use vizsched_integration::parity::{assignments, datasets, serial_jobs, shard_assignments, Pair};
 use vizsched_metrics::{CollectingProbe, TraceEvent};
 use vizsched_routing::ShardMap;
-use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
 use vizsched_sim::{RunOptions, SimConfig, Simulation};
-use vizsched_volume::Field;
 use vizsched_workload::Scenario;
 
 const NODES: usize = 4;
 const SHARDS: usize = 2;
 const BRICKS: usize = NODES / SHARDS;
-const MEM_QUOTA: u64 = 1 << 20;
-
-/// (job, task, chunk, node) — sorted, so dispatch interleaving across
-/// cycles doesn't matter, only the placements themselves.
-type AssignKey = (u64, u32, u64, u32);
-
-fn assignments(events: &[TraceEvent]) -> Vec<AssignKey> {
-    let mut keys: Vec<AssignKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Assignment {
-                job,
-                task,
-                chunk,
-                node,
-                ..
-            } => Some((job.0, *task, chunk.as_u64(), node.0)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-/// (job, shard) routing decisions, sorted by job.
-fn shard_assignments(events: &[TraceEvent]) -> Vec<(u64, u32)> {
-    let mut keys: Vec<(u64, u32)> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::ShardAssigned { job, shard, .. } => Some((job.0, shard.0)),
-            _ => None,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
-}
 
 /// Fold the routing events into each job's final owner, then check every
 /// task placement landed inside that owner's node span.
@@ -98,125 +60,35 @@ fn assert_placements_respect_shards(tag: &str, events: &[TraceEvent], map: &Shar
     }
 }
 
-/// The datasets both substrates serve: enough that the ring spreads them
-/// over both shards, each bricked into exactly one shard-slice of chunks.
-fn store_datasets() -> Vec<StoreDataset> {
-    [Field::Shells, Field::Plume, Field::Shells, Field::Plume]
-        .into_iter()
-        .map(|field| StoreDataset {
-            field,
-            dims: [16, 16, 32],
-            bricks: BRICKS,
-        })
-        .collect()
-}
-
 /// The serialized workload: every dataset twice (cold then warm), one job
-/// in flight at a time.
-fn workload() -> Vec<(u64, f32)> {
-    vec![
-        (0, 0.10),
-        (1, 0.20),
-        (2, 0.30),
-        (3, 0.40),
-        (0, 0.50),
-        (1, 0.60),
-        (2, 0.70),
-        (3, 0.80),
-    ]
-}
-
-/// Run the workload through the live sharded service, one frame at a time.
-fn run_service(kind: SchedulerKind) -> Vec<TraceEvent> {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-shard-parity-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let mut store = ChunkStore::create(&root, &store_datasets()).unwrap();
-    // Throttle the store so every measured load is comfortably nonzero
-    // (see sim_service_parity.rs).
-    store.set_throttle(Some(4 << 20));
-    let probe = Arc::new(CollectingProbe::new());
-    let config = ServiceConfig::default()
-        .nodes(NODES)
-        .shards(SHARDS)
-        .mem_quota(MEM_QUOTA)
-        .image_size(32, 32)
-        .scheduler(kind)
-        .probe(probe.clone());
-    let service = VizService::start(config, Arc::new(store));
-    let client = ServiceClient::new(UserId(0), service.request_sender());
-    for (i, &(dataset, azimuth)) in workload().iter().enumerate() {
-        let frame = FrameParams {
-            azimuth,
-            ..FrameParams::default()
-        };
-        let rx = client.render_interactive(ActionId(i as u64), DatasetId(dataset as u32), frame);
-        rx.recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{}: frame {i} never arrived: {e}", kind.name()));
-    }
-    service.drain_and_shutdown();
-    std::fs::remove_dir_all(root).ok();
-    probe.take()
-}
-
-/// Replay the same workload in the sharded simulator over the *same
-/// physical catalog*, jobs spaced far enough apart that each completes
-/// before the next issues.
-fn run_sim(kind: SchedulerKind) -> Vec<TraceEvent> {
-    let root = std::env::temp_dir().join(format!(
-        "vizsched-shard-parity-cat-{}-{}",
-        kind.name(),
-        std::process::id()
-    ));
-    let store = ChunkStore::create(&root, &store_datasets()).unwrap();
-    let catalog = store.catalog().clone();
-    std::fs::remove_dir_all(root).ok();
-
-    let cluster = ClusterSpec::homogeneous(NODES, MEM_QUOTA);
-    let config = SimConfig::new(cluster, CostParams::default(), 1 << 30);
-    let jobs: Vec<Job> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, &(dataset, azimuth))| Job {
-            id: JobId(i as u64),
-            kind: JobKind::Interactive {
-                user: UserId(0),
-                action: ActionId(i as u64),
-            },
-            dataset: DatasetId(dataset as u32),
-            issue_time: SimTime::from_secs(i as u64),
-            frame: FrameParams {
-                azimuth,
-                ..FrameParams::default()
-            },
-        })
-        .collect();
-    let probe = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, Vec::new()).run_opts(
-        jobs,
-        RunOptions::new(kind)
-            .label("shard-parity")
-            .catalog(catalog)
-            .shards(SHARDS)
-            .probe(probe.clone()),
-    );
-    assert_eq!(
-        outcome.incomplete_jobs,
-        0,
-        "{}: sim run stalled",
-        kind.name()
-    );
-    assert_eq!(outcome.per_shard.len(), SHARDS, "{}", kind.name());
-    probe.take()
-}
+/// in flight at a time. Four datasets are enough that the ring spreads
+/// them over both shards; each bricks into exactly one shard-slice of
+/// chunks.
+const WORKLOAD: [(u32, f32); 8] = [
+    (0, 0.10),
+    (1, 0.20),
+    (2, 0.30),
+    (3, 0.40),
+    (0, 0.50),
+    (1, 0.60),
+    (2, 0.70),
+    (3, 0.80),
+];
 
 /// Identical routing and identical global placement on both substrates.
 fn assert_sharded_parity(kind: SchedulerKind) {
-    let sim = run_sim(kind);
-    let live = run_service(kind);
+    let rig = Pair {
+        scheduler: kind,
+        datasets: datasets(4, BRICKS),
+        nodes: NODES,
+        shards: SHARDS,
+        ..Pair::default()
+    }
+    .open();
+    let (sim, outcome) = rig.sim(serial_jobs(&WORKLOAD));
+    let (live, _) = rig.live_traced(rig.serial(&WORKLOAD, |_, _| {}));
     let name = kind.name();
+    assert_eq!(outcome.per_shard.len(), SHARDS, "{name}");
 
     let routed = shard_assignments(&sim);
     assert_eq!(
@@ -226,7 +98,7 @@ fn assert_sharded_parity(kind: SchedulerKind) {
     );
     assert_eq!(
         routed.len(),
-        workload().len(),
+        WORKLOAD.len(),
         "{name}: every offered job routes exactly once"
     );
     let used: std::collections::BTreeSet<u32> = routed.iter().map(|&(_, s)| s).collect();
