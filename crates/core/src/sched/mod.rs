@@ -129,7 +129,9 @@ pub struct Assignment {
     pub node: NodeId,
     /// Predicted start time (from the `Available` table at commit time).
     pub predicted_start: SimTime,
-    /// Predicted execution time used to push the `Available` table.
+    /// Predicted execution time used to push the `Available` table: the
+    /// I/O estimate (zero on a predicted hit) plus `Estimate[c]`'s render
+    /// time.
     pub predicted_exec: SimDuration,
     /// Render-group size assumed for the compositing cost.
     pub group: u32,
@@ -322,7 +324,11 @@ impl ScheduleCtx<'_> {
         predicted_io: SimDuration,
     ) -> Assignment {
         let cached = self.tables.cache.contains(node, task.chunk);
-        let exec = predicted_io + self.cost.alpha(task.bytes, group);
+        let exec = predicted_io
+            + self
+                .tables
+                .estimate
+                .render(task.chunk, task.bytes, group, self.cost);
         let predicted_start = self.tables.available.push_work(node, self.now, exec);
         if cached {
             self.tables.cache.touch(node, task.chunk);
@@ -830,6 +836,35 @@ mod tests {
         let mut ctx = fx.ctx(SimTime::ZERO);
         let a = ctx.commit(task, NodeId(0), 4);
         assert_eq!(a.predicted_exec, CostParams::default().alpha(task.bytes, 4));
+    }
+
+    /// §V-B over `α`: once the chunk's render time is measured, commits
+    /// charge it instead of the model — cached, and on top of the I/O
+    /// estimate where the chunk is absent — while other chunks keep the
+    /// model.
+    #[test]
+    fn commit_charges_the_measured_render_time() {
+        let mut fx = Fixture::standard(4, 2);
+        let job = fx.interactive_job(0, 0, SimTime::ZERO);
+        let tasks = job.decompose(&fx.catalog);
+        let (task, other) = (tasks[0], tasks[1]);
+        let cost = CostParams::default();
+        let measured = SimDuration::from_millis(11);
+        let mut ctx = fx.ctx(SimTime::ZERO);
+        ctx.commit(task, NodeId(0), 4);
+        let cached = ctx.commit(task, NodeId(0), 4);
+        assert_eq!(cached.predicted_exec, cost.alpha(task.bytes, 4));
+
+        ctx.tables.estimate.record_render(task.chunk, measured);
+        assert_eq!(ctx.commit(task, NodeId(0), 4).predicted_exec, measured);
+        assert_eq!(
+            ctx.commit(task, NodeId(1), 4).predicted_exec,
+            cost.io_time(task.bytes) + measured
+        );
+        assert_eq!(
+            ctx.commit(other, NodeId(2), 4).predicted_exec,
+            cost.io_time(other.bytes) + cost.alpha(other.bytes, 4)
+        );
     }
 
     #[test]

@@ -38,7 +38,10 @@ impl SfScheduler {
                 } else {
                     ctx.tables.estimate.get(chunk.id, chunk.bytes, ctx.cost)
                 };
-                io + ctx.cost.alpha(chunk.bytes, group)
+                io + ctx
+                    .tables
+                    .estimate
+                    .render(chunk.id, chunk.bytes, group, ctx.cost)
             })
             .fold(SimDuration::ZERO, |acc, d| acc + d)
     }

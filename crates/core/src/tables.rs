@@ -11,7 +11,8 @@
 //!   tasks complete.
 //! * `Estimate[c]` — the latest measured I/O time for chunk `c`, initialized
 //!   from the cost model (standing in for the paper's "test run") and
-//!   refreshed with each observed load.
+//!   refreshed with each observed load; likewise its latest measured render
+//!   time `α`, refreshed with each completion on the live head.
 //!
 //! The tables additionally track, per node, the last time an interactive
 //! task was assigned — the input to the idle-threshold test `ε` that gates
@@ -331,10 +332,14 @@ impl CacheTable {
 
 /// `Estimate[c]`: latest measured I/O time per chunk, with a cost-model
 /// fallback for never-loaded chunks (the paper initializes it via a test
-/// run).
+/// run) — and, by the same rule, the latest measured render time `α` of
+/// the chunk, falling back to [`CostParams::alpha`] until one is recorded.
+/// Only the live head records render times; the simulator's node executes
+/// the model's `α` by construction, so there the fallback is the truth.
 #[derive(Clone, Debug, Default)]
 pub struct EstimateTable {
     measured: FxHashMap<ChunkId, SimDuration>,
+    rendered: FxHashMap<ChunkId, SimDuration>,
 }
 
 impl EstimateTable {
@@ -349,6 +354,21 @@ impl EstimateTable {
     /// Record a measured I/O time (run-time refresh).
     pub fn record(&mut self, chunk: ChunkId, io: SimDuration) {
         self.measured.insert(chunk, io);
+    }
+
+    /// Estimated render time `α` for `chunk` of `bytes` in a render group
+    /// of `group`: the latest measurement, else the cost model.
+    pub fn render(&self, chunk: ChunkId, bytes: u64, group: u32, cost: &CostParams) -> SimDuration {
+        self.rendered
+            .get(&chunk)
+            .copied()
+            .unwrap_or_else(|| cost.alpha(bytes, group))
+    }
+
+    /// Record a measured render time — a completed task's occupancy of
+    /// its node beyond the I/O (run-time refresh of `α`).
+    pub fn record_render(&mut self, chunk: ChunkId, render: SimDuration) {
+        self.rendered.insert(chunk, render);
     }
 
     /// Number of chunks with at least one measurement.
@@ -569,6 +589,30 @@ mod tests {
             SimDuration::from_secs(9)
         );
         assert_eq!(t.estimate.measured_count(), 1);
+    }
+
+    #[test]
+    fn render_estimate_falls_back_to_alpha() {
+        let mut t = tables();
+        let cost = CostParams::default();
+        assert_eq!(
+            t.estimate.render(chunk(0), 512 << 20, 2, &cost),
+            cost.alpha(512 << 20, 2)
+        );
+        t.estimate
+            .record_render(chunk(0), SimDuration::from_millis(9));
+        t.estimate
+            .record_render(chunk(0), SimDuration::from_millis(7));
+        assert_eq!(
+            t.estimate.render(chunk(0), 512 << 20, 2, &cost),
+            SimDuration::from_millis(7),
+            "the latest measurement wins"
+        );
+        assert_eq!(
+            t.estimate.get(chunk(0), 512 << 20, &cost),
+            cost.io_time(512 << 20)
+        );
+        assert_eq!(t.estimate.measured_count(), 0, "render times are not I/O");
     }
 
     #[test]

@@ -477,6 +477,17 @@ impl ShardedRuntime {
         }
     }
 
+    /// Record a render time measured on a (global) node in its owning
+    /// shard's `Estimate[c]` — the §V-B refresh of `α`. Only the live head
+    /// feeds it: a simulated node renders in the model's `α` already.
+    pub fn record_render(&mut self, node: NodeId, chunk: ChunkId, render: SimDuration) {
+        let (shard, _) = self.locate(node);
+        self.shards[shard]
+            .tables_mut()
+            .estimate
+            .record_render(chunk, render);
+    }
+
     /// Mirror a pre-run cache placement on the owning shard (global node
     /// numbering).
     pub fn record_warm_load(&mut self, node: NodeId, chunk: ChunkId, bytes: u64) {

@@ -696,6 +696,9 @@ fn handle_task_done(
         job.layers.push(done.layer);
         job.misses += u32::from(done.miss);
     }
+    // What the task occupied the node for beyond its I/O is the chunk's
+    // render time `α` on this box, the value `Available` should charge.
+    runtime.record_render(node, done.chunk, done.elapsed.saturating_sub(done.io));
     // The node reports how long the task executed; its start is therefore
     // `now - elapsed` on the head's clock (minus message latency, which is
     // microseconds in-process).

@@ -131,7 +131,15 @@ impl ChunkStore {
         })?;
         let start = Instant::now();
         let volume = vizsched_volume::io::read_f32(&meta.path)?;
-        assert_eq!(volume.dims, meta.dims, "brick file dims changed on disk");
+        if volume.dims != meta.dims {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "chunk {chunk}: brick file dims changed on disk ({:?}, expected {:?})",
+                    volume.dims, meta.dims
+                ),
+            ));
+        }
         if let Some(bw) = self.throttle {
             let _gate = self.gate.lock();
             let want = Duration::from_secs_f64(volume.byte_len() as f64 / bw as f64);
@@ -204,6 +212,20 @@ mod tests {
     fn missing_chunk_errors() {
         let store = small_store("missing");
         assert!(store.load(ChunkId::new(DatasetId(9), 0)).is_err());
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn rewritten_brick_errors() {
+        let store = small_store("rewritten");
+        let chunk = ChunkId::new(DatasetId(1), 2);
+        let path = store.root().join("d1-c2.vz");
+        let other: Volume<f32> = Field::Plume.sample([8, 8, 8]);
+        vizsched_volume::io::write_f32(&path, &other).unwrap();
+        let Err(err) = store.load(chunk) else {
+            panic!("dims changed on disk, yet the brick loaded")
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

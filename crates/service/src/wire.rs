@@ -8,7 +8,7 @@
 //! Pixels travel as RGBA8 (quantized from the renderer's f32, premultiplied
 //! alpha preserved), a 4× saving over raw floats before any compression.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use vizsched_core::ids::{DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, JobKind};
 use vizsched_core::time::SimDuration;
@@ -68,10 +68,10 @@ impl WireFrame {
         cache_misses: u32,
         image: &RgbaImage,
     ) -> WireFrame {
-        let mut pixels = BytesMut::with_capacity(image.len() * 4);
-        for px in &image.pixels {
-            for &c in px {
-                pixels.put_u8((c.clamp(0.0, 1.0) * 255.0).round() as u8);
+        let mut pixels = vec![0u8; image.len() * 4];
+        for (out, px) in pixels.chunks_exact_mut(4).zip(&image.pixels) {
+            for (slot, &c) in out.iter_mut().zip(px) {
+                *slot = quantize(c);
             }
         }
         WireFrame {
@@ -81,7 +81,7 @@ impl WireFrame {
             cache_misses,
             width: image.width as u32,
             height: image.height as u32,
-            pixels: pixels.freeze(),
+            pixels: Bytes::from(pixels),
         }
     }
 
@@ -95,6 +95,17 @@ impl WireFrame {
         }
         image
     }
+}
+
+/// One channel as RGBA8: `round(clamp(c, 0, 1) · 255)` without a libm
+/// `roundf` call. On `[0, 255]` rounding half away from zero is truncation
+/// plus a test of the (exactly computed) fraction — the rule
+/// `TransferFunction::table_index` relies on; NaN maps to 0 either way.
+#[inline]
+fn quantize(c: f32) -> u8 {
+    let scaled = c.clamp(0.0, 1.0) * 255.0;
+    let below = scaled as u8;
+    below + u8::from(scaled - below as f32 >= 0.5)
 }
 
 /// The server's answer to one request: a frame, or an overload-control
@@ -224,6 +235,44 @@ mod tests {
         // Quantization round-trip is within 1/255 per channel.
         let reconstructed = back.to_image();
         assert!(reconstructed.max_abs_diff(&image) <= 1.0 / 255.0 + 1e-6);
+    }
+
+    /// The libm-free quantizer is `roundf` byte for byte: random pixels,
+    /// the non-finite and out-of-range values, and both sides of every
+    /// rounding boundary `(k + ½) / 255`.
+    #[test]
+    fn quantize_matches_roundf() {
+        let mut values = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.0];
+        values.extend([
+            1.0 + f32::EPSILON,
+            1.5,
+            255.0,
+            -1e-30,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ]);
+        for k in 0..255u32 {
+            let mid = (k as f32 + 0.5) / 255.0;
+            values.extend((-2..=2).map(|d| f32::from_bits((mid.to_bits() as i32 + d) as u32)));
+        }
+        let mut state = 0x5eed_u64;
+        values.extend((0..16_384 * 4).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        }));
+        values.resize(values.len().next_multiple_of(4), 0.5);
+        let mut image = RgbaImage::transparent(values.len() / 4, 1);
+        for (px, chunk) in image.pixels.iter_mut().zip(values.chunks_exact(4)) {
+            px.copy_from_slice(chunk);
+        }
+        let frame = WireFrame::from_image(0, JobId(0), SimDuration::ZERO, 0, &image);
+        let want: Vec<u8> = values
+            .iter()
+            .map(|c| (c.clamp(0.0, 1.0) * 255.0).round() as u8)
+            .collect();
+        assert_eq!(frame.pixels.to_vec(), want);
     }
 
     #[test]

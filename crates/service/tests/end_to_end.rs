@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::ids::{ActionId, BatchId, DatasetId, UserId};
 use vizsched_core::job::FrameParams;
-use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
+use vizsched_service::{
+    ChunkStore, ServiceClient, ServiceConfig, ServiceStats, StoreDataset, VizService,
+};
 use vizsched_volume::Field;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -332,6 +334,88 @@ fn per_node_counters_partition_the_tasks() {
     assert_eq!(hits, stats.cache_hits);
     assert_eq!(misses, stats.cache_misses);
     std::fs::remove_dir_all(root).ok();
+}
+
+/// `mixed_batch`'s batch half in miniature: four closed-loop animations
+/// (each asks for its next frame when the previous lands) over `dataset`
+/// of a store of dense 64³ Marschner–Lobb volumes in two bricks, at 128²,
+/// until `frames` have been delivered. Returns the drained stats.
+fn closed_loop_batch(
+    tag: &str,
+    config: ServiceConfig,
+    dataset: u32,
+    frames: usize,
+) -> ServiceStats {
+    let root = temp_root(tag);
+    let dense = StoreDataset {
+        field: Field::MarschnerLobb,
+        dims: [64, 64, 64],
+        bricks: 2,
+    };
+    let store = ChunkStore::create(&root, &vec![dense; dataset as usize + 1]).unwrap();
+    let service = VizService::start(config.image_size(128, 128), Arc::new(store));
+    let client = ServiceClient::new(UserId(9), service.request_sender());
+    let mut sent = 0u64;
+    let mut next = || {
+        sent += 1;
+        client.render_batch(
+            BatchId(sent),
+            DatasetId(dataset),
+            &[frame(sent as f32 * 0.37)],
+        )
+    };
+    let mut streams: Vec<_> = (0..4).map(|_| next()).collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(300);
+    let mut delivered = 0;
+    while delivered < frames {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{delivered} of {frames} frames"
+        );
+        for rx in &mut streams {
+            if let Ok(reply) = rx.try_recv() {
+                reply.expect_frame();
+                delivered += 1;
+                *rx = next();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = service.drain_and_shutdown();
+    std::fs::remove_dir_all(root).ok();
+    stats
+}
+
+/// Both nodes of `pair` ran at least a quarter of the batch tasks. With
+/// the paper's GPU `α` (≈ 3.75 ms a brick) charged for a ≈ 15 ms CPU
+/// render, node-order batch fill piles every task onto the first node.
+fn assert_shared(stats: &ServiceStats, pair: std::ops::Range<usize>) {
+    let tasks: Vec<u64> = stats.per_node[pair].iter().map(|c| c.0).collect();
+    let total: u64 = tasks.iter().sum();
+    assert!(total > 0);
+    assert!(
+        tasks.iter().all(|&t| 4 * t >= total),
+        "batch tasks per node {tasks:?}: one node took the pile"
+    );
+}
+
+#[test]
+fn measured_render_time_spreads_batch_over_both_nodes() {
+    let stats = closed_loop_batch("spread", ServiceConfig::default().nodes(2), 0, 40);
+    assert_shared(&stats, 0..2);
+}
+
+#[test]
+fn measured_render_time_lands_on_the_shard_that_ran_the_task() {
+    // Two shards of two nodes; dataset 1 homes on shard 1 (nodes 2 and 3),
+    // so a measurement recorded on shard 0 would leave node 3 idle.
+    let config = ServiceConfig::default().nodes(4).shards(2);
+    let stats = closed_loop_batch("spread-shards", config, 1, 40);
+    assert_eq!(
+        stats.per_shard[0].assigned, 0,
+        "dataset 1 routes to shard 1"
+    );
+    assert_shared(&stats, 2..4);
 }
 
 #[test]

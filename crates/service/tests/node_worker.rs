@@ -13,7 +13,7 @@ use vizsched_render::raycast::{render, BrickSampler};
 use vizsched_render::{Camera, RenderSettings, TransferFunction};
 use vizsched_service::node::{run_node, NodeConfig};
 use vizsched_service::{ChunkStore, RenderTask, StoreDataset, TaskDone, ToHead, ToNode};
-use vizsched_volume::Field;
+use vizsched_volume::{Field, Volume};
 
 const DIMS: [usize; 3] = [20, 18, 26];
 const IMAGE: usize = 40;
@@ -85,27 +85,35 @@ impl Worker {
             other => panic!("expected a finished task, got {other:?}"),
         }
     }
+
+    /// A good brick renders, then `broken` ends the node: the head learns
+    /// it is gone — the report its node_fault route reroutes from — and
+    /// the thread ends by returning, not by panicking.
+    fn stops_on(self, broken: ChunkId) {
+        let good = ChunkId::new(broken.dataset, 0);
+        assert!(!self.done(good).layer.image.is_empty());
+        match self.render(broken) {
+            ToHead::Stopped { node: 3, epoch: 7 } => {}
+            other => panic!("expected Stopped from node 3 epoch 7, got {other:?}"),
+        }
+        self.thread.join().expect("the node thread did not panic");
+    }
 }
 
 #[test]
 fn lost_brick_file_stops_the_node_instead_of_hanging_the_head() {
     let (store, root) = store("lost", &[Field::Shells]);
-    let lost = ChunkId::new(DatasetId(0), 1);
     std::fs::remove_file(root.join("d0-c1.vz")).unwrap();
+    spawn(&store, 1 << 20).stops_on(ChunkId::new(DatasetId(0), 1));
+    std::fs::remove_dir_all(root).ok();
+}
 
-    let node = spawn(&store, 1 << 20);
-    assert!(!node
-        .done(ChunkId::new(DatasetId(0), 0))
-        .layer
-        .image
-        .is_empty());
-    // The head learns the node is gone — the report its node_fault route
-    // reroutes from — and the thread ends by returning, not by panicking.
-    match node.render(lost) {
-        ToHead::Stopped { node: 3, epoch: 7 } => {}
-        other => panic!("expected Stopped from node 3 epoch 7, got {other:?}"),
-    }
-    node.thread.join().expect("the node thread did not panic");
+#[test]
+fn rewritten_brick_file_stops_the_node_instead_of_panicking_it() {
+    let (store, root) = store("rewritten", &[Field::Shells]);
+    let other: Volume<f32> = Field::Plume.sample([8, 8, 8]);
+    vizsched_volume::io::write_f32(&root.join("d0-c1.vz"), &other).unwrap();
+    spawn(&store, 1 << 20).stops_on(ChunkId::new(DatasetId(0), 1));
     std::fs::remove_dir_all(root).ok();
 }
 

@@ -97,6 +97,56 @@ fn wrong_estimate_prior_converges_under_correction() {
     );
 }
 
+/// The simulator never learns `α`: with jittered execution, every
+/// prediction is still the model's — `α` on a predicted hit, `Estimate[c]`'s
+/// I/O plus `α` on a miss — although the nodes render off-model.
+#[test]
+fn simulated_predictions_charge_the_model_alpha() {
+    let probe = Arc::new(CollectingProbe::new());
+    let jobs: Vec<Job> = (0..12)
+        .map(|i| interactive(i, i % 3, SimTime::from_millis(100 * i)))
+        .collect();
+    let outcome = small_sim().run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .label("model-alpha")
+            .exec_jitter(0.1)
+            .seed(7)
+            .probe(probe.clone()),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0);
+    let cost = CostParams::default();
+    // One dataset of four 512 MiB chunks on four nodes: group 4 throughout.
+    let alpha = cost.alpha(512 * MIB, 4);
+    let mut io: std::collections::HashMap<ChunkId, SimDuration> = Default::default();
+    let (mut hits, mut off_model) = (0, 0);
+    for event in probe.take() {
+        match event {
+            TraceEvent::EstimateCorrection { chunk, new, .. } => {
+                io.insert(chunk, new);
+            }
+            TraceEvent::Assignment {
+                chunk,
+                predicted_exec,
+                ..
+            } => {
+                let miss = io.get(&chunk).copied().unwrap_or(cost.io_time(512 * MIB)) + alpha;
+                assert!(
+                    predicted_exec == alpha || predicted_exec == miss,
+                    "{chunk}: predicted {predicted_exec}, model {alpha} or {miss}"
+                );
+                hits += usize::from(predicted_exec == alpha);
+            }
+            TraceEvent::TaskDone { exec, miss, .. } => {
+                off_model += usize::from(!miss && exec != alpha)
+            }
+            _ => {}
+        }
+    }
+    assert!(hits > 0, "some placements are predicted hits");
+    assert!(off_model > 0, "jitter moves real renders off the model");
+}
+
 #[test]
 fn probe_event_stream_is_conserved() {
     let probe = Arc::new(CollectingProbe::new());
