@@ -74,6 +74,7 @@ pub mod fxhash;
 pub mod ids;
 pub mod job;
 pub mod memory;
+pub mod rng;
 pub mod sched;
 pub mod tables;
 pub mod tiered;

@@ -9,8 +9,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::ids::ChunkId;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use crate::rng::SplitMix64;
 use std::collections::BTreeMap;
 
 /// Which cached chunk to evict when the quota is exceeded.
@@ -61,7 +60,7 @@ pub struct NodeMemory {
     /// Recency order: stamp -> chunk. Lowest stamp is the LRU victim.
     order: BTreeMap<u64, ChunkId>,
     next_stamp: u64,
-    rng: SmallRng,
+    rng: SplitMix64,
     loads: u64,
     evictions: u64,
 }
@@ -85,7 +84,7 @@ impl NodeMemory {
             entries: FxHashMap::default(),
             order: BTreeMap::new(),
             next_stamp: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SplitMix64::seeded_mixed(seed),
             loads: 0,
             evictions: 0,
         }
@@ -205,7 +204,7 @@ impl NodeMemory {
                 *self.order.values().next().expect("non-empty cache")
             }
             EvictionPolicy::Random { .. } => {
-                let idx = self.rng.random_range(0..self.order.len());
+                let idx = self.rng.below(self.order.len() as u64) as usize;
                 *self.order.values().nth(idx).expect("index in range")
             }
         }

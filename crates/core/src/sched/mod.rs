@@ -40,6 +40,7 @@ use crate::cost::CostParams;
 use crate::data::{Catalog, DecompositionPolicy};
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
+use crate::rng;
 use crate::tables::{AvailHeap, HeadTables};
 use crate::time::{SimDuration, SimTime};
 
@@ -353,13 +354,11 @@ impl ScheduleCtx<'_> {
 /// function of its inputs, so runs stay reproducible, but different at every
 /// instant, so no placement pattern can persist across scheduling rounds.
 fn idle_tie_hash(now: SimTime, node: NodeId) -> u64 {
-    let mut z = now
-        .as_micros()
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add((node.0 as u64) << 32 | 0x1d1e);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    rng::mix64(
+        now.as_micros()
+            .wrapping_mul(rng::GAMMA)
+            .wrapping_add((node.0 as u64) << 32 | 0x1d1e),
+    )
 }
 
 /// The cold-placement protection gate shared by the policy family's batch

@@ -9,14 +9,15 @@
 //! claimed to be *behavior-preserving*, so any divergence in any field of
 //! any `Assignment` (task, node, predicted start/exec, group) is a bug.
 //!
-//! The generator is a hand-rolled splitmix64 (no external dependencies) so
-//! every failure reproduces from the printed case seed.
+//! The generator is a raw-state `SplitMix64` stream, so every failure
+//! reproduces from the printed case seed.
 
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::rng::SplitMix64;
 use vizsched_core::sched::{
     CompletionFeedback, FcfslScheduler, FracParams, FracScheduler, MobjParams, MobjScheduler,
     OursParams, OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler,
@@ -27,23 +28,12 @@ use vizsched_core::time::{SimDuration, SimTime};
 
 const MIB: u64 = 1 << 20;
 
-/// Splitmix64: tiny, seedable, good enough to explore the case space.
-struct Rng(u64);
+trait Chance {
+    /// True with probability `percent`/100.
+    fn chance(&mut self, percent: u64) -> bool;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)`.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
+impl Chance for SplitMix64 {
     fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
@@ -63,7 +53,7 @@ struct Case {
 
 impl Case {
     fn generate(seed: u64) -> Case {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::from_state(seed);
         let p = 1 + rng.below(24) as usize;
         let quota = (1 + rng.below(4)) * 1024 * MIB;
         let datasets = 1 + rng.below(6) as u32;
@@ -89,7 +79,7 @@ impl Case {
         }
     }
 
-    fn random_jobs(&self, rng: &mut Rng, now: SimTime, next_id: &mut u64) -> Vec<Job> {
+    fn random_jobs(&self, rng: &mut SplitMix64, now: SimTime, next_id: &mut u64) -> Vec<Job> {
         let count = rng.below(9);
         (0..count)
             .map(|_| {
@@ -121,7 +111,13 @@ impl Case {
     /// Mutate both table copies identically, the way the runtime would
     /// between scheduler invocations: availability corrections (task
     /// completions) and measured-I/O refreshes of `Estimate[c]`.
-    fn perturb_tables(&self, rng: &mut Rng, now: SimTime, a: &mut HeadTables, b: &mut HeadTables) {
+    fn perturb_tables(
+        &self,
+        rng: &mut SplitMix64,
+        now: SimTime,
+        a: &mut HeadTables,
+        b: &mut HeadTables,
+    ) {
         for k in 0..self.cluster.len() {
             if rng.chance(40) {
                 let t = now + SimDuration::from_millis(rng.below(500));
@@ -155,7 +151,7 @@ impl Case {
         reference: &mut dyn Scheduler,
         feed_completions: bool,
     ) {
-        let mut rng = Rng(self.seed ^ 0xdead_beef);
+        let mut rng = SplitMix64::from_state(self.seed ^ 0xdead_beef);
         let mut tables_opt = HeadTables::new(&self.cluster);
         let mut tables_ref = HeadTables::new(&self.cluster);
         let mut next_id = 0u64;

@@ -26,6 +26,7 @@
 #![warn(rust_2018_idioms)]
 
 use vizsched_core::ids::{ChunkId, DatasetId, NodeId, ShardId};
+use vizsched_core::rng::SplitMix64;
 
 /// Default number of virtual points each shard contributes to the ring.
 ///
@@ -40,15 +41,13 @@ pub const DEFAULT_REPLICAS: usize = 64;
 /// cluster wired as 32 leaf switches of 4 nodes under one spine).
 pub const DEFAULT_LEAF: usize = 4;
 
-/// SplitMix64 finalizer: a cheap, statistically solid 64-bit mixer.
-/// Used for both key hashing and virtual-point placement so the ring is
-/// fully deterministic from `(seed, shards, replicas)`.
+/// The first output of a SplitMix64 stream at state `z`: a cheap,
+/// statistically solid 64-bit hash. Used for both key hashing and
+/// virtual-point placement so the ring is fully deterministic from
+/// `(seed, shards, replicas)`.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn mix64(z: u64) -> u64 {
+    SplitMix64::from_state(z).next_u64()
 }
 
 /// A consistent-hash ring mapping packed chunk keys onto shards.

@@ -11,14 +11,15 @@
 //! `fault_injected` trace event at the moment the fault takes effect —
 //! so any chaos run replays bit-identically in the sim.
 //!
-//! [`FaultPlan::random`] generates *recoverable* schedules (splitmix64,
-//! the repo's standard deterministic generator): at any instant every
+//! [`FaultPlan::random`] generates *recoverable* schedules (a raw-state
+//! `vizsched_core::rng` stream): at any instant every
 //! shard keeps at least one live node, so a correct control plane can
 //! always re-place lost work and the property tests may assert zero
 //! admitted-job loss.
 
 pub use vizsched_core::fault::{FaultEvent, FaultKind};
 use vizsched_core::ids::{NodeId, ShardId};
+use vizsched_core::rng::SplitMix64;
 use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_routing::ShardMap;
 
@@ -103,25 +104,39 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The first scheduled fault that leaves none of `nodes` nodes up, if
-    /// any. No substrate can place work on such a cluster (the scheduler
-    /// panics), so a plan that came from outside the program — a replayed
-    /// record — is checked with this before it runs.
-    pub fn total_outage(&self, nodes: usize) -> Option<FaultEvent> {
+    /// Check the plan against a `nodes`-node cluster before anything runs:
+    /// no fault may address a node outside it
+    /// ([`FaultKind::node_range`]), and none may leave all of its nodes
+    /// down — no substrate can place work then (the scheduler panics).
+    /// The error names the first offending fault. Both substrates and
+    /// `scenario --replay` call this before they start.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
         let mut up = vec![true; nodes];
-        self.events.iter().copied().find(|e| {
-            let (base, count, alive) = match e.kind {
-                FaultKind::NodeCrash(n) => (n, 1, false),
-                FaultKind::NodeRespawn(n) => (n, 1, true),
-                FaultKind::LeafOutage { base, count } => (base, count, false),
-                FaultKind::LeafRecover { base, count } => (base, count, true),
-                _ => return false,
+        for &FaultEvent { at, kind } in &self.events {
+            let Some(hit) = kind.node_range() else {
+                continue;
             };
-            for slot in up.iter_mut().skip(base.index()).take(count as usize) {
-                *slot = alive;
+            if hit.end > nodes as u64 {
+                return Err(format!(
+                    "fault plan: {kind:?} at {at} is outside the {nodes}-node cluster"
+                ));
             }
-            !up.contains(&true)
-        })
+            let alive = match kind {
+                FaultKind::NodeCrash(_) | FaultKind::LeafOutage { .. } => false,
+                FaultKind::NodeRespawn(_) | FaultKind::LeafRecover { .. } => true,
+                _ => continue,
+            };
+            up[hit.start as usize..hit.end as usize].fill(alive);
+            if !up.contains(&true) {
+                return Err(format!(
+                    "the {} fault at {} us leaves none of the {nodes} nodes alive; nothing can \
+                     be placed from there on",
+                    kind.wire().0,
+                    at.as_micros()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// A random *recoverable* plan over a `nodes`-node cluster split into
@@ -135,14 +150,7 @@ impl FaultPlan {
     /// exist). Degradations are unconstrained — a slow node is still a
     /// correct node.
     pub fn random(seed: u64, nodes: usize, shards: usize, horizon: SimDuration) -> Self {
-        let mut state = seed ^ 0xa076_1d64_78bd_642f;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::from_state(seed ^ 0xa076_1d64_78bd_642f);
         let span_us = horizon.as_micros().max(2);
         let mut plan = FaultPlan::new();
         let shards = shards.max(1).min(nodes.max(1));
@@ -151,15 +159,15 @@ impl FaultPlan {
         // Per-shard crash windows: [start, end) intervals during which
         // one of the shard's nodes is down. Non-overlapping per shard.
         let mut windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        let pairs = 1 + (next() % 3) as usize;
+        let pairs = 1 + rng.below(3) as usize;
         for _ in 0..pairs {
-            let span = map.span(ShardId((next() % shards as u64) as u32));
+            let span = map.span(ShardId(rng.below(shards as u64) as u32));
             if span.nodes < 2 {
                 continue; // never crash a single-node shard
             }
-            let node = NodeId(span.base + (next() % span.nodes as u64) as u32);
-            let a = next() % span_us;
-            let b = next() % span_us;
+            let node = NodeId(span.base + rng.below(span.nodes as u64) as u32);
+            let a = rng.below(span_us);
+            let b = rng.below(span_us);
             let (start, end) = (a.min(b), a.max(b).max(a.min(b) + 1));
             let overlaps = windows[span.shard.index()]
                 .iter()
@@ -174,11 +182,11 @@ impl FaultPlan {
         }
 
         // Degradations: free, any node, any interval.
-        for _ in 0..(next() % 3) {
-            let node = NodeId((next() % nodes.max(1) as u64) as u32);
-            let factor_pm = 1500 + (next() % 2500) as u32;
-            let a = next() % span_us;
-            let b = next() % span_us;
+        for _ in 0..rng.below(3) {
+            let node = NodeId(rng.below(nodes.max(1) as u64) as u32);
+            let factor_pm = 1500 + rng.below(2500) as u32;
+            let a = rng.below(span_us);
+            let b = rng.below(span_us);
             let (start, end) = (a.min(b), a.max(b).max(a.min(b) + 1));
             plan = plan
                 .degrade_at(SimTime::from_micros(start), node, factor_pm)
@@ -186,9 +194,9 @@ impl FaultPlan {
         }
 
         // At most one shard-head crash, mid-plan, only with survivors.
-        if shards >= 2 && next() % 2 == 0 {
-            let shard = ShardId((next() % shards as u64) as u32);
-            let at = span_us / 4 + next() % (span_us / 2).max(1);
+        if shards >= 2 && rng.below(2) == 0 {
+            let shard = ShardId(rng.below(shards as u64) as u32);
+            let at = span_us / 4 + rng.below((span_us / 2).max(1));
             plan = plan.shard_crash_at(SimTime::from_micros(at), shard);
         }
         plan
@@ -256,12 +264,23 @@ mod tests {
             .leaf_recover_at(s(4), NodeId(0), 2)
             .leaf_outage_at(s(5), NodeId(1), 1)
             .degrade_at(s(6), NodeId(0), 3000);
-        assert_eq!(plan.total_outage(2), None);
+        assert_eq!(plan.check(2), Ok(()));
+        let outage = "fault at 7000000 us leaves none of the 2 nodes alive";
         let last = plan.clone().crash_at(s(7), NodeId(0));
-        assert_eq!(last.total_outage(2).map(|e| e.at), Some(s(7)));
+        assert!(last.check(2).unwrap_err().contains(outage));
         let leaf = plan.leaf_outage_at(s(7), NodeId(0), 2);
-        assert_eq!(leaf.total_outage(2).map(|e| e.at), Some(s(7)));
-        assert_eq!(leaf.total_outage(3), None);
+        assert!(leaf.check(2).unwrap_err().contains(outage));
+        assert_eq!(leaf.check(3), Ok(()));
+        // Out of range is reported as such, ahead of the outage it causes.
+        let wide = FaultPlan::new().leaf_outage_at(s(1), NodeId(0), 3);
+        assert_eq!(
+            wide.check(2),
+            Err(
+                "fault plan: LeafOutage { base: NodeId(0), count: 3 } at 1.000000s is outside \
+                 the 2-node cluster"
+                    .into()
+            )
+        );
     }
 
     #[test]

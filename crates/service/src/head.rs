@@ -236,15 +236,12 @@ pub struct VizService {
 
 impl VizService {
     /// Start the service over an existing chunk store. Panics here, on the
-    /// caller's thread, if the fault plan addresses a node outside the cluster.
+    /// caller's thread, if the fault plan fails [`FaultPlan::check`] on the
+    /// cluster.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
-        let nodes = config.nodes as u64;
-        for &FaultEvent { at, kind } in config.fault_plan.iter().flat_map(FaultPlan::events) {
-            assert!(
-                kind.node_range().map_or(0, |hit| hit.end) <= nodes,
-                "fault plan: {kind:?} at {at} is outside the {nodes}-node cluster"
-            );
+        if let Some(plan) = &config.fault_plan {
+            plan.check(config.nodes).unwrap_or_else(|e| panic!("{e}"));
         }
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.

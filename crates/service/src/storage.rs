@@ -3,10 +3,9 @@
 //! small test volumes exhibit the I/O-dominates-rendering regime of Fig. 2
 //! without gigabytes of disk.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use vizsched_core::data::{Catalog, DatasetDesc};
 use vizsched_core::ids::{ChunkId, DatasetId};
@@ -141,7 +140,7 @@ impl ChunkStore {
             ));
         }
         if let Some(bw) = self.throttle {
-            let _gate = self.gate.lock();
+            let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
             let want = Duration::from_secs_f64(volume.byte_len() as f64 / bw as f64);
             let elapsed = start.elapsed();
             if want > elapsed {

@@ -40,13 +40,12 @@ use crate::protocol::{RenderOutcome, RenderReply, RenderRequest};
 use crate::wire::{WireFrame, WireMessage, WireRequest, WireResponse};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 use polling::{Events, Interest, Poller, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vizsched_core::ids::{ActionId, BatchId, DatasetId, UserId};
@@ -90,6 +89,13 @@ const TOKEN_BASE: usize = 2;
 
 /// Segments handed to one `write_vectored` call.
 const MAX_IOV: usize = 8;
+
+/// Lock `m`, recovering the guard if a holder panicked: the values behind
+/// these locks change in single steps, and a frame a panic left
+/// half-written on the socket reads to the peer as a broken connection.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A TCP front on a running service.
 pub struct TcpServer {
@@ -136,7 +142,7 @@ impl TcpServer {
             let waker = waker.clone();
             std::thread::spawn(move || {
                 while let Ok(reply) = reply_rx.recv() {
-                    inbox.lock().push(reply);
+                    lock(&inbox).push(reply);
                     let _ = waker.wake();
                 }
             });
@@ -312,7 +318,7 @@ impl EventLoop {
                         if self.stop.load(Ordering::Relaxed) {
                             return;
                         }
-                        let batch = std::mem::take(&mut *self.inbox.lock());
+                        let batch = std::mem::take(&mut *lock(&self.inbox));
                         for reply in batch {
                             self.deliver(reply);
                         }
@@ -674,7 +680,7 @@ fn spawn_reader(
         while let Ok(Some(msg)) = codec.read(&mut read_side) {
             match msg {
                 WireMessage::Response(resp) => {
-                    let waiter = pending.lock().remove(&resp.request_id());
+                    let waiter = lock(&pending).remove(&resp.request_id());
                     if let Some(tx) = waiter {
                         let _ = tx.send(resp);
                     }
@@ -694,7 +700,7 @@ fn spawn_reader(
         if let Some(rx) = &release {
             while rx.try_recv().is_ok() {}
         }
-        pending.lock().clear();
+        lock(&pending).clear();
     })
 }
 
@@ -765,7 +771,7 @@ impl RemoteClient {
     /// another caller already reconnected.
     fn reconnect(&self) -> io::Result<u64> {
         {
-            let mut io = self.io.lock();
+            let mut io = lock(&self.io);
             if self.shutdown.load(Ordering::Acquire) {
                 return Err(io::Error::new(
                     io::ErrorKind::NotConnected,
@@ -776,7 +782,7 @@ impl RemoteClient {
                 // Tear down: the old reader exits on the shutdown, clearing
                 // pending waiters and draining stale in-flight permits.
                 let _ = io.stream.shutdown(Shutdown::Both);
-                if let Some(handle) = self.reader.lock().take() {
+                if let Some(handle) = lock(&self.reader).take() {
                     let _ = handle.join();
                 }
                 let stream = TcpStream::connect(self.addr)?;
@@ -785,7 +791,7 @@ impl RemoteClient {
                 self.epoch.store(0, Ordering::Release);
                 self.closed.store(false, Ordering::Release);
                 let release = self.permits.as_ref().map(|(_, rx)| rx.clone());
-                *self.reader.lock() = Some(spawn_reader(
+                *lock(&self.reader) = Some(spawn_reader(
                     read_side,
                     self.pending.clone(),
                     self.closed.clone(),
@@ -848,7 +854,7 @@ impl RemoteClient {
         self.acquire_permit()?;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
-        self.pending.lock().insert(request_id, tx);
+        lock(&self.pending).insert(request_id, tx);
         let req = WireRequest {
             request_id,
             user,
@@ -856,11 +862,11 @@ impl RemoteClient {
             dataset,
             frame,
         };
-        let mut io = self.io.lock();
+        let mut io = lock(&self.io);
         let ClientIo { stream, codec } = &mut *io;
         if let Err(e) = codec.write(stream, &WireMessage::Request(req)) {
             drop(io);
-            self.pending.lock().remove(&request_id);
+            lock(&self.pending).remove(&request_id);
             self.release_permit();
             return Err(e);
         }
@@ -1021,8 +1027,8 @@ impl RemoteClient {
     pub fn close(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.closed.store(true, Ordering::Release);
-        let _ = self.io.lock().stream.shutdown(Shutdown::Both);
-        if let Some(handle) = self.reader.lock().take() {
+        let _ = lock(&self.io).stream.shutdown(Shutdown::Both);
+        if let Some(handle) = lock(&self.reader).take() {
             let _ = handle.join();
         }
     }

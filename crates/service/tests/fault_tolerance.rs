@@ -202,3 +202,15 @@ fn plan_with_a_leaf_group_straddling_the_cluster_end_is_refused_at_start() {
     let plan = FaultPlan::new().leaf_outage_at(SimTime::from_millis(20), NodeId(3), 2);
     start_under_plan("oob-leaf", plan);
 }
+
+/// A plan that crashes every node is refused at start as well — not by a
+/// placement panic on the head thread that leaves later requests
+/// unanswered and only surfaces when `shutdown` finds the thread dead.
+#[test]
+#[should_panic(expected = "the node_crash fault at 40000 us leaves none of the 4 nodes alive")]
+fn plan_that_crashes_every_node_is_refused_at_start() {
+    let plan = (0..4).fold(FaultPlan::new(), |plan, n| {
+        plan.crash_at(SimTime::from_millis(10 * (n + 1)), NodeId(n as u32))
+    });
+    start_under_plan("all-down", plan);
+}

@@ -35,8 +35,8 @@ use vizsched_core::sched::{Assignment, Trigger};
 use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{Probe, RunRecord, TraceEvent};
 use vizsched_runtime::{
-    Admission, Completion, FaultEvent, FaultKind, FaultPlan, HeadRuntime, OverloadStats,
-    ShardOutcome, ShardedRuntime, Substrate,
+    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome,
+    ShardedRuntime, Substrate,
 };
 
 /// Static configuration of one simulation.
@@ -147,15 +147,12 @@ impl Simulation {
     /// Run one policy over `jobs` (must be sorted by issue time) under
     /// [`RunOptions`]: label, probe, per-run overrides, `Estimate[c]`
     /// pre-seeding.
-    /// Panics before the run starts if the fault plan addresses a node
-    /// outside the cluster.
+    /// Panics before the run starts if the fault plan fails
+    /// [`FaultPlan::check`] on the cluster.
     pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> SimOutcome {
-        let nodes = self.config.cluster.len() as u64;
-        for &FaultEvent { at, kind } in opts.fault_plan.iter().flat_map(FaultPlan::events) {
-            assert!(
-                kind.node_range().map_or(0, |hit| hit.end) <= nodes,
-                "fault plan: {kind:?} at {at} is outside the {nodes}-node cluster"
-            );
+        if let Some(plan) = &opts.fault_plan {
+            plan.check(self.config.cluster.len())
+                .unwrap_or_else(|e| panic!("{e}"));
         }
         let mut config = self.config.clone();
         if let Some(jitter) = opts.exec_jitter {

@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 use vizsched_core::cost::CostParams;
 use vizsched_core::ids::{ChunkId, NodeId};
 use vizsched_core::memory::EvictionPolicy;
+use vizsched_core::rng;
 use vizsched_core::sched::Assignment;
 use vizsched_core::tiered::{Tier, TieredMemory};
 use vizsched_core::time::{SimDuration, SimTime};
@@ -268,14 +269,11 @@ pub fn jitter_factor(job: u64, chunk: u64, node: u32, amp: f64) -> f64 {
         (0.0..1.0).contains(&amp),
         "jitter amplitude must be in [0, 1)"
     );
-    let mut z = job
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(chunk.rotate_left(17))
-        .wrapping_add((node as u64) << 48);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+    let unit = rng::unit_f64(rng::mix64(
+        job.wrapping_mul(rng::GAMMA)
+            .wrapping_add(chunk.rotate_left(17))
+            .wrapping_add((node as u64) << 48),
+    ));
     1.0 + amp * (2.0 * unit - 1.0)
 }
 

@@ -287,6 +287,19 @@ fn plan_with_a_leaf_group_straddling_the_cluster_end_is_refused_before_the_run()
     );
 }
 
+/// A plan that leaves no node alive is refused up front as well — not by
+/// the scheduler's "at least one live node" panic when the next job
+/// arrives mid-run.
+#[test]
+#[should_panic(expected = "the leaf_outage fault at 10000 us leaves none of the 4 nodes alive")]
+fn plan_that_downs_every_node_is_refused_before_the_run() {
+    let plan = FaultPlan::new().leaf_outage_at(SimTime::from_millis(10), NodeId(0), 4);
+    small_sim().run_opts(
+        vec![interactive(0, 0, 0, SimTime::from_millis(20))],
+        RunOptions::new(SchedulerKind::Ours).fault_plan(plan),
+    );
+}
+
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);

@@ -1,42 +1,41 @@
 //! Seeded random arrival helpers. All sampling goes through explicit
-//! `StdRng` instances so every workload is reproducible bit-for-bit.
+//! [`SplitMix64`] streams (`vizsched_core::rng`) so every workload is
+//! reproducible bit-for-bit.
 
-use rand::{Rng, RngExt};
+use vizsched_core::rng::SplitMix64;
 use vizsched_core::time::SimDuration;
 
 /// Sample an exponentially distributed duration with the given mean
 /// (inter-arrival times, action/think durations).
-pub fn exp_duration<R: Rng>(rng: &mut R, mean: SimDuration) -> SimDuration {
+pub fn exp_duration(rng: &mut SplitMix64, mean: SimDuration) -> SimDuration {
     if mean.is_zero() {
         return SimDuration::ZERO;
     }
-    let u: f64 = rng.random_range(0.0..1.0);
+    let u = rng.unit();
     // Inverse CDF; (1 - u) never hits 0 because the range excludes 1.
     let x = -(1.0 - u).ln();
     mean.mul_f64(x)
 }
 
 /// Sample a uniform duration in `[lo, hi]`.
-pub fn uniform_duration<R: Rng>(rng: &mut R, lo: SimDuration, hi: SimDuration) -> SimDuration {
+pub fn uniform_duration(rng: &mut SplitMix64, lo: SimDuration, hi: SimDuration) -> SimDuration {
     assert!(lo <= hi, "empty duration range");
-    SimDuration::from_micros(rng.random_range(lo.as_micros()..=hi.as_micros()))
+    SimDuration::from_micros(rng.range_inclusive(lo.as_micros(), hi.as_micros()))
 }
 
 /// Sample a uniform integer in `[lo, hi]`.
-pub fn uniform_u32<R: Rng>(rng: &mut R, lo: u32, hi: u32) -> u32 {
+pub fn uniform_u32(rng: &mut SplitMix64, lo: u32, hi: u32) -> u32 {
     assert!(lo <= hi, "empty integer range");
-    rng.random_range(lo..=hi)
+    rng.range_inclusive(lo.into(), hi.into()) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn exp_duration_has_roughly_the_right_mean() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seeded(1);
         let mean = SimDuration::from_millis(100);
         let n = 20_000;
         let total: u64 = (0..n)
@@ -52,13 +51,13 @@ mod tests {
 
     #[test]
     fn exp_duration_zero_mean_is_zero() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seeded(1);
         assert_eq!(exp_duration(&mut rng, SimDuration::ZERO), SimDuration::ZERO);
     }
 
     #[test]
     fn uniform_duration_stays_in_range() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seeded(2);
         let lo = SimDuration::from_millis(10);
         let hi = SimDuration::from_millis(20);
         for _ in 0..1000 {
@@ -70,7 +69,7 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let draw = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seeded(seed);
             (0..10)
                 .map(|_| exp_duration(&mut rng, SimDuration::from_secs(1)).as_micros())
                 .collect::<Vec<_>>()

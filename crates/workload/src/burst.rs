@@ -12,10 +12,9 @@
 //! base workload's principals.
 
 use crate::arrival::uniform_duration;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::rng::{SplitMix64, GAMMA};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// User-id offset separating burst users from base principals (base
@@ -55,9 +54,9 @@ impl BurstSpec {
         let end = SimTime::ZERO + self.window_start + self.window;
         let max_jitter = self.period / 10;
         for slot in 0..self.extra_slots {
-            let mut rng = StdRng::seed_from_u64(
+            let mut rng = SplitMix64::seeded(
                 self.seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_mul(GAMMA)
                     .wrapping_add(0xb0b5 + slot as u64),
             );
             let user = UserId(BURST_USER_OFFSET + slot);

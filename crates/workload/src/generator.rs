@@ -13,10 +13,9 @@
 //!   of frame jobs queued at submission time.
 
 use crate::arrival::{exp_duration, uniform_duration, uniform_u32};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vizsched_core::ids::{ActionId, BatchId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::rng::{SplitMix64, GAMMA};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// How sessions pick datasets.
@@ -37,7 +36,7 @@ pub enum DatasetChoice {
 
 impl DatasetChoice {
     /// Sample a dataset index in `0..count`.
-    pub fn sample<R: rand::Rng + rand::RngExt>(&self, rng: &mut R, count: u32) -> u32 {
+    pub fn sample(&self, rng: &mut SplitMix64, count: u32) -> u32 {
         assert!(count > 0, "need at least one dataset");
         match *self {
             DatasetChoice::Uniform => uniform_u32(rng, 0, count - 1),
@@ -48,7 +47,7 @@ impl DatasetChoice {
                 );
                 // Inverse-CDF over the normalized harmonic weights.
                 let total: f64 = (1..=count as u64).map(|k| 1.0 / (k as f64).powf(s)).sum();
-                let mut target: f64 = rng.random_range(0.0..1.0) * total;
+                let mut target = rng.unit() * total;
                 for k in 0..count {
                     target -= 1.0 / ((k + 1) as f64).powf(s);
                     if target <= 0.0 {
@@ -164,7 +163,7 @@ impl WorkloadSpec {
         let mut next_action = 0u64;
 
         for slot in 0..self.interactive.slots {
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x5eed + slot as u64));
+            let mut rng = SplitMix64::seeded(self.seed.wrapping_add(0x5eed + slot as u64));
             match self.interactive.behavior {
                 ActionBehavior::FullLength => {
                     let dataset = DatasetId(slot % self.dataset_count);
@@ -210,7 +209,7 @@ impl WorkloadSpec {
         }
 
         // Batch submissions.
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xba7c4));
+        let mut rng = SplitMix64::seeded(self.seed.wrapping_add(0xba7c4));
         let window = self.length.mul_f64(self.batch.window_frac.clamp(0.0, 1.0));
         for sub in 0..self.batch.submissions {
             let at = SimTime::ZERO + uniform_duration(&mut rng, SimDuration::ZERO, window);
@@ -265,11 +264,7 @@ impl WorkloadSpec {
         start: SimTime,
         duration: SimDuration,
     ) {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(action.0),
-        );
+        let mut rng = SplitMix64::seeded(self.seed.wrapping_mul(GAMMA).wrapping_add(action.0));
         let user = UserId(slot);
         let end = start + duration;
         let phase = uniform_duration(&mut rng, SimDuration::ZERO, self.interactive.period);
@@ -440,8 +435,7 @@ mod tests {
 
     #[test]
     fn zipf_skews_toward_low_indices() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seeded(3);
         let choice = DatasetChoice::Zipf { s: 1.2 };
         let mut counts = [0u32; 8];
         for _ in 0..8000 {
@@ -463,8 +457,7 @@ mod tests {
 
     #[test]
     fn zipf_zero_exponent_is_roughly_uniform() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seeded(4);
         let choice = DatasetChoice::Zipf { s: 0.0 };
         let mut counts = [0u32; 4];
         for _ in 0..8000 {

@@ -38,12 +38,11 @@
 use crate::arrival::uniform_duration;
 use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
 use crate::record::{RecordHeader, ScenarioRecord};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
 use vizsched_core::data::{Catalog, ChunkDesc, DatasetDesc};
 use vizsched_core::ids::{ActionId, ChunkId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::rng::{SplitMix64, GAMMA};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// User-id offset for flash-crowd arrivals, keeping them disjoint from
@@ -66,10 +65,7 @@ fn emit_action(
     period: SimDuration,
     frame0: u32,
 ) {
-    let mut rng = StdRng::seed_from_u64(
-        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(action.0),
-    );
+    let mut rng = SplitMix64::seeded(seed.wrapping_mul(GAMMA).wrapping_add(action.0));
     let phase = uniform_duration(&mut rng, SimDuration::ZERO, period);
     let max_jitter = period / 10;
     let mut nominal = start + phase;
@@ -145,7 +141,7 @@ impl DiurnalSpec {
         let p = self.curve_period.as_secs_f64();
         let length = self.length.as_secs_f64();
         for slot in 0..self.slots_peak {
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xd1a7 + slot as u64));
+            let mut rng = SplitMix64::seeded(self.seed.wrapping_add(0xd1a7 + slot as u64));
             let threshold = (slot as f64 + 0.5) / self.slots_peak as f64;
             // carrier(t) >= threshold  ⟺  cos(2πt/P) <= c
             let c = if (1.0 - self.trough_frac).abs() < f64::EPSILON {
@@ -491,14 +487,7 @@ pub fn mixed_tier_cluster(nodes: usize, mem_quota: u64, tiers: &[f64]) -> Cluste
 /// costs, where uniform bricking would make every task interchangeable.
 pub fn heterogeneous_catalog(count: u32, bytes: u64, chunk_max: u64, seed: u64) -> Catalog {
     assert!(chunk_max >= 2, "chunk_max too small to vary");
-    let mut state = seed ^ 0x51c3_7a9e_0b5d_2f84;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::from_state(seed ^ 0x51c3_7a9e_0b5d_2f84);
     let mut datasets = Vec::new();
     let mut chunks = Vec::new();
     for d in 0..count {
@@ -507,7 +496,7 @@ pub fn heterogeneous_catalog(count: u32, bytes: u64, chunk_max: u64, seed: u64) 
         while left > 0 {
             let lo = chunk_max / 2;
             let span = chunk_max - lo + 1;
-            let take = (lo + next() % span).min(left);
+            let take = (lo + rng.below(span)).min(left);
             // Never strand a sliver smaller than half a chunk.
             let take = if left - take < lo && left - take > 0 {
                 left

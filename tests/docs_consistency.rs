@@ -5,8 +5,8 @@
 //! shape, the top-level markdown documents (including the guides in
 //! docs/) must not carry dead intra-repo links, every CI `--check` must
 //! name a committed root `BENCH_*.json`, every root test and example must
-//! be a registered cargo target, and the shim inventory must agree with
-//! itself. Run by the CI docs job.
+//! be a registered cargo target, the shim inventory must agree with
+//! itself, and splitmix64 must be written once. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -415,6 +415,49 @@ fn shims_readme_dirs_and_workspace_entries_agree() {
             "shim `{shim}` is a dependency of no crate under crates/"
         );
     }
+}
+
+/// splitmix64 is written once: every seeded stream and deterministic hash
+/// goes through `vizsched_core::rng`, so its finalizer multiplier may
+/// appear under `crates/*/src` in that file only — in any case, with or
+/// without digit separators. (`shims/proptest` keeps its own copy: a shim
+/// cannot depend on a product crate.)
+#[test]
+fn splitmix64_is_written_once() {
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        rust_files(&entry.expect("dir entry").path().join("src"), &mut files);
+    }
+    let mut hits: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path).expect("read source file");
+            text.to_ascii_lowercase()
+                .replace('_', "")
+                .contains("0xbf58476d1ce4e5b9")
+        })
+        .map(|path| {
+            let rel = path.strip_prefix(&root).expect("under the repo root");
+            rel.to_string_lossy().replace('\\', "/")
+        })
+        .collect();
+    hits.sort();
+    assert_eq!(
+        hits,
+        ["crates/core/src/rng.rs"],
+        "the splitmix64 finalizer is written outside vizsched_core::rng"
+    );
 }
 
 /// Root tests and examples are path-registered targets of the host crate:
