@@ -52,8 +52,6 @@ pub struct Pair {
     pub overload: OverloadPolicy,
     /// Fault schedule (empty by default).
     pub fault_plan: FaultPlan,
-    /// Live only: respawn a render node's worker after a fault.
-    pub restart_nodes: bool,
 }
 
 impl Default for Pair {
@@ -68,7 +66,6 @@ impl Default for Pair {
             cycle: SimDuration::from_millis(30),
             overload: OverloadPolicy::default(),
             fault_plan: FaultPlan::new(),
-            restart_nodes: false,
         }
     }
 }
@@ -143,7 +140,6 @@ impl Rig {
             .scheduler(pair.scheduler)
             .cycle(pair.cycle)
             .overload(pair.overload)
-            .restart_nodes(pair.restart_nodes)
             .fault_plan(pair.fault_plan.clone())
             .probe(probe);
         let service = VizService::start(config, self.store.clone());

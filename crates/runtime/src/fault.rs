@@ -1,15 +1,16 @@
 //! Deterministic fault injection: a seedable [`FaultPlan`] schedule of
 //! node crashes, respawns, slow-node degradations, correlated leaf-group
-//! outages, and shard-head crashes, executed identically by both
-//! substrates.
+//! outages, and shard-head crashes, and [`ShardedRuntime::on_fault`], the
+//! one interpreter both substrates execute it through.
 //!
 //! A plan is nothing but a time-sorted list of [`FaultEvent`]s; the
 //! executing substrate (the discrete-event simulator or the live service
-//! head loop) walks the list against its own clock, applies each fault
-//! through the same runtime entry points (`on_node_fault`,
-//! `on_node_recover`, `on_shard_fail`, degrade hooks), and emits a
-//! `fault_injected` trace event at the moment the fault takes effect —
-//! so any chaos run replays bit-identically in the sim.
+//! head loop) walks the list against its own clock and hands each entry
+//! to `on_fault`. That emits `fault_injected`, drives the substrate's node
+//! hooks ([`Substrate::crash_node`], [`Substrate::respawn_node`],
+//! [`Substrate::degrade_node`]) and the runtime's own fault entry points
+//! (`on_node_fault`, `on_node_recover`, `on_shard_fail`) in one fixed
+//! order — so any chaos run replays bit-identically in the sim.
 //!
 //! [`FaultPlan::random`] generates *recoverable* schedules (a raw-state
 //! `vizsched_core::rng` stream): at any instant every
@@ -17,10 +18,12 @@
 //! always re-place lost work and the property tests may assert zero
 //! admitted-job loss.
 
+use crate::{ShardedRuntime, Substrate};
 pub use vizsched_core::fault::{FaultEvent, FaultKind};
 use vizsched_core::ids::{NodeId, ShardId};
 use vizsched_core::rng::SplitMix64;
 use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_metrics::TraceEvent;
 use vizsched_routing::ShardMap;
 
 /// A deterministic, time-sorted fault schedule.
@@ -212,6 +215,56 @@ impl FromIterator<FaultEvent> for FaultPlan {
             plan.push(e.at, e.kind);
         }
         plan
+    }
+}
+
+impl ShardedRuntime {
+    /// Execute one [`FaultPlan`] entry at `now`: the only interpreter of
+    /// a [`FaultKind`]. Traces `fault_injected`, then:
+    ///
+    /// * a node crash or leaf outage crashes each node on the substrate
+    ///   and re-places its outstanding work ([`Self::on_node_fault`]);
+    /// * a respawn or leaf recovery brings back each node this runtime
+    ///   holds down, then rejoins it ([`Self::on_node_recover`]);
+    /// * a degrade or restore re-speeds the node on the substrate;
+    /// * a shard crash power-cycles the dead head's slice, then fails the
+    ///   shard over ([`Self::on_shard_fail`]). A head that cannot fail
+    ///   over has no slice, so nothing restarts.
+    pub fn on_fault<S: Substrate>(&mut self, sub: &mut S, now: SimTime, kind: FaultKind) {
+        if self.probe.enabled() {
+            self.probe
+                .on_event(&TraceEvent::FaultInjected { now, fault: kind });
+        }
+        let nodes = kind
+            .node_range()
+            .into_iter()
+            .flatten()
+            .map(|n| NodeId(n as u32));
+        match kind {
+            FaultKind::NodeCrash(_) | FaultKind::LeafOutage { .. } => {
+                for node in nodes {
+                    sub.crash_node(node);
+                    self.on_node_fault(sub, now, node);
+                }
+            }
+            FaultKind::NodeRespawn(_) | FaultKind::LeafRecover { .. } => {
+                for node in nodes {
+                    if self.is_node_down(node) {
+                        sub.respawn_node(node);
+                    }
+                    self.on_node_recover(now, node);
+                }
+            }
+            FaultKind::NodeDegrade { node, factor_pm } => sub.degrade_node(node, factor_pm),
+            FaultKind::NodeRestore(node) => sub.degrade_node(node, 1000),
+            FaultKind::ShardCrash(shard) => {
+                for node in self.failover_slice(shard) {
+                    sub.crash_node(node);
+                    sub.respawn_node(node);
+                }
+                self.on_shard_fail(sub, now, shard);
+            }
+        }
     }
 }
 

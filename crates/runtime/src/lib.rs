@@ -182,6 +182,10 @@ impl OverloadStats {
 /// The execution seam between the head runtime and whatever actually runs
 /// tasks: a discrete-event node model, a pool of render threads, or (in
 /// tests) a recording stub.
+///
+/// The three node hooks are what [`ShardedRuntime::on_fault`] asks of a
+/// substrate, with cluster-global node ids. A substrate without nodes of
+/// its own keeps the no-op defaults.
 pub trait Substrate {
     /// Hand one committed assignment to the execution layer.
     ///
@@ -192,6 +196,19 @@ pub trait Substrate {
     /// still return `true` and surface the failure as a node fault — the
     /// fault path reroutes every outstanding task, this one included.
     fn dispatch(&mut self, assignment: &Assignment) -> bool;
+
+    /// Crash a node: its queue, its running task and its cache are lost,
+    /// and every report that incarnation has yet to send is stale. The
+    /// runtime re-places the lost tasks from its own outstanding ledger,
+    /// so none of them may still complete here.
+    fn crash_node(&mut self, _node: NodeId) {}
+
+    /// Bring a crashed node back as a new, cold-cached incarnation.
+    fn respawn_node(&mut self, _node: NodeId) {}
+
+    /// Stretch every later execution on a node by `factor_pm / 1000`;
+    /// `1000` restores full speed.
+    fn degrade_node(&mut self, _node: NodeId, _factor_pm: u32) {}
 }
 
 /// One finished task, as reported by a substrate back to the runtime.
@@ -891,7 +908,7 @@ impl HeadRuntime {
         })
     }
 
-    /// Handle a node fault (crash, kill, or channel disconnect): mark the
+    /// Handle a node fault (crash, or an unplanned death): mark the
     /// node down, report it, and re-place its outstanding tasks on live
     /// nodes, locality-aware — the fault-tolerance path of §VI-D. Safe to
     /// call again for an already-down node (stragglers dispatched in the

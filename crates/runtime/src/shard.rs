@@ -47,10 +47,10 @@
 //! slice is adopted round-robin by the surviving heads
 //! ([`TraceEvent::ShardFailed`] / [`TraceEvent::ShardRecovered`]), and
 //! every admitted-but-unfinished job drained off the dead head is
-//! re-admitted exactly once on its dataset's new home shard. Because the
-//! caller power-cycles the dead slice's render nodes first
-//! ([`ShardedRuntime::failover_slice`]), no stale completion can race the
-//! rebuilt control state. Sustained fault pressure (node faults, shard
+//! re-admitted exactly once on its dataset's new home shard. Because
+//! [`ShardedRuntime::on_fault`] power-cycles the dead slice's render nodes
+//! first ([`ShardedRuntime::failover_slice`]), no stale completion can
+//! race the rebuilt control state. Sustained fault pressure (node faults, shard
 //! loss) drives an explicit *degraded mode* with hysteresis: while
 //! degraded, new batch arrivals are shed ([`RejectReason::Degraded`]) so
 //! surviving capacity protects interactive sessions; pressure decays at
@@ -188,7 +188,9 @@ pub struct ShardedRuntime {
     shards: Vec<HeadRuntime>,
     map: ShardMap,
     ring: HashRing,
-    probe: Arc<dyn Probe>,
+    /// The run's probe (cluster-global ids), for routing-tier events and
+    /// `fault_injected`.
+    pub(crate) probe: Arc<dyn Probe>,
     /// Per-shard saturation thresholds (buffered jobs at a cycle
     /// boundary).
     saturation: Vec<usize>,
@@ -215,9 +217,8 @@ pub struct ShardedRuntime {
 
 impl ShardedRuntime {
     /// Buffered jobs per shard node above which a shard counts as
-    /// saturated, when no explicit threshold is given: the shard's nodes
-    /// are all busy this cycle and the next several cycles are already
-    /// spoken for.
+    /// saturated: the shard's nodes are all busy this cycle and the next
+    /// several cycles are already spoken for.
     pub const DEFAULT_SATURATION_PER_NODE: usize = 4;
 
     /// Fault-pressure added by one fresh node fault.
@@ -241,19 +242,9 @@ impl ShardedRuntime {
     /// as it would for a single head. Schedulers are stateful, so each
     /// shard must get a fresh instance.
     ///
-    /// `saturation_queue` overrides the per-shard saturation threshold
-    /// (buffered jobs at a cycle boundary); the default scales with the
-    /// shard's node count.
-    ///
     /// # Panics
     /// If a built runtime's table width does not match its slice.
-    pub fn new<F>(
-        cluster: &ClusterSpec,
-        shards: usize,
-        probe: Arc<dyn Probe>,
-        saturation_queue: Option<usize>,
-        mut build: F,
-    ) -> Self
+    pub fn new<F>(cluster: &ClusterSpec, shards: usize, probe: Arc<dyn Probe>, mut build: F) -> Self
     where
         F: FnMut(ShardId, &ClusterSpec, Arc<dyn Probe>) -> HeadRuntime,
     {
@@ -281,9 +272,7 @@ impl ShardedRuntime {
                 "{}: runtime built over the wrong slice",
                 span.shard
             );
-            saturation.push(
-                saturation_queue.unwrap_or(Self::DEFAULT_SATURATION_PER_NODE * span.nodes as usize),
-            );
+            saturation.push(Self::DEFAULT_SATURATION_PER_NODE * span.nodes as usize);
             runtimes.push(runtime);
         }
         let counters = vec![ShardCounters::default(); shards];
@@ -689,9 +678,10 @@ impl ShardedRuntime {
     /// admitted). Interactive sessions re-pin to the new home — the ring
     /// gives every surviving client of a dataset the same answer.
     ///
-    /// The caller must power-cycle the dead slice's render nodes
-    /// ([`failover_slice`](Self::failover_slice)) *before* calling this,
-    /// so completions dispatched by the dead head can never race the
+    /// The dead slice's render nodes must be power-cycled
+    /// ([`failover_slice`](Self::failover_slice)) *before* this runs — as
+    /// [`on_fault`](Self::on_fault) does — so completions dispatched by
+    /// the dead head can never race the
     /// rebuilt control state; adopted nodes therefore join cold-cached
     /// and idle, which is exactly what [`HeadRuntime::adopt_node`]
     /// records.
@@ -908,14 +898,13 @@ mod tests {
         kind: SchedulerKind,
         datasets: u32,
         probe: Arc<dyn Probe>,
-        saturation: Option<usize>,
     ) -> ShardedRuntime {
         let cluster = ClusterSpec::homogeneous(nodes, 2 * GIB);
         let catalog = Catalog::new(
             uniform_datasets(datasets, 2 * GIB),
             DecompositionPolicy::MaxChunkSize { max_bytes: GIB },
         );
-        ShardedRuntime::new(&cluster, shards, probe, saturation, |_, slice, probe| {
+        ShardedRuntime::new(&cluster, shards, probe, |_, slice, probe| {
             HeadRuntime::new(
                 kind.build(SimDuration::from_millis(30)),
                 HeadTables::new(slice),
@@ -973,7 +962,7 @@ mod tests {
     #[test]
     fn jobs_dispatch_only_inside_their_shard() {
         let probe = Arc::new(CollectingProbe::new());
-        let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 16, probe.clone(), None);
+        let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 16, probe.clone());
         let mut sub = StubSubstrate::default();
         for d in 0..16u32 {
             let (shard, admission) = rt.on_job_arrival(
@@ -1020,7 +1009,6 @@ mod tests {
             SchedulerKind::Fcfsl,
             8,
             Arc::new(vizsched_metrics::NoopProbe),
-            None,
         );
         let mut sub = StubSubstrate::default();
         for d in 0..8u32 {
@@ -1050,25 +1038,36 @@ mod tests {
         assert_eq!(completed, 8);
     }
 
+    /// Buffer interactive job 0, batch jobs 1 and 2, then interactive jobs
+    /// 3.. on a dataset of shard 0 (of an 8-node, 2-shard runtime) until
+    /// shard 0 holds one job past its saturation threshold. Distinct
+    /// actions, so coalescing keeps every frame. Returns the buffered count.
+    fn saturate_shard_0(rt: &mut ShardedRuntime, sub: &mut StubSubstrate) -> usize {
+        let dataset = (0..16u32)
+            .find(|&d| rt.shard_of_dataset(DatasetId(d)) == ShardId(0))
+            .expect("some dataset routes to shard 0");
+        let t0 = SimTime::from_millis(1);
+        let past = ShardedRuntime::DEFAULT_SATURATION_PER_NODE * 4 + 1;
+        rt.on_job_arrival(sub, t0, interactive(0, dataset, t0));
+        rt.on_job_arrival(sub, t0, batch(1, dataset, t0));
+        rt.on_job_arrival(sub, t0, batch(2, dataset, t0));
+        for id in 3..past as u64 {
+            rt.on_job_arrival(sub, t0, interactive(id, dataset, t0));
+        }
+        past
+    }
+
     #[test]
     fn saturation_migrates_batch_but_pins_interactive() {
         let probe = Arc::new(CollectingProbe::new());
-        // Saturation threshold 1: two buffered jobs saturate a shard.
-        let mut rt = sharded(8, 2, SchedulerKind::Ours, 4, probe.clone(), Some(1));
+        let mut rt = sharded(8, 2, SchedulerKind::Ours, 4, probe.clone());
         rt.set_overload_policy(OverloadPolicy {
             coalesce_interactive: true,
             ..OverloadPolicy::default()
         });
         let mut sub = StubSubstrate::default();
-        // Find a dataset on shard 0 to overload.
-        let dataset = (0..16u32)
-            .find(|&d| rt.shard_of_dataset(DatasetId(d)) == ShardId(0))
-            .expect("some dataset routes to shard 0");
-        let t0 = SimTime::from_millis(1);
-        rt.on_job_arrival(&mut sub, t0, interactive(0, dataset, t0));
-        rt.on_job_arrival(&mut sub, t0, batch(1, dataset, t0));
-        rt.on_job_arrival(&mut sub, t0, batch(2, dataset, t0));
-        assert_eq!(rt.queued_jobs(), 3);
+        let buffered = saturate_shard_0(&mut rt, &mut sub);
+        assert_eq!(rt.queued_jobs(), buffered);
         let cycle = rt.on_cycle(&mut sub, SimTime::from_millis(30));
         assert!(cycle.invoked);
         let events = probe.take();
@@ -1116,7 +1115,6 @@ mod tests {
             SchedulerKind::Fcfsl,
             8,
             Arc::new(vizsched_metrics::NoopProbe),
-            None,
         );
         let mut sub = StubSubstrate::default();
         for d in 0..8u32 {
@@ -1250,7 +1248,7 @@ mod tests {
             "shard-unit",
         );
         let sharded_probe = Arc::new(CollectingProbe::new());
-        let mut sharded = sharded(4, 1, SchedulerKind::Ours, 4, sharded_probe.clone(), None);
+        let mut sharded = sharded(4, 1, SchedulerKind::Ours, 4, sharded_probe.clone());
 
         let single_dispatched = drive_parity_script!(single, false);
         let sharded_dispatched = drive_parity_script!(sharded, sharded.is_degraded());
@@ -1313,17 +1311,11 @@ mod tests {
     #[test]
     fn stolen_batch_surviving_target_fault_is_rerouted_exactly_once() {
         let probe = Arc::new(CollectingProbe::new());
-        let mut rt = sharded(8, 2, SchedulerKind::Ours, 4, probe.clone(), Some(1));
+        let mut rt = sharded(8, 2, SchedulerKind::Ours, 4, probe.clone());
         let mut sub = StubSubstrate::default();
-        let dataset = (0..16u32)
-            .find(|&d| rt.shard_of_dataset(DatasetId(d)) == ShardId(0))
-            .expect("some dataset routes to shard 0");
-        let t0 = SimTime::from_millis(1);
-        // Three buffered jobs saturate shard 0 (threshold 1); the batch
-        // pair migrates to shard 1 at the cycle boundary.
-        rt.on_job_arrival(&mut sub, t0, interactive(0, dataset, t0));
-        rt.on_job_arrival(&mut sub, t0, batch(1, dataset, t0));
-        rt.on_job_arrival(&mut sub, t0, batch(2, dataset, t0));
+        // Shard 0 saturates; the batch pair migrates to shard 1 at the
+        // cycle boundary.
+        saturate_shard_0(&mut rt, &mut sub);
         rt.on_cycle(&mut sub, SimTime::from_millis(30));
         let placed = sub.dispatched.clone();
         let target = placed
@@ -1391,7 +1383,7 @@ mod tests {
     #[test]
     fn shard_failover_readmits_orphans_and_adopts_nodes() {
         let probe = Arc::new(CollectingProbe::new());
-        let mut rt = sharded(8, 2, SchedulerKind::Fcfsl, 8, probe.clone(), None);
+        let mut rt = sharded(8, 2, SchedulerKind::Fcfsl, 8, probe.clone());
         let mut sub = StubSubstrate::default();
         // Give shard 0 some admitted work, then kill its head.
         let victims: Vec<u32> = (0..8u32)
@@ -1466,7 +1458,6 @@ mod tests {
             SchedulerKind::Fcfsl,
             4,
             Arc::new(vizsched_metrics::NoopProbe),
-            None,
         );
         let mut sub = StubSubstrate::default();
         // An unknown shard has nothing to fail over.
@@ -1486,10 +1477,83 @@ mod tests {
         assert!(!rt.is_shard_dead(ShardId(1)));
     }
 
+    /// The node hooks `on_fault` called, in order.
+    #[derive(Default)]
+    struct HookSub {
+        calls: Vec<(&'static str, u32, u32)>,
+    }
+
+    impl Substrate for HookSub {
+        fn dispatch(&mut self, _: &Assignment) -> bool {
+            true
+        }
+        fn crash_node(&mut self, node: NodeId) {
+            self.calls.push(("crash", node.0, 0));
+        }
+        fn respawn_node(&mut self, node: NodeId) {
+            self.calls.push(("respawn", node.0, 0));
+        }
+        fn degrade_node(&mut self, node: NodeId, factor_pm: u32) {
+            self.calls.push(("degrade", node.0, factor_pm));
+        }
+    }
+
+    #[test]
+    fn on_fault_drives_the_substrate_in_plan_order() {
+        let probe = Arc::new(CollectingProbe::new());
+        let mut rt = sharded(8, 2, SchedulerKind::Fcfsl, 4, probe.clone());
+        let mut sub = HookSub::default();
+        let t = SimTime::from_millis;
+        let plan = crate::FaultPlan::new()
+            .leaf_outage_at(t(1), NodeId(0), 2)
+            .respawn_at(t(2), NodeId(0))
+            .respawn_at(t(3), NodeId(0)) // already up: rejoins, no respawn
+            .degrade_at(t(4), NodeId(5), 2000)
+            .restore_at(t(5), NodeId(5))
+            .shard_crash_at(t(6), ShardId(1)) // shard 0 adopts nodes 4..8
+            .shard_crash_at(t(7), ShardId(0)); // the last live head: no-op
+        for e in plan.events() {
+            rt.on_fault(&mut sub, e.at, e.kind);
+        }
+        let mut want = vec![
+            ("crash", 0, 0),
+            ("crash", 1, 0),
+            ("respawn", 0, 0),
+            ("degrade", 5, 2000),
+            ("degrade", 5, 1000),
+        ];
+        for n in 4..8 {
+            want.extend([("crash", n, 0), ("respawn", n, 0)]);
+        }
+        assert_eq!(sub.calls, want);
+        assert!(rt.is_node_down(NodeId(1)), "node 1 waits for its respawn");
+        assert!(!rt.is_shard_dead(ShardId(0)));
+        let tags: Vec<&str> = probe.take().iter().map(TraceEvent::tag).collect();
+        assert_eq!(
+            tags,
+            [
+                "fault_injected",
+                "node_fault",
+                "node_fault",
+                "degraded_entered",
+                "fault_injected",
+                "node_up",
+                "fault_injected",
+                "node_up",
+                "fault_injected",
+                "fault_injected",
+                "fault_injected",
+                "shard_failed",
+                "shard_recovered",
+                "fault_injected",
+            ]
+        );
+    }
+
     #[test]
     fn degraded_mode_sheds_batch_protects_interactive_with_hysteresis() {
         let probe = Arc::new(CollectingProbe::new());
-        let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 8, probe.clone(), None);
+        let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 8, probe.clone());
         let mut sub = StubSubstrate::default();
         assert!(!rt.is_degraded());
         // Two fresh node faults push pressure to DEGRADED_ENTER.

@@ -4,13 +4,19 @@
 //!
 //! All scheduling logic — cycle dispatch, table correction from task
 //! completions, fault handling — is the shared `vizsched-runtime`
-//! [`HeadRuntime`], driven here on the wall clock by crossbeam channels:
-//! the live counterpart of the simulator's event loop. A render node that
-//! dies (its channel disconnects, or it is killed via
-//! [`VizService::kill_node`]) is reported as a `NodeFault` and its
-//! outstanding tasks are rerouted to live nodes; with
-//! [`ServiceConfig::restart_nodes`] the service then respawns the worker
-//! and rejoins it cold-cached.
+//! [`ShardedRuntime`], driven here on the wall clock by crossbeam
+//! channels: the live counterpart of the simulator's event loop.
+//!
+//! Faults take the simulator's path. The head walks
+//! [`ServiceConfig::fault_plan`] on the service clock and hands each entry
+//! to [`ShardedRuntime::on_fault`], which crashes, respawns and degrades
+//! worker threads through this file's [`Substrate`] hooks and re-places a
+//! crashed node's work at the crash instant. A crash bumps the node's
+//! epoch before it kills the worker, and the head drops every report —
+//! `TaskDone` or `Stopped` — from an older epoch, so a render underway at
+//! the kill never counts. A worker that dies on its own (a current-epoch
+//! `Stopped`, or a dispatch that bounces off its channel) is crashed the
+//! same way and stays down until the plan respawns it.
 
 use crate::node::{run_node, NodeConfig};
 use crate::protocol::{
@@ -31,11 +37,11 @@ use vizsched_core::job::{FrameParams, Job};
 use vizsched_core::sched::{Assignment, SchedulerKind};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason, RunRecord, TraceEvent};
+use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason, RunRecord};
 use vizsched_render::Layer;
 use vizsched_runtime::{
-    Admission, Completion, FaultEvent, FaultKind, FaultPlan, HeadRuntime, OverloadPolicy,
-    OverloadStats, ShardOutcome, ShardedRuntime, Substrate,
+    Admission, Completion, FaultPlan, HeadRuntime, OverloadPolicy, OverloadStats, ShardOutcome,
+    ShardedRuntime, Substrate,
 };
 
 /// Service configuration, built up fluently:
@@ -62,10 +68,6 @@ pub struct ServiceConfig {
     /// decision, completion, and table correction here. Defaults to
     /// [`NoopProbe`] (free).
     pub probe: Arc<dyn Probe>,
-    /// Respawn a render node's worker thread after a fault, rejoining it
-    /// cold-cached (the recovery half of §VI-D). Off by default: a dead
-    /// node stays down and its work runs elsewhere.
-    pub restart_nodes: bool,
     /// Admission-control policy applied by the head runtime: in-flight
     /// caps, per-job deadlines, stale-frame coalescing, batch
     /// anti-starvation. Inactive by default (everything is admitted).
@@ -76,12 +78,11 @@ pub struct ServiceConfig {
     /// own cycle loop over a leaf-aligned slice of the render nodes and
     /// every request routes by dataset.
     pub shards: usize,
-    /// Seedable fault schedule, executed on the service clock with the
-    /// same semantics as the simulator's plan execution: node
-    /// crash/respawn (a plan crash stays down until its planned respawn,
-    /// even with [`ServiceConfig::restart_nodes`]), degrade/restore,
-    /// correlated leaf outage, and shard-head crash with failover.
-    pub fault_plan: Option<FaultPlan>,
+    /// Seedable fault schedule, executed on the service clock through
+    /// the simulator's interpreter: node crash/respawn, degrade/restore,
+    /// correlated leaf outage, and shard-head crash with failover. Empty
+    /// (the default) injects nothing.
+    pub fault_plan: FaultPlan,
 }
 
 impl std::fmt::Debug for ServiceConfig {
@@ -93,7 +94,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("scheduler", &self.scheduler)
             .field("cycle", &self.cycle)
             .field("probe_enabled", &self.probe.enabled())
-            .field("restart_nodes", &self.restart_nodes)
             .field("overload", &self.overload)
             .field("shards", &self.shards)
             .field("fault_plan", &self.fault_plan)
@@ -110,10 +110,9 @@ impl Default for ServiceConfig {
             scheduler: SchedulerKind::Ours,
             cycle: SimDuration::from_millis(30),
             probe: Arc::new(NoopProbe),
-            restart_nodes: false,
             overload: OverloadPolicy::default(),
             shards: 1,
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
         }
     }
 }
@@ -155,12 +154,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Respawn render-node workers after faults.
-    pub fn restart_nodes(mut self, on: bool) -> Self {
-        self.restart_nodes = on;
-        self
-    }
-
     /// Apply an overload-control policy at the head runtime.
     pub fn overload(mut self, policy: OverloadPolicy) -> Self {
         self.overload = policy;
@@ -178,7 +171,7 @@ impl ServiceConfig {
     /// with the same semantics as the simulator — so any chaos run
     /// replays bit-identically in the sim.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 }
@@ -223,8 +216,6 @@ enum Control {
     Stop,
     /// Finish every accepted job, then stop.
     Drain,
-    /// Abruptly kill one render node's worker thread (fault injection).
-    KillNode(usize),
 }
 
 /// A running visualization service.
@@ -240,9 +231,10 @@ impl VizService {
     /// cluster.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
-        if let Some(plan) = &config.fault_plan {
-            plan.check(config.nodes).unwrap_or_else(|e| panic!("{e}"));
-        }
+        config
+            .fault_plan
+            .check(config.nodes)
+            .unwrap_or_else(|e| panic!("{e}"));
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.
         crate::tcp::bump_service_epoch();
@@ -259,14 +251,6 @@ impl VizService {
     /// The request endpoint for building clients.
     pub fn request_sender(&self) -> Sender<RenderRequest> {
         self.requests.clone()
-    }
-
-    /// Abruptly kill one render node's worker thread (fault injection):
-    /// its queued tasks are dropped and rerouted to live nodes once the
-    /// head observes the fault. With [`ServiceConfig::restart_nodes`] the
-    /// node is then respawned cold-cached.
-    pub fn kill_node(&self, node: usize) {
-        let _ = self.control.send(Control::KillNode(node));
     }
 
     /// Stop the service (in-flight jobs are abandoned) and collect stats.
@@ -317,9 +301,9 @@ struct LiveSubstrate {
     handles: Vec<Option<JoinHandle<()>>>,
     retired: Vec<JoinHandle<()>>,
     pending: FxHashMap<JobId, PendingJob>,
-    /// Nodes whose channel rejected a dispatch: reported to the runtime
-    /// as faults by the head loop.
-    send_failures: Vec<NodeId>,
+    /// Nodes whose channel rejected a dispatch, with the epoch it was
+    /// sent under: reported to the runtime as faults by the head loop.
+    send_failures: Vec<(NodeId, u32)>,
 }
 
 impl Substrate for LiveSubstrate {
@@ -337,13 +321,43 @@ impl Substrate for LiveSubstrate {
             group: assignment.group,
             interactive: assignment.task.interactive,
         });
-        if self.txs[assignment.node.index()].send(msg).is_err() {
+        let k = assignment.node.index();
+        if self.txs[k].send(msg).is_err() {
             // The worker is gone. Keep the task tracked as outstanding —
             // the fault path reroutes everything on this node, it
             // included.
-            self.send_failures.push(assignment.node);
+            self.send_failures.push((assignment.node, self.epochs[k]));
         }
         true
+    }
+
+    /// Retire the incarnation first, then raise its kill flag: every
+    /// report the worker sends from here on is stale. The nudge message
+    /// wakes a worker blocked on an empty queue; the flag (checked before
+    /// every message) makes it drop any queued renders and exit.
+    fn crash_node(&mut self, node: NodeId) {
+        let k = node.index();
+        self.epochs[k] += 1;
+        self.kill_flags[k].store(true, Ordering::Relaxed);
+        let _ = self.txs[k].send(ToNode::Shutdown);
+    }
+
+    /// Replace a crashed worker with a fresh, cold-cached incarnation. The
+    /// crash already retired the old worker's epoch; the new one reports
+    /// under the current epoch.
+    fn respawn_node(&mut self, node: NodeId) {
+        let k = node.index();
+        if let Some(old) = self.handles[k].take() {
+            self.retired.push(old);
+        }
+        let (tx, kill, handle) = self.launch(k);
+        self.txs[k] = tx;
+        self.kill_flags[k] = kill;
+        self.handles[k] = Some(handle);
+    }
+
+    fn degrade_node(&mut self, node: NodeId, factor_pm: u32) {
+        let _ = self.txs[node.index()].send(ToNode::Degrade(factor_pm));
     }
 }
 
@@ -387,24 +401,18 @@ impl LiveSubstrate {
         (tx, kill, handle)
     }
 
-    /// Raise a node's kill flag. The nudge message wakes a worker blocked
-    /// on an empty queue; the flag (checked before every message) makes it
-    /// drop any queued renders and exit.
-    fn kill(&mut self, k: usize) {
-        self.kill_flags[k].store(true, Ordering::Relaxed);
-        let _ = self.txs[k].send(ToNode::Shutdown);
+    /// Whether a report sent under `epoch` comes from `node`'s current
+    /// incarnation. Anything older was re-placed when the node crashed.
+    fn is_current(&self, node: u32, epoch: u32) -> bool {
+        self.epochs.get(node as usize) == Some(&epoch)
     }
 
-    /// Replace a dead worker with a fresh, cold-cached incarnation.
-    fn respawn(&mut self, k: usize) {
-        if let Some(old) = self.handles[k].take() {
-            self.retired.push(old);
-        }
-        self.epochs[k] += 1;
-        let (tx, kill, handle) = self.launch(k);
-        self.txs[k] = tx;
-        self.kill_flags[k] = kill;
-        self.handles[k] = Some(handle);
+    /// A worker that died on its own is crashed like a planned one: its
+    /// incarnation retires, its work is re-placed, and it stays down
+    /// until the plan respawns it.
+    fn died(&mut self, runtime: &mut ShardedRuntime, now: SimTime, node: NodeId) {
+        self.crash_node(node);
+        runtime.on_node_fault(self, now, node);
     }
 
     fn shutdown(mut self) {
@@ -435,7 +443,6 @@ fn head_loop(
         &cluster,
         config.shards,
         config.probe.clone(),
-        None,
         |_, slice, shard_probe| {
             HeadRuntime::new(
                 config.scheduler.build(config.cycle),
@@ -452,18 +459,10 @@ fn head_loop(
     let mut sub = LiveSubstrate::spawn(config, store.clone(), to_head_tx);
     let mut next_job = 0u64;
 
-    // The fault plan, executed in time order on the service clock (each
-    // entry fires at the first loop iteration at or after its time — the
-    // ticker bounds the delay to one cycle). `plan_down` marks nodes a
-    // plan crash took out: they stay down until their planned respawn,
-    // even under `restart_nodes`.
-    let plan: Vec<FaultEvent> = config
-        .fault_plan
-        .as_ref()
-        .map(|p| p.events().to_vec())
-        .unwrap_or_default();
-    let mut plan_cursor = 0usize;
-    let mut plan_down = vec![false; config.nodes];
+    // The fault plan, executed in time order on the service clock: each
+    // entry fires at the first loop iteration at or after its time (the
+    // ticker bounds the delay to one cycle).
+    let mut plan = config.fault_plan.events().iter().peekable();
 
     let ticker = crossbeam::channel::tick(std::time::Duration::from_micros(
         config.cycle.as_micros().max(1),
@@ -471,13 +470,13 @@ fn head_loop(
 
     loop {
         // Dispatches that bounced off a dead channel surface as faults.
-        while let Some(node) = sub.send_failures.pop() {
-            node_fault(config, &mut runtime, &mut sub, now(), node, &plan_down);
+        while let Some((node, epoch)) = sub.send_failures.pop() {
+            if sub.is_current(node.0, epoch) {
+                sub.died(&mut runtime, now(), node);
+            }
         }
-        while plan_cursor < plan.len() && plan[plan_cursor].at <= now() {
-            let kind = plan[plan_cursor].kind;
-            plan_cursor += 1;
-            plan_fault(config, &mut runtime, &mut sub, now(), kind, &mut plan_down);
+        while let Some(fault) = plan.next_if(|f| f.at <= now()) {
+            runtime.on_fault(&mut sub, now(), fault.kind);
         }
         if draining
             && sub.pending.is_empty()
@@ -491,11 +490,6 @@ fn head_loop(
             recv(control) -> msg => match msg {
                 Ok(Control::Stop) | Err(_) => break,
                 Ok(Control::Drain) => draining = true,
-                Ok(Control::KillNode(k)) => {
-                    if k < sub.txs.len() {
-                        sub.kill(k);
-                    }
-                }
             },
             recv(requests) -> msg => {
                 let Ok(req) = msg else { break };
@@ -540,16 +534,16 @@ fn head_loop(
                 }
             }
             recv(from_nodes) -> msg => match msg {
+                // A crashed incarnation's reports are stale: the runtime
+                // re-placed its work when it crashed.
                 Ok(ToHead::TaskDone(done)) => {
-                    handle_task_done(done, &mut runtime, &mut sub, now());
+                    if sub.is_current(done.node, done.epoch) {
+                        handle_task_done(done, &mut runtime, &mut sub, now());
+                    }
                 }
                 Ok(ToHead::Stopped { node, epoch }) => {
-                    // A replaced thread's parting report is stale; the
-                    // current incarnation's means the node just died.
-                    let k = node as usize;
-                    if k < sub.epochs.len() && sub.epochs[k] == epoch {
-                        node_fault(config, &mut runtime, &mut sub, now(), NodeId(node),
-                            &plan_down);
+                    if sub.is_current(node, epoch) {
+                        sub.died(&mut runtime, now(), NodeId(node));
                     }
                 }
                 Err(_) => {}
@@ -596,90 +590,6 @@ fn shed(sub: &mut LiveSubstrate, job: JobId, outcome: RenderOutcome) {
         correlation: pending.correlation,
         outcome,
     });
-}
-
-/// One node fault: reroute its outstanding work through the runtime and,
-/// when configured, respawn the worker and rejoin it cold-cached. A node
-/// the fault plan crashed stays down until its planned respawn even under
-/// `restart_nodes` — otherwise the chaos schedule would be un-replayable.
-fn node_fault(
-    config: &ServiceConfig,
-    runtime: &mut ShardedRuntime,
-    sub: &mut LiveSubstrate,
-    now: SimTime,
-    node: NodeId,
-    plan_down: &[bool],
-) {
-    runtime.on_node_fault(sub, now, node);
-    if config.restart_nodes && !plan_down[node.index()] {
-        sub.respawn(node.index());
-        runtime.on_node_recover(now, node);
-    }
-}
-
-/// Execute one fault-plan entry on the live service, mirroring the
-/// simulator's semantics (same trace event, same recovery path).
-fn plan_fault(
-    config: &ServiceConfig,
-    runtime: &mut ShardedRuntime,
-    sub: &mut LiveSubstrate,
-    now: SimTime,
-    kind: FaultKind,
-    plan_down: &mut [bool],
-) {
-    if config.probe.enabled() {
-        config
-            .probe
-            .on_event(&TraceEvent::FaultInjected { now, fault: kind });
-    }
-    match kind {
-        FaultKind::NodeCrash(node) => {
-            // Mark before killing: the worker's Stopped report routes
-            // through node_fault, which must not auto-respawn it.
-            plan_down[node.index()] = true;
-            sub.kill(node.index());
-        }
-        FaultKind::NodeRespawn(node) => {
-            if plan_down[node.index()] {
-                plan_down[node.index()] = false;
-                sub.respawn(node.index());
-                runtime.on_node_recover(now, node);
-            }
-        }
-        FaultKind::NodeDegrade { node, factor_pm } => {
-            let _ = sub.txs[node.index()].send(ToNode::Degrade(factor_pm));
-        }
-        FaultKind::NodeRestore(node) => {
-            let _ = sub.txs[node.index()].send(ToNode::Degrade(1000));
-        }
-        FaultKind::LeafOutage { base, count } => {
-            for k in 0..count {
-                plan_down[(base.0 + k) as usize] = true;
-                sub.kill((base.0 + k) as usize);
-            }
-        }
-        FaultKind::LeafRecover { base, count } => {
-            for k in 0..count {
-                let node = NodeId(base.0 + k);
-                if plan_down[node.index()] {
-                    plan_down[node.index()] = false;
-                    sub.respawn(node.index());
-                    runtime.on_node_recover(now, node);
-                }
-            }
-        }
-        FaultKind::ShardCrash(shard) => {
-            // Power-cycle the dead head's slice first: each worker's
-            // epoch bump makes in-flight reports stale, so nothing the
-            // dead head dispatched can race the rebuilt control state. A
-            // head that cannot fail over has no slice to cycle.
-            for node in runtime.failover_slice(shard) {
-                sub.kill(node.index());
-                sub.respawn(node.index());
-            }
-            runtime.on_shard_fail(sub, now, shard);
-        }
-    }
 }
 
 fn handle_task_done(

@@ -20,8 +20,8 @@ use vizsched_volume::brick::Brick;
 pub struct NodeConfig {
     /// This node's id.
     pub id: NodeId,
-    /// This node thread's incarnation, echoed in its `Stopped` report so
-    /// the head can ignore stragglers from replaced threads.
+    /// This node thread's incarnation, echoed in every report so the head
+    /// can drop stragglers from a crashed or replaced thread.
     pub epoch: u32,
     /// Main-memory chunk-cache quota in bytes.
     pub mem_quota: u64,
@@ -32,9 +32,10 @@ pub struct NodeConfig {
 /// Run a render node until `Shutdown` arrives or `kill` is raised.
 /// Intended to be spawned on its own thread; processes tasks strictly
 /// FIFO (§III-A). A raised kill flag is an abrupt fault: queued render
-/// tasks are dropped on the floor (the head reroutes them when it sees
-/// the `Stopped` report), though a render already underway still
-/// completes and reports — a thread cannot be preempted mid-task. A task
+/// tasks are dropped on the floor, and a render already underway still
+/// completes and reports — a thread cannot be preempted mid-task — but
+/// under an epoch the head has already retired, so it is ignored there
+/// (the head re-placed all of that work when it raised the flag). A task
 /// whose brick cannot be read back from the store ends the node the same
 /// way: it says why on stderr and reports `Stopped`.
 pub fn run_node(
@@ -150,6 +151,7 @@ impl Node {
 
         Ok(TaskDone {
             node: config.id.0,
+            epoch: config.epoch,
             job: task.job,
             index: task.index,
             chunk: task.chunk,

@@ -127,13 +127,13 @@ pub enum ToHead {
     /// A task finished; the layer is ready for compositing.
     TaskDone(TaskDone),
     /// The node's worker thread exited — orderly shutdown, a kill, or a
-    /// crash of its channel. Outside of service shutdown the head treats
-    /// this as a node fault and reroutes the node's outstanding tasks.
+    /// task it could not run. From the node's current incarnation and
+    /// outside of service shutdown, the head treats this as a node fault
+    /// and reroutes the node's outstanding tasks.
     Stopped {
         /// Which node.
         node: u32,
-        /// The node thread's incarnation (bumped on every respawn), so a
-        /// straggling report from a replaced thread is ignored.
+        /// The node thread's incarnation, as in [`TaskDone::epoch`].
         epoch: u32,
     },
 }
@@ -143,6 +143,10 @@ pub enum ToHead {
 pub struct TaskDone {
     /// Reporting node.
     pub node: u32,
+    /// The reporting thread's incarnation. The head bumps a node's epoch
+    /// when it crashes the node, and drops every report from an older
+    /// one: that work was already re-placed.
+    pub epoch: u32,
     /// Owning job.
     pub job: JobId,
     /// Task index.

@@ -1,18 +1,21 @@
-//! Fault tolerance of the live service: killing a render node's worker
-//! mid-workload must not lose frames. The head observes the fault (the
-//! worker's epoch-tagged `Stopped` report), reroutes the node's
-//! outstanding tasks through the shared runtime — the same path the
-//! simulator's crash injection drives — and, when configured, respawns
-//! the worker cold-cached.
+//! Fault tolerance of the live service: a fault plan that crashes a
+//! render node mid-workload must not lose frames. The head hands each plan
+//! entry to the runtime's one fault interpreter, the simulator's too: a
+//! crash retires the node's epoch, kills its worker and reroutes its
+//! outstanding tasks at the crash instant; a respawn brings the node back
+//! cold-cached. Reports from a retired epoch — the render that was
+//! underway at the kill, the worker's parting `Stopped` — never count.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
-use vizsched_core::ids::{BatchId, DatasetId, NodeId, UserId};
+use std::time::{Duration, Instant};
+use vizsched_core::ids::{ActionId, BatchId, DatasetId, NodeId, ShardId, UserId};
 use vizsched_core::job::FrameParams;
 use vizsched_core::time::SimTime;
 use vizsched_metrics::{CollectingProbe, TraceEvent};
+use vizsched_runtime::shard::HashRing;
 use vizsched_service::{
     ChunkStore, FaultPlan, ServiceClient, ServiceConfig, StoreDataset, VizService,
 };
@@ -22,9 +25,10 @@ fn temp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vizsched-fault-{tag}-{}", std::process::id()))
 }
 
-/// A service over a deliberately slow store (throttled loads), so a burst
-/// of frames is still in flight when the kill lands.
-fn slow_service(tag: &str, restart: bool) -> (VizService, Arc<CollectingProbe>, PathBuf) {
+/// A service over a deliberately slow store (throttled loads) running
+/// `plan`, so a burst of frames is still in flight when a 40 ms crash
+/// lands.
+fn slow_service(tag: &str, plan: FaultPlan) -> (VizService, Arc<CollectingProbe>, PathBuf) {
     let root = temp_root(tag);
     let mut store = ChunkStore::create(
         &root,
@@ -49,7 +53,7 @@ fn slow_service(tag: &str, restart: bool) -> (VizService, Arc<CollectingProbe>, 
         .mem_quota(1 << 20)
         .image_size(64, 64)
         .probe(probe.clone())
-        .restart_nodes(restart);
+        .fault_plan(plan);
     (VizService::start(config, Arc::new(store)), probe, root)
 }
 
@@ -60,20 +64,18 @@ fn frame(azimuth: f32) -> FrameParams {
     }
 }
 
-#[test]
-fn killed_node_loses_no_frames() {
-    let (service, probe, root) = slow_service("kill", false);
-    let client = ServiceClient::new(UserId(0), service.request_sender());
+fn ms(millis: u64) -> SimTime {
+    SimTime::from_millis(millis)
+}
 
-    // Queue a burst across both datasets, then kill node 1 while loads
-    // are still grinding through the throttled store.
+/// Queue a burst of 8 frames on each dataset, take every frame, and
+/// assert each is a finite image — before the service is drained, so a
+/// frame the fault lost fails here instead of hanging the drain.
+fn burst_survives(service: &VizService) {
+    let client = ServiceClient::new(UserId(0), service.request_sender());
     let frames: Vec<FrameParams> = (0..8).map(|i| frame(i as f32 * 0.1)).collect();
     let rx_a = client.render_batch(BatchId(0), DatasetId(0), &frames);
     let rx_b = client.render_batch(BatchId(1), DatasetId(1), &frames);
-    std::thread::sleep(Duration::from_millis(40));
-    service.kill_node(1);
-
-    let mut received = 0;
     for rx in [&rx_a, &rx_b] {
         for _ in 0..8 {
             let result = rx
@@ -85,10 +87,17 @@ fn killed_node_loses_no_frames() {
                 .pixels
                 .iter()
                 .all(|p| p.iter().all(|c| c.is_finite())));
-            received += 1;
         }
     }
-    assert_eq!(received, 16);
+}
+
+#[test]
+fn killed_node_loses_no_frames() {
+    // Node 1 crashes while loads are still grinding through the
+    // throttled store, and never comes back.
+    let plan = FaultPlan::new().crash_at(ms(40), NodeId(1));
+    let (service, probe, root) = slow_service("kill", plan);
+    burst_survives(&service);
 
     let stats = service.drain_and_shutdown();
     assert_eq!(stats.jobs_completed, 16);
@@ -110,7 +119,7 @@ fn killed_node_loses_no_frames() {
         !events
             .iter()
             .any(|e| matches!(e, TraceEvent::NodeUp { .. })),
-        "restart disabled: the node must stay down"
+        "no respawn planned: the node must stay down"
     );
     // The dead node contributes nothing after the fault: every task
     // completion from node 1 precedes the fault report.
@@ -128,22 +137,49 @@ fn killed_node_loses_no_frames() {
     std::fs::remove_dir_all(root).ok();
 }
 
+/// A crash and its respawn at the same instant run in one pass of the
+/// head's plan loop: the respawn replaces the worker before the killed
+/// one's parting report can land. The crash must still re-place the
+/// tasks the killed worker dropped, or their frames never arrive and the
+/// drain never returns.
+#[test]
+fn crash_window_shorter_than_a_task_loses_no_frames() {
+    let plan = FaultPlan::new()
+        .crash_at(ms(40), NodeId(1))
+        .respawn_at(ms(40), NodeId(1));
+    let (service, probe, root) = slow_service("blink", plan);
+    burst_survives(&service);
+
+    let stats = service.drain_and_shutdown();
+    assert_eq!(stats.jobs_completed, 16);
+    let tags: Vec<&str> = probe
+        .take()
+        .iter()
+        .map(TraceEvent::tag)
+        .filter(|tag| matches!(*tag, "node_fault" | "node_up"))
+        .collect();
+    assert_eq!(tags, ["node_fault", "node_up"]);
+    std::fs::remove_dir_all(root).ok();
+}
+
 #[test]
 fn restarted_node_rejoins_and_serves() {
-    let (service, probe, root) = slow_service("restart", true);
+    let plan = FaultPlan::new()
+        .crash_at(ms(40), NodeId(2))
+        .respawn_at(ms(120), NodeId(2));
+    let started = Instant::now();
+    let (service, probe, root) = slow_service("restart", plan);
     let client = ServiceClient::new(UserId(0), service.request_sender());
 
     let frames: Vec<FrameParams> = (0..8).map(|i| frame(i as f32 * 0.1)).collect();
     let rx = client.render_batch(BatchId(0), DatasetId(0), &frames);
-    std::thread::sleep(Duration::from_millis(40));
-    service.kill_node(2);
-
     for _ in 0..8 {
         rx.recv_timeout(Duration::from_secs(60))
             .expect("every frame survives the fault");
     }
     // Work submitted *after* the respawn must also complete — the fresh
     // incarnation (or its peers) picks it up.
+    std::thread::sleep(Duration::from_millis(150).saturating_sub(started.elapsed()));
     let rx2 = client.render_batch(BatchId(1), DatasetId(1), &frames);
     for _ in 0..8 {
         rx2.recv_timeout(Duration::from_secs(60))
@@ -164,6 +200,106 @@ fn restarted_node_rejoins_and_serves() {
         .expect("recovery observed");
     assert!(fault_pos < up_pos, "fault precedes the respawn");
     std::fs::remove_dir_all(root).ok();
+}
+
+/// A shard crash power-cycles the dead head's slice while every slice
+/// node is mid-render. Those renders still finish and report, but under
+/// a retired epoch: the adopter re-runs the orphaned jobs, and only its
+/// own completions may count — a stale one would join the re-admitted
+/// frame's layers and complete a task the adopter never dispatched.
+#[test]
+fn shard_crash_mid_render_counts_only_the_adopters_work() {
+    let root = temp_root("shard-mid-render");
+    let datasets: Vec<StoreDataset> = (0..4)
+        .map(|i| StoreDataset {
+            field: [Field::Shells, Field::Plume][i % 2],
+            dims: [16, 16, 32],
+            bricks: 2, // one brick per node of a 2-node slice
+        })
+        .collect();
+    let mut store = ChunkStore::create(&root, &datasets).unwrap();
+    store.set_throttle(Some(64 << 10)); // ~250 ms per 16 KiB brick load
+    let ring = HashRing::with_shards(2);
+    let doomed: Vec<DatasetId> = (0..4)
+        .map(DatasetId)
+        .filter(|&d| ring.shard_for_dataset(d) == ShardId(0))
+        .collect();
+    assert!(!doomed.is_empty(), "some dataset routes to shard 0");
+
+    // The first cycle dispatches at 30 ms; the loads run until ~280 ms.
+    let plan = FaultPlan::new().shard_crash_at(ms(100), ShardId(0));
+    let probe = Arc::new(CollectingProbe::new());
+    let config = ServiceConfig::default()
+        .nodes(4)
+        .shards(2)
+        .mem_quota(1 << 20)
+        .image_size(32, 32)
+        .probe(probe.clone())
+        .fault_plan(plan);
+    let service = VizService::start(config, Arc::new(store));
+    let client = ServiceClient::new(UserId(0), service.request_sender());
+    let receivers: Vec<_> = (0..3u64)
+        .flat_map(|i| doomed.iter().map(move |&d| (i, d)))
+        .map(|(i, d)| {
+            let action = ActionId(i * 4 + u64::from(d.0));
+            client.render_interactive(action, d, frame(i as f32 * 0.1))
+        })
+        .collect();
+    for rx in &receivers {
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("every frame survives the failover")
+            .expect_frame();
+    }
+    let stats = service.drain_and_shutdown();
+    std::fs::remove_dir_all(root).ok();
+    assert!(
+        receivers.iter().all(|rx| rx.try_recv().is_err()),
+        "a frame arrived twice"
+    );
+    assert_eq!(stats.jobs_completed, receivers.len() as u64);
+
+    let events = probe.take();
+    let failed = events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::ShardFailed { .. }))
+        .expect("shard 0 failed over");
+    // The crash landed inside the first load: nothing had finished, and
+    // both slice nodes had work.
+    assert!(matches!(
+        events[failed],
+        TraceEvent::ShardFailed { orphaned, .. } if orphaned == receivers.len()
+    ));
+    let busy: HashSet<u32> = events[..failed]
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Assignment { node, .. } => Some(node.0),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        busy,
+        HashSet::from([0, 1]),
+        "both slice nodes were rendering"
+    );
+    let mut assigned = HashSet::new();
+    for e in &events[failed..] {
+        match e {
+            TraceEvent::Assignment {
+                job, task, node, ..
+            } => {
+                assigned.insert((job.0, *task, node.0));
+            }
+            TraceEvent::TaskDone {
+                job, task, node, ..
+            } => assert!(
+                assigned.contains(&(job.0, *task, node.0)),
+                "J{} task {task} finished on node {} without a post-failover dispatch",
+                job.0,
+                node.0
+            ),
+            _ => {}
+        }
+    }
 }
 
 /// Start a 4-node service under `plan`, letting a panic through only if

@@ -91,7 +91,9 @@ impl Worker {
     /// the thread ends by returning, not by panicking.
     fn stops_on(self, broken: ChunkId) {
         let good = ChunkId::new(broken.dataset, 0);
-        assert!(!self.done(good).layer.image.is_empty());
+        let done = self.done(good);
+        assert!(!done.layer.image.is_empty());
+        assert_eq!(done.epoch, 7, "a finished task carries its incarnation");
         match self.render(broken) {
             ToHead::Stopped { node: 3, epoch: 7 } => {}
             other => panic!("expected Stopped from node 3 epoch 7, got {other:?}"),

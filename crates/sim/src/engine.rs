@@ -18,9 +18,13 @@
 //!
 //! All head-node logic lives in `vizsched-runtime`; this module only
 //! implements the event-driven [`Substrate`]: the virtual clock, the node
-//! model, and the event queue. Fault injection (a [`FaultPlan`] walked in
-//! the event queue) exercises the §VI-D claim that rendering continues as
-//! long as replicas or reloads are possible.
+//! model, and the event queue. Fault injection exercises the §VI-D claim
+//! that rendering continues as long as replicas or reloads are possible:
+//! each [`FaultPlan`] entry fires as an event and goes to
+//! `ShardedRuntime::on_fault`, the interpreter the live service runs too.
+//! The node hooks it calls back are the node model's: a crash clears the
+//! node and bumps its `generation`, which turns the running task's pending
+//! `TaskDone` event stale.
 
 use crate::event::{EventKind, EventQueue};
 use crate::node::SimNode;
@@ -33,10 +37,10 @@ use vizsched_core::job::Job;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{Assignment, Trigger};
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{Probe, RunRecord, TraceEvent};
+use vizsched_metrics::{Probe, RunRecord};
 use vizsched_runtime::{
-    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome,
-    ShardedRuntime, Substrate,
+    Admission, Completion, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome, ShardedRuntime,
+    Substrate,
 };
 
 /// Static configuration of one simulation.
@@ -145,22 +149,15 @@ impl Simulation {
     }
 
     /// Run one policy over `jobs` (must be sorted by issue time) under
-    /// [`RunOptions`]: label, probe, per-run overrides, `Estimate[c]`
-    /// pre-seeding.
+    /// [`RunOptions`]: label, probe, fault plan, perturbation seed,
+    /// `Estimate[c]` pre-seeding.
     /// Panics before the run starts if the fault plan fails
     /// [`FaultPlan::check`] on the cluster.
     pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> SimOutcome {
-        if let Some(plan) = &opts.fault_plan {
-            plan.check(self.config.cluster.len())
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
+        opts.fault_plan
+            .check(self.config.cluster.len())
+            .unwrap_or_else(|e| panic!("{e}"));
         let mut config = self.config.clone();
-        if let Some(jitter) = opts.exec_jitter {
-            config.exec_jitter = jitter;
-        }
-        if let Some(warm) = opts.warm_start {
-            config.warm_start = warm;
-        }
         if let (Some(seed), EvictionPolicy::Random { seed: base }) = (opts.seed, config.eviction) {
             config.eviction = EvictionPolicy::Random {
                 seed: base.wrapping_add(seed),
@@ -193,7 +190,7 @@ impl Simulation {
         for (chunk, estimate) in opts.initial_estimates {
             engine.runtime.seed_estimate(chunk, estimate);
         }
-        engine.run(jobs, opts.fault_plan)
+        engine.run(jobs, &opts.fault_plan)
     }
 }
 
@@ -217,6 +214,23 @@ impl Substrate for SimSubstrate<'_> {
             self.start_node(node);
         }
         true
+    }
+
+    fn crash_node(&mut self, node: NodeId) {
+        // The node model is authoritative: its queue and running task are
+        // dropped, its memory cleared, its completion generation bumped
+        // (so the running task's `TaskDone` event is stale). The runtime
+        // re-places the same tasks from its own outstanding ledger — FIFO
+        // nodes keep the two views identical.
+        let _ = self.nodes[node.index()].crash();
+    }
+
+    fn respawn_node(&mut self, node: NodeId) {
+        self.nodes[node.index()].recover();
+    }
+
+    fn degrade_node(&mut self, node: NodeId, factor_pm: u32) {
+        self.nodes[node.index()].slow_pm = factor_pm;
     }
 }
 
@@ -282,9 +296,6 @@ impl SimSubstrate<'_> {
 struct Engine<'a> {
     runtime: ShardedRuntime,
     sub: SimSubstrate<'a>,
-    /// The run's probe, kept for engine-level events (`fault_injected`)
-    /// that no single shard's runtime owns.
-    probe: std::sync::Arc<dyn Probe>,
 }
 
 impl<'a> Engine<'a> {
@@ -297,7 +308,6 @@ impl<'a> Engine<'a> {
         probe: std::sync::Arc<dyn Probe>,
         jitter_seed: u64,
     ) -> Self {
-        let engine_probe = probe.clone();
         let tables_for = |cluster: &ClusterSpec| match config.gpu_quota {
             Some(gpu) => {
                 vizsched_core::tables::HeadTables::with_gpu_tier(cluster, gpu, config.eviction)
@@ -311,12 +321,8 @@ impl<'a> Engine<'a> {
             SchedulerChoice::Kind(kind) => (Some(kind), None),
             SchedulerChoice::Instance(instance) => (None, Some(instance)),
         };
-        let runtime = ShardedRuntime::new(
-            &config.cluster,
-            shards,
-            probe,
-            None,
-            |_, slice, shard_probe| {
+        let runtime =
+            ShardedRuntime::new(&config.cluster, shards, probe, |_, slice, shard_probe| {
                 let scheduler = match kind {
                     Some(kind) => kind.build(config.cycle),
                     None => instance.take().expect(
@@ -332,8 +338,7 @@ impl<'a> Engine<'a> {
                     shard_probe,
                     scenario,
                 )
-            },
-        );
+            });
         let nodes = config
             .cluster
             .nodes
@@ -361,11 +366,10 @@ impl<'a> Engine<'a> {
                 tick_armed: false,
                 loads_in_flight: 0,
             },
-            probe: engine_probe,
         }
     }
 
-    fn run(mut self, jobs: Vec<Job>, fault_plan: Option<FaultPlan>) -> SimOutcome {
+    fn run(mut self, jobs: Vec<Job>, fault_plan: &FaultPlan) -> SimOutcome {
         if self.sub.config.warm_start {
             self.warm_start();
         }
@@ -378,12 +382,10 @@ impl<'a> Engine<'a> {
                 .events
                 .push(job.issue_time, EventKind::Arrival(job));
         }
-        if let Some(plan) = &fault_plan {
-            for event in plan.events() {
-                self.sub
-                    .events
-                    .push(event.at, EventKind::PlanFault(event.kind));
-            }
+        for event in fault_plan.events() {
+            self.sub
+                .events
+                .push(event.at, EventKind::PlanFault(event.kind));
         }
 
         while let Some(event) = self.sub.events.pop() {
@@ -392,7 +394,16 @@ impl<'a> Engine<'a> {
                 EventKind::Arrival(job) => self.on_arrival(job),
                 EventKind::Tick => self.on_tick(),
                 EventKind::TaskDone { node, generation } => self.on_task_done(node, generation),
-                EventKind::PlanFault(kind) => self.on_plan_fault(kind),
+                EventKind::PlanFault(kind) => {
+                    // The runtime's fault interpreter, the one the live
+                    // service runs too. Orphans a shard failover
+                    // re-admitted may be buffered for the next cycle.
+                    self.runtime.on_fault(&mut self.sub, event.time, kind);
+                    if self.runtime.queued_jobs() > 0 {
+                        let trigger = self.runtime.trigger();
+                        self.sub.arm_tick(trigger);
+                    }
+                }
             }
         }
 
@@ -479,70 +490,6 @@ impl<'a> Engine<'a> {
         let trigger = self.runtime.trigger();
         if matches!(trigger, Trigger::Cycle(_)) && self.runtime.has_deferred() {
             self.sub.arm_tick(trigger);
-        }
-    }
-
-    fn on_crash(&mut self, node: NodeId) {
-        // The node model is authoritative: drop its queue and running
-        // task, clear its memory, bump its completion generation. The
-        // runtime re-places exactly the same tasks from its own
-        // outstanding ledger (FIFO nodes keep the two views identical).
-        let _ = self.sub.nodes[node.index()].crash();
-        let now = self.sub.now;
-        self.runtime.on_node_fault(&mut self.sub, now, node);
-    }
-
-    fn on_recover(&mut self, node: NodeId) {
-        self.sub.nodes[node.index()].recover();
-        self.runtime.on_node_recover(self.sub.now, node);
-    }
-
-    /// Execute one [`FaultPlan`] entry. The live service runs the same
-    /// plan with the same semantics, so a chaos run replays bit-identically
-    /// here. Every entry is traced as `fault_injected` before it acts.
-    fn on_plan_fault(&mut self, kind: FaultKind) {
-        let now = self.sub.now;
-        if self.probe.enabled() {
-            self.probe
-                .on_event(&TraceEvent::FaultInjected { now, fault: kind });
-        }
-        match kind {
-            FaultKind::NodeCrash(node) => self.on_crash(node),
-            FaultKind::NodeRespawn(node) => self.on_recover(node),
-            FaultKind::NodeDegrade { node, factor_pm } => {
-                self.sub.nodes[node.index()].slow_pm = factor_pm;
-            }
-            FaultKind::NodeRestore(node) => {
-                self.sub.nodes[node.index()].slow_pm = 1000;
-            }
-            FaultKind::LeafOutage { base, count } => {
-                for k in 0..count {
-                    self.on_crash(NodeId(base.0 + k));
-                }
-            }
-            FaultKind::LeafRecover { base, count } => {
-                for k in 0..count {
-                    self.on_recover(NodeId(base.0 + k));
-                }
-            }
-            FaultKind::ShardCrash(shard) => {
-                // Power-cycle the dead head's current slice first: its
-                // in-flight dispatches become stale (generation bump) and
-                // the nodes rejoin cold, so nothing the dead head started
-                // can race the rebuilt control state on the adopters. A
-                // head that cannot fail over has no slice to cycle.
-                for node in self.runtime.failover_slice(shard) {
-                    let _ = self.sub.nodes[node.index()].crash();
-                    self.sub.nodes[node.index()].recover();
-                }
-                let now = self.sub.now;
-                self.runtime.on_shard_fail(&mut self.sub, now, shard);
-                // Re-admitted orphans may be buffered for the next cycle.
-                let trigger = self.runtime.trigger();
-                if self.runtime.queued_jobs() > 0 {
-                    self.sub.arm_tick(trigger);
-                }
-            }
         }
     }
 

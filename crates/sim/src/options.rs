@@ -4,10 +4,9 @@
 //! [`SimConfig`](crate::SimConfig) describes the *substrate* — cluster,
 //! cost model, decomposition. [`RunOptions`] describes one *run* over that
 //! substrate: which policy, under what label, observed by which probe,
-//! under which fault plan, overload policy and shard count, with per-run
-//! overrides of the two substrate values experiments sweep (jitter, warm
-//! start), a perturbation seed, and an `Estimate[c]` pre-seed for
-//! prediction-feedback experiments.
+//! under which fault plan, overload policy and shard count, with a
+//! perturbation seed and an `Estimate[c]` pre-seed for prediction-feedback
+//! experiments.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -18,8 +17,7 @@
 //! let probe = Arc::new(CollectingProbe::new());
 //! let opts = RunOptions::new(SchedulerKind::Ours)
 //!     .label("traced")
-//!     .exec_jitter(0.05)
-//!     .warm_start(true)
+//!     .seed(7)
 //!     .probe(probe.clone());
 //! assert_eq!(opts.label_str(), "traced");
 //! ```
@@ -57,9 +55,7 @@ pub struct RunOptions {
     pub(crate) scheduler: SchedulerChoice,
     pub(crate) label: String,
     pub(crate) probe: Arc<dyn Probe>,
-    pub(crate) fault_plan: Option<FaultPlan>,
-    pub(crate) exec_jitter: Option<f64>,
-    pub(crate) warm_start: Option<bool>,
+    pub(crate) fault_plan: FaultPlan,
     pub(crate) seed: Option<u64>,
     pub(crate) initial_estimates: Vec<(ChunkId, SimDuration)>,
     pub(crate) catalog: Option<Catalog>,
@@ -74,8 +70,6 @@ impl std::fmt::Debug for RunOptions {
             .field("label", &self.label)
             .field("probe_enabled", &self.probe.enabled())
             .field("fault_plan", &self.fault_plan)
-            .field("exec_jitter", &self.exec_jitter)
-            .field("warm_start", &self.warm_start)
             .field("seed", &self.seed)
             .field("initial_estimates", &self.initial_estimates.len())
             .field("catalog_override", &self.catalog.is_some())
@@ -102,9 +96,7 @@ impl RunOptions {
             scheduler,
             label: String::new(),
             probe: Arc::new(NoopProbe),
-            fault_plan: None,
-            exec_jitter: None,
-            warm_start: None,
+            fault_plan: FaultPlan::new(),
             seed: None,
             initial_estimates: Vec::new(),
             catalog: None,
@@ -131,21 +123,9 @@ impl RunOptions {
     /// node crash/respawn, slow-node degrade/restore, correlated leaf
     /// outage, shard-head crash. The live service executes the same plan
     /// with the same semantics, so any chaos run replays bit-identically
-    /// in the sim.
+    /// in the sim. The default, empty plan injects nothing.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Override the execution-jitter amplitude for this run.
-    pub fn exec_jitter(mut self, amplitude: f64) -> Self {
-        self.exec_jitter = Some(amplitude);
-        self
-    }
-
-    /// Override whether caches are pre-populated round-robin before the run.
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = Some(on);
+        self.fault_plan = plan;
         self
     }
 
@@ -213,16 +193,13 @@ mod tests {
     fn builder_accumulates_overrides() {
         let opts = RunOptions::new(SchedulerKind::Fs)
             .label("x")
-            .exec_jitter(0.1)
-            .warm_start(true)
             .seed(7)
             .fault_plan(FaultPlan::new().crash_at(SimTime::from_secs(1), NodeId(0)))
             .initial_estimates([(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5))]);
         assert_eq!(opts.label_str(), "x");
-        assert_eq!(opts.exec_jitter, Some(0.1));
         assert_eq!(opts.seed, Some(7));
         assert_eq!(opts.initial_estimates.len(), 1);
-        assert_eq!(opts.fault_plan.as_ref().map(FaultPlan::len), Some(1));
+        assert_eq!(opts.fault_plan.len(), 1);
         // Debug is implemented by hand (trait objects aren't Debug).
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("Kind(Fs)"), "{dbg}");
@@ -232,5 +209,6 @@ mod tests {
     fn default_probe_is_disabled() {
         let opts = RunOptions::new(SchedulerKind::Ours);
         assert!(!opts.probe.enabled());
+        assert!(opts.fault_plan.is_empty(), "no faults unless planned");
     }
 }

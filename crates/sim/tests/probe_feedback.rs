@@ -23,9 +23,12 @@ fn interactive(id: u64, action: u64, at: SimTime) -> Job {
     }
 }
 
-fn small_sim() -> Simulation {
+/// Four nodes, one 2 GiB dataset, cold caches, execution jittered by
+/// `exec_jitter`.
+fn small_sim(exec_jitter: f64) -> Simulation {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    config.exec_jitter = exec_jitter;
     Simulation::new(config, uniform_datasets(1, 2 * GIB))
 }
 
@@ -43,11 +46,10 @@ fn wrong_estimate_prior_converges_under_correction() {
     let jobs: Vec<Job> = (0..12)
         .map(|i| interactive(i, i, SimTime::from_millis(200 * i)))
         .collect();
-    let outcome = small_sim().run_opts(
+    let outcome = small_sim(0.0).run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label("feedback")
-            .warm_start(false)
             .initial_estimates(wrong_priors())
             .probe(probe.clone()),
     );
@@ -106,11 +108,10 @@ fn simulated_predictions_charge_the_model_alpha() {
     let jobs: Vec<Job> = (0..12)
         .map(|i| interactive(i, i % 3, SimTime::from_millis(100 * i)))
         .collect();
-    let outcome = small_sim().run_opts(
+    let outcome = small_sim(0.1).run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label("model-alpha")
-            .exec_jitter(0.1)
             .seed(7)
             .probe(probe.clone()),
     );
@@ -153,7 +154,7 @@ fn probe_event_stream_is_conserved() {
     let jobs: Vec<Job> = (0..8)
         .map(|i| interactive(i, i % 2, SimTime::from_millis(150 * i)))
         .collect();
-    let outcome = small_sim().run_opts(
+    let outcome = small_sim(0.0).run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label("conserve")
@@ -184,11 +185,10 @@ fn seed_perturbs_while_zero_seed_reproduces() {
         .map(|i| interactive(i, i, SimTime::from_millis(100 * i)))
         .collect();
     let run = |seed: u64| {
-        let outcome = small_sim().run_opts(
+        let outcome = small_sim(0.1).run_opts(
             jobs.clone(),
             RunOptions::new(SchedulerKind::Ours)
                 .label("seed")
-                .exec_jitter(0.1)
                 .seed(seed),
         );
         outcome

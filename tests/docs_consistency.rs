@@ -6,7 +6,8 @@
 //! docs/) must not carry dead intra-repo links, every CI `--check` must
 //! name a committed root `BENCH_*.json`, every root test and example must
 //! be a registered cargo target, the shim inventory must agree with
-//! itself, and splitmix64 must be written once. Run by the CI docs job.
+//! itself, and splitmix64 and the fault interpreter must each be written
+//! once. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -417,13 +418,9 @@ fn shims_readme_dirs_and_workspace_entries_agree() {
     }
 }
 
-/// splitmix64 is written once: every seeded stream and deterministic hash
-/// goes through `vizsched_core::rng`, so its finalizer multiplier may
-/// appear under `crates/*/src` in that file only — in any case, with or
-/// without digit separators. (`shims/proptest` keeps its own copy: a shim
-/// cannot depend on a product crate.)
-#[test]
-fn splitmix64_is_written_once() {
+/// The `.rs` files under `crates/*/src` whose text satisfies `needle`, as
+/// sorted repo-relative paths.
+fn sources_containing(needle: impl Fn(&str) -> bool) -> Vec<String> {
     fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).expect("read source dir") {
             let path = entry.expect("dir entry").path();
@@ -441,22 +438,45 @@ fn splitmix64_is_written_once() {
     }
     let mut hits: Vec<String> = files
         .iter()
-        .filter(|path| {
-            let text = std::fs::read_to_string(path).expect("read source file");
-            text.to_ascii_lowercase()
-                .replace('_', "")
-                .contains("0xbf58476d1ce4e5b9")
-        })
+        .filter(|path| needle(&std::fs::read_to_string(path).expect("read source file")))
         .map(|path| {
             let rel = path.strip_prefix(&root).expect("under the repo root");
             rel.to_string_lossy().replace('\\', "/")
         })
         .collect();
     hits.sort();
+    hits
+}
+
+/// splitmix64 is written once: every seeded stream and deterministic hash
+/// goes through `vizsched_core::rng`, so its finalizer multiplier may
+/// appear under `crates/*/src` in that file only — in any case, with or
+/// without digit separators. (`shims/proptest` keeps its own copy: a shim
+/// cannot depend on a product crate.)
+#[test]
+fn splitmix64_is_written_once() {
+    let hits = sources_containing(|text| {
+        text.to_ascii_lowercase()
+            .replace('_', "")
+            .contains("0xbf58476d1ce4e5b9")
+    });
     assert_eq!(
         hits,
         ["crates/core/src/rng.rs"],
         "the splitmix64 finalizer is written outside vizsched_core::rng"
+    );
+}
+
+/// A `FaultKind` is interpreted once, by `ShardedRuntime::on_fault`, for
+/// both substrates. Any second interpreter must match every kind, so the
+/// one no other code has reason to name — a leaf group's recovery — may
+/// appear only where the taxonomy is defined and where it is interpreted.
+#[test]
+fn fault_kinds_are_interpreted_once() {
+    assert_eq!(
+        sources_containing(|text| text.contains("FaultKind::LeafRecover")),
+        ["crates/core/src/fault.rs", "crates/runtime/src/fault.rs"],
+        "a FaultKind is interpreted outside ShardedRuntime::on_fault"
     );
 }
 

@@ -2,8 +2,9 @@
 //! sharded service and by the discrete-event simulator must produce the
 //! same failover behavior — the same post-crash shard routing, the same
 //! global task placements, and the same `shard_failed` /
-//! `shard_recovered` accounting — because both substrates drive the same
-//! `vizsched-runtime` control plane through the same fault entry points.
+//! `shard_recovered` accounting — because both substrates hand every plan
+//! entry to the same interpreter, `ShardedRuntime::on_fault`, and differ
+//! only in the node hooks it calls back.
 //!
 //! The live client paces the workload to the simulator's timeline (one
 //! frame per second, each completing in well under half a second), so
@@ -14,11 +15,11 @@
 //! cold spreads resolve by index tie-breaks, warm chunks map to their
 //! unique holder.
 //!
-//! The file also holds the respawn-under-sharding check: a node killed
-//! out of a shard's slice (with `restart_nodes` on) rejoins *its own*
+//! The file also holds the respawn-under-sharding check: a node the plan
+//! crashes out of a shard's slice and later respawns rejoins *its own*
 //! shard and serves cache-local work again.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vizsched_core::prelude::*;
 use vizsched_integration::parity::{
     assignments, datasets, frame, serial_jobs, shard_assignments, Pair,
@@ -210,9 +211,9 @@ fn mobj_replays_an_identical_fault_plan_identically() {
     assert_fault_parity(SchedulerKind::Mobj);
 }
 
-/// `restart_nodes` under `shards(n)`: a node killed out of a shard's
-/// slice respawns, rejoins *its owning shard*, and serves cache-local
-/// work for that shard's datasets again.
+/// A planned crash and respawn under `shards(n)`: a node crashed out of
+/// a shard's slice respawns, rejoins *its owning shard*, and serves
+/// cache-local work for that shard's datasets again.
 ///
 /// While node 2 is down its peers absorb its datasets' chunks, and warm
 /// placement keeps mapping those chunks to their new holders — so the
@@ -221,35 +222,38 @@ fn mobj_replays_an_identical_fault_plan_identically() {
 /// repeat visit must find their chunks in its cache.
 #[test]
 fn respawned_node_rejoins_its_shard_slice() {
-    // Eight datasets: 0..4 feed round 1 (before the kill), 4..8 stay
+    // Eight datasets: 0..4 feed round 1 (before the crash), 4..8 stay
     // untouched until after the respawn.
+    let respawn = Duration::from_millis(150);
     let rig = Pair {
         datasets: datasets(8, BRICKS),
         nodes: NODES,
         shards: SHARDS,
-        throttle: Some(256 << 10), // slow loads: the kill lands mid-burst
-        restart_nodes: true,
+        throttle: Some(256 << 10), // slow loads: the crash lands mid-burst
+        fault_plan: FaultPlan::new()
+            .crash_at(SimTime::from_millis(40), NodeId(2))
+            .respawn_at(SimTime::from_micros(respawn.as_micros() as u64), NodeId(2)),
         ..Pair::default()
     }
     .open();
     let (events, stats) = rig.live_traced(|service| {
+        let started = Instant::now();
         let client = ServiceClient::new(UserId(0), service.request_sender());
         let frames: Vec<FrameParams> = (0..4).map(|i| frame(i as f32 * 0.1)).collect();
 
         // Round 1: a burst over datasets 0..4 (the ring feeds both
-        // shards), with node 2 — shard 1's slice — killed while loads
+        // shards), with node 2 — shard 1's slice — crashed while loads
         // grind.
         let round1: Vec<_> = (0..4u32)
             .map(|d| client.render_batch(BatchId(d as u64), DatasetId(d), &frames))
             .collect();
-        std::thread::sleep(Duration::from_millis(40));
-        service.kill_node(2);
         for rx in &round1 {
             for _ in 0..frames.len() {
                 rx.recv_timeout(Duration::from_secs(60))
-                    .expect("every round-1 frame survives the kill");
+                    .expect("every round-1 frame survives the crash");
             }
         }
+        std::thread::sleep((respawn + Duration::from_millis(50)).saturating_sub(started.elapsed()));
 
         // Rounds 2 and 3, after the respawn, over the fresh datasets
         // 4..8: a cold round that must spread one chunk per slice node —
@@ -272,11 +276,11 @@ fn respawned_node_rejoins_its_shard_slice() {
     let fault_pos = events
         .iter()
         .position(|e| matches!(e, TraceEvent::NodeFault { node, .. } if node.0 == 2))
-        .expect("the kill is observed");
+        .expect("the crash is observed");
     let up_pos = events
         .iter()
         .position(|e| matches!(e, TraceEvent::NodeUp { node, .. } if node.0 == 2))
-        .expect("restart_nodes respawns the node");
+        .expect("the plan respawns the node");
     assert!(fault_pos < up_pos, "fault precedes the respawn");
 
     // The respawned node serves work again...
