@@ -17,12 +17,21 @@
 //! headroom stays free for interactive arrivals in the next cycle. The
 //! share itself tracks observed demand with an integer EMA, adjusted once
 //! per cycle from the interactive execution time committed to the node
-//! during that cycle:
+//! since the previous adjustment:
 //!
 //! ```text
 //! demand_k = min(1000, 1000 · committed_us(k) / ω_us)
 //! φ_k ← clamp((3·φ_k + demand_k) / 4, φ_min, φ_max)
 //! ```
+//!
+//! "Once per cycle" is keyed on the clock, not on calls: the controller
+//! steps on the first `schedule` call in each ω epoch `⌊now / ω⌋`. A tick
+//! on the ω grid opens a new epoch every time, so on the virtual clock
+//! tick-only runs step on every call, and the head runtime's early cycle
+//! (one warm interactive job scheduled at its arrival, between ticks) only
+//! adds to `committed_us`. The live head stamps a tick when it receives
+//! it, some way into its epoch, so there an early call at the start of an
+//! epoch can take the epoch's step in the tick's place.
 //!
 //! A node with no interactive traffic decays toward `φ_min` (its batch
 //! window approaches the full cycle); a saturated node climbs toward
@@ -99,6 +108,12 @@ pub(super) fn share_step(params: &FracParams, share_pm: u32, demand_pm: u32) -> 
     ((3 * share_pm + demand_pm) / 4).clamp(params.min_share_pm, params.max_share_pm)
 }
 
+/// The ω epoch `⌊now / ω⌋` a call falls in; the share controller steps
+/// once per epoch. Shared verbatim with the reference twin.
+pub(super) fn share_epoch(now: SimTime, cycle: SimDuration) -> u64 {
+    now.as_micros() / cycle.as_micros()
+}
+
 /// The per-node batch window end `λ_B(k)` for a share of `share_pm`.
 pub(super) fn batch_lambda(now: SimTime, cycle: SimDuration, share_pm: u32) -> SimTime {
     let window_us = cycle.as_micros() * (1000 - share_pm.min(1000)) as u64 / 1000;
@@ -111,9 +126,12 @@ pub struct FracScheduler {
     params: FracParams,
     /// `φ_k` per node, lazily sized on first invocation.
     shares_pm: Vec<u32>,
-    /// Interactive execution time committed per node this cycle (µs),
-    /// indexed by node id — the share controller's demand signal.
+    /// Interactive execution time committed per node since the last share
+    /// step (µs), indexed by node id — the share controller's demand
+    /// signal.
     committed_us: Vec<u64>,
+    /// The ω epoch of the last share step (`None` before the first).
+    stepped: Option<u64>,
     /// `H_B`: batch tasks held back until a batch window opens.
     held: Deferred,
     /// Intake, the interactive pass and escalated re-entries.
@@ -130,6 +148,7 @@ impl FracScheduler {
             params,
             shares_pm: Vec::new(),
             committed_us: Vec::new(),
+            stepped: None,
             held: Deferred::default(),
             cycle: Cycle::default(),
             events: Vec::new(),
@@ -154,10 +173,16 @@ impl FracScheduler {
         self.held.len()
     }
 
-    /// The once-per-cycle share EMA step, after the interactive pass and
+    /// The once-per-epoch share EMA step, after the interactive pass and
     /// before the batch fill (so a fresh demand spike shrinks the batch
-    /// window immediately).
+    /// window immediately). A later call in an epoch that already stepped
+    /// leaves the shares alone and keeps accumulating demand.
     fn adjust_shares(&mut self, ctx: &ScheduleCtx<'_>) {
+        let epoch = share_epoch(ctx.now, self.params.cycle);
+        if self.stepped == Some(epoch) {
+            return;
+        }
+        self.stepped = Some(epoch);
         let cycle_us = self.params.cycle.as_micros();
         for node in ctx.tables.live_nodes() {
             let committed = self.committed_us[node.index()];
@@ -172,6 +197,7 @@ impl FracScheduler {
                 });
             }
         }
+        self.committed_us.fill(0);
     }
 }
 
@@ -187,7 +213,6 @@ impl Scheduler for FracScheduler {
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let nodes = ctx.tables.node_count();
         self.shares_pm.resize(nodes, self.params.initial_share_pm);
-        self.committed_us.clear();
         self.committed_us.resize(nodes, 0);
         let (now, cycle) = (ctx.now, self.params.cycle);
 
@@ -341,6 +366,43 @@ mod tests {
         }
         // Drained means drained.
         assert!(sched.drain_policy_events().is_empty());
+    }
+
+    /// The controller steps once per ω epoch of `ctx.now`: ticks on the ω
+    /// grid step on every call, exactly the pre-early-cycle trajectory,
+    /// while an extra call between two ticks moves no share and only adds
+    /// its demand to the next tick's step.
+    #[test]
+    fn shares_step_once_per_cycle_of_the_clock() {
+        let ms = SimTime::from_millis;
+        let shares = |s: &FracScheduler| [s.share_pm(NodeId(0)), s.share_pm(NodeId(1))];
+        let mut ticked = frac();
+        let mut fx = Fixture::standard(2, 1);
+        let mut trajectory = Vec::new();
+        for c in 0..6u64 {
+            ticked.schedule(&mut fx.ctx(ms(30 * c)), vec![]);
+            trajectory.push(shares(&ticked)[0]);
+        }
+        assert_eq!(trajectory, [375, 281, 210, 157, 117, 100]);
+
+        let mut early = frac();
+        let mut fx = Fixture::standard(2, 1);
+        early.schedule(&mut fx.ctx(ms(0)), vec![]);
+        early.schedule(&mut fx.ctx(ms(30)), vec![]);
+        early.drain_policy_events();
+        let before = shares(&early);
+        let job = fx.interactive_job(0, 0, ms(45));
+        let out = early.schedule(&mut fx.ctx(ms(45)), vec![job]);
+        assert_eq!(out.len(), 4);
+        assert_eq!(shares(&early), before, "a mid-cycle call moves no share");
+        assert!(early.drain_policy_events().is_empty());
+        // The next tick steps once, charging the mid-cycle demand: both
+        // nodes took cold work, so both shares climb where the tick-only
+        // twin decayed them.
+        early.schedule(&mut fx.ctx(ms(60)), vec![]);
+        let after = shares(&early);
+        assert!(after.iter().all(|&s| s > 210), "{after:?}");
+        assert_eq!(early.drain_policy_events().len(), 2);
     }
 
     #[test]

@@ -49,19 +49,6 @@ impl FsdScheduler {
         self.served.get(&user).copied().unwrap_or(SimDuration::ZERO)
     }
 
-    /// A job is "locally placeable" when every chunk it needs is cached on
-    /// some node whose backlog is under one cycle — i.e. a local slot is
-    /// actually free, the delay-scheduling condition.
-    fn locally_placeable(&self, ctx: &ScheduleCtx<'_>, job: &Job) -> bool {
-        ctx.catalog.chunks_of(job.dataset).iter().all(|chunk| {
-            ctx.tables
-                .cache
-                .nodes_with(chunk.id)
-                .iter()
-                .any(|&node| ctx.tables.available.ready_at(node, ctx.now) <= ctx.now + self.cycle)
-        })
-    }
-
     fn place(
         &mut self,
         ctx: &mut ScheduleCtx<'_>,
@@ -116,7 +103,13 @@ impl Scheduler for FsdScheduler {
                 .chunks_of(job.dataset)
                 .iter()
                 .all(|c| ctx.tables.cache.is_cached_anywhere(c.id));
-            if self.locally_placeable(ctx, &job) {
+            // Locally placeable: every chunk is cached on a node whose
+            // backlog is under one cycle — a local slot is actually free,
+            // the delay-scheduling condition.
+            if ctx
+                .tables
+                .warm_and_free_by(ctx.catalog, job.dataset, ctx.now + self.cycle)
+            {
                 self.place(ctx, job, true, &mut out);
             } else if cached_anywhere && delays < self.max_delays {
                 // Data exists somewhere but its nodes are busy: wait a

@@ -65,6 +65,18 @@ pub use sf::SfScheduler;
 /// the window, which is what lets them amortize one table pass over many
 /// jobs (the Fig. 8 effect).
 ///
+/// One exception keeps an idle head from charging a frame the wait for
+/// the next tick: the head runtime may invoke a cycle policy off the ω
+/// grid, with exactly one interactive job, when nothing is buffered or
+/// deferred and every chunk of the job is cached on a node free now
+/// ([`HeadTables::warm_and_free_by`]). That call equals a tick fired at
+/// that instant, so a policy sees nothing it could not see on the grid.
+/// It does give up grouping the job with arrivals later in the same
+/// window, which now meet tables already charged with it, so later
+/// placements can differ from a tick-only head's. Per-cycle state must
+/// key on `ctx.now`, not on the number of calls (see
+/// `docs/POLICY_GUIDE.md`).
+///
 /// ```
 /// use vizsched_core::sched::{SchedulerKind, Trigger};
 /// use vizsched_core::time::SimDuration;
@@ -887,6 +899,53 @@ mod tests {
         let blind = ctx.earliest_node();
         assert!(blind.0 < 4);
         assert_eq!(ctx.earliest_node(), blind);
+    }
+
+    /// `HeadTables::warm_and_free_by`, one case at a time: a cold chunk, a
+    /// busy caching node, a down node, and an idle replica on a second
+    /// node.
+    #[test]
+    fn warm_and_free_by_needs_every_chunk_on_a_free_holder() {
+        let t = SimTime::from_millis;
+        let warm = |fx: &Fixture, by| {
+            fx.tables
+                .warm_and_free_by(&fx.catalog, crate::ids::DatasetId(0), by)
+        };
+        let mut fx = Fixture::standard(2, 1);
+        let tasks = fx
+            .interactive_job(0, 0, SimTime::ZERO)
+            .decompose(&fx.catalog);
+        // Three of four chunks cached on node 0, which is free at 0.
+        {
+            let mut ctx = fx.ctx(SimTime::ZERO);
+            for &task in &tasks[..3] {
+                ctx.commit(task, NodeId(0), 2);
+            }
+        }
+        fx.tables.available.correct(NodeId(0), SimTime::ZERO);
+        assert!(!warm(&fx, t(1000)), "cold chunk");
+
+        // The last chunk lands too; node 0 is now busy until 50 ms.
+        fx.ctx(SimTime::ZERO).commit(tasks[3], NodeId(0), 2);
+        fx.tables.available.correct(NodeId(0), t(50));
+        assert!(!warm(&fx, t(49)), "busy holder");
+        assert!(warm(&fx, t(50)));
+
+        // An idle replica of every chunk on node 1 answers for the busy
+        // node 0.
+        {
+            let mut ctx = fx.ctx(SimTime::ZERO);
+            for &task in &tasks {
+                ctx.commit(task, NodeId(1), 2);
+            }
+        }
+        fx.tables.available.correct(NodeId(1), SimTime::ZERO);
+        assert!(warm(&fx, SimTime::ZERO), "idle replica");
+
+        // The replica's node goes down: only the busy holder is left.
+        fx.tables.mark_down(NodeId(1));
+        assert!(!warm(&fx, SimTime::ZERO), "down node");
+        assert!(warm(&fx, t(50)));
     }
 
     #[test]

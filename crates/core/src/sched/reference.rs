@@ -33,7 +33,7 @@
 //! [`fcfsl`]: super::fcfsl
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
-use super::frac::{batch_lambda, share_step};
+use super::frac::{batch_lambda, share_epoch, share_step};
 use super::mobj::{batch_gate, feedback_step, objective_score, retuned_weights};
 use super::{
     Assignment, CompletionFeedback, FracParams, MobjParams, MobjWeights, OursParams, PolicyEvent,
@@ -341,6 +341,8 @@ impl Scheduler for ReferenceFcfslScheduler {
 pub struct ReferenceFracScheduler {
     params: FracParams,
     shares_pm: Vec<u32>,
+    committed_us: Vec<u64>,
+    stepped: Option<u64>,
     pending_batch: FxHashMap<ChunkId, VecDeque<(SimTime, Task)>>,
     pending_count: usize,
     escalated: Vec<Task>,
@@ -353,6 +355,8 @@ impl ReferenceFracScheduler {
         ReferenceFracScheduler {
             params,
             shares_pm: Vec::new(),
+            committed_us: Vec::new(),
+            stepped: None,
             pending_batch: FxHashMap::default(),
             pending_count: 0,
             escalated: Vec::new(),
@@ -381,7 +385,7 @@ impl Scheduler for ReferenceFracScheduler {
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let nodes = ctx.tables.node_count();
         self.shares_pm.resize(nodes, self.params.initial_share_pm);
-        let mut committed_us = vec![0u64; nodes];
+        self.committed_us.resize(nodes, 0);
 
         // Decompose: escalated tasks first (they ride the interactive
         // pass), then this cycle's arrivals.
@@ -424,26 +428,32 @@ impl Scheduler for ReferenceFracScheduler {
                 let group = ctx.group_size(task.chunk.dataset);
                 let a = ctx.commit(task, node, group);
                 if task.interactive {
-                    committed_us[node.index()] += a.predicted_exec.as_micros();
+                    self.committed_us[node.index()] += a.predicted_exec.as_micros();
                 }
                 out.push(a);
             }
         }
 
-        // Share EMA step, then the window-bounded batch fills.
-        let cycle_us = self.params.cycle.as_micros();
-        for node in ctx.tables.live_nodes() {
-            let demand_pm =
-                (committed_us[node.index()].saturating_mul(1000) / cycle_us).min(1000) as u32;
-            let old = self.shares_pm[node.index()];
-            let new = share_step(&self.params, old, demand_pm);
-            if new != old {
-                self.shares_pm[node.index()] = new;
-                self.events.push(PolicyEvent::ShareAdjusted {
-                    node,
-                    interactive_pm: new,
-                });
+        // Share EMA step (first call of the ω epoch only), then the
+        // window-bounded batch fills.
+        let epoch = share_epoch(ctx.now, self.params.cycle);
+        if self.stepped != Some(epoch) {
+            self.stepped = Some(epoch);
+            let cycle_us = self.params.cycle.as_micros();
+            for node in ctx.tables.live_nodes() {
+                let demand_pm = (self.committed_us[node.index()].saturating_mul(1000) / cycle_us)
+                    .min(1000) as u32;
+                let old = self.shares_pm[node.index()];
+                let new = share_step(&self.params, old, demand_pm);
+                if new != old {
+                    self.shares_pm[node.index()] = new;
+                    self.events.push(PolicyEvent::ShareAdjusted {
+                        node,
+                        interactive_pm: new,
+                    });
+                }
             }
+            self.committed_us.fill(0);
         }
 
         let nodes: Vec<NodeId> = ctx.tables.live_nodes().collect();

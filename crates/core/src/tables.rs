@@ -20,8 +20,9 @@
 
 use crate::cluster::ClusterSpec;
 use crate::cost::CostParams;
+use crate::data::Catalog;
 use crate::fxhash::FxHashMap;
-use crate::ids::{ChunkId, NodeId};
+use crate::ids::{ChunkId, DatasetId, NodeId};
 use crate::memory::{EvictionPolicy, NodeMemory};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -500,6 +501,21 @@ impl HeadTables {
     pub fn note_interactive(&mut self, node: NodeId, now: SimTime) {
         let slot = &mut self.last_interactive[node.index()];
         *slot = Some(slot.map_or(now, |t| t.max(now)));
+    }
+
+    /// True when every chunk of `dataset` is cached on a node whose
+    /// `Available[R_k]` is at or before `by`: the job could run, all hits,
+    /// without waiting past `by`. A down node never qualifies —
+    /// [`mark_down`](HeadTables::mark_down) clears its cache and sets its
+    /// `Available` to `SimTime::MAX`. The head runtime's early cycle asks
+    /// this with `by = now`; FSD's delay-scheduling test with `by = now + ω`.
+    pub fn warm_and_free_by(&self, catalog: &Catalog, dataset: DatasetId, by: SimTime) -> bool {
+        catalog.chunks_of(dataset).iter().all(|chunk| {
+            self.cache
+                .nodes_with(chunk.id)
+                .iter()
+                .any(|&node| self.available.get(node) <= by)
+        })
     }
 }
 

@@ -96,13 +96,15 @@ pub struct OverloadPolicy {
     pub max_per_user: Option<usize>,
     /// How long an *interactive* frame may sit in the admission buffer
     /// before the next cycle drops it with
-    /// [`DropReason::DeadlineExpired`]. Only cycle-triggered policies
-    /// buffer, so on-arrival policies never expire jobs; admitted batch
-    /// frames are never dropped (admission is a completion promise).
+    /// [`DropReason::DeadlineExpired`]. Only buffered frames can expire:
+    /// on-arrival policies never buffer, and a frame a cycle policy
+    /// schedules in an early cycle never waits. Admitted batch frames are
+    /// never dropped (admission is a completion promise).
     pub deadline: Option<SimDuration>,
-    /// Coalesce stale interactive frames: a newer buffered request from
-    /// the same `(user, action)` supersedes older ones, which are dropped
-    /// with [`DropReason::Superseded`].
+    /// Coalesce stale interactive frames: a newer request from the same
+    /// `(user, action)` supersedes older *buffered* ones, which are
+    /// dropped with [`DropReason::Superseded`]. An early cycle only runs
+    /// with the buffer empty, so there is never anything to supersede.
     pub coalesce_interactive: bool,
     /// Anti-starvation bound: once a deferred batch task's age exceeds
     /// this, its job is escalated into the interactive scheduling pass
@@ -120,7 +122,10 @@ impl OverloadPolicy {
 /// What [`HeadRuntime::on_job_arrival`] decided about one arriving job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Admission {
-    /// Admitted and scheduled immediately (on-arrival policies).
+    /// Admitted and scheduled immediately: every arrival under an
+    /// on-arrival policy, and an early cycle under a cycle policy (a warm
+    /// interactive job whose nodes are free, arriving while nothing is
+    /// buffered or deferred). No tick needs arming for it.
     Scheduled,
     /// Admitted and buffered for the next cycle (cycle policies); the
     /// driving loop should arm a cycle tick. `superseded` lists any stale
@@ -308,8 +313,9 @@ struct JobState {
 /// The driving loop's contract:
 /// * call [`on_job_arrival`](HeadRuntime::on_job_arrival) for every
 ///   accepted job — on-arrival policies are invoked immediately, cycle
-///   policies buffer (the return value says which happened, so an
-///   event-driven substrate knows to arm a cycle tick);
+///   policies buffer unless the arrival qualifies for an early cycle (the
+///   return value says which happened, so an event-driven substrate knows
+///   to arm a cycle tick only on [`Admission::Buffered`]);
 /// * call [`on_cycle`](HeadRuntime::on_cycle) at cycle boundaries — a
 ///   no-op unless jobs are buffered or the policy holds deferred work;
 /// * call [`on_task_done`](HeadRuntime::on_task_done) for every
@@ -477,9 +483,18 @@ impl HeadRuntime {
     /// immediately ([`Admission::Scheduled`]); cycle policies buffer the
     /// job until the next [`on_cycle`](HeadRuntime::on_cycle)
     /// ([`Admission::Buffered`], so an event-driven substrate knows to arm
-    /// a tick). With coalescing on, an interactive arrival supersedes any
-    /// still-buffered frames of the same `(user, action)` — those are
-    /// dropped and listed in the returned [`Admission::Buffered`].
+    /// a tick). One exception, the *early cycle*: an interactive job that
+    /// arrives while nothing is buffered or deferred, and whose every
+    /// chunk is cached on a node free now
+    /// ([`HeadTables::warm_and_free_by`]), is scheduled at once through
+    /// the same invocation a tick uses (`cycle_start { queued: 1 }` /
+    /// `cycle_end` at `now`) and returns [`Admission::Scheduled`]. It
+    /// equals a tick fired at `now`, but it no longer shares the next tick
+    /// with later arrivals in the window, so their placements can differ
+    /// (see DESIGN.md §9.2). With coalescing on, a buffered interactive arrival
+    /// supersedes any still-buffered frames of the same `(user, action)`
+    /// — those are dropped and listed in the returned
+    /// [`Admission::Buffered`].
     /// Capped-out arrivals return [`Admission::Rejected`] without touching
     /// the scheduler.
     pub fn on_job_arrival<S: Substrate>(
@@ -543,36 +558,48 @@ impl HeadRuntime {
             },
         );
         self.job_order.push(job.id);
-        match self.scheduler.trigger() {
-            Trigger::OnArrival => {
-                if policing && tracing {
-                    self.probe.on_event(&TraceEvent::Admitted {
-                        now,
-                        job: job.id,
-                        queue_depth: 0,
-                    });
-                }
-                self.invoke(sub, now, vec![job]);
-                Admission::Scheduled
+        let trigger = self.scheduler.trigger();
+        if trigger == Trigger::OnArrival || self.early_cycle_ready(now, &job) {
+            if policing && tracing {
+                self.probe.on_event(&TraceEvent::Admitted {
+                    now,
+                    job: job.id,
+                    queue_depth: 0,
+                });
             }
-            Trigger::Cycle(_) => {
-                let id = job.id;
-                let superseded = if self.policy.coalesce_interactive {
-                    self.coalesce_stale_frames(now, &job)
-                } else {
-                    Vec::new()
-                };
-                self.buffer.push(job);
-                if policing && tracing {
-                    self.probe.on_event(&TraceEvent::Admitted {
-                        now,
-                        job: id,
-                        queue_depth: self.buffer.len(),
-                    });
-                }
-                Admission::Buffered { superseded }
-            }
+            self.invoke(sub, now, vec![job]);
+            return Admission::Scheduled;
         }
+        let id = job.id;
+        let superseded = if self.policy.coalesce_interactive {
+            self.coalesce_stale_frames(now, &job)
+        } else {
+            Vec::new()
+        };
+        self.buffer.push(job);
+        if policing && tracing {
+            self.probe.on_event(&TraceEvent::Admitted {
+                now,
+                job: id,
+                queue_depth: self.buffer.len(),
+            });
+        }
+        Admission::Buffered { superseded }
+    }
+
+    /// The early-cycle gate for a cycle policy: `job` is interactive,
+    /// nothing is buffered or held, and every chunk of its dataset is
+    /// cached on a node that is free now. A tick firing at `now` would
+    /// then see exactly `[job]` with nothing deferred, so scheduling it at
+    /// once places what that tick would, with batch fill, ε, λ and
+    /// escalation untouched.
+    fn early_cycle_ready(&self, now: SimTime, job: &Job) -> bool {
+        job.kind.is_interactive()
+            && self.buffer.is_empty()
+            && !self.scheduler.has_deferred()
+            && self
+                .tables
+                .warm_and_free_by(&self.catalog, job.dataset, now)
     }
 
     /// Drop buffered interactive frames that `newer` supersedes: same
@@ -1203,6 +1230,147 @@ mod tests {
         assert_eq!(sub.dispatched.len(), 2);
         // Idle cycles are free: nothing buffered, nothing deferred.
         assert!(!rt.on_cycle(&mut sub, SimTime::from_millis(60)).invoked);
+    }
+
+    /// Job 0 goes through the tick cold and completes at 40 ms, leaving
+    /// both chunks cached on free nodes. Returns the two placements.
+    fn warmed(rt: &mut HeadRuntime, sub: &mut StubSubstrate) -> Vec<Assignment> {
+        rt.on_job_arrival(sub, SimTime::ZERO, job(0, SimTime::ZERO));
+        assert!(rt.on_cycle(sub, SimTime::from_millis(30)).invoked);
+        let placed = std::mem::take(&mut sub.dispatched);
+        let now = SimTime::from_millis(40);
+        for a in &placed {
+            rt.on_task_done(now, completion_for(a, now));
+        }
+        placed
+    }
+
+    #[test]
+    fn early_cycle_schedules_a_warm_frame_at_its_arrival() {
+        let probe = Arc::new(CollectingProbe::new());
+        let mut rt = runtime(SchedulerKind::Ours, probe.clone());
+        let mut sub = StubSubstrate::default();
+        let placed = warmed(&mut rt, &mut sub);
+        probe.take();
+        let now = SimTime::from_millis(47);
+        assert_eq!(
+            rt.on_job_arrival(&mut sub, now, job(1, now)),
+            Admission::Scheduled
+        );
+        assert_eq!(rt.queued_jobs(), 0);
+        // Each chunk goes back to its holder, starting at the arrival.
+        let mut got: Vec<(ChunkId, NodeId, SimTime)> = sub
+            .dispatched
+            .iter()
+            .map(|a| (a.task.chunk, a.node, a.predicted_start))
+            .collect();
+        let mut want: Vec<(ChunkId, NodeId, SimTime)> =
+            placed.iter().map(|a| (a.task.chunk, a.node, now)).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        // An ordinary cycle, stamped at the arrival instant.
+        let cycle: Vec<_> = probe
+            .take()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::CycleStart { .. } | TraceEvent::CycleEnd { .. }
+                )
+            })
+            .collect();
+        assert!(matches!(&cycle[..], [
+            TraceEvent::CycleStart { now: s, queued: 1 },
+            TraceEvent::CycleEnd { now: e, assignments: 2, .. },
+        ] if *s == now && *e == now));
+        // The tick that follows has nothing to do.
+        assert!(!rt.on_cycle(&mut sub, SimTime::from_millis(60)).invoked);
+    }
+
+    #[test]
+    fn early_cycle_needs_every_gate_condition() {
+        let buffered = Admission::Buffered {
+            superseded: Vec::new(),
+        };
+        let now = SimTime::from_millis(47);
+        let arrive = |rt: &mut HeadRuntime, sub: &mut StubSubstrate, j: Job| {
+            let before = sub.dispatched.len();
+            let admission = rt.on_job_arrival(sub, now, j);
+            assert_eq!(
+                sub.dispatched.len(),
+                before,
+                "a buffered job dispatches nothing"
+            );
+            admission
+        };
+        let fresh = || {
+            let mut rt = runtime(SchedulerKind::Ours, Arc::new(vizsched_metrics::NoopProbe));
+            let mut sub = StubSubstrate::default();
+            let placed = warmed(&mut rt, &mut sub);
+            (rt, sub, placed)
+        };
+
+        // A cold chunk: the very first frame.
+        let mut rt = runtime(SchedulerKind::Ours, Arc::new(vizsched_metrics::NoopProbe));
+        let mut sub = StubSubstrate::default();
+        assert_eq!(arrive(&mut rt, &mut sub, job(0, now)), buffered, "cold");
+
+        // A chunk's only holder is busy past the arrival.
+        let (mut rt, mut sub, placed) = fresh();
+        let busy = placed[0].node;
+        rt.tables_mut()
+            .available
+            .correct(busy, now + SimDuration::from_micros(1));
+        assert_eq!(arrive(&mut rt, &mut sub, job(1, now)), buffered, "busy");
+        // ...and the next arrival finds the buffer holding it, even with
+        // the holder free again.
+        rt.tables_mut().available.correct(busy, now);
+        assert_eq!(arrive(&mut rt, &mut sub, job(2, now)), buffered, "buffer");
+        assert_eq!(rt.queued_jobs(), 2);
+
+        // A chunk's only holder is down.
+        let (mut rt, mut sub, placed) = fresh();
+        rt.on_node_fault(&mut sub, now, placed[1].node);
+        assert_eq!(arrive(&mut rt, &mut sub, job(1, now)), buffered, "down");
+
+        // The job is batch.
+        let batch = |id: u64| Job {
+            id: JobId(id),
+            kind: JobKind::Batch {
+                user: UserId(3),
+                request: vizsched_core::ids::BatchId(0),
+                frame: 0,
+            },
+            dataset: DatasetId(0),
+            issue_time: now,
+            frame: FrameParams::default(),
+        };
+        let (mut rt, mut sub, _) = fresh();
+        assert_eq!(arrive(&mut rt, &mut sub, batch(1)), buffered, "batch");
+
+        // H_B holds batch: both nodes are busy past λ at the tick, so the
+        // batch job is deferred; once they free up, an interactive
+        // arrival still waits for the tick that owes H_B its fill.
+        let (mut rt, mut sub, placed) = fresh();
+        arrive(&mut rt, &mut sub, batch(1));
+        let tick = SimTime::from_millis(60);
+        for a in &placed {
+            rt.tables_mut()
+                .available
+                .correct(a.node, SimTime::from_secs(60));
+        }
+        assert!(rt.on_cycle(&mut sub, tick).invoked);
+        assert!(rt.has_deferred());
+        for a in &placed {
+            rt.tables_mut().available.correct(a.node, tick);
+        }
+        let later = SimTime::from_millis(70);
+        assert_eq!(
+            rt.on_job_arrival(&mut sub, later, job(2, later)),
+            buffered,
+            "H_B holds batch"
+        );
     }
 
     #[test]

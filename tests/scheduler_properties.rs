@@ -1,16 +1,20 @@
 //! Property-based tests over all nine scheduling policies: completeness
 //! (every task assigned exactly once, eventually — also when deferred work
-//! is escalated mid-drain), validity (live nodes only), and determinism.
+//! is escalated mid-drain), validity (live nodes only), determinism, and
+//! the head runtime's early cycle equal to the tick it replaces.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog};
-use vizsched_core::ids::{ActionId, BatchId, DatasetId, JobId, UserId};
+use vizsched_core::ids::{ActionId, BatchId, DatasetId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
-use vizsched_core::sched::{Assignment, ScheduleCtx, SchedulerKind};
+use vizsched_core::sched::{Assignment, ScheduleCtx, SchedulerKind, Trigger};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_metrics::NoopProbe;
+use vizsched_runtime::{Admission, Completion, HeadRuntime, Substrate};
 
 const GIB: u64 = 1 << 30;
 
@@ -119,8 +123,157 @@ fn drain(kind: SchedulerKind, nodes: usize, jobs: Vec<Job>, escalate_at: u32) ->
     out
 }
 
+/// A substrate that keeps what the runtime dispatches.
+#[derive(Default)]
+struct Recorder(Vec<Assignment>);
+
+impl Substrate for Recorder {
+    fn dispatch(&mut self, assignment: &Assignment) -> bool {
+        self.0.push(*assignment);
+        true
+    }
+}
+
+/// A head runtime for `kind` over the four-dataset catalog.
+fn head(kind: SchedulerKind, nodes: usize) -> HeadRuntime {
+    let cluster = ClusterSpec::homogeneous(nodes, 2 * GIB);
+    let sched = kind.build(SimDuration::from_millis(30));
+    let catalog = Catalog::new(
+        uniform_datasets(4, 2 * GIB),
+        sched.decomposition(512 << 20, nodes as u32),
+    );
+    let cost = CostParams::default();
+    HeadRuntime::new(
+        sched,
+        HeadTables::new(&cluster),
+        catalog,
+        cost,
+        Arc::new(NoopProbe),
+        "early-cycle",
+    )
+}
+
+/// Arrive `jobs` at `now` (on the ω grid), then tick every 30 s until
+/// nothing is buffered or held, every dispatched task completing 1 ms
+/// after its cycle. Returns the last completion time: every node is free
+/// by then.
+fn settle(rt: &mut HeadRuntime, sub: &mut Recorder, mut now: SimTime, jobs: Vec<Job>) -> SimTime {
+    for job in jobs {
+        rt.on_job_arrival(sub, now, job);
+    }
+    for _ in 0..10_000 {
+        rt.on_cycle(sub, now);
+        let done = now + SimDuration::from_millis(1);
+        for a in sub.0.drain(..) {
+            rt.on_task_done(
+                done,
+                Completion {
+                    node: a.node,
+                    job: a.task.job,
+                    task: a.task.index,
+                    chunk: a.task.chunk,
+                    started: now,
+                    finish: done,
+                    io: SimDuration::ZERO,
+                    miss: false,
+                    evicted: Vec::new(),
+                    gpu_resident: false,
+                    gpu_evicted: Vec::new(),
+                },
+            );
+        }
+        if rt.queued_jobs() == 0 && !rt.has_deferred() {
+            return done;
+        }
+        now += SimDuration::from_secs(30);
+    }
+    panic!("{} failed to settle", rt.scheduler_name());
+}
+
+/// An interactive frame of user 9 over `dataset`.
+fn frame_job(id: u64, dataset: u32, at: SimTime) -> Job {
+    Job {
+        id: JobId(id),
+        kind: JobKind::Interactive {
+            user: UserId(9),
+            action: ActionId(id),
+        },
+        dataset: DatasetId(dataset),
+        issue_time: at,
+        frame: FrameParams::default(),
+    }
+}
+
+/// `kind` after random traffic, then one frame over `dataset` so its
+/// chunks are cached last; the probe frame arrives 7 ms after everything
+/// finished, off the ω grid, with every node free.
+fn primed(
+    kind: SchedulerKind,
+    nodes: usize,
+    specs: &[JobSpec],
+    dataset: u32,
+) -> (HeadRuntime, Recorder, SimTime) {
+    let mut rt = head(kind, nodes);
+    let mut sub = Recorder::default();
+    let done = settle(&mut rt, &mut sub, SimTime::ZERO, build_jobs(specs));
+    let tick = SimTime::from_secs(done.as_micros() / 1_000_000 + 30);
+    let warm = frame_job(specs.len() as u64, dataset, tick);
+    let done = settle(&mut rt, &mut sub, tick, vec![warm]);
+    (rt, sub, done + SimDuration::from_millis(7))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For every cycle policy, a warm frame that takes the early path
+    /// makes exactly the placements of a twin that buffers the same frame
+    /// and runs `on_cycle` at the same instant: the early cycle is that
+    /// tick, moved to the arrival.
+    #[test]
+    fn early_cycle_equals_the_tick_at_the_same_instant(
+        specs in job_specs(),
+        nodes in 1usize..9,
+        kind_pick in 0usize..9,
+        dataset in 0u32..4,
+    ) {
+        let kind = *SchedulerKind::ALL
+            .iter()
+            .chain(SchedulerKind::EXTENDED.iter())
+            .nth(kind_pick)
+            .unwrap();
+        prop_assume!(matches!(
+            kind.build(SimDuration::from_millis(30)).trigger(),
+            Trigger::Cycle(_)
+        ));
+        let id = specs.len() as u64 + 1;
+
+        let (mut early, mut early_sub, now) = primed(kind, nodes, &specs, dataset);
+        let admission = early.on_job_arrival(&mut early_sub, now, frame_job(id, dataset, now));
+        prop_assert_eq!(admission, Admission::Scheduled, "policy {}", kind.name());
+        prop_assert!(early_sub.0.iter().any(|a| a.predicted_start == now));
+
+        // The twin hides its free nodes for the arrival so the frame
+        // buffers, then ticks at the same instant.
+        let (mut twin, mut twin_sub, at) = primed(kind, nodes, &specs, dataset);
+        prop_assert_eq!(at, now);
+        let free: Vec<SimTime> = (0..nodes as u32)
+            .map(|k| twin.tables().available.get(NodeId(k)))
+            .collect();
+        for k in 0..nodes as u32 {
+            twin.tables_mut().available.correct(NodeId(k), SimTime::MAX);
+        }
+        let admission = twin.on_job_arrival(&mut twin_sub, now, frame_job(id, dataset, now));
+        prop_assert!(matches!(admission, Admission::Buffered { .. }));
+        for (k, &t) in free.iter().enumerate() {
+            twin.tables_mut().available.correct(NodeId(k as u32), t);
+        }
+        prop_assert!(twin.on_cycle(&mut twin_sub, now).invoked);
+
+        let key = |a: &Assignment| (a.task, a.node, a.predicted_start, a.predicted_exec, a.group);
+        let early_keys: Vec<_> = early_sub.0.iter().map(key).collect();
+        let twin_keys: Vec<_> = twin_sub.0.iter().map(key).collect();
+        prop_assert_eq!(early_keys, twin_keys, "policy {}", kind.name());
+    }
 
     /// Every policy eventually assigns every task of every job exactly
     /// once, and only to valid nodes.

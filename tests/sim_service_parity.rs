@@ -260,6 +260,56 @@ fn permissive_policy_admits_identically_and_preserves_strict_parity() {
     assert_eq!(stats.overload.shed(), 0);
 }
 
+/// Serial frames over one dataset: the cold first frame buffers for the
+/// tick on both substrates; every warm frame after it finds its chunks on
+/// free nodes and is scheduled in an early cycle at its own arrival —
+/// `admitted` (the permissive policy's arrival stamp) at queue depth 0,
+/// and every `assign` of the frame at that same instant.
+#[test]
+fn warm_frames_take_the_early_cycle_on_both_substrates() {
+    const ONE_DATASET: [(u32, f32); 4] = [(0, 0.10), (0, 0.20), (0, 0.30), (0, 0.40)];
+    let rig = policed(permissive_policy(), CYCLE_30MS);
+    let (sim, _) = rig.sim(serial_jobs(&ONE_DATASET));
+    let (live, _) = rig.live_traced(rig.serial(&ONE_DATASET, |_, reply| {
+        reply.expect_frame();
+    }));
+    assert_weak_parity(SchedulerKind::Ours, &sim, &live);
+    assert_eq!(
+        assignments(&sim),
+        assignments(&live),
+        "early cycles must not perturb placement"
+    );
+    for (tag, events) in [("sim", &sim), ("live", &live)] {
+        let admitted: Vec<(u64, SimTime, usize)> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Admitted {
+                    now,
+                    job,
+                    queue_depth,
+                } => Some((job.0, *now, *queue_depth)),
+                _ => None,
+            })
+            .collect();
+        let depths: Vec<usize> = admitted.iter().map(|&(_, _, d)| d).collect();
+        assert_eq!(depths, [1, 0, 0, 0], "{tag}: only the cold frame buffers");
+        for &(job, arrival, _) in &admitted[1..] {
+            let stamps: Vec<SimTime> = events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Assignment { now, job: j, .. } if j.0 == job => Some(*now),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(stamps.len(), 4, "{tag}: job {job} places one task per node");
+            assert!(
+                stamps.iter().all(|&t| t == arrival),
+                "{tag}: job {job} arrived at {arrival:?}, assigned at {stamps:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn zero_cap_rejects_identically_on_both_substrates() {
     let policy = OverloadPolicy {
