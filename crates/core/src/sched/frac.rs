@@ -25,13 +25,11 @@
 //! ```
 //!
 //! "Once per cycle" is keyed on the clock, not on calls: the controller
-//! steps on the first `schedule` call in each ω epoch `⌊now / ω⌋`. A tick
-//! on the ω grid opens a new epoch every time, so on the virtual clock
-//! tick-only runs step on every call, and the head runtime's early cycle
-//! (one warm interactive job scheduled at its arrival, between ticks) only
-//! adds to `committed_us`. The live head stamps a tick when it receives
-//! it, some way into its epoch, so there an early call at the start of an
-//! epoch can take the epoch's step in the tick's place.
+//! steps on the first `schedule` call in each ω epoch `⌊now / ω⌋`. Ticks
+//! land on the ω grid on both substrates (the head runtime's
+//! `next_cycle`), so a tick opens a new epoch every time, tick-only runs
+//! step on every call, and the early cycle (one warm interactive job
+//! scheduled at its arrival, between ticks) only adds to `committed_us`.
 //!
 //! A node with no interactive traffic decays toward `φ_min` (its batch
 //! window approaches the full cycle); a saturated node climbs toward

@@ -125,12 +125,12 @@ pub enum Admission {
     /// Admitted and scheduled immediately: every arrival under an
     /// on-arrival policy, and an early cycle under a cycle policy (a warm
     /// interactive job whose nodes are free, arriving while nothing is
-    /// buffered or deferred). No tick needs arming for it.
+    /// buffered or deferred).
     Scheduled,
-    /// Admitted and buffered for the next cycle (cycle policies); the
-    /// driving loop should arm a cycle tick. `superseded` lists any stale
-    /// same-action frames this arrival coalesced away — the substrate
-    /// owes their submitters a drop notice.
+    /// Admitted and buffered for the next cycle (cycle policies), so
+    /// [`ShardedRuntime::next_cycle`] reports one due. `superseded`
+    /// lists any stale same-action frames this arrival coalesced away —
+    /// the substrate owes their submitters a drop notice.
     Buffered {
         /// Older buffered frames dropped in favor of this one.
         superseded: Vec<JobId>,
@@ -313,11 +313,10 @@ struct JobState {
 /// The driving loop's contract:
 /// * call [`on_job_arrival`](HeadRuntime::on_job_arrival) for every
 ///   accepted job — on-arrival policies are invoked immediately, cycle
-///   policies buffer unless the arrival qualifies for an early cycle (the
-///   return value says which happened, so an event-driven substrate knows
-///   to arm a cycle tick only on [`Admission::Buffered`]);
-/// * call [`on_cycle`](HeadRuntime::on_cycle) at cycle boundaries — a
-///   no-op unless jobs are buffered or the policy holds deferred work;
+///   policies buffer unless the arrival qualifies for an early cycle;
+/// * call [`on_cycle`](HeadRuntime::on_cycle) when
+///   [`ShardedRuntime::next_cycle`] says a cycle is due — a no-op unless
+///   jobs are buffered or the policy holds deferred work;
 /// * call [`on_task_done`](HeadRuntime::on_task_done) for every
 ///   completion — this applies the full §V-B correction set;
 /// * call [`on_node_fault`](HeadRuntime::on_node_fault) /
@@ -482,10 +481,9 @@ impl HeadRuntime {
     /// Admitted jobs follow the trigger: on-arrival policies are invoked
     /// immediately ([`Admission::Scheduled`]); cycle policies buffer the
     /// job until the next [`on_cycle`](HeadRuntime::on_cycle)
-    /// ([`Admission::Buffered`], so an event-driven substrate knows to arm
-    /// a tick). One exception, the *early cycle*: an interactive job that
-    /// arrives while nothing is buffered or deferred, and whose every
-    /// chunk is cached on a node free now
+    /// ([`Admission::Buffered`]). One exception, the *early cycle*: an
+    /// interactive job that arrives while nothing is buffered or
+    /// deferred, and whose every chunk is cached on a node free now
     /// ([`HeadTables::warm_and_free_by`]), is scheduled at once through
     /// the same invocation a tick uses (`cycle_start { queued: 1 }` /
     /// `cycle_end` at `now`) and returns [`Admission::Scheduled`]. It
@@ -734,8 +732,7 @@ impl HeadRuntime {
     /// Run one scheduling cycle: expire buffered jobs past the policy
     /// deadline, escalate starved batch work, then invoke the scheduler
     /// over whatever remains buffered. Does nothing (and emits nothing)
-    /// when the buffer is empty and no work is deferred, so a free-running
-    /// ticker costs nothing while idle.
+    /// when the buffer is empty and no work is deferred.
     pub fn on_cycle<S: Substrate>(&mut self, sub: &mut S, now: SimTime) -> CycleOutcome {
         let tracing = self.probe.enabled();
         let mut expired = Vec::new();
@@ -909,30 +906,25 @@ impl HeadRuntime {
             return None;
         }
         state.record.timing.record_finish(state.max_finish);
-        let latency = state.max_finish.saturating_since(state.record.timing.issue);
+        let kind = state.record.kind;
+        let finish = JobFinish {
+            job: done.job,
+            finish: state.max_finish,
+            latency: state.max_finish.saturating_since(state.record.timing.issue),
+        };
         self.jobs_completed += 1;
-        self.latency_total_secs += latency.as_secs_f64();
-        if self.policy.is_active() && state.record.kind.is_interactive() {
-            // Release the job's in-flight slot (disjoint fields, so the
-            // open borrow of `state` is fine).
-            let user = state.record.kind.user();
-            self.in_flight = self.in_flight.saturating_sub(1);
-            if let Some(n) = self.in_flight_by_user.get_mut(&user) {
-                *n = n.saturating_sub(1);
-            }
+        self.latency_total_secs += finish.latency.as_secs_f64();
+        if kind.is_interactive() {
+            self.release_in_flight(kind.user());
         }
         if tracing {
             self.probe.on_event(&TraceEvent::JobDone {
                 now,
                 job: done.job,
-                latency,
+                latency: finish.latency,
             });
         }
-        Some(JobFinish {
-            job: done.job,
-            finish: state.max_finish,
-            latency,
-        })
+        Some(finish)
     }
 
     /// Handle a node fault (crash, or an unplanned death): mark the

@@ -213,6 +213,15 @@ pub struct ShardedRuntime {
     pressure: u32,
     degraded: bool,
     degraded_shed: u64,
+    /// When the pending work the next cycle is for was first seen: the
+    /// latch behind [`next_cycle`](Self::next_cycle), cleared by
+    /// [`on_cycle`](Self::on_cycle).
+    pending_since: Option<SimTime>,
+    /// The instant of the last [`on_cycle`](Self::on_cycle).
+    last_cycle: Option<SimTime>,
+    /// The ω grid fault pressure decays on when the policy has no cycle
+    /// of its own (an on-arrival policy).
+    omega: SimDuration,
 }
 
 impl ShardedRuntime {
@@ -240,11 +249,20 @@ impl ShardedRuntime {
     /// the cluster and its (node-translating) probe — the caller picks
     /// the scheduler, catalog, cost model, and table setup there, exactly
     /// as it would for a single head. Schedulers are stateful, so each
-    /// shard must get a fresh instance.
+    /// shard must get a fresh instance. `omega` is the cycle length ω the
+    /// service runs at: a cycle policy ticks on its own ω, and an
+    /// on-arrival policy still owes a cycle every ω while fault pressure
+    /// decays.
     ///
     /// # Panics
     /// If a built runtime's table width does not match its slice.
-    pub fn new<F>(cluster: &ClusterSpec, shards: usize, probe: Arc<dyn Probe>, mut build: F) -> Self
+    pub fn new<F>(
+        cluster: &ClusterSpec,
+        shards: usize,
+        omega: SimDuration,
+        probe: Arc<dyn Probe>,
+        mut build: F,
+    ) -> Self
     where
         F: FnMut(ShardId, &ClusterSpec, Arc<dyn Probe>) -> HeadRuntime,
     {
@@ -298,6 +316,9 @@ impl ShardedRuntime {
             pressure: 0,
             degraded: false,
             degraded_shed: 0,
+            pending_since: None,
+            last_cycle: None,
+            omega,
         }
     }
 
@@ -322,6 +343,7 @@ impl ShardedRuntime {
             return;
         }
         self.pressure = self.pressure.saturating_add(amount);
+        self.pending_since.get_or_insert(now);
         if !self.degraded && self.pressure >= Self::DEGRADED_ENTER {
             self.degraded = true;
             if self.probe.enabled() {
@@ -334,7 +356,8 @@ impl ShardedRuntime {
     }
 
     /// Decay fault pressure by one, leaving degraded mode below the exit
-    /// threshold. Called once per cycle boundary.
+    /// threshold. Called once per cycle boundary; while pressure is left,
+    /// [`next_cycle`](Self::next_cycle) owes the next one on every policy.
     fn decay_pressure(&mut self, now: SimTime) {
         self.pressure = self.pressure.saturating_sub(1);
         if self.degraded && self.pressure <= Self::DEGRADED_EXIT {
@@ -421,9 +444,40 @@ impl ShardedRuntime {
         total
     }
 
-    /// The shared invocation trigger (every shard runs the same policy).
-    pub fn trigger(&self) -> Trigger {
-        self.shards[0].trigger()
+    /// The one cycle clock both substrates follow: when the next
+    /// [`on_cycle`](Self::on_cycle) is due, or `None` when no cycle is
+    /// owed. A cycle policy owes one while a shard buffers a job or holds
+    /// deferred work; every policy owes one while degraded-mode fault
+    /// pressure is left to decay.
+    ///
+    /// A cycle is due at the first multiple of ω at or after the instant
+    /// the pending work was first seen, and strictly after the last
+    /// `on_cycle`. That instant is latched until `on_cycle` runs, so a
+    /// caller that asks again after oversleeping gets the same instant,
+    /// now in the past, and runs that cycle instead of skipping to the
+    /// next grid point. A buffered arrival or a fault that raises
+    /// pressure latches its own instant; other work latches the `now` of
+    /// the first call that sees it, so a driving loop asks after every
+    /// event: the simulator after every event, the live head at the top
+    /// of every loop iteration.
+    pub fn next_cycle(&mut self, now: SimTime) -> Option<SimTime> {
+        let cycle = match self.shards[0].trigger() {
+            Trigger::Cycle(cycle) => Some(cycle),
+            Trigger::OnArrival => None,
+        };
+        let work = cycle.is_some() && (self.queued_jobs() > 0 || self.has_deferred());
+        if !work && self.pressure == 0 {
+            self.pending_since = None;
+            return None;
+        }
+        let omega = cycle.unwrap_or(self.omega).as_micros().max(1);
+        let since = self.pending_since.get_or_insert(now).as_micros();
+        let after = self
+            .last_cycle
+            .map_or(0, |last| last.as_micros() / omega + 1);
+        Some(SimTime::from_micros(
+            since.div_ceil(omega).max(after) * omega,
+        ))
     }
 
     /// Whether any shard holds deferred work.
@@ -532,6 +586,9 @@ impl ShardedRuntime {
             now,
             job,
         );
+        if let Admission::Buffered { .. } = admission {
+            self.pending_since.get_or_insert(now);
+        }
         (shard, admission)
     }
 
@@ -541,6 +598,8 @@ impl ShardedRuntime {
     /// its new shard), then each shard's own cycle. Expired jobs from all
     /// shards are merged into one [`CycleOutcome`].
     pub fn on_cycle<S: Substrate>(&mut self, sub: &mut S, now: SimTime) -> CycleOutcome {
+        self.pending_since = None;
+        self.last_cycle = Some(now);
         self.decay_pressure(now);
         if self.routed() {
             self.steal_from_saturated(sub, now);
@@ -876,7 +935,7 @@ mod tests {
     use vizsched_core::sched::SchedulerKind;
     use vizsched_core::tables::HeadTables;
     use vizsched_core::time::SimDuration;
-    use vizsched_metrics::CollectingProbe;
+    use vizsched_metrics::{CollectingProbe, NoopProbe};
 
     const GIB: u64 = 1 << 30;
 
@@ -904,9 +963,10 @@ mod tests {
             uniform_datasets(datasets, 2 * GIB),
             DecompositionPolicy::MaxChunkSize { max_bytes: GIB },
         );
-        ShardedRuntime::new(&cluster, shards, probe, |_, slice, probe| {
+        let omega = SimDuration::from_millis(30);
+        ShardedRuntime::new(&cluster, shards, omega, probe, |_, slice, probe| {
             HeadRuntime::new(
-                kind.build(SimDuration::from_millis(30)),
+                kind.build(omega),
                 HeadTables::new(slice),
                 catalog.clone(),
                 CostParams::default(),
@@ -957,6 +1017,96 @@ mod tests {
             gpu_resident: false,
             gpu_evicted: Vec::new(),
         }
+    }
+
+    #[test]
+    fn next_cycle_is_none_without_a_cycle_owed() {
+        let at = SimTime::from_millis(47);
+        let mut sub = StubSubstrate::default();
+        let mut rt = sharded(2, 1, SchedulerKind::Fcfsl, 1, Arc::new(NoopProbe));
+        rt.on_job_arrival(&mut sub, at, batch(0, 0, at));
+        assert_eq!(rt.next_cycle(at), None, "on-arrival policy");
+        let mut rt = sharded(2, 1, SchedulerKind::Ours, 1, Arc::new(NoopProbe));
+        assert_eq!(rt.next_cycle(at), None, "idle runtime");
+    }
+
+    #[test]
+    fn a_buffered_job_is_due_at_the_next_grid_point() {
+        let mut sub = StubSubstrate::default();
+        for (arrival, due) in [(47, 60), (60, 60), (0, 0)] {
+            let at = SimTime::from_millis(arrival);
+            let mut rt = sharded(2, 1, SchedulerKind::Ours, 1, Arc::new(NoopProbe));
+            rt.on_job_arrival(&mut sub, at, batch(0, 0, at));
+            assert_eq!(rt.next_cycle(at), Some(SimTime::from_millis(due)));
+        }
+    }
+
+    #[test]
+    fn deferred_work_after_a_cycle_is_due_one_omega_later() {
+        let at = SimTime::from_millis(47);
+        let tick = SimTime::from_millis(60);
+        let mut sub = StubSubstrate::default();
+        let mut rt = sharded(2, 1, SchedulerKind::Ours, 1, Arc::new(NoopProbe));
+        rt.on_job_arrival(&mut sub, at, batch(0, 0, at));
+        assert_eq!(rt.next_cycle(at), Some(tick));
+        // Both nodes busy past λ: OURS holds the batch job back.
+        for node in 0..2 {
+            rt.shards[0]
+                .tables_mut()
+                .available
+                .correct(NodeId(node), SimTime::from_secs(60));
+        }
+        assert!(rt.on_cycle(&mut sub, tick).invoked);
+        assert!(rt.has_deferred());
+        let next = Some(SimTime::from_millis(90));
+        assert_eq!(rt.next_cycle(tick), next);
+        assert_eq!(rt.next_cycle(SimTime::from_millis(75)), next);
+    }
+
+    #[test]
+    fn a_due_instant_stays_latched_after_it_passes() {
+        let at = SimTime::from_millis(47);
+        let due = Some(SimTime::from_millis(60));
+        let mut sub = StubSubstrate::default();
+        let mut rt = sharded(2, 1, SchedulerKind::Ours, 1, Arc::new(NoopProbe));
+        rt.on_job_arrival(&mut sub, at, batch(0, 0, at));
+        assert_eq!(rt.next_cycle(at), due);
+        // A caller that overslept the grid point still gets it, not the
+        // grid point after its wake.
+        assert_eq!(rt.next_cycle(SimTime::from_millis(61)), due);
+        assert_eq!(rt.next_cycle(SimTime::from_millis(95)), due);
+    }
+
+    #[test]
+    fn a_buffered_arrival_latches_its_own_instant() {
+        let at = SimTime::from_millis(59);
+        let mut sub = StubSubstrate::default();
+        let mut rt = sharded(2, 1, SchedulerKind::Ours, 1, Arc::new(NoopProbe));
+        rt.on_job_arrival(&mut sub, at, batch(0, 0, at));
+        // First asked after the grid point the arrival is due at.
+        assert_eq!(
+            rt.next_cycle(SimTime::from_millis(61)),
+            Some(SimTime::from_millis(60))
+        );
+    }
+
+    #[test]
+    fn fault_pressure_owes_grid_cycles_under_an_on_arrival_policy() {
+        let mut sub = StubSubstrate::default();
+        let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 8, Arc::new(NoopProbe));
+        let at = SimTime::from_millis(20);
+        rt.on_node_fault(&mut sub, at, NodeId(0));
+        rt.on_node_fault(&mut sub, at, NodeId(2));
+        assert!(rt.is_degraded());
+        // Pressure 4 decays one per grid point: 30, 60, 90, 120 ms.
+        let (mut now, mut ticks) = (at, Vec::new());
+        while let Some(due) = rt.next_cycle(now) {
+            rt.on_cycle(&mut sub, due);
+            now = due;
+            ticks.push(due.as_micros() / 1000);
+        }
+        assert_eq!(ticks, [30, 60, 90, 120]);
+        assert!(!rt.is_degraded());
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! All scheduling logic — cycle dispatch, table correction from task
 //! completions, fault handling — is the shared `vizsched-runtime`
 //! [`ShardedRuntime`], driven here on the wall clock by crossbeam
-//! channels: the live counterpart of the simulator's event loop.
+//! channels: the live counterpart of the simulator's event loop. Both
+//! loops run a cycle when [`ShardedRuntime::next_cycle`] says one is due,
+//! so live ticks land on the ω grid of the head clock as simulated ticks
+//! land on the virtual one.
 //!
 //! Faults take the simulator's path. The head walks
 //! [`ServiceConfig::fault_plan`] on the service clock and hands each entry
@@ -27,7 +30,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vizsched_compositing::{composite, CompositeAlgo};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
@@ -442,6 +445,7 @@ fn head_loop(
     let mut runtime = ShardedRuntime::new(
         &cluster,
         config.shards,
+        config.cycle,
         config.probe.clone(),
         |_, slice, shard_probe| {
             HeadRuntime::new(
@@ -460,13 +464,9 @@ fn head_loop(
     let mut next_job = 0u64;
 
     // The fault plan, executed in time order on the service clock: each
-    // entry fires at the first loop iteration at or after its time (the
-    // ticker bounds the delay to one cycle).
+    // entry fires at the first loop iteration at or after its time, and
+    // the loop wakes for the next one.
     let mut plan = config.fault_plan.events().iter().peekable();
-
-    let ticker = crossbeam::channel::tick(std::time::Duration::from_micros(
-        config.cycle.as_micros().max(1),
-    ));
 
     loop {
         // Dispatches that bounced off a dead channel surface as faults.
@@ -478,6 +478,20 @@ fn head_loop(
         while let Some(fault) = plan.next_if(|f| f.at <= now()) {
             runtime.on_fault(&mut sub, now(), fault.kind);
         }
+        // The runtime's cycle clock, the one the simulator follows: a
+        // cycle due on the ω grid of this head's clock runs here, late by
+        // however long the loop overslept, never skipped.
+        let t = now();
+        if runtime.next_cycle(t).is_some_and(|due| due <= t) {
+            let outcome = runtime.on_cycle(&mut sub, t);
+            for stale in outcome.expired {
+                shed(
+                    &mut sub,
+                    stale,
+                    RenderOutcome::Dropped(DropReason::DeadlineExpired),
+                );
+            }
+        }
         if draining
             && sub.pending.is_empty()
             && runtime.queued_jobs() == 0
@@ -486,6 +500,17 @@ fn head_loop(
         {
             break;
         }
+        // Sleep until a message arrives, the next cycle is due, or the
+        // next planned fault fires, whichever comes first.
+        let t = now();
+        let wake = runtime
+            .next_cycle(t)
+            .into_iter()
+            .chain(plan.peek().map(|f| f.at))
+            .min();
+        let timeout = wake.map_or(Duration::MAX, |at| {
+            Duration::from_micros(at.saturating_since(t).as_micros())
+        });
         crossbeam::channel::select! {
             recv(control) -> msg => match msg {
                 Ok(Control::Stop) | Err(_) => break,
@@ -548,14 +573,7 @@ fn head_loop(
                 }
                 Err(_) => {}
             },
-            recv(ticker) -> _ => {
-                let t = now();
-                let outcome = runtime.on_cycle(&mut sub, t);
-                for stale in outcome.expired {
-                    shed(&mut sub, stale,
-                        RenderOutcome::Dropped(DropReason::DeadlineExpired));
-                }
-            }
+            default(timeout) => {}
         }
     }
 

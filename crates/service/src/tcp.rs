@@ -559,7 +559,7 @@ impl EventLoop {
 ///     .retries(4)
 ///     .backoff(Duration::from_millis(2), Duration::from_millis(200))
 ///     .deadline(Duration::from_secs(5))
-///     .max_in_flight(32);
+///     .retry_disconnects(true);
 /// # let _ = opts;
 /// ```
 #[derive(Clone, Debug)]
@@ -568,21 +568,19 @@ pub struct ClientOptions {
     backoff_initial: Duration,
     backoff_max: Duration,
     deadline: Option<Duration>,
-    max_in_flight: Option<usize>,
     retry_disconnects: bool,
 }
 
 impl ClientOptions {
     /// Defaults: no retries, 2 ms → 200 ms exponential backoff when
-    /// retries are enabled, no deadline, unlimited in-flight requests,
-    /// no reconnect on a dropped connection.
+    /// retries are enabled, no deadline, no reconnect on a dropped
+    /// connection.
     pub fn new() -> ClientOptions {
         ClientOptions {
             retries: 0,
             backoff_initial: Duration::from_millis(2),
             backoff_max: Duration::from_millis(200),
             deadline: None,
-            max_in_flight: None,
             retry_disconnects: false,
         }
     }
@@ -621,14 +619,6 @@ impl ClientOptions {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Cap concurrently outstanding requests; a submit past the cap waits
-    /// for a response to free a slot.
-    pub fn max_in_flight(mut self, max: usize) -> ClientOptions {
-        assert!(max > 0, "in-flight cap must be nonzero");
-        self.max_in_flight = Some(max);
-        self
-    }
 }
 
 impl Default for ClientOptions {
@@ -652,9 +642,6 @@ pub struct RemoteClient {
     next_id: AtomicU64,
     pending: Arc<Mutex<HashMap<u64, Sender<WireResponse>>>>,
     reader: Mutex<Option<JoinHandle<()>>>,
-    /// In-flight permit channel (capacity = the cap): submit acquires by
-    /// pushing a token, the reader thread releases one per response.
-    permits: Option<(Sender<()>, Receiver<()>)>,
     options: ClientOptions,
     closed: Arc<AtomicBool>,
     /// The serving head's incarnation, from the connection's
@@ -673,7 +660,6 @@ fn spawn_reader(
     pending: Arc<Mutex<HashMap<u64, Sender<WireResponse>>>>,
     closed: Arc<AtomicBool>,
     epoch: Arc<AtomicU64>,
-    release: Option<Receiver<()>>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut codec = Codec::new();
@@ -684,22 +670,15 @@ fn spawn_reader(
                     if let Some(tx) = waiter {
                         let _ = tx.send(resp);
                     }
-                    if let Some(rx) = &release {
-                        let _ = rx.try_recv();
-                    }
                 }
                 WireMessage::Hello { epoch: e } => epoch.store(e, Ordering::Release),
                 WireMessage::Request(_) => {} // servers never send requests
             }
         }
-        // Socket closed: mark the client dead, free any submitter
-        // stuck on the in-flight cap, and wake every waiter by
+        // Socket closed: mark the client dead and wake every waiter by
         // dropping their senders — pending calls surface a connection
         // error instead of hanging.
         closed.store(true, Ordering::Release);
-        if let Some(rx) = &release {
-            while rx.try_recv().is_ok() {}
-        }
         lock(&pending).clear();
     })
 }
@@ -723,15 +702,7 @@ impl RemoteClient {
             Arc::new(Mutex::new(HashMap::new()));
         let closed = Arc::new(AtomicBool::new(false));
         let epoch = Arc::new(AtomicU64::new(0));
-        let permits = options.max_in_flight.map(crossbeam::channel::bounded::<()>);
-        let release = permits.as_ref().map(|(_, rx)| rx.clone());
-        let reader = spawn_reader(
-            read_side,
-            pending.clone(),
-            closed.clone(),
-            epoch.clone(),
-            release,
-        );
+        let reader = spawn_reader(read_side, pending.clone(), closed.clone(), epoch.clone());
 
         Ok(RemoteClient {
             user,
@@ -743,7 +714,6 @@ impl RemoteClient {
             next_id: AtomicU64::new(1),
             pending,
             reader: Mutex::new(Some(reader)),
-            permits,
             options,
             closed,
             epoch,
@@ -780,7 +750,7 @@ impl RemoteClient {
             }
             if self.closed.load(Ordering::Acquire) {
                 // Tear down: the old reader exits on the shutdown, clearing
-                // pending waiters and draining stale in-flight permits.
+                // pending waiters.
                 let _ = io.stream.shutdown(Shutdown::Both);
                 if let Some(handle) = lock(&self.reader).take() {
                     let _ = handle.join();
@@ -790,52 +760,17 @@ impl RemoteClient {
                 let read_side = stream.try_clone()?;
                 self.epoch.store(0, Ordering::Release);
                 self.closed.store(false, Ordering::Release);
-                let release = self.permits.as_ref().map(|(_, rx)| rx.clone());
                 *lock(&self.reader) = Some(spawn_reader(
                     read_side,
                     self.pending.clone(),
                     self.closed.clone(),
                     self.epoch.clone(),
-                    release,
                 ));
                 io.stream = stream;
                 io.codec = Codec::new();
             }
         }
         Ok(self.wait_for_epoch())
-    }
-
-    /// Wait for an in-flight slot (when capped), checking for a dead
-    /// connection so a submitter never blocks on a socket that can no
-    /// longer answer.
-    fn acquire_permit(&self) -> io::Result<()> {
-        let Some((tx, _)) = &self.permits else {
-            return Ok(());
-        };
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "connection closed",
-                ));
-            }
-            match tx.try_send(()) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(())) => std::thread::sleep(Duration::from_micros(200)),
-                Err(TrySendError::Disconnected(())) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "connection closed",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn release_permit(&self) {
-        if let Some((_, rx)) = &self.permits {
-            let _ = rx.try_recv();
-        }
     }
 
     fn submit_as(
@@ -851,7 +786,6 @@ impl RemoteClient {
                 "connection closed",
             ));
         }
-        self.acquire_permit()?;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         lock(&self.pending).insert(request_id, tx);
@@ -867,7 +801,6 @@ impl RemoteClient {
         if let Err(e) = codec.write(stream, &WireMessage::Request(req)) {
             drop(io);
             lock(&self.pending).remove(&request_id);
-            self.release_permit();
             return Err(e);
         }
         Ok(rx)

@@ -8,7 +8,9 @@
 //!
 //! * jobs arrive at their issue times and enter the head node's queue;
 //! * the shared [`HeadRuntime`] invokes the policy on arrival (FCFS
-//!   family) or every cycle `ω` (OURS, FS, SF), and applies the run-time
+//!   family) or every cycle `ω` (OURS, FS, SF) — a `Tick` event sits
+//!   wherever [`ShardedRuntime::next_cycle`] says the next cycle is due,
+//!   the clock the live head follows too — and applies the run-time
 //!   table corrections on every completion;
 //! * assigned tasks queue FIFO on their node; execution time comes from the
 //!   cost model against the node's *authoritative* cache (so optimistic
@@ -35,12 +37,11 @@ use vizsched_core::data::{Catalog, DatasetDesc};
 use vizsched_core::ids::{ChunkId, NodeId};
 use vizsched_core::job::Job;
 use vizsched_core::memory::EvictionPolicy;
-use vizsched_core::sched::{Assignment, Trigger};
+use vizsched_core::sched::Assignment;
 use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{Probe, RunRecord};
 use vizsched_runtime::{
-    Admission, Completion, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome, ShardedRuntime,
-    Substrate,
+    Completion, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome, ShardedRuntime, Substrate,
 };
 
 /// Static configuration of one simulation.
@@ -201,7 +202,9 @@ struct SimSubstrate<'a> {
     nodes: Vec<SimNode>,
     events: EventQueue,
     now: SimTime,
-    tick_armed: bool,
+    /// The instant of the one live `Tick` event; a tick popped at any
+    /// other instant is stale.
+    tick_at: Option<SimTime>,
     /// Disk loads currently in flight (shared-FS contention input).
     loads_in_flight: u32,
 }
@@ -246,7 +249,7 @@ impl SimSubstrate<'_> {
         if !n.is_idle() || n.crashed {
             return;
         }
-        let (finish, miss, generation) = match n.start_next_contended(
+        let (finish, miss, generation) = match n.start_next(
             self.now,
             &self.config.cost,
             self.config.exec_jitter,
@@ -262,34 +265,15 @@ impl SimSubstrate<'_> {
             .push(finish, EventKind::TaskDone { node, generation });
     }
 
-    fn arm_tick(&mut self, trigger: Trigger) {
-        if self.tick_armed {
-            return;
+    /// Keep one `Tick` event queued at the instant the runtime's cycle
+    /// clock says the next cycle is due.
+    fn arm(&mut self, due: Option<SimTime>) {
+        if let Some(at) = due {
+            if self.tick_at != Some(at) {
+                self.tick_at = Some(at);
+                self.events.push(at, EventKind::Tick);
+            }
         }
-        let Trigger::Cycle(cycle) = trigger else {
-            return;
-        };
-        let omega = cycle.as_micros().max(1);
-        let next = self.now.as_micros().div_ceil(omega) * omega;
-        self.tick_armed = true;
-        self.events
-            .push(SimTime::from_micros(next), EventKind::Tick);
-    }
-
-    /// Arm the *next* cycle boundary strictly after `now` (used from within
-    /// a tick so the chain advances).
-    fn arm_tick_after(&mut self, trigger: Trigger) {
-        if self.tick_armed {
-            return;
-        }
-        let Trigger::Cycle(cycle) = trigger else {
-            return;
-        };
-        let omega = cycle.as_micros().max(1);
-        let next = (self.now.as_micros() / omega + 1) * omega;
-        self.tick_armed = true;
-        self.events
-            .push(SimTime::from_micros(next), EventKind::Tick);
     }
 }
 
@@ -321,8 +305,12 @@ impl<'a> Engine<'a> {
             SchedulerChoice::Kind(kind) => (Some(kind), None),
             SchedulerChoice::Instance(instance) => (None, Some(instance)),
         };
-        let runtime =
-            ShardedRuntime::new(&config.cluster, shards, probe, |_, slice, shard_probe| {
+        let runtime = ShardedRuntime::new(
+            &config.cluster,
+            shards,
+            config.cycle,
+            probe,
+            |_, slice, shard_probe| {
                 let scheduler = match kind {
                     Some(kind) => kind.build(config.cycle),
                     None => instance.take().expect(
@@ -338,7 +326,8 @@ impl<'a> Engine<'a> {
                     shard_probe,
                     scenario,
                 )
-            });
+            },
+        );
         let nodes = config
             .cluster
             .nodes
@@ -363,7 +352,7 @@ impl<'a> Engine<'a> {
                 nodes,
                 events: EventQueue::new(),
                 now: SimTime::ZERO,
-                tick_armed: false,
+                tick_at: None,
                 loads_in_flight: 0,
             },
         }
@@ -389,22 +378,25 @@ impl<'a> Engine<'a> {
         }
 
         while let Some(event) = self.sub.events.pop() {
-            self.sub.now = event.time;
+            let now = event.time;
+            self.sub.now = now;
             match event.kind {
-                EventKind::Arrival(job) => self.on_arrival(job),
-                EventKind::Tick => self.on_tick(),
-                EventKind::TaskDone { node, generation } => self.on_task_done(node, generation),
-                EventKind::PlanFault(kind) => {
-                    // The runtime's fault interpreter, the one the live
-                    // service runs too. Orphans a shard failover
-                    // re-admitted may be buffered for the next cycle.
-                    self.runtime.on_fault(&mut self.sub, event.time, kind);
-                    if self.runtime.queued_jobs() > 0 {
-                        let trigger = self.runtime.trigger();
-                        self.sub.arm_tick(trigger);
+                EventKind::Arrival(job) => {
+                    self.runtime.on_job_arrival(&mut self.sub, now, job);
+                }
+                EventKind::Tick => {
+                    if self.sub.tick_at == Some(now) {
+                        self.sub.tick_at = None;
+                        self.runtime.on_cycle(&mut self.sub, now);
                     }
                 }
+                EventKind::TaskDone { node, generation } => self.on_task_done(node, generation),
+                // The runtime's fault interpreter, the one the live
+                // service runs too.
+                EventKind::PlanFault(kind) => self.runtime.on_fault(&mut self.sub, now, kind),
             }
+            let due = self.runtime.next_cycle(now);
+            self.sub.arm(due);
         }
 
         self.finish()
@@ -436,27 +428,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_arrival(&mut self, job: Job) {
-        let now = self.sub.now;
-        match self.runtime.on_job_arrival(&mut self.sub, now, job).1 {
-            Admission::Buffered { .. } => {
-                let trigger = self.runtime.trigger();
-                self.sub.arm_tick(trigger);
-            }
-            Admission::Scheduled | Admission::Rejected(_) => {}
-        }
-    }
-
-    fn on_tick(&mut self) {
-        self.sub.tick_armed = false;
-        let now = self.sub.now;
-        self.runtime.on_cycle(&mut self.sub, now);
-        if self.runtime.has_deferred() {
-            let trigger = self.runtime.trigger();
-            self.sub.arm_tick_after(trigger);
-        }
-    }
-
     fn on_task_done(&mut self, node: NodeId, generation: u32) {
         {
             let n = &self.sub.nodes[node.index()];
@@ -483,14 +454,7 @@ impl<'a> Engine<'a> {
             gpu_evicted: done.gpu_evicted,
         };
         self.runtime.on_task_done(self.sub.now, completion);
-
         self.sub.start_node(node);
-
-        // Deferred work may now fit: make sure a cycle is coming.
-        let trigger = self.runtime.trigger();
-        if matches!(trigger, Trigger::Cycle(_)) && self.runtime.has_deferred() {
-            self.sub.arm_tick(trigger);
-        }
     }
 
     fn finish(self) -> SimOutcome {

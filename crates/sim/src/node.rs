@@ -143,19 +143,10 @@ impl SimNode {
     /// disks never take *exactly* the model time, and without this noise a
     /// perfectly periodic workload can lock a locality-blind scheduler into
     /// an accidental perfect placement that no physical system exhibits.
+    ///
+    /// `io_slowdown` (≥ 1.0, `1.0` for none) scales the I/O portion — the
+    /// shared-file-server contention hook.
     pub fn start_next(
-        &mut self,
-        now: SimTime,
-        cost: &CostParams,
-        jitter: f64,
-    ) -> Option<&RunningTask> {
-        self.start_next_contended(now, cost, jitter, 1.0)
-    }
-
-    /// [`SimNode::start_next`] with an additional disk-slowdown factor
-    /// (≥ 1.0) applied to the I/O portion — the shared-file-server
-    /// contention hook.
-    pub fn start_next_contended(
         &mut self,
         now: SimTime,
         cost: &CostParams,
@@ -310,7 +301,7 @@ mod tests {
         let cost = CostParams::default();
         let mut n = node();
         n.enqueue(assignment(1, 0, 512 * MIB));
-        let running = n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
+        let running = n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
         assert!(running.miss);
         assert_eq!(running.io, cost.io_time(512 * MIB));
         assert_eq!(
@@ -325,10 +316,10 @@ mod tests {
         let cost = CostParams::default();
         let mut n = node();
         n.enqueue(assignment(1, 0, 512 * MIB));
-        n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
+        n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
         let done = n.complete();
         n.enqueue(assignment(2, 0, 512 * MIB));
-        let running = n.start_next(done.finish, &cost, 0.0).unwrap();
+        let running = n.start_next(done.finish, &cost, 0.0, 1.0).unwrap();
         assert!(!running.miss);
         assert_eq!(running.io, SimDuration::ZERO);
         assert_eq!(n.hits, 1);
@@ -342,7 +333,7 @@ mod tests {
         n.enqueue(assignment(2, 1, MIB));
         assert_eq!(n.predicted_backlog, SimDuration::from_millis(20));
         let first = n
-            .start_next(SimTime::ZERO, &cost, 0.0)
+            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
             .unwrap()
             .assignment
             .task
@@ -350,7 +341,12 @@ mod tests {
         assert_eq!(first, JobId(1));
         assert_eq!(n.predicted_backlog, SimDuration::from_millis(10));
         let fin = n.complete().finish;
-        let second = n.start_next(fin, &cost, 0.0).unwrap().assignment.task.job;
+        let second = n
+            .start_next(fin, &cost, 0.0, 1.0)
+            .unwrap()
+            .assignment
+            .task
+            .job;
         assert_eq!(second, JobId(2));
     }
 
@@ -361,8 +357,8 @@ mod tests {
         let mut slow = SimNode::new(NodeId(1), 2 << 30, EvictionPolicy::Lru, 0.5, None);
         fast.enqueue(assignment(1, 0, 512 * MIB));
         slow.enqueue(assignment(1, 0, 512 * MIB));
-        let f = fast.start_next(SimTime::ZERO, &cost, 0.0).unwrap().io;
-        let s = slow.start_next(SimTime::ZERO, &cost, 0.0).unwrap().io;
+        let f = fast.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap().io;
+        let s = slow.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap().io;
         assert_eq!(s.as_micros(), f.as_micros() * 2);
     }
 
@@ -379,7 +375,7 @@ mod tests {
         );
         // Cold: disk + upload.
         n.enqueue(assignment(1, 0, 512 * MIB));
-        let r = n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
+        let r = n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Disk);
         assert_eq!(r.io, cost.io_time(512 * MIB));
         assert_eq!(r.upload, cost.upload_time(512 * MIB));
@@ -387,19 +383,19 @@ mod tests {
         // Second chunk displaces the first from the GPU (not the host).
         n.enqueue(assignment(2, 1, 512 * MIB));
         let t2 = {
-            n.start_next(t1, &cost, 0.0).unwrap();
+            n.start_next(t1, &cost, 0.0, 1.0).unwrap();
             n.complete().finish
         };
         // Chunk 0 again: host hit, upload only.
         n.enqueue(assignment(3, 0, 512 * MIB));
-        let r = n.start_next(t2, &cost, 0.0).unwrap();
+        let r = n.start_next(t2, &cost, 0.0, 1.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Host);
         assert_eq!(r.io, SimDuration::ZERO);
         assert_eq!(r.upload, cost.upload_time(512 * MIB));
         let t3 = n.complete().finish;
         // Chunk 0 once more: now GPU-resident, free movement.
         n.enqueue(assignment(4, 0, 512 * MIB));
-        let r = n.start_next(t3, &cost, 0.0).unwrap();
+        let r = n.start_next(t3, &cost, 0.0, 1.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Gpu);
         assert_eq!(r.upload, SimDuration::ZERO);
         assert_eq!(n.gpu_hits, 1);
@@ -414,11 +410,11 @@ mod tests {
         nominal.enqueue(assignment(1, 0, 512 * MIB));
         degraded.enqueue(assignment(1, 0, 512 * MIB));
         let f = nominal
-            .start_next(SimTime::ZERO, &cost, 0.0)
+            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
             .unwrap()
             .finish;
         let s = degraded
-            .start_next(SimTime::ZERO, &cost, 0.0)
+            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
             .unwrap()
             .finish;
         assert_eq!(s.as_micros(), f.as_micros() * 2);
@@ -428,8 +424,8 @@ mod tests {
         nominal.complete();
         nominal.enqueue(assignment(2, 0, 512 * MIB));
         degraded.enqueue(assignment(2, 0, 512 * MIB));
-        let f2 = nominal.start_next(f, &cost, 0.0).unwrap().finish - f;
-        let s2 = degraded.start_next(s, &cost, 0.0).unwrap().finish - s;
+        let f2 = nominal.start_next(f, &cost, 0.0, 1.0).unwrap().finish - f;
+        let s2 = degraded.start_next(s, &cost, 0.0, 1.0).unwrap().finish - s;
         assert_eq!(f2, s2);
     }
 
@@ -439,7 +435,7 @@ mod tests {
         let mut n = node();
         n.enqueue(assignment(1, 0, MIB));
         n.enqueue(assignment(2, 1, MIB));
-        n.start_next(SimTime::ZERO, &cost, 0.0);
+        n.start_next(SimTime::ZERO, &cost, 0.0, 1.0);
         let lost = n.crash();
         assert_eq!(lost.len(), 2);
         assert!(n.crashed);
@@ -448,8 +444,12 @@ mod tests {
         assert_eq!(n.predicted_backlog, SimDuration::ZERO);
         // A crashed node refuses to start work until it recovers.
         n.enqueue(assignment(3, 2, MIB));
-        assert!(n.start_next(SimTime::from_secs(1), &cost, 0.0).is_none());
+        assert!(n
+            .start_next(SimTime::from_secs(1), &cost, 0.0, 1.0)
+            .is_none());
         n.recover();
-        assert!(n.start_next(SimTime::from_secs(1), &cost, 0.0).is_some());
+        assert!(n
+            .start_next(SimTime::from_secs(1), &cost, 0.0, 1.0)
+            .is_some());
     }
 }

@@ -3,7 +3,7 @@
 //! Senders and receivers are cloneable; dropping the last sender
 //! disconnects receivers (and vice versa). `select!` is implemented by
 //! polling with a short park, which is ample for the workloads here
-//! (the service head loop waits on a 30 ms ticker).
+//! (the service head loop waits at most until its next cycle is due).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -123,22 +123,6 @@ fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         },
         Receiver { inner },
     )
-}
-
-/// A channel that yields the current [`Instant`] every `period`, dropping
-/// ticks nobody consumed (at most one tick is ever queued).
-pub fn tick(period: Duration) -> Receiver<Instant> {
-    let (tx, rx) = bounded::<Instant>(1);
-    std::thread::spawn(move || loop {
-        std::thread::sleep(period);
-        if matches!(
-            tx.try_send(Instant::now()),
-            Err(TrySendError::Disconnected(_))
-        ) {
-            break;
-        }
-    });
-    rx
 }
 
 /// Non-blocking send outcomes; both variants hand the message back.
@@ -332,15 +316,21 @@ impl<T> Drop for Receiver<T> {
 
 /// Wait on several `recv` operations at once, running exactly one arm.
 ///
-/// Supported form (arms are `recv(rx) -> pat => body`; like the real
-/// macro, block bodies may omit the separating comma):
+/// Supported form (arms are `recv(rx) -> pat => body`, plus at most one
+/// trailing `default(timeout) => body` that runs when nothing is ready
+/// within `timeout`; like the real macro, block bodies may omit the
+/// separating comma):
 ///
 /// ```ignore
 /// select! {
 ///     recv(a) -> msg => { ... }
 ///     recv(b) -> msg => do_thing(msg),
+///     default(Duration::from_millis(5)) => idle(),
 /// }
 /// ```
+///
+/// A ready message always wins over the default arm, and a timeout too
+/// large for [`Instant`] (such as `Duration::MAX`) waits forever.
 ///
 /// Implementation note: readiness is detected by polling with a 50 µs
 /// park. Bodies execute at the macro's block level, so `break`/`continue`
@@ -365,10 +355,20 @@ macro_rules! select {
     (@munch [$($acc:tt)*] recv($r:expr) -> $p:pat => $body:expr) => {
         $crate::channel::select!(@munch [$($acc)* {recv($r) -> $p => {$body}}])
     };
+    (@munch [$($acc:tt)*] default($t:expr) => $body:block $(,)?) => {
+        $crate::channel::select!(@poll [$($acc)*] ($t) $body)
+    };
+    (@munch [$($acc:tt)*] default($t:expr) => $body:expr $(,)?) => {
+        $crate::channel::select!(@poll [$($acc)*] ($t) {$body})
+    };
+    (@munch [$($acc:tt)*]) => {
+        $crate::channel::select!(@poll [$($acc)*] (::std::time::Duration::MAX) {})
+    };
     // All arms munched: expand the poll loop, then run the ready arm's
-    // body at this block level so `break`/`continue` reach the caller's
-    // enclosing loop.
-    (@munch [$({recv($r:expr) -> $p:pat => $body:block})+]) => {{
+    // body (or the default's, at the deadline) at this block level so
+    // `break`/`continue` reach the caller's enclosing loop.
+    (@poll [$({recv($r:expr) -> $p:pat => $body:block})+] ($timeout:expr) $default:block) => {{
+        let __deadline = ::std::time::Instant::now().checked_add($timeout);
         let __ready: usize = loop {
             let mut __i = 0usize;
             let mut __found = usize::MAX;
@@ -384,6 +384,9 @@ macro_rules! select {
             if __found != usize::MAX {
                 break __found;
             }
+            if __deadline.is_some_and(|d| ::std::time::Instant::now() >= d) {
+                break usize::MAX;
+            }
             std::thread::sleep(std::time::Duration::from_micros(50));
         };
         let mut __i = 0usize;
@@ -397,6 +400,9 @@ macro_rules! select {
                 __i += 1;
             }
         )+
+        if __ready == usize::MAX {
+            $default
+        }
     }};
     ($($tokens:tt)+) => {
         $crate::channel::select!(@munch [] $($tokens)+)
@@ -475,9 +481,47 @@ mod tests {
     }
 
     #[test]
-    fn ticker_fires() {
-        let rx = tick(Duration::from_millis(5));
-        assert!(rx.recv_timeout(Duration::from_secs(2)).is_ok());
+    fn select_default_fires_after_timeout_when_nothing_is_ready() {
+        let (_tx, rx) = unbounded::<u32>();
+        let start = Instant::now();
+        let timed_out = loop {
+            select! {
+                recv(rx) -> _msg => unreachable!(),
+                default(Duration::from_millis(20)) => break true,
+            }
+        };
+        assert!(timed_out);
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn select_ready_message_wins_over_default() {
+        let (tx, rx) = unbounded::<u32>();
+        tx.send(3).unwrap();
+        let got = loop {
+            select! {
+                recv(rx) -> msg => break msg.ok(),
+                default(Duration::ZERO) => break None,
+            }
+        };
+        assert_eq!(got, Some(3));
+    }
+
+    #[test]
+    fn select_default_max_timeout_does_not_overflow() {
+        let (tx, rx) = unbounded::<u32>();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            tx.send(9).unwrap();
+        });
+        let got = loop {
+            select! {
+                recv(rx) -> msg => break msg.ok(),
+                default(Duration::MAX) => unreachable!(),
+            }
+        };
+        sender.join().unwrap();
+        assert_eq!(got, Some(9));
     }
 
     #[test]

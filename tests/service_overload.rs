@@ -2,8 +2,9 @@
 //! under a request burst, per-user admission caps, bounded batch deferral,
 //! and the TCP boundary's `Overloaded` path with client-side retry.
 //!
-//! Timing note: the head's scheduling ticker free-runs, so a test that
-//! relies on "these requests land in the same cycle" uses a wide cycle
+//! Timing note: the head's cycles land on the ω grid of its wall clock,
+//! wherever the submitting thread happens to be, so a test that relies
+//! on "these requests land in the same cycle" uses a wide cycle
 //! (hundreds of ms) against a burst submitted in microseconds — the same
 //! construction as the sim/service parity tests.
 

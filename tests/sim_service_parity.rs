@@ -388,8 +388,9 @@ fn coalescing_supersedes_identically_on_both_substrates() {
     // Three frames of action 0 and one of action 1, all inside one wide
     // cycle: the two older action-0 frames must be superseded. Issue
     // times start at 1 ms — the sim fires a cycle at t = 0, and a job
-    // issued exactly then would dispatch before the rest arrive (the
-    // live head's first tick is a full cycle after startup).
+    // issued exactly then would dispatch before the rest arrive (a live
+    // arrival always lands after the head clock's zero, so its first
+    // cycle is the next grid point).
     let jobs = vec![
         interactive_job(0, 0, 0, 1, 0.10),
         interactive_job(1, 0, 0, 2, 0.20),
