@@ -20,7 +20,7 @@ use vizsched_service::{
     ChunkStore, FaultPlan, OverloadPolicy, RenderReply, ServiceClient, ServiceConfig, ServiceStats,
     StoreDataset, VizService,
 };
-use vizsched_sim::{RunOptions, SimConfig, SimOutcome, Simulation};
+use vizsched_sim::{RunOptions, RuntimeOutcome, SimConfig, Simulation};
 use vizsched_volume::Field;
 
 /// Every live frame of a paired run is rendered at this size: big enough
@@ -156,7 +156,7 @@ impl Rig {
 
     /// Run the simulated half over `jobs`; returns the probe's events and
     /// the outcome.
-    pub fn sim(&self, jobs: Vec<Job>) -> (Vec<TraceEvent>, SimOutcome) {
+    pub fn sim(&self, jobs: Vec<Job>) -> (Vec<TraceEvent>, RuntimeOutcome) {
         let pair = &self.pair;
         let mut config = SimConfig::new(self.cluster(), CostParams::default(), 1 << 30);
         config.cycle = pair.cycle;

@@ -32,7 +32,7 @@ impl JobRecord {
 }
 
 /// The complete outcome of one run of one scheduler over one workload.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunRecord {
     /// Scheduler display name ("OURS", "FCFSL", …).
     pub scheduler: String,

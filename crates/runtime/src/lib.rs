@@ -57,8 +57,10 @@
 pub mod fault;
 pub mod shard;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use shard::{ShardOutcome, ShardedOutcome, ShardedRuntime};
+pub use shard::{ShardOutcome, ShardedRuntime};
 
+use std::iter::Sum;
+use std::ops::AddAssign;
 use std::sync::Arc;
 use std::time::Instant;
 use vizsched_core::cost::{CostParams, JobTiming};
@@ -184,6 +186,25 @@ impl OverloadStats {
     }
 }
 
+impl AddAssign for OverloadStats {
+    fn add_assign(&mut self, other: Self) {
+        self.admitted += other.admitted;
+        self.rejected += other.rejected;
+        self.coalesced += other.coalesced;
+        self.expired += other.expired;
+        self.escalated += other.escalated;
+    }
+}
+
+impl Sum for OverloadStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut total, s| {
+            total += s;
+            total
+        })
+    }
+}
+
 /// The execution seam between the head runtime and whatever actually runs
 /// tasks: a discrete-event node model, a pool of render threads, or (in
 /// tests) a recording stub.
@@ -264,8 +285,8 @@ pub struct JobFinish {
 }
 
 /// Per-node completion counters, maintained from the completions the
-/// runtime observes (a substrate with direct node access may prefer its
-/// own, more detailed accounting).
+/// runtime observes (the simulator replaces them with its node model's
+/// own, which also count work lost to crashes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Tasks completed on this node.
@@ -276,29 +297,62 @@ pub struct NodeCounters {
     pub misses: u64,
 }
 
-/// Everything the runtime can aggregate by itself at the end of a run.
-#[derive(Clone, Debug)]
+impl AddAssign for NodeCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.tasks += other.tasks;
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+}
+
+impl Sum for NodeCounters {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut total, c| {
+            total += c;
+            total
+        })
+    }
+}
+
+/// How a run ended: the one end-of-run type. [`HeadRuntime::into_outcome`],
+/// [`ShardedRuntime::into_outcome`], the simulator's `run_opts` and the
+/// live service's shutdown all return it, so a simulated and a live run
+/// report through the same fields (the live service names it
+/// `ServiceStats`).
+///
+/// No field copies another: the hit and miss totals live in `record`
+/// only, and equal the sums over `per_node`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RuntimeOutcome {
-    /// The run record consumed by `vizsched-metrics`. Hit/miss counters
-    /// and makespan come from observed completions; GPU hits and eviction
-    /// totals are zero (only an authoritative node model knows them — the
-    /// simulator overrides these fields from its own counters).
+    /// The run record consumed by `vizsched-metrics`: one [`JobRecord`]
+    /// per admitted job, in arrival order. Hit/miss counters and makespan
+    /// come from observed completions; GPU hits and eviction totals are
+    /// zero (only an authoritative node model knows them — the simulator
+    /// overwrites the four cache counters from its own).
     pub record: RunRecord,
+    /// Per-node counters, indexed by node (cluster-global in every
+    /// outcome a run returns).
+    pub per_node: Vec<NodeCounters>,
     /// Jobs that never completed (nonzero only if nodes stayed down or
     /// the run was cut short). Jobs the overload policy shed are counted
     /// in [`RuntimeOutcome::overload`], not here.
     pub incomplete_jobs: usize,
-    /// Per-node completion counters, indexed by node.
-    pub per_node: Vec<NodeCounters>,
     /// Jobs fully completed.
     pub jobs_completed: u64,
-    /// Mean issue-to-finish latency over completed jobs, seconds.
-    pub mean_latency_secs: f64,
     /// Overload-control counters (all zero without an [`OverloadPolicy`]).
     pub overload: OverloadStats,
+    /// Per-shard routing and completion counters, in shard order; empty
+    /// for a one-shard run (there is no routing to break down).
+    pub per_shard: Vec<ShardOutcome>,
+    /// Batch arrivals shed by the routing tier while in degraded mode
+    /// (they never reached a shard, so they are in no shard's overload
+    /// counters). Always zero for a one-shard run.
+    pub degraded_shed: u64,
 }
 
 struct JobState {
+    /// Arrival sequence number on this runtime: the run record's order.
+    seq: u64,
     record: JobRecord,
     remaining: u32,
     max_finish: SimTime,
@@ -333,17 +387,15 @@ pub struct HeadRuntime {
     /// Arrival buffer for cycle-triggered policies.
     buffer: Vec<Job>,
     jobs: FxHashMap<JobId, JobState>,
-    job_order: Vec<JobId>,
+    /// The next `JobState::seq`.
+    arrivals: u64,
     /// Dispatched-but-unfinished assignments per node, in dispatch order
     /// (nodes execute FIFO): their summed predicted exec is the real
     /// backlog behind the `Available` correction, and on a fault they are
     /// exactly the tasks to re-place.
     outstanding: Vec<Vec<Assignment>>,
     per_node: Vec<NodeCounters>,
-    cache_hits: u64,
-    cache_misses: u64,
     jobs_completed: u64,
-    latency_total_secs: f64,
     last_finish: SimTime,
     sched_wall_micros: u64,
     sched_invocations: u64,
@@ -377,13 +429,10 @@ impl HeadRuntime {
             scenario: scenario.to_string(),
             buffer: Vec::new(),
             jobs: FxHashMap::default(),
-            job_order: Vec::new(),
+            arrivals: 0,
             outstanding: vec![Vec::new(); nodes],
             per_node: vec![NodeCounters::default(); nodes],
-            cache_hits: 0,
-            cache_misses: 0,
             jobs_completed: 0,
-            latency_total_secs: 0.0,
             last_finish: SimTime::ZERO,
             sched_wall_micros: 0,
             sched_invocations: 0,
@@ -542,6 +591,7 @@ impl HeadRuntime {
         self.jobs.insert(
             job.id,
             JobState {
+                seq: self.arrivals,
                 record: JobRecord {
                     id: job.id,
                     kind: job.kind,
@@ -555,7 +605,7 @@ impl HeadRuntime {
                 frame: job.frame,
             },
         );
-        self.job_order.push(job.id);
+        self.arrivals += 1;
         let trigger = self.scheduler.trigger();
         if trigger == Trigger::OnArrival || self.early_cycle_ready(now, &job) {
             if policing && tracing {
@@ -638,7 +688,6 @@ impl HeadRuntime {
                 self.release_in_flight(state.record.kind.user());
             }
         }
-        self.job_order.retain(|&id| id != job);
     }
 
     /// Release one in-flight slot (no-op while no policy is active, since
@@ -687,14 +736,15 @@ impl HeadRuntime {
             .into_iter()
             .map(|j| (j.id, j))
             .collect();
-        let mut drained = Vec::new();
-        let order = std::mem::take(&mut self.job_order);
-        for id in order {
-            let incomplete = self.jobs.get(&id).is_some_and(|s| s.remaining > 0);
-            if !incomplete {
-                self.job_order.push(id);
-                continue;
-            }
+        let mut incomplete: Vec<(u64, JobId)> = self
+            .jobs
+            .iter()
+            .filter(|(_, s)| s.remaining > 0)
+            .map(|(&id, s)| (s.seq, id))
+            .collect();
+        incomplete.sort_unstable();
+        let mut drained = Vec::with_capacity(incomplete.len());
+        for (_, id) in incomplete {
             let state = self.jobs.remove(&id).expect("incomplete job is tracked");
             if state.record.kind.is_interactive() {
                 self.release_in_flight(state.record.kind.user());
@@ -805,10 +855,8 @@ impl HeadRuntime {
         counters.tasks += 1;
         if done.miss {
             counters.misses += 1;
-            self.cache_misses += 1;
         } else {
             counters.hits += 1;
-            self.cache_hits += 1;
         }
 
         // Estimate + Cache corrections (misses only: a hit measures no
@@ -913,7 +961,6 @@ impl HeadRuntime {
             latency: state.max_finish.saturating_since(state.record.timing.issue),
         };
         self.jobs_completed += 1;
-        self.latency_total_secs += finish.latency.as_secs_f64();
         if kind.is_interactive() {
             self.release_in_flight(kind.user());
         }
@@ -984,29 +1031,19 @@ impl HeadRuntime {
         }
     }
 
-    /// Consume the runtime into its aggregate outcome.
+    /// Consume the runtime into its outcome, node counters in this
+    /// runtime's own numbering.
     pub fn into_outcome(self) -> RuntimeOutcome {
-        let mut jobs = Vec::with_capacity(self.job_order.len());
-        let mut incomplete = 0;
-        for id in &self.job_order {
-            let state = &self.jobs[id];
-            if state.remaining > 0 {
-                incomplete += 1;
-            }
-            jobs.push(state.record);
-        }
-        let mean_latency_secs = if self.jobs_completed > 0 {
-            self.latency_total_secs / self.jobs_completed as f64
-        } else {
-            0.0
-        };
+        let mut states: Vec<&JobState> = self.jobs.values().collect();
+        states.sort_unstable_by_key(|s| s.seq);
+        let total: NodeCounters = self.per_node.iter().copied().sum();
         RuntimeOutcome {
             record: RunRecord {
                 scheduler: self.scheduler.name().to_string(),
                 scenario: self.scenario,
-                jobs,
-                cache_hits: self.cache_hits,
-                cache_misses: self.cache_misses,
+                jobs: states.iter().map(|s| s.record).collect(),
+                cache_hits: total.hits,
+                cache_misses: total.misses,
                 gpu_hits: 0,
                 evictions: 0,
                 sched_wall_micros: self.sched_wall_micros,
@@ -1014,11 +1051,12 @@ impl HeadRuntime {
                 jobs_scheduled: self.jobs_scheduled,
                 makespan: self.last_finish,
             },
-            incomplete_jobs: incomplete,
+            incomplete_jobs: states.iter().filter(|s| s.remaining > 0).count(),
             per_node: self.per_node,
             jobs_completed: self.jobs_completed,
-            mean_latency_secs,
             overload: self.overload,
+            per_shard: Vec::new(),
+            degraded_shed: 0,
         }
     }
 

@@ -108,17 +108,8 @@ impl Probe for ShardProbe {
 
     fn on_event(&self, event: &TraceEvent) {
         let mut global = *event;
-        match &mut global {
-            TraceEvent::Assignment { node, .. }
-            | TraceEvent::TaskDone { node, .. }
-            | TraceEvent::AvailableCorrection { node, .. }
-            | TraceEvent::CacheLoad { node, .. }
-            | TraceEvent::CacheEvict { node, .. }
-            | TraceEvent::NodeFault { node, .. }
-            | TraceEvent::NodeUp { node, .. } => {
-                node.0 = self.locals.read().expect("locals lock")[node.0 as usize];
-            }
-            _ => {}
+        if let Some(node) = global.node_mut() {
+            node.0 = self.locals.read().expect("locals lock")[node.0 as usize];
         }
         self.inner.on_event(&global);
     }
@@ -134,7 +125,8 @@ struct ShardCounters {
     saturations: u64,
 }
 
-/// End-of-run summary for one shard.
+/// End-of-run summary for one shard, one row of
+/// [`RuntimeOutcome::per_shard`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardOutcome {
     /// The shard.
@@ -158,23 +150,6 @@ pub struct ShardOutcome {
     pub migrated_out: u64,
     /// Cycle boundaries at which this shard was saturated.
     pub saturations: u64,
-}
-
-/// Everything a sharded run can aggregate at the end: the merged
-/// cluster-global outcome plus the per-shard breakdown.
-#[derive(Clone, Debug)]
-pub struct ShardedOutcome {
-    /// The merged outcome, node counters in cluster-global numbering —
-    /// shaped exactly like a single-head [`RuntimeOutcome`] so existing
-    /// reporting keeps working.
-    pub merged: RuntimeOutcome,
-    /// Per-shard breakdown, in shard order; empty for a one-shard run
-    /// (there is no routing to break down).
-    pub per_shard: Vec<ShardOutcome>,
-    /// Batch arrivals shed by the routing tier while in degraded mode
-    /// (they never reached a shard, so they are not in any shard's
-    /// overload counters). Always zero for a one-shard run.
-    pub degraded_shed: u64,
 }
 
 /// N head-node cycle loops behind a consistent-hash routing tier; see the
@@ -432,16 +407,7 @@ impl ShardedRuntime {
 
     /// Aggregate overload counters across shards.
     pub fn overload_stats(&self) -> OverloadStats {
-        let mut total = OverloadStats::default();
-        for shard in &self.shards {
-            let s = shard.overload_stats();
-            total.admitted += s.admitted;
-            total.rejected += s.rejected;
-            total.coalesced += s.coalesced;
-            total.expired += s.expired;
-            total.escalated += s.escalated;
-        }
-        total
+        self.shards.iter().map(HeadRuntime::overload_stats).sum()
     }
 
     /// The one cycle clock both substrates follow: when the next
@@ -819,58 +785,39 @@ impl ShardedRuntime {
         orphaned
     }
 
-    /// Consume the runtime into the merged cluster-global outcome plus
-    /// the per-shard breakdown. One shard's outcome is already
-    /// cluster-global and is returned as is, with no breakdown.
-    pub fn into_outcome(mut self) -> ShardedOutcome {
+    /// Consume the runtime into one cluster-global outcome. One shard's
+    /// outcome is already cluster-global and is returned as is, with no
+    /// per-shard breakdown; more shards merge into one record, in job id
+    /// (arrival) order, with node counters under global ids.
+    pub fn into_outcome(mut self) -> RuntimeOutcome {
         if !self.routed() {
             let only = self.shards.pop().expect("at least one shard");
-            return ShardedOutcome {
-                merged: only.into_outcome(),
-                per_shard: Vec::new(),
-                degraded_shed: self.degraded_shed,
-            };
+            return only.into_outcome();
         }
-        let ShardedRuntime {
-            shards,
-            map,
-            counters,
-            locals,
-            retired,
-            dead,
-            degraded_shed,
-            ..
-        } = self;
-        let mut per_node = vec![NodeCounters::default(); map.total_nodes()];
-        let mut per_shard = Vec::with_capacity(shards.len());
-        let mut merged: Option<RuntimeOutcome> = None;
-        let mut latency_weighted = 0.0;
-        for ((((runtime, span), counters), view), retired_view) in shards
-            .into_iter()
-            .zip(map.spans())
-            .zip(counters)
-            .zip(locals)
-            .zip(retired)
-        {
+        let mut merged = RuntimeOutcome {
+            per_node: vec![NodeCounters::default(); self.map.total_nodes()],
+            degraded_shed: self.degraded_shed,
+            ..RuntimeOutcome::default()
+        };
+        let spans = self.map.spans();
+        for (s, runtime) in self.shards.into_iter().enumerate() {
             let outcome = runtime.into_outcome();
             // A dead shard's final view was snapshotted at failover; a
             // live shard's view may have grown past its span by adopting
             // nodes. Either way the merge is additive: after a failover,
             // work on one physical node is split between its original
             // owner's counters and its adopter's.
-            let view = if dead[span.shard.index()] {
-                retired_view
+            let view = if self.dead[s] {
+                std::mem::take(&mut self.retired[s])
             } else {
-                std::mem::take(&mut *view.write().expect("locals lock"))
+                std::mem::take(&mut *self.locals[s].write().expect("locals lock"))
             };
             debug_assert_eq!(view.len(), outcome.per_node.len());
-            for (local, c) in outcome.per_node.iter().enumerate() {
-                let g = view[local] as usize;
-                per_node[g].tasks += c.tasks;
-                per_node[g].hits += c.hits;
-                per_node[g].misses += c.misses;
+            for (&g, &c) in view.iter().zip(&outcome.per_node) {
+                merged.per_node[g as usize] += c;
             }
-            per_shard.push(ShardOutcome {
+            let (span, counters) = (spans[s], self.counters[s]);
+            merged.per_shard.push(ShardOutcome {
                 shard: span.shard,
                 base: span.base,
                 nodes: span.nodes,
@@ -882,45 +829,25 @@ impl ShardedRuntime {
                 migrated_out: counters.migrated_out,
                 saturations: counters.saturations,
             });
-            latency_weighted += outcome.mean_latency_secs * outcome.jobs_completed as f64;
-            merged = Some(match merged {
-                None => outcome,
-                Some(mut acc) => {
-                    acc.record.jobs.extend(outcome.record.jobs);
-                    acc.record.cache_hits += outcome.record.cache_hits;
-                    acc.record.cache_misses += outcome.record.cache_misses;
-                    acc.record.gpu_hits += outcome.record.gpu_hits;
-                    acc.record.evictions += outcome.record.evictions;
-                    acc.record.sched_wall_micros += outcome.record.sched_wall_micros;
-                    acc.record.sched_invocations += outcome.record.sched_invocations;
-                    acc.record.jobs_scheduled += outcome.record.jobs_scheduled;
-                    acc.record.makespan = acc.record.makespan.max(outcome.record.makespan);
-                    acc.incomplete_jobs += outcome.incomplete_jobs;
-                    acc.jobs_completed += outcome.jobs_completed;
-                    acc.overload.admitted += outcome.overload.admitted;
-                    acc.overload.rejected += outcome.overload.rejected;
-                    acc.overload.coalesced += outcome.overload.coalesced;
-                    acc.overload.expired += outcome.overload.expired;
-                    acc.overload.escalated += outcome.overload.escalated;
-                    acc
-                }
-            });
+            let (acc, record) = (&mut merged.record, outcome.record);
+            acc.scheduler = record.scheduler;
+            acc.scenario = record.scenario;
+            acc.jobs.extend(record.jobs);
+            acc.sched_wall_micros += record.sched_wall_micros;
+            acc.sched_invocations += record.sched_invocations;
+            acc.jobs_scheduled += record.jobs_scheduled;
+            acc.makespan = acc.makespan.max(record.makespan);
+            merged.incomplete_jobs += outcome.incomplete_jobs;
+            merged.jobs_completed += outcome.jobs_completed;
+            merged.overload += outcome.overload;
         }
-        let mut merged = merged.expect("at least one shard");
         // Shards retire jobs independently; restore one cluster-wide
         // arrival order (ids are assigned in arrival order).
         merged.record.jobs.sort_unstable_by_key(|j| j.id);
-        merged.per_node = per_node;
-        merged.mean_latency_secs = if merged.jobs_completed > 0 {
-            latency_weighted / merged.jobs_completed as f64
-        } else {
-            0.0
-        };
-        ShardedOutcome {
-            merged,
-            per_shard,
-            degraded_shed,
-        }
+        let total: NodeCounters = merged.per_node.iter().copied().sum();
+        merged.record.cache_hits = total.hits;
+        merged.record.cache_misses = total.misses;
+        merged
     }
 }
 
@@ -1174,15 +1101,15 @@ mod tests {
         }
         assert_eq!(rt.jobs_completed(), 8);
         let outcome = rt.into_outcome();
-        assert_eq!(outcome.merged.jobs_completed, 8);
-        assert_eq!(outcome.merged.incomplete_jobs, 0);
-        assert_eq!(outcome.merged.record.jobs.len(), 8);
+        assert_eq!(outcome.jobs_completed, 8);
+        assert_eq!(outcome.incomplete_jobs, 0);
+        assert_eq!(outcome.record.jobs.len(), 8);
         // Record order restored to arrival order.
-        let ids: Vec<u64> = outcome.merged.record.jobs.iter().map(|j| j.id.0).collect();
+        let ids: Vec<u64> = outcome.record.jobs.iter().map(|j| j.id.0).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
         // Per-node counters are globally indexed and complete.
-        let tasks: u64 = outcome.merged.per_node.iter().map(|c| c.tasks).sum();
-        assert_eq!(tasks, outcome.merged.record.cache_misses);
+        let tasks: u64 = outcome.per_node.iter().map(|c| c.tasks).sum();
+        assert_eq!(tasks, outcome.record.cache_misses);
         assert_eq!(outcome.per_shard.len(), 4);
         let completed: u64 = outcome.per_shard.iter().map(|s| s.jobs_completed).sum();
         assert_eq!(completed, 8);
@@ -1424,33 +1351,17 @@ mod tests {
             .count();
         assert_eq!(faults, 2, "two fresh faults reached the head");
 
-        let want = single.into_outcome();
-        let ShardedOutcome {
-            merged: got,
-            per_shard,
-            degraded_shed,
-        } = sharded.into_outcome();
-        assert!(per_shard.is_empty(), "no routing, no breakdown");
-        assert_eq!(degraded_shed, 0);
+        // The same outcome, field for field, bar the host's scheduling
+        // cost; no routing means no breakdown and nothing shed.
+        let mut want = single.into_outcome();
+        let mut got = sharded.into_outcome();
+        want.record.sched_wall_micros = 0;
+        got.record.sched_wall_micros = 0;
+        assert_eq!(got, want);
+        assert!(got.per_shard.is_empty() && got.degraded_shed == 0);
         assert_eq!(
             got.jobs_completed, 9,
             "every job ran, the late batch included"
-        );
-        assert_eq!(got.record.jobs, want.record.jobs);
-        assert_eq!(got.record.scheduler, want.record.scheduler);
-        assert_eq!(got.record.scenario, want.record.scenario);
-        assert_eq!(got.record.cache_hits, want.record.cache_hits);
-        assert_eq!(got.record.cache_misses, want.record.cache_misses);
-        assert_eq!(got.record.sched_invocations, want.record.sched_invocations);
-        assert_eq!(got.record.jobs_scheduled, want.record.jobs_scheduled);
-        assert_eq!(got.record.makespan, want.record.makespan);
-        assert_eq!(got.incomplete_jobs, want.incomplete_jobs);
-        assert_eq!(got.per_node, want.per_node);
-        assert_eq!(got.jobs_completed, want.jobs_completed);
-        assert_eq!(got.overload, want.overload);
-        assert_eq!(
-            got.mean_latency_secs.to_bits(),
-            want.mean_latency_secs.to_bits()
         );
     }
 
@@ -1519,9 +1430,8 @@ mod tests {
         }
         assert_eq!(finished as u64, rt.jobs_completed());
         let outcome = rt.into_outcome();
-        assert_eq!(outcome.merged.incomplete_jobs, 0);
+        assert_eq!(outcome.incomplete_jobs, 0);
         let ones = outcome
-            .merged
             .record
             .jobs
             .iter()
@@ -1590,14 +1500,84 @@ mod tests {
         }
         assert_eq!(rt.jobs_completed(), victims.len() as u64);
         let outcome = rt.into_outcome();
-        assert_eq!(outcome.merged.incomplete_jobs, 0);
-        assert_eq!(outcome.merged.record.jobs.len(), victims.len());
+        assert_eq!(outcome.incomplete_jobs, 0);
+        assert_eq!(outcome.record.jobs.len(), victims.len());
         // Per-node counters land under global ids, additively.
-        let tasks: u64 = outcome.merged.per_node.iter().map(|c| c.tasks).sum();
-        assert_eq!(tasks, outcome.merged.record.cache_misses);
+        let tasks: u64 = outcome.per_node.iter().map(|c| c.tasks).sum();
+        assert_eq!(tasks, outcome.record.cache_misses);
         // A second failure of the same shard, or of the last survivor,
         // is a no-op.
         // (rt consumed; covered by on_shard_fail's guards in the next test.)
+    }
+
+    /// The merge of a 2-shard run through both of the routing tier's own
+    /// moves: a saturation steal (shard 0's batch runs on shard 1), then
+    /// the loss of shard 1's head (its unfinished work goes back to shard
+    /// 0, its finished work stays in its record). Completions alternate
+    /// hits and misses.
+    #[test]
+    fn merged_outcome_survives_a_steal_and_a_failover() {
+        let mut rt = sharded(8, 2, SchedulerKind::Ours, 4, Arc::new(NoopProbe));
+        rt.set_overload_policy(OverloadPolicy {
+            coalesce_interactive: true,
+            ..OverloadPolicy::default()
+        });
+        let mut sub = StubSubstrate::default();
+        let t = SimTime::from_millis;
+        let past = saturate_shard_0(&mut rt, &mut sub) as u64;
+        let other = (0..4u32)
+            .find(|&d| rt.shard_of_dataset(DatasetId(d)) == ShardId(1))
+            .expect("some dataset routes to shard 1");
+        rt.on_job_arrival(&mut sub, t(2), interactive(past, other, t(2)));
+        rt.on_cycle(&mut sub, t(30));
+        let complete = |rt: &mut ShardedRuntime, live: &mut Vec<Assignment>, now| {
+            for (k, a) in live.drain(..).enumerate() {
+                let done = Completion {
+                    miss: k % 2 == 0,
+                    ..completion_for(&a, now)
+                };
+                rt.on_task_done(now, done);
+            }
+        };
+        // Shard 1 finishes its interactive frame, not the stolen batch.
+        let mut live: Vec<Assignment> = sub.dispatched.clone();
+        let (batch, mut done): (Vec<Assignment>, Vec<Assignment>) =
+            live.drain(..).partition(|a| !a.task.interactive);
+        live = batch;
+        complete(&mut rt, &mut done, t(40));
+        let dead = rt.failover_slice(ShardId(1));
+        assert!(!dead.is_empty());
+        live.retain(|a| !dead.contains(&a.node));
+        let seen = sub.dispatched.len();
+        assert!(rt.on_shard_fail(&mut sub, t(41), ShardId(1)) > 0);
+        live.extend_from_slice(&sub.dispatched[seen..]);
+        // Drain: OURS trickles cold batch out once nodes go idle.
+        for round in 1..=8 {
+            let seen = sub.dispatched.len();
+            rt.on_cycle(&mut sub, t(10_000 * round));
+            live.extend_from_slice(&sub.dispatched[seen..]);
+            complete(&mut rt, &mut live, t(10_000 * round + 10));
+        }
+
+        let outcome = rt.into_outcome();
+        assert_eq!(outcome.per_shard[0].migrated_out, 2, "the batch pair moved");
+        assert!(
+            outcome.per_shard[1].jobs_completed > 0,
+            "shard 1 kept its record"
+        );
+        assert_eq!(outcome.incomplete_jobs, 0);
+        // Every admitted job once, in arrival order.
+        let ids: Vec<u64> = outcome.record.jobs.iter().map(|j| j.id.0).collect();
+        assert_eq!(ids, (0..=past).collect::<Vec<_>>());
+        let total: NodeCounters = outcome.per_node.iter().copied().sum();
+        assert!(total.hits > 0 && total.misses > 0);
+        assert_eq!(
+            (total.hits, total.misses),
+            (outcome.record.cache_hits, outcome.record.cache_misses)
+        );
+        let overload: OverloadStats = outcome.per_shard.iter().map(|s| s.overload).sum();
+        assert_eq!(outcome.overload, overload);
+        assert!(overload.admitted > past, "a moved job is admitted twice");
     }
 
     #[test]

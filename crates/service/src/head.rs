@@ -40,11 +40,11 @@ use vizsched_core::job::{FrameParams, Job};
 use vizsched_core::sched::{Assignment, SchedulerKind};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason, RunRecord};
+use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason};
 use vizsched_render::Layer;
 use vizsched_runtime::{
-    Admission, Completion, FaultPlan, HeadRuntime, OverloadPolicy, OverloadStats, ShardOutcome,
-    ShardedRuntime, Substrate,
+    Admission, Completion, FaultPlan, HeadRuntime, OverloadPolicy, RuntimeOutcome, ShardedRuntime,
+    Substrate,
 };
 
 /// Service configuration, built up fluently:
@@ -179,33 +179,15 @@ impl ServiceConfig {
     }
 }
 
-/// Aggregate statistics returned at shutdown.
-#[derive(Clone, Debug, Default)]
-pub struct ServiceStats {
-    /// Jobs fully rendered and delivered.
-    pub jobs_completed: u64,
-    /// Tasks served from node caches.
-    pub cache_hits: u64,
-    /// Tasks that read from the chunk store.
-    pub cache_misses: u64,
-    /// Mean end-to-end latency over completed jobs, seconds.
-    pub mean_latency_secs: f64,
-    /// The full run record (per-job timings, scheduling cost), directly
-    /// consumable by `vizsched_metrics::SchedulerReport::from_run` — live
-    /// service runs report through the same pipeline as simulations.
-    pub record: RunRecord,
-    /// Per-node `(tasks, hits, misses)` counters — the load-balance view.
-    pub per_node: Vec<(u64, u64, u64)>,
-    /// Admission-control counters (all zero unless
-    /// [`ServiceConfig::overload`] set an active policy).
-    pub overload: OverloadStats,
-    /// Per-shard routing and completion counters (empty for a one-shard
-    /// service, the [`ServiceConfig::shards`] default).
-    pub per_shard: Vec<ShardOutcome>,
-    /// Batch arrivals shed by the routing tier's degraded mode (always
-    /// zero for a one-shard service, which has no degraded mode).
-    pub degraded_shed: u64,
-}
+/// What a live run returns at shutdown: the simulator's
+/// [`RuntimeOutcome`], under the name the service has always used.
+///
+/// The alias exists because code outside this workspace (the frame
+/// benchmark) imports `ServiceStats` and reads its `per_shard`; the
+/// record, the per-node counters and every total are `RuntimeOutcome`'s
+/// own, so a live run feeds `SchedulerReport::from_run` exactly as a
+/// simulated one does.
+pub type ServiceStats = RuntimeOutcome;
 
 /// Capacity of the bounded request queue in front of the head loop.
 /// In-process clients block when it fills (backpressure); the TCP front
@@ -578,23 +560,7 @@ fn head_loop(
     }
 
     sub.shutdown();
-    let sharded = runtime.into_outcome();
-    let outcome = sharded.merged;
-    ServiceStats {
-        jobs_completed: outcome.jobs_completed,
-        cache_hits: outcome.record.cache_hits,
-        cache_misses: outcome.record.cache_misses,
-        mean_latency_secs: outcome.mean_latency_secs,
-        per_node: outcome
-            .per_node
-            .iter()
-            .map(|c| (c.tasks, c.hits, c.misses))
-            .collect(),
-        record: outcome.record,
-        overload: outcome.overload,
-        per_shard: sharded.per_shard,
-        degraded_shed: sharded.degraded_shed,
-    }
+    runtime.into_outcome()
 }
 
 /// Tell a shed job's client what happened and forget the job. The runtime

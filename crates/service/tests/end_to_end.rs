@@ -78,9 +78,13 @@ fn interactive_frame_renders_end_to_end() {
 
     let stats = service.shutdown();
     assert_eq!(stats.jobs_completed, 2);
-    assert_eq!(stats.cache_misses, 4);
-    assert_eq!(stats.cache_hits, 4);
-    assert!(stats.mean_latency_secs > 0.0);
+    assert_eq!(stats.record.cache_misses, 4);
+    assert_eq!(stats.record.cache_hits, 4);
+    assert!(stats
+        .record
+        .jobs
+        .iter()
+        .all(|j| j.timing.latency().is_some_and(|l| l.as_micros() > 0)));
     std::fs::remove_dir_all(root).ok();
 }
 
@@ -128,8 +132,8 @@ fn concurrent_users_on_different_datasets() {
     let stats = service.shutdown();
     assert_eq!(stats.jobs_completed, 10);
     // Two datasets x 4 bricks = 8 cold loads; the other 32 tasks hit.
-    assert_eq!(stats.cache_misses, 8);
-    assert_eq!(stats.cache_hits, 32);
+    assert_eq!(stats.record.cache_misses, 8);
+    assert_eq!(stats.record.cache_hits, 32);
     std::fs::remove_dir_all(root).ok();
 }
 
@@ -327,12 +331,12 @@ fn per_node_counters_partition_the_tasks() {
     }
     let stats = service.drain_and_shutdown();
     assert_eq!(stats.per_node.len(), 4);
-    let tasks: u64 = stats.per_node.iter().map(|c| c.0).sum();
-    let hits: u64 = stats.per_node.iter().map(|c| c.1).sum();
-    let misses: u64 = stats.per_node.iter().map(|c| c.2).sum();
+    let tasks: u64 = stats.per_node.iter().map(|c| c.tasks).sum();
+    let hits: u64 = stats.per_node.iter().map(|c| c.hits).sum();
+    let misses: u64 = stats.per_node.iter().map(|c| c.misses).sum();
     assert_eq!(tasks, 20);
-    assert_eq!(hits, stats.cache_hits);
-    assert_eq!(misses, stats.cache_misses);
+    assert_eq!(hits, stats.record.cache_hits);
+    assert_eq!(misses, stats.record.cache_misses);
     std::fs::remove_dir_all(root).ok();
 }
 
@@ -390,7 +394,7 @@ fn closed_loop_batch(
 /// the paper's GPU `α` (≈ 3.75 ms a brick) charged for a ≈ 15 ms CPU
 /// render, node-order batch fill piles every task onto the first node.
 fn assert_shared(stats: &ServiceStats, pair: std::ops::Range<usize>) {
-    let tasks: Vec<u64> = stats.per_node[pair].iter().map(|c| c.0).collect();
+    let tasks: Vec<u64> = stats.per_node[pair].iter().map(|c| c.tasks).collect();
     let total: u64 = tasks.iter().sum();
     assert!(total > 0);
     assert!(

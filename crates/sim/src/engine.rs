@@ -39,9 +39,9 @@ use vizsched_core::job::Job;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::Assignment;
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{Probe, RunRecord};
+use vizsched_metrics::Probe;
 use vizsched_runtime::{
-    Completion, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome, ShardedRuntime, Substrate,
+    Completion, FaultPlan, HeadRuntime, NodeCounters, RuntimeOutcome, ShardedRuntime, Substrate,
 };
 
 /// Static configuration of one simulation.
@@ -96,41 +96,6 @@ impl SimConfig {
     }
 }
 
-/// Per-node execution counters for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct NodeStats {
-    /// Tasks executed.
-    pub tasks: u64,
-    /// Tasks served from main memory.
-    pub hits: u64,
-    /// Tasks that read from disk.
-    pub misses: u64,
-    /// Hits that were GPU-resident (two-tier extension).
-    pub gpu_hits: u64,
-    /// Total busy time.
-    pub busy: SimDuration,
-    /// Busy fraction of the makespan, 0–1.
-    pub utilization: f64,
-}
-
-/// Everything a run produces.
-#[derive(Clone, Debug)]
-pub struct SimOutcome {
-    /// The aggregate record consumed by `vizsched-metrics`.
-    pub record: RunRecord,
-    /// Per-node execution counters (load-balance view).
-    pub node_stats: Vec<NodeStats>,
-    /// Jobs that never completed (should be zero unless nodes stayed down).
-    pub incomplete_jobs: usize,
-    /// Admission-control counters (all zero unless the run sets an
-    /// [`OverloadPolicy`](vizsched_runtime::OverloadPolicy)).
-    pub overload: OverloadStats,
-    /// Per-shard routing and completion counters (empty for a one-shard
-    /// run, the [`RunOptions::shards`](crate::RunOptions::shards)
-    /// default).
-    pub per_shard: Vec<ShardOutcome>,
-}
-
 /// A workload replayer for one configuration.
 #[derive(Clone, Debug)]
 pub struct Simulation {
@@ -154,7 +119,7 @@ impl Simulation {
     /// `Estimate[c]` pre-seeding.
     /// Panics before the run starts if the fault plan fails
     /// [`FaultPlan::check`] on the cluster.
-    pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> SimOutcome {
+    pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> RuntimeOutcome {
         opts.fault_plan
             .check(self.config.cluster.len())
             .unwrap_or_else(|e| panic!("{e}"));
@@ -225,7 +190,7 @@ impl Substrate for SimSubstrate<'_> {
         // (so the running task's `TaskDone` event is stale). The runtime
         // re-places the same tasks from its own outstanding ledger — FIFO
         // nodes keep the two views identical.
-        let _ = self.nodes[node.index()].crash();
+        self.nodes[node.index()].crash();
     }
 
     fn respawn_node(&mut self, node: NodeId) {
@@ -358,7 +323,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, jobs: Vec<Job>, fault_plan: &FaultPlan) -> SimOutcome {
+    fn run(mut self, jobs: Vec<Job>, fault_plan: &FaultPlan) -> RuntimeOutcome {
         if self.sub.config.warm_start {
             self.warm_start();
         }
@@ -457,42 +422,25 @@ impl<'a> Engine<'a> {
         self.sub.start_node(node);
     }
 
-    fn finish(self) -> SimOutcome {
-        let sharded = self.runtime.into_outcome();
-        let outcome = sharded.merged;
-        let mut record = outcome.record;
+    fn finish(self) -> RuntimeOutcome {
+        let mut outcome = self.runtime.into_outcome();
         // The node model's counters are authoritative (they include work
         // started but lost to crashes, and real eviction totals).
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut gpu_hits = 0;
-        let mut evictions = 0;
-        let span = record.makespan.as_secs_f64().max(1e-9);
-        let mut node_stats = Vec::with_capacity(self.sub.nodes.len());
-        for n in &self.sub.nodes {
-            cache_hits += n.hits;
-            cache_misses += n.misses;
-            gpu_hits += n.gpu_hits;
-            evictions += n.memory.host().evictions();
-            node_stats.push(NodeStats {
+        let nodes = &self.sub.nodes;
+        outcome.per_node = nodes
+            .iter()
+            .map(|n| NodeCounters {
                 tasks: n.hits + n.misses,
                 hits: n.hits,
                 misses: n.misses,
-                gpu_hits: n.gpu_hits,
-                busy: n.busy,
-                utilization: (n.busy.as_secs_f64() / span).min(1.0),
-            });
-        }
-        record.cache_hits = cache_hits;
-        record.cache_misses = cache_misses;
-        record.gpu_hits = gpu_hits;
-        record.evictions = evictions;
-        SimOutcome {
-            record,
-            node_stats,
-            incomplete_jobs: outcome.incomplete_jobs,
-            overload: outcome.overload,
-            per_shard: sharded.per_shard,
-        }
+            })
+            .collect();
+        let total: NodeCounters = outcome.per_node.iter().copied().sum();
+        let record = &mut outcome.record;
+        record.cache_hits = total.hits;
+        record.cache_misses = total.misses;
+        record.gpu_hits = nodes.iter().map(|n| n.gpu_hits).sum();
+        record.evictions = nodes.iter().map(|n| n.memory.host().evictions()).sum();
+        outcome
     }
 }

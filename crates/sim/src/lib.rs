@@ -43,19 +43,20 @@ pub mod event;
 pub mod node;
 pub mod options;
 
-pub use engine::{NodeStats, SimConfig, SimOutcome, Simulation};
+pub use engine::{SimConfig, Simulation};
 pub use event::{Event, EventKind, EventQueue};
 pub use node::{RunningTask, SimNode};
 pub use options::{RunOptions, SchedulerChoice};
 pub use vizsched_runtime::{
-    FaultEvent, FaultKind, FaultPlan, OverloadPolicy, OverloadStats, ShardOutcome,
+    FaultEvent, FaultKind, FaultPlan, NodeCounters, OverloadPolicy, OverloadStats, RuntimeOutcome,
+    ShardOutcome,
 };
 
 /// The one-line import for simulation experiments: the simulation types,
 /// run configuration, and the probe machinery they plug into.
 pub mod prelude {
-    pub use crate::engine::{SimConfig, SimOutcome, Simulation};
+    pub use crate::engine::{SimConfig, Simulation};
     pub use crate::options::{RunOptions, SchedulerChoice};
     pub use vizsched_metrics::{CollectingProbe, JsonlProbe, NoopProbe, Probe, TraceEvent};
-    pub use vizsched_runtime::{FaultKind, FaultPlan};
+    pub use vizsched_runtime::{FaultKind, FaultPlan, RuntimeOutcome};
 }

@@ -53,9 +53,6 @@ pub struct SimNode {
     pub queue: VecDeque<Assignment>,
     /// The task executing right now, if any.
     pub running: Option<RunningTask>,
-    /// Sum of `predicted_exec` over `queue` — the head node's corrected
-    /// estimate of this node's backlog.
-    pub predicted_backlog: SimDuration,
     /// Crash generation: incremented on every crash so stale completion
     /// events can be discarded.
     pub generation: u32,
@@ -67,8 +64,6 @@ pub struct SimNode {
     pub misses: u64,
     /// Hits that were already GPU-resident (two-tier extension).
     pub gpu_hits: u64,
-    /// Total busy time (for utilization accounting).
-    pub busy: SimDuration,
     /// Seed folded into the per-task jitter hash (see
     /// [`RunOptions::seed`](crate::RunOptions::seed)); zero reproduces the
     /// unseeded stream.
@@ -109,13 +104,11 @@ impl SimNode {
             disk_scale,
             queue: VecDeque::new(),
             running: None,
-            predicted_backlog: SimDuration::ZERO,
             generation: 0,
             crashed: false,
             hits: 0,
             misses: 0,
             gpu_hits: 0,
-            busy: SimDuration::ZERO,
             jitter_seed: 0,
             slow_pm: 1000,
         }
@@ -129,7 +122,6 @@ impl SimNode {
 
     /// Accept an assignment at the back of the FIFO queue.
     pub fn enqueue(&mut self, assignment: Assignment) {
-        self.predicted_backlog += assignment.predicted_exec;
         self.queue.push_back(assignment);
     }
 
@@ -159,9 +151,6 @@ impl SimNode {
             return None;
         }
         let assignment = self.queue.pop_front()?;
-        self.predicted_backlog = self
-            .predicted_backlog
-            .saturating_sub(assignment.predicted_exec);
 
         let chunk = assignment.task.chunk;
         let bytes = assignment.task.bytes;
@@ -206,7 +195,6 @@ impl SimNode {
         if self.slow_pm != 1000 {
             exec = exec.mul_f64(self.slow_pm as f64 / 1000.0);
         }
-        self.busy += exec;
         let finish = now + exec;
         self.running = Some(RunningTask {
             assignment,
@@ -227,21 +215,16 @@ impl SimNode {
         self.running.take().expect("complete() called while idle")
     }
 
-    /// Crash: drop memory and return every task that was queued or running
-    /// so the engine can re-place it. Bumps the generation so in-flight
-    /// `TaskDone` events become stale.
-    pub fn crash(&mut self) -> Vec<Assignment> {
+    /// Crash: drop memory and every task that was queued or running (the
+    /// runtime re-places them from its own ledger). Bumps the generation
+    /// so in-flight `TaskDone` events become stale.
+    pub fn crash(&mut self) {
         self.crashed = true;
         self.generation += 1;
         // Rebuild an empty cache: a rebooted node starts cold.
         self.memory.clear();
-        let mut lost: Vec<Assignment> = Vec::with_capacity(self.queue.len() + 1);
-        if let Some(running) = self.running.take() {
-            lost.push(running.assignment);
-        }
-        lost.extend(self.queue.drain(..));
-        self.predicted_backlog = SimDuration::ZERO;
-        lost
+        self.running = None;
+        self.queue.clear();
     }
 
     /// Rejoin after a crash.
@@ -331,7 +314,6 @@ mod tests {
         let mut n = node();
         n.enqueue(assignment(1, 0, MIB));
         n.enqueue(assignment(2, 1, MIB));
-        assert_eq!(n.predicted_backlog, SimDuration::from_millis(20));
         let first = n
             .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
             .unwrap()
@@ -339,7 +321,6 @@ mod tests {
             .task
             .job;
         assert_eq!(first, JobId(1));
-        assert_eq!(n.predicted_backlog, SimDuration::from_millis(10));
         let fin = n.complete().finish;
         let second = n
             .start_next(fin, &cost, 0.0, 1.0)
@@ -436,12 +417,11 @@ mod tests {
         n.enqueue(assignment(1, 0, MIB));
         n.enqueue(assignment(2, 1, MIB));
         n.start_next(SimTime::ZERO, &cost, 0.0, 1.0);
-        let lost = n.crash();
-        assert_eq!(lost.len(), 2);
+        n.crash();
+        assert!(n.running.is_none() && n.queue.is_empty());
         assert!(n.crashed);
         assert!(n.memory.host().is_empty());
         assert_eq!(n.generation, 1);
-        assert_eq!(n.predicted_backlog, SimDuration::ZERO);
         // A crashed node refuses to start work until it recovers.
         n.enqueue(assignment(3, 2, MIB));
         assert!(n

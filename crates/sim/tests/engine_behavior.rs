@@ -476,16 +476,15 @@ fn node_stats_reflect_load_balance() {
         .map(|i| interactive(i, 0, 0, SimTime::from_millis(30 * i)))
         .collect();
     let outcome = sim.run_opts(jobs, RunOptions::new(SchedulerKind::Ours).label("balance"));
-    assert_eq!(outcome.node_stats.len(), 4);
-    let total: u64 = outcome.node_stats.iter().map(|s| s.tasks).sum();
+    assert_eq!(outcome.per_node.len(), 4);
+    let total: u64 = outcome.per_node.iter().map(|s| s.tasks).sum();
     assert_eq!(
         total,
         outcome.record.cache_hits + outcome.record.cache_misses
     );
-    for s in &outcome.node_stats {
-        assert!(s.utilization >= 0.0 && s.utilization <= 1.0);
+    for s in &outcome.per_node {
         assert_eq!(s.tasks, s.hits + s.misses);
     }
     // One dataset over four nodes: every node carries work.
-    assert!(outcome.node_stats.iter().all(|s| s.tasks > 0));
+    assert!(outcome.per_node.iter().all(|s| s.tasks > 0));
 }

@@ -112,12 +112,18 @@ fn main() {
     println!("batch animation: {batch_done} frames rendered");
 
     let stats = service.drain_and_shutdown();
+    let latencies: Vec<_> = stats
+        .record
+        .jobs
+        .iter()
+        .filter_map(|j| j.timing.latency())
+        .collect();
     println!(
         "service stats: {} jobs, {} hits / {} misses, mean latency {:.1} ms",
         stats.jobs_completed,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.mean_latency_secs * 1e3,
+        stats.record.cache_hits,
+        stats.record.cache_misses,
+        vizsched_metrics::Summary::of_durations(&latencies).mean * 1e3,
     );
     // The live run reports through the same metrics pipeline as the
     // simulator.

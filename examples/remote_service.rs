@@ -85,7 +85,7 @@ fn main() {
     let stats = service.drain_and_shutdown();
     println!(
         "served {} jobs; {} hits / {} misses",
-        stats.jobs_completed, stats.cache_hits, stats.cache_misses
+        stats.jobs_completed, stats.record.cache_hits, stats.record.cache_misses
     );
     std::fs::remove_dir_all(&root).ok();
 }

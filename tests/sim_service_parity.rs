@@ -127,7 +127,7 @@ fn assert_strict_parity(kind: SchedulerKind) {
             sim_outcome.record.cache_hits,
             sim_outcome.record.cache_misses
         ),
-        (stats.cache_hits, stats.cache_misses),
+        (stats.record.cache_hits, stats.record.cache_misses),
         "{name}: aggregate hit/miss counters differ"
     );
 }
