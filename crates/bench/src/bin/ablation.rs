@@ -12,6 +12,7 @@
 //! ```
 
 use vizsched_bench::experiments::simulation_for;
+use vizsched_bench::harness::Cli;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{OursParams, OursScheduler};
 use vizsched_core::time::SimDuration;
@@ -20,13 +21,7 @@ use vizsched_sim::RunOptions;
 use vizsched_workload::Scenario;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let length: u64 = args
-        .iter()
-        .position(|a| a == "--length")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
+    let length: u64 = Cli::parse().number("--length", 30, 30);
     let base = Scenario::table2(2).shortened(SimDuration::from_secs(length));
     let jobs = base.jobs();
 

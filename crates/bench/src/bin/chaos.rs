@@ -10,13 +10,13 @@
 //!   outage, under a mixed interactive/batch stream, once per registry
 //!   policy (all nine). The invariant is *zero admitted-job loss*: every
 //!   admitted job completes (`incomplete == 0`) and nothing is shed
-//!   (`frames_lost == 0`). A violation fails the run immediately — no
-//!   `--check` needed.
+//!   (`frames_lost == 0`). A violation fails every run — no `--check`
+//!   needed.
 //! - **shard-loss** — a two-shard deployment loses one shard head
 //!   mid-run under a dense interactive stream. The orphaned jobs are
 //!   re-admitted on the survivor exactly once and the *interactive MTTR*
 //!   (injection to the first interactive completion after it) must stay
-//!   under [`INTERACTIVE_MTTR_BOUND_MS`].
+//!   under [`INTERACTIVE_MTTR_BOUND_MS`], also on every run.
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin chaos                          # print table
@@ -25,15 +25,14 @@
 //!     --check BENCH_chaos.json                                               # CI gate
 //! ```
 //!
-//! `--check <path>` gates two headline numbers against the committed
-//! report: admitted-job loss must be exactly zero (hard, no tolerance),
-//! and each MTTR headline must not exceed the committed value by more
-//! than [`TOLERANCE`]. The simulator runs on a virtual clock, so fresh
-//! numbers are deterministic — the tolerance only absorbs intentional
-//! cost-model retuning, not machine noise.
+//! `--check <path>` adds two relative gates: each MTTR headline must not
+//! exceed the committed value by more than [`TOLERANCE`]. The simulator
+//! runs on a virtual clock, so fresh numbers are deterministic — the
+//! tolerance only absorbs intentional cost-model retuning, not machine
+//! noise.
 
 use std::sync::Arc;
-use vizsched_bench::harness::{conclude, gate_ceiling, Cli};
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::uniform_datasets;
@@ -142,18 +141,6 @@ fn ms(d: SimDuration) -> f64 {
     d.as_micros() as f64 / 1000.0
 }
 
-/// Hard invariant for every chaos row: every admitted job completed and
-/// nothing was shed. Violations fail the binary outright.
-fn enforce_zero_loss(scenario: &str, row: &ScenarioRow) {
-    if row.incomplete != 0 || row.report.frames_lost != 0 {
-        eprintln!(
-            "chaos: {scenario}/{}: admitted-job loss ({} incomplete, {} frames lost)",
-            row.policy, row.incomplete, row.report.frames_lost
-        );
-        std::process::exit(1);
-    }
-}
-
 fn run_node_faults(quick: bool) -> Vec<ScenarioRow> {
     let sim = sim();
     let jobs = mixed_stream(if quick { 100 } else { 200 }, 150);
@@ -178,7 +165,6 @@ fn run_node_faults(quick: bool) -> Vec<ScenarioRow> {
             incomplete: outcome.incomplete_jobs,
             report: recovery_report(&probe.events()),
         };
-        enforce_zero_loss("node-faults", &row);
         rows.push(row);
     }
     rows
@@ -196,22 +182,12 @@ fn run_shard_loss(quick: bool) -> ScenarioRow {
             .shards(2)
             .fault_plan(FaultPlan::new().shard_crash_at(at(10), ShardId(0))),
     );
-    let row = ScenarioRow {
+    ScenarioRow {
         policy: SchedulerKind::Ours.name(),
         jobs: jobs.len(),
         incomplete: outcome.incomplete_jobs,
         report: recovery_report(&probe.events()),
-    };
-    enforce_zero_loss("shard-loss", &row);
-    let mttr = ms(row.report.max_interactive_mttr);
-    if mttr > INTERACTIVE_MTTR_BOUND_MS as f64 {
-        eprintln!(
-            "chaos: shard-loss interactive MTTR {mttr:.1} ms exceeds the \
-             {INTERACTIVE_MTTR_BOUND_MS} ms SLO"
-        );
-        std::process::exit(1);
     }
-    row
 }
 
 fn row_json(row: &ScenarioRow) -> Json {
@@ -307,13 +283,6 @@ fn print_table(node_faults: &[ScenarioRow], shard_loss: &ScenarioRow) {
     );
 }
 
-fn headline(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get("summary")
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("report missing 'summary.{key}'"))
-}
-
 fn main() {
     let cli = Cli::parse();
 
@@ -324,23 +293,31 @@ fn main() {
     let doc = to_json(&node_faults, &shard_loss);
     cli.write_json(&doc);
 
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    println!("\n== regression check vs {} ==", baseline.path);
-    // Loss is gated with no tolerance: the committed report says zero, and
-    // zero it stays.
-    let fresh_loss = headline(&doc, "admitted_job_loss").expect("fresh report has loss");
-    if fresh_loss != 0.0 {
-        eprintln!("chaos: admitted-job loss is {fresh_loss}, expected exactly 0");
-        std::process::exit(1);
-    }
-    println!("  admitted_job_loss: 0 -> OK");
-    let mut ok = true;
-    for key in ["max_node_fault_mttr_ms", "max_interactive_mttr_ms"] {
-        let base = headline(&baseline.doc, key).expect("baseline headline");
-        let fresh = headline(&doc, key).expect("fresh headline");
-        ok &= gate_ceiling(key, fresh, base, base * TOLERANCE);
-    }
-    conclude(ok, "chaos: recovery MTTR regression beyond tolerance");
+    cli.check(
+        &doc,
+        &[
+            // Absolute, on every run: zero admitted-job loss, and the
+            // shard-loss recovery SLO.
+            Gate::ceiling("admitted_job_loss", summary("admitted_job_loss"), 0.0, 0.0),
+            Gate::ceiling(
+                "interactive MTTR SLO (ms)",
+                summary("max_interactive_mttr_ms"),
+                0.0,
+                INTERACTIVE_MTTR_BOUND_MS as f64,
+            ),
+            Gate::ceiling(
+                "max_node_fault_mttr_ms",
+                summary("max_node_fault_mttr_ms"),
+                TOLERANCE,
+                0.0,
+            ),
+            Gate::ceiling(
+                "max_interactive_mttr_ms",
+                summary("max_interactive_mttr_ms"),
+                TOLERANCE,
+                0.0,
+            ),
+        ],
+        "chaos: admitted-job loss, a broken recovery SLO, or an MTTR regression beyond tolerance",
+    );
 }

@@ -13,13 +13,14 @@
 //! ```
 
 use std::time::Instant;
+use vizsched_bench::harness::Cli;
 use vizsched_compositing::{composite, CompositeAlgo};
 use vizsched_render::raycast::render_brick;
 use vizsched_render::{Camera, RenderSettings, TransferFunction};
 use vizsched_volume::{split_z, Field, Volume};
 
 fn main() {
-    let bigger = std::env::args().any(|a| a == "--full-ish");
+    let bigger = Cli::parse().flag("--full-ish");
     let scale = if bigger { 2 } else { 1 };
 
     // Paper grids scaled by 1/4 (or 1/2 with --full-ish), aspect preserved.

@@ -18,6 +18,7 @@
 //! µs/cycle) so plots and regression diffs don't scrape the table.
 
 use vizsched_bench::experiments::simulation_for;
+use vizsched_bench::harness::Cli;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
@@ -27,20 +28,9 @@ use vizsched_workload::Scenario;
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let length: u64 = arg_value("--length")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let nodes: usize = arg_value("--nodes")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let json_path = arg_value("--json");
+    let cli = Cli::parse();
+    let length: u64 = cli.number("--length", 20, 20);
+    let nodes: usize = cli.number("--nodes", 32, 32);
 
     println!(
         "== Fig. 8: scheduling cost vs. simultaneous user actions ==\n\
@@ -97,7 +87,7 @@ fn main() {
          each cycle; the per-arrival policies stay flat."
     );
 
-    if let Some(path) = json_path {
+    if let Some(path) = &cli.json {
         let doc = obj([
             ("schema", Json::Str("vizsched-bench/fig8_actions/v1".into())),
             (
@@ -111,7 +101,7 @@ fn main() {
             ),
             ("points", Json::Arr(points)),
         ]);
-        std::fs::write(&path, doc.pretty()).expect("write json output");
+        std::fs::write(path, doc.pretty()).expect("write json output");
         println!("(wrote {path})");
     }
 }

@@ -12,6 +12,7 @@
 //! ```
 
 use vizsched_bench::experiments::simulation_for;
+use vizsched_bench::harness::Cli;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
@@ -21,13 +22,7 @@ use vizsched_workload::Scenario;
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let length: u64 = args
-        .iter()
-        .position(|a| a == "--length")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
+    let length: u64 = Cli::parse().number("--length", 30, 30);
 
     println!(
         "== Fig. 9: scheduling cost / frame rate / latency vs. datasets in use ==\n\

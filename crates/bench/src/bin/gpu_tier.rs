@@ -12,6 +12,7 @@
 //! cargo run --release -p vizsched-bench --bin gpu_tier [-- --length 20]
 //! ```
 
+use vizsched_bench::harness::Cli;
 use vizsched_core::sched::{OursParams, OursScheduler};
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
@@ -22,13 +23,7 @@ const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let length: u64 = args
-        .iter()
-        .position(|a| a == "--length")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let length: u64 = Cli::parse().number("--length", 20, 20);
 
     // 8 nodes, 6 x 2 GiB datasets, 12 concurrent actions: hot chunks end up
     // replicated across several nodes' main memories, so *which* replica a

@@ -40,7 +40,7 @@
 use vizsched_bench::experiments::{
     cell_starvation_and_imbalance, overload_policy_for, overload_scenario, run_overload,
 };
-use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
@@ -212,20 +212,6 @@ fn print_table(cells: &[Cell]) {
     );
 }
 
-/// Read the headline gains out of a baseline document.
-fn baseline_gains(doc: &Json) -> Result<(f64, f64), String> {
-    let get = |key: &str| {
-        doc.get("summary")
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline missing 'summary.{key}'"))
-    };
-    Ok((
-        get("mobj_starvation_gain_4x_2shards")?,
-        get("mobj_imbalance_gain_4x_2shards")?,
-    ))
-}
-
 fn main() {
     let cli = Cli::parse();
 
@@ -239,26 +225,22 @@ fn main() {
     let doc = to_json(&cells, cli.quick);
     cli.write_json(&doc);
 
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    let base = baseline_gains(&baseline.doc).expect("baseline has headline gains");
-    let fresh = baseline_gains(&doc).expect("fresh document has headline gains");
-
-    println!(
-        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed, floor 1.0) ==",
-        baseline.path
-    );
-    let mut ok = true;
-    for (axis, base, fresh) in [
-        ("starvation gain", base.0, fresh.0),
-        ("imbalance gain", base.1, fresh.1),
-    ] {
-        let label = format!("MOBJ 4x/2-shard {axis}");
-        ok &= gate_floor(&label, fresh, base, (base * TOLERANCE).max(1.0));
-    }
-    conclude(
-        ok,
+    cli.check(
+        &doc,
+        &[
+            Gate::floor(
+                "MOBJ 4x/2-shard starvation gain",
+                summary("mobj_starvation_gain_4x_2shards"),
+                TOLERANCE,
+                1.0,
+            ),
+            Gate::floor(
+                "MOBJ 4x/2-shard imbalance gain",
+                summary("mobj_imbalance_gain_4x_2shards"),
+                TOLERANCE,
+                1.0,
+            ),
+        ],
         "policy_matrix: policy-family gain regression beyond tolerance",
     );
 }

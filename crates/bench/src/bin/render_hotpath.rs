@@ -29,7 +29,7 @@
 //! ms per brick render over all passes (default 5, `--quick` 2).
 
 use std::time::Instant;
-use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_metrics::json::{obj, Json};
 use vizsched_render::raycast::{render, render_brick, BrickSampler};
 use vizsched_render::{skip, Camera, RenderSettings, RgbaImage, TransferFunction};
@@ -139,7 +139,7 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
     (sum / n as f64).exp()
 }
 
-fn to_json(cells: &[Cell], passes: usize) -> Json {
+fn to_json(cells: &[Cell], passes: usize, speedup: f64) -> Json {
     obj([
         (
             "schema",
@@ -174,21 +174,8 @@ fn to_json(cells: &[Cell], passes: usize) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "summary",
-            obj([(
-                "geomean_speedup",
-                Json::num(geomean(cells.iter().map(|c| c.ref_ms / c.opt_ms))),
-            )]),
-        ),
+        ("summary", obj([("geomean_speedup", Json::num(speedup))])),
     ])
-}
-
-fn geomean_of(doc: &Json) -> f64 {
-    doc.get("summary")
-        .and_then(|s| s.get("geomean_speedup"))
-        .and_then(Json::as_f64)
-        .expect("document has summary.geomean_speedup")
 }
 
 fn main() {
@@ -218,18 +205,18 @@ fn main() {
             c.grid_build_ms
         );
     }
-    let doc = to_json(&cells, passes);
-    println!("\ngeomean speedup: {:.2}x", geomean_of(&doc));
+    let speedup = geomean(cells.iter().map(|c| c.ref_ms / c.opt_ms));
+    println!("\ngeomean speedup: {speedup:.2}x");
+    let doc = to_json(&cells, passes, speedup);
     cli.write_json(&doc);
-
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    println!(
-        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
-        baseline.path
+    cli.check(
+        &doc,
+        &[Gate::floor(
+            "geomean speedup",
+            summary("geomean_speedup"),
+            TOLERANCE,
+            0.0,
+        )],
+        "render_hotpath: speedup regression beyond tolerance",
     );
-    let base = geomean_of(&baseline.doc);
-    let ok = gate_floor("geomean speedup", geomean_of(&doc), base, base * TOLERANCE);
-    conclude(ok, "render_hotpath: speedup regression beyond tolerance");
 }

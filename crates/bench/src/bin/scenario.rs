@@ -42,9 +42,9 @@
 //! `--replay <path>` does the reverse: parse a scenario record (any
 //! failure prints a line-numbered error and exits with status 2), rebuild
 //! the recorded cluster/catalog/request stream and fault plan, and re-run
-//! it in the simulator. The scenario-number argument is ignored; the policy
-//! defaults to the recorded one, `--policy` overrides it; `--trace <path>`
-//! writes the replay's event stream. A policy name
+//! it in the simulator at the recorded ω. The scenario-number argument is
+//! ignored; the policy defaults to the recorded one, `--policy` overrides
+//! it; `--trace <path>` writes the replay's event stream. A policy name
 //! this build does not register — recorded or passed — also exits 2.
 //!
 //! `--overload` replaces the scheduler comparison with the overload sweep
@@ -64,12 +64,12 @@
 //!     1 --overload --json results/overload_report.json
 //! ```
 
-use std::env;
 use std::sync::Arc;
 use vizsched_bench::experiments::{
     cell_starvation_and_imbalance, overload_policy_for, overload_scenario, run_overload,
     run_scenario, simulation_for, OverloadReport, ScenarioResults, OVERLOAD_FACTORS,
 };
+use vizsched_bench::harness::Cli;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
@@ -89,27 +89,16 @@ use vizsched_workload::{RecordHeader, RecordingProbe, Scenario, ScenarioRecord};
 const OVERLOAD_SHARDS: usize = 2;
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let which = args.first().map(String::as_str).unwrap_or("1");
-    // The value following `flag` on the command line, if both are there.
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let short: Option<u64> = value_of("--short").and_then(|s| s.parse().ok());
+    let cli = Cli::parse();
+    let which = cli.positional().unwrap_or("1");
+    let short: Option<u64> = cli.value("--short").and_then(|s| s.parse().ok());
+    let trace_path = cli.value("--trace");
+    let policy_arg = cli
+        .value("--policy")
+        .map(|name| policy_or_exit(name, "--policy"));
 
-    let timeline = args.iter().any(|a| a == "--timeline");
-    let csv_path = value_of("--csv");
-    let trace_path = value_of("--trace");
-    let json_path = value_of("--json");
-    let policy_arg = value_of("--policy").map(|name| policy_or_exit(&name, "--policy"));
-    let record_path = value_of("--record");
-    let replay_path = value_of("--replay");
-
-    if let Some(path) = replay_path {
-        replay_record(&path, policy_arg, trace_path.as_deref());
+    if let Some(path) = cli.value("--replay") {
+        replay_record(path, policy_arg, trace_path);
         return;
     }
 
@@ -119,17 +108,17 @@ fn main() {
         n => vec![n.parse().expect("scenario number 1-4 or 'all'")],
     };
 
-    if let Some(path) = record_path {
+    if let Some(path) = cli.value("--record") {
         let mut scenario = Scenario::table2(numbers[0]);
         if let Some(secs) = short {
             scenario = scenario.shortened(SimDuration::from_secs(secs));
         }
         banner(&scenario);
-        record_scenario(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), &path);
+        record_scenario(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
         return;
     }
 
-    if args.iter().any(|a| a == "--overload") {
+    if cli.flag("--overload") {
         let mut scenario = overload_scenario();
         if let Some(secs) = short {
             scenario = scenario.shortened(SimDuration::from_secs(secs));
@@ -152,12 +141,12 @@ fn main() {
             print_overload(&report);
             sweeps.push(overload_json(&scenario.label, &report));
         }
-        if let Some(path) = json_path {
+        if let Some(path) = &cli.json {
             let doc = obj([
                 ("schema", Json::Str("vizsched-bench/overload/v1".into())),
                 ("sweeps", Json::Arr(sweeps)),
             ]);
-            std::fs::write(&path, doc.pretty()).expect("write json");
+            std::fs::write(path, doc.pretty()).expect("write json");
             println!("(wrote overload sweeps to {path})");
         }
         return;
@@ -177,7 +166,7 @@ fn main() {
         let results = run_scenario(&scenario, &schedulers);
         println!("{}", format_comparison(&results.reports));
         println!("{}", format_figure(&results.reports, scenario.target_fps));
-        if timeline {
+        if cli.flag("--timeline") {
             let sim = simulation_for(&scenario);
             let outcome = sim.run_opts(
                 scenario.jobs(),
@@ -188,13 +177,13 @@ fn main() {
                 Timeline::of(&outcome.record, SimDuration::from_secs(10)).format()
             );
         }
-        if let Some(path) = &trace_path {
+        if let Some(path) = trace_path {
             trace_policy(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
         }
         table3.push((scenario.label.clone(), results));
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &cli.json {
         let rows: Vec<Json> = table3
             .iter()
             .flat_map(|(_, r)| r.reports.iter())
@@ -204,19 +193,19 @@ fn main() {
             ("schema", Json::Str("vizsched-bench/scenario/v1".into())),
             ("reports", Json::Arr(rows)),
         ]);
-        std::fs::write(&path, doc.pretty()).expect("write json");
+        std::fs::write(path, doc.pretty()).expect("write json");
         println!(
             "(wrote {} report rows to {path})",
             table3.iter().map(|(_, r)| r.reports.len()).sum::<usize>()
         );
     }
 
-    if let Some(path) = csv_path {
+    if let Some(path) = cli.value("--csv") {
         let all: Vec<_> = table3
             .iter()
             .flat_map(|(_, r)| r.reports.iter().cloned())
             .collect();
-        std::fs::write(&path, reports_to_csv(&all)).expect("write csv");
+        std::fs::write(path, reports_to_csv(&all)).expect("write csv");
         println!("(wrote {} report rows to {path})", all.len());
     }
 
@@ -375,10 +364,11 @@ fn policy_or_exit(name: &str, origin: &str) -> SchedulerKind {
 }
 
 /// Parse a scenario record, rebuild the captured cluster, catalog,
-/// request stream and fault plan, and re-run it in the simulator (one
-/// shard: the header records no shard count). A file that does not
-/// parse is an operator error, not a bug: print the line-numbered
-/// message and exit with status 2 instead of panicking.
+/// request stream and fault plan, and re-run it in the simulator at the
+/// recorded cycle period ω (one shard: the header records no shard
+/// count). A file that does not parse is an operator error, not a bug:
+/// print the line-numbered message and exit with status 2 instead of
+/// panicking.
 fn replay_record(path: &str, policy_arg: Option<SchedulerKind>, trace_path: Option<&str>) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -402,7 +392,10 @@ fn replay_record(path: &str, policy_arg: Option<SchedulerKind>, trace_path: Opti
         eprintln!("scenario: {path}: {e}");
         std::process::exit(2);
     }
-    let sim = simulation_for(&scenario);
+    // The record pins ω; `simulation_for` fixes the other settings.
+    let mut config = simulation_for(&scenario).config().clone();
+    config.cycle = record.header.cycle;
+    let sim = Simulation::new(config, scenario.datasets());
     let mut opts = RunOptions::new(kind)
         .label(&scenario.label)
         .catalog(scenario.catalog())

@@ -28,7 +28,7 @@
 //! over all samples (default 30, `--quick` 8).
 
 use std::time::Instant;
-use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -311,18 +311,6 @@ fn print_table(cells: &[Cell]) {
     }
 }
 
-/// Read the per-policy geomean speedups out of a baseline document.
-fn baseline_geomeans(doc: &Json) -> Result<(f64, f64), String> {
-    let summary = doc.get("summary").ok_or("baseline missing 'summary'")?;
-    let get = |key: &str| {
-        summary
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline missing 'summary.{key}'"))
-    };
-    Ok((get("geomean_speedup_ours")?, get("geomean_speedup_fcfsl")?))
-}
-
 fn main() {
     let cli = Cli::parse();
     let samples: usize = cli.number("--samples", 8, 30);
@@ -332,26 +320,22 @@ fn main() {
     print_table(&cells);
     let doc = to_json(&cells, samples);
     cli.write_json(&doc);
-
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    let (base_ours, base_fcfsl) =
-        baseline_geomeans(&baseline.doc).expect("baseline has summary geomeans");
-    let (fresh_ours, fresh_fcfsl) =
-        baseline_geomeans(&doc).expect("fresh document has summary geomeans");
-
-    println!(
-        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
-        baseline.path
+    cli.check(
+        &doc,
+        &[
+            Gate::floor(
+                "OURS   geomean speedup",
+                summary("geomean_speedup_ours"),
+                TOLERANCE,
+                0.0,
+            ),
+            Gate::floor(
+                "FCFSL  geomean speedup",
+                summary("geomean_speedup_fcfsl"),
+                TOLERANCE,
+                0.0,
+            ),
+        ],
+        "sched_hotpath: speedup regression beyond tolerance",
     );
-    let mut ok = true;
-    for (policy, fresh, base) in [
-        ("OURS", fresh_ours, base_ours),
-        ("FCFSL", fresh_fcfsl, base_fcfsl),
-    ] {
-        let label = format!("{policy:-6} geomean speedup");
-        ok &= gate_floor(&label, fresh, base, base * TOLERANCE);
-    }
-    conclude(ok, "sched_hotpath: speedup regression beyond tolerance");
 }

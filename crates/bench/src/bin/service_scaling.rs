@@ -25,10 +25,11 @@
 //!
 //! `--check <path>` gates the largest grid point {1024 conns, 30 fps}: the
 //! run **fails** (exit 1) if its fresh p99 regresses more than 25 % over
-//! the committed baseline, or if the plane no longer sustains the full
-//! 1024-connection grid point (a dead connection, or under 99 % of
-//! connections served). The gate is absolute microseconds: the plane has
-//! no second implementation to take a ratio against.
+//! the committed baseline. The gate is absolute microseconds: the plane
+//! has no second implementation to take a ratio against. Every run, with
+//! or without `--check`, also fails if the plane no longer sustains the
+//! full 1024-connection grid point (a dead connection, or under 99 % of
+//! connections served).
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -36,11 +37,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polling::{Events, Interest, Poller, Token};
-use vizsched_bench::harness::Cli;
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
 use vizsched_core::job::{FrameParams, JobKind};
 use vizsched_core::time::SimDuration;
-use vizsched_metrics::json::{fmt_f64, obj, Json};
+use vizsched_metrics::json::{obj, Json};
 use vizsched_render::RgbaImage;
 use vizsched_service::codec::TryRead;
 use vizsched_service::{
@@ -423,20 +424,6 @@ fn print_table(cells: &[Cell]) {
     }
 }
 
-/// Pull the gate inputs out of a baseline document.
-fn summary_metrics(doc: &Json) -> Result<(f64, bool), String> {
-    let summary = doc.get("summary").ok_or("baseline missing 'summary'")?;
-    let p99 = summary
-        .get("p99_largest_us")
-        .and_then(Json::as_f64)
-        .ok_or("baseline missing 'summary.p99_largest_us'")?;
-    let sustained = summary
-        .get("sustained_largest")
-        .and_then(Json::as_bool)
-        .ok_or("baseline missing 'summary.sustained_largest'")?;
-    Ok((p99, sustained))
-}
-
 fn main() {
     let cli = Cli::parse();
     let quick = cli.quick;
@@ -454,37 +441,23 @@ fn main() {
     let doc = to_json(&cells, warmup, measure);
     cli.write_json(&doc);
 
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    let (base_p99, base_sustained) =
-        summary_metrics(&baseline.doc).expect("baseline has summary metrics");
-    let (fresh_p99, fresh_sustained) =
-        summary_metrics(&doc).expect("fresh document has summary metrics");
-
-    println!(
-        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
-        baseline.path
+    cli.check(
+        &doc,
+        &[
+            Gate::ceiling(
+                "largest-point p99 us",
+                summary("p99_largest_us"),
+                TOLERANCE,
+                0.0,
+            ),
+            // Absolute: the largest grid point must still be sustained.
+            Gate::floor(
+                "largest grid point sustained",
+                summary("sustained_largest"),
+                0.0,
+                1.0,
+            ),
+        ],
+        "service_scaling: p99 regression or the largest grid point no longer sustained",
     );
-    let ceiling = base_p99 * TOLERANCE;
-    println!(
-        "  largest-point p99: fresh {} us vs committed {} us (ceiling {})",
-        fmt_f64(fresh_p99),
-        fmt_f64(base_p99),
-        fmt_f64(ceiling),
-    );
-    println!(
-        "  largest grid point sustained: fresh {fresh_sustained} vs committed {base_sustained}"
-    );
-    // Two independent gates, each with its own failure line.
-    if fresh_p99 > ceiling {
-        eprintln!("service_scaling: p99 regression at the largest grid point beyond tolerance");
-    }
-    if !fresh_sustained {
-        eprintln!("service_scaling: the plane no longer sustains the largest grid point");
-    }
-    if fresh_p99 > ceiling || !fresh_sustained {
-        std::process::exit(1);
-    }
-    println!("  no regression");
 }

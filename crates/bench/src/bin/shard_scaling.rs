@@ -42,7 +42,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use vizsched_bench::harness::{conclude, gate_floor, Cli};
+use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -347,14 +347,6 @@ fn print_table(cells: &[Cell]) {
     }
 }
 
-/// Read the headline speedup out of a baseline document.
-fn baseline_headline(doc: &Json) -> Result<f64, String> {
-    doc.get("summary")
-        .and_then(|s| s.get("speedup_16_shards_1024_nodes"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "baseline missing 'summary.speedup_16_shards_1024_nodes'".into())
-}
-
 fn main() {
     let cli = Cli::parse();
     let samples: usize = cli.number("--samples", 3, 7);
@@ -365,24 +357,14 @@ fn main() {
     let doc = to_json(&cells, samples);
     cli.write_json(&doc);
 
-    let Some(baseline) = cli.baseline() else {
-        return;
-    };
-    let base = baseline_headline(&baseline.doc).expect("baseline has headline speedup");
-    let fresh = baseline_headline(&doc).expect("fresh document has headline speedup");
-
-    println!(
-        "\n== regression check vs {} (tolerance: {TOLERANCE}x committed) ==",
-        baseline.path
-    );
-    let ok = gate_floor(
-        "16 shards / 1024 nodes speedup",
-        fresh,
-        base,
-        base * TOLERANCE,
-    );
-    conclude(
-        ok,
+    cli.check(
+        &doc,
+        &[Gate::floor(
+            "16 shards / 1024 nodes speedup",
+            summary("speedup_16_shards_1024_nodes"),
+            TOLERANCE,
+            0.0,
+        )],
         "shard_scaling: sharded speedup regression beyond tolerance",
     );
 }

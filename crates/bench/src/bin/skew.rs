@@ -9,6 +9,7 @@
 //! ```
 
 use vizsched_bench::experiments::simulation_for;
+use vizsched_bench::harness::Cli;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
@@ -18,13 +19,7 @@ use vizsched_workload::{DatasetChoice, Scenario};
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let length: u64 = args
-        .iter()
-        .position(|a| a == "--length")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let length: u64 = Cli::parse().number("--length", 20, 20);
 
     println!(
         "== Dataset-popularity skew (Zipf) sweep: 8 nodes, 12 x 2 GiB datasets \

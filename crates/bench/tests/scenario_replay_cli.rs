@@ -1,23 +1,25 @@
 //! `scenario` on bad outside input — a record whose fault line targets a
 //! shard the recorded cluster cannot have, whose faults down every node,
-//! or whose JSON nests without end; a record or a `--policy` flag naming
-//! a policy this build does not register: exit code 2 and a message
-//! naming the offender on stderr, never a panic or an abort.
+//! whose JSON nests without end, or whose values the simulator cannot run
+//! (an unknown dataset, a zero disk scale, bandwidth or cycle); a record
+//! or a `--policy` flag naming a policy this build does not register:
+//! exit code 2 and a message naming the offender on stderr, never a panic
+//! or an abort. And a replay runs at the recorded cycle period ω.
 
 use std::process::Command;
 use vizsched_core::prelude::*;
 use vizsched_workload::{RecordHeader, ScenarioRecord};
 
-/// A well-formed, correctly fingerprinted, request-free record of a
-/// two-node cluster whose header names `policy`.
-fn empty_record(label: &str, policy: &str) -> String {
+/// A correctly fingerprinted header of a two-node cluster whose header
+/// names `policy`.
+fn header(label: &str, policy: &str) -> RecordHeader {
     let catalog = Catalog::new(
         uniform_datasets(2, 64 << 20),
         DecompositionPolicy::MaxChunkSize {
             max_bytes: 32 << 20,
         },
     );
-    let header = RecordHeader::new(
+    RecordHeader::new(
         label,
         1,
         policy,
@@ -25,8 +27,35 @@ fn empty_record(label: &str, policy: &str) -> String {
         CostParams::default(),
         ClusterSpec::homogeneous(2, 128 << 20),
         &catalog,
-    );
-    ScenarioRecord::from_jobs(header, &[]).to_jsonl()
+    )
+}
+
+/// A well-formed, correctly fingerprinted, request-free record of a
+/// two-node cluster whose header names `policy`.
+fn empty_record(label: &str, policy: &str) -> String {
+    ScenarioRecord::from_jobs(header(label, policy), &[]).to_jsonl()
+}
+
+/// An interactive frame of user 0 on `dataset`, issued at `at_ms`.
+fn frame(id: u64, dataset: u32, at_ms: u64) -> Job {
+    Job {
+        id: JobId(id),
+        kind: JobKind::Interactive {
+            user: UserId(0),
+            action: ActionId(0),
+        },
+        dataset: DatasetId(dataset),
+        issue_time: SimTime::from_millis(at_ms),
+        frame: FrameParams::default(),
+    }
+}
+
+/// Write `record` (re-fingerprinted) to a scratch file named `name`.
+fn write_record(name: &str, header: RecordHeader, jobs: &[Job]) -> std::path::PathBuf {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, ScenarioRecord::from_jobs(header, jobs).to_jsonl())
+        .expect("write record");
+    path
 }
 
 /// Run `scenario` with `args`; it must exit 2. Returns its stderr.
@@ -104,4 +133,83 @@ fn a_mistyped_policy_flag_exits_2_naming_it() {
     assert!(stderr.contains("unknown policy 'OUR'"), "{stderr}");
     assert!(stderr.contains("MOBJ-A"), "lists the registry: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// Replay a one-frame record whose header was edited by `edit` (and
+/// re-fingerprinted); it must exit 2 naming line `line` and `what`.
+fn assert_refused(
+    name: &str,
+    edit: impl Fn(&mut RecordHeader),
+    jobs: &[Job],
+    line: usize,
+    what: &str,
+) {
+    let mut h = header(name, "OURS");
+    edit(&mut h);
+    let path = write_record(&format!("{name}.jsonl"), h, jobs);
+    let stderr = stderr_of_exit_2(&["--replay", path.to_str().expect("utf-8 path")]);
+    assert!(stderr.contains(&format!("line {line}")), "stderr: {stderr}");
+    assert!(stderr.contains(what), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn replaying_a_request_on_an_unknown_dataset_exits_2_with_its_line() {
+    // Header, the derived session line, then the request on line 3.
+    assert_refused("bad-dataset", |_| {}, &[frame(0, 99, 1)], 3, "dataset 99");
+}
+
+#[test]
+fn replaying_a_zero_disk_scale_exits_2_with_line_1() {
+    let zero_scale = |h: &mut RecordHeader| h.cluster.nodes[1].disk_scale = 0.0;
+    assert_refused("zero-scale", zero_scale, &[frame(0, 0, 1)], 1, "disk_scale");
+}
+
+#[test]
+fn replaying_a_zero_disk_bandwidth_exits_2_with_line_1() {
+    let zero_bw = |h: &mut RecordHeader| h.cost.disk_bw = 0;
+    assert_refused("zero-disk-bw", zero_bw, &[frame(0, 0, 1)], 1, "disk_bw");
+}
+
+#[test]
+fn replaying_a_zero_upload_bandwidth_exits_2_with_line_1() {
+    let zero_bw = |h: &mut RecordHeader| h.cost.upload_bw = 0;
+    assert_refused("zero-upload-bw", zero_bw, &[frame(0, 0, 1)], 1, "upload_bw");
+}
+
+#[test]
+fn replaying_a_zero_cycle_exits_2_with_line_1() {
+    let zero_cycle = |h: &mut RecordHeader| h.cycle = SimDuration::ZERO;
+    assert_refused("zero-cycle", zero_cycle, &[frame(0, 0, 1)], 1, "cycle_us");
+}
+
+#[test]
+fn a_replay_runs_at_the_recorded_cycle_period() {
+    let mut h = header("omega-10ms", "OURS");
+    h.cycle = SimDuration::from_millis(10);
+    // The first frame finds its nodes free and is scheduled at once; the
+    // second arrives while the first still renders, so it waits for the
+    // first ω tick: 10 ms on the recorded grid.
+    let path = write_record("omega-10ms.jsonl", h, &[frame(0, 0, 1), frame(1, 0, 2)]);
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("omega-10ms-trace.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+        .args(["--replay", path.to_str().expect("utf-8 path")])
+        .args(["--trace", trace.to_str().expect("utf-8 path")])
+        .output()
+        .expect("run scenario");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cycles: Vec<String> = std::fs::read_to_string(&trace)
+        .expect("read trace")
+        .lines()
+        .filter(|l| l.contains("\"t\":\"cycle_start\""))
+        .map(str::to_owned)
+        .collect();
+    assert!(
+        cycles.iter().any(|l| l.contains("\"now_us\":10000,")),
+        "no cycle at the first 10 ms tick: {cycles:?}"
+    );
 }

@@ -159,7 +159,7 @@ impl WorkloadSpec {
     /// submissions as distinct principals).
     pub fn generate(&self) -> Vec<Job> {
         assert!(self.dataset_count > 0, "need at least one dataset");
-        let mut proto: Vec<(SimTime, JobKind, DatasetId, FrameParams)> = Vec::new();
+        let mut proto = Proto::new();
         let mut next_action = 0u64;
 
         for slot in 0..self.interactive.slots {
@@ -169,13 +169,16 @@ impl WorkloadSpec {
                     let dataset = DatasetId(slot % self.dataset_count);
                     let action = ActionId(next_action);
                     next_action += 1;
-                    self.emit_action(
+                    emit_action(
                         &mut proto,
-                        slot,
+                        self.seed,
+                        UserId(slot),
                         action,
                         dataset,
                         SimTime::ZERO,
-                        self.length,
+                        SimTime::ZERO + self.length,
+                        self.interactive.period,
+                        0,
                     );
                 }
                 ActionBehavior::Sessions {
@@ -194,13 +197,17 @@ impl WorkloadSpec {
                             DatasetId(self.dataset_choice.sample(&mut rng, self.dataset_count));
                         let action = ActionId(next_action);
                         next_action += 1;
-                        self.emit_action(
+                        let start = SimTime::ZERO + t;
+                        emit_action(
                             &mut proto,
-                            slot,
+                            self.seed,
+                            UserId(slot),
                             action,
                             dataset,
-                            SimTime::ZERO + t,
-                            burst,
+                            start,
+                            start + burst,
+                            self.interactive.period,
+                            0,
                         );
                         t += burst + exp_duration(&mut rng, mean_think);
                     }
@@ -234,55 +241,7 @@ impl WorkloadSpec {
             }
         }
 
-        // Sort by issue time (stable on insertion order for ties) and
-        // assign dense arrival-order ids.
-        proto.sort_by_key(|(t, ..)| *t);
-        proto
-            .into_iter()
-            .enumerate()
-            .map(|(i, (issue_time, kind, dataset, frame))| Job {
-                id: JobId(i as u64),
-                kind,
-                dataset,
-                issue_time,
-                frame,
-            })
-            .collect()
-    }
-
-    /// Emit the request stream of one action. Requests are nominally one
-    /// `period` apart, but carry a per-action phase and ±10 % per-request
-    /// jitter: real users are not microsecond-synchronized, and perfectly
-    /// aligned periodic arrivals let deterministic greedy schedulers fall
-    /// into placement rotations that no physical system sustains.
-    fn emit_action(
-        &self,
-        proto: &mut Vec<(SimTime, JobKind, DatasetId, FrameParams)>,
-        slot: u32,
-        action: ActionId,
-        dataset: DatasetId,
-        start: SimTime,
-        duration: SimDuration,
-    ) {
-        let mut rng = SplitMix64::seeded(self.seed.wrapping_mul(GAMMA).wrapping_add(action.0));
-        let user = UserId(slot);
-        let end = start + duration;
-        let phase = uniform_duration(&mut rng, SimDuration::ZERO, self.interactive.period);
-        let mut nominal = start + phase;
-        let mut frame = 0u32;
-        let max_jitter = self.interactive.period / 10;
-        while nominal < end {
-            // Jitter never pushes a request past the action's end (the
-            // generator promises `issue_time <= length`).
-            let t = (nominal + uniform_duration(&mut rng, SimDuration::ZERO, max_jitter)).min(end);
-            let params = FrameParams {
-                azimuth: frame as f32 * 0.02,
-                ..FrameParams::default()
-            };
-            proto.push((t, JobKind::Interactive { user, action }, dataset, params));
-            nominal += self.interactive.period;
-            frame += 1;
-        }
+        assemble(proto)
     }
 
     /// Expected number of interactive jobs (exact for
@@ -301,6 +260,63 @@ impl WorkloadSpec {
             }
         }
     }
+}
+
+/// Jobs before they are numbered: issue time, kind, dataset, camera.
+pub(crate) type Proto = Vec<(SimTime, JobKind, DatasetId, FrameParams)>;
+
+/// Emit the request stream of one action, from `start` to `end`, its
+/// frames numbered from `frame0`. Requests are nominally one `period`
+/// apart, but carry a per-action phase and ±10 % per-request jitter: real
+/// users are not microsecond-synchronized, and perfectly aligned periodic
+/// arrivals let deterministic greedy schedulers fall into placement
+/// rotations that no physical system sustains.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn emit_action(
+    proto: &mut Proto,
+    seed: u64,
+    user: UserId,
+    action: ActionId,
+    dataset: DatasetId,
+    start: SimTime,
+    end: SimTime,
+    period: SimDuration,
+    frame0: u32,
+) {
+    let mut rng = SplitMix64::seeded(seed.wrapping_mul(GAMMA).wrapping_add(action.0));
+    let phase = uniform_duration(&mut rng, SimDuration::ZERO, period);
+    let max_jitter = period / 10;
+    let mut nominal = start + phase;
+    let mut frame = frame0;
+    while nominal < end {
+        // Jitter never pushes a request past the action's end (the
+        // generator promises `issue_time <= length`).
+        let t = (nominal + uniform_duration(&mut rng, SimDuration::ZERO, max_jitter)).min(end);
+        let params = FrameParams {
+            azimuth: frame as f32 * 0.02,
+            ..FrameParams::default()
+        };
+        proto.push((t, JobKind::Interactive { user, action }, dataset, params));
+        nominal += period;
+        frame += 1;
+    }
+}
+
+/// Sort a proto stream by issue time (stable on ties) and assign dense
+/// arrival-order job ids — the invariant every substrate expects.
+pub(crate) fn assemble(mut proto: Proto) -> Vec<Job> {
+    proto.sort_by_key(|(t, ..)| *t);
+    proto
+        .into_iter()
+        .enumerate()
+        .map(|(i, (issue_time, kind, dataset, frame))| Job {
+            id: JobId(i as u64),
+            kind,
+            dataset,
+            issue_time,
+            frame,
+        })
+        .collect()
 }
 
 #[cfg(test)]

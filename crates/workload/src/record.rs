@@ -127,26 +127,31 @@ impl RecordHeader {
 
     /// Rebuild the exact decomposition catalog the run used.
     pub fn catalog(&self) -> Catalog {
-        let chunks = self
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(d, sizes)| {
-                sizes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &bytes)| ChunkDesc {
-                        id: ChunkId {
-                            dataset: DatasetId(d as u32),
-                            index: j as u32,
-                        },
-                        bytes,
-                    })
-                    .collect()
-            })
-            .collect();
-        Catalog::from_chunks(self.datasets.clone(), chunks)
+        catalog_from_sizes(self.datasets.clone(), &self.chunks)
     }
+}
+
+/// The catalog of `datasets` (dense by id) bricked into the given
+/// per-dataset chunk sizes, in order.
+pub(crate) fn catalog_from_sizes(datasets: Vec<DatasetDesc>, sizes: &[Vec<u64>]) -> Catalog {
+    let chunks = sizes
+        .iter()
+        .enumerate()
+        .map(|(d, sizes)| {
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(j, &bytes)| ChunkDesc {
+                    id: ChunkId {
+                        dataset: DatasetId(d as u32),
+                        index: j as u32,
+                    },
+                    bytes,
+                })
+                .collect()
+        })
+        .collect();
+    Catalog::from_chunks(datasets, chunks)
 }
 
 fn cost_canon(c: &CostParams) -> String {
@@ -336,7 +341,8 @@ impl ScenarioRecord {
         match tag {
             "session" => self.sessions.push(parse_session(&val, at)?),
             "request" => {
-                let job = parse_request(&val, at)?;
+                let datasets = self.header.datasets.len() as u64;
+                let job = parse_request(&val, at, datasets)?;
                 if let Some(prev) = self.requests.last().filter(|p| job.id.0 <= p.id.0) {
                     return Err(format!(
                         "job ids must increase: {} after {}",
@@ -531,12 +537,29 @@ fn parse_header(val: &Json) -> Result<RecordHeader, String> {
         composite_per_node: SimDuration::from_micros(cost_val.u64_field("composite_per_node_us")?),
         upload_bw: cost_val.u64_field("upload_bw")?,
     };
+    // The cost model divides by both bandwidths.
+    for (name, bw) in [("disk_bw", cost.disk_bw), ("upload_bw", cost.upload_bw)] {
+        if bw == 0 {
+            return Err(format!("cost.{name} must be greater than 0"));
+        }
+    }
+    let cycle_us = val.u64_field("cycle_us")?;
+    if cycle_us == 0 {
+        return Err("cycle_us must be greater than 0".to_string());
+    }
     let mut nodes = Vec::new();
     for n in val.field("cluster")?.elements()? {
+        let disk_scale = n.f64_field("disk_scale")?;
+        if !(disk_scale.is_finite() && disk_scale > 0.0) {
+            return Err(format!(
+                "node {} disk_scale {disk_scale} must be finite and greater than 0",
+                nodes.len()
+            ));
+        }
         nodes.push(NodeSpec {
             mem_quota: n.u64_field("mem_quota")?,
             gpu_mem: n.u64_field("gpu_mem")?,
-            disk_scale: n.f64_field("disk_scale")?,
+            disk_scale,
         });
     }
     if nodes.is_empty() {
@@ -590,7 +613,7 @@ fn parse_header(val: &Json) -> Result<RecordHeader, String> {
         label: val.str_field("label")?.to_string(),
         seed: val.u64_field("seed")?,
         policy: val.str_field("policy")?.to_string(),
-        cycle: SimDuration::from_micros(val.u64_field("cycle_us")?),
+        cycle: SimDuration::from_micros(cycle_us),
         cost,
         cluster: ClusterSpec { nodes },
         datasets,
@@ -627,7 +650,15 @@ fn parse_session(val: &Json, at_us: u64) -> Result<SessionLine, String> {
     })
 }
 
-fn parse_request(val: &Json, at_us: u64) -> Result<Job, String> {
+/// `datasets` is the header's dataset count: a request must name one of
+/// them.
+fn parse_request(val: &Json, at_us: u64, datasets: u64) -> Result<Job, String> {
+    let dataset = val.u64_field("dataset")?;
+    if dataset >= datasets {
+        return Err(format!(
+            "request dataset {dataset} is outside the recorded {datasets} datasets"
+        ));
+    }
     let user = UserId(val.u64_field("user")? as u32);
     let kind = match val.str_field("kind")? {
         "interactive" => JobKind::Interactive {
@@ -644,7 +675,7 @@ fn parse_request(val: &Json, at_us: u64) -> Result<Job, String> {
     Ok(Job {
         id: JobId(val.u64_field("job")?),
         kind,
-        dataset: DatasetId(val.u64_field("dataset")? as u32),
+        dataset: DatasetId(dataset as u32),
         issue_time: SimTime::from_micros(at_us),
         frame: FrameParams {
             azimuth: val.f32_field("azimuth")?,

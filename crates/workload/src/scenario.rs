@@ -14,7 +14,7 @@
 //! realization); `EXPERIMENTS.md` records the counts actually generated.
 
 use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
-use crate::record::ScenarioRecord;
+use crate::record::{catalog_from_sizes, ScenarioRecord};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DatasetDesc, DecompositionPolicy};
@@ -262,30 +262,8 @@ impl Scenario {
     /// rebuild the recorded (possibly heterogeneous) bricking, so pass
     /// this to the run's catalog override when replaying.
     pub fn catalog(&self) -> Catalog {
-        use vizsched_core::data::ChunkDesc;
-        use vizsched_core::ids::{ChunkId, DatasetId};
         match &self.replay {
-            Some(r) => {
-                let chunks = r
-                    .chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(d, sizes)| {
-                        sizes
-                            .iter()
-                            .enumerate()
-                            .map(|(j, &bytes)| ChunkDesc {
-                                id: ChunkId {
-                                    dataset: DatasetId(d as u32),
-                                    index: j as u32,
-                                },
-                                bytes,
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Catalog::from_chunks(r.datasets.clone(), chunks)
-            }
+            Some(r) => catalog_from_sizes(r.datasets.clone(), &r.chunks),
             None => Catalog::new(
                 self.datasets(),
                 DecompositionPolicy::MaxChunkSize {

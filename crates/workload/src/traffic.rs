@@ -35,69 +35,21 @@
 //!   storm of in-situ visualization). Pair with
 //!   [`heterogeneous_catalog`] for non-uniform per-chunk costs.
 
-use crate::arrival::uniform_duration;
-use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
-use crate::record::{RecordHeader, ScenarioRecord};
+use crate::generator::{
+    assemble, emit_action, ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, Proto,
+    WorkloadSpec,
+};
+use crate::record::{catalog_from_sizes, RecordHeader, ScenarioRecord};
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
-use vizsched_core::data::{Catalog, ChunkDesc, DatasetDesc};
-use vizsched_core::ids::{ActionId, ChunkId, DatasetId, JobId, UserId};
-use vizsched_core::job::{FrameParams, Job, JobKind};
-use vizsched_core::rng::{SplitMix64, GAMMA};
+use vizsched_core::data::{Catalog, DatasetDesc};
+use vizsched_core::ids::{ActionId, DatasetId, UserId};
+use vizsched_core::job::Job;
+use vizsched_core::rng::SplitMix64;
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// User-id offset for flash-crowd arrivals, keeping them disjoint from
 /// background slots (and from the burst overlay's 10 000 range).
 pub const CROWD_USER_OFFSET: u32 = 20_000;
-
-type Proto = Vec<(SimTime, JobKind, DatasetId, FrameParams)>;
-
-/// Emit one action's periodic request stream, with the generator's
-/// phase-plus-jitter discipline (±10 % of the period, never past `end`).
-#[allow(clippy::too_many_arguments)]
-fn emit_action(
-    proto: &mut Proto,
-    seed: u64,
-    user: UserId,
-    action: ActionId,
-    dataset: DatasetId,
-    start: SimTime,
-    end: SimTime,
-    period: SimDuration,
-    frame0: u32,
-) {
-    let mut rng = SplitMix64::seeded(seed.wrapping_mul(GAMMA).wrapping_add(action.0));
-    let phase = uniform_duration(&mut rng, SimDuration::ZERO, period);
-    let max_jitter = period / 10;
-    let mut nominal = start + phase;
-    let mut frame = frame0;
-    while nominal < end {
-        let t = (nominal + uniform_duration(&mut rng, SimDuration::ZERO, max_jitter)).min(end);
-        let params = FrameParams {
-            azimuth: frame as f32 * 0.02,
-            ..FrameParams::default()
-        };
-        proto.push((t, JobKind::Interactive { user, action }, dataset, params));
-        nominal += period;
-        frame += 1;
-    }
-}
-
-/// Sort a proto stream by issue time (stable on ties) and assign dense
-/// arrival-order job ids — the invariant every substrate expects.
-fn assemble(mut proto: Proto) -> Vec<Job> {
-    proto.sort_by_key(|(t, ..)| *t);
-    proto
-        .into_iter()
-        .enumerate()
-        .map(|(i, (issue_time, kind, dataset, frame))| Job {
-            id: JobId(i as u64),
-            kind,
-            dataset,
-            issue_time,
-            frame,
-        })
-        .collect()
-}
 
 /// A diurnal load curve: the number of active user slots follows a
 /// raised cosine between `trough_frac · slots_peak` (at t = 0) and
@@ -506,21 +458,10 @@ pub fn heterogeneous_catalog(count: u32, bytes: u64, chunk_max: u64, seed: u64) 
             sizes.push(take);
             left -= take;
         }
-        let list = sizes
-            .iter()
-            .enumerate()
-            .map(|(j, &b)| ChunkDesc {
-                id: ChunkId {
-                    dataset: DatasetId(d),
-                    index: j as u32,
-                },
-                bytes: b,
-            })
-            .collect();
         datasets.push(DatasetDesc::sized(DatasetId(d), bytes));
-        chunks.push(list);
+        chunks.push(sizes);
     }
-    Catalog::from_chunks(datasets, chunks)
+    catalog_from_sizes(datasets, &chunks)
 }
 
 /// One of the five traffic shapes, for sweeping them uniformly.
@@ -635,6 +576,7 @@ impl TrafficShape {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use vizsched_core::ids::JobId;
 
     #[test]
     fn all_shapes_generate_sorted_dense_streams() {

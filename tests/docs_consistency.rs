@@ -467,6 +467,31 @@ fn splitmix64_is_written_once() {
     );
 }
 
+/// One bench front end: `vizsched_bench::harness` alone reads the process
+/// arguments and loads a `--check` baseline; a bench binary asks its
+/// `Cli` for flags and hands `Cli::check` its gate list.
+#[test]
+fn bench_binaries_leave_arguments_and_baselines_to_the_harness() {
+    let dir = repo_root().join("crates/bench/src/bin");
+    let mut offenders = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("read crates/bench/src/bin") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read bench binary");
+        let name = path.file_name().expect("file name").to_string_lossy();
+        if text.contains("env::args") {
+            offenders.push(format!("{name} reads std::env::args"));
+        }
+        if text.contains("baseline()") || text.contains("\"--check\"") {
+            offenders.push(format!("{name} loads a --check baseline"));
+        }
+    }
+    offenders.sort();
+    assert!(
+        offenders.is_empty(),
+        "bench binaries bypass vizsched_bench::harness: {offenders:?}"
+    );
+}
+
 /// A `FaultKind` is interpreted once, by `ShardedRuntime::on_fault`, for
 /// both substrates. Any second interpreter must match every kind, so the
 /// one no other code has reason to name — a leaf group's recovery — may

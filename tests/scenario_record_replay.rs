@@ -269,12 +269,31 @@ fn live_recording_replays_in_sim_with_identical_placements() {
 
 #[test]
 fn every_traffic_shape_records_byte_identically_per_seed() {
+    // The demo shapes draw from 8 datasets; a record's header must name
+    // every dataset its requests do.
+    let header = || {
+        let catalog = Catalog::new(
+            uniform_datasets(8, 64 << 20),
+            DecompositionPolicy::MaxChunkSize {
+                max_bytes: 16 << 20,
+            },
+        );
+        RecordHeader::new(
+            "record-replay",
+            9,
+            "OURS",
+            CYCLE,
+            CostParams::default(),
+            ClusterSpec::homogeneous(NODES, 128 << 20),
+            &catalog,
+        )
+    };
     for (a, b) in TrafficShape::demo_suite(2012)
         .into_iter()
         .zip(TrafficShape::demo_suite(2012))
     {
-        let left = a.to_record(small_header("OURS")).to_jsonl();
-        let right = b.to_record(small_header("OURS")).to_jsonl();
+        let left = a.to_record(header()).to_jsonl();
+        let right = b.to_record(header()).to_jsonl();
         assert_eq!(
             left,
             right,
