@@ -487,43 +487,6 @@ impl TraceEvent {
         }
     }
 
-    /// The node the event names, if any, for rewriting in place (a sharded
-    /// head translates its shard-local ids to cluster-global ones through
-    /// this). Exhaustive on purpose: a new variant that names a node must
-    /// be listed here or fail to compile. `fault_injected` names its
-    /// target through the plan's wire triple, which is cluster-global
-    /// already.
-    pub fn node_mut(&mut self) -> Option<&mut NodeId> {
-        match self {
-            TraceEvent::Assignment { node, .. }
-            | TraceEvent::TaskDone { node, .. }
-            | TraceEvent::AvailableCorrection { node, .. }
-            | TraceEvent::CacheLoad { node, .. }
-            | TraceEvent::CacheEvict { node, .. }
-            | TraceEvent::NodeFault { node, .. }
-            | TraceEvent::NodeUp { node, .. }
-            | TraceEvent::ShareAdjusted { node, .. } => Some(node),
-            TraceEvent::CycleStart { .. }
-            | TraceEvent::CycleEnd { .. }
-            | TraceEvent::EstimateCorrection { .. }
-            | TraceEvent::JobDone { .. }
-            | TraceEvent::Admitted { .. }
-            | TraceEvent::Rejected { .. }
-            | TraceEvent::Coalesced { .. }
-            | TraceEvent::Expired { .. }
-            | TraceEvent::BatchEscalated { .. }
-            | TraceEvent::ShardAssigned { .. }
-            | TraceEvent::ShardMigrated { .. }
-            | TraceEvent::ShardSaturated { .. }
-            | TraceEvent::WeightsUpdated { .. }
-            | TraceEvent::FaultInjected { .. }
-            | TraceEvent::ShardFailed { .. }
-            | TraceEvent::ShardRecovered { .. }
-            | TraceEvent::DegradedEntered { .. }
-            | TraceEvent::DegradedExited { .. } => None,
-        }
-    }
-
     /// The `t` tag this event serializes under (one of [`TraceEvent::TAGS`]).
     pub fn tag(&self) -> &'static str {
         match self {

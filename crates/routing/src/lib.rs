@@ -19,8 +19,8 @@
 //!
 //! The sharded runtime composes both: the ring decides *which* shard a
 //! job belongs to, the map decides *which physical nodes* that shard's
-//! cycle loop may dispatch to, and translates between a shard's local
-//! node indices and the cluster-global [`NodeId`]s.
+//! cycle loop may dispatch to, naming a shard's local node indices by
+//! their cluster-global [`NodeId`]s.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

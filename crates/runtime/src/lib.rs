@@ -395,6 +395,10 @@ pub struct HeadRuntime {
     /// exactly the tasks to re-place.
     outstanding: Vec<Vec<Assignment>>,
     per_node: Vec<NodeCounters>,
+    /// Each node's cluster id, by this runtime's own node index: the
+    /// names its assignments and probe events carry out. As long as the
+    /// tables; the identity unless a [`ShardedRuntime`] names a slice.
+    names: Vec<NodeId>,
     jobs_completed: u64,
     last_finish: SimTime,
     sched_wall_micros: u64,
@@ -432,6 +436,7 @@ impl HeadRuntime {
             arrivals: 0,
             outstanding: vec![Vec::new(); nodes],
             per_node: vec![NodeCounters::default(); nodes],
+            names: (0..nodes as u32).map(NodeId).collect(),
             jobs_completed: 0,
             last_finish: SimTime::ZERO,
             sched_wall_micros: 0,
@@ -519,7 +524,7 @@ impl HeadRuntime {
         if self.probe.enabled() {
             self.probe.on_event(&TraceEvent::CacheLoad {
                 now: SimTime::ZERO,
-                node,
+                node: self.names[node.index()],
                 chunk,
             });
         }
@@ -770,12 +775,13 @@ impl HeadRuntime {
 
     /// Adopt one extra node into this head's control plane, empty-cached
     /// and available at `now` — the shard-head failover primitive. The
-    /// new node takes the next local index; the caller owns the
-    /// local-to-global translation.
-    pub fn adopt_node(&mut self, now: SimTime, mem_quota: u64) -> NodeId {
+    /// new node takes the next local index, which is returned, and goes
+    /// out under the cluster id `name`.
+    pub fn adopt_node(&mut self, now: SimTime, name: NodeId, mem_quota: u64) -> NodeId {
         let node = self.tables.adopt_node(now, mem_quota);
         self.outstanding.push(Vec::new());
         self.per_node.push(NodeCounters::default());
+        self.names.push(name);
         node
     }
 
@@ -838,13 +844,14 @@ impl HeadRuntime {
     /// last task.
     pub fn on_task_done(&mut self, now: SimTime, done: Completion) -> Option<JobFinish> {
         let tracing = self.probe.enabled();
+        let name = self.names[done.node.index()];
         if tracing {
             self.probe.on_event(&TraceEvent::TaskDone {
                 now,
                 job: done.job,
                 task: done.task,
                 chunk: done.chunk,
-                node: done.node,
+                node: name,
                 started: done.started,
                 exec: done.finish.saturating_since(done.started),
                 io: done.io,
@@ -874,13 +881,13 @@ impl HeadRuntime {
                 for &victim in &done.evicted {
                     self.probe.on_event(&TraceEvent::CacheEvict {
                         now,
-                        node: done.node,
+                        node: name,
                         chunk: victim,
                     });
                 }
                 self.probe.on_event(&TraceEvent::CacheLoad {
                     now,
-                    node: done.node,
+                    node: name,
                     chunk: done.chunk,
                 });
             }
@@ -934,7 +941,7 @@ impl HeadRuntime {
         if tracing {
             self.probe.on_event(&TraceEvent::AvailableCorrection {
                 now,
-                node: done.node,
+                node: name,
                 old: self.tables.available.get(done.node),
                 new: now + backlog,
             });
@@ -993,7 +1000,7 @@ impl HeadRuntime {
             if self.probe.enabled() {
                 self.probe.on_event(&TraceEvent::NodeFault {
                     now,
-                    node,
+                    node: self.names[node.index()],
                     lost_tasks: lost.len(),
                 });
             }
@@ -1027,7 +1034,10 @@ impl HeadRuntime {
     pub fn on_node_recover(&mut self, now: SimTime, node: NodeId) {
         self.tables.mark_up(node, now);
         if self.probe.enabled() {
-            self.probe.on_event(&TraceEvent::NodeUp { now, node });
+            self.probe.on_event(&TraceEvent::NodeUp {
+                now,
+                node: self.names[node.index()],
+            });
         }
     }
 
@@ -1098,7 +1108,7 @@ impl HeadRuntime {
                     interactive_pm,
                 } => self.probe.on_event(&TraceEvent::ShareAdjusted {
                     now,
-                    node,
+                    node: self.names[node.index()],
                     interactive_pm,
                 }),
                 PolicyEvent::WeightsUpdated {
@@ -1124,8 +1134,9 @@ impl HeadRuntime {
         }
     }
 
-    /// Dispatch committed assignments through the substrate, tracking each
-    /// accepted one as outstanding on its node and probing the placement.
+    /// Dispatch committed assignments through the substrate under their
+    /// nodes' names, tracking each accepted one as outstanding on its own
+    /// node index and probing the placement.
     fn dispatch_all<S: Substrate>(
         &mut self,
         sub: &mut S,
@@ -1135,7 +1146,11 @@ impl HeadRuntime {
         let tracing = self.probe.enabled();
         let mut dispatched = 0;
         for a in assignments {
-            if !sub.dispatch(&a) {
+            let named = Assignment {
+                node: self.names[a.node.index()],
+                ..a
+            };
+            if !sub.dispatch(&named) {
                 continue;
             }
             dispatched += 1;
@@ -1145,7 +1160,7 @@ impl HeadRuntime {
                     job: a.task.job,
                     task: a.task.index,
                     chunk: a.task.chunk,
-                    node: a.node,
+                    node: named.node,
                     predicted_start: a.predicted_start,
                     predicted_exec: a.predicted_exec,
                     interactive: a.task.interactive,
@@ -1521,7 +1536,7 @@ mod tests {
     #[test]
     fn adopt_node_extends_the_control_plane() {
         let mut rt = runtime(SchedulerKind::Fcfsl, Arc::new(vizsched_metrics::NoopProbe));
-        let adopted = rt.adopt_node(SimTime::from_millis(5), 2 * GIB);
+        let adopted = rt.adopt_node(SimTime::from_millis(5), NodeId(2), 2 * GIB);
         assert_eq!(adopted, NodeId(2));
         assert_eq!(rt.tables().node_count(), 3);
         assert!(!rt.is_node_down(adopted));

@@ -57,7 +57,7 @@ use vizsched_runtime::{
 /// ```
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Number of rendering nodes (worker threads).
+    /// Number of rendering nodes (worker threads); at least 1.
     pub nodes: usize,
     /// Per-node chunk-cache quota in bytes.
     pub mem_quota: u64,
@@ -65,7 +65,7 @@ pub struct ServiceConfig {
     pub image_size: (usize, usize),
     /// The scheduling policy (OURS by default).
     pub scheduler: SchedulerKind,
-    /// Scheduling cycle `ω`.
+    /// Scheduling cycle `ω`; must be positive.
     pub cycle: SimDuration,
     /// Observability sink: the head runtime reports every scheduling
     /// decision, completion, and table correction here. Defaults to
@@ -79,7 +79,8 @@ pub struct ServiceConfig {
     /// default) is the paper's single head node: one cycle loop over
     /// every render node, no routing events. Above 1, each shard runs its
     /// own cycle loop over a leaf-aligned slice of the render nodes and
-    /// every request routes by dataset.
+    /// every request routes by dataset. Must lie in `1..=nodes`: every
+    /// shard owns at least one render node.
     pub shards: usize,
     /// Seedable fault schedule, executed on the service clock through
     /// the simulator's interpreter: node crash/respawn, degrade/restore,
@@ -212,10 +213,21 @@ pub struct VizService {
 
 impl VizService {
     /// Start the service over an existing chunk store. Panics here, on the
-    /// caller's thread, if the fault plan fails [`FaultPlan::check`] on the
-    /// cluster.
+    /// caller's thread, if a field breaks the bounds its
+    /// [`ServiceConfig`] doc states (`nodes`, `cycle`, `shards`) or the
+    /// fault plan fails [`FaultPlan::check`] on the cluster.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
+        assert!(
+            config.cycle > SimDuration::ZERO,
+            "ServiceConfig::cycle must be positive"
+        );
+        assert!(
+            (1..=config.nodes).contains(&config.shards),
+            "ServiceConfig::shards must lie in 1..={}, got {}",
+            config.nodes,
+            config.shards
+        );
         config
             .fault_plan
             .check(config.nodes)
@@ -429,13 +441,13 @@ fn head_loop(
         config.shards,
         config.cycle,
         config.probe.clone(),
-        |_, slice, shard_probe| {
+        |slice| {
             HeadRuntime::new(
                 config.scheduler.build(config.cycle),
                 HeadTables::new(slice),
                 store.catalog().clone(),
                 CostParams::default(),
-                shard_probe,
+                config.probe.clone(),
                 "live-service",
             )
         },

@@ -274,8 +274,8 @@ impl<'a> Engine<'a> {
             &config.cluster,
             shards,
             config.cycle,
-            probe,
-            |_, slice, shard_probe| {
+            probe.clone(),
+            |slice| {
                 let scheduler = match kind {
                     Some(kind) => kind.build(config.cycle),
                     None => instance.take().expect(
@@ -288,7 +288,7 @@ impl<'a> Engine<'a> {
                     tables_for(slice),
                     catalog.clone(),
                     config.cost,
-                    shard_probe,
+                    probe.clone(),
                     scenario,
                 )
             },

@@ -1,7 +1,8 @@
 //! A Mutex+Condvar MPMC channel mirroring `crossbeam_channel`'s API.
 //!
 //! Senders and receivers are cloneable; dropping the last sender
-//! disconnects receivers (and vice versa). `select!` is implemented by
+//! disconnects receivers (and vice versa: dropping the last receiver also
+//! discards the messages still queued). `select!` is implemented by
 //! polling with a short park, which is ample for the workloads here
 //! (the service head loop waits at most until its next cycle is due).
 
@@ -306,9 +307,13 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut state = self.inner.lock();
         state.receivers -= 1;
-        let last = state.receivers == 0;
+        // The last receiver takes the queued messages with it, as in
+        // crossbeam-channel. They drop at the end of this function, after
+        // the lock is released: a message's own `Drop` may lock another
+        // channel.
+        let discarded = (state.receivers == 0).then(|| std::mem::take(&mut state.queue));
         drop(state);
-        if last {
+        if discarded.is_some() {
             self.inner.space.notify_all();
         }
     }
@@ -442,6 +447,21 @@ mod tests {
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
         assert!(tx.send(1).is_err());
+    }
+
+    #[test]
+    fn drop_receiver_drops_queued_messages() {
+        // A queued message carrying a sender (a request and its reply
+        // channel) must not keep that sender alive in a dead channel.
+        let (outer_tx, outer_rx) = unbounded::<Sender<u32>>();
+        let (reply_tx, reply_rx) = unbounded::<u32>();
+        outer_tx.send(reply_tx).unwrap();
+        drop(outer_rx);
+        assert_eq!(
+            reply_rx.recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        drop(outer_tx);
     }
 
     #[test]

@@ -505,6 +505,28 @@ fn fault_kinds_are_interpreted_once() {
     );
 }
 
+/// The runtime wraps neither of its seams: each shard's head names its
+/// own nodes, so no adapter `Substrate` or `Probe` translates node ids
+/// behind it, and no lock shares a node view between the two. Test
+/// modules (a file from its first `#[cfg(test)]` on) may stub either.
+#[test]
+fn the_runtime_wraps_neither_seam() {
+    let wrappers: Vec<String> = sources_containing(|text| {
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        // Without `impl`, so a generic `impl<S> Substrate for` counts.
+        ["Substrate for", "Probe for", "RwLock"]
+            .iter()
+            .any(|needle| code.contains(needle))
+    })
+    .into_iter()
+    .filter(|path| path.starts_with("crates/runtime/src/"))
+    .collect();
+    assert!(
+        wrappers.is_empty(),
+        "the runtime wraps a seam outside its tests: {wrappers:?}"
+    );
+}
+
 /// Root tests and examples are path-registered targets of the host crate:
 /// a `tests/foo.rs` nobody lists there compiles nowhere and fails nothing.
 /// Every `tests/*.rs` and `examples/*.rs` must be the `path` of exactly
