@@ -14,7 +14,7 @@
 use vizsched_bench::experiments::simulation_for;
 use vizsched_bench::harness::Cli;
 use vizsched_core::memory::EvictionPolicy;
-use vizsched_core::sched::{OursParams, OursScheduler};
+use vizsched_core::sched::{OursParams, OursScheduler, SchedulerKind};
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
 use vizsched_sim::RunOptions;
@@ -35,18 +35,12 @@ fn main() {
     for cycle_ms in [10u64, 30, 100, 300, 1000] {
         let mut scenario = base.clone();
         scenario.label = format!("omega-{cycle_ms}ms");
-        let mut sim = simulation_for(&scenario);
-        let sched = Box::new(OursScheduler::new(OursParams {
-            cycle: SimDuration::from_millis(cycle_ms),
-            ..OursParams::default()
-        }));
-        // The engine tick follows the scheduler's own cycle; configure both.
-        let mut config = sim.config().clone();
+        let mut config = simulation_for(&scenario).config().clone();
         config.cycle = SimDuration::from_millis(cycle_ms);
-        sim = vizsched_sim::Simulation::new(config, scenario.datasets());
+        let sim = vizsched_sim::Simulation::new(config, scenario.datasets());
         let outcome = sim.run_opts(
             jobs.clone(),
-            RunOptions::with_scheduler(sched).label(&scenario.label),
+            RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
         );
         let r = SchedulerReport::from_run(&outcome.record);
         let per_cycle = outcome.record.sched_wall_micros as f64
@@ -97,7 +91,7 @@ fn main() {
         let sim = simulation_for(&scenario);
         let outcome = sim.run_opts(
             jobs.clone(),
-            RunOptions::new(vizsched_core::sched::SchedulerKind::Ours).label(&scenario.label),
+            RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
         );
         let r = SchedulerReport::from_run(&outcome.record);
         let tasks_per_job = scenario.dataset_bytes.div_ceil(scenario.chunk_max);
@@ -117,9 +111,9 @@ fn main() {
         "policy", "fps", "int lat avg", "hit %", "fairness"
     );
     for kind in [
-        vizsched_core::sched::SchedulerKind::Fs,
-        vizsched_core::sched::SchedulerKind::FsDelay,
-        vizsched_core::sched::SchedulerKind::Ours,
+        SchedulerKind::Fs,
+        SchedulerKind::FsDelay,
+        SchedulerKind::Ours,
     ] {
         let mut scenario = base.clone();
         scenario.label = format!("locality-{}", kind.name());
@@ -154,7 +148,7 @@ fn main() {
         let sim = vizsched_sim::Simulation::new(config, scenario.datasets());
         let outcome = sim.run_opts(
             jobs.clone(),
-            RunOptions::new(vizsched_core::sched::SchedulerKind::Ours).label(&scenario.label),
+            RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
         );
         let r = SchedulerReport::from_run(&outcome.record);
         println!(

@@ -3,9 +3,9 @@
 //! vs. Batch Scheduling", arXiv:1106.4985).
 //!
 //! OURS gates non-cached batch work behind the binary ε-idle rule with a
-//! *static* fraction: a node either has been interactive-idle for
-//! `epsilon_frac` of the load estimate or it has not. FRAC replaces the
-//! static fraction with a *learned* per-node split: each node `k` carries
+//! *static* fraction: a node either has been interactive-idle for half
+//! of the load estimate or it has not. FRAC replaces the static fraction
+//! with a *learned* per-node split: each node `k` carries
 //! an interactive share `φ_k` (per-mille of the cycle `ω`), and batch
 //! work may only fill the node's queue up to its batch window
 //!
@@ -23,6 +23,10 @@
 //! demand_k = min(1000, 1000 · committed_us(k) / ω_us)
 //! φ_k ← clamp((3·φ_k + demand_k) / 4, φ_min, φ_max)
 //! ```
+//!
+//! Every share starts at `INITIAL_SHARE_PM` (500) and stays within
+//! `φ_min` = `MIN_SHARE_PM` (100) and `φ_max` = `MAX_SHARE_PM` (900),
+//! constants of this module; ω is the scheduler's one setting.
 //!
 //! "Once per cycle" is keyed on the clock, not on calls: the controller
 //! steps on the first `schedule` call in each ω epoch `⌊now / ω⌋`. Ticks
@@ -59,51 +63,21 @@ use crate::ids::{JobId, NodeId};
 use crate::job::Job;
 use crate::time::{SimDuration, SimTime};
 
-/// Tuning knobs for FRAC. Shares are per-mille of the cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FracParams {
-    /// The scheduling cycle `ω`.
-    pub cycle: SimDuration,
-    /// Every node's interactive share before any demand is observed.
-    pub initial_share_pm: u32,
-    /// Lower clamp on `φ_k`: even a node with zero interactive traffic
-    /// keeps this much of the cycle reserved.
-    pub min_share_pm: u32,
-    /// Upper clamp on `φ_k`: even a saturated node leaves this much of
-    /// the cycle open to batch work (the anti-starvation floor that
-    /// replaces the ε rule's all-or-nothing behavior).
-    pub max_share_pm: u32,
-}
-
-impl Default for FracParams {
-    fn default() -> Self {
-        FracParams {
-            cycle: SimDuration::from_millis(30),
-            initial_share_pm: 500,
-            min_share_pm: 100,
-            max_share_pm: 900,
-        }
-    }
-}
-
-impl FracParams {
-    fn validate(&self) {
-        assert!(!self.cycle.is_zero(), "scheduling cycle must be positive");
-        assert!(
-            self.min_share_pm <= self.max_share_pm && self.max_share_pm <= 1000,
-            "shares must satisfy min <= max <= 1000"
-        );
-        assert!(
-            (self.min_share_pm..=self.max_share_pm).contains(&self.initial_share_pm),
-            "initial share must lie within [min, max]"
-        );
-    }
-}
+/// Every node's interactive share `φ_k` before any demand is observed,
+/// per-mille of the cycle.
+pub(super) const INITIAL_SHARE_PM: u32 = 500;
+/// Lower clamp on `φ_k`: even a node with zero interactive traffic keeps
+/// this much of the cycle reserved.
+const MIN_SHARE_PM: u32 = 100;
+/// Upper clamp on `φ_k`: even a saturated node leaves this much of the
+/// cycle open to batch work (the anti-starvation floor that replaces the
+/// ε rule's all-or-nothing behavior).
+const MAX_SHARE_PM: u32 = 900;
 
 /// One cycle's EMA step: `(3·φ + demand) / 4`, clamped. Shared verbatim
 /// with the reference twin so the two cannot drift.
-pub(super) fn share_step(params: &FracParams, share_pm: u32, demand_pm: u32) -> u32 {
-    ((3 * share_pm + demand_pm) / 4).clamp(params.min_share_pm, params.max_share_pm)
+pub(super) fn share_step(share_pm: u32, demand_pm: u32) -> u32 {
+    ((3 * share_pm + demand_pm) / 4).clamp(MIN_SHARE_PM, MAX_SHARE_PM)
 }
 
 /// The ω epoch `⌊now / ω⌋` a call falls in; the share controller steps
@@ -121,7 +95,8 @@ pub(super) fn batch_lambda(now: SimTime, cycle: SimDuration, share_pm: u32) -> S
 /// The fractional time-slicing scheduler.
 #[derive(Debug)]
 pub struct FracScheduler {
-    params: FracParams,
+    /// The scheduling cycle `ω`.
+    omega: SimDuration,
     /// `φ_k` per node, lazily sized on first invocation.
     shares_pm: Vec<u32>,
     /// Interactive execution time committed per node since the last share
@@ -139,11 +114,11 @@ pub struct FracScheduler {
 }
 
 impl FracScheduler {
-    /// Build the scheduler.
-    pub fn new(params: FracParams) -> Self {
-        params.validate();
+    /// Build the scheduler over the cycle `ω`.
+    pub fn new(cycle: SimDuration) -> Self {
+        assert!(!cycle.is_zero(), "scheduling cycle must be positive");
         FracScheduler {
-            params,
+            omega: cycle,
             shares_pm: Vec::new(),
             committed_us: Vec::new(),
             stepped: None,
@@ -153,17 +128,12 @@ impl FracScheduler {
         }
     }
 
-    /// The active parameters.
-    pub fn params(&self) -> FracParams {
-        self.params
-    }
-
     /// The current interactive share of `node`, per-mille.
     pub fn share_pm(&self, node: NodeId) -> u32 {
         self.shares_pm
             .get(node.index())
             .copied()
-            .unwrap_or(self.params.initial_share_pm)
+            .unwrap_or(INITIAL_SHARE_PM)
     }
 
     /// Number of batch tasks currently held back.
@@ -176,17 +146,17 @@ impl FracScheduler {
     /// window immediately). A later call in an epoch that already stepped
     /// leaves the shares alone and keeps accumulating demand.
     fn adjust_shares(&mut self, ctx: &ScheduleCtx<'_>) {
-        let epoch = share_epoch(ctx.now, self.params.cycle);
+        let epoch = share_epoch(ctx.now, self.omega);
         if self.stepped == Some(epoch) {
             return;
         }
         self.stepped = Some(epoch);
-        let cycle_us = self.params.cycle.as_micros();
+        let cycle_us = self.omega.as_micros();
         for node in ctx.tables.live_nodes() {
             let committed = self.committed_us[node.index()];
             let demand_pm = (committed.saturating_mul(1000) / cycle_us).min(1000) as u32;
             let old = self.shares_pm[node.index()];
-            let new = share_step(&self.params, old, demand_pm);
+            let new = share_step(old, demand_pm);
             if new != old {
                 self.shares_pm[node.index()] = new;
                 self.events.push(PolicyEvent::ShareAdjusted {
@@ -205,14 +175,14 @@ impl Scheduler for FracScheduler {
     }
 
     fn trigger(&self) -> Trigger {
-        Trigger::Cycle(self.params.cycle)
+        Trigger::Cycle(self.omega)
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let nodes = ctx.tables.node_count();
-        self.shares_pm.resize(nodes, self.params.initial_share_pm);
+        self.shares_pm.resize(nodes, INITIAL_SHARE_PM);
         self.committed_us.resize(nodes, 0);
-        let (now, cycle) = (ctx.now, self.params.cycle);
+        let (now, cycle) = (ctx.now, self.omega);
 
         self.cycle.intake(ctx, incoming, |task| {
             if !task.interactive {
@@ -286,7 +256,7 @@ mod tests {
     use crate::sched::testutil::{assert_complete_assignment, Fixture};
 
     fn frac() -> FracScheduler {
-        FracScheduler::new(FracParams::default())
+        FracScheduler::new(SimDuration::from_millis(30))
     }
 
     #[test]
@@ -333,15 +303,12 @@ mod tests {
             let t = SimTime::from_millis(30 * c);
             sched.schedule(&mut fx.ctx(t), vec![]);
         }
-        assert_eq!(
-            sched.share_pm(NodeId(0)),
-            FracParams::default().min_share_pm
-        );
+        assert_eq!(sched.share_pm(NodeId(0)), MIN_SHARE_PM);
         // A saturating interactive burst drives the loaded nodes back up.
         let t = SimTime::from_secs(1);
         let jobs: Vec<_> = (0..2).map(|d| fx.interactive_job(d, d as u64, t)).collect();
         sched.schedule(&mut fx.ctx(t), jobs);
-        let grew = (0..2).any(|k| sched.share_pm(NodeId(k)) > FracParams::default().min_share_pm);
+        let grew = (0..2).any(|k| sched.share_pm(NodeId(k)) > MIN_SHARE_PM);
         assert!(grew, "interactive demand must raise at least one share");
     }
 
@@ -427,22 +394,20 @@ mod tests {
 
     #[test]
     fn higher_share_throttles_cached_batch() {
-        // Pin φ via min = max and compare cached-batch throughput: a node
-        // reserving 90% of the cycle for interactive admits strictly less
-        // batch work per cycle than one reserving 10%.
+        // Pin φ for the batch call (its epoch has stepped already) and
+        // compare cached-batch throughput: a node reserving 90% of the
+        // cycle for interactive admits strictly less batch work per cycle
+        // than one reserving 10%.
         let drained = |share: u32| -> usize {
             let mut fx = Fixture::standard(1, 1);
-            let mut sched = FracScheduler::new(FracParams {
-                initial_share_pm: share,
-                min_share_pm: share,
-                max_share_pm: share,
-                ..FracParams::default()
-            });
+            let mut sched = frac();
             // Warm the cache, then free the node.
             let ij = fx.interactive_job(0, 0, SimTime::ZERO);
             sched.schedule(&mut fx.ctx(SimTime::ZERO), vec![ij]);
             let t = SimTime::from_secs(100);
             fx.tables.available.correct(NodeId(0), t);
+            sched.shares_pm[0] = share;
+            sched.stepped = Some(share_epoch(t, sched.omega));
             let jobs: Vec<_> = (0..50).map(|i| fx.batch_job(0, i, t)).collect();
             sched.schedule(&mut fx.ctx(t), jobs).len()
         };
@@ -478,16 +443,5 @@ mod tests {
         let out = sched.schedule(&mut fx.ctx(t), vec![]);
         assert_eq!(out.len(), 4, "escalated tasks ride the interactive pass");
         assert!(!sched.has_deferred());
-    }
-
-    #[test]
-    #[should_panic(expected = "min <= max")]
-    fn inverted_share_bounds_rejected() {
-        FracScheduler::new(FracParams {
-            min_share_pm: 800,
-            max_share_pm: 200,
-            initial_share_pm: 500,
-            ..FracParams::default()
-        });
     }
 }

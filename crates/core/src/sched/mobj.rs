@@ -20,19 +20,24 @@
 //!   not fit in the node's remaining memory quota, scaled by
 //!   `Estimate[c]` (placing data on a full node forces future reloads);
 //! * `idle_us` — how long the node has gone without interactive work,
-//!   capped at [`MobjParams::starvation_cap`]. Subtracted, and only for
+//!   capped at `STARVATION_CAP` (2 s). Subtracted, and only for
 //!   batch placements: it routes deferred batch onto the nodes the
 //!   interactive tide left dry, which is what shrinks the longest batch
 //!   starvation gap in the overload sweep.
 //!
 //! Batch candidates additionally pass the cold-placement protection gate
-//! (`cold_batch_protected`, fraction
-//! [`MobjParams::protect_pm`]): a load-incurring batch placement needs an
-//! interactive idle age covering `protect_pm`/1000 of the load estimate,
-//! exactly OURS's ε-idle rule in integer form. The scorer alone cannot
-//! provide this safety — a modest `w_loc` penalty still loses to a large
-//! queue-wait difference, and one cold placement on a busy node evicts
-//! that node's interactive working set and starts a churn cascade.
+//! (`cold_batch_protected`, fraction `PROTECT_PM`): a load-incurring
+//! batch placement needs an interactive idle age covering 500/1000 of the
+//! load estimate, exactly OURS's ε-idle rule in integer form. The scorer
+//! alone cannot provide this safety — a modest `w_loc` penalty still
+//! loses to a large queue-wait difference, and one cold placement on a
+//! busy node evicts that node's interactive working set and starts a
+//! churn cascade.
+//!
+//! The scorer starts from [`MobjWeights::default`] (400/300/200/100).
+//! Those weights, the starvation cap, the protection fraction and the
+//! retune interval (`RETUNE_EVERY`, 32 completions) are constants of this
+//! module; ω and the adaptive switch are the scheduler's settings.
 //!
 //! All weights are integer per-mille and every term is integer
 //! microseconds accumulated in `i128` — zero floats in the decision path,
@@ -87,42 +92,39 @@ impl Default for MobjWeights {
     }
 }
 
-/// Tuning knobs for MOBJ / MOBJ-A.
+/// Settings of MOBJ / MOBJ-A.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MobjParams {
     /// The scheduling cycle `ω`.
     pub cycle: SimDuration,
-    /// Initial objective weights (the fixed weights when not adaptive;
-    /// the zero-signal anchor when adaptive).
-    pub weights: MobjWeights,
     /// Retune the weights online from completion feedback (MOBJ-A).
     pub adaptive: bool,
-    /// Completions between adaptive retunes.
-    pub retune_every: u32,
-    /// Cap on the starvation-age term, so a node idle since boot does not
-    /// drown every other objective.
-    pub starvation_cap: SimDuration,
-    /// Cold-placement protection, per-mille: a batch placement that incurs
-    /// a load is only admitted on a node whose interactive idle age covers
-    /// this fraction of the load's estimate (see
-    /// `cold_batch_protected`). 500 mirrors
-    /// OURS's default `epsilon_frac` of 0.5.
-    pub protect_pm: u32,
 }
 
 impl Default for MobjParams {
     fn default() -> Self {
         MobjParams {
             cycle: SimDuration::from_millis(30),
-            weights: MobjWeights::default(),
             adaptive: false,
-            retune_every: 32,
-            starvation_cap: SimDuration::from_secs(2),
-            protect_pm: 500,
         }
     }
 }
 
+/// Completions between adaptive retunes.
+pub(super) const RETUNE_EVERY: u32 = 32;
+/// Cap on the starvation-age term, so a node idle since boot does not
+/// drown every other objective. It must stay *below* the typical
+/// locality term: with a 10 s cap the starvation term overpowered
+/// `w_loc · move_us` and MOBJ placed cached-elsewhere batch cold on
+/// long-idle nodes, each placement eating seconds of drain throughput;
+/// 2 s restores the intended tie-break role and with it the starvation
+/// win over OURS (EXPERIMENTS.md policy matrix).
+const STARVATION_CAP: SimDuration = SimDuration::from_secs(2);
+/// Cold-placement protection, per-mille: a batch placement that incurs a
+/// load is only admitted on a node whose interactive idle age covers this
+/// fraction of the load's estimate (see `cold_batch_protected`). 500
+/// mirrors OURS's ε of half the estimate.
+pub(super) const PROTECT_PM: u32 = 500;
 /// EMA divisor: each sample carries 1/8 of the state.
 const EMA_OLD: u64 = 7;
 const EMA_DIV: u64 = 8;
@@ -153,11 +155,9 @@ pub(super) fn batch_gate(
 /// the optimized scheduler passes `now` (a per-group constant shift that
 /// cannot change the argmin or its ties), the reference twin passes the
 /// textbook `min_k ready_at(k)`.
-#[allow(clippy::too_many_arguments)] // twin-shared scorer: explicit inputs beat a one-use struct
 pub(super) fn objective_score(
     ctx: &ScheduleCtx<'_>,
     w: &MobjWeights,
-    starvation_cap: SimDuration,
     anchor: SimTime,
     node: NodeId,
     chunk: ChunkId,
@@ -181,7 +181,7 @@ pub(super) fn objective_score(
         let idle_us = ctx
             .tables
             .interactive_idle(node, ctx.now)
-            .min(starvation_cap)
+            .min(STARVATION_CAP)
             .as_micros();
         score -= w.starvation_pm as i128 * idle_us as i128;
     }
@@ -207,13 +207,11 @@ pub(super) fn feedback_step(
 }
 
 /// The deterministic retune rule: shift balance→locality by the miss-rate
-/// EMA and fragmentation→starvation by the start-error EMA, preserving
-/// the weight sum and keeping every donor weight ≥ 50 per-mille.
-pub(super) fn retuned_weights(
-    base: &MobjWeights,
-    miss_ema_pm: u32,
-    start_err_ema_us: u64,
-) -> MobjWeights {
+/// EMA and fragmentation→starvation by the start-error EMA, away from
+/// [`MobjWeights::default`], preserving the weight sum and keeping every
+/// donor weight ≥ 50 per-mille.
+pub(super) fn retuned_weights(miss_ema_pm: u32, start_err_ema_us: u64) -> MobjWeights {
+    let base = MobjWeights::default();
     let d1 = miss_ema_pm.min(1000) * base.balance_pm.saturating_sub(50) / 1000;
     let room = base.fragmentation_pm.saturating_sub(50) as u64;
     let d2 = (room * start_err_ema_us / (start_err_ema_us + RETUNE_ERR_SCALE_US)) as u32;
@@ -230,8 +228,8 @@ pub(super) fn retuned_weights(
 #[derive(Debug)]
 pub struct MobjScheduler {
     params: MobjParams,
-    /// The weights currently steering placement (= `params.weights` until
-    /// the first adaptive retune).
+    /// The weights currently steering placement (the default weights
+    /// until the first adaptive retune).
     weights: MobjWeights,
     /// `H_B`: deferred batch tasks in global FIFO order, each tagged with
     /// its deferral time. Timestamps are monotone, so the escalation scan
@@ -254,9 +252,8 @@ impl MobjScheduler {
     /// Build the scheduler.
     pub fn new(params: MobjParams) -> Self {
         assert!(!params.cycle.is_zero(), "scheduling cycle must be positive");
-        assert!(params.retune_every > 0, "retune interval must be positive");
         MobjScheduler {
-            weights: params.weights,
+            weights: MobjWeights::default(),
             params,
             pending_batch: VecDeque::new(),
             events: Vec::new(),
@@ -265,11 +262,6 @@ impl MobjScheduler {
             seen: 0,
             cycle: Cycle::default(),
         }
-    }
-
-    /// The active parameters.
-    pub fn params(&self) -> MobjParams {
-        self.params
     }
 
     /// The weights currently steering placement.
@@ -298,19 +290,10 @@ impl MobjScheduler {
                     continue;
                 }
             }
-            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, self.params.protect_pm) {
+            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
                 continue;
             }
-            let s = objective_score(
-                ctx,
-                &self.weights,
-                self.params.starvation_cap,
-                ctx.now,
-                k,
-                chunk,
-                bytes,
-                batch,
-            );
+            let s = objective_score(ctx, &self.weights, ctx.now, k, chunk, bytes, batch);
             if best.is_none_or(|b| (s, k) < b) {
                 best = Some((s, k));
             }
@@ -347,11 +330,7 @@ impl MobjScheduler {
     }
 
     fn retune(&mut self) {
-        let new = retuned_weights(
-            &self.params.weights,
-            self.miss_ema_pm,
-            self.start_err_ema_us,
-        );
+        let new = retuned_weights(self.miss_ema_pm, self.start_err_ema_us);
         if new != self.weights {
             self.weights = new;
             self.events.push(PolicyEvent::WeightsUpdated {
@@ -437,7 +416,7 @@ impl Scheduler for MobjScheduler {
         }
         feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
         self.seen += 1;
-        if self.seen % self.params.retune_every == 0 {
+        if self.seen % RETUNE_EVERY == 0 {
             self.retune();
         }
     }
@@ -611,7 +590,7 @@ mod tests {
     fn adaptive_retunes_and_emits_weights_updated() {
         let mut sched = mobj_a();
         // 32 missing completions with large start errors: both EMAs rise.
-        for _ in 0..MobjParams::default().retune_every {
+        for _ in 0..RETUNE_EVERY {
             sched.observe_completion(&feedback(true, 500));
         }
         let w = sched.weights();
@@ -642,15 +621,5 @@ mod tests {
         }
         assert_eq!(sched.weights(), MobjWeights::default());
         assert!(sched.drain_policy_events().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_retune_interval_rejected() {
-        MobjScheduler::new(MobjParams {
-            adaptive: true,
-            retune_every: 0,
-            ..MobjParams::default()
-        });
     }
 }

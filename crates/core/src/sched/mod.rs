@@ -47,7 +47,7 @@ use crate::time::{SimDuration, SimTime};
 pub use fcfs::FcfsScheduler;
 pub use fcfsl::FcfslScheduler;
 pub use fcfsu::FcfsuScheduler;
-pub use frac::{FracParams, FracScheduler};
+pub use frac::FracScheduler;
 pub use fs::FsScheduler;
 pub use fsd::FsdScheduler;
 pub use mobj::{MobjParams, MobjScheduler, MobjWeights};
@@ -376,10 +376,10 @@ fn idle_tie_hash(now: SimTime, node: NodeId) -> u64 {
 /// The cold-placement protection gate shared by the policy family's batch
 /// passes (and their reference twins): a node may take a batch placement
 /// that *incurs a load* only if it has been free of interactive work for
-/// at least `protect_pm` per-mille of the load's estimated cost. This is
-/// OURS's ε-idle rule recast as an integer knob — FRAC passes its learned
-/// per-node interactive share `φ_k` (the share plays ε's role), MOBJ a
-/// fixed [`MobjParams::protect_pm`](super::sched::MobjParams). Placements
+/// at least `cover_pm` per-mille of the load's estimated cost. This is
+/// OURS's ε-idle rule recast as an integer fraction — FRAC passes its
+/// learned per-node interactive share `φ_k` (the share plays ε's role),
+/// MOBJ its fixed `PROTECT_PM` (500, ε's half). Placements
 /// of chunks the node already caches are exempt: they displace nothing,
 /// so the cycle-window gate alone bounds them. Without this gate a
 /// leftover batch chunk cached on node A gets placed cold on busy node B,
@@ -392,14 +392,14 @@ pub(crate) fn cold_batch_protected(
     node: NodeId,
     chunk: ChunkId,
     bytes: u64,
-    protect_pm: u32,
+    cover_pm: u32,
 ) -> bool {
     if ctx.tables.cache.contains(node, chunk) {
         return false;
     }
     let est_us = ctx.tables.estimate.get(chunk, bytes, ctx.cost).as_micros();
     let idle_us = ctx.tables.interactive_idle(node, ctx.now).as_micros();
-    idle_us.saturating_mul(1000) < (protect_pm as u64).saturating_mul(est_us)
+    idle_us.saturating_mul(1000) < (cover_pm as u64).saturating_mul(est_us)
 }
 
 /// One completed task's measured reality, fed back to the policy that
@@ -610,18 +610,14 @@ impl SchedulerKind {
                 cycle,
                 ..OursParams::default()
             })),
-            SchedulerKind::Frac => Box::new(FracScheduler::new(FracParams {
-                cycle,
-                ..FracParams::default()
-            })),
+            SchedulerKind::Frac => Box::new(FracScheduler::new(cycle)),
             SchedulerKind::Mobj => Box::new(MobjScheduler::new(MobjParams {
                 cycle,
-                ..MobjParams::default()
+                adaptive: false,
             })),
             SchedulerKind::MobjAdaptive => Box::new(MobjScheduler::new(MobjParams {
                 cycle,
                 adaptive: true,
-                ..MobjParams::default()
             })),
         }
     }

@@ -13,7 +13,7 @@
 //!    whose interactive-idle time exceeds `ε = Estimate[c]/2`.
 //!
 //! Table I's notation maps to this module as: `ω` = [`OursParams::cycle`],
-//! `ε` = [`OursParams::epsilon_frac`] · `Estimate[c]`, `Available[R_k]` /
+//! `ε` = `EPSILON_FRAC` (1/2) · `Estimate[c]`, `Available[R_k]` /
 //! `Cache[c]` / `Estimate[c]` = [`crate::tables::HeadTables`], `λ` = the
 //! next scheduling time computed at the top of
 //! [`OursScheduler::schedule`].
@@ -49,6 +49,10 @@ use crate::ids::JobId;
 use crate::job::Job;
 use crate::time::{SimDuration, SimTime};
 
+/// `ε` as a fraction of `Estimate[c]`: the paper's 1/2, a constant of
+/// Algorithm 1 that OURS and its reference twin both read.
+pub(super) const EPSILON_FRAC: f64 = 0.5;
+
 /// Tuning knobs for OURS. The defaults follow the paper; the extra switches
 /// exist for the ablation benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,8 +62,6 @@ pub struct OursParams {
     /// scheduling overhead"; one interactive request period (30 ms) by
     /// default.
     pub cycle: SimDuration,
-    /// `ε` as a fraction of `Estimate[c]`; the paper uses 1/2.
-    pub epsilon_frac: f64,
     /// Ablation switch: when false, batch tasks are scheduled like
     /// interactive ones instead of being deferred (heuristics 2 and 4 off).
     pub defer_batch: bool,
@@ -73,7 +75,6 @@ impl Default for OursParams {
     fn default() -> Self {
         OursParams {
             cycle: SimDuration::from_millis(30),
-            epsilon_frac: 0.5,
             defer_batch: true,
             gpu_aware: false,
         }
@@ -94,20 +95,11 @@ impl OursScheduler {
     /// Build the scheduler.
     pub fn new(params: OursParams) -> Self {
         assert!(!params.cycle.is_zero(), "scheduling cycle must be positive");
-        assert!(
-            params.epsilon_frac >= 0.0 && params.epsilon_frac.is_finite(),
-            "epsilon fraction must be finite and non-negative"
-        );
         OursScheduler {
             params,
             held: Deferred::default(),
             cycle: Cycle::default(),
         }
-    }
-
-    /// The active parameters.
-    pub fn params(&self) -> OursParams {
-        self.params
     }
 
     /// Number of batch tasks currently held back.
@@ -168,13 +160,13 @@ impl Scheduler for OursScheduler {
         );
         // Lines 16–31: batch fills up to λ; a cold load only on nodes that
         // have been free of interactive work for at least
-        // `ε = epsilon_frac · Estimate[c]`.
+        // `ε = EPSILON_FRAC · Estimate[c]`.
         self.held.fill(
             ctx,
             |_| lambda,
             |ctx, node, chunk, bytes| {
                 let estimate = ctx.tables.estimate.get(chunk, bytes, ctx.cost);
-                ctx.tables.interactive_idle(node, now) <= estimate.mul_f64(params.epsilon_frac)
+                ctx.tables.interactive_idle(node, now) <= estimate.mul_f64(EPSILON_FRAC)
             },
             commit,
             &mut out,

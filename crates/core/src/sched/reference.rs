@@ -33,11 +33,14 @@
 //! [`fcfsl`]: super::fcfsl
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
-use super::frac::{batch_lambda, share_epoch, share_step};
-use super::mobj::{batch_gate, feedback_step, objective_score, retuned_weights};
+use super::frac::{batch_lambda, share_epoch, share_step, INITIAL_SHARE_PM};
+use super::mobj::{
+    batch_gate, feedback_step, objective_score, retuned_weights, PROTECT_PM, RETUNE_EVERY,
+};
+use super::ours::EPSILON_FRAC;
 use super::{
-    Assignment, CompletionFeedback, FracParams, MobjParams, MobjWeights, OursParams, PolicyEvent,
-    ScheduleCtx, Scheduler, Trigger,
+    Assignment, CompletionFeedback, MobjParams, MobjWeights, OursParams, PolicyEvent, ScheduleCtx,
+    Scheduler, Trigger,
 };
 use crate::fxhash::FxHashMap;
 use crate::ids::{ChunkId, JobId, NodeId};
@@ -195,7 +198,7 @@ impl ReferenceOursScheduler {
                     .tables
                     .estimate
                     .get(chunk, bytes, ctx.cost)
-                    .mul_f64(self.params.epsilon_frac);
+                    .mul_f64(EPSILON_FRAC);
                 if ctx.tables.interactive_idle(node, ctx.now) <= epsilon {
                     break;
                 }
@@ -339,7 +342,7 @@ impl Scheduler for ReferenceFcfslScheduler {
 /// bucket maps each cycle) and no reused scratch.
 #[derive(Debug)]
 pub struct ReferenceFracScheduler {
-    params: FracParams,
+    omega: SimDuration,
     shares_pm: Vec<u32>,
     committed_us: Vec<u64>,
     stepped: Option<u64>,
@@ -350,10 +353,10 @@ pub struct ReferenceFracScheduler {
 }
 
 impl ReferenceFracScheduler {
-    /// Build the reference scheduler.
-    pub fn new(params: FracParams) -> Self {
+    /// Build the reference scheduler over the cycle `ω`.
+    pub fn new(cycle: SimDuration) -> Self {
         ReferenceFracScheduler {
-            params,
+            omega: cycle,
             shares_pm: Vec::new(),
             committed_us: Vec::new(),
             stepped: None,
@@ -379,12 +382,12 @@ impl Scheduler for ReferenceFracScheduler {
     }
 
     fn trigger(&self) -> Trigger {
-        Trigger::Cycle(self.params.cycle)
+        Trigger::Cycle(self.omega)
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let nodes = ctx.tables.node_count();
-        self.shares_pm.resize(nodes, self.params.initial_share_pm);
+        self.shares_pm.resize(nodes, INITIAL_SHARE_PM);
         self.committed_us.resize(nodes, 0);
 
         // Decompose: escalated tasks first (they ride the interactive
@@ -436,15 +439,15 @@ impl Scheduler for ReferenceFracScheduler {
 
         // Share EMA step (first call of the ω epoch only), then the
         // window-bounded batch fills.
-        let epoch = share_epoch(ctx.now, self.params.cycle);
+        let epoch = share_epoch(ctx.now, self.omega);
         if self.stepped != Some(epoch) {
             self.stepped = Some(epoch);
-            let cycle_us = self.params.cycle.as_micros();
+            let cycle_us = self.omega.as_micros();
             for node in ctx.tables.live_nodes() {
                 let demand_pm = (self.committed_us[node.index()].saturating_mul(1000) / cycle_us)
                     .min(1000) as u32;
                 let old = self.shares_pm[node.index()];
-                let new = share_step(&self.params, old, demand_pm);
+                let new = share_step(old, demand_pm);
                 if new != old {
                     self.shares_pm[node.index()] = new;
                     self.events.push(PolicyEvent::ShareAdjusted {
@@ -458,7 +461,7 @@ impl Scheduler for ReferenceFracScheduler {
 
         let nodes: Vec<NodeId> = ctx.tables.live_nodes().collect();
         for &node in &nodes {
-            let lambda_b = batch_lambda(ctx.now, self.params.cycle, self.shares_pm[node.index()]);
+            let lambda_b = batch_lambda(ctx.now, self.omega, self.shares_pm[node.index()]);
             while ctx.tables.available.get(node) < lambda_b {
                 let candidate = ctx
                     .tables
@@ -486,7 +489,7 @@ impl Scheduler for ReferenceFracScheduler {
         order.sort_unstable_by_key(|&c| (ctx.tables.cache.replica_count(c), c));
         let mut cursor = 0usize;
         'nodes: for &node in &nodes {
-            let lambda_b = batch_lambda(ctx.now, self.params.cycle, self.shares_pm[node.index()]);
+            let lambda_b = batch_lambda(ctx.now, self.omega, self.shares_pm[node.index()]);
             while ctx.tables.available.get(node) < lambda_b {
                 while cursor < order.len() && !self.pending_batch.contains_key(&order[cursor]) {
                     cursor += 1;
@@ -594,7 +597,7 @@ impl ReferenceMobjScheduler {
     /// Build the reference scheduler.
     pub fn new(params: MobjParams) -> Self {
         ReferenceMobjScheduler {
-            weights: params.weights,
+            weights: MobjWeights::default(),
             params,
             pending_batch: VecDeque::new(),
             escalated: Vec::new(),
@@ -631,19 +634,10 @@ impl ReferenceMobjScheduler {
                     continue;
                 }
             }
-            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, self.params.protect_pm) {
+            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
                 continue;
             }
-            let s = objective_score(
-                ctx,
-                &self.weights,
-                self.params.starvation_cap,
-                anchor,
-                k,
-                chunk,
-                bytes,
-                batch,
-            );
+            let s = objective_score(ctx, &self.weights, anchor, k, chunk, bytes, batch);
             if best.is_none_or(|b| (s, k) < b) {
                 best = Some((s, k));
             }
@@ -769,12 +763,8 @@ impl Scheduler for ReferenceMobjScheduler {
         }
         feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
         self.seen += 1;
-        if self.seen % self.params.retune_every == 0 {
-            let new = retuned_weights(
-                &self.params.weights,
-                self.miss_ema_pm,
-                self.start_err_ema_us,
-            );
+        if self.seen % RETUNE_EVERY == 0 {
+            let new = retuned_weights(self.miss_ema_pm, self.start_err_ema_us);
             if new != self.weights {
                 self.weights = new;
                 self.events.push(PolicyEvent::WeightsUpdated {

@@ -19,9 +19,9 @@ use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, U
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::rng::SplitMix64;
 use vizsched_core::sched::{
-    CompletionFeedback, FcfslScheduler, FracParams, FracScheduler, MobjParams, MobjScheduler,
-    OursParams, OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler,
-    ReferenceMobjScheduler, ReferenceOursScheduler, ScheduleCtx, Scheduler,
+    CompletionFeedback, FcfslScheduler, FracScheduler, MobjParams, MobjScheduler, OursParams,
+    OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler,
+    ReferenceOursScheduler, ScheduleCtx, Scheduler,
 };
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
@@ -318,8 +318,8 @@ fn frac_matches_reference_across_random_cases() {
     for n in 0..40u64 {
         let case = Case::generate(0xf4ac_0000 + n);
         let cycle = SimDuration::from_millis(30);
-        let mut opt = FracScheduler::new(FracParams::default());
-        let mut reference = ReferenceFracScheduler::new(FracParams::default());
+        let mut opt = FracScheduler::new(cycle);
+        let mut reference = ReferenceFracScheduler::new(cycle);
         case.run_policy(cycle, &mut opt, &mut reference, false);
     }
 }

@@ -12,12 +12,11 @@
 //! (`on_node_fault`, `on_node_recover`, `on_shard_fail`) in one fixed
 //! order — so any chaos run replays bit-identically in the sim.
 //!
-//! [`FaultPlan::random`] generates *recoverable* schedules (a raw-state
-//! `vizsched_core::rng` stream): at any instant every
-//! shard keeps at least one live node, so a correct control plane can
-//! always re-place lost work and the property tests may assert zero
-//! admitted-job loss.
+//! [`FaultPlan::random`] generates *recoverable* schedules, which
+//! [`FaultPlan::check`] accepts: a correct control plane can always
+//! re-place lost work, so the property tests assert zero admitted loss.
 
+use crate::shard::{can_fail_over, deal};
 use crate::{ShardedRuntime, Substrate};
 pub use vizsched_core::fault::{FaultEvent, FaultKind};
 use vizsched_core::ids::{NodeId, ShardId};
@@ -107,16 +106,35 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Check the plan against a `nodes`-node cluster before anything runs:
-    /// no fault may address a node outside it
-    /// ([`FaultKind::node_range`]), and none may leave all of its nodes
-    /// down — no substrate can place work then (the scheduler panics).
-    /// The error names the first offending fault. Both substrates and
-    /// `scenario --replay` call this before they start.
-    pub fn check(&self, nodes: usize) -> Result<(), String> {
+    /// Check the plan against a `nodes`-node cluster in `shards` shards
+    /// before anything runs: no fault may address a node outside the
+    /// cluster ([`FaultKind::node_range`]), and none may leave a live shard
+    /// with all of its nodes down (the scheduler would panic). A shard
+    /// crash moves nodes as [`ShardedRuntime::on_shard_fail`] does, and
+    /// they come back up. The error names the first offending fault. Both
+    /// substrates and `scenario --replay` call this before they start.
+    pub fn check(&self, nodes: usize, shards: usize) -> Result<(), String> {
         let mut up = vec![true; nodes];
+        let map = ShardMap::new(nodes, shards.max(1));
+        let mut owned: Vec<Vec<u32>> = map
+            .spans()
+            .iter()
+            .map(|s| (s.base..s.base + s.nodes).collect())
+            .collect();
+        let mut dead = vec![false; owned.len()];
         for &FaultEvent { at, kind } in &self.events {
             let Some(hit) = kind.node_range() else {
+                let FaultKind::ShardCrash(shard) = kind else {
+                    continue;
+                };
+                if can_fail_over(&dead, shard) {
+                    dead[shard.index()] = true;
+                    let slice = std::mem::take(&mut owned[shard.index()]);
+                    for (node, to) in slice.iter().zip(deal(&dead, slice.len())) {
+                        up[*node as usize] = true;
+                        owned[to].push(*node);
+                    }
+                }
                 continue;
             };
             if hit.end > nodes as u64 {
@@ -130,13 +148,22 @@ impl FaultPlan {
                 _ => continue,
             };
             up[hit.start as usize..hit.end as usize].fill(alive);
-            if !up.contains(&true) {
-                return Err(format!(
-                    "the {} fault at {} us leaves none of the {nodes} nodes alive; nothing can \
-                     be placed from there on",
-                    kind.wire().0,
-                    at.as_micros()
-                ));
+            let starved =
+                (0..owned.len()).find(|&s| !dead[s] && owned[s].iter().all(|&n| !up[n as usize]));
+            if let Some(s) = starved {
+                let (wire, at_us) = (kind.wire().0, at.as_micros());
+                return Err(if up.contains(&true) {
+                    format!(
+                        "the {wire} fault at {at_us} us leaves none of shard {s}'s {} nodes \
+                         alive; its jobs cannot be placed from there on",
+                        owned[s].len()
+                    )
+                } else {
+                    format!(
+                        "the {wire} fault at {at_us} us leaves none of the {nodes} nodes alive; \
+                         nothing can be placed from there on"
+                    )
+                });
             }
         }
         Ok(())
@@ -317,23 +344,97 @@ mod tests {
             .leaf_recover_at(s(4), NodeId(0), 2)
             .leaf_outage_at(s(5), NodeId(1), 1)
             .degrade_at(s(6), NodeId(0), 3000);
-        assert_eq!(plan.check(2), Ok(()));
+        assert_eq!(plan.check(2, 1), Ok(()));
         let outage = "fault at 7000000 us leaves none of the 2 nodes alive";
         let last = plan.clone().crash_at(s(7), NodeId(0));
-        assert!(last.check(2).unwrap_err().contains(outage));
+        assert!(last.check(2, 1).unwrap_err().contains(outage));
         let leaf = plan.leaf_outage_at(s(7), NodeId(0), 2);
-        assert!(leaf.check(2).unwrap_err().contains(outage));
-        assert_eq!(leaf.check(3), Ok(()));
+        assert!(leaf.check(2, 1).unwrap_err().contains(outage));
+        assert_eq!(leaf.check(3, 1), Ok(()));
         // Out of range is reported as such, ahead of the outage it causes.
         let wide = FaultPlan::new().leaf_outage_at(s(1), NodeId(0), 3);
         assert_eq!(
-            wide.check(2),
+            wide.check(2, 1),
             Err(
                 "fault plan: LeafOutage { base: NodeId(0), count: 3 } at 1.000000s is outside \
                  the 2-node cluster"
                     .into()
             )
         );
+    }
+
+    #[test]
+    fn a_shard_left_without_a_live_node_names_the_fault() {
+        let ms = SimTime::from_millis;
+        // Two single-node shards: crashing node 0 empties shard 0 while
+        // node 1 is still up.
+        let crash = FaultPlan::new().crash_at(ms(50), NodeId(0));
+        assert_eq!(crash.check(2, 1), Ok(()));
+        assert_eq!(
+            crash.check(2, 2),
+            Err(
+                "the node_crash fault at 50000 us leaves none of shard 0's 1 nodes alive; \
+                 its jobs cannot be placed from there on"
+                    .into()
+            )
+        );
+        // Once shard 0 fails over, shard 1 owns both nodes.
+        let failed_over = crash.clone().shard_crash_at(ms(10), ShardId(0));
+        assert_eq!(failed_over.check(2, 2), Ok(()));
+        // A failed-over node comes back up, even from a crash: node 0 is
+        // the last one standing in shard 1's {2, 3, 0, 1}.
+        let revived = FaultPlan::new()
+            .crash_at(ms(5), NodeId(0))
+            .shard_crash_at(ms(10), ShardId(0))
+            .crash_at(ms(15), NodeId(1))
+            .crash_at(ms(20), NodeId(2))
+            .crash_at(ms(30), NodeId(3));
+        assert_eq!(revived.check(4, 2), Ok(()));
+        // Adopted nodes count for their adopter: three single-node
+        // shards, shard 0's node dealt to shard 1.
+        let adopted = FaultPlan::new()
+            .shard_crash_at(ms(10), ShardId(0))
+            .crash_at(ms(20), NodeId(1))
+            .crash_at(ms(30), NodeId(0));
+        let err = adopted.check(3, 3).unwrap_err();
+        assert!(
+            err.contains("at 30000 us leaves none of shard 1's 2 nodes"),
+            "{err}"
+        );
+        // The last live shard cannot fail over: its crash is a no-op and
+        // revives nothing.
+        let last = FaultPlan::new()
+            .shard_crash_at(ms(10), ShardId(1))
+            .crash_at(ms(20), NodeId(0))
+            .shard_crash_at(ms(30), ShardId(0))
+            .crash_at(ms(40), NodeId(1));
+        let err = last.check(2, 2).unwrap_err();
+        assert!(
+            err.contains("at 40000 us leaves none of the 2 nodes alive"),
+            "{err}"
+        );
+        // Leaf-aligned shards: 8 nodes in two shards of 4.
+        let leaf = FaultPlan::new().leaf_outage_at(ms(5), NodeId(4), 4);
+        assert!(leaf.check(8, 2).unwrap_err().contains("shard 1's 4 nodes"));
+        assert_eq!(leaf.check(8, 1), Ok(()));
+    }
+
+    /// `random` promises plans no shard loses all its nodes in, so every
+    /// one passes `check` on its own cluster and shard count.
+    #[test]
+    fn random_plans_pass_the_check_they_promise() {
+        for nodes in 1..=9 {
+            for shards in 1..=nodes.min(4) {
+                for seed in 0..40u64 {
+                    let plan = FaultPlan::random(seed, nodes, shards, SimDuration::from_secs(10));
+                    assert_eq!(
+                        plan.check(nodes, shards),
+                        Ok(()),
+                        "seed {seed}, {nodes} nodes, {shards} shards: {plan:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

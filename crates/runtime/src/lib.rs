@@ -456,11 +456,6 @@ impl HeadRuntime {
         self.policy = policy;
     }
 
-    /// The active overload policy.
-    pub fn overload_policy(&self) -> OverloadPolicy {
-        self.policy
-    }
-
     /// Overload-control counters so far.
     pub fn overload_stats(&self) -> OverloadStats {
         self.overload
@@ -1797,7 +1792,7 @@ mod tests {
     #[test]
     fn inactive_policy_changes_nothing() {
         let mut rt = runtime(SchedulerKind::Ours, Arc::new(vizsched_metrics::NoopProbe));
-        assert!(!rt.overload_policy().is_active());
+        assert!(!rt.policy.is_active());
         let mut sub = StubSubstrate::default();
         // Same (user, action) frames pile up without coalescing or caps.
         for i in 0..5 {

@@ -43,16 +43,10 @@
 //! stops growing.
 //!
 //! Shard-head failover: [`ShardedRuntime::on_shard_fail`] survives the
-//! loss of one head's cycle loop. The dead shard leaves the ring (the
-//! minimal-disruption rebalance: only its datasets re-home), its node
-//! slice is adopted round-robin by the surviving heads
-//! ([`TraceEvent::ShardFailed`] / [`TraceEvent::ShardRecovered`]), and
-//! every admitted-but-unfinished job drained off the dead head is
-//! re-admitted exactly once on its dataset's new home shard. Because
-//! [`ShardedRuntime::on_fault`] power-cycles the dead slice's render nodes
-//! first ([`ShardedRuntime::failover_slice`]), no stale completion can
-//! race the rebuilt control state. Sustained fault pressure (node faults, shard
-//! loss) drives an explicit *degraded mode* with hysteresis: while
+//! loss of one head's cycle loop — the ring drops the dead shard, the
+//! survivors adopt its nodes and its unfinished jobs re-home
+//! ([`TraceEvent::ShardFailed`] / [`TraceEvent::ShardRecovered`]).
+//! Sustained fault pressure (node faults, shard loss) drives an explicit *degraded mode* with hysteresis: while
 //! degraded, new batch arrivals are shed ([`RejectReason::Degraded`]) so
 //! surviving capacity protects interactive sessions; pressure decays at
 //! cycle boundaries and batch admission resumes below the exit threshold.
@@ -123,9 +117,6 @@ pub struct ShardedRuntime {
     /// The run's probe (cluster-global ids), for routing-tier events and
     /// `fault_injected`.
     pub(crate) probe: Arc<dyn Probe>,
-    /// Per-shard saturation thresholds (buffered jobs at a cycle
-    /// boundary).
-    saturation: Vec<usize>,
     counters: Vec<ShardCounters>,
     /// Global node id → (owning shard index, local index there). Updated
     /// when survivors adopt a dead shard's slice.
@@ -195,7 +186,6 @@ impl ShardedRuntime {
         let map = ShardMap::new(cluster.len(), shards);
         let ring = HashRing::with_shards(shards);
         let mut runtimes = Vec::with_capacity(shards);
-        let mut saturation = Vec::with_capacity(shards);
         for span in map.spans() {
             let names = span.base..span.base + span.nodes;
             let slice = ClusterSpec {
@@ -209,7 +199,6 @@ impl ShardedRuntime {
                 span.shard
             );
             runtime.names = names.map(NodeId).collect();
-            saturation.push(Self::DEFAULT_SATURATION_PER_NODE * span.nodes as usize);
             runtimes.push(runtime);
         }
         let counters = vec![ShardCounters::default(); shards];
@@ -224,7 +213,6 @@ impl ShardedRuntime {
             map,
             ring,
             probe,
-            saturation,
             counters,
             owner_of,
             dead: vec![false; shards],
@@ -291,22 +279,6 @@ impl ShardedRuntime {
         self.degraded
     }
 
-    /// The global node ids a shard currently owns (its original slice
-    /// plus adoptions — empty once dead).
-    fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
-        if self.dead[shard.index()] {
-            return Vec::new();
-        }
-        self.shards[shard.index()].names.clone()
-    }
-
-    /// Whether losing this shard's head can be survived: the shard exists,
-    /// is alive, and is not the last live one.
-    fn can_fail_over(&self, shard: ShardId) -> bool {
-        let live = self.dead.iter().filter(|&&d| !d).count();
-        self.dead.get(shard.index()) == Some(&false) && live > 1
-    }
-
     /// The nodes a substrate must power-cycle before
     /// [`on_shard_fail`](Self::on_shard_fail): the shard's current slice
     /// when its head can fail over, empty when it cannot (already dead,
@@ -314,16 +286,11 @@ impl ShardedRuntime {
     /// run). An empty slice means the crash is a no-op end to end: no
     /// node restarts, no state changes.
     pub fn failover_slice(&self, shard: ShardId) -> Vec<NodeId> {
-        if self.can_fail_over(shard) {
-            self.shard_nodes(shard)
+        if can_fail_over(&self.dead, shard) {
+            self.shards[shard.index()].names.clone()
         } else {
             Vec::new()
         }
-    }
-
-    /// Whether a shard's head has died.
-    pub fn is_shard_dead(&self, shard: ShardId) -> bool {
-        self.dead[shard.index()]
     }
 
     /// The node partition.
@@ -413,15 +380,6 @@ impl ShardedRuntime {
     /// The decomposition catalog (every shard holds the same one).
     pub fn catalog(&self) -> &Catalog {
         self.shards[0].catalog()
-    }
-
-    /// Seed one `Estimate[c]` prior on every shard (the sharded image of
-    /// `tables_mut().estimate` seeding — only the chunk's home shard will
-    /// ever read it, but a stale prior elsewhere is harmless).
-    pub fn seed_estimate(&mut self, chunk: ChunkId, estimate: SimDuration) {
-        for shard in &mut self.shards {
-            shard.tables_mut().estimate.record(chunk, estimate);
-        }
     }
 
     /// Record a render time measured on a (global) node in its owning
@@ -529,9 +487,12 @@ impl ShardedRuntime {
         let saturated: Vec<bool> = self
             .shards
             .iter()
-            .zip(&self.saturation)
+            .zip(self.map.spans())
             .zip(&self.dead)
-            .map(|((shard, &cap), &dead)| dead || shard.queued_jobs() > cap)
+            .map(|((shard, span), &dead)| {
+                dead || shard.queued_jobs()
+                    > Self::DEFAULT_SATURATION_PER_NODE * span.nodes as usize
+            })
             .collect();
         let any_target = saturated.iter().any(|&s| !s);
         for from in 0..self.shards.len() {
@@ -650,7 +611,7 @@ impl ShardedRuntime {
         now: SimTime,
         shard: ShardId,
     ) -> usize {
-        if !self.can_fail_over(shard) {
+        if !can_fail_over(&self.dead, shard) {
             return 0;
         }
         let s = shard.index();
@@ -665,14 +626,11 @@ impl ShardedRuntime {
                 orphaned: drained.len(),
             });
         }
-        // Adopt the dead slice round-robin over survivors in shard order:
-        // the slice spreads evenly, and the assignment is a deterministic
-        // function of the shard states alone.
-        let survivors: Vec<usize> = (0..self.shards.len()).filter(|&i| !self.dead[i]).collect();
+        // Adopt the dead slice round-robin over the survivors.
+        let names = self.shards[s].names.clone();
         let mut adopted = vec![0usize; self.shards.len()];
-        for (k, name) in self.shards[s].names.clone().into_iter().enumerate() {
+        for ((k, &name), tgt) in names.iter().enumerate().zip(deal(&self.dead, names.len())) {
             let quota = self.shards[s].tables().cache.node_quota(NodeId(k as u32));
-            let tgt = survivors[k % survivors.len()];
             let local = self.shards[tgt].adopt_node(now, name, quota);
             self.owner_of[name.index()] = (tgt as u32, local.0);
             adopted[tgt] += 1;
@@ -772,6 +730,22 @@ impl ShardedRuntime {
     }
 }
 
+/// Whether losing `shard`'s head can be survived: the shard exists, is
+/// alive, and is not the last live one. `dead` marks each shard's head.
+pub(crate) fn can_fail_over(dead: &[bool], shard: ShardId) -> bool {
+    let live = dead.iter().filter(|&&d| !d).count();
+    dead.get(shard.index()) == Some(&false) && live > 1
+}
+
+/// Where a failed-over shard's `nodes` nodes go: the `k`-th to the
+/// `k mod s`-th of the `s ≥ 1` surviving shards, in shard order (`dead`
+/// already marks the failed shard). The slice spreads evenly, and the
+/// deal is a function of the shard states alone.
+pub(crate) fn deal(dead: &[bool], nodes: usize) -> impl Iterator<Item = usize> {
+    let survivors: Vec<usize> = (0..dead.len()).filter(|&i| !dead[i]).collect();
+    (0..nodes).map(move |k| survivors[k % survivors.len()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,6 +760,17 @@ mod tests {
     use vizsched_metrics::{CollectingProbe, NoopProbe};
 
     const GIB: u64 = 1 << 30;
+
+    impl ShardedRuntime {
+        /// The global node ids a shard currently owns (its original slice
+        /// plus adoptions — empty once dead).
+        fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
+            if self.dead[shard.index()] {
+                return Vec::new();
+            }
+            self.shards[shard.index()].names.clone()
+        }
+    }
 
     #[derive(Default)]
     struct StubSubstrate {
@@ -1380,7 +1365,7 @@ mod tests {
         let lost_nodes = rt.shard_nodes(ShardId(0));
         let orphaned = rt.on_shard_fail(&mut sub, SimTime::from_millis(2), ShardId(0));
         assert_eq!(orphaned, victims.len(), "every admitted job re-admitted");
-        assert!(rt.is_shard_dead(ShardId(0)));
+        assert!(rt.dead[0]);
         assert!(rt.shard_nodes(ShardId(0)).is_empty());
         // Shard 1 adopted the whole slice and the ring re-homed the
         // datasets there.
@@ -1519,13 +1504,13 @@ mod tests {
         // Shard 0 is now dead; killing it again is a no-op...
         assert!(rt.failover_slice(ShardId(0)).is_empty());
         assert_eq!(rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(0)), 0);
-        assert!(rt.is_shard_dead(ShardId(0)));
+        assert!(rt.dead[0]);
         // ...and the last survivor refuses to die, so the substrate is
         // told to power-cycle none of the eight nodes it now owns.
         assert_eq!(rt.shard_nodes(ShardId(1)).len(), 8);
         assert!(rt.failover_slice(ShardId(1)).is_empty());
         assert_eq!(rt.on_shard_fail(&mut sub, SimTime::ZERO, ShardId(1)), 0);
-        assert!(!rt.is_shard_dead(ShardId(1)));
+        assert!(!rt.dead[1]);
     }
 
     /// The node hooks `on_fault` called, in order.
@@ -1578,7 +1563,7 @@ mod tests {
         }
         assert_eq!(sub.calls, want);
         assert!(rt.is_node_down(NodeId(1)), "node 1 waits for its respawn");
-        assert!(!rt.is_shard_dead(ShardId(0)));
+        assert!(!rt.dead[0]);
         let tags: Vec<&str> = probe.take().iter().map(TraceEvent::tag).collect();
         assert_eq!(
             tags,

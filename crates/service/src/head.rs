@@ -215,7 +215,7 @@ impl VizService {
     /// Start the service over an existing chunk store. Panics here, on the
     /// caller's thread, if a field breaks the bounds its
     /// [`ServiceConfig`] doc states (`nodes`, `cycle`, `shards`) or the
-    /// fault plan fails [`FaultPlan::check`] on the cluster.
+    /// fault plan fails [`FaultPlan::check`] on the cluster and its shards.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
         assert!(
@@ -230,7 +230,7 @@ impl VizService {
         );
         config
             .fault_plan
-            .check(config.nodes)
+            .check(config.nodes, config.shards)
             .unwrap_or_else(|e| panic!("{e}"));
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.

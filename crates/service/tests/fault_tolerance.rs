@@ -302,10 +302,15 @@ fn shard_crash_mid_render_counts_only_the_adopters_work() {
     }
 }
 
-/// Start a 4-node service under `plan`, letting a panic through only if
-/// it came from the `start` call itself: the head thread is never joined,
-/// so nothing it does later can satisfy a `should_panic`.
+/// Start a 4-node service under `plan` (see [`start_configured`]).
 fn start_under_plan(tag: &str, plan: FaultPlan) {
+    start_configured(tag, ServiceConfig::default().nodes(4).fault_plan(plan));
+}
+
+/// Start a service under `config`, letting a panic through only if it
+/// came from the `start` call itself: the head thread is never joined,
+/// so nothing it does later can satisfy a `should_panic`.
+fn start_configured(tag: &str, config: ServiceConfig) {
     let root = temp_root(tag);
     let dataset = StoreDataset {
         field: Field::Shells,
@@ -313,7 +318,6 @@ fn start_under_plan(tag: &str, plan: FaultPlan) {
         bricks: 4,
     };
     let store = Arc::new(ChunkStore::create(&root, &[dataset]).unwrap());
-    let config = ServiceConfig::default().nodes(4).fault_plan(plan);
     let started = catch_unwind(AssertUnwindSafe(|| VizService::start(config, store)));
     std::fs::remove_dir_all(root).ok();
     if let Err(panic) = started {
@@ -349,4 +353,17 @@ fn plan_that_crashes_every_node_is_refused_at_start() {
         plan.crash_at(SimTime::from_millis(10 * (n + 1)), NodeId(n as u32))
     });
     start_under_plan("all-down", plan);
+}
+
+/// A plan that downs every node of one shard is refused at start too,
+/// although another shard still has a live node: that shard's jobs would
+/// reach a scheduler with nothing to place on.
+#[test]
+#[should_panic(
+    expected = "the node_crash fault at 50000 us leaves none of shard 0's 1 nodes alive"
+)]
+fn plan_that_downs_every_node_of_one_shard_is_refused_at_start() {
+    let plan = FaultPlan::new().crash_at(SimTime::from_millis(50), NodeId(0));
+    let config = ServiceConfig::default().nodes(2).shards(2).fault_plan(plan);
+    start_configured("shard-down", config);
 }

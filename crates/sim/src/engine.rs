@@ -70,13 +70,6 @@ pub struct SimConfig {
     /// video-memory quota in bytes. `None` folds the GPU into the render
     /// constant, as the paper's base model does.
     pub gpu_quota: Option<u64>,
-    /// Shared file-server contention: when set, a load that starts while
-    /// `k` other loads are in flight cluster-wide runs at `1/(1 + k/c)` of
-    /// nominal bandwidth, where `c` is this concurrency capacity (the
-    /// number of streams the parallel FS serves at full speed). `None`
-    /// models independent per-node disks. The slowdown is fixed at load
-    /// start — a first-order approximation of fair-shared bandwidth.
-    pub shared_fs_capacity: Option<u32>,
 }
 
 impl SimConfig {
@@ -91,7 +84,6 @@ impl SimConfig {
             exec_jitter: 0.0,
             warm_start: false,
             gpu_quota: None,
-            shared_fs_capacity: None,
         }
     }
 }
@@ -115,20 +107,15 @@ impl Simulation {
     }
 
     /// Run one policy over `jobs` (must be sorted by issue time) under
-    /// [`RunOptions`]: label, probe, fault plan, perturbation seed,
-    /// `Estimate[c]` pre-seeding.
+    /// [`RunOptions`]: policy, label, probe, fault plan, catalog, overload
+    /// policy and shard count.
     /// Panics before the run starts if the fault plan fails
-    /// [`FaultPlan::check`] on the cluster.
+    /// [`FaultPlan::check`] on the cluster and its shards.
     pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> RuntimeOutcome {
+        let config = &self.config;
         opts.fault_plan
-            .check(self.config.cluster.len())
+            .check(config.cluster.len(), opts.shards)
             .unwrap_or_else(|e| panic!("{e}"));
-        let mut config = self.config.clone();
-        if let (Some(seed), EvictionPolicy::Random { seed: base }) = (opts.seed, config.eviction) {
-            config.eviction = EvictionPolicy::Random {
-                seed: base.wrapping_add(seed),
-            };
-        }
         let catalog = match opts.catalog {
             Some(catalog) => catalog,
             None => {
@@ -144,18 +131,14 @@ impl Simulation {
             }
         };
         let mut engine = Engine::new(
-            &config,
+            config,
             catalog,
             opts.scheduler,
             opts.shards,
             &opts.label,
             opts.probe,
-            opts.seed.unwrap_or(0),
         );
         engine.runtime.set_overload_policy(opts.overload);
-        for (chunk, estimate) in opts.initial_estimates {
-            engine.runtime.seed_estimate(chunk, estimate);
-        }
         engine.run(jobs, &opts.fault_plan)
     }
 }
@@ -170,8 +153,6 @@ struct SimSubstrate<'a> {
     /// The instant of the one live `Tick` event; a tick popped at any
     /// other instant is stale.
     tick_at: Option<SimTime>,
-    /// Disk loads currently in flight (shared-FS contention input).
-    loads_in_flight: u32,
 }
 
 impl Substrate for SimSubstrate<'_> {
@@ -204,28 +185,15 @@ impl Substrate for SimSubstrate<'_> {
 
 impl SimSubstrate<'_> {
     fn start_node(&mut self, node: NodeId) {
-        // Shared-FS contention: loads starting now run slower the more
-        // loads are already streaming from the file server.
-        let contention = match self.config.shared_fs_capacity {
-            Some(capacity) if capacity > 0 => 1.0 + self.loads_in_flight as f64 / capacity as f64,
-            _ => 1.0,
-        };
         let n = &mut self.nodes[node.index()];
         if !n.is_idle() || n.crashed {
             return;
         }
-        let (finish, miss, generation) = match n.start_next(
-            self.now,
-            &self.config.cost,
-            self.config.exec_jitter,
-            contention,
-        ) {
-            Some(running) => (running.finish, running.miss, n.generation),
+        let finish = match n.start_next(self.now, &self.config.cost, self.config.exec_jitter) {
+            Some(running) => running.finish,
             None => return,
         };
-        if miss {
-            self.loads_in_flight += 1;
-        }
+        let generation = n.generation;
         self.events
             .push(finish, EventKind::TaskDone { node, generation });
     }
@@ -255,7 +223,6 @@ impl<'a> Engine<'a> {
         shards: usize,
         scenario: &str,
         probe: std::sync::Arc<dyn Probe>,
-        jitter_seed: u64,
     ) -> Self {
         let tables_for = |cluster: &ClusterSpec| match config.gpu_quota {
             Some(gpu) => {
@@ -299,15 +266,13 @@ impl<'a> Engine<'a> {
             .iter()
             .enumerate()
             .map(|(k, spec)| {
-                let mut node = SimNode::new(
+                SimNode::new(
                     NodeId(k as u32),
                     spec.mem_quota,
                     config.eviction,
                     spec.disk_scale,
                     config.gpu_quota,
-                );
-                node.jitter_seed = jitter_seed;
-                node
+                )
             })
             .collect();
         Engine {
@@ -318,7 +283,6 @@ impl<'a> Engine<'a> {
                 events: EventQueue::new(),
                 now: SimTime::ZERO,
                 tick_at: None,
-                loads_in_flight: 0,
             },
         }
     }
@@ -401,9 +365,6 @@ impl<'a> Engine<'a> {
             }
         }
         let done = self.sub.nodes[node.index()].complete();
-        if done.miss {
-            self.sub.loads_in_flight = self.sub.loads_in_flight.saturating_sub(1);
-        }
         let task = done.assignment.task;
         let completion = Completion {
             node,

@@ -10,8 +10,8 @@
 //! fault-tolerance claim of §VI-D.
 //!
 //! Runs are configured through the builder-style [`RunOptions`]: the
-//! policy, a scenario label, the fault plan, per-run overrides (jitter,
-//! warm start, seed), and an optional [`vizsched_metrics::Probe`]
+//! policy, a scenario label, the fault plan, the overload policy and
+//! shard count, and an optional [`vizsched_metrics::Probe`]
 //! receiving every scheduling decision, completion, and table correction
 //! — the probe stream is the only per-task record a run keeps.
 //!

@@ -64,10 +64,6 @@ pub struct SimNode {
     pub misses: u64,
     /// Hits that were already GPU-resident (two-tier extension).
     pub gpu_hits: u64,
-    /// Seed folded into the per-task jitter hash (see
-    /// [`RunOptions::seed`](crate::RunOptions::seed)); zero reproduces the
-    /// unseeded stream.
-    pub jitter_seed: u64,
     /// Degraded-node slowdown in per-mille (1000 = nominal): every task's
     /// execution time is multiplied by `slow_pm / 1000`. Set by the
     /// fault plan's `NodeDegrade`, reset by `NodeRestore`; models a
@@ -109,7 +105,6 @@ impl SimNode {
             hits: 0,
             misses: 0,
             gpu_hits: 0,
-            jitter_seed: 0,
             slow_pm: 1000,
         }
     }
@@ -135,17 +130,12 @@ impl SimNode {
     /// disks never take *exactly* the model time, and without this noise a
     /// perfectly periodic workload can lock a locality-blind scheduler into
     /// an accidental perfect placement that no physical system exhibits.
-    ///
-    /// `io_slowdown` (≥ 1.0, `1.0` for none) scales the I/O portion — the
-    /// shared-file-server contention hook.
     pub fn start_next(
         &mut self,
         now: SimTime,
         cost: &CostParams,
         jitter: f64,
-        io_slowdown: f64,
     ) -> Option<&RunningTask> {
-        assert!(io_slowdown >= 1.0, "contention can only slow loads down");
         assert!(self.running.is_none(), "node {} already busy", self.id);
         if self.crashed {
             return None;
@@ -154,12 +144,7 @@ impl SimNode {
 
         let chunk = assignment.task.chunk;
         let bytes = assignment.task.bytes;
-        let factor = jitter_factor(
-            assignment.task.job.0 ^ self.jitter_seed,
-            chunk.as_u64(),
-            self.id.0,
-            jitter,
-        );
+        let factor = jitter_factor(assignment.task.job.0, chunk.as_u64(), self.id.0, jitter);
         let access = self.memory.access(chunk, bytes);
         let has_gpu = self.memory.has_gpu_tier();
         let (io, upload, miss) = match access.found {
@@ -178,9 +163,7 @@ impl SimNode {
             }
             Tier::Disk => {
                 self.misses += 1;
-                let io = cost
-                    .io_time(bytes)
-                    .mul_f64(factor * io_slowdown / self.disk_scale);
+                let io = cost.io_time(bytes).mul_f64(factor / self.disk_scale);
                 let upload = if has_gpu {
                     cost.upload_time(bytes).mul_f64(factor)
                 } else {
@@ -284,7 +267,7 @@ mod tests {
         let cost = CostParams::default();
         let mut n = node();
         n.enqueue(assignment(1, 0, 512 * MIB));
-        let running = n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
+        let running = n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
         assert!(running.miss);
         assert_eq!(running.io, cost.io_time(512 * MIB));
         assert_eq!(
@@ -299,10 +282,10 @@ mod tests {
         let cost = CostParams::default();
         let mut n = node();
         n.enqueue(assignment(1, 0, 512 * MIB));
-        n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
+        n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
         let done = n.complete();
         n.enqueue(assignment(2, 0, 512 * MIB));
-        let running = n.start_next(done.finish, &cost, 0.0, 1.0).unwrap();
+        let running = n.start_next(done.finish, &cost, 0.0).unwrap();
         assert!(!running.miss);
         assert_eq!(running.io, SimDuration::ZERO);
         assert_eq!(n.hits, 1);
@@ -315,19 +298,14 @@ mod tests {
         n.enqueue(assignment(1, 0, MIB));
         n.enqueue(assignment(2, 1, MIB));
         let first = n
-            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
+            .start_next(SimTime::ZERO, &cost, 0.0)
             .unwrap()
             .assignment
             .task
             .job;
         assert_eq!(first, JobId(1));
         let fin = n.complete().finish;
-        let second = n
-            .start_next(fin, &cost, 0.0, 1.0)
-            .unwrap()
-            .assignment
-            .task
-            .job;
+        let second = n.start_next(fin, &cost, 0.0).unwrap().assignment.task.job;
         assert_eq!(second, JobId(2));
     }
 
@@ -338,8 +316,8 @@ mod tests {
         let mut slow = SimNode::new(NodeId(1), 2 << 30, EvictionPolicy::Lru, 0.5, None);
         fast.enqueue(assignment(1, 0, 512 * MIB));
         slow.enqueue(assignment(1, 0, 512 * MIB));
-        let f = fast.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap().io;
-        let s = slow.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap().io;
+        let f = fast.start_next(SimTime::ZERO, &cost, 0.0).unwrap().io;
+        let s = slow.start_next(SimTime::ZERO, &cost, 0.0).unwrap().io;
         assert_eq!(s.as_micros(), f.as_micros() * 2);
     }
 
@@ -356,7 +334,7 @@ mod tests {
         );
         // Cold: disk + upload.
         n.enqueue(assignment(1, 0, 512 * MIB));
-        let r = n.start_next(SimTime::ZERO, &cost, 0.0, 1.0).unwrap();
+        let r = n.start_next(SimTime::ZERO, &cost, 0.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Disk);
         assert_eq!(r.io, cost.io_time(512 * MIB));
         assert_eq!(r.upload, cost.upload_time(512 * MIB));
@@ -364,19 +342,19 @@ mod tests {
         // Second chunk displaces the first from the GPU (not the host).
         n.enqueue(assignment(2, 1, 512 * MIB));
         let t2 = {
-            n.start_next(t1, &cost, 0.0, 1.0).unwrap();
+            n.start_next(t1, &cost, 0.0).unwrap();
             n.complete().finish
         };
         // Chunk 0 again: host hit, upload only.
         n.enqueue(assignment(3, 0, 512 * MIB));
-        let r = n.start_next(t2, &cost, 0.0, 1.0).unwrap();
+        let r = n.start_next(t2, &cost, 0.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Host);
         assert_eq!(r.io, SimDuration::ZERO);
         assert_eq!(r.upload, cost.upload_time(512 * MIB));
         let t3 = n.complete().finish;
         // Chunk 0 once more: now GPU-resident, free movement.
         n.enqueue(assignment(4, 0, 512 * MIB));
-        let r = n.start_next(t3, &cost, 0.0, 1.0).unwrap();
+        let r = n.start_next(t3, &cost, 0.0).unwrap();
         assert_eq!(r.tier, vizsched_core::tiered::Tier::Gpu);
         assert_eq!(r.upload, SimDuration::ZERO);
         assert_eq!(n.gpu_hits, 1);
@@ -391,11 +369,11 @@ mod tests {
         nominal.enqueue(assignment(1, 0, 512 * MIB));
         degraded.enqueue(assignment(1, 0, 512 * MIB));
         let f = nominal
-            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
+            .start_next(SimTime::ZERO, &cost, 0.0)
             .unwrap()
             .finish;
         let s = degraded
-            .start_next(SimTime::ZERO, &cost, 0.0, 1.0)
+            .start_next(SimTime::ZERO, &cost, 0.0)
             .unwrap()
             .finish;
         assert_eq!(s.as_micros(), f.as_micros() * 2);
@@ -405,8 +383,8 @@ mod tests {
         nominal.complete();
         nominal.enqueue(assignment(2, 0, 512 * MIB));
         degraded.enqueue(assignment(2, 0, 512 * MIB));
-        let f2 = nominal.start_next(f, &cost, 0.0, 1.0).unwrap().finish - f;
-        let s2 = degraded.start_next(s, &cost, 0.0, 1.0).unwrap().finish - s;
+        let f2 = nominal.start_next(f, &cost, 0.0).unwrap().finish - f;
+        let s2 = degraded.start_next(s, &cost, 0.0).unwrap().finish - s;
         assert_eq!(f2, s2);
     }
 
@@ -416,7 +394,7 @@ mod tests {
         let mut n = node();
         n.enqueue(assignment(1, 0, MIB));
         n.enqueue(assignment(2, 1, MIB));
-        n.start_next(SimTime::ZERO, &cost, 0.0, 1.0);
+        n.start_next(SimTime::ZERO, &cost, 0.0);
         n.crash();
         assert!(n.running.is_none() && n.queue.is_empty());
         assert!(n.crashed);
@@ -424,12 +402,8 @@ mod tests {
         assert_eq!(n.generation, 1);
         // A crashed node refuses to start work until it recovers.
         n.enqueue(assignment(3, 2, MIB));
-        assert!(n
-            .start_next(SimTime::from_secs(1), &cost, 0.0, 1.0)
-            .is_none());
+        assert!(n.start_next(SimTime::from_secs(1), &cost, 0.0).is_none());
         n.recover();
-        assert!(n
-            .start_next(SimTime::from_secs(1), &cost, 0.0, 1.0)
-            .is_some());
+        assert!(n.start_next(SimTime::from_secs(1), &cost, 0.0).is_some());
     }
 }

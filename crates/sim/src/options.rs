@@ -4,9 +4,9 @@
 //! [`SimConfig`](crate::SimConfig) describes the *substrate* — cluster,
 //! cost model, decomposition. [`RunOptions`] describes one *run* over that
 //! substrate: which policy, under what label, observed by which probe,
-//! under which fault plan, overload policy and shard count, with a
-//! perturbation seed and an `Estimate[c]` pre-seed for prediction-feedback
-//! experiments.
+//! over which catalog, under which fault plan, overload policy and shard
+//! count. Every setter has a caller among the bench binaries; the
+//! repository's docs-consistency test keeps it that way.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -17,16 +17,14 @@
 //! let probe = Arc::new(CollectingProbe::new());
 //! let opts = RunOptions::new(SchedulerKind::Ours)
 //!     .label("traced")
-//!     .seed(7)
+//!     .shards(2)
 //!     .probe(probe.clone());
 //! assert_eq!(opts.label_str(), "traced");
 //! ```
 
 use std::sync::Arc;
 use vizsched_core::data::Catalog;
-use vizsched_core::ids::ChunkId;
 use vizsched_core::sched::{Scheduler, SchedulerKind};
-use vizsched_core::time::SimDuration;
 use vizsched_metrics::{NoopProbe, Probe};
 use vizsched_runtime::{FaultPlan, OverloadPolicy};
 
@@ -56,8 +54,6 @@ pub struct RunOptions {
     pub(crate) label: String,
     pub(crate) probe: Arc<dyn Probe>,
     pub(crate) fault_plan: FaultPlan,
-    pub(crate) seed: Option<u64>,
-    pub(crate) initial_estimates: Vec<(ChunkId, SimDuration)>,
     pub(crate) catalog: Option<Catalog>,
     pub(crate) overload: OverloadPolicy,
     pub(crate) shards: usize,
@@ -70,8 +66,6 @@ impl std::fmt::Debug for RunOptions {
             .field("label", &self.label)
             .field("probe_enabled", &self.probe.enabled())
             .field("fault_plan", &self.fault_plan)
-            .field("seed", &self.seed)
-            .field("initial_estimates", &self.initial_estimates.len())
             .field("catalog_override", &self.catalog.is_some())
             .field("overload", &self.overload)
             .field("shards", &self.shards)
@@ -97,8 +91,6 @@ impl RunOptions {
             label: String::new(),
             probe: Arc::new(NoopProbe),
             fault_plan: FaultPlan::new(),
-            seed: None,
-            initial_estimates: Vec::new(),
             catalog: None,
             overload: OverloadPolicy::default(),
             shards: 1,
@@ -126,15 +118,6 @@ impl RunOptions {
     /// in the sim. The default, empty plan injects nothing.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Perturbation seed: folded into the deterministic per-task jitter
-    /// hash (and, under `EvictionPolicy::Random`, into the eviction
-    /// stream), so the same workload can be replayed under independent
-    /// noise realizations. Runs with equal seeds are bit-identical.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
         self
     }
 
@@ -167,16 +150,6 @@ impl RunOptions {
         self
     }
 
-    /// Pre-seed `Estimate[c]` — the paper's "test run" initialization, or
-    /// a deliberately wrong prior for prediction-feedback experiments.
-    pub fn initial_estimates(
-        mut self,
-        estimates: impl IntoIterator<Item = (ChunkId, SimDuration)>,
-    ) -> Self {
-        self.initial_estimates.extend(estimates);
-        self
-    }
-
     /// The configured label (handy in assertions and logs).
     pub fn label_str(&self) -> &str {
         &self.label
@@ -186,19 +159,15 @@ impl RunOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizsched_core::ids::{DatasetId, NodeId};
+    use vizsched_core::ids::NodeId;
     use vizsched_core::time::SimTime;
 
     #[test]
     fn builder_accumulates_overrides() {
         let opts = RunOptions::new(SchedulerKind::Fs)
             .label("x")
-            .seed(7)
-            .fault_plan(FaultPlan::new().crash_at(SimTime::from_secs(1), NodeId(0)))
-            .initial_estimates([(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5))]);
+            .fault_plan(FaultPlan::new().crash_at(SimTime::from_secs(1), NodeId(0)));
         assert_eq!(opts.label_str(), "x");
-        assert_eq!(opts.seed, Some(7));
-        assert_eq!(opts.initial_estimates.len(), 1);
         assert_eq!(opts.fault_plan.len(), 1);
         // Debug is implemented by hand (trait objects aren't Debug).
         let dbg = format!("{opts:?}");

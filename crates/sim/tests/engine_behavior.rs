@@ -300,6 +300,29 @@ fn plan_that_downs_every_node_is_refused_before_the_run() {
     );
 }
 
+/// A plan that downs every node of one shard is refused up front too:
+/// the shard's jobs would otherwise reach a scheduler with no live node
+/// ("at least one live node") although the other shard's node is up.
+#[test]
+#[should_panic(
+    expected = "the node_crash fault at 50000 us leaves none of shard 0's 1 nodes alive"
+)]
+fn plan_that_downs_every_node_of_one_shard_is_refused_before_the_run() {
+    let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB));
+    let jobs = (0..20)
+        .map(|i| interactive(i, i, (i % 4) as u32, SimTime::from_millis(100 * i)))
+        .collect();
+    let plan = FaultPlan::new().crash_at(SimTime::from_millis(50), NodeId(0));
+    sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .shards(2)
+            .fault_plan(plan),
+    );
+}
+
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
@@ -383,44 +406,6 @@ fn interleaved_users_all_finish() {
         );
         assert_eq!(outcome.record.jobs.len(), 180);
     }
-}
-
-#[test]
-fn shared_fs_contention_slows_concurrent_loads() {
-    // Four cold tasks on four nodes, all loading at once.
-    let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-    let cost = CostParams::default();
-    let job = interactive(0, 0, 0, SimTime::ZERO);
-
-    let independent = {
-        let config = SimConfig::new(cluster.clone(), cost, 512 * MIB);
-        let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
-        sim.run_opts(
-            vec![job.clone()],
-            RunOptions::new(SchedulerKind::Fcfs).label("indep"),
-        )
-    };
-    let contended = {
-        let mut config = SimConfig::new(cluster, cost, 512 * MIB);
-        config.shared_fs_capacity = Some(1); // one full-speed stream
-        let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
-        sim.run_opts(
-            vec![job],
-            RunOptions::new(SchedulerKind::Fcfs).label("shared"),
-        )
-    };
-    let lat_i = independent.record.jobs[0].timing.latency().unwrap();
-    let lat_c = contended.record.jobs[0].timing.latency().unwrap();
-    assert!(
-        lat_c > lat_i.mul_f64(1.5),
-        "four concurrent loads through a capacity-1 server must be slower: {lat_c} vs {lat_i}"
-    );
-    // A solitary load (capacity 1, nothing else in flight) is unaffected:
-    // the first load starts alone, so its I/O portion is at full speed.
-    assert_eq!(
-        independent.record.cache_misses,
-        contended.record.cache_misses
-    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! Probe-observed prediction feedback: seed `Estimate[c]` with a
-//! deliberately wrong prior and watch the shared runtime's corrections
-//! pull the head node's predictions back to reality, cycle over cycle.
+//! Probe-observed prediction feedback: start `Estimate[c]` from a prior
+//! the cluster's disks make wrong and watch the shared runtime's
+//! corrections pull the head node's predictions back to reality, cycle
+//! over cycle.
 
 use std::sync::Arc;
 use vizsched_core::prelude::*;
@@ -32,12 +33,16 @@ fn small_sim(exec_jitter: f64) -> Simulation {
     Simulation::new(config, uniform_datasets(1, 2 * GIB))
 }
 
-/// A wildly pessimistic prior for every chunk of dataset 0 (4 chunks of
-/// 512 MiB): 60 s of I/O per chunk where the truth is a few seconds.
-fn wrong_priors() -> Vec<(ChunkId, SimDuration)> {
-    (0..4)
-        .map(|i| (ChunkId::new(DatasetId(0), i), SimDuration::from_secs(60)))
-        .collect()
+/// As [`small_sim`] without jitter, but every node's disk reads at 1/20
+/// of the cost model's bandwidth: the model's `Estimate[c]` prior is
+/// about 65 s too optimistic for each 512 MiB chunk.
+fn slow_disk_sim() -> Simulation {
+    let mut cluster = ClusterSpec::homogeneous(4, 2 * GIB);
+    for node in &mut cluster.nodes {
+        node.disk_scale = 0.05;
+    }
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    Simulation::new(config, uniform_datasets(1, 2 * GIB))
 }
 
 #[test]
@@ -46,17 +51,16 @@ fn wrong_estimate_prior_converges_under_correction() {
     let jobs: Vec<Job> = (0..12)
         .map(|i| interactive(i, i, SimTime::from_millis(200 * i)))
         .collect();
-    let outcome = small_sim(0.0).run_opts(
+    let outcome = slow_disk_sim().run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label("feedback")
-            .initial_estimates(wrong_priors())
             .probe(probe.clone()),
     );
     assert_eq!(outcome.incomplete_jobs, 0);
     let events = probe.take();
 
-    // The first miss of each chunk replaces the 60 s prior with the
+    // The first miss of each chunk replaces the model's prior with the
     // observed time: one large correction per chunk, nothing after.
     let trajectory = estimate_trajectory(&events);
     assert_eq!(
@@ -73,7 +77,7 @@ fn wrong_estimate_prior_converges_under_correction() {
     }
 
     // Per-cycle prediction error must collapse once the corrections land:
-    // the first cycle schedules against the 60 s prior, later cycles
+    // the first cycle schedules against the model's prior, later cycles
     // against measurements.
     let cycles = prediction_by_cycle(&events);
     assert!(
@@ -112,7 +116,6 @@ fn simulated_predictions_charge_the_model_alpha() {
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label("model-alpha")
-            .seed(7)
             .probe(probe.clone()),
     );
     assert_eq!(outcome.incomplete_jobs, 0);
@@ -177,29 +180,6 @@ fn probe_event_stream_is_conserved() {
     assert_eq!(jobs_done, 8, "every job reports completion");
     // Events arrive in non-decreasing simulated time.
     assert!(events.windows(2).all(|w| w[0].time() <= w[1].time()));
-}
-
-#[test]
-fn seed_perturbs_while_zero_seed_reproduces() {
-    let jobs: Vec<Job> = (0..10)
-        .map(|i| interactive(i, i, SimTime::from_millis(100 * i)))
-        .collect();
-    let run = |seed: u64| {
-        let outcome = small_sim(0.1).run_opts(
-            jobs.clone(),
-            RunOptions::new(SchedulerKind::Ours)
-                .label("seed")
-                .seed(seed),
-        );
-        outcome
-            .record
-            .jobs
-            .iter()
-            .map(|j| j.timing.finish)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(7), run(7), "equal seeds are bit-identical");
-    assert_ne!(run(0), run(7), "distinct seeds realize distinct jitter");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! docs/) must not carry dead intra-repo links, every CI `--check` must
 //! name a committed root `BENCH_*.json`, every root test and example must
 //! be a registered cargo target, the shim inventory must agree with
-//! itself, and splitmix64 and the fault interpreter must each be written
-//! once. Run by the CI docs job.
+//! itself, splitmix64 and the fault interpreter must each be written
+//! once, and every simulator and policy setting must have a caller. Run
+//! by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -558,5 +559,135 @@ fn every_root_test_and_example_is_a_registered_target() {
     assert_eq!(
         registered, on_disk,
         "crates/integration/Cargo.toml targets (left) vs tests/*.rs and examples/*.rs (right)"
+    );
+}
+
+/// The code of a source file: its text up to the first `#[cfg(test)]`.
+fn code_of(name: &str) -> String {
+    let text = read(name);
+    text.split("#[cfg(test)]")
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The `pub` fields of `pub struct {ty} { .. }` in `text`.
+fn struct_fields(text: &str, ty: &str) -> Vec<String> {
+    let start = text
+        .find(&format!("pub struct {ty} {{"))
+        .unwrap_or_else(|| panic!("no `pub struct {ty}`"));
+    text[start..]
+        .lines()
+        .skip(1)
+        .take_while(|line| !line.starts_with('}'))
+        .filter_map(|line| line.trim().strip_prefix("pub "))
+        .filter_map(|field| field.split_once(':').map(|(name, _)| name.to_string()))
+        .collect()
+}
+
+/// Whether `word` occurs in `text` at `at` as a whole identifier.
+fn is_word_at(text: &str, at: usize, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident)
+}
+
+/// Whether `code` sets field `field` of a `ty`: by assignment
+/// (`x.field = ..`) anywhere, or inside a `ty { .. }` literal
+/// (`field: ..` or the `field` shorthand).
+fn sets_field(code: &str, ty: &str, field: &str) -> bool {
+    let assigned = code.match_indices(&format!(".{field}")).any(|(at, m)| {
+        let rest = code[at + m.len()..].trim_start();
+        is_word_at(code, at + 1, field) && rest.starts_with('=') && !rest.starts_with("==")
+    });
+    let literal = format!("{ty} {{");
+    assigned
+        || code.match_indices(&literal).any(|(at, m)| {
+            let body_start = at + m.len();
+            let mut depth = 1;
+            let len = code[body_start..]
+                .find(|c| {
+                    depth += match c {
+                        '{' => 1,
+                        '}' => -1,
+                        _ => 0,
+                    };
+                    depth == 0
+                })
+                .unwrap_or(code.len() - body_start);
+            let body = &code[body_start..body_start + len];
+            body.match_indices(field).any(|(i, _)| {
+                let rest = body[i + field.len()..].trim_start();
+                is_word_at(body, i, field)
+                    && (rest.is_empty()
+                        || rest.starts_with(',')
+                        || (rest.starts_with(':') && !rest.starts_with("::")))
+            })
+        })
+}
+
+/// Every setting has a caller. A `SimConfig` field that `SimConfig::new`
+/// does not take, a `RunOptions` setter and a field of a policy params
+/// struct (`crates/core/src/sched/*.rs`) must each be set by a bench
+/// binary, the live service or `SchedulerKind::build`; tests, examples,
+/// docs and the integration rig do not count. A value only they set is a
+/// constant in disguise, and the code only it reaches runs in no
+/// benchmark.
+#[test]
+fn every_setting_has_a_caller() {
+    let sources = sources_containing(|_| true);
+    let callers: String = sources
+        .iter()
+        .filter(|path| {
+            ["crates/bench/src/", "crates/service/src/"]
+                .iter()
+                .any(|dir| path.starts_with(dir))
+                || *path == "crates/core/src/sched/mod.rs"
+        })
+        .map(|path| code_of(path))
+        .collect();
+
+    let mut settings: Vec<(String, String)> = Vec::new();
+    let engine = code_of("crates/sim/src/engine.rs");
+    let new_args = engine
+        .split("impl SimConfig {")
+        .nth(1)
+        .and_then(|rest| rest.split("pub fn new(").nth(1))
+        .and_then(|rest| rest.split(')').next())
+        .expect("SimConfig::new");
+    for field in struct_fields(&engine, "SimConfig") {
+        if !new_args.contains(&format!("{field}:")) {
+            settings.push(("SimConfig".into(), field));
+        }
+    }
+    for path in sources
+        .iter()
+        .filter(|p| p.starts_with("crates/core/src/sched/"))
+    {
+        let code = code_of(path);
+        for decl in code.split("pub struct ").skip(1) {
+            let ty = decl
+                .split(|c: char| !c.is_alphanumeric())
+                .next()
+                .unwrap_or_default();
+            if ty.ends_with("Params") {
+                settings.extend(struct_fields(&code, ty).into_iter().map(|f| (ty.into(), f)));
+            }
+        }
+    }
+    let mut unset: Vec<String> = settings
+        .iter()
+        .filter(|(ty, field)| !sets_field(&callers, ty, field))
+        .map(|(ty, field)| format!("{ty}::{field}"))
+        .collect();
+    let options = code_of("crates/sim/src/options.rs");
+    for decl in options.split("pub fn ").skip(1) {
+        let (name, args) = decl.split_once('(').expect("fn arguments");
+        if args.trim_start().starts_with("mut self") && !callers.contains(&format!(".{name}(")) {
+            unset.push(format!("RunOptions::{name}"));
+        }
+    }
+    assert!(
+        settings.len() > 5 && unset.is_empty(),
+        "settings no bench binary, service or SchedulerKind::build sets: {unset:?}"
     );
 }

@@ -160,8 +160,8 @@ fn mobj_places_identically_on_both_substrates() {
 
 #[test]
 fn mobj_adaptive_places_identically_on_both_substrates() {
-    // The serialized workload finishes well under retune_every
-    // completions, so MOBJ-A never retunes here; this pins down that the
+    // The serialized workload finishes well under MOBJ-A's retune
+    // interval of 32 completions, so it never retunes here; this pins down that the
     // feedback plumbing itself (observe_completion on both substrates)
     // does not perturb placement.
     assert_strict_parity(SchedulerKind::MobjAdaptive);
