@@ -12,11 +12,12 @@
 //! cargo run --release -p vizsched-bench --bin gpu_tier [-- --length 20]
 //! ```
 
+use vizsched_bench::experiments::simulation_for;
 use vizsched_bench::harness::Cli;
 use vizsched_core::sched::{OursParams, OursScheduler};
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
+use vizsched_sim::{RunOptions, Simulation};
 use vizsched_workload::Scenario;
 
 const GIB: u64 = 1 << 30;
@@ -60,10 +61,7 @@ fn main() {
     for gpu_mib in [512u64, 1024, 1536, 2048] {
         let mut row = Vec::new();
         for gpu_aware in [false, true] {
-            let mut config =
-                SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
-            config.exec_jitter = 0.05;
-            config.warm_start = true;
+            let mut config = simulation_for(&scenario).config().clone();
             config.gpu_quota = Some(gpu_mib * MIB);
             let sim = Simulation::new(config, scenario.datasets());
             let sched = Box::new(OursScheduler::new(OursParams {

@@ -66,19 +66,21 @@
 
 use std::sync::Arc;
 use vizsched_bench::experiments::{
-    cell_starvation_and_imbalance, overload_policy_for, overload_scenario, run_overload,
-    run_scenario, simulation_for, OverloadReport, ScenarioResults, OVERLOAD_FACTORS,
+    cell_starvation_and_imbalance, overload_policy_for, overload_scenario, replay_of, run_overload,
+    run_scenario, simulation_for, OverloadReport, OVERLOAD_FACTORS,
 };
 use vizsched_bench::harness::Cli;
+use vizsched_core::data::DatasetDesc;
+use vizsched_core::job::Job;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::{
     estimate_trajectory, events_to_jsonl, format_comparison, format_figure, format_node_activity,
     format_prediction_report, format_table3_block, node_activity, prediction_by_cycle,
-    reports_to_csv, CollectingProbe, Timeline, TraceEvent,
+    reports_to_csv, CollectingProbe, SchedulerReport, Timeline, TraceEvent,
 };
-use vizsched_sim::{FaultPlan, RunOptions, Simulation};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_workload::{RecordHeader, RecordingProbe, Scenario, ScenarioRecord};
 
 /// Shard count of the overload sweep's sharded twin runs: 2 shards over
@@ -102,6 +104,23 @@ fn main() {
         return;
     }
 
+    // Shorten a scenario when `--short` asks for it and print its banner.
+    let open = |scenario: Scenario| {
+        let s = match short {
+            Some(secs) => scenario.shortened(SimDuration::from_secs(secs)),
+            None => scenario,
+        };
+        banner(
+            &s.label,
+            simulation_for(&s).config(),
+            &s.datasets(),
+            s.workload.length,
+            &s.jobs(),
+            s.target_fps(),
+        );
+        s
+    };
+
     let numbers: Vec<u8> = match which {
         "all" => vec![1, 2, 3, 4],
         n if n.starts_with('-') => vec![1],
@@ -109,21 +128,13 @@ fn main() {
     };
 
     if let Some(path) = cli.value("--record") {
-        let mut scenario = Scenario::table2(numbers[0]);
-        if let Some(secs) = short {
-            scenario = scenario.shortened(SimDuration::from_secs(secs));
-        }
-        banner(&scenario);
+        let scenario = open(Scenario::table2(numbers[0]));
         record_scenario(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
         return;
     }
 
     if cli.flag("--overload") {
-        let mut scenario = overload_scenario();
-        if let Some(secs) = short {
-            scenario = scenario.shortened(SimDuration::from_secs(secs));
-        }
-        banner(&scenario);
+        let scenario = open(overload_scenario());
         let policy = overload_policy_for(&scenario);
         let kinds: Vec<SchedulerKind> = match policy_arg {
             Some(kind) => vec![kind],
@@ -152,20 +163,16 @@ fn main() {
         return;
     }
 
-    let mut table3: Vec<(String, ScenarioResults)> = Vec::new();
+    let mut table3: Vec<(String, Vec<SchedulerReport>)> = Vec::new();
     for n in numbers {
-        let mut scenario = Scenario::table2(n);
-        if let Some(secs) = short {
-            scenario = scenario.shortened(SimDuration::from_secs(secs));
-        }
-        banner(&scenario);
+        let scenario = open(Scenario::table2(n));
         let schedulers: Vec<SchedulerKind> = match policy_arg {
             Some(kind) => vec![kind],
             None => SchedulerKind::ALL.to_vec(),
         };
-        let results = run_scenario(&scenario, &schedulers);
-        println!("{}", format_comparison(&results.reports));
-        println!("{}", format_figure(&results.reports, scenario.target_fps));
+        let reports = run_scenario(&scenario, &schedulers);
+        println!("{}", format_comparison(&reports));
+        println!("{}", format_figure(&reports, scenario.target_fps()));
         if cli.flag("--timeline") {
             let sim = simulation_for(&scenario);
             let outcome = sim.run_opts(
@@ -180,40 +187,28 @@ fn main() {
         if let Some(path) = trace_path {
             trace_policy(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
         }
-        table3.push((scenario.label.clone(), results));
+        table3.push((scenario.label.clone(), reports));
     }
 
+    let all: Vec<SchedulerReport> = table3.iter().flat_map(|(_, r)| r.clone()).collect();
     if let Some(path) = &cli.json {
-        let rows: Vec<Json> = table3
-            .iter()
-            .flat_map(|(_, r)| r.reports.iter())
-            .map(report_json)
-            .collect();
         let doc = obj([
             ("schema", Json::Str("vizsched-bench/scenario/v1".into())),
-            ("reports", Json::Arr(rows)),
+            ("reports", Json::Arr(all.iter().map(report_json).collect())),
         ]);
         std::fs::write(path, doc.pretty()).expect("write json");
-        println!(
-            "(wrote {} report rows to {path})",
-            table3.iter().map(|(_, r)| r.reports.len()).sum::<usize>()
-        );
+        println!("(wrote {} report rows to {path})", all.len());
     }
 
     if let Some(path) = cli.value("--csv") {
-        let all: Vec<_> = table3
-            .iter()
-            .flat_map(|(_, r)| r.reports.iter().cloned())
-            .collect();
         std::fs::write(path, reports_to_csv(&all)).expect("write csv");
         println!("(wrote {} report rows to {path})", all.len());
     }
 
     if which == "all" {
         println!("== Table III: data reuse hit rates and average scheduling costs ==");
-        for (label, results) in &table3 {
-            let block: Vec<_> = results
-                .reports
+        for (label, reports) in &table3 {
+            let block: Vec<_> = reports
                 .iter()
                 .filter(|r| {
                     SchedulerKind::TABLE3
@@ -228,7 +223,7 @@ fn main() {
 }
 
 /// One scheduler report as a JSON row (the CSV columns, plus label).
-fn report_json(r: &vizsched_metrics::SchedulerReport) -> Json {
+fn report_json(r: &SchedulerReport) -> Json {
     obj([
         ("scenario", Json::Str(r.scenario.clone())),
         ("scheduler", Json::Str(r.scheduler.clone())),
@@ -311,21 +306,20 @@ fn trace_policy(scenario: &Scenario, kind: SchedulerKind, path: &str) {
 /// Run `scenario` once under `kind` with a recording probe attached and
 /// write the captured request stream as a versioned JSONL scenario
 /// record (`docs/SCENARIO_FORMAT.md`). The header pins the exact
-/// simulation configuration (`simulation_for`'s 30 ms cycle), so the
-/// record replays against the same substrate it was captured on.
+/// simulation configuration (`simulation_for`'s cycle), so the record
+/// replays against the same substrate it was captured on.
 fn record_scenario(scenario: &Scenario, kind: SchedulerKind, path: &str) {
-    let catalog = scenario.catalog();
+    let sim = simulation_for(scenario);
     let header = RecordHeader::new(
         &scenario.label,
         scenario.workload.seed,
         kind.name(),
-        SimDuration::from_millis(30),
+        sim.config().cycle,
         scenario.cost,
         scenario.cluster.clone(),
-        &catalog,
+        &scenario.catalog(),
     );
     let probe = Arc::new(RecordingProbe::new(header));
-    let sim = simulation_for(scenario);
     let outcome = sim.run_opts(
         scenario.jobs(),
         RunOptions::new(kind)
@@ -355,57 +349,53 @@ fn policy_or_exit(name: &str, origin: &str) -> SchedulerKind {
             .chain(&SchedulerKind::EXTENDED)
             .map(SchedulerKind::name)
             .collect();
-        eprintln!(
-            "scenario: {origin}: unknown policy '{name}' (registered: {})",
+        refuse(format_args!(
+            "{origin}: unknown policy '{name}' (registered: {})",
             registered.join(", ")
-        );
-        std::process::exit(2)
+        ))
     })
 }
 
-/// Parse a scenario record, rebuild the captured cluster, catalog,
-/// request stream and fault plan, and re-run it in the simulator at the
-/// recorded cycle period ω (one shard: the header records no shard
+/// Refuse outside input: one `scenario: ...` line on stderr, exit status 2.
+fn refuse(msg: std::fmt::Arguments<'_>) -> ! {
+    eprintln!("scenario: {msg}");
+    std::process::exit(2)
+}
+
+/// Parse a scenario record and re-run its request stream and faults in
+/// the simulator over the recorded cluster, cost model and bricking at
+/// the recorded cycle period ω (one shard: the header records no shard
 /// count). A file that does not parse is an operator error, not a bug:
 /// print the line-numbered message and exit with status 2 instead of
 /// panicking.
 fn replay_record(path: &str, policy_arg: Option<SchedulerKind>, trace_path: Option<&str>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("scenario: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let record = match ScenarioRecord::parse(&text) {
-        Ok(record) => record,
-        Err(e) => {
-            eprintln!("scenario: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| refuse(format_args!("cannot read {path}: {e}")));
+    let record =
+        ScenarioRecord::parse(&text).unwrap_or_else(|e| refuse(format_args!("{path}: {e}")));
     let kind = policy_arg.unwrap_or_else(|| policy_or_exit(&record.header.policy, path));
-    let scenario = Scenario::from_record(&record);
-    banner(&scenario);
-    let plan: FaultPlan = scenario.faults().iter().copied().collect();
-    if let Err(e) = plan.check(scenario.cluster.len(), 1) {
-        eprintln!("scenario: {path}: {e}");
-        std::process::exit(2);
+    let (sim, mut opts) = replay_of(&record, kind);
+    let (config, jobs) = (sim.config(), record.jobs());
+    banner(
+        opts.label_str(),
+        config,
+        &record.header.datasets,
+        SimDuration::from_micros(jobs.last().map_or(0, |j| j.issue_time.as_micros())),
+        jobs,
+        // A record keeps no interactive period; the paper's target is one
+        // frame per cycle.
+        1.0e6 / config.cycle.as_micros() as f64,
+    );
+    let plan: FaultPlan = record.faults.iter().copied().collect();
+    if let Err(e) = plan.check(config.cluster.len(), 1) {
+        refuse(format_args!("{path}: {e}"));
     }
-    // The record pins ω; `simulation_for` fixes the other settings.
-    let mut config = simulation_for(&scenario).config().clone();
-    config.cycle = record.header.cycle;
-    let sim = Simulation::new(config, scenario.datasets());
-    let mut opts = RunOptions::new(kind)
-        .label(&scenario.label)
-        .catalog(scenario.catalog())
-        .fault_plan(plan);
     let probe = Arc::new(CollectingProbe::new());
     if trace_path.is_some() {
         opts = opts.probe(probe.clone());
     }
-    let outcome = sim.run_opts(scenario.jobs(), opts);
-    let report = vizsched_metrics::SchedulerReport::from_run(&outcome.record);
+    let outcome = sim.run_opts(jobs.to_vec(), opts);
+    let report = SchedulerReport::from_run(&outcome.record);
     println!("{}", format_comparison(&[report]));
     if let Some(trace_path) = trace_path {
         let events = probe.take();
@@ -414,7 +404,7 @@ fn replay_record(path: &str, policy_arg: Option<SchedulerKind>, trace_path: Opti
     }
     println!(
         "(replayed {} recorded requests and {} recorded faults under {}; {} jobs incomplete)",
-        record.jobs().len(),
+        jobs.len(),
         record.faults.len(),
         kind.name(),
         outcome.incomplete_jobs
@@ -589,22 +579,25 @@ fn overload_json(label: &str, report: &OverloadReport) -> Json {
     ])
 }
 
-fn banner(s: &Scenario) {
-    let jobs = s.jobs();
+/// One line on the run about to start: its simulated cluster and
+/// `Chk_max`, its data and its offered jobs.
+fn banner(
+    label: &str,
+    config: &SimConfig,
+    datasets: &[DatasetDesc],
+    length: SimDuration,
+    jobs: &[Job],
+    target_fps: f64,
+) {
     let interactive = jobs.iter().filter(|j| j.kind.is_interactive()).count();
     let batch = jobs.len() - interactive;
     println!(
-        "== {} == nodes={} mem={} GiB data={}x{} GiB chunk={} MiB length={} \
-         interactive={} batch={} target={:.2} fps",
-        s.label,
-        s.cluster.len(),
-        s.cluster.total_memory() >> 30,
-        s.dataset_count,
-        s.dataset_bytes >> 30,
-        s.chunk_max >> 20,
-        s.workload.length,
-        interactive,
-        batch,
-        s.target_fps,
+        "== {label} == nodes={} mem={} GiB data={}x{} GiB chunk={} MiB length={length} \
+         interactive={interactive} batch={batch} target={target_fps:.2} fps",
+        config.cluster.len(),
+        config.cluster.total_memory() >> 30,
+        datasets.len(),
+        datasets.first().map_or(0, |d| d.bytes) >> 30,
+        config.chunk_max >> 20,
     );
 }

@@ -38,12 +38,12 @@ fn main() {
             n,
             s.cluster.len(),
             s.cluster.total_memory() >> 30,
-            s.dataset_count,
-            (s.dataset_count as u64 * s.dataset_bytes) >> 30,
+            s.workload.dataset_count,
+            (s.workload.dataset_count as u64 * s.dataset_bytes) >> 30,
             s.workload.length,
             batch,
             interactive,
-            s.target_fps,
+            s.target_fps(),
         );
         println!(
             "{:<4} {:>62} {:>12} {:>14}   (paper)",

@@ -5,7 +5,7 @@
 //! with heterogeneous bricking.
 //!
 //! Every shape's stream is first serialized onto the scenario-record
-//! format and replayed *from the record* (`Scenario::from_record`), so
+//! format and replayed *from the record* (`experiments::replay_of`), so
 //! the sweep exercises the same record/replay pipeline operators use for
 //! captured production traffic (see `docs/SCENARIO_FORMAT.md`).
 //!
@@ -25,7 +25,7 @@
 //! shape's OURS p99 regresses beyond tolerance against the committed
 //! report (the sweep is deterministic).
 
-use vizsched_bench::experiments::p99;
+use vizsched_bench::experiments::{p99, replay_of};
 use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
@@ -34,9 +34,9 @@ use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::SchedulerReport;
-use vizsched_sim::{OverloadPolicy, RunOptions, SimConfig, Simulation};
+use vizsched_sim::OverloadPolicy;
 use vizsched_workload::{
-    heterogeneous_catalog, FlashCrowdSpec, RecordHeader, Scenario, TrafficShape,
+    heterogeneous_catalog, FlashCrowdSpec, RecordHeader, ScenarioRecord, TrafficShape,
 };
 
 /// The policies every shape is raced under, in report order.
@@ -77,20 +77,14 @@ fn flash_policy(cluster: &ClusterSpec, cycle: SimDuration) -> OverloadPolicy {
     }
 }
 
-/// The fixed harness of one shape: cluster, decomposition and cost
-/// model. Shapes stress different axes, so the harness varies with the
-/// shape — mixed tiers brings its own heterogeneous-disk cluster, the
-/// time-varying stream gets heterogeneous bricking and a cache half the
-/// size of the full timestep history (the invalidation storm needs
-/// churn; a cache that fits everything would hide it).
-struct Harness {
-    cluster: ClusterSpec,
-    catalog: Catalog,
-    cost: CostParams,
-    chunk_max: u64,
-}
-
-fn harness_for(shape: &TrafficShape) -> Harness {
+/// Serialize the shape's stream onto the record format under `kind`.
+/// The header pins the shape's fixed harness: cluster, decomposition
+/// and cost model. Shapes stress different axes, so the harness varies
+/// with the shape — mixed tiers brings its own heterogeneous-disk
+/// cluster, the time-varying stream gets heterogeneous bricking and a
+/// cache half the size of the full timestep history (the invalidation
+/// storm needs churn; a cache that fits everything would hide it).
+fn record_of(shape: &TrafficShape, kind: SchedulerKind) -> ScenarioRecord {
     const GIB: u64 = 1 << 30;
     let chunk_max = 256 << 20;
     let uniform = |count: u32, bytes: u64| {
@@ -123,12 +117,15 @@ fn harness_for(shape: &TrafficShape) -> Harness {
             uniform(s.dataset_count, GIB),
         ),
     };
-    Harness {
+    shape.to_record(RecordHeader::new(
+        shape.name(),
+        SEED,
+        kind.name(),
+        SimDuration::from_millis(30),
+        CostParams::eight_node_cluster(),
         cluster,
-        catalog,
-        cost: CostParams::eight_node_cluster(),
-        chunk_max,
-    }
+        &catalog,
+    ))
 }
 
 /// One policy's run over one shape.
@@ -142,35 +139,16 @@ struct Cell {
     shed: u64,
 }
 
-/// Serialize the shape onto the record format, replay it from the
-/// record, and run it under `kind`. `policed` attaches the sized
-/// admission policy (the flash-crowd regime); the other shapes run
-/// unpoliced like the Table II comparisons.
-fn run_shape(shape: &TrafficShape, harness: &Harness, kind: SchedulerKind, policed: bool) -> Cell {
-    let header = RecordHeader::new(
-        shape.name(),
-        SEED,
-        kind.name(),
-        SimDuration::from_millis(30),
-        harness.cost,
-        harness.cluster.clone(),
-        &harness.catalog,
-    );
-    let record = shape.to_record(header);
-    let scenario = Scenario::from_record(&record);
-    let cycle = SimDuration::from_millis(30);
-    let mut config = SimConfig::new(harness.cluster.clone(), harness.cost, harness.chunk_max);
-    config.cycle = cycle;
-    config.exec_jitter = 0.05;
-    config.warm_start = true;
-    let sim = Simulation::new(config, scenario.datasets());
-    let mut opts = RunOptions::new(kind)
-        .label(&scenario.label)
-        .catalog(scenario.catalog());
-    if policed {
-        opts = opts.overload(flash_policy(&harness.cluster, cycle));
+/// Replay the shape from its record under `kind`. The flash crowd runs
+/// under the sized admission policy; the other shapes run unpoliced like
+/// the Table II comparisons.
+fn run_shape(shape: &TrafficShape, kind: SchedulerKind) -> Cell {
+    let record = record_of(shape, kind);
+    let (sim, mut opts) = replay_of(&record, kind);
+    if matches!(shape, TrafficShape::FlashCrowd(_)) {
+        opts = opts.overload(flash_policy(&record.header.cluster, record.header.cycle));
     }
-    let jobs = scenario.jobs();
+    let jobs = record.jobs().to_vec();
     let offered = jobs.len();
     let outcome = sim.run_opts(jobs, opts);
     let report = SchedulerReport::from_run(&outcome.record);
@@ -202,11 +180,9 @@ fn run_sweep(shapes: &[TrafficShape]) -> Vec<ShapeReport> {
     shapes
         .iter()
         .map(|shape| {
-            let harness = harness_for(shape);
-            let policed = matches!(shape, TrafficShape::FlashCrowd(_));
             let cells: Vec<Cell> = POLICIES
                 .iter()
-                .map(|&kind| run_shape(shape, &harness, kind, policed))
+                .map(|&kind| run_shape(shape, kind))
                 .collect();
             ShapeReport {
                 name: shape.name(),
@@ -232,8 +208,7 @@ fn unloaded_flash_p99(shapes: &[TrafficShape]) -> f64 {
         crowd_users: 0,
         ..*spec
     });
-    let harness = harness_for(&unloaded);
-    run_shape(&unloaded, &harness, SchedulerKind::Ours, true).interactive_p99_ms
+    run_shape(&unloaded, SchedulerKind::Ours).interactive_p99_ms
 }
 
 fn print_table(reports: &[ShapeReport]) {

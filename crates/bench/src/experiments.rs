@@ -3,46 +3,56 @@
 //! overlays at increasing saturation factors under an admission policy).
 
 use std::sync::Arc;
+use vizsched_core::cluster::ClusterSpec;
+use vizsched_core::cost::CostParams;
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::stats::percentile;
 use vizsched_metrics::{node_activity, CollectingProbe, SchedulerReport, TraceEvent};
 use vizsched_sim::{OverloadPolicy, OverloadStats, RunOptions, SimConfig, Simulation};
-use vizsched_workload::{BurstSpec, Scenario};
+use vizsched_workload::{BurstSpec, Scenario, ScenarioRecord};
 
-/// The reports for one scenario, in the scheduler order requested.
-#[derive(Clone, Debug)]
-pub struct ScenarioResults {
-    /// One aggregated report per scheduler.
-    pub reports: Vec<SchedulerReport>,
-    /// Jobs left incomplete per scheduler (should be all zero).
-    pub incomplete: Vec<usize>,
+/// The bench's simulator settings: the paper's ω = 30 ms (`SimConfig`'s
+/// default), 5 % execution jitter and a warm start.
+fn bench_config(cluster: ClusterSpec, cost: CostParams, chunk_max: u64) -> SimConfig {
+    let mut config = SimConfig::new(cluster, cost, chunk_max);
+    config.exec_jitter = 0.05;
+    config.warm_start = true;
+    config
 }
 
 /// Build the simulation for a scenario.
 pub fn simulation_for(scenario: &Scenario) -> Simulation {
-    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
-    config.cycle = vizsched_core::time::SimDuration::from_millis(30);
-    config.exec_jitter = 0.05;
-    config.warm_start = true;
+    let config = bench_config(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
     Simulation::new(config, scenario.datasets())
 }
 
-/// Run `schedulers` over `scenario` and aggregate each run.
-pub fn run_scenario(scenario: &Scenario, schedulers: &[SchedulerKind]) -> ScenarioResults {
+/// Replay `record` under `kind`: the bench settings at the recorded ω over
+/// the recorded cluster, cost model and datasets (`Chk_max` is the
+/// largest recorded chunk), with the recorded bricking and faults, under
+/// the label `<label>-replay`. Run `record.jobs()` with these options.
+pub fn replay_of(record: &ScenarioRecord, kind: SchedulerKind) -> (Simulation, RunOptions) {
+    let h = &record.header;
+    let chunk_max = h.chunks.iter().flatten().copied().max().unwrap_or(0);
+    let mut config = bench_config(h.cluster.clone(), h.cost, chunk_max);
+    config.cycle = h.cycle;
+    let opts = RunOptions::new(kind)
+        .label(&format!("{}-replay", h.label))
+        .catalog(record.catalog())
+        .fault_plan(record.faults.iter().copied().collect());
+    (Simulation::new(config, h.datasets.clone()), opts)
+}
+
+/// Run `schedulers` over `scenario` and aggregate each run: one report
+/// per scheduler, in the order requested.
+pub fn run_scenario(scenario: &Scenario, schedulers: &[SchedulerKind]) -> Vec<SchedulerReport> {
     let sim = simulation_for(scenario);
     let jobs = scenario.jobs();
-    let mut reports = Vec::with_capacity(schedulers.len());
-    let mut incomplete = Vec::with_capacity(schedulers.len());
-    for &kind in schedulers {
-        let outcome = sim.run_opts(jobs.clone(), RunOptions::new(kind).label(&scenario.label));
-        reports.push(SchedulerReport::from_run(&outcome.record));
-        incomplete.push(outcome.incomplete_jobs);
-    }
-    ScenarioResults {
-        reports,
-        incomplete,
-    }
+    let run = |&kind| sim.run_opts(jobs.clone(), RunOptions::new(kind).label(&scenario.label));
+    schedulers
+        .iter()
+        .map(|kind| SchedulerReport::from_run(&run(kind).record))
+        .collect()
 }
 
 /// The saturation factors of the overload experiment: 1× is the unloaded
@@ -212,7 +222,7 @@ pub fn run_overload(
     let mut cells = Vec::with_capacity(factors.len());
     for &factor in factors {
         let jobs = match burst_for(scenario, factor) {
-            Some(burst) => burst.overlay(&base, scenario.dataset_count),
+            Some(burst) => burst.overlay(&base, scenario.workload.dataset_count),
             None => base.clone(),
         };
         let offered = jobs.len();

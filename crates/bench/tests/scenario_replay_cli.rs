@@ -184,6 +184,40 @@ fn replaying_a_zero_cycle_exits_2_with_line_1() {
 }
 
 #[test]
+fn a_replay_banner_comes_from_the_record() {
+    let batch = Job {
+        id: JobId(2),
+        kind: JobKind::Batch {
+            user: UserId(1000),
+            request: BatchId(0),
+            frame: 0,
+        },
+        dataset: DatasetId(1),
+        issue_time: SimTime::from_millis(3),
+        frame: FrameParams::default(),
+    };
+    let jobs = [frame(0, 0, 1), frame(1, 0, 2), batch];
+    let path = write_record("banner.jsonl", header("banner", "OURS"), &jobs);
+    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+        .args(["--replay", path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("run scenario");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let banner = stdout.lines().next().expect("a banner line");
+    assert!(
+        banner.starts_with("== banner-replay == nodes=2 "),
+        "{banner}"
+    );
+    assert!(banner.contains(" interactive=2 batch=1 "), "{banner}");
+}
+
+#[test]
 fn a_replay_runs_at_the_recorded_cycle_period() {
     let mut h = header("omega-10ms", "OURS");
     h.cycle = SimDuration::from_millis(10);

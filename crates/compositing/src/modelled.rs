@@ -51,7 +51,6 @@ pub struct ModelledComm<C> {
     send_time: SimDuration,
     recv_time: SimDuration,
     bytes_sent: u64,
-    messages_sent: u64,
 }
 
 const BYTES_PER_PIXEL: u64 = 16; // four f32 channels
@@ -65,28 +64,12 @@ impl<C: Communicator> ModelledComm<C> {
             send_time: SimDuration::ZERO,
             recv_time: SimDuration::ZERO,
             bytes_sent: 0,
-            messages_sent: 0,
         }
-    }
-
-    /// Modelled time spent sending.
-    pub fn send_time(&self) -> SimDuration {
-        self.send_time
-    }
-
-    /// Modelled time spent receiving.
-    pub fn recv_time(&self) -> SimDuration {
-        self.recv_time
     }
 
     /// Total payload bytes sent.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
-    }
-
-    /// Messages sent.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
     }
 
     /// The higher of send/receive time: a serial-link lower bound on this
@@ -108,7 +91,6 @@ impl<C: Communicator> Communicator for ModelledComm<C> {
     fn send(&mut self, to: usize, tag: u32, part: ImagePart) {
         let bytes = part.pixels.len() as u64 * BYTES_PER_PIXEL;
         self.bytes_sent += bytes;
-        self.messages_sent += 1;
         self.send_time += self.link.transfer_time(bytes);
         self.inner.send(to, tag, part);
     }

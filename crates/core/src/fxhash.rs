@@ -8,7 +8,7 @@
 //! lines rather than pulling in an extra dependency. HashDoS is not a
 //! concern: all keys are internally generated ids.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the Firefox/rustc Fx hash.
@@ -70,12 +70,11 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::Hash;
 
     fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
@@ -86,7 +85,8 @@ mod tests {
 
     #[test]
     fn distinct_keys_usually_hash_distinctly() {
-        let hashes: FxHashSet<u64> = (0u64..10_000).map(|i| hash_of(&i)).collect();
+        let hashes: HashSet<u64, BuildHasherDefault<FxHasher>> =
+            (0u64..10_000).map(|i| hash_of(&i)).collect();
         assert_eq!(hashes.len(), 10_000);
     }
 

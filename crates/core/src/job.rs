@@ -1,4 +1,4 @@
-//! Jobs, tasks, and the head node's job queue (§III-A).
+//! Jobs and tasks (§III-A).
 //!
 //! A *job* `J_i` is one frame to render: either one step of an interactive
 //! user action (issued every 30 ms while the user drags the camera) or one
@@ -9,7 +9,6 @@
 use crate::data::Catalog;
 use crate::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, UserId};
 use crate::time::SimTime;
-use std::collections::VecDeque;
 
 /// Whether a job came from a live user interaction or a batch submission.
 /// Interactive jobs have absolute priority in the proposed scheduler.
@@ -131,52 +130,6 @@ pub struct Task {
     pub interactive: bool,
 }
 
-/// The head node's FIFO job queue, fed by the listening thread and drained
-/// by the dispatching thread.
-#[derive(Clone, Debug, Default)]
-pub struct JobQueue {
-    queue: VecDeque<Job>,
-    pushed: u64,
-}
-
-impl JobQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueue a job (listening thread side).
-    pub fn push(&mut self, job: Job) {
-        self.pushed += 1;
-        self.queue.push_back(job);
-    }
-
-    /// Dequeue the oldest job, if any (dispatching thread side).
-    pub fn pop(&mut self) -> Option<Job> {
-        self.queue.pop_front()
-    }
-
-    /// Drain every queued job in arrival order.
-    pub fn drain_all(&mut self) -> Vec<Job> {
-        self.queue.drain(..).collect()
-    }
-
-    /// Number of jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Total jobs ever pushed (for accounting).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,20 +169,6 @@ mod tests {
             assert_eq!(t.bytes, 512 * MIB);
             assert!(t.interactive);
         }
-    }
-
-    #[test]
-    fn job_queue_is_fifo() {
-        let mut q = JobQueue::new();
-        q.push(interactive_job(1, 0));
-        q.push(interactive_job(2, 0));
-        q.push(interactive_job(3, 0));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().id, JobId(1));
-        let rest = q.drain_all();
-        assert_eq!(rest.iter().map(|j| j.id.0).collect::<Vec<_>>(), vec![2, 3]);
-        assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 3);
     }
 
     #[test]

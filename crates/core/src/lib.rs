@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::cost::{framerate, CostParams, JobTiming};
     pub use crate::data::{uniform_datasets, Catalog, ChunkDesc, DatasetDesc, DecompositionPolicy};
     pub use crate::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, ShardId, UserId};
-    pub use crate::job::{FrameParams, Job, JobKind, JobQueue, Task};
+    pub use crate::job::{FrameParams, Job, JobKind, Task};
     pub use crate::memory::{EvictionPolicy, NodeMemory};
     pub use crate::sched::{
         Assignment, OursParams, OursScheduler, ScheduleCtx, Scheduler, SchedulerKind, Trigger,

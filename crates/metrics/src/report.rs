@@ -155,13 +155,13 @@ pub fn format_comparison(reports: &[SchedulerReport]) -> String {
 /// Serialize reports as CSV (one row per scheduler) for external plotting.
 pub fn reports_to_csv(reports: &[SchedulerReport]) -> String {
     let mut out = String::from(
-        "scenario,scheduler,interactive_jobs,batch_jobs,fps_mean,fps_p50,         int_latency_mean_s,int_latency_p95_s,batch_latency_mean_s,         batch_working_mean_s,hit_rate,gpu_unused,sched_cost_us,fairness,makespan_s
-",
+        "scenario,scheduler,interactive_jobs,batch_jobs,fps_mean,fps_p50,\
+         int_latency_mean_s,int_latency_p95_s,batch_latency_mean_s,\
+         batch_working_mean_s,hit_rate,gpu_unused,sched_cost_us,fairness,makespan_s\n",
     );
     for r in reports {
         out.push_str(&format!(
-            "{},{},{},{},{:.4},{:.4},{:.6},{:.6},{:.6},{:.6},{:.6},,{:.4},{:.4},{:.3}
-",
+            "{},{},{},{},{:.4},{:.4},{:.6},{:.6},{:.6},{:.6},{:.6},,{:.4},{:.4},{:.3}\n",
             r.scenario,
             r.scheduler,
             r.interactive_jobs,
@@ -326,6 +326,38 @@ mod tests {
         let csv = reports_to_csv(&[report.clone(), report]);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.lines().nth(1).unwrap().starts_with("test,OURS,3,1,"));
+    }
+
+    #[test]
+    fn csv_header_names_are_bare_and_match_the_row() {
+        let csv = reports_to_csv(&[SchedulerReport::from_run(&sample_run())]);
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let row: Vec<&str> = lines.next().unwrap().split(',').collect();
+        for name in &header {
+            assert_eq!(*name, name.trim(), "column name with whitespace");
+        }
+        assert_eq!(header.len(), row.len());
+        assert_eq!(
+            header,
+            [
+                "scenario",
+                "scheduler",
+                "interactive_jobs",
+                "batch_jobs",
+                "fps_mean",
+                "fps_p50",
+                "int_latency_mean_s",
+                "int_latency_p95_s",
+                "batch_latency_mean_s",
+                "batch_working_mean_s",
+                "hit_rate",
+                "gpu_unused",
+                "sched_cost_us",
+                "fairness",
+                "makespan_s",
+            ]
+        );
     }
 
     #[test]

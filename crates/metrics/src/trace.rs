@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use vizsched_core::fault::FaultKind;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, ShardId};
 use vizsched_core::job::Job;
@@ -889,6 +889,14 @@ impl Probe for NoopProbe {
     fn on_event(&self, _event: &TraceEvent) {}
 }
 
+/// Lock a probe's buffer, recovering it if an emitter panicked while
+/// holding it: each emit is one push or one line write, so the buffer
+/// stays usable, and the next emitter (in a live service, the head
+/// thread) must not panic in turn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A probe that buffers every event in memory, for tests and post-run
 /// analysis.
 #[derive(Debug, Default)]
@@ -904,17 +912,17 @@ impl CollectingProbe {
 
     /// Copy out everything collected so far.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("probe lock").clone()
+        lock(&self.events).clone()
     }
 
     /// Drain the buffer, returning everything collected so far.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("probe lock"))
+        std::mem::take(&mut *lock(&self.events))
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("probe lock").len()
+        lock(&self.events).len()
     }
 
     /// True if nothing has been collected.
@@ -925,7 +933,7 @@ impl CollectingProbe {
 
 impl Probe for CollectingProbe {
     fn on_event(&self, event: &TraceEvent) {
-        self.events.lock().expect("probe lock").push(*event);
+        lock(&self.events).push(*event);
     }
 }
 
@@ -968,7 +976,7 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
     fn on_event(&self, event: &TraceEvent) {
         let mut line = event.to_json();
         line.push('\n');
-        let mut out = self.out.lock().expect("probe lock");
+        let mut out = lock(&self.out);
         if out.write_all(line.as_bytes()).is_err() {
             self.errors
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -978,9 +986,7 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
 
 impl<W: Write + Send> Drop for JsonlProbe<W> {
     fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
+        let _ = lock(&self.out).flush();
     }
 }
 
@@ -1454,6 +1460,53 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(p.is_empty());
         assert_eq!(events[1].time(), SimTime::from_secs(1));
+    }
+
+    /// Hold `m` on another thread and panic there, poisoning it.
+    fn poison<T: Send + Sync + 'static>(m: Arc<T>, hold: fn(&T)) {
+        let joined = std::thread::spawn(move || hold(&m)).join();
+        assert!(joined.is_err(), "the holder must have panicked");
+    }
+
+    #[test]
+    fn collecting_probe_survives_a_poisoned_lock() {
+        let p = Arc::new(CollectingProbe::new());
+        p.on_event(&TraceEvent::CycleStart {
+            now: SimTime::ZERO,
+            queued: 1,
+        });
+        poison(p.clone(), |p| {
+            let _held = p.events.lock();
+            panic!("an emitter panics while holding the buffer");
+        });
+        assert!(p.events.is_poisoned());
+        p.on_event(&TraceEvent::NodeUp {
+            now: SimTime::from_secs(1),
+            node: NodeId(2),
+        });
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.events().len(), 2);
+        assert_eq!(p.take().len(), 2);
+        assert!(p.is_empty());
+    }
+
+    #[test]
+    fn jsonl_probe_survives_a_poisoned_lock() {
+        let probe = Arc::new(JsonlProbe::new(Vec::new()));
+        poison(probe.clone(), |p| {
+            let _held = p.out.lock();
+            panic!("an emitter panics while holding the writer");
+        });
+        assert!(probe.out.is_poisoned());
+        probe.on_event(&TraceEvent::CycleStart {
+            now: SimTime::from_micros(30),
+            queued: 2,
+        });
+        assert_eq!(probe.write_errors(), 0);
+        let text = String::from_utf8(lock(&probe.out).clone()).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        // Dropping flushes through the poisoned lock without panicking.
+        drop(Arc::into_inner(probe).expect("the last handle"));
     }
 
     #[test]

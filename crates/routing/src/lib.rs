@@ -52,7 +52,7 @@ fn mix64(z: u64) -> u64 {
 
 /// A consistent-hash ring mapping packed chunk keys onto shards.
 ///
-/// Each shard owns [`replicas`](HashRing::replicas) pseudo-random points
+/// Each shard owns `replicas` (see [`HashRing::new`]) pseudo-random points
 /// on a `u64` circle; a key belongs to the shard owning the first point
 /// clockwise of the key's hash. The ring is deterministic: the same
 /// `(seed, shard set, replicas)` always yields the same placement, on
@@ -86,11 +86,6 @@ impl HashRing {
             ring.add_shard(ShardId(s as u32));
         }
         ring
-    }
-
-    /// Virtual points contributed per shard.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Shards currently on the ring, in insertion order.
@@ -191,15 +186,14 @@ pub struct ShardNodes {
 
 /// A topology-aware partition of `p` nodes into shards.
 ///
-/// Nodes are read as leaf groups of [`leaf`](ShardMap::leaf) consecutive
-/// nodes (the nodes under one leaf switch); shards are runs of *whole*
+/// Nodes are read as leaf groups of consecutive nodes (the nodes under
+/// one leaf switch); shards are runs of *whole*
 /// leaves, as equal in node count as leaf granularity allows. Earlier
 /// shards absorb any remainder leaf, so shard sizes differ by at most
 /// one leaf.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     spans: Vec<ShardNodes>,
-    leaf: usize,
     total: usize,
 }
 
@@ -237,7 +231,6 @@ impl ShardMap {
         }
         ShardMap {
             spans,
-            leaf,
             total: nodes,
         }
     }
@@ -252,11 +245,6 @@ impl ShardMap {
             1
         };
         ShardMap::leaf_spine(nodes, shards, leaf)
-    }
-
-    /// Leaf-group width the partition was built with.
-    pub fn leaf(&self) -> usize {
-        self.leaf
     }
 
     /// Total nodes across all shards.
@@ -298,16 +286,6 @@ impl ShardMap {
             .spans
             .partition_point(|s| (s.base as usize) <= node.index());
         self.spans[at - 1].shard
-    }
-
-    /// Translate a shard-local node index to the global [`NodeId`].
-    ///
-    /// # Panics
-    /// If the local index is outside the shard.
-    pub fn global(&self, shard: ShardId, local: NodeId) -> NodeId {
-        let span = self.span(shard);
-        assert!(local.0 < span.nodes, "local node {local} outside {shard}");
-        NodeId(span.base + local.0)
     }
 
     /// Translate a global node to `(shard, local index)`.
@@ -388,7 +366,12 @@ mod tests {
             assert_eq!(covered, nodes, "{nodes}x{shards}: nodes lost or doubled");
             for n in 0..nodes {
                 let (shard, local) = map.local(NodeId(n as u32));
-                assert_eq!(map.global(shard, local), NodeId(n as u32));
+                let span = map.span(shard);
+                assert!(
+                    local.0 < span.nodes,
+                    "{nodes}x{shards}: {local} outside {shard}"
+                );
+                assert_eq!(span.base + local.0, n as u32);
             }
         }
     }

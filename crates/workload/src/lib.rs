@@ -8,9 +8,10 @@
 //!
 //! The [`record`] module adds the scenario record/replay plane: a
 //! versioned JSONL [`ScenarioRecord`] capturing any live or simulated
-//! run's request stream (written by the [`RecordingProbe`]), and
-//! [`Scenario::from_record`] to replay it bit-identically in the
-//! simulator. The [`traffic`] module layers five non-Poisson traffic
+//! run's request stream (written by the [`RecordingProbe`]); its header,
+//! [`ScenarioRecord::catalog`], [`ScenarioRecord::jobs`] and
+//! [`ScenarioRecord::faults`] are what a simulator run needs to replay it
+//! bit-identically. The [`traffic`] module layers five non-Poisson traffic
 //! shapes on the same format: diurnal curves, flash crowds, camera-path
 //! locality, mixed GPU tiers, and time-varying heterogeneous datasets.
 
@@ -30,7 +31,7 @@ pub use record::{
     RecordError, RecordHeader, RecordingProbe, ScenarioRecord, SessionKind, SessionLine,
     RECORD_KINDS, RECORD_VERSION,
 };
-pub use scenario::{ReplayPlan, Scenario};
+pub use scenario::Scenario;
 pub use traffic::{
     heterogeneous_catalog, mixed_tier_cluster, CameraPathSpec, DiurnalSpec, FlashCrowdSpec,
     MixedTiersSpec, TimeVaryingSpec, TrafficShape, CROWD_USER_OFFSET,

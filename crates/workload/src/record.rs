@@ -7,8 +7,9 @@
 //! everything placement depends on — seed, scheduling policy, cycle
 //! period, cost-model constants, cluster shape, and the exact chunk
 //! decomposition — plus a fingerprint over those fields, so a record is a
-//! self-contained experiment: feed it to `Scenario::from_record` and the
-//! simulator re-places every task identically.
+//! self-contained experiment: run its [`ScenarioRecord::jobs`] over its
+//! [`ScenarioRecord::catalog`] and `faults` on a simulator built from its
+//! header, and every task is re-placed identically.
 //!
 //! Records are written by the [`RecordingProbe`], which observes jobs at
 //! the head node's single admission entry point (`Probe::on_job_offered`,
@@ -21,7 +22,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{Catalog, ChunkDesc, DatasetDesc};
@@ -746,20 +747,28 @@ impl RecordingProbe {
         }
     }
 
+    /// The capture state, recovered if an emitter panicked while holding
+    /// it: emits only append, so what the state holds stays valid, and
+    /// the next emitter (in a live service, the head thread) must not
+    /// panic in turn.
+    fn state(&self) -> MutexGuard<'_, RecState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot the capture as a [`ScenarioRecord`].
     pub fn finish(&self) -> ScenarioRecord {
-        self.state.lock().expect("recorder lock").record.clone()
+        self.state().record.clone()
     }
 
     /// Copy out every trace event seen so far (the recorder doubles as a
     /// `CollectingProbe`).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.state.lock().expect("recorder lock").events.clone()
+        self.state().events.clone()
     }
 
     /// Number of requests captured so far.
     pub fn request_count(&self) -> usize {
-        let st = self.state.lock().expect("recorder lock");
+        let st = self.state();
         st.record.requests.len()
     }
 
@@ -771,7 +780,7 @@ impl RecordingProbe {
 
 impl Probe for RecordingProbe {
     fn on_event(&self, event: &TraceEvent) {
-        let mut st = self.state.lock().expect("recorder lock");
+        let mut st = self.state();
         if let TraceEvent::FaultInjected { now, fault } = *event {
             st.record.faults.push(FaultEvent {
                 at: now,
@@ -782,7 +791,7 @@ impl Probe for RecordingProbe {
     }
 
     fn on_job_offered(&self, _now: SimTime, job: &Job) {
-        let mut st = self.state.lock().expect("recorder lock");
+        let mut st = self.state();
         let RecState { record, seen, .. } = &mut *st;
         note_session(&mut record.sessions, seen, job);
         record.requests.push(job.clone());
@@ -999,6 +1008,30 @@ mod tests {
             .replace("\"t\":\"request\"", "\"t\":\"request\",\"note\":\"extra\"");
         let back = ScenarioRecord::parse(&text).expect("forward-compatible parse");
         assert_eq!(back.requests, record.requests);
+    }
+
+    #[test]
+    fn recording_probe_survives_a_poisoned_lock() {
+        let probe = std::sync::Arc::new(RecordingProbe::new(small_header()));
+        let held = probe.clone();
+        let joined = std::thread::spawn(move || {
+            let _held = held.state.lock();
+            panic!("an emitter panics while holding the recorder");
+        })
+        .join();
+        assert!(joined.is_err() && probe.state.is_poisoned());
+        for job in small_jobs() {
+            probe.on_job_offered(job.issue_time, &job);
+        }
+        probe.on_event(&TraceEvent::FaultInjected {
+            now: SimTime::from_millis(3),
+            fault: FaultKind::NodeCrash(NodeId(1)),
+        });
+        assert_eq!(probe.request_count(), 2);
+        assert_eq!(probe.events().len(), 1);
+        let record = probe.finish();
+        assert_eq!(record.requests, small_jobs());
+        assert_eq!(record.faults.len(), 1);
     }
 
     #[test]

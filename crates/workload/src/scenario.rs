@@ -14,18 +14,18 @@
 //! realization); `EXPERIMENTS.md` records the counts actually generated.
 
 use crate::generator::{ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, WorkloadSpec};
-use crate::record::{catalog_from_sizes, ScenarioRecord};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DatasetDesc, DecompositionPolicy};
-use vizsched_core::fault::FaultEvent;
 use vizsched_core::job::Job;
 use vizsched_core::time::SimDuration;
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
-/// Everything needed to run one experiment: cluster, costs, data, workload.
+/// Everything needed to run one generated experiment: cluster, costs,
+/// data, workload. A captured run replays from its `ScenarioRecord`
+/// instead.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Display label ("scenario-1", …).
@@ -36,33 +36,10 @@ pub struct Scenario {
     pub cost: CostParams,
     /// `Chk_max` (512 MB in all paper scenarios).
     pub chunk_max: u64,
-    /// Number of datasets.
-    pub dataset_count: u32,
-    /// Size of each dataset in bytes.
+    /// Size of each dataset in bytes (`workload.dataset_count` of them).
     pub dataset_bytes: u64,
     /// The workload description.
     pub workload: WorkloadSpec,
-    /// The interactive frame-rate target (33.33 fps).
-    pub target_fps: f64,
-    /// When set, this scenario replays a captured [`ScenarioRecord`]
-    /// instead of generating jobs: [`Scenario::jobs`] returns the
-    /// recorded stream verbatim and [`Scenario::catalog`] rebuilds the
-    /// recorded decomposition (which may be heterogeneous).
-    pub replay: Option<ReplayPlan>,
-}
-
-/// The captured side of a replay scenario (see [`Scenario::from_record`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayPlan {
-    /// The recorded request stream, ids and issue times included.
-    pub jobs: Vec<Job>,
-    /// The recorded dataset descriptors, dense by id.
-    pub datasets: Vec<DatasetDesc>,
-    /// Per-dataset chunk sizes in bytes (the exact recorded bricking).
-    pub chunks: Vec<Vec<u64>>,
-    /// The recorded faults, in injection order; collect them into a
-    /// `FaultPlan` to re-inject them.
-    pub faults: Vec<FaultEvent>,
 }
 
 impl Scenario {
@@ -184,7 +161,6 @@ impl Scenario {
             cluster: ClusterSpec::homogeneous(nodes, quota),
             cost,
             chunk_max: 512 * MIB,
-            dataset_count,
             dataset_bytes,
             workload: WorkloadSpec {
                 length,
@@ -194,98 +170,34 @@ impl Scenario {
                 dataset_choice: DatasetChoice::Uniform,
                 seed,
             },
-            target_fps: 1.0e6 / 30_000.0,
-            replay: None,
         }
     }
 
-    /// A replay scenario wrapping a captured [`ScenarioRecord`]: the
-    /// cluster, cost constants, and decomposition come from the record's
-    /// header, and [`Scenario::jobs`] returns the recorded request
-    /// stream verbatim — same ids, issue times, and camera parameters —
-    /// and [`Scenario::faults`] the recorded faults, so the simulator
-    /// re-places every task exactly as the recorded run did.
-    pub fn from_record(record: &ScenarioRecord) -> Scenario {
-        let h = &record.header;
-        let length = record
-            .requests
-            .last()
-            .map(|j| SimDuration::from_micros(j.issue_time.as_micros()))
-            .unwrap_or_else(|| SimDuration::from_micros(0));
-        let chunk_max = h
-            .chunks
-            .iter()
-            .flatten()
-            .copied()
-            .max()
-            .unwrap_or(512 * MIB);
-        Scenario {
-            label: format!("{}-replay", h.label),
-            cluster: h.cluster.clone(),
-            cost: h.cost,
-            chunk_max,
-            dataset_count: h.datasets.len() as u32,
-            dataset_bytes: h.datasets.first().map(|d| d.bytes).unwrap_or(0),
-            workload: WorkloadSpec {
-                length,
-                interactive: InteractiveModel {
-                    slots: 0,
-                    period: SimDuration::from_millis(30),
-                    behavior: ActionBehavior::FullLength,
-                },
-                batch: BatchModel::none(),
-                dataset_count: h.datasets.len() as u32,
-                dataset_choice: DatasetChoice::Uniform,
-                seed: h.seed,
-            },
-            target_fps: 1.0e6 / 30_000.0,
-            replay: Some(ReplayPlan {
-                jobs: record.requests.clone(),
-                datasets: h.datasets.clone(),
-                chunks: h.chunks.clone(),
-                faults: record.faults.clone(),
-            }),
-        }
+    /// The interactive frame-rate target: one frame per interactive
+    /// period (33.33 fps at the paper's 30 ms).
+    pub fn target_fps(&self) -> f64 {
+        1.0e6 / self.workload.interactive.period.as_micros() as f64
     }
 
-    /// The dataset catalog input (the recorded descriptors when
-    /// replaying).
+    /// The dataset catalog input.
     pub fn datasets(&self) -> Vec<DatasetDesc> {
-        match &self.replay {
-            Some(r) => r.datasets.clone(),
-            None => uniform_datasets(self.dataset_count, self.dataset_bytes),
-        }
+        uniform_datasets(self.workload.dataset_count, self.dataset_bytes)
     }
 
-    /// The decomposition catalog this scenario runs over. Generated
-    /// scenarios decompose uniformly under `Chk_max`; replay scenarios
-    /// rebuild the recorded (possibly heterogeneous) bricking, so pass
-    /// this to the run's catalog override when replaying.
+    /// The decomposition catalog this scenario runs over: every dataset
+    /// decomposed uniformly under `Chk_max`.
     pub fn catalog(&self) -> Catalog {
-        match &self.replay {
-            Some(r) => catalog_from_sizes(r.datasets.clone(), &r.chunks),
-            None => Catalog::new(
-                self.datasets(),
-                DecompositionPolicy::MaxChunkSize {
-                    max_bytes: self.chunk_max,
-                },
-            ),
-        }
+        Catalog::new(
+            self.datasets(),
+            DecompositionPolicy::MaxChunkSize {
+                max_bytes: self.chunk_max,
+            },
+        )
     }
 
-    /// The faults a replay must re-inject (none unless replaying a
-    /// record that carries `fault` lines).
-    pub fn faults(&self) -> &[FaultEvent] {
-        self.replay.as_ref().map_or(&[], |r| &r.faults)
-    }
-
-    /// Generate the job list (or return the recorded stream when
-    /// replaying).
+    /// Generate the job list.
     pub fn jobs(&self) -> Vec<Job> {
-        match &self.replay {
-            Some(r) => r.jobs.clone(),
-            None => self.workload.generate(),
-        }
+        self.workload.generate()
     }
 
     /// A proportionally shortened copy (for quick tests): the arrival
@@ -346,7 +258,6 @@ impl Scenario {
             cluster: ClusterSpec::homogeneous(nodes, quota),
             cost: CostParams::anl_gpu_cluster(),
             chunk_max: 512 * MIB,
-            dataset_count: datasets,
             dataset_bytes,
             workload: WorkloadSpec {
                 length,
@@ -374,8 +285,6 @@ impl Scenario {
                 dataset_choice: DatasetChoice::Uniform,
                 seed,
             },
-            target_fps: 1.0e6 / 30_000.0,
-            replay: None,
         }
     }
 }
@@ -389,8 +298,8 @@ mod tests {
         let s = Scenario::table2(1);
         assert_eq!(s.cluster.len(), 8);
         assert_eq!(s.cluster.total_memory(), 16 * GIB);
-        assert_eq!(s.dataset_count, 6);
-        assert_eq!(s.dataset_count as u64 * s.dataset_bytes, 12 * GIB);
+        assert_eq!(s.workload.dataset_count, 6);
+        assert_eq!(s.workload.dataset_count as u64 * s.dataset_bytes, 12 * GIB);
         let jobs = s.jobs();
         // Paper: 12006 interactive jobs, 0 batch; ours generates ~12000.
         assert!((11_994..=12_000).contains(&jobs.len()), "{}", jobs.len());
@@ -415,9 +324,15 @@ mod tests {
         let s3 = Scenario::table2(3);
         assert_eq!(s3.cluster.len(), 64);
         assert_eq!(s3.cluster.total_memory(), 512 * GIB);
-        assert_eq!(s3.dataset_count as u64 * s3.dataset_bytes, 256 * GIB);
+        assert_eq!(
+            s3.workload.dataset_count as u64 * s3.dataset_bytes,
+            256 * GIB
+        );
         let s4 = Scenario::table2(4);
-        assert_eq!(s4.dataset_count as u64 * s4.dataset_bytes, 1024 * GIB);
+        assert_eq!(
+            s4.workload.dataset_count as u64 * s4.dataset_bytes,
+            1024 * GIB
+        );
     }
 
     #[test]

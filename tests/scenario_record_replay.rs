@@ -12,10 +12,10 @@ use std::time::Duration;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::prelude::*;
 use vizsched_integration::parity::{assignments, cache_loads, dones, job_done_order, Pair};
-use vizsched_metrics::{events_to_jsonl, CollectingProbe};
+use vizsched_metrics::{events_to_jsonl, CollectingProbe, TraceEvent};
 use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_workload::{
-    CameraPathSpec, RecordHeader, RecordingProbe, Scenario, ScenarioRecord, TrafficShape,
+    CameraPathSpec, RecordHeader, RecordingProbe, ScenarioRecord, TrafficShape,
 };
 
 const NODES: usize = 4;
@@ -123,21 +123,30 @@ fn record_small_run(plan: FaultPlan) -> (String, ScenarioRecord) {
     )
 }
 
-/// Pass 2: replay a parsed record — requests and faults — in a fresh
-/// simulator; returns the replay's scrubbed event stream.
-fn replay_small_run(record: &ScenarioRecord) -> String {
-    let scenario = Scenario::from_record(record);
-    let twin = Arc::new(CollectingProbe::new());
-    let replay = small_sim().run_opts(
-        scenario.jobs(),
-        RunOptions::new(SchedulerKind::Ours)
-            .label("record-replay")
-            .catalog(scenario.catalog())
-            .fault_plan(scenario.faults().iter().copied().collect())
-            .probe(twin.clone()),
+/// Replay a parsed record — requests and faults — in a fresh simulator
+/// built from its header alone; returns the replay's event stream.
+fn replay(record: &ScenarioRecord) -> Vec<TraceEvent> {
+    let h = &record.header;
+    // The recorded catalog replaces the decomposition, so `Chk_max` is
+    // never read.
+    let mut config = SimConfig::new(h.cluster.clone(), h.cost, 0);
+    config.cycle = h.cycle;
+    let probe = Arc::new(CollectingProbe::new());
+    let outcome = Simulation::new(config, h.datasets.clone()).run_opts(
+        record.jobs().to_vec(),
+        RunOptions::new(h.policy.parse().expect("a registered policy"))
+            .label(&h.label)
+            .catalog(record.catalog())
+            .fault_plan(record.faults.iter().copied().collect())
+            .probe(probe.clone()),
     );
-    assert_eq!(replay.incomplete_jobs, 0);
-    scrub_wall_clock(&events_to_jsonl(&twin.take()))
+    assert_eq!(outcome.incomplete_jobs, 0);
+    probe.take()
+}
+
+/// Pass 2: replay a parsed record; returns its scrubbed event stream.
+fn replay_small_run(record: &ScenarioRecord) -> String {
+    scrub_wall_clock(&events_to_jsonl(&replay(record)))
 }
 
 #[test]
@@ -233,13 +242,12 @@ fn live_recording_replays_in_sim_with_identical_placements() {
 
     // Replay in the simulator: the recorded request stream over the
     // recorded catalog, which is the store's physical bricking.
-    let scenario = Scenario::from_record(&parsed);
     assert_eq!(
-        format!("{:?}", scenario.catalog()),
+        format!("{:?}", parsed.catalog()),
         format!("{:?}", rig.catalog()),
         "the record must carry the store's catalog"
     );
-    let (sim_events, _) = rig.sim(scenario.jobs());
+    let sim_events = replay(&parsed);
 
     assert_eq!(
         assignments(&sim_events),

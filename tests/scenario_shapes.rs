@@ -30,7 +30,7 @@ fn run(scenario: &Scenario, kind: SchedulerKind) -> SchedulerReport {
 #[test]
 fn scenario1_shape_holds() {
     let scenario = Scenario::table2(1).shortened(SimDuration::from_secs(15));
-    let target = scenario.target_fps;
+    let target = scenario.target_fps();
 
     let ours = run(&scenario, SchedulerKind::Ours);
     let fcfsl = run(&scenario, SchedulerKind::Fcfsl);
@@ -73,7 +73,7 @@ fn scenario1_shape_holds() {
 #[test]
 fn scenario2_shape_holds() {
     let scenario = Scenario::table2(2).shortened(SimDuration::from_secs(30));
-    let target = scenario.target_fps;
+    let target = scenario.target_fps();
 
     let ours = run(&scenario, SchedulerKind::Ours);
     let fcfsl = run(&scenario, SchedulerKind::Fcfsl);
@@ -170,7 +170,7 @@ fn crash_during_scenario_is_absorbed() {
 #[test]
 fn scenario3_shape_holds() {
     let scenario = Scenario::table2(3).shortened(SimDuration::from_secs(20));
-    let target = scenario.target_fps;
+    let target = scenario.target_fps();
     let ours = run(&scenario, SchedulerKind::Ours);
     let fcfsu = run(&scenario, SchedulerKind::Fcfsu);
     assert!(ours.fps.mean > target * 0.9, "OURS fps {}", ours.fps.mean);
