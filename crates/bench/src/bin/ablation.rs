@@ -37,7 +37,7 @@ fn main() {
         scenario.label = format!("omega-{cycle_ms}ms");
         let mut config = simulation_for(&scenario).config().clone();
         config.cycle = SimDuration::from_millis(cycle_ms);
-        let sim = vizsched_sim::Simulation::new(config, scenario.datasets());
+        let sim = vizsched_sim::Simulation::new(config, scenario.datasets(), scenario.chunk_max);
         let outcome = sim.run_opts(
             jobs.clone(),
             RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
@@ -145,7 +145,7 @@ fn main() {
         let sim0 = simulation_for(&scenario);
         let mut config = sim0.config().clone();
         config.eviction = policy;
-        let sim = vizsched_sim::Simulation::new(config, scenario.datasets());
+        let sim = vizsched_sim::Simulation::new(config, scenario.datasets(), scenario.chunk_max);
         let outcome = sim.run_opts(
             jobs.clone(),
             RunOptions::new(SchedulerKind::Ours).label(&scenario.label),

@@ -62,8 +62,8 @@ fn at(secs: u64) -> SimTime {
 
 fn sim() -> Simulation {
     let cluster = ClusterSpec::homogeneous(NODES, NODE_QUOTA);
-    let config = SimConfig::new(cluster, CostParams::default(), CHUNK_BYTES);
-    Simulation::new(config, uniform_datasets(DATASETS, 2 * GIB))
+    let config = SimConfig::new(cluster, CostParams::default());
+    Simulation::new(config, uniform_datasets(DATASETS, 2 * GIB), CHUNK_BYTES)
 }
 
 /// A mixed stream: one job every `period_ms`, interactive and batch

@@ -63,7 +63,7 @@ fn main() {
         for gpu_aware in [false, true] {
             let mut config = simulation_for(&scenario).config().clone();
             config.gpu_quota = Some(gpu_mib * MIB);
-            let sim = Simulation::new(config, scenario.datasets());
+            let sim = Simulation::new(config, scenario.datasets(), scenario.chunk_max);
             let sched = Box::new(OursScheduler::new(OursParams {
                 gpu_aware,
                 ..OursParams::default()

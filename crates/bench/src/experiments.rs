@@ -14,8 +14,8 @@ use vizsched_workload::{BurstSpec, Scenario, ScenarioRecord};
 
 /// The bench's simulator settings: the paper's ω = 30 ms (`SimConfig`'s
 /// default), 5 % execution jitter and a warm start.
-fn bench_config(cluster: ClusterSpec, cost: CostParams, chunk_max: u64) -> SimConfig {
-    let mut config = SimConfig::new(cluster, cost, chunk_max);
+fn bench_config(cluster: ClusterSpec, cost: CostParams) -> SimConfig {
+    let mut config = SimConfig::new(cluster, cost);
     config.exec_jitter = 0.05;
     config.warm_start = true;
     config
@@ -23,24 +23,22 @@ fn bench_config(cluster: ClusterSpec, cost: CostParams, chunk_max: u64) -> SimCo
 
 /// Build the simulation for a scenario.
 pub fn simulation_for(scenario: &Scenario) -> Simulation {
-    let config = bench_config(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
-    Simulation::new(config, scenario.datasets())
+    let config = bench_config(scenario.cluster.clone(), scenario.cost);
+    Simulation::new(config, scenario.datasets(), scenario.chunk_max)
 }
 
 /// Replay `record` under `kind`: the bench settings at the recorded ω over
-/// the recorded cluster, cost model and datasets (`Chk_max` is the
-/// largest recorded chunk), with the recorded bricking and faults, under
-/// the label `<label>-replay`. Run `record.jobs()` with these options.
+/// the recorded cluster and cost model, on the recorded bricking, with
+/// the recorded faults, under the label `<label>-replay`. Run
+/// `record.jobs()` with these options.
 pub fn replay_of(record: &ScenarioRecord, kind: SchedulerKind) -> (Simulation, RunOptions) {
     let h = &record.header;
-    let chunk_max = h.chunks.iter().flatten().copied().max().unwrap_or(0);
-    let mut config = bench_config(h.cluster.clone(), h.cost, chunk_max);
+    let mut config = bench_config(h.cluster.clone(), h.cost);
     config.cycle = h.cycle;
     let opts = RunOptions::new(kind)
         .label(&format!("{}-replay", h.label))
-        .catalog(record.catalog())
         .fault_plan(record.faults.iter().copied().collect());
-    (Simulation::new(config, h.datasets.clone()), opts)
+    (Simulation::with_catalog(config, record.catalog()), opts)
 }
 
 /// Run `schedulers` over `scenario` and aggregate each run: one report

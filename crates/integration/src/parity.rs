@@ -158,17 +158,16 @@ impl Rig {
     /// the outcome.
     pub fn sim(&self, jobs: Vec<Job>) -> (Vec<TraceEvent>, RuntimeOutcome) {
         let pair = &self.pair;
-        let mut config = SimConfig::new(self.cluster(), CostParams::default(), 1 << 30);
+        let mut config = SimConfig::new(self.cluster(), CostParams::default());
         config.cycle = pair.cycle;
         let probe = Arc::new(CollectingProbe::new());
         let opts = RunOptions::new(pair.scheduler)
             .label("parity")
-            .catalog(self.catalog().clone())
             .shards(pair.shards)
             .overload(pair.overload)
             .fault_plan(pair.fault_plan.clone())
             .probe(probe.clone());
-        let outcome = Simulation::new(config, Vec::new()).run_opts(jobs, opts);
+        let outcome = Simulation::with_catalog(config, self.catalog().clone()).run_opts(jobs, opts);
         assert_eq!(
             outcome.incomplete_jobs,
             0,

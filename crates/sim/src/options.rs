@@ -2,10 +2,10 @@
 //! invocation can vary without rebuilding the simulation.
 //!
 //! [`SimConfig`](crate::SimConfig) describes the *substrate* — cluster,
-//! cost model, decomposition. [`RunOptions`] describes one *run* over that
-//! substrate: which policy, under what label, observed by which probe,
-//! over which catalog, under which fault plan, overload policy and shard
-//! count. Every setter has a caller among the bench binaries; the
+//! cost model, cycle — and [`Simulation`](crate::Simulation) its data and
+//! bricking. [`RunOptions`] describes one *run* over that substrate: which
+//! policy, under what label, observed by which probe, under which fault
+//! plan, overload policy and shard count. Every setter has a caller among the bench binaries; the
 //! repository's docs-consistency test keeps it that way.
 //!
 //! ```
@@ -23,7 +23,6 @@
 //! ```
 
 use std::sync::Arc;
-use vizsched_core::data::Catalog;
 use vizsched_core::sched::{Scheduler, SchedulerKind};
 use vizsched_metrics::{NoopProbe, Probe};
 use vizsched_runtime::{FaultPlan, OverloadPolicy};
@@ -54,7 +53,6 @@ pub struct RunOptions {
     pub(crate) label: String,
     pub(crate) probe: Arc<dyn Probe>,
     pub(crate) fault_plan: FaultPlan,
-    pub(crate) catalog: Option<Catalog>,
     pub(crate) overload: OverloadPolicy,
     pub(crate) shards: usize,
 }
@@ -66,7 +64,6 @@ impl std::fmt::Debug for RunOptions {
             .field("label", &self.label)
             .field("probe_enabled", &self.probe.enabled())
             .field("fault_plan", &self.fault_plan)
-            .field("catalog_override", &self.catalog.is_some())
             .field("overload", &self.overload)
             .field("shards", &self.shards)
             .finish()
@@ -91,7 +88,6 @@ impl RunOptions {
             label: String::new(),
             probe: Arc::new(NoopProbe),
             fault_plan: FaultPlan::new(),
-            catalog: None,
             overload: OverloadPolicy::default(),
             shards: 1,
         }
@@ -118,14 +114,6 @@ impl RunOptions {
     /// in the sim. The default, empty plan injects nothing.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Replace the catalog for this run instead of decomposing the
-    /// simulation's datasets — e.g. to replay the exact physical bricking
-    /// of a live `ChunkStore` for simulator-vs-service parity checks.
-    pub fn catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = Some(catalog);
         self
     }
 

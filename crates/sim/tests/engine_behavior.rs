@@ -39,8 +39,8 @@ fn batch(id: u64, request: u64, dataset: u32, at: SimTime) -> Job {
 
 fn small_sim() -> Simulation {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    Simulation::new(config, uniform_datasets(2, 2 * GIB))
+    let config = SimConfig::new(cluster, CostParams::default());
+    Simulation::new(config, uniform_datasets(2, 2 * GIB), 512 * MIB)
 }
 
 #[test]
@@ -93,8 +93,8 @@ fn estimate_table_learns_from_measurements() {
         node.disk_scale = 0.5;
     }
     let cost = CostParams::default();
-    let config = SimConfig::new(cluster, cost, 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
+    let config = SimConfig::new(cluster, cost);
+    let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB), 512 * MIB);
     let outcome = sim.run_opts(
         vec![interactive(0, 0, 0, SimTime::ZERO)],
         RunOptions::new(SchedulerKind::Fcfsl).label("t"),
@@ -160,13 +160,13 @@ fn ours_defers_batch_but_drains_it() {
 fn crash_mid_run_still_completes_jobs() {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
     let cost = CostParams::default();
-    let config = SimConfig::new(cluster, cost, 512 * MIB);
+    let config = SimConfig::new(cluster, cost);
     // Crash node 1 while the first job's cold loads are in flight; recover
     // much later.
     let plan = FaultPlan::new()
         .crash_at(SimTime::from_millis(500), NodeId(1))
         .respawn_at(SimTime::from_secs(60), NodeId(1));
-    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
+    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = (0..20)
         .map(|i| interactive(i, 0, 0, SimTime::from_millis(30 * i)))
         .collect();
@@ -194,8 +194,8 @@ fn crash_mid_run_still_completes_jobs() {
 #[test]
 fn plan_crash_then_respawn_is_traced_in_order() {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB), 512 * MIB);
     let plan = FaultPlan::new()
         .crash_at(SimTime::from_millis(500), NodeId(1))
         .respawn_at(SimTime::from_secs(2), NodeId(1));
@@ -235,8 +235,8 @@ fn shard_crash_that_cannot_fail_over_power_cycles_nothing() {
         .shard_crash_at(SimTime::from_millis(1_500), ShardId(7))
         .shard_crash_at(SimTime::from_millis(2_005), ShardId(1));
     let cluster = ClusterSpec::homogeneous(8, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB), 512 * MIB);
     let jobs = || -> Vec<Job> {
         (0..60)
             .map(|i| interactive(i, i % 4, (i % 4) as u32, SimTime::from_millis(50 * i)))
@@ -309,8 +309,8 @@ fn plan_that_downs_every_node_is_refused_before_the_run() {
 )]
 fn plan_that_downs_every_node_of_one_shard_is_refused_before_the_run() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB), 512 * MIB);
     let jobs = (0..20)
         .map(|i| interactive(i, i, (i % 4) as u32, SimTime::from_millis(100 * i)))
         .collect();
@@ -326,8 +326,8 @@ fn plan_that_downs_every_node_of_one_shard_is_refused_before_the_run() {
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB), 512 * MIB);
     let probe = Arc::new(CollectingProbe::new());
     sim.run_opts(
         vec![interactive(0, 0, 0, SimTime::ZERO)],
@@ -438,8 +438,8 @@ fn estimate_corrections_improve_later_predictions() {
     for node in &mut cluster.nodes {
         node.disk_scale = 0.25;
     }
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = (0..30)
         .map(|i| interactive(i, i % 2, (i % 2) as u32, SimTime::from_millis(200 * i)))
         .collect();
@@ -472,4 +472,40 @@ fn node_stats_reflect_load_balance() {
     }
     // One dataset over four nodes: every node carries work.
     assert!(outcome.per_node.iter().all(|s| s.tasks > 0));
+}
+
+/// The simulated node's queue: on a warm one-node cluster every task of
+/// a batch job queues on node 0 at once, and an interactive job arriving
+/// 1 ms later starts its tasks the moment the running batch task ends,
+/// ahead of the batch task queued (less than a cycle) before it.
+#[test]
+fn interactive_task_starts_when_the_running_batch_task_ends() {
+    let cluster = ClusterSpec::homogeneous(1, 2 * GIB);
+    let mut config = SimConfig::new(cluster, CostParams::default());
+    config.warm_start = true;
+    let sim = Simulation::new(config, uniform_datasets(2, GIB), 512 * MIB);
+    let probe = Arc::new(CollectingProbe::new());
+    let outcome = sim.run_opts(
+        vec![
+            batch(0, 0, 0, SimTime::ZERO),
+            interactive(1, 1, 1, SimTime::from_millis(1)),
+        ],
+        RunOptions::new(SchedulerKind::Fcfs).probe(probe.clone()),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0);
+    let mut runs: Vec<(SimTime, SimTime, u64)> = probe
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::TaskDone {
+                job, started, exec, ..
+            } => Some((started, started + exec, job.0)),
+            _ => None,
+        })
+        .collect();
+    runs.sort_unstable();
+    let jobs: Vec<u64> = runs.iter().map(|r| r.2).collect();
+    assert_eq!(jobs, [0, 1, 1, 0], "{runs:?}");
+    // One task at a time, back to back, the frame right after the first.
+    assert!(runs.windows(2).all(|w| w[1].0 == w[0].1), "{runs:?}");
 }

@@ -28,9 +28,9 @@ fn interactive(id: u64, action: u64, at: SimTime) -> Job {
 /// `exec_jitter`.
 fn small_sim(exec_jitter: f64) -> Simulation {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let mut config = SimConfig::new(cluster, CostParams::default());
     config.exec_jitter = exec_jitter;
-    Simulation::new(config, uniform_datasets(1, 2 * GIB))
+    Simulation::new(config, uniform_datasets(1, 2 * GIB), 512 * MIB)
 }
 
 /// As [`small_sim`] without jitter, but every node's disk reads at 1/20
@@ -41,8 +41,8 @@ fn slow_disk_sim() -> Simulation {
     for node in &mut cluster.nodes {
         node.disk_scale = 0.05;
     }
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    Simulation::new(config, uniform_datasets(1, 2 * GIB))
+    let config = SimConfig::new(cluster, CostParams::default());
+    Simulation::new(config, uniform_datasets(1, 2 * GIB), 512 * MIB)
 }
 
 #[test]
@@ -188,8 +188,9 @@ fn sharded_share_steps_name_cluster_global_nodes() {
     // must name the node as the cluster does, not as the shard does.
     let cluster = ClusterSpec::homogeneous(8, 2 * GIB);
     let sim = Simulation::new(
-        SimConfig::new(cluster, CostParams::default(), 512 * MIB),
+        SimConfig::new(cluster, CostParams::default()),
         uniform_datasets(8, 2 * GIB),
+        512 * MIB,
     );
     let jobs: Vec<Job> = (0..400u64)
         .map(|i| Job {

@@ -46,9 +46,9 @@ fn main() {
     println!("generated {} jobs", jobs.len());
 
     // Simulate under the paper's scheduler (OURS).
-    let mut config = SimConfig::new(cluster, CostParams::eight_node_cluster(), 512 << 20);
+    let mut config = SimConfig::new(cluster, CostParams::eight_node_cluster());
     config.warm_start = true;
-    let sim = Simulation::new(config, datasets);
+    let sim = Simulation::new(config, datasets, 512 << 20);
     let outcome = sim.run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours).label("quickstart"),

@@ -28,10 +28,10 @@ fn main() {
         3, // three batch submissions
         7,
     );
-    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
+    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost);
     config.exec_jitter = 0.05;
     config.warm_start = true;
-    let sim = Simulation::new(config, scenario.datasets());
+    let sim = Simulation::new(config, scenario.datasets(), scenario.chunk_max);
     let jobs = scenario.jobs();
     println!(
         "{} jobs ({} interactive / {} batch) on 8 nodes, data 1.5x memory\n",

@@ -72,8 +72,8 @@ fn chaos_case() -> impl Strategy<Value = ChaosCase> {
 
 fn build(case: &ChaosCase) -> (Simulation, Vec<Job>) {
     let cluster = ClusterSpec::homogeneous(case.nodes, 2 * GIB);
-    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
+    let config = SimConfig::new(cluster, CostParams::default());
+    let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = case
         .jobs
         .iter()

@@ -28,9 +28,9 @@ fn upload_cost_appears_between_hit_and_miss() {
     // never missing main memory after warmup.
     let cluster = ClusterSpec::homogeneous(1, 2 * GIB);
     let cost = CostParams::default();
-    let mut config = SimConfig::new(cluster, cost, 512 * MIB);
+    let mut config = SimConfig::new(cluster, cost);
     config.gpu_quota = Some(512 * MIB);
-    let sim = Simulation::new(config, uniform_datasets(1, GIB)); // 2 chunks
+    let sim = Simulation::new(config, uniform_datasets(1, GIB), 512 * MIB); // 2 chunks
     let jobs: Vec<Job> = (0..20)
         .map(|i| interactive(i, 0, 0, SimTime::from_millis(500 * i)))
         .collect();
@@ -68,15 +68,15 @@ fn ample_vram_behaves_like_the_base_model() {
 
     // GPU as large as the host tier: after first touch everything is
     // GPU-resident.
-    let mut with_gpu = SimConfig::new(cluster.clone(), cost, 512 * MIB);
+    let mut with_gpu = SimConfig::new(cluster.clone(), cost);
     with_gpu.gpu_quota = Some(2 * GIB);
-    let a = Simulation::new(with_gpu, uniform_datasets(1, 2 * GIB)).run_opts(
+    let a = Simulation::new(with_gpu, uniform_datasets(1, 2 * GIB), 512 * MIB).run_opts(
         jobs.clone(),
         RunOptions::new(SchedulerKind::Ours).label("gpu"),
     );
 
-    let without = SimConfig::new(cluster, cost, 512 * MIB);
-    let b = Simulation::new(without, uniform_datasets(1, 2 * GIB))
+    let without = SimConfig::new(cluster, cost);
+    let b = Simulation::new(without, uniform_datasets(1, 2 * GIB), 512 * MIB)
         .run_opts(jobs, RunOptions::new(SchedulerKind::Ours).label("base"));
 
     assert_eq!(a.record.cache_misses, b.record.cache_misses);
@@ -140,12 +140,12 @@ fn gpu_aware_scheduler_prefers_gpu_resident_replicas() {
 fn gpu_aware_ours_runs_end_to_end() {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
     let cost = CostParams::default();
-    let mut config = SimConfig::new(cluster, cost, 512 * MIB);
+    let mut config = SimConfig::new(cluster, cost);
     // Three chunks of video memory per node: exactly the per-node working
     // set (one chunk of each dataset), so steady state is GPU-resident.
     config.gpu_quota = Some(1536 * MIB);
     config.warm_start = true;
-    let sim = Simulation::new(config, uniform_datasets(3, 2 * GIB));
+    let sim = Simulation::new(config, uniform_datasets(3, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = (0..120)
         .map(|i| interactive(i, i % 3, (i % 3) as u32, SimTime::from_millis(30 * i)))
         .collect();

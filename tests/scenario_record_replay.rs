@@ -37,9 +37,9 @@ fn small_catalog() -> Catalog {
 
 fn small_sim() -> Simulation {
     let cluster = ClusterSpec::homogeneous(NODES, 128 << 20);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 16 << 20);
+    let mut config = SimConfig::new(cluster, CostParams::default());
     config.cycle = CYCLE;
-    Simulation::new(config, Vec::new())
+    Simulation::with_catalog(config, small_catalog())
 }
 
 /// A short locality-heavy stream (two users walking adjacent datasets).
@@ -101,7 +101,6 @@ fn record_small_run(plan: FaultPlan) -> (String, ScenarioRecord) {
         jobs.clone(),
         RunOptions::new(SchedulerKind::Ours)
             .label("record-replay")
-            .catalog(small_catalog())
             .fault_plan(plan)
             .probe(recorder.clone()),
     );
@@ -127,16 +126,13 @@ fn record_small_run(plan: FaultPlan) -> (String, ScenarioRecord) {
 /// built from its header alone; returns the replay's event stream.
 fn replay(record: &ScenarioRecord) -> Vec<TraceEvent> {
     let h = &record.header;
-    // The recorded catalog replaces the decomposition, so `Chk_max` is
-    // never read.
-    let mut config = SimConfig::new(h.cluster.clone(), h.cost, 0);
+    let mut config = SimConfig::new(h.cluster.clone(), h.cost);
     config.cycle = h.cycle;
     let probe = Arc::new(CollectingProbe::new());
-    let outcome = Simulation::new(config, h.datasets.clone()).run_opts(
+    let outcome = Simulation::with_catalog(config, record.catalog()).run_opts(
         record.jobs().to_vec(),
         RunOptions::new(h.policy.parse().expect("a registered policy"))
             .label(&h.label)
-            .catalog(record.catalog())
             .fault_plan(record.faults.iter().copied().collect())
             .probe(probe.clone()),
     );

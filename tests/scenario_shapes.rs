@@ -9,10 +9,10 @@ use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_workload::Scenario;
 
 fn run(scenario: &Scenario, kind: SchedulerKind) -> SchedulerReport {
-    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
+    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost);
     config.exec_jitter = 0.05;
     config.warm_start = true;
-    let sim = Simulation::new(config, scenario.datasets());
+    let sim = Simulation::new(config, scenario.datasets(), scenario.chunk_max);
     let outcome = sim.run_opts(
         scenario.jobs(),
         RunOptions::new(kind).label(&scenario.label),
@@ -143,13 +143,13 @@ fn crash_during_scenario_is_absorbed() {
     use vizsched_core::time::SimTime;
 
     let scenario = Scenario::table2(1).shortened(SimDuration::from_secs(8));
-    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
+    let mut config = SimConfig::new(scenario.cluster.clone(), scenario.cost);
     config.exec_jitter = 0.05;
     config.warm_start = true;
     let plan = FaultPlan::new()
         .crash_at(SimTime::from_secs(3), NodeId(2))
         .respawn_at(SimTime::from_secs(6), NodeId(2));
-    let sim = Simulation::new(config, scenario.datasets());
+    let sim = Simulation::new(config, scenario.datasets(), scenario.chunk_max);
     let outcome = sim.run_opts(
         scenario.jobs(),
         RunOptions::new(SchedulerKind::Ours)

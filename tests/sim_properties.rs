@@ -48,10 +48,10 @@ fn workload_case() -> impl Strategy<Value = WorkloadCase> {
 
 fn build(case: &WorkloadCase) -> (Simulation, Vec<Job>) {
     let cluster = ClusterSpec::homogeneous(case.nodes, 2 * GIB);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let mut config = SimConfig::new(cluster, CostParams::default());
     config.warm_start = case.warm;
     config.exec_jitter = if case.jitter { 0.05 } else { 0.0 };
-    let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
+    let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = case
         .jobs
         .iter()

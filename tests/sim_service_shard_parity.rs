@@ -165,12 +165,12 @@ fn sixteen_shards_drive_a_thousand_node_cluster() {
         8,
         42,
     );
-    let config = SimConfig::new(scenario.cluster.clone(), scenario.cost, scenario.chunk_max);
+    let config = SimConfig::new(scenario.cluster.clone(), scenario.cost);
     let probe = Arc::new(CollectingProbe::new());
     let jobs = scenario.jobs();
     let offered = jobs.len();
     assert!(offered > 500, "scale scenario must carry real load");
-    let outcome = Simulation::new(config, scenario.datasets()).run_opts(
+    let outcome = Simulation::new(config, scenario.datasets(), scenario.chunk_max).run_opts(
         jobs,
         RunOptions::new(SchedulerKind::Ours)
             .label(&scenario.label)
