@@ -3,7 +3,7 @@
 //!
 //! Runs the overload sweep's scenario (8 nodes, 8 datasets, burst overlay
 //! over the middle half of the run) for every policy in the matrix —
-//! OURS and FCFSL from the paper, FRAC / MOBJ / MOBJ-A from ROADMAP
+//! OURS and FCFSL from the paper, FRAC / MOBJ from ROADMAP
 //! item 2 — across {1, 4} shards and {1×, 2×, 4×} saturation, under the
 //! same admission policy. Each cell reports the quality axes the policy
 //! family is judged on: completed-interactive p99, batch completion,
@@ -45,12 +45,11 @@ use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
 
-const POLICIES: [SchedulerKind; 5] = [
+const POLICIES: [SchedulerKind; 4] = [
     SchedulerKind::Ours,
     SchedulerKind::Fcfsl,
     SchedulerKind::Frac,
     SchedulerKind::Mobj,
-    SchedulerKind::MobjAdaptive,
 ];
 const SHARDS: [usize; 3] = [1, 2, 4];
 const FACTORS: [u32; 3] = [1, 2, 4];

@@ -1,4 +1,4 @@
-//! Race OURS against the policy family (FRAC, MOBJ, MOBJ-A) across the
+//! Race OURS against the policy family (FRAC, MOBJ) across the
 //! five non-Poisson traffic shapes of `vizsched_workload::traffic`:
 //! diurnal load curves, a flash crowd on one hot dataset, camera-path
 //! locality tours, mixed GPU tiers, and a time-varying streamed dataset
@@ -40,11 +40,10 @@ use vizsched_workload::{
 };
 
 /// The policies every shape is raced under, in report order.
-const POLICIES: [SchedulerKind; 4] = [
+const POLICIES: [SchedulerKind; 3] = [
     SchedulerKind::Ours,
     SchedulerKind::Frac,
     SchedulerKind::Mobj,
-    SchedulerKind::MobjAdaptive,
 ];
 
 /// Workload seed of the committed report.

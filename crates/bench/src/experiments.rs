@@ -470,12 +470,11 @@ mod tests {
     }
 
     /// The policy-family acceptance bar: at 4x saturation the
-    /// multi-objective scorer (plain and adaptive) must shorten the
-    /// longest batch starvation gap and level the hottest shard relative
-    /// to OURS — its starvation-age term routes batch at long-idle nodes
-    /// instead of parking it behind the ε gate — while keeping completed
-    /// interactive p99 within the same 2x-of-unloaded envelope OURS is
-    /// held to.
+    /// multi-objective scorer must shorten the longest batch starvation
+    /// gap and level the hottest shard relative to OURS — its
+    /// starvation-age term routes batch at long-idle nodes instead of
+    /// parking it behind the ε gate — while keeping completed interactive
+    /// p99 within the same 2x-of-unloaded envelope OURS is held to.
     #[test]
     fn mobj_beats_ours_on_starvation_and_imbalance_at_4x() {
         // A shortened run of the committed sweep's own scenario (8 nodes,
@@ -485,33 +484,26 @@ mod tests {
         let policy = overload_policy_for(&s);
         let ours = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, 4);
         let (ours_starve, ours_imbalance) = cell_starvation_and_imbalance(&ours.cells[1]);
-        for kind in [SchedulerKind::Mobj, SchedulerKind::MobjAdaptive] {
-            let report = run_overload(&s, kind, &[1, 4], policy, 4);
-            let loaded = &report.cells[1];
-            let (starve, imbalance) = cell_starvation_and_imbalance(loaded);
-            assert!(
-                starve < ours_starve,
-                "{}: batch starvation gap {starve} ms vs OURS {ours_starve} ms",
-                kind.name()
-            );
-            assert!(
-                imbalance < ours_imbalance,
-                "{}: hottest-shard imbalance {imbalance} vs OURS {ours_imbalance}",
-                kind.name()
-            );
-            assert!(
-                loaded.interactive_p99_ms <= 2.0 * report.unloaded_p99_ms,
-                "{}: 4x p99 {} ms vs unloaded {} ms",
-                kind.name(),
-                loaded.interactive_p99_ms,
-                report.unloaded_p99_ms
-            );
-            assert_eq!(
-                loaded.batch_completed,
-                loaded.batch_admitted,
-                "{}: every admitted batch job completes",
-                kind.name()
-            );
-        }
+        let report = run_overload(&s, SchedulerKind::Mobj, &[1, 4], policy, 4);
+        let loaded = &report.cells[1];
+        let (starve, imbalance) = cell_starvation_and_imbalance(loaded);
+        assert!(
+            starve < ours_starve,
+            "MOBJ: batch starvation gap {starve} ms vs OURS {ours_starve} ms"
+        );
+        assert!(
+            imbalance < ours_imbalance,
+            "MOBJ: hottest-shard imbalance {imbalance} vs OURS {ours_imbalance}"
+        );
+        assert!(
+            loaded.interactive_p99_ms <= 2.0 * report.unloaded_p99_ms,
+            "MOBJ: 4x p99 {} ms vs unloaded {} ms",
+            loaded.interactive_p99_ms,
+            report.unloaded_p99_ms
+        );
+        assert_eq!(
+            loaded.batch_completed, loaded.batch_admitted,
+            "MOBJ: every admitted batch job completes"
+        );
     }
 }

@@ -131,8 +131,22 @@ fn replaying_a_record_of_an_unregistered_policy_exits_2_naming_it() {
 fn a_mistyped_policy_flag_exits_2_naming_it() {
     let stderr = stderr_of_exit_2(&["1", "--short", "1", "--policy", "OUR"]);
     assert!(stderr.contains("unknown policy 'OUR'"), "{stderr}");
-    assert!(stderr.contains("MOBJ-A"), "lists the registry: {stderr}");
+    assert!(stderr.contains("FSD"), "lists the registry: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// A retired policy name is refused like any unknown one: one line that
+/// names it and the registry, which no longer lists it.
+#[test]
+fn a_retired_policy_flag_exits_2_naming_it() {
+    let stderr = stderr_of_exit_2(&["1", "--policy", "MOBJ-A"]);
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    assert!(stderr.contains("unknown policy 'MOBJ-A'"), "{stderr}");
+    let (_, registry) = stderr
+        .split_once("registered: ")
+        .unwrap_or_else(|| panic!("lists the registry: {stderr}"));
+    assert!(registry.contains("MOBJ"), "lists the registry: {stderr}");
+    assert!(!registry.contains("MOBJ-A"), "not registered: {stderr}");
 }
 
 /// Replay a one-frame record whose header was edited by `edit` (and

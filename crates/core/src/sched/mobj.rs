@@ -1,4 +1,4 @@
-//! MOBJ / MOBJ-A — weighted multi-objective placement scoring (after
+//! MOBJ — weighted multi-objective placement scoring (after
 //! Mamirov, "Multi-Objective GPU Cluster Scheduling", arXiv:2512.10980).
 //!
 //! Where OURS picks nodes by a single scalar (predicted completion,
@@ -34,10 +34,9 @@
 //! busy node evicts that node's interactive working set and starts a
 //! churn cascade.
 //!
-//! The scorer starts from [`MobjWeights::default`] (400/300/200/100).
-//! Those weights, the starvation cap, the protection fraction and the
-//! retune interval (`RETUNE_EVERY`, 32 completions) are constants of this
-//! module; ω and the adaptive switch are the scheduler's settings.
+//! The weights (`WEIGHTS`, 400/300/200/100), the starvation cap and
+//! the protection fraction are constants of this module; ω is the
+//! scheduler's one setting.
 //!
 //! All weights are integer per-mille and every term is integer
 //! microseconds accumulated in `i128` — zero floats in the decision path,
@@ -48,70 +47,33 @@
 //! extra minimum scan (see `objective_score`); the reference twin keeps
 //! the textbook anchor, and the equivalence suite is the proof the shift
 //! really is invariant.
-//!
-//! **MOBJ-A** is the same scorer with the weights retuned online from the
-//! completion stream ([`Scheduler::observe_completion`]): the miss-rate
-//! EMA shifts weight from balance to locality (misses mean the placements
-//! chase queue slack into cold nodes), and the start-time prediction-error
-//! EMA shifts weight from fragmentation to starvation age (noisy
-//! `Available` predictions mean deferred work waits longer than the
-//! tables claim). Every retune emits a
-//! [`PolicyEvent::WeightsUpdated`], surfaced as a `weights_updated`
-//! trace event.
 
 use super::cycle::Cycle;
-use super::{Assignment, CompletionFeedback, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
+use super::{Assignment, ScheduleCtx, Scheduler, Trigger};
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// The objective weights, per-mille. They need not sum to 1000 — only
-/// their ratios matter — but the defaults do, and the adaptive retune
-/// preserves the sum.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MobjWeights {
+/// The objective weights, per-mille. Only their ratios matter.
+struct MobjWeights {
     /// Cache-locality weight `w_loc`.
-    pub locality_pm: u32,
+    locality_pm: u32,
     /// Load-balance weight `w_bal`.
-    pub balance_pm: u32,
+    balance_pm: u32,
     /// Fragmentation weight `w_frag`.
-    pub fragmentation_pm: u32,
+    fragmentation_pm: u32,
     /// Starvation-age weight `w_starv` (batch placements only).
-    pub starvation_pm: u32,
+    starvation_pm: u32,
 }
 
-impl Default for MobjWeights {
-    fn default() -> Self {
-        MobjWeights {
-            locality_pm: 400,
-            balance_pm: 300,
-            fragmentation_pm: 200,
-            starvation_pm: 100,
-        }
-    }
-}
-
-/// Settings of MOBJ / MOBJ-A.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MobjParams {
-    /// The scheduling cycle `ω`.
-    pub cycle: SimDuration,
-    /// Retune the weights online from completion feedback (MOBJ-A).
-    pub adaptive: bool,
-}
-
-impl Default for MobjParams {
-    fn default() -> Self {
-        MobjParams {
-            cycle: SimDuration::from_millis(30),
-            adaptive: false,
-        }
-    }
-}
-
-/// Completions between adaptive retunes.
-pub(super) const RETUNE_EVERY: u32 = 32;
+/// The weights steering every placement.
+const WEIGHTS: MobjWeights = MobjWeights {
+    locality_pm: 400,
+    balance_pm: 300,
+    fragmentation_pm: 200,
+    starvation_pm: 100,
+};
 /// Cap on the starvation-age term, so a node idle since boot does not
 /// drown every other objective. It must stay *below* the typical
 /// locality term: with a 10 s cap the starvation term overpowered
@@ -125,30 +87,18 @@ const STARVATION_CAP: SimDuration = SimDuration::from_secs(2);
 /// fraction of the load's estimate (see `cold_batch_protected`). 500
 /// mirrors OURS's ε of half the estimate.
 pub(super) const PROTECT_PM: u32 = 500;
-/// EMA divisor: each sample carries 1/8 of the state.
-const EMA_OLD: u64 = 7;
-const EMA_DIV: u64 = 8;
-/// Scale of the start-time-error signal in the retune rule: an error EMA
-/// of this size moves half of the maximum fragmentation→starvation shift.
-const RETUNE_ERR_SCALE_US: u64 = 50_000;
 
 /// The age-widened admission window of one deferred batch task: the
 /// starvation objective acting on *feasibility*. A fresh task may only
 /// queue within the cycle window `λ`; a task deferred since `since` may
-/// queue `starvation_pm`/1000 of its age past it, so aged work wedges
-/// into a busy-but-eligible node's queue instead of waiting forever for a
+/// queue `w_starv`/1000 of its age past it, so aged work wedges into a
+/// busy-but-eligible node's queue instead of waiting forever for a
 /// perfectly free cycle slot. This is what bounds the longest batch start
-/// delay below OURS's in the overload sweep, and it is why MOBJ-A's
-/// retune shifting weight *into* `starvation_pm` visibly strengthens the
-/// anti-starvation behavior. Shared with the reference twin.
-pub(super) fn batch_gate(
-    now: SimTime,
-    lambda: SimTime,
-    since: SimTime,
-    starvation_pm: u32,
-) -> SimTime {
+/// delay below OURS's in the overload sweep. Shared with the reference
+/// twin.
+pub(super) fn batch_gate(now: SimTime, lambda: SimTime, since: SimTime) -> SimTime {
     let age_us = now.saturating_since(since).as_micros();
-    lambda + SimDuration::from_micros(age_us.saturating_mul(starvation_pm as u64) / 1000)
+    lambda + SimDuration::from_micros(age_us.saturating_mul(WEIGHTS.starvation_pm as u64) / 1000)
 }
 
 /// Score one candidate placement. `anchor` is the balance-term origin:
@@ -157,13 +107,13 @@ pub(super) fn batch_gate(
 /// textbook `min_k ready_at(k)`.
 pub(super) fn objective_score(
     ctx: &ScheduleCtx<'_>,
-    w: &MobjWeights,
     anchor: SimTime,
     node: NodeId,
     chunk: ChunkId,
     bytes: u64,
     batch: bool,
 ) -> i128 {
+    let w = WEIGHTS;
     let ready = ctx.tables.available.ready_at(node, ctx.now);
     let wait_us = ready.saturating_since(anchor).as_micros();
     let (move_us, frag_us) = if ctx.tables.cache.contains(node, chunk) {
@@ -188,85 +138,29 @@ pub(super) fn objective_score(
     score
 }
 
-/// One adaptive EMA step over a completion report. Shared with the
-/// reference twin so the learning rule cannot drift between the two.
-pub(super) fn feedback_step(
-    miss_ema_pm: &mut u32,
-    start_err_ema_us: &mut u64,
-    fb: &CompletionFeedback,
-) {
-    let miss = if fb.miss { 1000u64 } else { 0 };
-    *miss_ema_pm = ((EMA_OLD * *miss_ema_pm as u64 + miss) / EMA_DIV) as u32;
-    let err_us = if fb.started >= fb.predicted_start {
-        fb.started.saturating_since(fb.predicted_start)
-    } else {
-        fb.predicted_start.saturating_since(fb.started)
-    }
-    .as_micros();
-    *start_err_ema_us = (EMA_OLD * *start_err_ema_us + err_us) / EMA_DIV;
-}
-
-/// The deterministic retune rule: shift balance→locality by the miss-rate
-/// EMA and fragmentation→starvation by the start-error EMA, away from
-/// [`MobjWeights::default`], preserving the weight sum and keeping every
-/// donor weight ≥ 50 per-mille.
-pub(super) fn retuned_weights(miss_ema_pm: u32, start_err_ema_us: u64) -> MobjWeights {
-    let base = MobjWeights::default();
-    let d1 = miss_ema_pm.min(1000) * base.balance_pm.saturating_sub(50) / 1000;
-    let room = base.fragmentation_pm.saturating_sub(50) as u64;
-    let d2 = (room * start_err_ema_us / (start_err_ema_us + RETUNE_ERR_SCALE_US)) as u32;
-    MobjWeights {
-        locality_pm: base.locality_pm + d1,
-        balance_pm: base.balance_pm - d1,
-        fragmentation_pm: base.fragmentation_pm - d2,
-        starvation_pm: base.starvation_pm + d2,
-    }
-}
-
-/// The multi-objective scheduler (MOBJ, and MOBJ-A when
-/// [`MobjParams::adaptive`] is set).
+/// The multi-objective scheduler.
 #[derive(Debug)]
 pub struct MobjScheduler {
-    params: MobjParams,
-    /// The weights currently steering placement (the default weights
-    /// until the first adaptive retune).
-    weights: MobjWeights,
+    /// The scheduling cycle `ω`.
+    omega: SimDuration,
     /// `H_B`: deferred batch tasks in global FIFO order, each tagged with
     /// its deferral time. Timestamps are monotone, so the escalation scan
     /// is a front-prefix pop.
     pending_batch: VecDeque<(SimTime, Task)>,
-    /// Control moves since the last drain.
-    events: Vec<PolicyEvent>,
-    /// Miss-rate EMA, per-mille (adaptive mode).
-    miss_ema_pm: u32,
-    /// Start-time |predicted − measured| EMA, µs (adaptive mode).
-    start_err_ema_us: u64,
-    /// Completions observed (adaptive mode).
-    seen: u32,
     /// Intake, the interactive pass and escalated re-entries (the shared
     /// cycle skeleton).
     cycle: Cycle,
 }
 
 impl MobjScheduler {
-    /// Build the scheduler.
-    pub fn new(params: MobjParams) -> Self {
-        assert!(!params.cycle.is_zero(), "scheduling cycle must be positive");
+    /// Build the scheduler with scheduling cycle `cycle` (ω).
+    pub fn new(cycle: SimDuration) -> Self {
+        assert!(!cycle.is_zero(), "scheduling cycle must be positive");
         MobjScheduler {
-            weights: MobjWeights::default(),
-            params,
+            omega: cycle,
             pending_batch: VecDeque::new(),
-            events: Vec::new(),
-            miss_ema_pm: 0,
-            start_err_ema_us: 0,
-            seen: 0,
             cycle: Cycle::default(),
         }
-    }
-
-    /// The weights currently steering placement.
-    pub fn weights(&self) -> MobjWeights {
-        self.weights
     }
 
     /// Number of batch tasks currently held back.
@@ -293,7 +187,7 @@ impl MobjScheduler {
             if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
                 continue;
             }
-            let s = objective_score(ctx, &self.weights, ctx.now, k, chunk, bytes, batch);
+            let s = objective_score(ctx, ctx.now, k, chunk, bytes, batch);
             if best.is_none_or(|b| (s, k) < b) {
                 best = Some((s, k));
             }
@@ -317,7 +211,7 @@ impl MobjScheduler {
         let mut i = 0usize;
         while i < self.pending_batch.len() {
             let (since, task) = self.pending_batch[i];
-            let gate = batch_gate(ctx.now, lambda, since, self.weights.starvation_pm);
+            let gate = batch_gate(ctx.now, lambda, since);
             match self.best_node(ctx, task.chunk, task.bytes, true, Some(gate)) {
                 Some(node) => {
                     self.pending_batch.remove(i);
@@ -328,36 +222,19 @@ impl MobjScheduler {
             }
         }
     }
-
-    fn retune(&mut self) {
-        let new = retuned_weights(self.miss_ema_pm, self.start_err_ema_us);
-        if new != self.weights {
-            self.weights = new;
-            self.events.push(PolicyEvent::WeightsUpdated {
-                locality_pm: new.locality_pm,
-                balance_pm: new.balance_pm,
-                fragmentation_pm: new.fragmentation_pm,
-                starvation_pm: new.starvation_pm,
-            });
-        }
-    }
 }
 
 impl Scheduler for MobjScheduler {
     fn name(&self) -> &'static str {
-        if self.params.adaptive {
-            "MOBJ-A"
-        } else {
-            "MOBJ"
-        }
+        "MOBJ"
     }
 
     fn trigger(&self) -> Trigger {
-        Trigger::Cycle(self.params.cycle)
+        Trigger::Cycle(self.omega)
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
-        let (now, lambda) = (ctx.now, ctx.now + self.params.cycle);
+        let (now, lambda) = (ctx.now, ctx.now + self.omega);
         self.cycle.intake(ctx, incoming, |task| {
             if !task.interactive {
                 self.pending_batch.push_back((now, task));
@@ -409,21 +286,6 @@ impl Scheduler for MobjScheduler {
         }
         self.cycle.promote(now, moved)
     }
-
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        if !self.params.adaptive {
-            return;
-        }
-        feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
-        self.seen += 1;
-        if self.seen % RETUNE_EVERY == 0 {
-            self.retune();
-        }
-    }
-
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
-    }
 }
 
 #[cfg(test)]
@@ -432,26 +294,7 @@ mod tests {
     use crate::sched::testutil::{assert_complete_assignment, Fixture};
 
     fn mobj() -> MobjScheduler {
-        MobjScheduler::new(MobjParams::default())
-    }
-
-    fn mobj_a() -> MobjScheduler {
-        MobjScheduler::new(MobjParams {
-            adaptive: true,
-            ..MobjParams::default()
-        })
-    }
-
-    fn feedback(miss: bool, err_ms: u64) -> CompletionFeedback {
-        CompletionFeedback {
-            node: NodeId(0),
-            chunk: ChunkId::new(crate::ids::DatasetId(0), 0),
-            predicted_start: SimTime::ZERO,
-            predicted_exec: SimDuration::from_millis(10),
-            started: SimTime::from_millis(err_ms),
-            exec: SimDuration::from_millis(10),
-            miss,
-        }
+        MobjScheduler::new(SimDuration::from_millis(30))
     }
 
     #[test]
@@ -584,42 +427,5 @@ mod tests {
         }
         let out = sched.schedule(&mut fx.ctx(t), vec![]);
         assert_eq!(out.len(), 4, "escalated tasks ride the interactive pass");
-    }
-
-    #[test]
-    fn adaptive_retunes_and_emits_weights_updated() {
-        let mut sched = mobj_a();
-        // 32 missing completions with large start errors: both EMAs rise.
-        for _ in 0..RETUNE_EVERY {
-            sched.observe_completion(&feedback(true, 500));
-        }
-        let w = sched.weights();
-        let base = MobjWeights::default();
-        assert!(w.locality_pm > base.locality_pm, "misses boost locality");
-        assert!(w.balance_pm < base.balance_pm);
-        assert!(
-            w.starvation_pm > base.starvation_pm,
-            "errors boost starvation"
-        );
-        assert!(w.fragmentation_pm < base.fragmentation_pm);
-        assert_eq!(
-            w.locality_pm + w.balance_pm + w.fragmentation_pm + w.starvation_pm,
-            1000,
-            "retune preserves the weight sum"
-        );
-        let events = sched.drain_policy_events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], PolicyEvent::WeightsUpdated { .. }));
-        assert!(sched.drain_policy_events().is_empty());
-    }
-
-    #[test]
-    fn non_adaptive_ignores_feedback() {
-        let mut sched = mobj();
-        for _ in 0..100 {
-            sched.observe_completion(&feedback(true, 500));
-        }
-        assert_eq!(sched.weights(), MobjWeights::default());
-        assert!(sched.drain_policy_events().is_empty());
     }
 }

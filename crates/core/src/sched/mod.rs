@@ -1,6 +1,6 @@
 //! The scheduling framework: the [`Scheduler`] trait, its invocation
 //! context, the six policies evaluated in the paper, and the post-paper
-//! policy family (FRAC / MOBJ / MOBJ-A) built on the same surface.
+//! policy family (FRAC / MOBJ) built on the same surface.
 //!
 //! | Policy | Module | Locality | Trigger | Decomposition |
 //! |--------|--------|----------|---------|---------------|
@@ -13,15 +13,12 @@
 //! | FSD    | [`fsd`]   | delay scheduling (extension) | cycle | `Chk_max` |
 //! | FRAC   | [`frac`]  | yes + per-node shares | cycle | `Chk_max` |
 //! | MOBJ   | [`mobj`]  | weighted objective vector | cycle | `Chk_max` |
-//! | MOBJ-A | [`mobj`]  | as MOBJ, weights retuned online | cycle | `Chk_max` |
 //!
 //! A scheduler maps queued jobs to per-node task assignments, updating the
 //! head tables optimistically as it goes; the execution substrate (the
 //! discrete-event simulator or the live service) later corrects the tables
-//! with observed reality. Adaptive policies additionally receive the
-//! observed reality themselves through
-//! [`Scheduler::observe_completion`] and report their internal control
-//! moves through [`Scheduler::drain_policy_events`]; see
+//! with observed reality. A policy with internal control state (FRAC)
+//! reports its moves through [`Scheduler::drain_policy_events`]; see
 //! `docs/POLICY_GUIDE.md` for the end-to-end recipe for adding a policy.
 
 mod cycle;
@@ -50,7 +47,7 @@ pub use fcfsu::FcfsuScheduler;
 pub use frac::FracScheduler;
 pub use fs::FsScheduler;
 pub use fsd::FsdScheduler;
-pub use mobj::{MobjParams, MobjScheduler, MobjWeights};
+pub use mobj::MobjScheduler;
 pub use ours::{OursParams, OursScheduler};
 pub use reference::{
     ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler, ReferenceOursScheduler,
@@ -402,38 +399,13 @@ pub(crate) fn cold_batch_protected(
     idle_us.saturating_mul(1000) < (cover_pm as u64).saturating_mul(est_us)
 }
 
-/// One completed task's measured reality, fed back to the policy that
-/// placed it (§V-B closes the loop for the *tables*; this closes it for
-/// the *policy*). The predicted fields are the optimistic bookkeeping the
-/// policy committed in its [`Assignment`]; the measured fields are what
-/// the substrate actually observed. Adaptive policies (MOBJ-A) retune
-/// their weights from the gap between the two.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompletionFeedback {
-    /// The node the task ran on.
-    pub node: NodeId,
-    /// The chunk it rendered.
-    pub chunk: ChunkId,
-    /// Start time predicted at commit (`Available[R_k]` then).
-    pub predicted_start: SimTime,
-    /// Execution span predicted at commit (`Estimate[c]` + α then).
-    pub predicted_exec: SimDuration,
-    /// Measured start time.
-    pub started: SimTime,
-    /// Measured execution span.
-    pub exec: SimDuration,
-    /// Whether the chunk had to be loaded from disk (a cache miss).
-    pub miss: bool,
-}
-
 /// An internal control move a policy wants surfaced on the probe stream.
 /// The head runtime drains these after every invocation
 /// ([`Scheduler::drain_policy_events`]) and stamps them with the cycle
 /// time; `vizsched-core` cannot depend on the metrics crate, so the
-/// variants mirror the `share_adjusted` / `weights_updated` trace events
-/// structurally. All quantities are integer per-mille — policy control
-/// state is integer end to end, which is what lets the reference twins be
-/// bit-identical.
+/// variant mirrors the `share_adjusted` trace event structurally. All
+/// quantities are integer per-mille — policy control state is integer end
+/// to end, which is what lets the reference twins be bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyEvent {
     /// FRAC adjusted a node's interactive share `φ_k`.
@@ -442,17 +414,6 @@ pub enum PolicyEvent {
         node: NodeId,
         /// The new interactive share, in per-mille of the cycle.
         interactive_pm: u32,
-    },
-    /// MOBJ-A retuned its objective weights.
-    WeightsUpdated {
-        /// Cache-locality weight (per-mille).
-        locality_pm: u32,
-        /// Load-balance weight (per-mille).
-        balance_pm: u32,
-        /// Fragmentation weight (per-mille).
-        fragmentation_pm: u32,
-        /// Starvation-age weight (per-mille).
-        starvation_pm: u32,
     },
 }
 
@@ -505,15 +466,6 @@ pub trait Scheduler: Send {
         Vec::new()
     }
 
-    /// Feedback hook: one completed task's measured reality against the
-    /// prediction this policy committed. The head runtime calls this once
-    /// per completion, in completion order, on both substrates. Policies
-    /// that do not learn online keep this default no-op; MOBJ-A retunes
-    /// its objective weights from the stream.
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        let _ = feedback;
-    }
-
     /// Drain the control moves this policy made since the last drain, in
     /// the order it made them. The head runtime converts them to trace
     /// events after every invocation; policies with no internal control
@@ -548,8 +500,6 @@ pub enum SchedulerKind {
     /// Weighted multi-objective placement scoring (post-paper extension,
     /// see [`mobj`]).
     Mobj,
-    /// MOBJ with the weights retuned online from completion feedback.
-    MobjAdaptive,
 }
 
 impl SchedulerKind {
@@ -572,13 +522,9 @@ impl SchedulerKind {
     ];
 
     /// The post-paper policy family (ROADMAP item 2): fractional
-    /// time-slicing and the multi-objective scorers. Not part of
+    /// time-slicing and the multi-objective scorer. Not part of
     /// [`SchedulerKind::ALL`] — the paper's figures stay the paper's.
-    pub const EXTENDED: [SchedulerKind; 3] = [
-        SchedulerKind::Frac,
-        SchedulerKind::Mobj,
-        SchedulerKind::MobjAdaptive,
-    ];
+    pub const EXTENDED: [SchedulerKind; 2] = [SchedulerKind::Frac, SchedulerKind::Mobj];
 
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
@@ -592,7 +538,6 @@ impl SchedulerKind {
             SchedulerKind::Ours => "OURS",
             SchedulerKind::Frac => "FRAC",
             SchedulerKind::Mobj => "MOBJ",
-            SchedulerKind::MobjAdaptive => "MOBJ-A",
         }
     }
 
@@ -611,14 +556,7 @@ impl SchedulerKind {
                 ..OursParams::default()
             })),
             SchedulerKind::Frac => Box::new(FracScheduler::new(cycle)),
-            SchedulerKind::Mobj => Box::new(MobjScheduler::new(MobjParams {
-                cycle,
-                adaptive: false,
-            })),
-            SchedulerKind::MobjAdaptive => Box::new(MobjScheduler::new(MobjParams {
-                cycle,
-                adaptive: true,
-            })),
+            SchedulerKind::Mobj => Box::new(MobjScheduler::new(cycle)),
         }
     }
 }
@@ -637,7 +575,6 @@ impl std::str::FromStr for SchedulerKind {
             "OURS" => Ok(SchedulerKind::Ours),
             "FRAC" => Ok(SchedulerKind::Frac),
             "MOBJ" => Ok(SchedulerKind::Mobj),
-            "MOBJ-A" => Ok(SchedulerKind::MobjAdaptive),
             other => Err(format!("unknown scheduler '{other}'")),
         }
     }

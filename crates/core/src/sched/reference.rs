@@ -34,14 +34,9 @@
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
 use super::frac::{batch_lambda, share_epoch, share_step, INITIAL_SHARE_PM};
-use super::mobj::{
-    batch_gate, feedback_step, objective_score, retuned_weights, PROTECT_PM, RETUNE_EVERY,
-};
+use super::mobj::{batch_gate, objective_score, PROTECT_PM};
 use super::ours::EPSILON_FRAC;
-use super::{
-    Assignment, CompletionFeedback, MobjParams, MobjWeights, OursParams, PolicyEvent, ScheduleCtx,
-    Scheduler, Trigger,
-};
+use super::{Assignment, OursParams, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
 use crate::fxhash::FxHashMap;
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
@@ -573,38 +568,27 @@ impl Scheduler for ReferenceFracScheduler {
     }
 }
 
-/// Straight-line MOBJ / MOBJ-A: the textbook form of the objective —
-/// balance anchored at `min_k ready_at(k)`, computed by a dedicated full
-/// scan before every placement — with fresh allocations each cycle. The
-/// scoring kernel and adaptive rule are shared with the optimized
-/// scheduler (`objective_score` / `feedback_step` /
-/// `retuned_weights`); what the equivalence suite proves is that the
-/// optimized path's constant-shift anchor (`now`) and scratch reuse
-/// change nothing.
+/// Straight-line MOBJ: the textbook form of the objective — balance
+/// anchored at `min_k ready_at(k)`, computed by a dedicated full scan
+/// before every placement — with fresh allocations each cycle. The
+/// scoring kernel and batch gate are shared with the optimized scheduler
+/// (`objective_score` / `batch_gate`); what the equivalence suite proves
+/// is that the optimized path's constant-shift anchor (`now`) and scratch
+/// reuse change nothing.
 #[derive(Debug)]
 pub struct ReferenceMobjScheduler {
-    params: MobjParams,
-    weights: MobjWeights,
+    omega: SimDuration,
     pending_batch: VecDeque<(SimTime, Task)>,
     escalated: Vec<Task>,
-    events: Vec<PolicyEvent>,
-    miss_ema_pm: u32,
-    start_err_ema_us: u64,
-    seen: u32,
 }
 
 impl ReferenceMobjScheduler {
-    /// Build the reference scheduler.
-    pub fn new(params: MobjParams) -> Self {
+    /// Build the reference scheduler with scheduling cycle `cycle` (ω).
+    pub fn new(cycle: SimDuration) -> Self {
         ReferenceMobjScheduler {
-            weights: MobjWeights::default(),
-            params,
+            omega: cycle,
             pending_batch: VecDeque::new(),
             escalated: Vec::new(),
-            events: Vec::new(),
-            miss_ema_pm: 0,
-            start_err_ema_us: 0,
-            seen: 0,
         }
     }
 
@@ -637,7 +621,7 @@ impl ReferenceMobjScheduler {
             if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
                 continue;
             }
-            let s = objective_score(ctx, &self.weights, anchor, k, chunk, bytes, batch);
+            let s = objective_score(ctx, anchor, k, chunk, bytes, batch);
             if best.is_none_or(|b| (s, k) < b) {
                 best = Some((s, k));
             }
@@ -648,19 +632,15 @@ impl ReferenceMobjScheduler {
 
 impl Scheduler for ReferenceMobjScheduler {
     fn name(&self) -> &'static str {
-        if self.params.adaptive {
-            "MOBJ-A-REF"
-        } else {
-            "MOBJ-REF"
-        }
+        "MOBJ-REF"
     }
 
     fn trigger(&self) -> Trigger {
-        Trigger::Cycle(self.params.cycle)
+        Trigger::Cycle(self.omega)
     }
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
-        let lambda = ctx.now + self.params.cycle;
+        let lambda = ctx.now + self.omega;
 
         let mut hi: FxHashMap<ChunkId, Vec<Task>> = FxHashMap::default();
         for task in std::mem::take(&mut self.escalated) {
@@ -710,7 +690,7 @@ impl Scheduler for ReferenceMobjScheduler {
         let mut i = 0usize;
         while i < self.pending_batch.len() {
             let (since, task) = self.pending_batch[i];
-            let gate = batch_gate(ctx.now, lambda, since, self.weights.starvation_pm);
+            let gate = batch_gate(ctx.now, lambda, since);
             match self.best_node(ctx, task.chunk, task.bytes, true, Some(gate)) {
                 Some(node) => {
                     self.pending_batch.remove(i);
@@ -755,29 +735,5 @@ impl Scheduler for ReferenceMobjScheduler {
         }
         self.escalated.extend(moved.into_iter().map(|(_, t)| t));
         per_job
-    }
-
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        if !self.params.adaptive {
-            return;
-        }
-        feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
-        self.seen += 1;
-        if self.seen % RETUNE_EVERY == 0 {
-            let new = retuned_weights(self.miss_ema_pm, self.start_err_ema_us);
-            if new != self.weights {
-                self.weights = new;
-                self.events.push(PolicyEvent::WeightsUpdated {
-                    locality_pm: new.locality_pm,
-                    balance_pm: new.balance_pm,
-                    fragmentation_pm: new.fragmentation_pm,
-                    starvation_pm: new.starvation_pm,
-                });
-            }
-        }
-    }
-
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
     }
 }

@@ -19,8 +19,8 @@ use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, U
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::rng::SplitMix64;
 use vizsched_core::sched::{
-    CompletionFeedback, FcfslScheduler, FracScheduler, MobjParams, MobjScheduler, OursParams,
-    OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler,
+    FcfslScheduler, FracScheduler, MobjScheduler, OursParams, OursScheduler,
+    ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler,
     ReferenceOursScheduler, ScheduleCtx, Scheduler,
 };
 use vizsched_core::tables::HeadTables;
@@ -139,17 +139,13 @@ impl Case {
     /// every cycle, bit-identical assignment vectors, equal deferral state,
     /// identical [`Scheduler::drain_policy_events`] streams and identical
     /// [`Scheduler::escalate_deferred`] promotions (all vacuously equal for
-    /// a policy with the default hooks). When `feed_completions` is set it
-    /// also pushes the same synthesized [`CompletionFeedback`] reports —
-    /// jittered starts, random misses — into both schedulers so the
-    /// adaptive retune rule is exercised; when [`Case::node_faults`] is set
+    /// a policy with the default hooks). When [`Case::node_faults`] is set
     /// it crashes or recovers a node between invocations.
     fn run_policy(
         &self,
         cycle: SimDuration,
         opt: &mut dyn Scheduler,
         reference: &mut dyn Scheduler,
-        feed_completions: bool,
     ) {
         let mut rng = SplitMix64::from_state(self.seed ^ 0xdead_beef);
         let mut tables_opt = HeadTables::new(&self.cluster);
@@ -199,21 +195,6 @@ impl Case {
                 self.seed
             );
 
-            if feed_completions {
-                for a in &out_opt {
-                    let fb = CompletionFeedback {
-                        node: a.node,
-                        chunk: a.task.chunk,
-                        predicted_start: a.predicted_start,
-                        predicted_exec: a.predicted_exec,
-                        started: a.predicted_start + SimDuration::from_millis(rng.below(80)),
-                        exec: a.predicted_exec,
-                        miss: rng.chance(40),
-                    };
-                    opt.observe_completion(&fb);
-                    reference.observe_completion(&fb);
-                }
-            }
             if rng.chance(30) {
                 let age = SimDuration::from_millis(rng.below(500));
                 assert_eq!(
@@ -257,7 +238,7 @@ fn ours_matches_reference_across_random_cases() {
         let case = Case::generate(0x5eed_0000 + case_no);
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -274,7 +255,7 @@ fn ours_matches_reference_with_defer_batch_off() {
         let case = Case::generate(0xab1a_0000 + case_no);
         let mut opt = OursScheduler::new(params);
         let mut reference = ReferenceOursScheduler::new(params);
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -287,7 +268,7 @@ fn fcfsl_matches_reference_across_random_cases() {
         let case = Case::generate(0xfcf5_1000 + case_no);
         let mut opt = FcfslScheduler::new();
         let mut reference = ReferenceFcfslScheduler::new();
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -305,7 +286,7 @@ fn ours_matches_reference_under_node_faults() {
         case.node_faults = true;
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -320,7 +301,7 @@ fn frac_matches_reference_across_random_cases() {
         let cycle = SimDuration::from_millis(30);
         let mut opt = FracScheduler::new(cycle);
         let mut reference = ReferenceFracScheduler::new(cycle);
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -333,28 +314,8 @@ fn mobj_matches_reference_across_random_cases() {
     for n in 0..40u64 {
         let case = Case::generate(0x0b1e_0000 + n);
         let cycle = SimDuration::from_millis(30);
-        let mut opt = MobjScheduler::new(MobjParams::default());
-        let mut reference = ReferenceMobjScheduler::new(MobjParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference, false);
-    }
-}
-
-/// MOBJ-A under a live feedback stream: identical synthesized completion
-/// reports (jittered starts, random cache misses) drive both twins'
-/// EMAs and periodic retunes, so the weight trajectories — observable
-/// through `weights_updated` policy events — must stay in lockstep and
-/// every placement made under the retuned weights must match.
-#[test]
-fn mobj_adaptive_matches_reference_with_feedback() {
-    for n in 0..30u64 {
-        let case = Case::generate(0xada7_0000 + n);
-        let cycle = SimDuration::from_millis(30);
-        let params = MobjParams {
-            adaptive: true,
-            ..MobjParams::default()
-        };
-        let mut opt = MobjScheduler::new(params);
-        let mut reference = ReferenceMobjScheduler::new(params);
-        case.run_policy(cycle, &mut opt, &mut reference, true);
+        let mut opt = MobjScheduler::new(cycle);
+        let mut reference = ReferenceMobjScheduler::new(cycle);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }

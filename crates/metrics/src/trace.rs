@@ -342,21 +342,6 @@ pub enum TraceEvent {
         /// Jobs buffered on the shard at detection.
         queued: usize,
     },
-    /// The adaptive multi-objective policy (MOBJ-A) retuned its placement
-    /// weights from completion feedback (`t = "weights_updated"`). All
-    /// weights are per-mille; the sum is preserved across retunes.
-    WeightsUpdated {
-        /// Retune time (the cycle at which the policy events drained).
-        now: SimTime,
-        /// New cache-locality weight.
-        locality_pm: u32,
-        /// New load-balance weight.
-        balance_pm: u32,
-        /// New fragmentation weight.
-        fragmentation_pm: u32,
-        /// New starvation-age weight.
-        starvation_pm: u32,
-    },
     /// The fractional policy (FRAC) adjusted a node's interactive share
     /// (`t = "share_adjusted"`). The batch window of the node is
     /// `ω · (1000 − interactive_pm) / 1000` for the following cycles.
@@ -426,7 +411,7 @@ impl TraceEvent {
     /// Every `t` tag a [`TraceEvent`] can serialize to, in declaration
     /// order. The docs-consistency test checks each of these appears in
     /// DESIGN.md's trace-schema table.
-    pub const TAGS: [&'static str; 26] = [
+    pub const TAGS: [&'static str; 25] = [
         "cycle_start",
         "cycle_end",
         "assign",
@@ -446,7 +431,6 @@ impl TraceEvent {
         "shard_assigned",
         "shard_migrated",
         "shard_saturated",
-        "weights_updated",
         "share_adjusted",
         "fault_injected",
         "shard_failed",
@@ -477,7 +461,6 @@ impl TraceEvent {
             | TraceEvent::ShardAssigned { now, .. }
             | TraceEvent::ShardMigrated { now, .. }
             | TraceEvent::ShardSaturated { now, .. }
-            | TraceEvent::WeightsUpdated { now, .. }
             | TraceEvent::ShareAdjusted { now, .. }
             | TraceEvent::FaultInjected { now, .. }
             | TraceEvent::ShardFailed { now, .. }
@@ -509,7 +492,6 @@ impl TraceEvent {
             TraceEvent::ShardAssigned { .. } => "shard_assigned",
             TraceEvent::ShardMigrated { .. } => "shard_migrated",
             TraceEvent::ShardSaturated { .. } => "shard_saturated",
-            TraceEvent::WeightsUpdated { .. } => "weights_updated",
             TraceEvent::ShareAdjusted { .. } => "share_adjusted",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::ShardFailed { .. } => "shard_failed",
@@ -768,21 +750,6 @@ impl TraceEvent {
                     "{{\"t\":\"shard_saturated\",\"now_us\":{},\"shard\":{},\"queued\":{queued}}}",
                     now.as_micros(),
                     shard.0
-                );
-            }
-            TraceEvent::WeightsUpdated {
-                now,
-                locality_pm,
-                balance_pm,
-                fragmentation_pm,
-                starvation_pm,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"t\":\"weights_updated\",\"now_us\":{},\"locality_pm\":{locality_pm},\
-                     \"balance_pm\":{balance_pm},\"fragmentation_pm\":{fragmentation_pm},\
-                     \"starvation_pm\":{starvation_pm}}}",
-                    now.as_micros()
                 );
             }
             TraceEvent::ShareAdjusted {
@@ -1628,13 +1595,6 @@ mod tests {
                 now: SimTime::ZERO,
                 shard: ShardId(3),
                 queued: 12,
-            },
-            TraceEvent::WeightsUpdated {
-                now: SimTime::ZERO,
-                locality_pm: 520,
-                balance_pm: 180,
-                fragmentation_pm: 150,
-                starvation_pm: 150,
             },
             TraceEvent::ShareAdjusted {
                 now: SimTime::ZERO,

@@ -70,9 +70,7 @@ use vizsched_core::data::Catalog;
 use vizsched_core::fxhash::FxHashMap;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job};
-use vizsched_core::sched::{
-    Assignment, CompletionFeedback, PolicyEvent, ScheduleCtx, Scheduler, Trigger,
-};
+use vizsched_core::sched::{Assignment, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
 pub use vizsched_metrics::{DropReason, RejectReason};
@@ -902,22 +900,8 @@ impl HeadRuntime {
 
         // Available correction from the true backlog.
         let ledger = &mut self.ledgers[done.node.index()];
-        let matched = ledger.complete(done.job, done.task, now);
+        ledger.complete(done.job, done.task, now);
         let backlog_end = ledger.backlog_end(now);
-        // Feed the prediction-vs-reality report back to the policy (the
-        // probe stream's error signal; MOBJ-A retunes its weights from it,
-        // every other policy ignores it via the default no-op).
-        if let Some(a) = matched {
-            self.scheduler.observe_completion(&CompletionFeedback {
-                node: done.node,
-                chunk: done.chunk,
-                predicted_start: a.predicted_start,
-                predicted_exec: a.predicted_exec,
-                started: done.started,
-                exec: done.finish.saturating_since(done.started),
-                miss: done.miss,
-            });
-        }
         if tracing {
             self.probe.on_event(&TraceEvent::AvailableCorrection {
                 now,
@@ -1090,18 +1074,6 @@ impl HeadRuntime {
                     now,
                     node: self.names[node.index()],
                     interactive_pm,
-                }),
-                PolicyEvent::WeightsUpdated {
-                    locality_pm,
-                    balance_pm,
-                    fragmentation_pm,
-                    starvation_pm,
-                } => self.probe.on_event(&TraceEvent::WeightsUpdated {
-                    now,
-                    locality_pm,
-                    balance_pm,
-                    fragmentation_pm,
-                    starvation_pm,
                 }),
             }
         }

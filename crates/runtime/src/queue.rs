@@ -157,37 +157,30 @@ impl Ledger {
         self.running = next.map(|a| (a, now));
     }
 
-    /// Retire the task `(job, index)` that finished at `now` and return
-    /// its assignment. A completion normally names the running task, and
-    /// the node starts its next one at `now`. One that names a queued
-    /// task means the node ran it first; the task thought running then
-    /// starts no earlier than `now`. One that names nothing retires the
-    /// running task.
-    pub(crate) fn complete(&mut self, job: JobId, index: u32, now: SimTime) -> Option<Assignment> {
+    /// Retire the task `(job, index)` that finished at `now`. A
+    /// completion normally names the running task, and the node starts
+    /// its next one at `now`. One that names a queued task means the node
+    /// ran it first; the task thought running then starts no earlier than
+    /// `now`. One that names nothing retires the running task.
+    pub(crate) fn complete(&mut self, job: JobId, index: u32, now: SimTime) {
         let named = |a: &Assignment| a.task.job == job && a.task.index == index;
-        let done = match self.running {
-            Some((a, _)) if named(&a) => {
-                self.start_next(now);
-                Some(a)
-            }
+        match self.running {
+            Some((a, _)) if named(&a) => self.start_next(now),
             _ => match self.queue.remove_first(named) {
                 Some(a) => {
                     self.queued_exec -= a.predicted_exec;
                     if let Some((_, start)) = &mut self.running {
                         *start = now;
                     }
-                    Some(a)
                 }
                 None => {
                     if self.running.is_some() {
                         self.start_next(now);
                     }
-                    None
                 }
             },
-        };
+        }
         self.check();
-        done
     }
 
     /// When all of the node's dispatched work ends, as of `now`: the end

@@ -7,8 +7,9 @@
 //! name a committed root `BENCH_*.json`, every root test and example must
 //! be a registered cargo target, the shim inventory must agree with
 //! itself, splitmix64 and the fault interpreter must each be written
-//! once, and every simulator and policy setting must have a caller. Run
-//! by the CI docs job.
+//! once, every simulator and policy setting must have a caller, and the
+//! trace-event count the guides quote must be the code's. Run by the CI
+//! docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -137,16 +138,42 @@ fn readme_policy_table_names_parse() {
     }
 }
 
-/// The policy-family trace tags are part of the documented schema; pin
-/// them so a rename breaks the docs tests, not just downstream parsers.
+/// The policy-family trace tag is part of the documented schema; pin it
+/// so a rename breaks the docs tests, not just downstream parsers.
 #[test]
 fn policy_trace_tags_are_pinned() {
-    for tag in ["weights_updated", "share_adjusted"] {
-        assert!(
-            TraceEvent::TAGS.contains(&tag),
-            "TraceEvent::TAGS lost the `{tag}` tag the docs promise"
-        );
+    assert!(
+        TraceEvent::TAGS.contains(&"share_adjusted"),
+        "TraceEvent::TAGS lost the `share_adjusted` tag the docs promise"
+    );
+}
+
+/// Every event count the guides quote ("the N-event trace schema", "N
+/// event kinds") is the length of `TraceEvent::TAGS`, so adding or
+/// removing a variant without updating the prose fails here.
+#[test]
+fn documented_event_counts_follow_the_code() {
+    let mut quoted = 0;
+    for doc in ["docs/ARCHITECTURE.md", "docs/OPERATORS_GUIDE.md"] {
+        let text = read(doc);
+        let hits = text
+            .match_indices("-event")
+            .chain(text.match_indices(" event kinds"));
+        for (at, phrase) in hits {
+            let head = text[..at].trim_end_matches(|c: char| c.is_ascii_digit());
+            let Ok(count) = text[head.len()..at].parse::<usize>() else {
+                continue;
+            };
+            assert_eq!(
+                count,
+                TraceEvent::TAGS.len(),
+                "{doc} quotes `{count}{phrase}`, but TraceEvent has {} tags",
+                TraceEvent::TAGS.len()
+            );
+            quoted += 1;
+        }
     }
+    assert!(quoted >= 2, "the guides no longer quote the event count");
 }
 
 /// The overload-policy section must name every policy knob and every

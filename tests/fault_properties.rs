@@ -23,14 +23,14 @@ use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
-/// All nine registry policies: the six headline schedulers plus the
-/// three extended-policy entries.
+/// All eight registry policies: the six headline schedulers plus the
+/// two extended-policy entries.
 fn policy(pick: usize) -> SchedulerKind {
     *SchedulerKind::ALL
         .iter()
         .chain(SchedulerKind::EXTENDED.iter())
         .nth(pick)
-        .expect("pick < 9")
+        .expect("pick < 8")
 }
 
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ fn chaos_case() -> impl Strategy<Value = ChaosCase> {
         0usize..4,
         1u32..4,
         prop::collection::vec((0u32..4, any::<bool>(), 0u64..6_000), 1..40),
-        0usize..9,
+        0usize..8,
         any::<u64>(),
     )
         .prop_map(

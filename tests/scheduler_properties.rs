@@ -233,7 +233,7 @@ proptest! {
     fn early_cycle_equals_the_tick_at_the_same_instant(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..8,
         dataset in 0u32..4,
     ) {
         let kind = *SchedulerKind::ALL
@@ -281,10 +281,10 @@ proptest! {
     fn all_tasks_assigned_exactly_once(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..8,
         escalate_at in 0u32..4,
     ) {
-        // The paper's six plus the post-paper family (FRAC/MOBJ/MOBJ-A).
+        // The paper's six plus the post-paper family (FRAC/MOBJ).
         let kind = *SchedulerKind::ALL
             .iter()
             .chain(SchedulerKind::EXTENDED.iter())
@@ -315,7 +315,7 @@ proptest! {
     fn scheduling_is_deterministic(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..8,
         escalate_at in 0u32..4,
     ) {
         let kind = *SchedulerKind::ALL

@@ -159,15 +159,6 @@ fn mobj_places_identically_on_both_substrates() {
 }
 
 #[test]
-fn mobj_adaptive_places_identically_on_both_substrates() {
-    // The serialized workload finishes well under MOBJ-A's retune
-    // interval of 32 completions, so it never retunes here; this pins down that the
-    // feedback plumbing itself (observe_completion on both substrates)
-    // does not perturb placement.
-    assert_strict_parity(SchedulerKind::MobjAdaptive);
-}
-
-#[test]
 fn fcfs_work_items_match_across_substrates() {
     // FCFS breaks idle ties with a time-salted hash, so *placement* is
     // substrate-dependent by design; the scheduler-visible work stream
