@@ -8,8 +8,9 @@
 //! - **node-faults** — a single-head cluster absorbs node crashes with
 //!   respawn, a degraded (slow) node, and a correlated two-node leaf
 //!   outage, under a mixed interactive/batch stream, once per registry
-//!   policy (all nine). The invariant is *zero admitted-job loss*: every
-//!   admitted job completes (`incomplete == 0`) and nothing is shed
+//!   policy (`SchedulerKind::ALL` and `EXTENDED`). The invariant is
+//!   *zero admitted-job loss*: every admitted job completes
+//!   (`incomplete == 0`) and nothing is shed
 //!   (`frames_lost == 0`). A violation fails every run — no `--check`
 //!   needed.
 //! - **shard-loss** — a two-shard deployment loses one shard head
@@ -286,8 +287,11 @@ fn print_table(node_faults: &[ScenarioRow], shard_loss: &ScenarioRow) {
 fn main() {
     let cli = Cli::parse();
 
-    eprintln!("chaos: node-faults across all nine policies, shard-loss under OURS");
     let node_faults = run_node_faults(cli.quick);
+    eprintln!(
+        "chaos: node-faults across {} policies, shard-loss under OURS",
+        node_faults.len()
+    );
     let shard_loss = run_shard_loss(cli.quick);
     print_table(&node_faults, &shard_loss);
     let doc = to_json(&node_faults, &shard_loss);

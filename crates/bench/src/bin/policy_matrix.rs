@@ -3,10 +3,10 @@
 //!
 //! Runs the overload sweep's scenario (8 nodes, 8 datasets, burst overlay
 //! over the middle half of the run) for every policy in the matrix —
-//! OURS and FCFSL from the paper, FRAC / MOBJ from ROADMAP
-//! item 2 — across {1, 4} shards and {1×, 2×, 4×} saturation, under the
-//! same admission policy. Each cell reports the quality axes the policy
-//! family is judged on: completed-interactive p99, batch completion,
+//! OURS and FCFSL from the paper, MOBJ from ROADMAP item 2 — across
+//! {1, 2, 4} shards and {1×, 2×, 4×} saturation, under the same
+//! admission policy. Each cell reports the quality axes the policies
+//! are judged on: completed-interactive p99, batch completion,
 //! the longest batch starvation gap, and the hottest-shard imbalance
 //! (hottest shard's executed tasks over the mean shard's). The sim is
 //! deterministic, so cells are exact — there is no sampling loop.
@@ -45,10 +45,9 @@ use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
 
-const POLICIES: [SchedulerKind; 4] = [
+const POLICIES: [SchedulerKind; 3] = [
     SchedulerKind::Ours,
     SchedulerKind::Fcfsl,
-    SchedulerKind::Frac,
     SchedulerKind::Mobj,
 ];
 const SHARDS: [usize; 3] = [1, 2, 4];

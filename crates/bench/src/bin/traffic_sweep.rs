@@ -1,5 +1,5 @@
-//! Race OURS against the policy family (FRAC, MOBJ) across the
-//! five non-Poisson traffic shapes of `vizsched_workload::traffic`:
+//! Race OURS against the post-paper policy (MOBJ) across the five
+//! non-Poisson traffic shapes of `vizsched_workload::traffic`:
 //! diurnal load curves, a flash crowd on one hot dataset, camera-path
 //! locality tours, mixed GPU tiers, and a time-varying streamed dataset
 //! with heterogeneous bricking.
@@ -40,11 +40,7 @@ use vizsched_workload::{
 };
 
 /// The policies every shape is raced under, in report order.
-const POLICIES: [SchedulerKind; 3] = [
-    SchedulerKind::Ours,
-    SchedulerKind::Frac,
-    SchedulerKind::Mobj,
-];
+const POLICIES: [SchedulerKind; 2] = [SchedulerKind::Ours, SchedulerKind::Mobj];
 
 /// Workload seed of the committed report.
 const SEED: u64 = 2012;

@@ -139,14 +139,19 @@ fn a_mistyped_policy_flag_exits_2_naming_it() {
 /// names it and the registry, which no longer lists it.
 #[test]
 fn a_retired_policy_flag_exits_2_naming_it() {
-    let stderr = stderr_of_exit_2(&["1", "--policy", "MOBJ-A"]);
-    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
-    assert!(stderr.contains("unknown policy 'MOBJ-A'"), "{stderr}");
-    let (_, registry) = stderr
-        .split_once("registered: ")
-        .unwrap_or_else(|| panic!("lists the registry: {stderr}"));
-    assert!(registry.contains("MOBJ"), "lists the registry: {stderr}");
-    assert!(!registry.contains("MOBJ-A"), "not registered: {stderr}");
+    for retired in ["MOBJ-A", "FRAC"] {
+        let stderr = stderr_of_exit_2(&["1", "--policy", retired]);
+        assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown policy '{retired}'")),
+            "{stderr}"
+        );
+        let (_, registry) = stderr
+            .split_once("registered: ")
+            .unwrap_or_else(|| panic!("lists the registry: {stderr}"));
+        assert!(registry.contains("MOBJ"), "lists the registry: {stderr}");
+        assert!(!registry.contains(retired), "not registered: {stderr}");
+    }
 }
 
 /// Replay a one-frame record whose header was edited by `edit` (and

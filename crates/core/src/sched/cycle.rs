@@ -1,10 +1,9 @@
 //! The cycle skeleton of Algorithm 1, written once.
 //!
-//! [`ours`](super::ours), [`frac`](super::frac) and [`mobj`](super::mobj)
-//! all run the paper's cycle — decompose, group the interactive tasks by
-//! chunk, place cached groups first and non-cached groups longest-I/O
-//! first, then fill nodes with held batch work — and differ in four
-//! decisions: which node a chunk group goes to, what a commit records, how
+//! [`ours`](super::ours) and [`mobj`](super::mobj) both run the paper's
+//! cycle — decompose, group the interactive tasks by chunk, place cached
+//! groups first and non-cached groups longest-I/O first, then fill nodes
+//! with held batch work — and differ in four decisions: which node a chunk group goes to, what a commit records, how
 //! far batch work may fill a node (the window), and when a cold batch
 //! placement is refused (the gate). This module is everything else.
 //! [`Cycle`] is lines 2–15 (intake and the interactive pass) plus the

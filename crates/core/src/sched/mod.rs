@@ -1,6 +1,6 @@
 //! The scheduling framework: the [`Scheduler`] trait, its invocation
 //! context, the six policies evaluated in the paper, and the post-paper
-//! policy family (FRAC / MOBJ) built on the same surface.
+//! multi-objective policy (MOBJ) built on the same surface.
 //!
 //! | Policy | Module | Locality | Trigger | Decomposition |
 //! |--------|--------|----------|---------|---------------|
@@ -11,21 +11,18 @@
 //! | FS     | [`fs`]    | no  | cycle | `Chk_max` |
 //! | OURS   | [`ours`]  | yes + batch deferral | cycle | `Chk_max` |
 //! | FSD    | [`fsd`]   | delay scheduling (extension) | cycle | `Chk_max` |
-//! | FRAC   | [`frac`]  | yes + per-node shares | cycle | `Chk_max` |
 //! | MOBJ   | [`mobj`]  | weighted objective vector | cycle | `Chk_max` |
 //!
 //! A scheduler maps queued jobs to per-node task assignments, updating the
 //! head tables optimistically as it goes; the execution substrate (the
 //! discrete-event simulator or the live service) later corrects the tables
-//! with observed reality. A policy with internal control state (FRAC)
-//! reports its moves through [`Scheduler::drain_policy_events`]; see
-//! `docs/POLICY_GUIDE.md` for the end-to-end recipe for adding a policy.
+//! with observed reality. See `docs/POLICY_GUIDE.md` for the end-to-end
+//! recipe for adding a policy.
 
 mod cycle;
 pub mod fcfs;
 pub mod fcfsl;
 pub mod fcfsu;
-pub mod frac;
 pub mod fs;
 pub mod fsd;
 pub mod mobj;
@@ -44,14 +41,11 @@ use crate::time::{SimDuration, SimTime};
 pub use fcfs::FcfsScheduler;
 pub use fcfsl::FcfslScheduler;
 pub use fcfsu::FcfsuScheduler;
-pub use frac::FracScheduler;
 pub use fs::FsScheduler;
 pub use fsd::FsdScheduler;
 pub use mobj::MobjScheduler;
 pub use ours::{OursParams, OursScheduler};
-pub use reference::{
-    ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler, ReferenceOursScheduler,
-};
+pub use reference::{ReferenceFcfslScheduler, ReferenceMobjScheduler, ReferenceOursScheduler};
 pub use sf::SfScheduler;
 
 /// When the dispatching thread invokes a scheduler.
@@ -370,13 +364,12 @@ fn idle_tie_hash(now: SimTime, node: NodeId) -> u64 {
     )
 }
 
-/// The cold-placement protection gate shared by the policy family's batch
-/// passes (and their reference twins): a node may take a batch placement
-/// that *incurs a load* only if it has been free of interactive work for
-/// at least `cover_pm` per-mille of the load's estimated cost. This is
-/// OURS's ε-idle rule recast as an integer fraction — FRAC passes its
-/// learned per-node interactive share `φ_k` (the share plays ε's role),
-/// MOBJ its fixed `PROTECT_PM` (500, ε's half). Placements
+/// The cold-placement protection gate of MOBJ's batch pass (and its
+/// reference twin): a node may take a batch placement that *incurs a
+/// load* only if it has been free of interactive work for at least
+/// `cover_pm` per-mille of the load's estimated cost. This is OURS's
+/// ε-idle rule recast as an integer fraction; MOBJ passes its fixed
+/// `PROTECT_PM` (500, ε's half). Placements
 /// of chunks the node already caches are exempt: they displace nothing,
 /// so the cycle-window gate alone bounds them. Without this gate a
 /// leftover batch chunk cached on node A gets placed cold on busy node B,
@@ -397,24 +390,6 @@ pub(crate) fn cold_batch_protected(
     let est_us = ctx.tables.estimate.get(chunk, bytes, ctx.cost).as_micros();
     let idle_us = ctx.tables.interactive_idle(node, ctx.now).as_micros();
     idle_us.saturating_mul(1000) < (cover_pm as u64).saturating_mul(est_us)
-}
-
-/// An internal control move a policy wants surfaced on the probe stream.
-/// The head runtime drains these after every invocation
-/// ([`Scheduler::drain_policy_events`]) and stamps them with the cycle
-/// time; `vizsched-core` cannot depend on the metrics crate, so the
-/// variant mirrors the `share_adjusted` trace event structurally. All
-/// quantities are integer per-mille — policy control state is integer end
-/// to end, which is what lets the reference twins be bit-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyEvent {
-    /// FRAC adjusted a node's interactive share `φ_k`.
-    ShareAdjusted {
-        /// The node whose share moved.
-        node: NodeId,
-        /// The new interactive share, in per-mille of the cycle.
-        interactive_pm: u32,
-    },
 }
 
 /// A job-scheduling policy. Implementations must be deterministic: the same
@@ -465,14 +440,6 @@ pub trait Scheduler: Send {
         let _ = (now, age);
         Vec::new()
     }
-
-    /// Drain the control moves this policy made since the last drain, in
-    /// the order it made them. The head runtime converts them to trace
-    /// events after every invocation; policies with no internal control
-    /// state keep this default empty.
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        Vec::new()
-    }
 }
 
 /// Which policy to run — the x-axis of every comparison figure.
@@ -494,9 +461,6 @@ pub enum SchedulerKind {
     FsDelay,
     /// The paper's proposed scheduler.
     Ours,
-    /// Fractional time-slicing: per-node interactive/batch shares replace
-    /// the ε-idle rule (post-paper extension, see [`frac`]).
-    Frac,
     /// Weighted multi-objective placement scoring (post-paper extension,
     /// see [`mobj`]).
     Mobj,
@@ -521,10 +485,10 @@ impl SchedulerKind {
         SchedulerKind::Ours,
     ];
 
-    /// The post-paper policy family (ROADMAP item 2): fractional
-    /// time-slicing and the multi-objective scorer. Not part of
-    /// [`SchedulerKind::ALL`] — the paper's figures stay the paper's.
-    pub const EXTENDED: [SchedulerKind; 2] = [SchedulerKind::Frac, SchedulerKind::Mobj];
+    /// The post-paper policy family (ROADMAP item 2): the multi-objective
+    /// scorer. Not part of [`SchedulerKind::ALL`] — the paper's figures
+    /// stay the paper's.
+    pub const EXTENDED: [SchedulerKind; 1] = [SchedulerKind::Mobj];
 
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
@@ -536,7 +500,6 @@ impl SchedulerKind {
             SchedulerKind::Fs => "FS",
             SchedulerKind::FsDelay => "FSD",
             SchedulerKind::Ours => "OURS",
-            SchedulerKind::Frac => "FRAC",
             SchedulerKind::Mobj => "MOBJ",
         }
     }
@@ -555,7 +518,6 @@ impl SchedulerKind {
                 cycle,
                 ..OursParams::default()
             })),
-            SchedulerKind::Frac => Box::new(FracScheduler::new(cycle)),
             SchedulerKind::Mobj => Box::new(MobjScheduler::new(cycle)),
         }
     }
@@ -573,7 +535,6 @@ impl std::str::FromStr for SchedulerKind {
             "FS" => Ok(SchedulerKind::Fs),
             "FSD" => Ok(SchedulerKind::FsDelay),
             "OURS" => Ok(SchedulerKind::Ours),
-            "FRAC" => Ok(SchedulerKind::Frac),
             "MOBJ" => Ok(SchedulerKind::Mobj),
             other => Err(format!("unknown scheduler '{other}'")),
         }

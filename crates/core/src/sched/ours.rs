@@ -33,7 +33,7 @@
 //!   global best ([`ScheduleCtx::earliest_node_with_locality_via`]);
 //! * per-cycle scratch — the task buffer, chunk-group index, sort keys,
 //!   live-node list and batch order — lives in the shared cycle skeleton
-//!   (`sched/cycle.rs`, which FRAC and MOBJ run on too) and is reused
+//!   (`sched/cycle.rs`, which MOBJ runs on too) and is reused
 //!   across invocations instead of reallocated;
 //! * chunk grouping is a single unstable sort over `(chunk, arrival
 //!   sequence)` pairs, which groups tasks contiguously while preserving

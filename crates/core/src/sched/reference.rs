@@ -1,4 +1,4 @@
-//! Straight-line reference implementations of OURS, FCFSL, FRAC and MOBJ.
+//! Straight-line reference implementations of OURS, FCFSL and MOBJ.
 //!
 //! For OURS and FCFSL these are the pre-optimization hot paths, retained
 //! verbatim as the executable specification of what the optimized
@@ -6,15 +6,14 @@
 //! selection is a full O(p) scan via
 //! [`ScheduleCtx::earliest_node_with_locality`], every cycle reallocates
 //! its bucket maps and sort vectors, and nothing is cached across
-//! invocations. [`ReferenceFracScheduler`] and [`ReferenceMobjScheduler`]
-//! were written *as* the spec for the policy-family PR: fresh allocations
-//! each cycle, full scans, and — for MOBJ — the textbook balance anchor
-//! (`min_k ready_at`) that the optimized path replaces with a constant
-//! shift (see [`mobj`](super::mobj) for the invariance argument). All
-//! three cycle twins carry their own copy of the anti-starvation path
-//! (deferral timestamps, `escalate_deferred`), so the escalation the
-//! optimized policies share through `sched/cycle.rs` is pinned too. Two
-//! things depend on them staying put:
+//! invocations. [`ReferenceMobjScheduler`] was written *as* the spec for
+//! the policy-family PR: fresh allocations each cycle, full scans, and the
+//! textbook balance anchor (`min_k ready_at`) that the optimized path
+//! replaces with a constant shift (see [`mobj`](super::mobj) for the
+//! invariance argument). Both cycle twins carry their own copy of the
+//! anti-starvation path (deferral timestamps, `escalate_deferred`), so the
+//! escalation the optimized policies share through `sched/cycle.rs` is
+//! pinned too. Two things depend on them staying put:
 //!
 //! * the **placement-equivalence suite** (`tests/placement_equivalence.rs`)
 //!   drives the optimized and reference schedulers through identical
@@ -33,10 +32,9 @@
 //! [`fcfsl`]: super::fcfsl
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
-use super::frac::{batch_lambda, share_epoch, share_step, INITIAL_SHARE_PM};
 use super::mobj::{batch_gate, objective_score, PROTECT_PM};
 use super::ours::EPSILON_FRAC;
-use super::{Assignment, OursParams, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
+use super::{Assignment, OursParams, ScheduleCtx, Scheduler, Trigger};
 use crate::fxhash::FxHashMap;
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
@@ -327,244 +325,6 @@ impl Scheduler for ReferenceFcfslScheduler {
             }
         }
         out
-    }
-}
-
-/// Straight-line FRAC: the same per-node share controller and batch
-/// windows as [`FracScheduler`](super::FracScheduler) (the share
-/// arithmetic is literally shared — `share_step` / `batch_lambda`),
-/// but with OURS-reference interactive placement (full O(p) scans, fresh
-/// bucket maps each cycle) and no reused scratch.
-#[derive(Debug)]
-pub struct ReferenceFracScheduler {
-    omega: SimDuration,
-    shares_pm: Vec<u32>,
-    committed_us: Vec<u64>,
-    stepped: Option<u64>,
-    pending_batch: FxHashMap<ChunkId, VecDeque<(SimTime, Task)>>,
-    pending_count: usize,
-    escalated: Vec<Task>,
-    events: Vec<PolicyEvent>,
-}
-
-impl ReferenceFracScheduler {
-    /// Build the reference scheduler over the cycle `ω`.
-    pub fn new(cycle: SimDuration) -> Self {
-        ReferenceFracScheduler {
-            omega: cycle,
-            shares_pm: Vec::new(),
-            committed_us: Vec::new(),
-            stepped: None,
-            pending_batch: FxHashMap::default(),
-            pending_count: 0,
-            escalated: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    fn push_batch(&mut self, now: SimTime, task: Task) {
-        self.pending_batch
-            .entry(task.chunk)
-            .or_default()
-            .push_back((now, task));
-        self.pending_count += 1;
-    }
-}
-
-impl Scheduler for ReferenceFracScheduler {
-    fn name(&self) -> &'static str {
-        "FRAC-REF"
-    }
-
-    fn trigger(&self) -> Trigger {
-        Trigger::Cycle(self.omega)
-    }
-
-    fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
-        let nodes = ctx.tables.node_count();
-        self.shares_pm.resize(nodes, INITIAL_SHARE_PM);
-        self.committed_us.resize(nodes, 0);
-
-        // Decompose: escalated tasks first (they ride the interactive
-        // pass), then this cycle's arrivals.
-        let mut hi: FxHashMap<ChunkId, Vec<Task>> = FxHashMap::default();
-        for task in std::mem::take(&mut self.escalated) {
-            hi.entry(task.chunk).or_default().push(task);
-        }
-        for job in incoming {
-            for task in job.decompose(ctx.catalog) {
-                if task.interactive {
-                    hi.entry(task.chunk).or_default().push(task);
-                } else {
-                    self.push_batch(ctx.now, task);
-                }
-            }
-        }
-
-        // Interactive pass: identical ordering to reference OURS.
-        let mut out = Vec::new();
-        let mut cached: Vec<ChunkId> = Vec::new();
-        let mut non_cached: Vec<(SimDuration, ChunkId)> = Vec::new();
-        for &chunk in hi.keys() {
-            if ctx.tables.cache.is_cached_anywhere(chunk) {
-                cached.push(chunk);
-            } else {
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                non_cached.push((ctx.tables.estimate.get(chunk, bytes, ctx.cost), chunk));
-            }
-        }
-        cached.sort_unstable();
-        non_cached.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let ordered = cached
-            .into_iter()
-            .chain(non_cached.into_iter().map(|(_, c)| c));
-        for chunk in ordered {
-            let tasks = hi.remove(&chunk).expect("chunk key came from the map");
-            let bytes = tasks[0].bytes;
-            let node = ctx.earliest_node_with_locality(chunk, bytes);
-            for task in tasks {
-                let group = ctx.group_size(task.chunk.dataset);
-                let a = ctx.commit(task, node, group);
-                if task.interactive {
-                    self.committed_us[node.index()] += a.predicted_exec.as_micros();
-                }
-                out.push(a);
-            }
-        }
-
-        // Share EMA step (first call of the ω epoch only), then the
-        // window-bounded batch fills.
-        let epoch = share_epoch(ctx.now, self.omega);
-        if self.stepped != Some(epoch) {
-            self.stepped = Some(epoch);
-            let cycle_us = self.omega.as_micros();
-            for node in ctx.tables.live_nodes() {
-                let demand_pm = (self.committed_us[node.index()].saturating_mul(1000) / cycle_us)
-                    .min(1000) as u32;
-                let old = self.shares_pm[node.index()];
-                let new = share_step(old, demand_pm);
-                if new != old {
-                    self.shares_pm[node.index()] = new;
-                    self.events.push(PolicyEvent::ShareAdjusted {
-                        node,
-                        interactive_pm: new,
-                    });
-                }
-            }
-            self.committed_us.fill(0);
-        }
-
-        let nodes: Vec<NodeId> = ctx.tables.live_nodes().collect();
-        for &node in &nodes {
-            let lambda_b = batch_lambda(ctx.now, self.omega, self.shares_pm[node.index()]);
-            while ctx.tables.available.get(node) < lambda_b {
-                let candidate = ctx
-                    .tables
-                    .cache
-                    .node_memory(node)
-                    .chunks()
-                    .filter(|c| self.pending_batch.contains_key(c))
-                    .min();
-                let Some(chunk) = candidate else { break };
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("candidate has work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(ctx.commit(task, node, group));
-            }
-        }
-
-        let mut order: Vec<ChunkId> = self.pending_batch.keys().copied().collect();
-        order.sort_unstable_by_key(|&c| (ctx.tables.cache.replica_count(c), c));
-        let mut cursor = 0usize;
-        'nodes: for &node in &nodes {
-            let lambda_b = batch_lambda(ctx.now, self.omega, self.shares_pm[node.index()]);
-            while ctx.tables.available.get(node) < lambda_b {
-                while cursor < order.len() && !self.pending_batch.contains_key(&order[cursor]) {
-                    cursor += 1;
-                }
-                if cursor >= order.len() {
-                    break 'nodes;
-                }
-                let chunk = order[cursor];
-                let bytes = ctx.catalog.chunk_bytes(chunk);
-                if super::cold_batch_protected(
-                    ctx,
-                    node,
-                    chunk,
-                    bytes,
-                    self.shares_pm[node.index()],
-                ) {
-                    break;
-                }
-                let queue = self
-                    .pending_batch
-                    .get_mut(&chunk)
-                    .expect("cursor points at work");
-                let (_, task) = queue.pop_front().expect("queues are never left empty");
-                if queue.is_empty() {
-                    self.pending_batch.remove(&chunk);
-                }
-                self.pending_count -= 1;
-                let group = ctx.group_size(task.chunk.dataset);
-                out.push(ctx.commit(task, node, group));
-            }
-        }
-        out
-    }
-
-    fn has_deferred(&self) -> bool {
-        self.pending_count > 0 || !self.escalated.is_empty()
-    }
-
-    fn retract_deferred(&mut self) {
-        self.pending_batch.clear();
-        self.pending_count = 0;
-        self.escalated.clear();
-    }
-
-    fn escalate_deferred(&mut self, now: SimTime, age: SimDuration) -> Vec<(JobId, SimDuration)> {
-        if self.pending_count == 0 {
-            return Vec::new();
-        }
-        let mut moved: Vec<(SimTime, Task)> = Vec::new();
-        self.pending_batch.retain(|_, queue| {
-            let mut kept = VecDeque::with_capacity(queue.len());
-            while let Some((since, task)) = queue.pop_front() {
-                if now.saturating_since(since) >= age {
-                    moved.push((since, task));
-                } else {
-                    kept.push_back((since, task));
-                }
-            }
-            std::mem::swap(queue, &mut kept);
-            !queue.is_empty()
-        });
-        if moved.is_empty() {
-            return Vec::new();
-        }
-        self.pending_count -= moved.len();
-        moved.sort_unstable_by_key(|&(_, t)| (t.job.0, t.index));
-        let mut per_job: Vec<(JobId, SimDuration)> = Vec::new();
-        for &(since, task) in &moved {
-            let waited = now.saturating_since(since);
-            match per_job.last_mut() {
-                Some((job, max)) if *job == task.job => *max = (*max).max(waited),
-                _ => per_job.push((task.job, waited)),
-            }
-        }
-        self.escalated.extend(moved.into_iter().map(|(_, t)| t));
-        per_job
-    }
-
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 

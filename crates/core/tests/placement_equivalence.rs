@@ -19,9 +19,8 @@ use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, U
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::rng::SplitMix64;
 use vizsched_core::sched::{
-    FcfslScheduler, FracScheduler, MobjScheduler, OursParams, OursScheduler,
-    ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler,
-    ReferenceOursScheduler, ScheduleCtx, Scheduler,
+    FcfslScheduler, MobjScheduler, OursParams, OursScheduler, ReferenceFcfslScheduler,
+    ReferenceMobjScheduler, ReferenceOursScheduler, ScheduleCtx, Scheduler,
 };
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
@@ -136,10 +135,9 @@ impl Case {
     }
 
     /// Drive `opt` and `reference` through the identical stream and demand,
-    /// every cycle, bit-identical assignment vectors, equal deferral state,
-    /// identical [`Scheduler::drain_policy_events`] streams and identical
-    /// [`Scheduler::escalate_deferred`] promotions (all vacuously equal for
-    /// a policy with the default hooks). When [`Case::node_faults`] is set
+    /// every cycle, bit-identical assignment vectors, equal deferral state
+    /// and identical [`Scheduler::escalate_deferred`] promotions (both
+    /// vacuously equal for a policy with the default hooks). When [`Case::node_faults`] is set
     /// it crashes or recovers a node between invocations.
     fn run_policy(
         &self,
@@ -186,12 +184,6 @@ impl Case {
                 opt.has_deferred(),
                 reference.has_deferred(),
                 "deferral divergence: case seed {}, cycle {cycle_no}",
-                self.seed
-            );
-            assert_eq!(
-                opt.drain_policy_events(),
-                reference.drain_policy_events(),
-                "policy-event divergence: case seed {}, cycle {cycle_no}",
                 self.seed
             );
 
@@ -286,21 +278,6 @@ fn ours_matches_reference_under_node_faults() {
         case.node_faults = true;
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference);
-    }
-}
-
-/// FRAC's optimized scheduler (persistent per-chunk backlog maps, scratch
-/// reuse, heap-assisted interactive pass) must be bit-identical to the
-/// textbook reference twin — shares, batch windows, and escalations
-/// included.
-#[test]
-fn frac_matches_reference_across_random_cases() {
-    for n in 0..40u64 {
-        let case = Case::generate(0xf4ac_0000 + n);
-        let cycle = SimDuration::from_millis(30);
-        let mut opt = FracScheduler::new(cycle);
-        let mut reference = ReferenceFracScheduler::new(cycle);
         case.run_policy(cycle, &mut opt, &mut reference);
     }
 }

@@ -342,17 +342,6 @@ pub enum TraceEvent {
         /// Jobs buffered on the shard at detection.
         queued: usize,
     },
-    /// The fractional policy (FRAC) adjusted a node's interactive share
-    /// (`t = "share_adjusted"`). The batch window of the node is
-    /// `ω · (1000 − interactive_pm) / 1000` for the following cycles.
-    ShareAdjusted {
-        /// Adjustment time (the cycle the share EMA stepped).
-        now: SimTime,
-        /// The node whose share moved.
-        node: NodeId,
-        /// The new interactive share, per-mille of the cycle.
-        interactive_pm: u32,
-    },
     /// A scheduled fault from the deterministic `FaultPlan` fired
     /// (`t = "fault_injected"`). Emitted by the executing substrate at the
     /// moment the fault takes effect, before the recovery events it
@@ -411,7 +400,7 @@ impl TraceEvent {
     /// Every `t` tag a [`TraceEvent`] can serialize to, in declaration
     /// order. The docs-consistency test checks each of these appears in
     /// DESIGN.md's trace-schema table.
-    pub const TAGS: [&'static str; 25] = [
+    pub const TAGS: [&'static str; 24] = [
         "cycle_start",
         "cycle_end",
         "assign",
@@ -431,7 +420,6 @@ impl TraceEvent {
         "shard_assigned",
         "shard_migrated",
         "shard_saturated",
-        "share_adjusted",
         "fault_injected",
         "shard_failed",
         "shard_recovered",
@@ -461,7 +449,6 @@ impl TraceEvent {
             | TraceEvent::ShardAssigned { now, .. }
             | TraceEvent::ShardMigrated { now, .. }
             | TraceEvent::ShardSaturated { now, .. }
-            | TraceEvent::ShareAdjusted { now, .. }
             | TraceEvent::FaultInjected { now, .. }
             | TraceEvent::ShardFailed { now, .. }
             | TraceEvent::ShardRecovered { now, .. }
@@ -492,7 +479,6 @@ impl TraceEvent {
             TraceEvent::ShardAssigned { .. } => "shard_assigned",
             TraceEvent::ShardMigrated { .. } => "shard_migrated",
             TraceEvent::ShardSaturated { .. } => "shard_saturated",
-            TraceEvent::ShareAdjusted { .. } => "share_adjusted",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::ShardFailed { .. } => "shard_failed",
             TraceEvent::ShardRecovered { .. } => "shard_recovered",
@@ -750,19 +736,6 @@ impl TraceEvent {
                     "{{\"t\":\"shard_saturated\",\"now_us\":{},\"shard\":{},\"queued\":{queued}}}",
                     now.as_micros(),
                     shard.0
-                );
-            }
-            TraceEvent::ShareAdjusted {
-                now,
-                node,
-                interactive_pm,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"t\":\"share_adjusted\",\"now_us\":{},\"node\":{},\
-                     \"interactive_pm\":{interactive_pm}}}",
-                    now.as_micros(),
-                    node.0
                 );
             }
             TraceEvent::FaultInjected { now, fault } => {
@@ -1595,11 +1568,6 @@ mod tests {
                 now: SimTime::ZERO,
                 shard: ShardId(3),
                 queued: 12,
-            },
-            TraceEvent::ShareAdjusted {
-                now: SimTime::ZERO,
-                node: NodeId(2),
-                interactive_pm: 625,
             },
             TraceEvent::FaultInjected {
                 now: SimTime::ZERO,

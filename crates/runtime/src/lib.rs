@@ -70,7 +70,7 @@ use vizsched_core::data::Catalog;
 use vizsched_core::fxhash::FxHashMap;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job};
-use vizsched_core::sched::{Assignment, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
+use vizsched_core::sched::{Assignment, ScheduleCtx, Scheduler, Trigger};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
 pub use vizsched_metrics::{DropReason, RejectReason};
@@ -1060,23 +1060,6 @@ impl HeadRuntime {
         let wall_micros = t0.elapsed().as_micros() as u64;
         self.sched_wall_micros += wall_micros;
         let dispatched = self.dispatch_all(sub, now, assignments);
-        // Drain the policy's control moves unconditionally (they would
-        // otherwise accumulate), emitting them only when tracing.
-        for event in self.scheduler.drain_policy_events() {
-            if !tracing {
-                continue;
-            }
-            match event {
-                PolicyEvent::ShareAdjusted {
-                    node,
-                    interactive_pm,
-                } => self.probe.on_event(&TraceEvent::ShareAdjusted {
-                    now,
-                    node: self.names[node.index()],
-                    interactive_pm,
-                }),
-            }
-        }
         if tracing {
             self.probe.on_event(&TraceEvent::CycleEnd {
                 now,

@@ -1635,7 +1635,7 @@ mod tests {
     }
 
     /// Every trace tag that names a node.
-    const NODE_TAGS: [&str; 8] = [
+    const NODE_TAGS: [&str; 7] = [
         "assign",
         "task_done",
         "available",
@@ -1643,7 +1643,6 @@ mod tests {
         "cache_evict",
         "node_fault",
         "node_up",
-        "share_adjusted",
     ];
 
     /// Drives a sharded runtime one step at a time and checks, after
@@ -1656,8 +1655,6 @@ mod tests {
         live: Vec<Assignment>,
         /// Completions delivered per cluster node.
         delivered: Vec<u64>,
-        /// Nodes currently down.
-        down: Vec<NodeId>,
         /// Node-naming tags seen so far.
         tags: Vec<&'static str>,
         completions: usize,
@@ -1666,11 +1663,10 @@ mod tests {
     impl Seam {
         /// Check the events of the step just taken. `named` is the node a
         /// warm load, fault or recovery in the step names; `done` the
-        /// completions it delivered, in order. Returns the nodes named by
-        /// `share_adjusted`, each at most once.
-        fn check(&mut self, seen: usize, named: Option<NodeId>, done: &[Assignment]) -> Vec<u32> {
+        /// completions it delivered, in order.
+        fn check(&mut self, seen: usize, named: Option<NodeId>, done: &[Assignment]) {
             let fresh = &self.sub.dispatched[seen..];
-            let (mut assigns, mut finished, mut shares) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut assigns, mut finished) = (Vec::new(), Vec::new());
             // Corrections name the node of the completion before them.
             let mut current = named;
             for e in self.probe.take() {
@@ -1694,11 +1690,6 @@ mod tests {
                     TraceEvent::NodeFault { node, .. } | TraceEvent::NodeUp { node, .. } => {
                         assert_eq!(Some(node), named, "{} names the wrong node", e.tag());
                     }
-                    TraceEvent::ShareAdjusted { node, .. } => {
-                        assert!(!self.down.contains(&node), "share of down {node}");
-                        assert!(!shares.contains(&node.0), "{node} adjusted twice");
-                        shares.push(node.0);
-                    }
                     _ => continue,
                 }
                 if !self.tags.contains(&e.tag()) {
@@ -1709,7 +1700,6 @@ mod tests {
             assert_eq!(assigns, fresh.iter().map(ids).collect::<Vec<_>>());
             assert_eq!(finished, done.iter().map(ids).collect::<Vec<_>>());
             self.live.extend_from_slice(fresh);
-            shares
         }
 
         fn warm(&mut self, node: NodeId, chunk: ChunkId) {
@@ -1726,10 +1716,10 @@ mod tests {
             self.check(seen, None, &[]);
         }
 
-        fn cycle(&mut self, now: SimTime) -> Vec<u32> {
+        fn cycle(&mut self, now: SimTime) {
             let seen = self.sub.dispatched.len();
             self.rt.on_cycle(&mut self.sub, now);
-            self.check(seen, None, &[])
+            self.check(seen, None, &[]);
         }
 
         /// Complete every live task: every third a hit, the rest misses,
@@ -1760,13 +1750,11 @@ mod tests {
             let seen = self.sub.dispatched.len();
             self.rt.on_node_fault(&mut self.sub, now, node);
             self.live.retain(|a| a.node != node);
-            self.down.push(node);
             self.check(seen, Some(node), &[]);
         }
 
         fn recover(&mut self, now: SimTime, node: NodeId) {
             self.rt.on_node_recover(now, node);
-            self.down.retain(|&n| n != node);
             self.check(self.sub.dispatched.len(), Some(node), &[]);
         }
 
@@ -1783,7 +1771,7 @@ mod tests {
     #[test]
     fn every_node_id_leaving_a_shard_is_the_cluster_id() {
         let probe = Arc::new(CollectingProbe::new());
-        let rt = sharded(8, 2, SchedulerKind::Frac, 8, probe.clone());
+        let rt = sharded(8, 2, SchedulerKind::Ours, 8, probe.clone());
         let homed = |s: u32| -> Vec<u32> {
             (0..8u32)
                 .filter(|&d| rt.shard_of_dataset(DatasetId(d)) == ShardId(s))
@@ -1799,7 +1787,6 @@ mod tests {
             probe,
             live: Vec::new(),
             delivered: vec![0; 8],
-            down: Vec::new(),
             tags: Vec::new(),
             completions: 0,
         };
@@ -1810,15 +1797,13 @@ mod tests {
         seam.warm(slice0[1], chunk(home0[0], 0));
         seam.warm(slice0[2], chunk(home0[0], 1));
         seam.warm(NodeId(6), chunk(home1[0], 0));
-        // 2. Arrivals on both shards; the first cycle steps both shards'
-        // shares, so one step names nodes of both slices.
+        // 2. Arrivals on both shards.
         let mut id = 0;
         for &d in [home0[0], home0[1], home1[0], home1[1]].iter() {
             seam.arrive(t(1), id, d);
             id += 1;
         }
-        let shares = seam.cycle(t(30));
-        assert!(shares.iter().any(|&n| n < span.nodes) && shares.iter().any(|&n| n >= span.nodes));
+        seam.cycle(t(30));
         // 3. Completions: hits, misses, evictions.
         seam.complete_all(t(40));
         // 4. A node of shard 0 crashes with work on it, and recovers.
@@ -1848,7 +1833,7 @@ mod tests {
         );
         let before = seam.delivered.clone();
         // 6. Work on the adopted nodes, one of which crashes and stays
-        // down over a cycle (its share must not step) before recovering.
+        // down over a cycle before recovering.
         seam.cycle(t(120));
         seam.complete_all(t(130));
         for d in 0..8 {

@@ -181,45 +181,3 @@ fn probe_event_stream_is_conserved() {
     // Events arrive in non-decreasing simulated time.
     assert!(events.windows(2).all(|w| w[0].time() <= w[1].time()));
 }
-
-#[test]
-fn sharded_share_steps_name_cluster_global_nodes() {
-    // FRAC steps each node's share on its own shard's slice; the trace
-    // must name the node as the cluster does, not as the shard does.
-    let cluster = ClusterSpec::homogeneous(8, 2 * GIB);
-    let sim = Simulation::new(
-        SimConfig::new(cluster, CostParams::default()),
-        uniform_datasets(8, 2 * GIB),
-        512 * MIB,
-    );
-    let jobs: Vec<Job> = (0..400u64)
-        .map(|i| Job {
-            dataset: DatasetId((i % 8) as u32),
-            ..interactive(i, i % 8, SimTime::from_millis(5 * i))
-        })
-        .collect();
-    let probe = Arc::new(CollectingProbe::new());
-    let outcome = sim.run_opts(
-        jobs,
-        RunOptions::new(SchedulerKind::Frac)
-            .label("frac-shards")
-            .shards(2)
-            .probe(probe.clone()),
-    );
-    assert_eq!(outcome.incomplete_jobs, 0);
-    let stepped: std::collections::BTreeSet<u32> = probe
-        .take()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::ShareAdjusted { node, .. } => Some(node.0),
-            _ => None,
-        })
-        .collect();
-    let width = vizsched_runtime::shard::ShardMap::new(8, 2)
-        .span(ShardId(0))
-        .nodes;
-    assert!(
-        stepped.iter().any(|&n| n >= width),
-        "every share step named a node below {width}: {stepped:?}"
-    );
-}

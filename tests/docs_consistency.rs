@@ -116,8 +116,9 @@ fn readme_policy_table_names_parse() {
                 .trim_matches('`')
         })
         .collect();
+    // FSD sits in neither list but has a row too.
     assert!(
-        names.len() >= 9,
+        names.len() > SchedulerKind::ALL.len() + SchedulerKind::EXTENDED.len(),
         "README policy table looks truncated: {names:?}"
     );
     for name in &names {
@@ -136,16 +137,6 @@ fn readme_policy_table_names_parse() {
             kind.name()
         );
     }
-}
-
-/// The policy-family trace tag is part of the documented schema; pin it
-/// so a rename breaks the docs tests, not just downstream parsers.
-#[test]
-fn policy_trace_tags_are_pinned() {
-    assert!(
-        TraceEvent::TAGS.contains(&"share_adjusted"),
-        "TraceEvent::TAGS lost the `share_adjusted` tag the docs promise"
-    );
 }
 
 /// Every event count the guides quote ("the N-event trace schema", "N

@@ -197,15 +197,9 @@ fn fcfsl_replays_an_identical_fault_plan_identically() {
     assert_fault_parity(SchedulerKind::Fcfsl);
 }
 
-/// The post-paper family through the same failover: FRAC's interactive
-/// pass is OURS verbatim and MOBJ's objective reads only the shared head
-/// tables, so neither decides on a measured duration across the crash,
-/// adoption and re-admission.
-#[test]
-fn frac_replays_an_identical_fault_plan_identically() {
-    assert_fault_parity(SchedulerKind::Frac);
-}
-
+/// The post-paper policy through the same failover: MOBJ's objective
+/// reads only the shared head tables, so it decides on no measured
+/// duration across the crash, adoption and re-admission.
 #[test]
 fn mobj_replays_an_identical_fault_plan_identically() {
     assert_fault_parity(SchedulerKind::Mobj);

@@ -1,7 +1,7 @@
 //! Property-based chaos tests: random seedable [`FaultPlan`] schedules —
 //! node crashes/respawns, slow-node degradations, correlated leaf
 //! outages, shard-head crashes — over random clusters, shard counts, and
-//! workloads, across all nine registry policies. Two invariants must
+//! workloads, across every registry policy. Two invariants must
 //! hold no matter what the plan throws at the control plane:
 //!
 //! 1. **No admitted job is ever lost.** Every job the head admits
@@ -23,14 +23,17 @@ use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
-/// All eight registry policies: the six headline schedulers plus the
-/// two extended-policy entries.
+/// How many policies `policy` picks from: the six headline schedulers
+/// plus the extended-policy entries.
+const POLICIES: usize = SchedulerKind::ALL.len() + SchedulerKind::EXTENDED.len();
+
+/// The registry policy at `pick`, which must be below [`POLICIES`].
 fn policy(pick: usize) -> SchedulerKind {
     *SchedulerKind::ALL
         .iter()
         .chain(SchedulerKind::EXTENDED.iter())
         .nth(pick)
-        .expect("pick < 8")
+        .expect("pick < POLICIES")
 }
 
 #[derive(Clone, Debug)]
@@ -49,7 +52,7 @@ fn chaos_case() -> impl Strategy<Value = ChaosCase> {
         0usize..4,
         1u32..4,
         prop::collection::vec((0u32..4, any::<bool>(), 0u64..6_000), 1..40),
-        0usize..8,
+        0usize..POLICIES,
         any::<u64>(),
     )
         .prop_map(

@@ -1,4 +1,4 @@
-//! Property-based tests over all nine scheduling policies: completeness
+//! Property-based tests over every registry policy: completeness
 //! (every task assigned exactly once, eventually — also when deferred work
 //! is escalated mid-drain), validity (live nodes only), determinism, and
 //! the head runtime's early cycle equal to the tick it replaces.
@@ -17,6 +17,9 @@ use vizsched_metrics::NoopProbe;
 use vizsched_runtime::{Admission, Completion, HeadRuntime, Substrate};
 
 const GIB: u64 = 1 << 30;
+/// How many policies a `kind_pick` indexes: the paper's six plus the
+/// extended-policy entries.
+const POLICIES: usize = SchedulerKind::ALL.len() + SchedulerKind::EXTENDED.len();
 
 #[derive(Clone, Debug)]
 struct JobSpec {
@@ -233,7 +236,7 @@ proptest! {
     fn early_cycle_equals_the_tick_at_the_same_instant(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..8,
+        kind_pick in 0usize..POLICIES,
         dataset in 0u32..4,
     ) {
         let kind = *SchedulerKind::ALL
@@ -281,10 +284,10 @@ proptest! {
     fn all_tasks_assigned_exactly_once(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..8,
+        kind_pick in 0usize..POLICIES,
         escalate_at in 0u32..4,
     ) {
-        // The paper's six plus the post-paper family (FRAC/MOBJ).
+        // The paper's six plus the post-paper family (MOBJ).
         let kind = *SchedulerKind::ALL
             .iter()
             .chain(SchedulerKind::EXTENDED.iter())
@@ -315,7 +318,7 @@ proptest! {
     fn scheduling_is_deterministic(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..8,
+        kind_pick in 0usize..POLICIES,
         escalate_at in 0u32..4,
     ) {
         let kind = *SchedulerKind::ALL

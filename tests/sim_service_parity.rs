@@ -143,14 +143,6 @@ fn fcfsl_places_identically_on_both_substrates() {
 }
 
 #[test]
-fn frac_places_identically_on_both_substrates() {
-    // FRAC's interactive pass is OURS verbatim and its share EMA depends
-    // only on the committed interactive stream, so placement is fully
-    // substrate independent.
-    assert_strict_parity(SchedulerKind::Frac);
-}
-
-#[test]
 fn mobj_places_identically_on_both_substrates() {
     // MOBJ's objective terms (move, wait, fragmentation, starvation age)
     // are all derived from the shared head tables — no wall clock, no

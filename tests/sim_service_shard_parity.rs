@@ -143,11 +143,6 @@ fn mobj_routes_and_places_identically_when_sharded() {
     assert_sharded_parity(SchedulerKind::Mobj);
 }
 
-#[test]
-fn frac_routes_and_places_identically_when_sharded() {
-    assert_sharded_parity(SchedulerKind::Frac);
-}
-
 /// The scale target of the sharded design: 16 shard-local cycle loops
 /// drive a 1024-node cluster through a mixed interactive/batch workload.
 /// Sim-only — the point is the control plane at cluster scale, which no
