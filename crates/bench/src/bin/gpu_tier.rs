@@ -4,9 +4,11 @@
 //!
 //! With the two-tier model on, every task that is not already GPU-resident
 //! pays a PCIe upload (~170 ms for a 512 MB chunk at 3 GB/s) on top of any
-//! disk I/O. The sweep varies the per-node video-memory quota and compares
-//! base OURS (host-locality only, as published) against OURS with
-//! `gpu_aware = true`, which also weighs GPU residency when picking nodes.
+//! disk I/O. The sweep varies the per-node video-memory quota and runs OURS
+//! twice: on a head that plans on host residency alone (base, as
+//! published), and with `SimConfig::gpu_aware`, whose head tables mirror
+//! GPU residency, so the one locality cost (`ScheduleCtx::io_estimate`)
+//! also charges the upload when picking nodes.
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin gpu_tier [-- --length 20]
@@ -14,7 +16,7 @@
 
 use vizsched_bench::experiments::simulation_for;
 use vizsched_bench::harness::Cli;
-use vizsched_core::sched::{OursParams, OursScheduler};
+use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::SchedulerReport;
 use vizsched_sim::{RunOptions, Simulation};
@@ -63,14 +65,11 @@ fn main() {
         for gpu_aware in [false, true] {
             let mut config = simulation_for(&scenario).config().clone();
             config.gpu_quota = Some(gpu_mib * MIB);
+            config.gpu_aware = gpu_aware;
             let sim = Simulation::new(config, scenario.datasets(), scenario.chunk_max);
-            let sched = Box::new(OursScheduler::new(OursParams {
-                gpu_aware,
-                ..OursParams::default()
-            }));
             let outcome = sim.run_opts(
                 jobs.clone(),
-                RunOptions::with_scheduler(sched).label(&scenario.label),
+                RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
             );
             let report = SchedulerReport::from_run(&outcome.record);
             row.push((

@@ -3,9 +3,10 @@
 //! [`ours`](super::ours) and [`mobj`](super::mobj) both run the paper's
 //! cycle — decompose, group the interactive tasks by chunk, place cached
 //! groups first and non-cached groups longest-I/O first, then fill nodes
-//! with held batch work — and differ in four decisions: which node a chunk group goes to, what a commit records, how
-//! far batch work may fill a node (the window), and when a cold batch
-//! placement is refused (the gate). This module is everything else.
+//! with held batch work — and differ in two decisions: which node a chunk
+//! group goes to, and when a cold batch placement is refused (the gate).
+//! Every placement commits through [`ScheduleCtx::commit`]. This module
+//! is everything else.
 //! [`Cycle`] is lines 2–15 (intake and the interactive pass) plus the
 //! anti-starvation re-entry; [`Deferred`] is `H_B`, the per-chunk store of
 //! held batch tasks, with lines 16–31 (the two batch fills). A policy
@@ -83,7 +84,6 @@ impl Cycle {
         &mut self,
         ctx: &mut ScheduleCtx<'_>,
         mut choose: impl FnMut(&ScheduleCtx<'_>, &mut AvailHeap, ChunkId, u64) -> NodeId,
-        mut commit: impl FnMut(&mut ScheduleCtx<'_>, Task, NodeId, u32) -> Assignment,
         mut placed: impl FnMut(&ScheduleCtx<'_>, &mut AvailHeap, NodeId),
         out: &mut Vec<Assignment>,
     ) {
@@ -129,7 +129,7 @@ impl Cycle {
             let node = choose(ctx, &mut self.heap, chunk, bytes);
             for &(_, task) in &self.tasks[start as usize..end as usize] {
                 let group = ctx.catalog.task_count(task.chunk.dataset).min(live);
-                out.push(commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
             placed(ctx, &mut self.heap, node);
         }
@@ -236,16 +236,15 @@ impl Deferred {
         moved
     }
 
-    /// Lines 16–31: the two batch fills. `window(k)` is how far node `k`'s
+    /// Lines 16–31: the two batch fills. `until` is how far each node's
     /// queue may be filled (the paper's `λ`, the next scheduling time);
     /// `protected(ctx, k, c, bytes)` is the gate that keeps a cold load of
     /// chunk `c` off node `k` (the paper's ε rule).
     pub(super) fn fill(
         &mut self,
         ctx: &mut ScheduleCtx<'_>,
-        window: impl Fn(NodeId) -> SimTime,
+        until: SimTime,
         protected: impl Fn(&ScheduleCtx<'_>, NodeId, ChunkId, u64) -> bool,
-        mut commit: impl FnMut(&mut ScheduleCtx<'_>, Task, NodeId, u32) -> Assignment,
         out: &mut Vec<Assignment>,
     ) {
         let mut nodes = std::mem::take(&mut self.nodes);
@@ -253,9 +252,8 @@ impl Deferred {
         nodes.extend(ctx.tables.live_nodes());
 
         // Lines 16–22: fill each node with held batch tasks whose chunk it
-        // already caches, up to its window.
+        // already caches, up to λ.
         for &node in &nodes {
-            let until = window(node);
             while ctx.tables.available.get(node) < until {
                 // Smallest resident chunk id with pending batch work keeps
                 // the choice deterministic.
@@ -269,7 +267,7 @@ impl Deferred {
                 let Some(chunk) = candidate else { break };
                 let task = self.pop(chunk);
                 let group = ctx.group_size(task.chunk.dataset);
-                out.push(commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
         }
 
@@ -282,7 +280,6 @@ impl Deferred {
         order.sort_unstable_by_key(|&c| (ctx.tables.cache.replica_count(c), c));
         let mut cursor = 0usize;
         'nodes: for &node in &nodes {
-            let until = window(node);
             while ctx.tables.available.get(node) < until {
                 // Advance past chunks whose queues have drained.
                 while cursor < order.len() && !self.by_chunk.contains_key(&order[cursor]) {
@@ -300,7 +297,7 @@ impl Deferred {
                 }
                 let task = self.pop(chunk);
                 let group = ctx.group_size(task.chunk.dataset);
-                out.push(commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
         }
         self.nodes = nodes;

@@ -12,8 +12,9 @@
 //!          − w_starv · idle_us(k)        (starvation age; batch only)
 //! ```
 //!
-//! * `move_us` — the predicted data-movement cost: zero on a predicted
-//!   cache hit, else `Estimate[c]`;
+//! * `move_us` — the predicted data-movement cost,
+//!   [`ScheduleCtx::io_estimate`]: zero on a predicted cache hit, else
+//!   `Estimate[c]` (plus the PCIe upload on a GPU-modelling head);
 //! * `wait_us` — how much later than the cluster's earliest node this one
 //!   frees up (`ready_at(k) − min_k ready_at`);
 //! * `frag_us` — eviction pressure: the fraction of the chunk that would
@@ -116,13 +117,14 @@ pub(super) fn objective_score(
     let w = WEIGHTS;
     let ready = ctx.tables.available.ready_at(node, ctx.now);
     let wait_us = ready.saturating_since(anchor).as_micros();
-    let (move_us, frag_us) = if ctx.tables.cache.contains(node, chunk) {
-        (0u64, 0u64)
+    let move_us = ctx.io_estimate(node, chunk, bytes).as_micros();
+    let frag_us = if ctx.tables.cache.contains(node, chunk) {
+        0
     } else {
         let est_us = ctx.tables.estimate.get(chunk, bytes, ctx.cost).as_micros();
         let mem = ctx.tables.cache.node_memory(node);
         let over = (mem.used() + bytes).saturating_sub(mem.quota()).min(bytes);
-        (est_us, est_us.saturating_mul(over) / bytes.max(1))
+        est_us.saturating_mul(over) / bytes.max(1)
     };
     let mut score = w.locality_pm as i128 * move_us as i128
         + w.balance_pm as i128 * wait_us as i128
@@ -184,7 +186,7 @@ impl MobjScheduler {
                     continue;
                 }
             }
-            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
+            if batch && super::cold_batch_protected(ctx, k, chunk, bytes) {
                 continue;
             }
             let s = objective_score(ctx, ctx.now, k, chunk, bytes, batch);
@@ -254,7 +256,6 @@ impl Scheduler for MobjScheduler {
                 self.best_node(ctx, chunk, bytes, false, None)
                     .expect("at least one live node")
             },
-            |ctx, task, node, group| ctx.commit(task, node, group),
             |_, _, _| {},
             &mut out,
         );

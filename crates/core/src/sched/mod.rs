@@ -161,13 +161,35 @@ impl ScheduleCtx<'_> {
         self.catalog.task_count(dataset).min(live)
     }
 
-    /// Predicted I/O cost of placing `chunk` on `node` right now: zero on a
-    /// predicted cache hit, otherwise the `Estimate` table value.
+    /// Predicted data-movement cost of placing `chunk` on `node` right
+    /// now: zero on a render-ready hit, otherwise the `Estimate` table
+    /// value. When the tables model the GPU tier (`tables.gpu_cache`, the
+    /// §VII extension), a miss also pays the PCIe upload, and a host hit
+    /// that is not GPU-resident pays the upload alone.
     pub fn io_estimate(&self, node: NodeId, chunk: ChunkId, bytes: u64) -> SimDuration {
         if self.tables.cache.contains(node, chunk) {
-            SimDuration::ZERO
+            self.upload_estimate(node, chunk, bytes)
         } else {
-            self.tables.estimate.get(chunk, bytes, self.cost)
+            self.tables.estimate.get(chunk, bytes, self.cost) + self.miss_upload(bytes)
+        }
+    }
+
+    /// The upload a host hit on `node` still pays: zero without a GPU
+    /// mirror or where the mirror holds `chunk`.
+    fn upload_estimate(&self, node: NodeId, chunk: ChunkId, bytes: u64) -> SimDuration {
+        match &self.tables.gpu_cache {
+            Some(gpu) if !gpu.contains(node, chunk) => self.cost.upload_time(bytes),
+            _ => SimDuration::ZERO,
+        }
+    }
+
+    /// The upload every miss pays on top of `Estimate[c]`: zero without a
+    /// GPU mirror.
+    fn miss_upload(&self, bytes: u64) -> SimDuration {
+        if self.tables.gpu_cache.is_some() {
+            self.cost.upload_time(bytes)
+        } else {
+            SimDuration::ZERO
         }
     }
 
@@ -214,15 +236,17 @@ impl ScheduleCtx<'_> {
     /// heap's global best instead of every live node — `O(|Cache[c]| + log p)`
     /// amortized instead of O(p) per chunk group.
     ///
-    /// Why the restriction is exact: the I/O estimate `est` is the same for
-    /// every node not holding `chunk`, so the best non-cached candidate is
-    /// the global minimum of `(ready_at, id)` with `est` added. If that
-    /// global minimum happens to be a cached node, its true key
-    /// `(ready_at, id)` — scanned via `Cache[c]` — dominates both the
-    /// inflated proxy and every non-cached node, so the winner is still
-    /// exactly the node the full scan would pick, tie-breaks included.
-    /// [`reference::ReferenceOursScheduler`] retains the full scan and the
-    /// placement-equivalence suite holds the two paths bit-identical.
+    /// Why the restriction is exact: every node not holding `chunk` pays
+    /// the same miss cost (`Estimate[c]`, plus the upload on a GPU-modelling
+    /// head), so the best non-cached candidate is the global minimum of
+    /// `(ready_at, id)` with that cost added. A cached node's cost (zero,
+    /// or the upload alone) never exceeds the miss cost, so if that global
+    /// minimum happens to be a cached node, its true key — scanned via
+    /// `Cache[c]` — dominates both the inflated proxy and every non-cached
+    /// node, and the winner is still exactly the node the full scan would
+    /// pick, tie-breaks included. [`reference::ReferenceOursScheduler`]
+    /// retains the full scan and the placement-equivalence suite holds the
+    /// two paths bit-identical.
     ///
     /// `heap` must have been rebuilt from the same tables at `self.now` and
     /// kept current (via [`AvailHeap::update`]) across commits.
@@ -232,14 +256,15 @@ impl ScheduleCtx<'_> {
         chunk: ChunkId,
         bytes: u64,
     ) -> NodeId {
-        let est = self.tables.estimate.get(chunk, bytes, self.cost);
+        let miss = self.tables.estimate.get(chunk, bytes, self.cost) + self.miss_upload(bytes);
         let (global_ready, global_node) = heap.best(self.tables);
-        let mut best = (global_ready + est, global_node);
+        let mut best = (global_ready + miss, global_node);
         for &k in self.tables.cache.nodes_with(chunk) {
             if !self.tables.is_live(k) {
                 continue;
             }
-            let key = (self.tables.available.ready_at(k, self.now), k);
+            let ready = self.tables.available.ready_at(k, self.now);
+            let key = (ready + self.upload_estimate(k, chunk, bytes), k);
             if key < best {
                 best = key;
             }
@@ -247,53 +272,18 @@ impl ScheduleCtx<'_> {
         best.1
     }
 
-    /// Predicted *data movement* cost of placing `chunk` on `node`: disk
-    /// I/O plus upload on a full miss, just the PCIe upload on a host hit
-    /// that is not GPU-resident, zero on a GPU hit. Reduces to
-    /// [`ScheduleCtx::io_estimate`] when the two-tier extension is off.
-    pub fn movement_estimate(&self, node: NodeId, chunk: ChunkId, bytes: u64) -> SimDuration {
-        if !self.tables.cache.contains(node, chunk) {
-            let io = self.tables.estimate.get(chunk, bytes, self.cost);
-            return if self.tables.gpu_cache.is_some() {
-                io + self.cost.upload_time(bytes)
-            } else {
-                io
-            };
-        }
-        if self.tables.gpu_resident(node, chunk) {
-            SimDuration::ZERO
-        } else {
-            self.cost.upload_time(bytes)
-        }
-    }
-
-    /// The live node minimizing predicted completion *including the PCIe
-    /// upload* — the GPU-residency-aware refinement of Algorithm 1 line 11
-    /// (§VII future work).
-    pub fn earliest_node_with_gpu_locality(&self, chunk: ChunkId, bytes: u64) -> NodeId {
-        self.tables
-            .live_nodes()
-            .min_by_key(|&k| {
-                (
-                    self.tables.available.ready_at(k, self.now)
-                        + self.movement_estimate(k, chunk, bytes),
-                    k,
-                )
-            })
-            .expect("at least one live node")
-    }
-
-    /// Commit `task` to `node`: push the `Available` table, update the
-    /// `Cache` prediction (load + predicted evictions on a miss, recency
-    /// touch on a hit), and stamp the node's interactive-idle clock.
+    /// Commit `task` to `node`: push the `Available` table by the
+    /// [`io_estimate`](ScheduleCtx::io_estimate) plus the render time,
+    /// update the `Cache` prediction (load + predicted evictions on a miss,
+    /// recency touch on a hit) and the GPU mirror when present, and stamp
+    /// the node's interactive-idle clock.
     pub fn commit(&mut self, task: Task, node: NodeId, group: u32) -> Assignment {
-        let cached = self.tables.cache.contains(node, task.chunk);
-        let io = if cached {
-            SimDuration::ZERO
-        } else {
-            self.tables.estimate.get(task.chunk, task.bytes, self.cost)
-        };
-        self.commit_with_prediction(task, node, group, io)
+        let io = self.io_estimate(node, task.chunk, task.bytes);
+        let assignment = self.commit_with_prediction(task, node, group, io);
+        if let Some(gpu) = &mut self.tables.gpu_cache {
+            gpu.record_load(node, task.chunk, task.bytes);
+        }
+        assignment
     }
 
     /// Commit for a locality-*blind* policy (FCFS, SF, FS): the predicted
@@ -306,18 +296,6 @@ impl ScheduleCtx<'_> {
     pub fn commit_blind(&mut self, task: Task, node: NodeId, group: u32) -> Assignment {
         let io = self.tables.estimate.get(task.chunk, task.bytes, self.cost);
         self.commit_with_prediction(task, node, group, io)
-    }
-
-    /// Commit for the GPU-residency-aware scheduler: the prediction charges
-    /// the full data-movement estimate (disk and/or upload) and the GPU
-    /// mirror is updated alongside the host mirror.
-    pub fn commit_gpu_aware(&mut self, task: Task, node: NodeId, group: u32) -> Assignment {
-        let movement = self.movement_estimate(node, task.chunk, task.bytes);
-        let assignment = self.commit_with_prediction(task, node, group, movement);
-        if let Some(gpu) = &mut self.tables.gpu_cache {
-            gpu.record_load(node, task.chunk, task.bytes);
-        }
-        assignment
     }
 
     fn commit_with_prediction(
@@ -367,10 +345,9 @@ fn idle_tie_hash(now: SimTime, node: NodeId) -> u64 {
 /// The cold-placement protection gate of MOBJ's batch pass (and its
 /// reference twin): a node may take a batch placement that *incurs a
 /// load* only if it has been free of interactive work for at least
-/// `cover_pm` per-mille of the load's estimated cost. This is OURS's
-/// ε-idle rule recast as an integer fraction; MOBJ passes its fixed
-/// `PROTECT_PM` (500, ε's half). Placements
-/// of chunks the node already caches are exempt: they displace nothing,
+/// MOBJ's `PROTECT_PM` per-mille (500, ε's half) of the load's estimated
+/// cost: OURS's ε-idle rule recast as an integer fraction. Placements of
+/// chunks the node already caches are exempt: they displace nothing,
 /// so the cycle-window gate alone bounds them. Without this gate a
 /// leftover batch chunk cached on node A gets placed cold on busy node B,
 /// whose eviction un-caches B's own interactive working set and sets off
@@ -382,14 +359,13 @@ pub(crate) fn cold_batch_protected(
     node: NodeId,
     chunk: ChunkId,
     bytes: u64,
-    cover_pm: u32,
 ) -> bool {
     if ctx.tables.cache.contains(node, chunk) {
         return false;
     }
     let est_us = ctx.tables.estimate.get(chunk, bytes, ctx.cost).as_micros();
     let idle_us = ctx.tables.interactive_idle(node, ctx.now).as_micros();
-    idle_us.saturating_mul(1000) < (cover_pm as u64).saturating_mul(est_us)
+    idle_us.saturating_mul(1000) < (mobj::PROTECT_PM as u64).saturating_mul(est_us)
 }
 
 /// A job-scheduling policy. Implementations must be deterministic: the same

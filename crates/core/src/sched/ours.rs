@@ -53,8 +53,8 @@ use crate::time::{SimDuration, SimTime};
 /// Algorithm 1 that OURS and its reference twin both read.
 pub(super) const EPSILON_FRAC: f64 = 0.5;
 
-/// Tuning knobs for OURS. The defaults follow the paper; the extra switches
-/// exist for the ablation benchmarks.
+/// Tuning knobs for OURS. The defaults follow the paper; the extra switch
+/// exists for the ablation benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OursParams {
     /// The scheduling cycle `ω`: how often the dispatcher runs Algorithm 1.
@@ -65,10 +65,6 @@ pub struct OursParams {
     /// Ablation switch: when false, batch tasks are scheduled like
     /// interactive ones instead of being deferred (heuristics 2 and 4 off).
     pub defer_batch: bool,
-    /// §VII future-work extension: also weigh *GPU* residency and the PCIe
-    /// upload cost when choosing nodes (requires the head tables to carry
-    /// a GPU mirror; a no-op otherwise).
-    pub gpu_aware: bool,
 }
 
 impl Default for OursParams {
@@ -76,7 +72,6 @@ impl Default for OursParams {
         OursParams {
             cycle: SimDuration::from_millis(30),
             defer_batch: true,
-            gpu_aware: false,
         }
     }
 }
@@ -119,16 +114,8 @@ impl Scheduler for OursScheduler {
 
     fn schedule(&mut self, ctx: &mut ScheduleCtx<'_>, incoming: Vec<Job>) -> Vec<Assignment> {
         let (now, params) = (ctx.now, self.params);
-        let gpu = params.gpu_aware;
         // Line 1: λ, the next scheduling time.
         let lambda = now + params.cycle;
-        let commit = move |ctx: &mut ScheduleCtx<'_>, task, node, group| {
-            if gpu {
-                ctx.commit_gpu_aware(task, node, group)
-            } else {
-                ctx.commit(task, node, group)
-            }
-        };
 
         self.cycle.intake(ctx, incoming, |task| {
             let defer = !task.interactive && params.defer_batch;
@@ -138,24 +125,11 @@ impl Scheduler for OursScheduler {
             defer
         });
         let mut out = Vec::new();
-        if !gpu {
-            self.cycle.heap.rebuild(ctx.tables, now);
-        }
+        self.cycle.heap.rebuild(ctx.tables, now);
         self.cycle.interactive(
             ctx,
-            |ctx, heap, chunk, bytes| {
-                if gpu {
-                    ctx.earliest_node_with_gpu_locality(chunk, bytes)
-                } else {
-                    ctx.earliest_node_with_locality_via(heap, chunk, bytes)
-                }
-            },
-            commit,
-            |ctx, heap, node| {
-                if !gpu {
-                    heap.update(ctx.tables, node);
-                }
-            },
+            |ctx, heap, chunk, bytes| ctx.earliest_node_with_locality_via(heap, chunk, bytes),
+            |ctx, heap, node| heap.update(ctx.tables, node),
             &mut out,
         );
         // Lines 16–31: batch fills up to λ; a cold load only on nodes that
@@ -163,12 +137,11 @@ impl Scheduler for OursScheduler {
         // `ε = EPSILON_FRAC · Estimate[c]`.
         self.held.fill(
             ctx,
-            |_| lambda,
+            lambda,
             |ctx, node, chunk, bytes| {
                 let estimate = ctx.tables.estimate.get(chunk, bytes, ctx.cost);
                 ctx.tables.interactive_idle(node, now) <= estimate.mul_f64(EPSILON_FRAC)
             },
-            commit,
             &mut out,
         );
         out

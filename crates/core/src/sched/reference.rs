@@ -32,7 +32,7 @@
 //! [`fcfsl`]: super::fcfsl
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
-use super::mobj::{batch_gate, objective_score, PROTECT_PM};
+use super::mobj::{batch_gate, objective_score};
 use super::ours::EPSILON_FRAC;
 use super::{Assignment, OursParams, ScheduleCtx, Scheduler, Trigger};
 use crate::fxhash::FxHashMap;
@@ -64,20 +64,6 @@ impl ReferenceOursScheduler {
             pending_batch: FxHashMap::default(),
             pending_count: 0,
             escalated: Vec::new(),
-        }
-    }
-
-    fn commit(
-        &self,
-        ctx: &mut ScheduleCtx<'_>,
-        task: Task,
-        node: crate::ids::NodeId,
-        group: u32,
-    ) -> Assignment {
-        if self.params.gpu_aware {
-            ctx.commit_gpu_aware(task, node, group)
-        } else {
-            ctx.commit(task, node, group)
         }
     }
 
@@ -118,14 +104,10 @@ impl ReferenceOursScheduler {
         for chunk in ordered {
             let tasks = hi.remove(&chunk).expect("chunk key came from the map");
             let bytes = tasks[0].bytes;
-            let node = if self.params.gpu_aware {
-                ctx.earliest_node_with_gpu_locality(chunk, bytes)
-            } else {
-                ctx.earliest_node_with_locality(chunk, bytes)
-            };
+            let node = ctx.earliest_node_with_locality(chunk, bytes);
             for task in tasks {
                 let group = ctx.group_size(task.chunk.dataset);
-                out.push(self.commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
         }
     }
@@ -159,7 +141,7 @@ impl ReferenceOursScheduler {
                 }
                 self.pending_count -= 1;
                 let group = ctx.group_size(task.chunk.dataset);
-                out.push(self.commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
         }
     }
@@ -205,7 +187,7 @@ impl ReferenceOursScheduler {
                 }
                 self.pending_count -= 1;
                 let group = ctx.group_size(task.chunk.dataset);
-                out.push(self.commit(ctx, task, node, group));
+                out.push(ctx.commit(task, node, group));
             }
         }
     }
@@ -378,7 +360,7 @@ impl ReferenceMobjScheduler {
                     continue;
                 }
             }
-            if batch && super::cold_batch_protected(ctx, k, chunk, bytes, PROTECT_PM) {
+            if batch && super::cold_batch_protected(ctx, k, chunk, bytes) {
                 continue;
             }
             let s = objective_score(ctx, anchor, k, chunk, bytes, batch);

@@ -393,7 +393,9 @@ pub struct HeadTables {
     /// Nodes currently believed crashed (excluded from scheduling).
     pub down: Vec<bool>,
     /// Predicted *GPU-tier* residency per node — present only when the
-    /// two-tier memory extension (§VII future work) is enabled.
+    /// head models the two-tier memory extension (§VII future work); the
+    /// locality cost (`ScheduleCtx::io_estimate`) then charges the PCIe
+    /// upload wherever this mirror lacks the chunk.
     pub gpu_cache: Option<CacheTable>,
 }
 
@@ -422,15 +424,6 @@ impl HeadTables {
         let quotas = vec![gpu_quota; cluster.len()];
         tables.gpu_cache = Some(CacheTable::with_quotas(&quotas, eviction));
         tables
-    }
-
-    /// True if `chunk` is predicted GPU-resident on `node`. Without the
-    /// extension, host residency is render-ready.
-    pub fn gpu_resident(&self, node: NodeId, chunk: ChunkId) -> bool {
-        match &self.gpu_cache {
-            Some(gpu) => gpu.contains(node, chunk),
-            None => self.cache.contains(node, chunk),
-        }
     }
 
     /// Number of rendering nodes.

@@ -17,6 +17,7 @@ use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::rng::SplitMix64;
 use vizsched_core::sched::{
     FcfslScheduler, MobjScheduler, OursParams, OursScheduler, ReferenceFcfslScheduler,
@@ -48,6 +49,10 @@ struct Case {
     seed: u64,
     /// Crash/recover one node at a time between cycles (off by default).
     node_faults: bool,
+    /// Per-node video memory in bytes: the tables mirror the GPU tier
+    /// (`HeadTables::with_gpu_tier`), and perturbation also seeds GPU
+    /// residency on host replicas (off by default).
+    gpu_quota: Option<u64>,
 }
 
 impl Case {
@@ -75,6 +80,7 @@ impl Case {
             cycles: 4 + rng.below(10) as usize,
             seed,
             node_faults: false,
+            gpu_quota: None,
         }
     }
 
@@ -109,7 +115,8 @@ impl Case {
 
     /// Mutate both table copies identically, the way the runtime would
     /// between scheduler invocations: availability corrections (task
-    /// completions) and measured-I/O refreshes of `Estimate[c]`.
+    /// completions), measured-I/O refreshes of `Estimate[c]` and, on a GPU
+    /// tier, uploads of host-resident chunks into video memory.
     fn perturb_tables(
         &self,
         rng: &mut SplitMix64,
@@ -132,6 +139,22 @@ impl Case {
             a.estimate.record(chunk, io);
             b.estimate.record(chunk, io);
         }
+        if self.gpu_quota.is_some() {
+            for k in 0..self.cluster.len() {
+                let node = NodeId(k as u32);
+                let mut hosted: Vec<ChunkId> = a.cache.node_memory(node).chunks().collect();
+                hosted.sort_unstable();
+                if hosted.is_empty() || !rng.chance(50) {
+                    continue;
+                }
+                let chunk = hosted[rng.below(hosted.len() as u64) as usize];
+                let bytes = self.catalog.chunk_bytes(chunk);
+                for tables in [&mut *a, &mut *b] {
+                    let gpu = tables.gpu_cache.as_mut().expect("GPU mirror");
+                    gpu.record_load(node, chunk, bytes);
+                }
+            }
+        }
     }
 
     /// Drive `opt` and `reference` through the identical stream and demand,
@@ -146,8 +169,11 @@ impl Case {
         reference: &mut dyn Scheduler,
     ) {
         let mut rng = SplitMix64::from_state(self.seed ^ 0xdead_beef);
-        let mut tables_opt = HeadTables::new(&self.cluster);
-        let mut tables_ref = HeadTables::new(&self.cluster);
+        let tables = || match self.gpu_quota {
+            Some(quota) => HeadTables::with_gpu_tier(&self.cluster, quota, EvictionPolicy::Lru),
+            None => HeadTables::new(&self.cluster),
+        };
+        let (mut tables_opt, mut tables_ref) = (tables(), tables());
         let mut next_id = 0u64;
         let mut now = SimTime::ZERO;
         let mut down: Option<NodeId> = None;
@@ -276,6 +302,27 @@ fn ours_matches_reference_under_node_faults() {
             continue;
         }
         case.node_faults = true;
+        let mut opt = OursScheduler::new(OursParams::default());
+        let mut reference = ReferenceOursScheduler::new(OursParams::default());
+        case.run_policy(cycle, &mut opt, &mut reference);
+    }
+}
+
+/// On tables that mirror the GPU tier, the locality cost charges the
+/// PCIe upload wherever the mirror lacks the chunk: OURS's heap path adds
+/// it to each cached candidate and to the shared miss cost, its twin
+/// scans every node. GPU residency covers a random subset of the host
+/// replicas (commits load the mirror, perturbation uploads more, the
+/// 1–3-chunk mirror evicts).
+#[test]
+fn ours_matches_reference_with_a_gpu_tier() {
+    let cycle = SimDuration::from_millis(30);
+    for case_no in 0..40u64 {
+        let mut case = Case::generate(0x6770_0000 + case_no);
+        let DecompositionPolicy::MaxChunkSize { max_bytes } = case.catalog.policy() else {
+            unreachable!("Case::generate cuts at Chk_max")
+        };
+        case.gpu_quota = Some((1 + case_no % 3) * max_bytes);
         let mut opt = OursScheduler::new(OursParams::default());
         let mut reference = ReferenceOursScheduler::new(OursParams::default());
         case.run_policy(cycle, &mut opt, &mut reference);

@@ -68,6 +68,11 @@ pub struct SimConfig {
     /// video-memory quota in bytes. `None` folds the GPU into the render
     /// constant, as the paper's base model does.
     pub gpu_quota: Option<u64>,
+    /// Let the head model the GPU tier too (§VII extension; ignored
+    /// without `gpu_quota`): its tables mirror video-memory residency, so
+    /// every locality-aware placement also weighs the PCIe upload. Off,
+    /// the head plans on host residency alone, as published.
+    pub gpu_aware: bool,
 }
 
 impl SimConfig {
@@ -81,6 +86,7 @@ impl SimConfig {
             exec_jitter: 0.0,
             warm_start: false,
             gpu_quota: None,
+            gpu_aware: false,
         }
     }
 }
@@ -269,10 +275,10 @@ impl<'a> Engine<'a> {
         probe: std::sync::Arc<dyn Probe>,
     ) -> Self {
         let tables_for = |cluster: &ClusterSpec| match config.gpu_quota {
-            Some(gpu) => {
+            Some(gpu) if config.gpu_aware => {
                 vizsched_core::tables::HeadTables::with_gpu_tier(cluster, gpu, config.eviction)
             }
-            None => vizsched_core::tables::HeadTables::with_eviction(cluster, config.eviction),
+            _ => vizsched_core::tables::HeadTables::with_eviction(cluster, config.eviction),
         };
         // Schedulers are stateful, so every shard runs its own: a kind
         // builds a fresh one per shard, a pre-built instance serves the one

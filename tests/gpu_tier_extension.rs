@@ -2,7 +2,7 @@
 //! and the simulator.
 
 use vizsched_core::prelude::*;
-use vizsched_core::sched::{OursParams, OursScheduler};
+use vizsched_core::tables::AvailHeap;
 use vizsched_sim::{RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
@@ -112,6 +112,8 @@ fn gpu_aware_scheduler_prefers_gpu_resident_replicas() {
         .as_mut()
         .unwrap()
         .record_load(NodeId(1), chunk, 512 * MIB);
+    let mut heap = AvailHeap::default();
+    heap.rebuild(&tables, SimTime::ZERO);
 
     let ctx = ScheduleCtx {
         now: SimTime::ZERO,
@@ -119,19 +121,20 @@ fn gpu_aware_scheduler_prefers_gpu_resident_replicas() {
         catalog: &catalog,
         cost: &cost,
     };
-    // Host-level locality sees a tie and picks node 0; GPU-aware locality
-    // must pick node 1, dodging the upload.
-    assert_eq!(ctx.earliest_node_with_locality(chunk, 512 * MIB), NodeId(0));
+    // Host residency alone ties the two nodes, and the tie goes to node 0;
+    // on mirrored tables both the full scan and the heap path charge node
+    // 0 the upload and pick node 1.
+    assert_eq!(ctx.earliest_node_with_locality(chunk, 512 * MIB), NodeId(1));
     assert_eq!(
-        ctx.earliest_node_with_gpu_locality(chunk, 512 * MIB),
+        ctx.earliest_node_with_locality_via(&mut heap, chunk, 512 * MIB),
         NodeId(1)
     );
     assert_eq!(
-        ctx.movement_estimate(NodeId(1), chunk, 512 * MIB),
+        ctx.io_estimate(NodeId(1), chunk, 512 * MIB),
         SimDuration::ZERO
     );
     assert_eq!(
-        ctx.movement_estimate(NodeId(0), chunk, 512 * MIB),
+        ctx.io_estimate(NodeId(0), chunk, 512 * MIB),
         cost.upload_time(512 * MIB)
     );
 }
@@ -144,16 +147,16 @@ fn gpu_aware_ours_runs_end_to_end() {
     // Three chunks of video memory per node: exactly the per-node working
     // set (one chunk of each dataset), so steady state is GPU-resident.
     config.gpu_quota = Some(1536 * MIB);
+    config.gpu_aware = true;
     config.warm_start = true;
     let sim = Simulation::new(config, uniform_datasets(3, 2 * GIB), 512 * MIB);
     let jobs: Vec<Job> = (0..120)
         .map(|i| interactive(i, i % 3, (i % 3) as u32, SimTime::from_millis(30 * i)))
         .collect();
-    let sched = Box::new(OursScheduler::new(OursParams {
-        gpu_aware: true,
-        ..OursParams::default()
-    }));
-    let outcome = sim.run_opts(jobs, RunOptions::with_scheduler(sched).label("gpu-aware"));
+    let outcome = sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours).label("gpu-aware"),
+    );
     assert_eq!(outcome.incomplete_jobs, 0);
     assert!(
         outcome.record.gpu_hits > 0,
