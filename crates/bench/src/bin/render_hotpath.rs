@@ -19,9 +19,12 @@
 //!
 //! `--check <path>` **fails** (exit 1) if the fresh geometric-mean speedup
 //! falls below 75 % of the committed one. Like `sched_hotpath` it gates a
-//! ref/opt *ratio*, so both sides move together with machine speed. The
-//! end-to-end effect is not this number: it is `frame_p50_ms` on the `e2e`
-//! benchmark's `steady_warm` workload.
+//! ref/opt *ratio*, so both sides move together with machine speed. It
+//! also fails if plume's classified share (lattice samples looked up in
+//! the empty-space mask rather than leapt over) rises above the committed
+//! one: a count, so it repeats exactly on every machine. The end-to-end
+//! effect is neither number: it is `frame_p50_ms` on the `e2e`
+//! benchmark's `steady_warm` and `drag_overload` workloads.
 //!
 //! Methodology: per field, each brick's min–max grid is built once before
 //! timing (as on a node, where it lives as long as the brick is resident);
@@ -29,7 +32,7 @@
 //! ms per brick render over all passes (default 5, `--quick` 2).
 
 use std::time::Instant;
-use vizsched_bench::harness::{summary, Cli, Gate};
+use vizsched_bench::harness::{summary, Cli, Gate, Reader};
 use vizsched_metrics::json::{obj, Json};
 use vizsched_render::raycast::{render, render_brick, BrickSampler};
 use vizsched_render::{skip, Camera, RenderSettings, RgbaImage, TransferFunction};
@@ -48,6 +51,10 @@ const AZIMUTHS: usize = 17;
 /// Fail `--check` when the fresh geomean speedup drops below this fraction
 /// of the committed baseline (a >25 % regression).
 const TOLERANCE: f64 = 0.75;
+/// Slack on plume's classified share over the committed one: the share is
+/// a ratio of counts and repeats exactly, so one unit of the report's
+/// third decimal place.
+const CLASSIFIED_SLACK: f64 = 0.001;
 
 struct Cell {
     field: &'static str,
@@ -55,6 +62,8 @@ struct Cell {
     ref_ms: f64,
     /// Share of the reference's lattice samples `render_brick` fetched.
     fetched_share: f64,
+    /// Share it looked up in the empty-space mask (the rest it leapt over).
+    classified_share: f64,
     /// Building one brick's min–max grid: paid once per residency, by the
     /// first render after a load.
     grid_build_ms: f64,
@@ -100,7 +109,7 @@ fn time_field(field: Field, passes: usize) -> Cell {
     }
 
     let (mut opt, mut reference) = (Vec::new(), Vec::new());
-    let (mut fetched, mut lattice) = (0u64, 0u64);
+    let mut work = [0u64; 3];
     for pass in 0..passes {
         for camera in &cameras {
             for brick in &bricks {
@@ -118,9 +127,8 @@ fn time_field(field: Field, passes: usize) -> Cell {
                     brick.index
                 );
                 if pass == 0 {
-                    let (_, work) = skip::render(brick, camera, &tf, &s);
-                    fetched += work[0];
-                    lattice += work[1];
+                    let (_, counts) = skip::render(brick, camera, &tf, &s);
+                    work = [0, 1, 2].map(|i| work[i] + counts[i]);
                 }
             }
         }
@@ -129,7 +137,8 @@ fn time_field(field: Field, passes: usize) -> Cell {
         field: field.name(),
         opt_ms: median(opt),
         ref_ms: median(reference),
-        fetched_share: fetched as f64 / lattice as f64,
+        fetched_share: work[0] as f64 / work[2] as f64,
+        classified_share: work[1] as f64 / work[2] as f64,
         grid_build_ms,
     }
 }
@@ -168,6 +177,7 @@ fn to_json(cells: &[Cell], passes: usize, speedup: f64) -> Json {
                             ("ref_ms_per_brick", Json::num(c.ref_ms)),
                             ("speedup", Json::num(c.ref_ms / c.opt_ms)),
                             ("fetched_share", Json::num(c.fetched_share)),
+                            ("classified_share", Json::num(c.classified_share)),
                             ("grid_build_ms", Json::num(c.grid_build_ms)),
                         ])
                     })
@@ -191,17 +201,18 @@ fn main() {
 
     println!("== render_hotpath: render_brick vs reference, ms per brick (median) ==\n");
     println!(
-        "{:>16} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "field", "opt ms", "ref ms", "speedup", "fetched", "grid ms"
+        "{:>16} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9}",
+        "field", "opt ms", "ref ms", "speedup", "fetched", "classified", "grid ms"
     );
     for c in &cells {
         println!(
-            "{:>16} {:>9.2} {:>9.2} {:>8.2}x {:>8.1}% {:>9.2}",
+            "{:>16} {:>9.2} {:>9.2} {:>8.2}x {:>8.1}% {:>9.1}% {:>9.2}",
             c.field,
             c.opt_ms,
             c.ref_ms,
             c.ref_ms / c.opt_ms,
             c.fetched_share * 100.0,
+            c.classified_share * 100.0,
             c.grid_build_ms
         );
     }
@@ -209,14 +220,28 @@ fn main() {
     println!("\ngeomean speedup: {speedup:.2}x");
     let doc = to_json(&cells, passes, speedup);
     cli.write_json(&doc);
+    let plume_classified: Reader = Box::new(|doc| {
+        let cells = doc.get("cells")?.as_arr()?;
+        let is_plume = |c: &&Json| c.get("field").and_then(Json::as_str) == Some("plume");
+        let plume = cells.iter().find(is_plume)?;
+        plume.get("classified_share")?.as_f64()
+    });
     cli.check(
         &doc,
-        &[Gate::floor(
-            "geomean speedup",
-            summary("geomean_speedup"),
-            TOLERANCE,
-            0.0,
-        )],
-        "render_hotpath: speedup regression beyond tolerance",
+        &[
+            Gate::floor(
+                "geomean speedup",
+                summary("geomean_speedup"),
+                TOLERANCE,
+                0.0,
+            ),
+            Gate::ceiling(
+                "plume classified share",
+                plume_classified,
+                1.0,
+                CLASSIFIED_SLACK,
+            ),
+        ],
+        "render_hotpath: speedup or classified-share regression beyond tolerance",
     );
 }

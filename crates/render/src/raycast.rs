@@ -79,7 +79,7 @@ pub struct RenderSettings {
     pub width: usize,
     /// Output image height.
     pub height: usize,
-    /// Ray step in voxels.
+    /// Ray step in voxels: positive and finite.
     pub step: f32,
     /// Reference step for opacity correction.
     pub base_step: f32,
@@ -148,6 +148,16 @@ pub(crate) fn normalize(g: [f32; 3]) -> Option<[f32; 3]> {
     Some(vec3::scale(g, 1.0 / len))
 }
 
+/// A ray advances by `settings.step` per sample: a zero, negative or
+/// non-finite step would never reach the far side of the volume.
+pub(crate) fn assert_step(settings: &RenderSettings) {
+    assert!(
+        settings.step > 0.0 && settings.step.is_finite(),
+        "RenderSettings::step must be positive and finite, got {}",
+        settings.step
+    );
+}
+
 /// Render single-threaded (reference implementation).
 pub fn render<S: VolumeSampler>(
     sampler: &S,
@@ -155,6 +165,7 @@ pub fn render<S: VolumeSampler>(
     tf: &TransferFunction,
     settings: &RenderSettings,
 ) -> RgbaImage {
+    assert_step(settings);
     let mut img = RgbaImage::transparent(settings.width, settings.height);
     for y in 0..settings.height {
         for x in 0..settings.width {
@@ -260,6 +271,31 @@ mod tests {
                 "depths must decrease toward the eye"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive and finite")]
+    fn render_refuses_a_step_that_never_advances() {
+        let v: Volume<f32> = Volume::zeros([8, 8, 8]);
+        let cam = Camera::orbit(v.dims, 0.4, 0.3, 2.5);
+        let settings = RenderSettings {
+            step: 0.0,
+            ..small_settings()
+        };
+        render(&v, &cam, &TransferFunction::preset(0), &settings);
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive and finite")]
+    fn render_brick_refuses_a_negative_step() {
+        let v: Volume<f32> = Volume::zeros([8, 8, 8]);
+        let brick = &vizsched_volume::split_z(&v, 1)[0];
+        let cam = Camera::orbit(v.dims, 0.4, 0.3, 2.5);
+        let settings = RenderSettings {
+            step: -0.5,
+            ..small_settings()
+        };
+        render_brick(brick, &cam, &TransferFunction::preset(0), &settings);
     }
 
     #[test]

@@ -104,16 +104,34 @@ impl TransferFunction {
         below + usize::from(scaled - below as f32 >= 0.5)
     }
 
+    /// The table entries `[a, b]` a value in `[lo, hi]` can classify to,
+    /// widened to the `floor` of the low index and the `ceil` of the high.
+    /// On a clamped, non-negative value the `floor` is a cast and the
+    /// `ceil` a cast plus a test of the fraction.
+    #[inline]
+    fn span(lo: f32, hi: f32) -> (usize, usize) {
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+        let scale = |v: f32| v.clamp(0.0, 1.0) * (Self::RESOLUTION - 1) as f32;
+        let (a, high) = (scale(lo) as i32, scale(hi));
+        let b = high as i32 + i32::from(high > (high as i32) as f32);
+        (a as usize, (b as usize).min(Self::RESOLUTION - 1))
+    }
+
     /// The maximum opacity the function assigns anywhere in `[lo, hi]` —
     /// the emptiness test behind min–max empty-space skipping.
     pub fn max_opacity_between(&self, lo: f32, hi: f32) -> f32 {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let a = (lo.clamp(0.0, 1.0) * (Self::RESOLUTION - 1) as f32).floor() as usize;
-        let b = (hi.clamp(0.0, 1.0) * (Self::RESOLUTION - 1) as f32).ceil() as usize;
-        self.table[a..=b.min(Self::RESOLUTION - 1)]
-            .iter()
-            .map(|c| c[3])
-            .fold(0.0, f32::max)
+        let (a, b) = Self::span(lo, hi);
+        self.table[a..=b].iter().map(|c| c[3]).fold(0.0, f32::max)
+    }
+
+    /// The emptiness test of [`max_opacity_between`](Self::max_opacity_between)
+    /// for many ranges, one table pass up front and O(1) per range.
+    pub fn transparency(&self) -> Transparency {
+        let mut visible_before = [0u16; Self::RESOLUTION + 1];
+        for (i, entry) in self.table.iter().enumerate() {
+            visible_before[i + 1] = visible_before[i] + u16::from(entry[3] > 0.0);
+        }
+        Transparency { visible_before }
     }
 
     /// How many distinct [`preset`](Self::preset)s there are.
@@ -181,6 +199,24 @@ impl TransferFunction {
                 },
             ]),
         }
+    }
+}
+
+/// A prefix count of a [`TransferFunction`]'s table entries with opacity
+/// above zero: built by [`TransferFunction::transparency`].
+#[derive(Clone, Debug)]
+pub struct Transparency {
+    /// `visible_before[i]`: entries below `i` whose opacity is `> 0`.
+    visible_before: [u16; TransferFunction::RESOLUTION + 1],
+}
+
+impl Transparency {
+    /// `max_opacity_between(lo, hi) <= 0.0`: no entry a value in `[lo, hi]`
+    /// can classify to has opacity above zero.
+    #[inline]
+    pub fn is_clear(&self, lo: f32, hi: f32) -> bool {
+        let (a, b) = TransferFunction::span(lo, hi);
+        self.visible_before[b + 1] == self.visible_before[a]
     }
 }
 

@@ -9,7 +9,8 @@ use crate::grid::{Scalar, Volume};
 /// Voxels per block edge. On the frame benchmark's plume bricks 4 lets
 /// the ray caster skip 90 % of its samples; 8 skips 83 %, and 2 skips
 /// 93 % for eight times the blocks to build and to classify per frame.
-const BLOCK: usize = 4;
+/// The ray caster's leap reads it to place the faces of masked space.
+pub const BLOCK: usize = 4;
 
 /// A coarse grid storing the min and max scalar value of each block.
 #[derive(Clone, Debug, PartialEq)]

@@ -44,7 +44,7 @@ fn main() {
     let cam_full = Camera::orbit(full.dims, 0.5, 0.3, 2.3);
     let whole = &split_z(full, 1)[0];
     let t1 = Instant::now();
-    let (final_frame, [samples, lattice]) = skip::render(whole, &cam_full, &tf, &settings);
+    let (final_frame, [samples, _, lattice]) = skip::render(whole, &cam_full, &tf, &settings);
     let full_time = t1.elapsed();
     final_frame
         .save_ppm(std::path::Path::new("lod-full.ppm"))

@@ -131,7 +131,7 @@ fn empty_space_skipping_preserves_the_image_and_saves_samples() {
     // integrator see the same box and the same voxels.
     let whole = &split_z(&volume, 1)[0];
     let plain = render(&BrickSampler::new(whole), &camera, &tf, &s);
-    let (skipped, [skip_samples, plain_samples]) =
+    let (skipped, [skip_samples, _, plain_samples]) =
         vizsched_render::skip::render(whole, &camera, &tf, &s);
 
     // The same image exactly: skipping keeps the sample lattice and only
