@@ -5,13 +5,16 @@
 //! * scheduling cycle `ω` — responsiveness vs. amortized cost (§V-A);
 //! * batch deferral + idle threshold `ε` on/off (heuristics 2 & 4);
 //! * `Chk_max` — the decomposition granularity trade-off (§III-C);
+//! * locality mechanisms — FS vs. FS with delay scheduling vs. OURS, on
+//!   the overloaded base and at a light load (2 slots over 6 datasets,
+//!   seeds 1–5) where FS is not saturated;
 //! * cache eviction policy — LRU vs. FIFO vs. random (§V-B).
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin ablation [-- --length 30]
 //! ```
 
-use vizsched_bench::experiments::simulation_for;
+use vizsched_bench::experiments::{run_scenario, simulation_for};
 use vizsched_bench::harness::Cli;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{OursParams, OursScheduler, SchedulerKind};
@@ -110,11 +113,12 @@ fn main() {
         "{:>8} {:>10} {:>13} {:>8} {:>10}",
         "policy", "fps", "int lat avg", "hit %", "fairness"
     );
-    for kind in [
+    let locality = [
         SchedulerKind::Fs,
         SchedulerKind::FsDelay,
         SchedulerKind::Ours,
-    ] {
+    ];
+    for kind in locality {
         let mut scenario = base.clone();
         scenario.label = format!("locality-{}", kind.name());
         let sim = simulation_for(&scenario);
@@ -129,6 +133,33 @@ fn main() {
             r.fairness
         );
     }
+
+    println!("\n-- locality mechanisms at light load: 2 slots over 6 datasets --");
+    println!(
+        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "seed", "FS fps", "FSD fps", "OURS fps", "FS hit", "FSD hit", "OURS hit"
+    );
+    let mut fsd_ahead = 0;
+    for seed in 1..=5 {
+        let mut scenario =
+            Scenario::table2_seeded(2, seed).shortened(SimDuration::from_secs(length));
+        scenario.label = format!("light-{seed}");
+        scenario.workload.interactive.slots = 2;
+        scenario.workload.dataset_count = 6;
+        let r = run_scenario(&scenario, &locality);
+        fsd_ahead += usize::from(r[1].fps.mean > r[0].fps.mean);
+        println!(
+            "{:>6} {:>9.2} {:>9.2} {:>9.2} {:>8.2}% {:>8.2}% {:>8.2}%",
+            seed,
+            r[0].fps.mean,
+            r[1].fps.mean,
+            r[2].fps.mean,
+            r[0].hit_rate * 100.0,
+            r[1].hit_rate * 100.0,
+            r[2].hit_rate * 100.0
+        );
+    }
+    println!("FSD above FS on fps in {fsd_ahead} of 5 seeds");
 
     println!("\n-- eviction policy --");
     println!(

@@ -2,7 +2,8 @@
 //! shard the recorded cluster cannot have, whose faults down every node,
 //! whose JSON nests without end, or whose values the simulator cannot run
 //! (an unknown dataset, a zero disk scale, bandwidth or cycle); a record
-//! or a `--policy` flag naming a policy this build does not register:
+//! or a `--policy` flag naming a policy this build does not register, or
+//! a record of a format version this build does not read:
 //! exit code 2 and a message naming the offender on stderr, never a panic
 //! or an abort. And a replay runs at the recorded cycle period ω.
 
@@ -200,6 +201,18 @@ fn replaying_a_zero_upload_bandwidth_exits_2_with_line_1() {
 fn replaying_a_zero_cycle_exits_2_with_line_1() {
     let zero_cycle = |h: &mut RecordHeader| h.cycle = SimDuration::ZERO;
     assert_refused("zero-cycle", zero_cycle, &[frame(0, 0, 1)], 1, "cycle_us");
+}
+
+#[test]
+fn replaying_a_version_1_record_exits_2_with_line_1() {
+    let v1 = |h: &mut RecordHeader| h.version = 1;
+    assert_refused(
+        "record-v1",
+        v1,
+        &[frame(0, 0, 1)],
+        1,
+        "unsupported record version 1 (this build reads v2)",
+    );
 }
 
 #[test]

@@ -5,20 +5,16 @@
 pub struct NodeSpec {
     /// Main-memory quota available for chunk caching, in bytes.
     pub mem_quota: u64,
-    /// GPU memory in bytes; `Chk_max` must not exceed this (§III-C).
-    pub gpu_mem: u64,
     /// Relative disk-bandwidth multiplier (1.0 = the cost model's
     /// `disk_bw`); lets heterogeneous clusters mix faster and slower I/O.
     pub disk_scale: f64,
 }
 
 impl NodeSpec {
-    /// A node with the given memory quota, 1.5 GiB of GPU memory, and
-    /// nominal disk speed.
+    /// A node with the given memory quota and nominal disk speed.
     pub fn with_quota(mem_quota: u64) -> Self {
         NodeSpec {
             mem_quota,
-            gpu_mem: 1536 << 20,
             disk_scale: 1.0,
         }
     }

@@ -63,12 +63,11 @@ pub struct ChunkDesc {
 pub enum DecompositionPolicy {
     /// `m = ceil(bytes / max_bytes)` equal chunks, each `<= max_bytes`.
     MaxChunkSize {
-        /// `Chk_max`: the maximal chunk size in bytes; must not exceed a
-        /// node's GPU memory.
+        /// `Chk_max`: the maximal chunk size in bytes.
         max_bytes: u64,
     },
     /// `m = nodes` equal chunks regardless of dataset size (the conventional
-    /// policy; limits the maximal dataset to `nodes * gpu_mem`).
+    /// policy).
     Uniform {
         /// Number of rendering nodes `p`.
         nodes: u32,

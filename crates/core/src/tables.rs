@@ -70,18 +70,6 @@ impl AvailableTable {
         NodeId((self.times.len() - 1) as u32)
     }
 
-    /// The node with the smallest predicted available time (ties broken by
-    /// lowest index, so runs are deterministic).
-    pub fn min_node(&self) -> NodeId {
-        let (k, _) = self
-            .times
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, t)| (*t, i))
-            .expect("cluster is non-empty");
-        NodeId(k as u32)
-    }
-
     /// Iterate `(node, available)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
         self.times
@@ -540,15 +528,6 @@ mod tests {
             .push_work(NodeId(0), now, SimDuration::from_secs(3));
         assert_eq!(s2, SimTime::from_secs(3));
         assert_eq!(t.available.get(NodeId(0)), SimTime::from_secs(6));
-    }
-
-    #[test]
-    fn min_node_breaks_ties_deterministically() {
-        let mut t = tables();
-        assert_eq!(t.available.min_node(), NodeId(0));
-        t.available
-            .push_work(NodeId(0), SimTime::ZERO, SimDuration::from_secs(1));
-        assert_eq!(t.available.min_node(), NodeId(1));
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! ray's exit from that cube of blocks all land in masked blocks; `t`
 //! walks over them with `t += step` alone, and since `acc` cannot change
 //! there, neither can the early-termination test. The exit faces are
-//! pulled in by [`GUARD`], which covers the rounding of `ray.at(t)` and of
-//! the exit division while every magnitude stays within [`LEAP_MAGNITUDE`].
+//! pulled in by `GUARD`, which covers the rounding of `ray.at(t)` and of
+//! the exit division while every magnitude stays within `LEAP_MAGNITUDE`.
 
 use crate::camera::{vec3, Camera};
 use crate::image::{over, Rgba, RgbaImage};

@@ -87,11 +87,6 @@ impl EventQueue {
         self.heap.pop()
     }
 
-    /// Peek at the earliest event time.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -133,14 +128,5 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn next_time_peeks_without_popping() {
-        let mut q = EventQueue::new();
-        assert!(q.next_time().is_none());
-        q.push(SimTime::from_secs(5), EventKind::Tick);
-        assert_eq!(q.next_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.len(), 1);
     }
 }

@@ -2,7 +2,7 @@
 
 /// Scalar voxel types the renderer can sample.
 pub trait Scalar: Copy + Send + Sync + 'static {
-    /// Convert to a normalized `f32` (u8/u16 map to `[0, 1]`).
+    /// Convert to a normalized `f32` (u8 maps to `[0, 1]`).
     fn to_f32(self) -> f32;
     /// Convert back from an `f32` in the type's natural range.
     fn from_f32(v: f32) -> Self;
@@ -23,15 +23,6 @@ impl Scalar for u8 {
     }
     fn from_f32(v: f32) -> Self {
         (v.clamp(0.0, 1.0) * 255.0).round() as u8
-    }
-}
-
-impl Scalar for u16 {
-    fn to_f32(self) -> f32 {
-        self as f32 / 65_535.0
-    }
-    fn from_f32(v: f32) -> Self {
-        (v.clamp(0.0, 1.0) * 65_535.0).round() as u16
     }
 }
 
@@ -111,16 +102,6 @@ impl<T: Scalar> Volume<T> {
     pub fn at_mut(&mut self, x: usize, y: usize, z: usize) -> &mut T {
         let i = self.index(x, y, z);
         &mut self.data[i]
-    }
-
-    /// Voxel value clamped to the grid bounds (for gradients and ghost
-    /// sampling at edges).
-    #[inline]
-    pub fn at_clamped(&self, x: isize, y: isize, z: isize) -> T {
-        let cx = x.clamp(0, self.dims[0] as isize - 1) as usize;
-        let cy = y.clamp(0, self.dims[1] as isize - 1) as usize;
-        let cz = z.clamp(0, self.dims[2] as isize - 1) as usize;
-        self.at(cx, cy, cz)
     }
 
     /// Trilinear sample at continuous voxel coordinates (voxel centers at
@@ -232,7 +213,6 @@ mod tests {
         assert_eq!(u8::from_f32(0.5).to_f32(), 128.0 / 255.0);
         assert_eq!(u8::from_f32(2.0), 255);
         assert_eq!(u8::from_f32(-1.0), 0);
-        assert_eq!(u16::from_f32(1.0), 65_535);
     }
 
     #[test]
@@ -241,14 +221,5 @@ mod tests {
         let (lo, hi) = v.value_range();
         assert!((lo - 0.125).abs() < 1e-6);
         assert!((hi - 0.875).abs() < 1e-6);
-    }
-
-    #[test]
-    fn at_clamped_handles_negative_coordinates() {
-        let mut v: Volume<f32> = Volume::zeros([2, 2, 2]);
-        *v.at_mut(0, 0, 0) = 9.0;
-        assert_eq!(v.at_clamped(-1, -1, -1), 9.0);
-        *v.at_mut(1, 1, 1) = 4.0;
-        assert_eq!(v.at_clamped(10, 10, 10), 4.0);
     }
 }

@@ -11,16 +11,13 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"VIZSVOL1";
 
-/// Element kinds the format supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    F32 = 0,
-    U8 = 1,
-}
+/// The header's element-kind code for `f32` voxels, the one kind the
+/// format carries.
+const KIND_F32: u32 = 0;
 
-fn write_header(w: &mut impl Write, dims: [usize; 3], kind: Kind) -> io::Result<()> {
+fn write_header(w: &mut impl Write, dims: [usize; 3]) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&(kind as u32).to_le_bytes())?;
+    w.write_all(&KIND_F32.to_le_bytes())?;
     for d in dims {
         w.write_all(&(d as u64).to_le_bytes())?;
     }
@@ -51,7 +48,7 @@ fn read_header(r: &mut impl Read) -> io::Result<([usize; 3], u32)> {
 /// Write an `f32` volume.
 pub fn write_f32(path: &Path, v: &Volume<f32>) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
-    write_header(&mut w, v.dims, Kind::F32)?;
+    write_header(&mut w, v.dims)?;
     for value in &v.data {
         w.write_all(&value.to_le_bytes())?;
     }
@@ -62,7 +59,7 @@ pub fn write_f32(path: &Path, v: &Volume<f32>) -> io::Result<()> {
 pub fn read_f32(path: &Path) -> io::Result<Volume<f32>> {
     let mut r = BufReader::new(File::open(path)?);
     let (dims, kind) = read_header(&mut r)?;
-    if kind != Kind::F32 as u32 {
+    if kind != KIND_F32 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "expected f32 volume",
@@ -75,34 +72,6 @@ pub fn read_f32(path: &Path) -> io::Result<Volume<f32>> {
         r.read_exact(&mut buf)?;
         data.push(f32::from_le_bytes(buf));
     }
-    Ok(Volume {
-        dims,
-        spacing: [1.0; 3],
-        data,
-    })
-}
-
-/// Write a `u8` volume.
-pub fn write_u8(path: &Path, v: &Volume<u8>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_header(&mut w, v.dims, Kind::U8)?;
-    w.write_all(&v.data)?;
-    w.flush()
-}
-
-/// Read a `u8` volume.
-pub fn read_u8(path: &Path) -> io::Result<Volume<u8>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let (dims, kind) = read_header(&mut r)?;
-    if kind != Kind::U8 as u32 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected u8 volume",
-        ));
-    }
-    let len = dims[0] * dims[1] * dims[2];
-    let mut data = vec![0u8; len];
-    r.read_exact(&mut data)?;
     Ok(Volume {
         dims,
         spacing: [1.0; 3],
@@ -129,18 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn u8_round_trip() {
-        let dir = std::env::temp_dir().join("vizsched-io-test-u8");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("vol.vz");
-        let v: Volume<u8> = Field::Plume.sample([8, 8, 8]);
-        write_u8(&path, &v).unwrap();
-        let back = read_u8(&path).unwrap();
-        assert_eq!(back, v);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn wrong_magic_rejected() {
         let dir = std::env::temp_dir().join("vizsched-io-test-bad");
         std::fs::create_dir_all(&dir).unwrap();
@@ -155,8 +112,11 @@ mod tests {
         let dir = std::env::temp_dir().join("vizsched-io-test-kind");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("vol.vz");
-        let v: Volume<u8> = Field::Shells.sample([4, 4, 4]);
-        write_u8(&path, &v).unwrap();
+        let v: Volume<f32> = Field::Shells.sample([4, 4, 4]);
+        write_f32(&path, &v).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[MAGIC.len()] = 1; // any kind code other than f32's
+        std::fs::write(&path, bytes).unwrap();
         assert!(read_f32(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

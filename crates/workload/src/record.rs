@@ -35,7 +35,7 @@ use vizsched_metrics::{Probe, TraceEvent};
 
 /// The record-format version this crate writes (and the only one it
 /// reads; see `docs/SCENARIO_FORMAT.md` for the compatibility rules).
-pub const RECORD_VERSION: u32 = 1;
+pub const RECORD_VERSION: u32 = 2;
 
 /// The `"t"` tags of every line kind a record may contain, in canonical
 /// order. `docs/SCENARIO_FORMAT.md` documents one table row and one
@@ -59,8 +59,8 @@ pub struct RecordHeader {
     pub cycle: SimDuration,
     /// Cost-model constants of the recorded cluster.
     pub cost: CostParams,
-    /// The recorded cluster (per-node quotas, GPU memory, disk-speed
-    /// factors — heterogeneous tiers survive the round trip).
+    /// The recorded cluster (per-node quotas and disk-speed factors —
+    /// heterogeneous tiers survive the round trip).
     pub cluster: ClusterSpec,
     /// The dataset descriptors, dense by id.
     pub datasets: Vec<DatasetDesc>,
@@ -115,7 +115,7 @@ impl RecordHeader {
             cost_canon(&self.cost),
         );
         for n in &self.cluster.nodes {
-            let _ = write!(canon, "|n{},{},{}", n.mem_quota, n.gpu_mem, n.disk_scale);
+            let _ = write!(canon, "|n{},{}", n.mem_quota, n.disk_scale);
         }
         for (d, chunks) in self.datasets.iter().zip(&self.chunks) {
             let _ = write!(canon, "|d{},{}", d.id.0, d.bytes);
@@ -423,8 +423,8 @@ fn write_header(out: &mut String, h: &RecordHeader) {
         }
         let _ = write!(
             out,
-            "{{\"mem_quota\":{},\"gpu_mem\":{},\"disk_scale\":{}}}",
-            n.mem_quota, n.gpu_mem, n.disk_scale
+            "{{\"mem_quota\":{},\"disk_scale\":{}}}",
+            n.mem_quota, n.disk_scale
         );
     }
     out.push_str("],\"datasets\":[");
@@ -559,7 +559,6 @@ fn parse_header(val: &Json) -> Result<RecordHeader, String> {
         }
         nodes.push(NodeSpec {
             mem_quota: n.u64_field("mem_quota")?,
-            gpu_mem: n.u64_field("gpu_mem")?,
             disk_scale,
         });
     }
@@ -903,6 +902,23 @@ mod tests {
         let e = ScenarioRecord::parse(&text).expect_err("must fail");
         assert_eq!(e.line, 1);
         assert!(e.to_string().contains("fingerprint"), "{e}");
+    }
+
+    #[test]
+    fn a_version_1_record_is_refused_naming_both_versions() {
+        // A v1 header, fingerprinted over its own version, so the version
+        // gate and not the fingerprint check is what refuses it.
+        let mut header = small_header();
+        header.version = 1;
+        let text = ScenarioRecord::from_jobs(header, &small_jobs()).to_jsonl();
+        assert!(text.starts_with("{\"t\":\"header\",\"v\":1,"), "{text}");
+        let e = ScenarioRecord::parse(&text).expect_err("must fail");
+        assert_eq!(e.line, 1);
+        assert!(
+            e.to_string()
+                .contains("unsupported record version 1 (this build reads v2)"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -426,8 +426,8 @@ pub fn mixed_tier_cluster(nodes: usize, mem_quota: u64, tiers: &[f64]) -> Cluste
     ClusterSpec {
         nodes: (0..nodes)
             .map(|i| NodeSpec {
+                mem_quota,
                 disk_scale: tiers[i % tiers.len()],
-                ..NodeSpec::with_quota(mem_quota)
             })
             .collect(),
     }

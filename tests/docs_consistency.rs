@@ -116,10 +116,10 @@ fn readme_policy_table_names_parse() {
                 .trim_matches('`')
         })
         .collect();
-    // FSD sits in neither list but has a row too.
-    assert!(
-        names.len() > SchedulerKind::ALL.len() + SchedulerKind::EXTENDED.len(),
-        "README policy table looks truncated: {names:?}"
+    assert_eq!(
+        names.len(),
+        SchedulerKind::ALL.len() + SchedulerKind::EXTENDED.len(),
+        "README policy table has one row per registered policy: {names:?}"
     );
     for name in &names {
         assert!(
