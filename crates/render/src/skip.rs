@@ -109,11 +109,14 @@ fn chamfer(d: &mut [u8], px: usize, py: usize) {
 }
 
 /// `Brick::sample_global` over the raw voxel slice: the global→local shift
-/// is computed once per frame, the floor of a clamped, non-negative
-/// coordinate is a cast, and a gradient fetch reuses the sample's other axes.
+/// and the clamp's bounds are computed once per frame, the floor of a
+/// clamped, non-negative coordinate is a 32-bit cast, and a gradient fetch
+/// reuses the sample's other axes.
 struct FlatBrick<'a, T> {
     data: &'a [T],
     dims: [usize; 3],
+    /// `dims - 1` per axis, as the clamp's upper bound.
+    top: [f32; 3],
     shift: [f32; 3],
 }
 
@@ -124,34 +127,57 @@ struct Axis {
     floor: usize,
 }
 
+impl Axis {
+    /// The trilinear weight. The floor fits an `i32`, which converts to
+    /// `f32` without `usize`'s sign test and rounds to the same `f32`.
+    #[inline(always)]
+    fn frac(self) -> f32 {
+        self.at - self.floor as i32 as f32
+    }
+}
+
 impl<'a, T: Scalar> FlatBrick<'a, T> {
     fn new(brick: &'a Brick<T>) -> Self {
+        let shift = [0, 1, 2].map(|a| brick.offset[a] as f32 - brick.ghost_lo[a] as f32);
+        Self::over(&brick.volume.data, brick.volume.dims, shift)
+    }
+
+    fn over(data: &'a [T], dims: [usize; 3], shift: [f32; 3]) -> Self {
+        let top = dims.map(|n| (n - 1) as f32);
+        // `axis` and `interpolate` cast lattice coordinates through `i32`.
+        assert!(top.iter().all(|&t| t < i32::MAX as f32), "{dims:?}");
         FlatBrick {
-            data: &brick.volume.data,
-            dims: brick.volume.dims,
-            shift: [0, 1, 2].map(|a| brick.offset[a] as f32 - brick.ghost_lo[a] as f32),
+            data,
+            dims,
+            top,
+            shift,
         }
     }
 
+    /// The clamped coordinate is NaN or lies in `[0, dims - 1]`, where
+    /// `as i32` truncates exactly as `as usize` does (NaN to 0 in both)
+    /// with one truncating conversion instead of two and a sign fix-up.
     #[inline(always)]
     fn axis(&self, a: usize, global: f32) -> Axis {
-        let at = (global - self.shift[a]).clamp(0.0, (self.dims[a] - 1) as f32);
-        let floor = at as usize;
+        let at = (global - self.shift[a]).clamp(0.0, self.top[a]);
+        let floor = at as i32 as usize;
         Axis { at, floor }
     }
 
     /// Trilinear interpolation, every lerp in `Volume::sample`'s order.
+    /// Each voxel row is one checked slice: `x0` is `x.floor` (the clamp
+    /// keeps it below `nx`), and its `min` lets both loads go unchecked.
     #[inline(always)]
     fn interpolate(&self, x: Axis, y: Axis, z: Axis) -> f32 {
+        let nx = self.dims[0];
         let next = |a: usize, axis: Axis| (axis.floor + 1).min(self.dims[a] - 1);
-        let (x1, y1, z1) = (next(0, x), next(1, y), next(2, z));
-        let frac = |axis: Axis| axis.at - axis.floor as f32;
-        let (tx, ty, tz) = (frac(x), frac(y), frac(z));
+        let (x0, x1, y1, z1) = (x.floor.min(nx - 1), next(0, x), next(1, y), next(2, z));
+        let (tx, ty, tz) = (x.frac(), y.frac(), z.frac());
         let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
         let along_x = |y: usize, z: usize| {
-            let row = (z * self.dims[1] + y) * self.dims[0];
-            let (a, b) = (self.data[row + x.floor], self.data[row + x1]);
-            lerp(a.to_f32(), b.to_f32(), tx)
+            let start = (z * self.dims[1] + y) * nx;
+            let row = &self.data[start..start + nx];
+            lerp(row[x0].to_f32(), row[x1].to_f32(), tx)
         };
         let c0 = lerp(along_x(y.floor, z.floor), along_x(y1, z.floor), ty);
         let c1 = lerp(along_x(y.floor, z1), along_x(y1, z1), ty);
@@ -360,11 +386,7 @@ mod tests {
         // A brick 14 000 voxels from the origin, rays from up to 2 000 voxels
         // away: `ray.at(t)` rounds by up to 2^-10 of a voxel at these
         // magnitudes, more than a face may be missed by.
-        let voxels = FlatBrick::<f32> {
-            data: &[],
-            dims: [64, 64, 33],
-            shift: [14_000.0, -13_000.0, 12_000.0],
-        };
+        let voxels = FlatBrick::<f32>::over(&[], [64, 64, 33], [14_000.0, -13_000.0, 12_000.0]);
         let leap = Leap {
             shift: voxels.shift,
             blocks: [16, 16, 9],
@@ -404,6 +426,40 @@ mod tests {
             }
         }
         assert!(leapt > rays, "the sweep leapt only {leapt} samples");
+    }
+
+    #[test]
+    fn lattice_casts_through_i32_agree_with_usize_bit_for_bit() {
+        let dims = [2, 64, (1 << 20) + 1];
+        let voxels = FlatBrick::<f32>::over(&[], dims, [0.0; 3]);
+        let ulps = |v: f32| {
+            let bits = v.to_bits();
+            let down = if v == 0.0 { 0x8000_0001 } else { bits - 1 };
+            [f32::from_bits(down), v, f32::from_bits(bits + 1)]
+        };
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let powers = (-24..=20).map(|e| 2f32.powi(e)).flat_map(|p| [p, -p]);
+        for (a, &n) in dims.iter().enumerate() {
+            let integers = (0..n + 2).map(|k| k as f32);
+            let halves = (0..n).map(|k| k as f32 + 0.5);
+            let values = specials.into_iter().chain(powers.clone()).chain(integers);
+            for v in values.chain(halves).flat_map(ulps) {
+                let at = v.clamp(0.0, (n - 1) as f32);
+                let (floor, frac) = (at as usize, at - (at as usize) as f32);
+                let axis = voxels.axis(a, v);
+                assert_eq!(axis.floor, floor, "floor of {v} on axis {a}");
+                // A NaN's payload is not specified, only that it is NaN.
+                let bits = |f: f32| if f.is_nan() { f32::NAN } else { f }.to_bits();
+                assert_eq!(bits(axis.frac()), bits(frac), "frac of {v} on axis {a}");
+            }
+        }
     }
 
     #[test]

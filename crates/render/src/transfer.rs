@@ -97,11 +97,13 @@ impl TransferFunction {
 
     /// The table entry [`classify`](Self::classify) picks for `value`: in
     /// `[0, 255]` its `round` is truncation plus a test of the fraction.
+    /// The truncation is a 32-bit cast, which agrees with `as usize` on
+    /// that range and on NaN (0 in both) and costs half the instructions.
     #[inline]
     pub fn table_index(value: f32) -> usize {
         let scaled = value.clamp(0.0, 1.0) * (Self::RESOLUTION - 1) as f32;
-        let below = scaled as usize;
-        below + usize::from(scaled - below as f32 >= 0.5)
+        let below = scaled as i32;
+        below as usize + usize::from(scaled - below as f32 >= 0.5)
     }
 
     /// The table entries `[a, b]` a value in `[lo, hi]` can classify to,
@@ -276,9 +278,13 @@ mod tests {
     fn premultiplied_table_reproduces_sample_bit_for_bit() {
         let tf = TransferFunction::preset(0);
         let lut = tf.premultiplied(0.4, 1.0);
-        // Dense sweep past both clamps, plus every rounding tie k + 0.5.
+        // Dense sweep past both clamps, plus every rounding tie k + 0.5
+        // and its neighbours one ulp away.
         let sweep = (-50..=2600).map(|i| i as f32 / 2550.0);
-        let ties = (0..255).map(|k| (k as f32 + 0.5) / 255.0);
+        let ties = (0..255).map(|k| (k as f32 + 0.5) / 255.0).flat_map(|tie| {
+            let bits = tie.to_bits();
+            [bits - 1, bits, bits + 1].map(f32::from_bits)
+        });
         for v in sweep.chain(ties).chain([f32::NAN, f32::INFINITY, -0.0]) {
             let scaled = v.clamp(0.0, 1.0) * 255.0;
             let index = TransferFunction::table_index(v);

@@ -218,19 +218,14 @@ fn live_run_record_feeds_the_metrics_pipeline() {
 #[test]
 fn every_scheduler_runs_the_live_service() {
     use vizsched_core::sched::SchedulerKind;
-    // All policies (the paper's six plus the FSD extension) must drive the
-    // real pipeline to completion; FCFSU's fixed chunk->node mapping works
-    // here because the store bricks each dataset into exactly `nodes`
-    // chunks.
-    for kind in [
-        SchedulerKind::Fcfs,
-        SchedulerKind::Fcfsl,
-        SchedulerKind::Fcfsu,
-        SchedulerKind::Sf,
-        SchedulerKind::Fs,
-        SchedulerKind::FsDelay,
-        SchedulerKind::Ours,
-    ] {
+    // Every registered policy (the paper's six and the extensions) must
+    // drive the real pipeline to completion; FCFSU's fixed chunk->node
+    // mapping works here because the store bricks each dataset into
+    // exactly `nodes` chunks.
+    for kind in SchedulerKind::ALL
+        .into_iter()
+        .chain(SchedulerKind::EXTENDED)
+    {
         let root = temp_root(&format!("sched-{}", kind.name()));
         let store = ChunkStore::create(
             &root,
