@@ -5,8 +5,7 @@
 //! proportionally so the binary runs in seconds; pass `--full-ish` for a
 //! larger rendering.
 //!
-//! Writes `fig10-<name>.ppm` and `fig10-<name>.png` into the working
-//! directory.
+//! Writes `fig10-<name>.png` into the working directory.
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin fig10_images
@@ -57,10 +56,8 @@ fn main() {
             .map(|b| render_brick(b, &camera, &tf, &settings))
             .collect();
         let image = composite(layers, CompositeAlgo::Swap23);
-        let path = std::path::PathBuf::from(format!("fig10-{}.ppm", field.name()));
-        image.save_ppm(&path).expect("write ppm");
-        let png_path = std::path::PathBuf::from(format!("fig10-{}.png", field.name()));
-        vizsched_render::save_png(&image, &png_path).expect("write png");
+        let path = std::path::PathBuf::from(format!("fig10-{}.png", field.name()));
+        vizsched_render::save_png(&image, &path).expect("write png");
         println!(
             "{:<12} {:>4}x{:<4}x{:<4} -> {} ({:.1}% coverage) in {:.2?}",
             field.name(),

@@ -46,29 +46,9 @@
 //! ignored; the policy defaults to the recorded one, `--policy` overrides
 //! it; `--trace <path>` writes the replay's event stream. A policy name
 //! this build does not register — recorded or passed — also exits 2.
-//!
-//! `--overload` replaces the scheduler comparison with the overload sweep
-//! over the dedicated overload scenario (the scenario-number argument is
-//! ignored) under the sized admission policy, with interactive bursts
-//! overlaid at 1/2/4/10x the base request rate (see `EXPERIMENTS.md`);
-//! every cell also carries a per-shard starvation/fragmentation view from
-//! a 2-shard twin run of the same offered jobs (the headline counters
-//! stay single-head). The sweep races OURS against the post-paper policy
-//! (MOBJ) on identical offered jobs unless `--policy` narrows it.
-//! `--short` still shrinks the run and with `--json` the sweeps are
-//! written instead of the per-scheduler reports. The committed
-//! `results/overload_report.json` is regenerated by
-//!
-//! ```text
-//! cargo run --release -p vizsched-bench --bin scenario -- \
-//!     1 --overload --json results/overload_report.json
-//! ```
 
 use std::sync::Arc;
-use vizsched_bench::experiments::{
-    cell_starvation_and_imbalance, overload_policy_for, overload_scenario, replay_of, run_overload,
-    run_scenario, simulation_for, OverloadReport, OVERLOAD_FACTORS,
-};
+use vizsched_bench::experiments::{replay_of, run_scenario, simulation_for};
 use vizsched_bench::harness::Cli;
 use vizsched_core::data::DatasetDesc;
 use vizsched_core::job::Job;
@@ -82,13 +62,6 @@ use vizsched_metrics::{
 };
 use vizsched_sim::{FaultPlan, RunOptions, Simulation};
 use vizsched_workload::{RecordHeader, RecordingProbe, Scenario, ScenarioRecord};
-
-/// Shard count of the overload sweep's sharded twin runs: 2 shards over
-/// the 8-node overload scenario (4 nodes each under the leaf/spine map),
-/// wide enough that a placement policy still has within-shard freedom —
-/// with 2-node shards the hottest-shard comparison degenerates into a
-/// routing-tier property that no placement scorer can move.
-const OVERLOAD_SHARDS: usize = 2;
 
 fn main() {
     let cli = Cli::parse();
@@ -130,31 +103,6 @@ fn main() {
     if let Some(path) = cli.value("--record") {
         let scenario = open(Scenario::table2(numbers[0]));
         record_scenario(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
-        return;
-    }
-
-    if cli.flag("--overload") {
-        let scenario = open(overload_scenario());
-        let policy = overload_policy_for(&scenario);
-        let kinds: Vec<SchedulerKind> = match policy_arg {
-            Some(kind) => vec![kind],
-            None => vec![SchedulerKind::Ours, SchedulerKind::Mobj],
-        };
-        let mut sweeps = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            println!("-- scheduling policy: {} --", kind.name());
-            let report = run_overload(&scenario, kind, &OVERLOAD_FACTORS, policy, OVERLOAD_SHARDS);
-            print_overload(&report);
-            sweeps.push(overload_json(&scenario.label, &report));
-        }
-        if let Some(path) = &cli.json {
-            let doc = obj([
-                ("schema", Json::Str("vizsched-bench/overload/v1".into())),
-                ("sweeps", Json::Arr(sweeps)),
-            ]);
-            std::fs::write(path, doc.pretty()).expect("write json");
-            println!("(wrote overload sweeps to {path})");
-        }
         return;
     }
 
@@ -403,174 +351,6 @@ fn replay_record(path: &str, policy_arg: Option<SchedulerKind>, trace_path: Opti
         kind.name(),
         outcome.incomplete_jobs
     );
-}
-
-/// Print the overload sweep as a table, plus the headline 4x check.
-fn print_overload(report: &OverloadReport) {
-    let p = &report.policy;
-    println!(
-        "-- overload policy: in-flight<={} per-user<={} deadline={} coalesce={} escalate>={} --",
-        p.max_in_flight.map_or("inf".into(), |c| c.to_string()),
-        p.max_per_user.map_or("inf".into(), |c| c.to_string()),
-        p.deadline.map_or("never".into(), |d| d.to_string()),
-        p.coalesce_interactive,
-        p.batch_escalation_age
-            .map_or("never".into(), |d| d.to_string()),
-    );
-    println!(
-        "{:>6} {:>8} {:>8} {:>8} {:>9} {:>7} {:>9} {:>6} {:>11} {:>11} {:>14}",
-        "factor",
-        "offered",
-        "admitted",
-        "rejected",
-        "coalesced",
-        "expired",
-        "escalated",
-        "shed%",
-        "int-p99 ms",
-        "batch done",
-        "batch-wait ms"
-    );
-    for c in &report.cells {
-        println!(
-            "{:>5}x {:>8} {:>8} {:>8} {:>9} {:>7} {:>9} {:>5.1}% {:>11.1} {:>5}/{:<5} {:>14.1}",
-            c.factor,
-            c.offered_jobs,
-            c.overload.admitted,
-            c.overload.rejected,
-            c.overload.coalesced,
-            c.overload.expired,
-            c.overload.escalated,
-            100.0 * c.shed_rate,
-            c.interactive_p99_ms,
-            c.batch_completed,
-            c.batch_admitted,
-            c.max_batch_start_delay_ms,
-        );
-    }
-    if let Some(c4) = report.cells.iter().find(|c| c.factor == 4) {
-        println!(
-            "-- 4x check: p99 {:.1} ms vs unloaded {:.1} ms (bound {:.1} ms), batch {}/{} --",
-            c4.interactive_p99_ms,
-            report.unloaded_p99_ms,
-            2.0 * report.unloaded_p99_ms,
-            c4.batch_completed,
-            c4.batch_admitted,
-        );
-    }
-    if report.cells.iter().any(|c| !c.per_shard.is_empty()) {
-        println!("-- per-shard view (sharded twin runs of the same offered jobs) --");
-        println!(
-            "{:>6} {:>5} {:>5} {:>8} {:>6} {:>6} {:>6} {:>5} {:>7} {:>13} {:>9}",
-            "factor",
-            "shard",
-            "nodes",
-            "assigned",
-            "in",
-            "out",
-            "satur",
-            "shed",
-            "tasks",
-            "starve-ms",
-            "imbalance"
-        );
-        for c in &report.cells {
-            for s in &c.per_shard {
-                println!(
-                    "{:>5}x {:>5} {:>5} {:>8} {:>6} {:>6} {:>6} {:>5} {:>7} {:>13.1} {:>9.2}",
-                    c.factor,
-                    s.shard,
-                    s.nodes,
-                    s.assigned,
-                    s.migrated_in,
-                    s.migrated_out,
-                    s.saturations,
-                    s.shed,
-                    s.tasks,
-                    s.longest_idle_ms,
-                    s.imbalance,
-                );
-            }
-        }
-    }
-}
-
-/// One scenario's overload sweep as a JSON row.
-fn overload_json(label: &str, report: &OverloadReport) -> Json {
-    let p = &report.policy;
-    let opt = |v: Option<f64>| v.map_or(Json::Null, Json::num);
-    let cells: Vec<Json> = report
-        .cells
-        .iter()
-        .map(|c| {
-            let per_shard: Vec<Json> = c
-                .per_shard
-                .iter()
-                .map(|s| {
-                    obj([
-                        ("shard", Json::num(s.shard as f64)),
-                        ("nodes", Json::num(s.nodes as f64)),
-                        ("assigned", Json::num(s.assigned as f64)),
-                        ("migrated_in", Json::num(s.migrated_in as f64)),
-                        ("migrated_out", Json::num(s.migrated_out as f64)),
-                        ("saturations", Json::num(s.saturations as f64)),
-                        ("shed", Json::num(s.shed as f64)),
-                        ("tasks", Json::num(s.tasks as f64)),
-                        ("longest_idle_ms", Json::num(s.longest_idle_ms)),
-                        ("imbalance", Json::num(s.imbalance)),
-                    ])
-                })
-                .collect();
-            obj([
-                ("factor", Json::num(c.factor as f64)),
-                ("offered_jobs", Json::num(c.offered_jobs as f64)),
-                ("admitted", Json::num(c.overload.admitted as f64)),
-                ("rejected", Json::num(c.overload.rejected as f64)),
-                ("coalesced", Json::num(c.overload.coalesced as f64)),
-                ("expired", Json::num(c.overload.expired as f64)),
-                ("escalated", Json::num(c.overload.escalated as f64)),
-                ("shed_rate", Json::num(c.shed_rate)),
-                (
-                    "interactive_completed",
-                    Json::num(c.interactive_completed as f64),
-                ),
-                ("interactive_p99_ms", Json::num(c.interactive_p99_ms)),
-                ("batch_admitted", Json::num(c.batch_admitted as f64)),
-                ("batch_completed", Json::num(c.batch_completed as f64)),
-                (
-                    "max_batch_start_delay_ms",
-                    Json::num(c.max_batch_start_delay_ms),
-                ),
-                (
-                    "hottest_shard_imbalance",
-                    Json::num(cell_starvation_and_imbalance(c).1),
-                ),
-                ("per_shard", Json::Arr(per_shard)),
-            ])
-        })
-        .collect();
-    obj([
-        ("scenario", Json::Str(label.to_string())),
-        ("scheduler", Json::Str(report.scheduler.name().to_string())),
-        (
-            "policy",
-            obj([
-                (
-                    "max_in_flight",
-                    opt(report.policy.max_in_flight.map(|c| c as f64)),
-                ),
-                ("max_per_user", opt(p.max_per_user.map(|c| c as f64))),
-                ("deadline_ms", opt(p.deadline.map(|d| d.as_millis_f64()))),
-                ("coalesce_interactive", Json::Bool(p.coalesce_interactive)),
-                (
-                    "batch_escalation_age_ms",
-                    opt(p.batch_escalation_age.map(|d| d.as_millis_f64())),
-                ),
-            ]),
-        ),
-        ("unloaded_p99_ms", Json::num(report.unloaded_p99_ms)),
-        ("cells", Json::Arr(cells)),
-    ])
 }
 
 /// One line on the run about to start: its simulated cluster and

@@ -53,11 +53,6 @@ pub fn run_scenario(scenario: &Scenario, schedulers: &[SchedulerKind]) -> Vec<Sc
         .collect()
 }
 
-/// The saturation factors of the overload experiment: 1× is the unloaded
-/// reference, the rest overlay bursts of that multiple of the base
-/// interactive request rate.
-pub const OVERLOAD_FACTORS: [u32; 4] = [1, 2, 4, 10];
-
 /// The dedicated base scenario of the overload experiment: an 8-node
 /// cluster that comfortably keeps up with the base load (all data
 /// memory-resident after warm-up, interactive latency in the tens of
@@ -136,11 +131,12 @@ pub struct OverloadCell {
     /// Largest issue-to-start delay over admitted batch jobs, ms — the
     /// anti-starvation bound caps this.
     pub max_batch_start_delay_ms: f64,
-    /// Per-shard starvation/fragmentation view from a sharded twin run of
-    /// the same offered jobs (empty when the sweep runs single-head). The
-    /// cell's own counters above always come from the single-head run, so
-    /// adding shards never perturbs the headline numbers.
-    pub per_shard: Vec<ShardLoad>,
+    /// One per-shard starvation/fragmentation view per requested twin
+    /// shard count, in order, each from a sharded twin run of the same
+    /// offered jobs (a view's length is its shard count). The cell's own
+    /// counters above always come from the single-head run, so the twins
+    /// never perturb the headline numbers.
+    pub twins: Vec<Vec<ShardLoad>>,
 }
 
 /// The full overload sweep for one scenario.
@@ -204,16 +200,16 @@ pub fn burst_for(scenario: &Scenario, factor: u32) -> Option<BurstSpec> {
 
 /// Run the overload sweep: `kind` over `scenario` plus a burst overlay at
 /// each factor, under `policy`. The first factor should be 1 (the
-/// unloaded p99 reference comes from the first cell). With `shards > 1`
-/// every cell also gets a [`ShardLoad`] breakdown from a sharded twin run
-/// of the same offered jobs — the headline counters stay single-head, so
-/// the sweep's committed numbers are independent of the shard count.
+/// unloaded p99 reference comes from the first cell). Each factor runs
+/// once single-head, and once more sharded per count in `twins`, which
+/// gives the cell one [`ShardLoad`] breakdown per count — the headline
+/// counters stay single-head, so they do not depend on the twins.
 pub fn run_overload(
     scenario: &Scenario,
     kind: SchedulerKind,
     factors: &[u32],
     policy: OverloadPolicy,
-    shards: usize,
+    twins: &[usize],
 ) -> OverloadReport {
     let sim = simulation_for(scenario);
     let base = scenario.jobs();
@@ -225,11 +221,10 @@ pub fn run_overload(
         };
         let offered = jobs.len();
         let label = format!("{}-overload-{factor}x", scenario.label);
-        let per_shard = if shards > 1 {
-            shard_loads(&sim, jobs.clone(), kind, &label, policy, shards)
-        } else {
-            Vec::new()
-        };
+        let twins = twins
+            .iter()
+            .map(|&shards| shard_loads(&sim, jobs.clone(), kind, &label, policy, shards))
+            .collect();
         let outcome = sim.run_opts(jobs, RunOptions::new(kind).label(&label).overload(policy));
         // Shed jobs never enter the record, so every recorded job was
         // admitted; completed ones have a finish time.
@@ -260,7 +255,7 @@ pub fn run_overload(
             batch_admitted,
             batch_completed,
             max_batch_start_delay_ms,
-            per_shard,
+            twins,
         });
     }
     let unloaded_p99_ms = cells.first().map(|c| c.interactive_p99_ms).unwrap_or(0.0);
@@ -272,22 +267,19 @@ pub fn run_overload(
     }
 }
 
-/// The headline starvation/imbalance pair of one overload cell: the
-/// largest issue-to-start delay over admitted batch jobs (the longest
-/// batch starvation gap) and the hottest-shard imbalance — the hottest
-/// shard's executed-task count over the mean shard's, 1.0 when the
-/// routing and placement level the shards perfectly. (The per-shard
-/// [`ShardLoad::imbalance`] is the complementary *within*-shard view.)
-pub fn cell_starvation_and_imbalance(cell: &OverloadCell) -> (f64, f64) {
-    let hottest = cell.per_shard.iter().map(|s| s.tasks).max().unwrap_or(0);
-    let mean = cell.per_shard.iter().map(|s| s.tasks).sum::<u64>() as f64
-        / cell.per_shard.len().max(1) as f64;
-    let imbalance = if mean > 0.0 {
+/// The hottest-shard imbalance of one twin view: the hottest shard's
+/// executed-task count over the mean shard's, 1.0 when the routing and
+/// placement level the shards perfectly, 0 for an empty view. (The
+/// per-shard [`ShardLoad::imbalance`] is the complementary *within*-shard
+/// view.)
+pub fn hottest_shard_imbalance(twin: &[ShardLoad]) -> f64 {
+    let hottest = twin.iter().map(|s| s.tasks).max().unwrap_or(0);
+    let mean = twin.iter().map(|s| s.tasks).sum::<u64>() as f64 / twin.len().max(1) as f64;
+    if mean > 0.0 {
         hottest as f64 / mean
     } else {
         0.0
-    };
-    (cell.max_batch_start_delay_ms, imbalance)
+    }
 }
 
 /// Run one cell's jobs sharded and reduce the trace to per-shard
@@ -405,24 +397,27 @@ mod tests {
     fn four_x_saturation_is_survivable() {
         let s = small_scenario();
         let policy = overload_policy_for(&s);
-        let report = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, 2);
+        let report = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, &[2]);
         let unloaded = &report.cells[0];
         let loaded = &report.cells[1];
 
         // The sharded twin run yields a per-shard breakdown that covers
         // the whole cluster and accounts for every routed job.
         for cell in &report.cells {
-            assert_eq!(cell.per_shard.len(), 2);
+            let [per_shard] = &cell.twins[..] else {
+                panic!("one twin per cell")
+            };
+            assert_eq!(per_shard.len(), 2);
             assert_eq!(
-                cell.per_shard.iter().map(|sh| sh.nodes).sum::<u32>() as usize,
+                per_shard.iter().map(|sh| sh.nodes).sum::<u32>() as usize,
                 s.cluster.len()
             );
-            let assigned: u64 = cell.per_shard.iter().map(|sh| sh.assigned).sum();
+            let assigned: u64 = per_shard.iter().map(|sh| sh.assigned).sum();
             assert!(
                 assigned >= cell.offered_jobs as u64,
                 "routing saw every job"
             );
-            for sh in &cell.per_shard {
+            for sh in per_shard {
                 assert!(sh.tasks > 0, "shard {} never executed a task", sh.shard);
                 assert!(sh.imbalance >= 1.0, "imbalance is hottest/mean");
                 assert!(sh.longest_idle_ms >= 0.0);
@@ -469,6 +464,37 @@ mod tests {
         );
     }
 
+    /// The twins are extra runs beside the headline, not inputs to it:
+    /// every single-head field of every cell is the same with no twin as
+    /// with a 2- and a 4-shard twin, so a table may print it once for all
+    /// twin counts.
+    #[test]
+    fn twins_do_not_perturb_the_headline() {
+        let s = small_scenario();
+        let policy = overload_policy_for(&s);
+        let bare = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, &[]);
+        let twinned = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, &[2, 4]);
+        assert_eq!(bare.unloaded_p99_ms, twinned.unloaded_p99_ms);
+        assert_eq!(bare.cells.len(), twinned.cells.len());
+        // `{:?}` prints every f64 to its shortest round-trip text, so equal
+        // strings are equal values, field for field.
+        let headline = |c: &OverloadCell| {
+            format!(
+                "{:?}",
+                OverloadCell {
+                    twins: Vec::new(),
+                    ..c.clone()
+                }
+            )
+        };
+        for (a, b) in bare.cells.iter().zip(&twinned.cells) {
+            assert!(a.twins.is_empty());
+            let counts: Vec<usize> = b.twins.iter().map(Vec::len).collect();
+            assert_eq!(counts, [2, 4], "one view per twin, one row per shard");
+            assert_eq!(headline(a), headline(b), "{}x cell", a.factor);
+        }
+    }
+
     /// The policy-family acceptance bar: at 4x saturation the
     /// multi-objective scorer must shorten the longest batch starvation
     /// gap and level the hottest shard relative to OURS — its
@@ -482,11 +508,17 @@ mod tests {
         // every node, which leaves the objective vector nothing to trade.
         let s = overload_scenario().shortened(SimDuration::from_secs(12));
         let policy = overload_policy_for(&s);
-        let ours = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, 4);
-        let (ours_starve, ours_imbalance) = cell_starvation_and_imbalance(&ours.cells[1]);
-        let report = run_overload(&s, SchedulerKind::Mobj, &[1, 4], policy, 4);
+        let ours = run_overload(&s, SchedulerKind::Ours, &[1, 4], policy, &[4]);
+        let (ours_starve, ours_imbalance) = (
+            ours.cells[1].max_batch_start_delay_ms,
+            hottest_shard_imbalance(&ours.cells[1].twins[0]),
+        );
+        let report = run_overload(&s, SchedulerKind::Mobj, &[1, 4], policy, &[4]);
         let loaded = &report.cells[1];
-        let (starve, imbalance) = cell_starvation_and_imbalance(loaded);
+        let (starve, imbalance) = (
+            loaded.max_batch_start_delay_ms,
+            hottest_shard_imbalance(&loaded.twins[0]),
+        );
         assert!(
             starve < ours_starve,
             "MOBJ: batch starvation gap {starve} ms vs OURS {ours_starve} ms"

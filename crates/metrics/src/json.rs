@@ -450,7 +450,6 @@ mod tests {
             "BENCH_service.json",
             "BENCH_shard.json",
             "BENCH_traffic.json",
-            "results/overload_report.json",
         ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
