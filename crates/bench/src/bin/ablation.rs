@@ -24,7 +24,7 @@ use vizsched_sim::RunOptions;
 use vizsched_workload::Scenario;
 
 fn main() {
-    let length: u64 = Cli::parse().number("--length", 30, 30);
+    let length: u64 = Cli::parse(&["--length <secs>"]).number("--length", 30);
     let base = Scenario::table2(2).shortened(SimDuration::from_secs(length));
     let jobs = base.jobs();
 

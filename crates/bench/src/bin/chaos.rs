@@ -285,14 +285,14 @@ fn print_table(node_faults: &[ScenarioRow], shard_loss: &ScenarioRow) {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["--quick", "--json <path>", "--check <path>"]);
 
-    let node_faults = run_node_faults(cli.quick);
+    let node_faults = run_node_faults(cli.quick());
     eprintln!(
         "chaos: node-faults across {} policies, shard-loss under OURS",
         node_faults.len()
     );
-    let shard_loss = run_shard_loss(cli.quick);
+    let shard_loss = run_shard_loss(cli.quick());
     print_table(&node_faults, &shard_loss);
     let doc = to_json(&node_faults, &shard_loss);
     cli.write_json(&doc);

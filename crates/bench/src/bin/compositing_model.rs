@@ -8,6 +8,7 @@
 //! cargo run --release -p vizsched-bench --bin compositing_model
 //! ```
 
+use vizsched_bench::harness::Cli;
 use vizsched_compositing::{
     binary_swap, swap23, Communicator, ImagePart, InProcComm, LinkModel, ModelledComm,
 };
@@ -90,6 +91,7 @@ type Algo =
     Box<dyn Fn(&mut ModelledComm<InProcComm>, RgbaImage) -> Option<RgbaImage> + Send + Sync>;
 
 fn main() {
+    Cli::parse(&[]);
     let (w, h) = (1024usize, 1024usize);
     println!(
         "== Modelled compositing cost, {w}x{h} frame ({} MB/layer) ==\n",

@@ -19,7 +19,7 @@ use vizsched_render::{Camera, RenderSettings, TransferFunction};
 use vizsched_volume::{split_z, Field, Volume};
 
 fn main() {
-    let bigger = Cli::parse().flag("--full-ish");
+    let bigger = Cli::parse(&["--full-ish"]).flag("--full-ish");
     let scale = if bigger { 2 } else { 1 };
 
     // Paper grids scaled by 1/4 (or 1/2 with --full-ish), aspect preserved.

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use vizsched_bench::harness::Cli;
 use vizsched_compositing::{composite, CompositeAlgo};
 use vizsched_core::cost::CostParams;
 use vizsched_core::ids::{ChunkId, DatasetId};
@@ -23,6 +24,7 @@ use vizsched_service::{ChunkStore, StoreDataset};
 use vizsched_volume::Field;
 
 fn main() {
+    Cli::parse(&[]);
     println!("== Fig. 2: pipeline stage breakdown ==\n");
 
     println!("-- cost model (simulator) --");

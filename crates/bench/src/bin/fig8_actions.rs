@@ -28,9 +28,9 @@ use vizsched_workload::Scenario;
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let cli = Cli::parse();
-    let length: u64 = cli.number("--length", 20, 20);
-    let nodes: usize = cli.number("--nodes", 32, 32);
+    let cli = Cli::parse(&["--length <secs>", "--nodes <n>", "--json <path>"]);
+    let length: u64 = cli.number("--length", 20);
+    let nodes: usize = cli.number("--nodes", 32);
 
     println!(
         "== Fig. 8: scheduling cost vs. simultaneous user actions ==\n\
@@ -87,7 +87,7 @@ fn main() {
          each cycle; the per-arrival policies stay flat."
     );
 
-    if let Some(path) = &cli.json {
+    if let Some(path) = cli.json() {
         let doc = obj([
             ("schema", Json::Str("vizsched-bench/fig8_actions/v1".into())),
             (

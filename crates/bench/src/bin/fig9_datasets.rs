@@ -22,7 +22,7 @@ use vizsched_workload::Scenario;
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let length: u64 = Cli::parse().number("--length", 30, 30);
+    let length: u64 = Cli::parse(&["--length <secs>"]).number("--length", 30);
 
     println!(
         "== Fig. 9: scheduling cost / frame rate / latency vs. datasets in use ==\n\

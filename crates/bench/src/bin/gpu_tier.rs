@@ -26,7 +26,7 @@ const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
 fn main() {
-    let length: u64 = Cli::parse().number("--length", 20, 20);
+    let length: u64 = Cli::parse(&["--length <secs>"]).number("--length", 20);
 
     // 8 nodes, 6 x 2 GiB datasets, 12 concurrent actions: hot chunks end up
     // replicated across several nodes' main memories, so *which* replica a

@@ -250,8 +250,8 @@ fn print_table(sweeps: &[OverloadReport], p: &OverloadPolicy) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let scenario = if cli.quick {
+    let cli = Cli::parse(&["--quick", "--json <path>", "--check <path>"]);
+    let scenario = if cli.quick() {
         overload_scenario().shortened(SimDuration::from_secs(12))
     } else {
         overload_scenario()
@@ -261,7 +261,7 @@ fn main() {
     eprintln!(
         "policy_matrix: {:?} x {FACTORS:?} saturation, single head + {TWINS:?}-shard twins{}",
         POLICIES.map(|p| p.name()),
-        if cli.quick { " (quick)" } else { "" }
+        if cli.quick() { " (quick)" } else { "" }
     );
     let sweeps: Vec<OverloadReport> = POLICIES
         .iter()

@@ -32,7 +32,7 @@
 //! ms per brick render over all passes (default 5, `--quick` 2).
 
 use std::time::Instant;
-use vizsched_bench::harness::{summary, Cli, Gate, Reader};
+use vizsched_bench::harness::{geomean, summary, Cli, Gate, Reader};
 use vizsched_metrics::json::{obj, Json};
 use vizsched_render::raycast::{render, render_brick, BrickSampler};
 use vizsched_render::{skip, Camera, RenderSettings, RgbaImage, TransferFunction};
@@ -143,11 +143,6 @@ fn time_field(field: Field, passes: usize) -> Cell {
     }
 }
 
-fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = ratios.fold((0.0, 0usize), |(s, n), r| (s + r.ln(), n + 1));
-    (sum / n as f64).exp()
-}
-
 fn to_json(cells: &[Cell], passes: usize, speedup: f64) -> Json {
     obj([
         (
@@ -189,8 +184,8 @@ fn to_json(cells: &[Cell], passes: usize, speedup: f64) -> Json {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let passes: usize = cli.number("--passes", 2, 5);
+    let cli = Cli::parse(&["--quick", "--passes <n>", "--json <path>", "--check <path>"]);
+    let passes: usize = cli.number("--passes", if cli.quick() { 2 } else { 5 });
 
     eprintln!(
         "render_hotpath: {passes} passes x {AZIMUTHS} azimuths x {BRICKS} bricks, \

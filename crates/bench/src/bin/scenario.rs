@@ -14,9 +14,7 @@
 //!
 //! `--short <secs>` shrinks the arrival window (same rates) for quick runs.
 //! `--json <path>` writes every per-scheduler report as a machine-readable
-//! document (same fields as the CSV, plus the scenario label per row).
-//! `--timeline` additionally prints a 10 s-bucketed completion series for
-//! OURS (warm-up transients, batch stalls).
+//! document, one row per scenario and scheduler.
 //! `--trace <path>` re-runs the selected policy (OURS by default) with a
 //! probe attached, writes the full
 //! event stream to `<path>` as JSONL, and prints the per-cycle prediction
@@ -58,13 +56,21 @@ use vizsched_metrics::json::{obj, Json};
 use vizsched_metrics::{
     estimate_trajectory, events_to_jsonl, format_comparison, format_figure, format_node_activity,
     format_prediction_report, format_table3_block, node_activity, prediction_by_cycle,
-    reports_to_csv, CollectingProbe, SchedulerReport, Timeline, TraceEvent,
+    CollectingProbe, SchedulerReport, TraceEvent,
 };
 use vizsched_sim::{FaultPlan, RunOptions, Simulation};
 use vizsched_workload::{RecordHeader, RecordingProbe, Scenario, ScenarioRecord};
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[
+        "<scenario>",
+        "--short <secs>",
+        "--policy <name>",
+        "--trace <path>",
+        "--record <path>",
+        "--replay <path>",
+        "--json <path>",
+    ]);
     let which = cli.positional().unwrap_or("1");
     let short: Option<u64> = cli.value("--short").and_then(|s| s.parse().ok());
     let trace_path = cli.value("--trace");
@@ -96,7 +102,6 @@ fn main() {
 
     let numbers: Vec<u8> = match which {
         "all" => vec![1, 2, 3, 4],
-        n if n.starts_with('-') => vec![1],
         n => vec![n.parse().expect("scenario number 1-4 or 'all'")],
     };
 
@@ -116,17 +121,6 @@ fn main() {
         let reports = run_scenario(&scenario, &schedulers);
         println!("{}", format_comparison(&reports));
         println!("{}", format_figure(&reports, scenario.target_fps()));
-        if cli.flag("--timeline") {
-            let sim = simulation_for(&scenario);
-            let outcome = sim.run_opts(
-                scenario.jobs(),
-                RunOptions::new(SchedulerKind::Ours).label(&scenario.label),
-            );
-            println!(
-                "-- OURS completion timeline (10 s buckets) --\n{}",
-                Timeline::of(&outcome.record, SimDuration::from_secs(10)).format()
-            );
-        }
         if let Some(path) = trace_path {
             trace_policy(&scenario, policy_arg.unwrap_or(SchedulerKind::Ours), path);
         }
@@ -134,17 +128,12 @@ fn main() {
     }
 
     let all: Vec<SchedulerReport> = table3.iter().flat_map(|(_, r)| r.clone()).collect();
-    if let Some(path) = &cli.json {
+    if let Some(path) = cli.json() {
         let doc = obj([
             ("schema", Json::Str("vizsched-bench/scenario/v1".into())),
             ("reports", Json::Arr(all.iter().map(report_json).collect())),
         ]);
         std::fs::write(path, doc.pretty()).expect("write json");
-        println!("(wrote {} report rows to {path})", all.len());
-    }
-
-    if let Some(path) = cli.value("--csv") {
-        std::fs::write(path, reports_to_csv(&all)).expect("write csv");
         println!("(wrote {} report rows to {path})", all.len());
     }
 
@@ -165,7 +154,7 @@ fn main() {
     }
 }
 
-/// One scheduler report as a JSON row (the CSV columns, plus label).
+/// One scheduler report as a JSON row.
 fn report_json(r: &SchedulerReport) -> Json {
     obj([
         ("scenario", Json::Str(r.scenario.clone())),

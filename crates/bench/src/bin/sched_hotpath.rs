@@ -28,7 +28,7 @@
 //! over all samples (default 30, `--quick` 8).
 
 use std::time::Instant;
-use vizsched_bench::harness::{summary, Cli, Gate};
+use vizsched_bench::harness::{geomean, summary, Cli, Gate};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
@@ -205,15 +205,6 @@ fn speedups(cells: &[Cell]) -> Vec<(String, usize, usize, f64)> {
     out
 }
 
-fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = ratios.fold((0.0, 0usize), |(s, n), r| (s + r.ln(), n + 1));
-    if n == 0 {
-        1.0
-    } else {
-        (sum / n as f64).exp()
-    }
-}
-
 fn to_json(cells: &[Cell], samples: usize) -> Json {
     let ratios = speedups(cells);
     let gm = |policy: &str| {
@@ -312,8 +303,13 @@ fn print_table(cells: &[Cell]) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let samples: usize = cli.number("--samples", 8, 30);
+    let cli = Cli::parse(&[
+        "--quick",
+        "--samples <n>",
+        "--json <path>",
+        "--check <path>",
+    ]);
+    let samples: usize = cli.number("--samples", if cli.quick() { 8 } else { 30 });
 
     eprintln!("sched_hotpath: {samples} samples/cell, grid {ACTIONS:?} actions x {NODES:?} nodes");
     let cells = run_grid(samples);

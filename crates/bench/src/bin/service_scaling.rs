@@ -425,9 +425,15 @@ fn print_table(cells: &[Cell]) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let quick = cli.quick;
-    let measure = Duration::from_secs_f64(cli.number("--measure-secs", 2.0, 4.0));
+    let cli = Cli::parse(&[
+        "--quick",
+        "--measure-secs <secs>",
+        "--json <path>",
+        "--check <path>",
+    ]);
+    let quick = cli.quick();
+    let measure =
+        Duration::from_secs_f64(cli.number("--measure-secs", if quick { 2.0 } else { 4.0 }));
     let warmup = Duration::from_secs_f64(if quick { 0.5 } else { 1.0 });
 
     eprintln!(

@@ -348,8 +348,13 @@ fn print_table(cells: &[Cell]) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let samples: usize = cli.number("--samples", 3, 7);
+    let cli = Cli::parse(&[
+        "--quick",
+        "--samples <n>",
+        "--json <path>",
+        "--check <path>",
+    ]);
+    let samples: usize = cli.number("--samples", if cli.quick() { 3 } else { 7 });
 
     eprintln!("shard_scaling: {samples} samples/cell, grid {SHARDS:?} shards x {NODES:?} nodes");
     let cells = run_grid(samples);

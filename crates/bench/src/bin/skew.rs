@@ -19,7 +19,7 @@ use vizsched_workload::{DatasetChoice, Scenario};
 const GIB: u64 = 1 << 30;
 
 fn main() {
-    let length: u64 = Cli::parse().number("--length", 20, 20);
+    let length: u64 = Cli::parse(&["--length <secs>"]).number("--length", 20);
 
     println!(
         "== Dataset-popularity skew (Zipf) sweep: 8 nodes, 12 x 2 GiB datasets \

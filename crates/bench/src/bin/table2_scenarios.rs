@@ -6,9 +6,11 @@
 //! cargo run --release -p vizsched-bench --bin table2_scenarios
 //! ```
 
+use vizsched_bench::harness::Cli;
 use vizsched_workload::Scenario;
 
 fn main() {
+    Cli::parse(&[]);
     println!("== Table II: experiment scenarios ==\n");
     println!(
         "{:<4} {:>7} {:>12} {:>10} {:>11} {:>8} {:>12} {:>14} {:>8}",

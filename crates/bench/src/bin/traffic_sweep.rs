@@ -293,7 +293,7 @@ fn doc_ours_p99(doc: &Json, shape: &str) -> Option<f64> {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["--json <path>", "--check <path>"]);
 
     let shapes = TrafficShape::demo_suite(SEED);
     eprintln!(

@@ -1,10 +1,13 @@
 //! The one front end of every bench binary: its command line and its
 //! regression check.
 //!
-//! [`Cli`] is the only reader of the process arguments: the shared
-//! `--json` / `--check` / `--quick` flags, each binary's own valued flags
-//! ([`Cli::value`], [`Cli::number`]), switches ([`Cli::flag`]) and
-//! `scenario`'s positional argument ([`Cli::positional`]).
+//! [`Cli`] is the only reader of the process arguments. A binary names
+//! every argument it reads once, in [`Cli::parse`]: the shared `--json` /
+//! `--check` / `--quick` flags ([`Cli::json`], [`Cli::check`],
+//! [`Cli::quick`]), its own valued flags ([`Cli::value`], [`Cli::number`]),
+//! switches ([`Cli::flag`]) and `scenario`'s positional argument
+//! ([`Cli::positional`]). Any other argument exits 2, and reading one the
+//! binary did not name panics.
 //!
 //! [`Cli::check`] is the only regression check: it loads the `--check`
 //! baseline, judges every [`Gate`], prints one header line and one verdict
@@ -16,54 +19,127 @@ use vizsched_metrics::json::{fmt_f64, parse, Json};
 
 /// The process command line, parsed once.
 pub struct Cli {
-    args: Vec<String>,
-    /// `--json <path>`: write the fresh report there.
-    pub json: Option<String>,
-    /// `--quick`: the reduced grid CI runs.
-    pub quick: bool,
+    /// The arguments the binary reads, as its usage shows them:
+    /// `--name <what>` takes a value, a bare `--name` is a switch, and
+    /// `<what>` is the one positional argument.
+    accepted: &'static [&'static str],
+    /// Each argument given, as `(its entry in accepted, its value)`.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+/// The flag an `accepted` entry names: `--name` of `--name <what>`.
+fn name_of(entry: &str) -> &str {
+    entry.split(' ').next().unwrap_or(entry)
 }
 
 impl Cli {
-    /// Parse the process arguments.
-    pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut cli = Cli {
-            args,
-            json: None,
-            quick: false,
-        };
-        cli.json = cli.value("--json").map(str::to_owned);
-        cli.quick = cli.flag("--quick");
-        cli
+    /// Parse the process arguments against `accepted`, every argument the
+    /// binary reads (see the field's doc). An argument outside it, a second
+    /// positional one or a valued flag with no value prints one line
+    /// naming it and the accepted ones, and exits 2.
+    pub fn parse(accepted: &'static [&'static str]) -> Cli {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        Cli::from_args(accepted, args).unwrap_or_else(|msg| {
+            let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
+            eprintln!("{}: {msg}", bin.to_string_lossy());
+            std::process::exit(2)
+        })
     }
 
-    /// The first argument, whether or not it is a flag.
+    /// [`Cli::parse`] over `args`, the arguments after the binary's name;
+    /// the error is the line to print.
+    fn from_args(
+        accepted: &'static [&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Cli, String> {
+        let mut args = args.into_iter();
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        while let Some(arg) = args.next() {
+            let positional =
+                !arg.starts_with('-') && given.iter().all(|(e, _)| !e.starts_with('<'));
+            let entry = accepted.iter().find(|e| {
+                if e.starts_with('<') {
+                    positional
+                } else {
+                    name_of(e) == arg
+                }
+            });
+            let Some(&entry) = entry else {
+                let list = if accepted.is_empty() {
+                    "none".to_string()
+                } else {
+                    accepted.join(", ")
+                };
+                return Err(format!("unknown argument `{arg}` (accepted: {list})"));
+            };
+            let value = if entry.starts_with('<') {
+                Some(arg)
+            } else if entry.contains(' ') {
+                Some(
+                    args.next()
+                        .ok_or_else(|| format!("`{entry}` needs a value"))?,
+                )
+            } else {
+                None
+            };
+            given.push((entry, value));
+        }
+        Ok(Cli { accepted, given })
+    }
+
+    /// The first occurrence of `flag`'s entry (`<what>` for the positional
+    /// argument) among the arguments given, and its value. Every reader
+    /// goes through here, so reading a `flag` the binary did not name in
+    /// [`Cli::parse`] panics instead of reading as absent.
+    fn read(&self, flag: &str) -> Option<&Option<String>> {
+        assert!(
+            self.accepted.iter().any(|e| name_of(e) == flag),
+            "`{flag}` is read but not named in Cli::parse"
+        );
+        self.given
+            .iter()
+            .find(|(entry, _)| name_of(entry) == flag)
+            .map(|(_, value)| value)
+    }
+
+    /// The positional argument, if one was given.
     pub fn positional(&self) -> Option<&str> {
-        self.args.first().map(String::as_str)
+        let entry = self.accepted.iter().find(|e| e.starts_with('<'))?;
+        self.read(entry)?.as_deref()
     }
 
-    /// The value following `flag`, if both are there.
+    /// The value following `flag`, if it was given.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        let at = self.args.iter().position(|a| a == flag)?;
-        self.args.get(at + 1).map(String::as_str)
+        self.read(flag)?.as_deref()
     }
 
     /// Whether the switch `name` is on the command line.
     pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.read(name).is_some()
     }
 
-    /// `flag`'s value parsed as a number; `quick` or `full` (by `--quick`)
-    /// when the flag is absent or malformed.
-    pub fn number<T: std::str::FromStr>(&self, flag: &str, quick: T, full: T) -> T {
+    /// `flag`'s value parsed as a number; `default` when the flag is
+    /// absent or malformed.
+    pub fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.value(flag)
             .and_then(|s| s.parse().ok())
-            .unwrap_or(if self.quick { quick } else { full })
+            .unwrap_or(default)
+    }
+
+    /// `--json <path>`: where to write the fresh report.
+    pub fn json(&self) -> Option<&str> {
+        self.value("--json")
+    }
+
+    /// `--quick`: the reduced grid CI runs.
+    pub fn quick(&self) -> bool {
+        self.flag("--quick")
     }
 
     /// Write the fresh report to the `--json` path, if one was given.
     pub fn write_json(&self, doc: &Json) {
-        if let Some(path) = &self.json {
+        if let Some(path) = self.json() {
             std::fs::write(path, doc.pretty()).expect("write json output");
             println!("\n(wrote {path})");
         }
@@ -106,6 +182,16 @@ impl Cli {
             eprintln!("{failure}");
             std::process::exit(1);
         }
+    }
+}
+
+/// The geometric mean of `ratios` (a log-mean fold); 1.0 when empty.
+pub fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = ratios.fold((0.0, 0usize), |(s, n), r| (s + r.ln(), n + 1));
+    if n == 0 {
+        1.0
+    } else {
+        (sum / n as f64).exp()
     }
 }
 
@@ -226,6 +312,67 @@ struct Verdict {
 mod tests {
     use super::*;
     use vizsched_metrics::json::obj;
+
+    fn cli(accepted: &'static [&'static str], args: &[&str]) -> Result<Cli, String> {
+        Cli::from_args(accepted, args.iter().map(|a| a.to_string()))
+    }
+
+    const SCENARIO: &[&str] = &["<scenario>", "--short <secs>", "--json <path>", "--quick"];
+
+    #[test]
+    fn geomean_is_the_log_mean_and_1_when_empty() {
+        assert_eq!(geomean(std::iter::empty()), 1.0);
+        assert!((geomean([2.0, 8.0].into_iter()) - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_cli_reads_what_its_binary_names() {
+        let c = cli(
+            SCENARIO,
+            &["2", "--short", "12", "--quick", "--json", "o.json"],
+        )
+        .unwrap();
+        assert_eq!(c.positional(), Some("2"));
+        assert_eq!(c.value("--short"), Some("12"));
+        assert_eq!(c.number("--short", 1u64), 12);
+        assert_eq!(c.json(), Some("o.json"));
+        assert!(c.quick() && c.flag("--quick"));
+        let bare = cli(SCENARIO, &[]).unwrap();
+        assert_eq!((bare.positional(), bare.json()), (None, None));
+        assert!(!bare.quick());
+        assert_eq!(bare.number("--short", 1u64), 1);
+    }
+
+    #[test]
+    fn a_cli_refuses_what_its_binary_does_not_name() {
+        let unknown = cli(SCENARIO, &["1", "--overload"]).err().unwrap();
+        assert_eq!(
+            unknown,
+            "unknown argument `--overload` (accepted: <scenario>, --short <secs>, \
+             --json <path>, --quick)"
+        );
+        assert!(cli(SCENARIO, &["1", "2"]).err().unwrap().contains("`2`"));
+        assert_eq!(
+            cli(SCENARIO, &["--short"]).err().unwrap(),
+            "`--short <secs>` needs a value"
+        );
+        assert_eq!(
+            cli(&[], &["x"]).err().unwrap(),
+            "unknown argument `x` (accepted: none)"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "`--length` is read but not named in Cli::parse")]
+    fn reading_an_unnamed_flag_is_a_bug() {
+        cli(SCENARIO, &[]).unwrap().value("--length");
+    }
+
+    #[test]
+    #[should_panic(expected = "`--quick` is read but not named in Cli::parse")]
+    fn reading_an_unnamed_shared_flag_is_a_bug() {
+        cli(&["--length <secs>"], &[]).unwrap().quick();
+    }
 
     fn report(key: &'static str, value: f64) -> Json {
         obj([("summary", obj([(key, Json::num(value))]))])

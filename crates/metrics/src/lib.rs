@@ -23,19 +23,15 @@ pub mod json;
 pub mod record;
 pub mod report;
 pub mod stats;
-pub mod timeline;
 pub mod trace;
 
 pub use bars::{bar_chart, format_figure};
 pub use record::{JobRecord, RunRecord};
-pub use report::{
-    format_comparison, format_table3_block, jain_index, reports_to_csv, SchedulerReport,
-};
+pub use report::{format_comparison, format_table3_block, jain_index, SchedulerReport};
 pub use stats::Summary;
-pub use timeline::{Timeline, TimelinePoint};
 pub use trace::{
     estimate_trajectory, events_to_jsonl, format_node_activity, format_prediction_report,
     node_activity, prediction_by_cycle, recovery_report, CollectingProbe, CyclePrediction,
-    DropReason, EstimatePoint, FaultRecovery, JsonlProbe, NodeActivity, NoopProbe, Probe,
-    RecoveryReport, RejectReason, TraceEvent,
+    DropReason, EstimatePoint, FaultRecovery, NodeActivity, NoopProbe, Probe, RecoveryReport,
+    RejectReason, TraceEvent,
 };

@@ -152,35 +152,6 @@ pub fn format_comparison(reports: &[SchedulerReport]) -> String {
     out
 }
 
-/// Serialize reports as CSV (one row per scheduler) for external plotting.
-pub fn reports_to_csv(reports: &[SchedulerReport]) -> String {
-    let mut out = String::from(
-        "scenario,scheduler,interactive_jobs,batch_jobs,fps_mean,fps_p50,\
-         int_latency_mean_s,int_latency_p95_s,batch_latency_mean_s,\
-         batch_working_mean_s,hit_rate,gpu_unused,sched_cost_us,fairness,makespan_s\n",
-    );
-    for r in reports {
-        out.push_str(&format!(
-            "{},{},{},{},{:.4},{:.4},{:.6},{:.6},{:.6},{:.6},{:.6},,{:.4},{:.4},{:.3}\n",
-            r.scenario,
-            r.scheduler,
-            r.interactive_jobs,
-            r.batch_jobs,
-            r.fps.mean,
-            r.fps.p50,
-            r.interactive_latency.mean,
-            r.interactive_latency.p95,
-            r.batch_latency.mean,
-            r.batch_working.mean,
-            r.hit_rate,
-            r.sched_cost_us,
-            r.fairness,
-            r.makespan_secs,
-        ));
-    }
-    out
-}
-
 /// Render the Table III block for one scenario: hit rates and average
 /// scheduling costs of FS / FCFSU / FCFSL / OURS.
 pub fn format_table3_block(scenario: &str, reports: &[SchedulerReport]) -> String {
@@ -317,46 +288,6 @@ mod tests {
             report.fairness > 0.5 && report.fairness <= 1.0,
             "{}",
             report.fairness
-        );
-    }
-
-    #[test]
-    fn csv_has_one_row_per_report_plus_header() {
-        let report = SchedulerReport::from_run(&sample_run());
-        let csv = reports_to_csv(&[report.clone(), report]);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().nth(1).unwrap().starts_with("test,OURS,3,1,"));
-    }
-
-    #[test]
-    fn csv_header_names_are_bare_and_match_the_row() {
-        let csv = reports_to_csv(&[SchedulerReport::from_run(&sample_run())]);
-        let mut lines = csv.lines();
-        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
-        let row: Vec<&str> = lines.next().unwrap().split(',').collect();
-        for name in &header {
-            assert_eq!(*name, name.trim(), "column name with whitespace");
-        }
-        assert_eq!(header.len(), row.len());
-        assert_eq!(
-            header,
-            [
-                "scenario",
-                "scheduler",
-                "interactive_jobs",
-                "batch_jobs",
-                "fps_mean",
-                "fps_p50",
-                "int_latency_mean_s",
-                "int_latency_p95_s",
-                "batch_latency_mean_s",
-                "batch_working_mean_s",
-                "hit_rate",
-                "gpu_unused",
-                "sched_cost_us",
-                "fairness",
-                "makespan_s",
-            ]
         );
     }
 

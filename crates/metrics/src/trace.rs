@@ -18,7 +18,6 @@
 //! nothing unless a run opts in.
 
 use std::fmt::Write as _;
-use std::io::Write;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use vizsched_core::fault::FaultKind;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, ShardId};
@@ -122,7 +121,7 @@ impl DropReason {
 ///
 /// Every variant carries `now` — virtual time in the simulator, elapsed
 /// wall time in the live service. Variants map one-to-one onto the JSONL
-/// records written by [`JsonlProbe`] (see the `t` field).
+/// records written by [`events_to_jsonl`] (see the `t` field).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A scheduler invocation began (`t = "cycle_start"`). Cycle-triggered
@@ -877,61 +876,8 @@ impl Probe for CollectingProbe {
     }
 }
 
-/// A probe that writes each event as one JSON line to a writer.
-///
-/// Wrap the writer in a `BufWriter` for file output; the stream is flushed
-/// when the probe drops. Write errors are counted, not propagated — a
-/// tracing sink must never abort a run.
-#[derive(Debug)]
-pub struct JsonlProbe<W: Write + Send> {
-    out: Mutex<W>,
-    errors: std::sync::atomic::AtomicU64,
-}
-
-impl<W: Write + Send> JsonlProbe<W> {
-    /// Trace into `out`, one JSON object per line.
-    pub fn new(out: W) -> Self {
-        JsonlProbe {
-            out: Mutex::new(out),
-            errors: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Number of events dropped to write errors.
-    pub fn write_errors(&self) -> u64 {
-        self.errors.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl JsonlProbe<std::io::BufWriter<std::fs::File>> {
-    /// Trace into a freshly created (truncated) file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(Self::new(std::io::BufWriter::new(std::fs::File::create(
-            path,
-        )?)))
-    }
-}
-
-impl<W: Write + Send> Probe for JsonlProbe<W> {
-    fn on_event(&self, event: &TraceEvent) {
-        let mut line = event.to_json();
-        line.push('\n');
-        let mut out = lock(&self.out);
-        if out.write_all(line.as_bytes()).is_err() {
-            self.errors
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlProbe<W> {
-    fn drop(&mut self) {
-        let _ = lock(&self.out).flush();
-    }
-}
-
-/// Serialize a whole event slice as JSONL (the batch counterpart of
-/// [`JsonlProbe`], for use with [`CollectingProbe::take`]).
+/// Serialize a whole event slice as JSONL, one [`TraceEvent::to_json`]
+/// object per line (for use with [`CollectingProbe::take`]).
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 128);
     for event in events {
@@ -1431,40 +1377,19 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_probe_survives_a_poisoned_lock() {
-        let probe = Arc::new(JsonlProbe::new(Vec::new()));
-        poison(probe.clone(), |p| {
-            let _held = p.out.lock();
-            panic!("an emitter panics while holding the writer");
-        });
-        assert!(probe.out.is_poisoned());
-        probe.on_event(&TraceEvent::CycleStart {
-            now: SimTime::from_micros(30),
-            queued: 2,
-        });
-        assert_eq!(probe.write_errors(), 0);
-        let text = String::from_utf8(lock(&probe.out).clone()).unwrap();
-        assert_eq!(text.lines().count(), 1, "{text}");
-        // Dropping flushes through the poisoned lock without panicking.
-        drop(Arc::into_inner(probe).expect("the last handle"));
-    }
-
-    #[test]
-    fn jsonl_probe_writes_one_line_per_event() {
-        let probe = JsonlProbe::new(Vec::new());
-        probe.on_event(&TraceEvent::CycleStart {
-            now: SimTime::from_micros(30),
-            queued: 2,
-        });
-        probe.on_event(&TraceEvent::EstimateCorrection {
-            now: SimTime::from_micros(99),
-            chunk: chunk(1),
-            old: SimDuration::from_micros(500),
-            new: SimDuration::from_micros(400),
-        });
-        assert_eq!(probe.write_errors(), 0);
-        let bytes = std::mem::take(&mut *probe.out.lock().unwrap());
-        let text = String::from_utf8(bytes).unwrap();
+    fn events_to_jsonl_writes_one_line_per_event() {
+        let text = events_to_jsonl(&[
+            TraceEvent::CycleStart {
+                now: SimTime::from_micros(30),
+                queued: 2,
+            },
+            TraceEvent::EstimateCorrection {
+                now: SimTime::from_micros(99),
+                chunk: chunk(1),
+                old: SimDuration::from_micros(500),
+                new: SimDuration::from_micros(400),
+            },
+        ]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(

@@ -79,17 +79,18 @@ pub struct RenderSettings {
     pub width: usize,
     /// Output image height.
     pub height: usize,
-    /// Ray step in voxels: positive and finite.
+    /// Ray step in voxels: positive and finite. Opacity is corrected
+    /// relative to a one-voxel step.
     pub step: f32,
-    /// Reference step for opacity correction.
-    pub base_step: f32,
     /// Stop marching once accumulated alpha exceeds this.
     pub early_termination: f32,
     /// Apply gradient headlight shading.
     pub shading: bool,
-    /// Ambient term for shading.
-    pub ambient: f32,
 }
+
+/// The ambient term of headlight shading: the share of a sample's colour
+/// kept when its gradient is perpendicular to the ray.
+pub(crate) const AMBIENT: f32 = 0.35;
 
 impl Default for RenderSettings {
     fn default() -> Self {
@@ -97,10 +98,8 @@ impl Default for RenderSettings {
             width: 256,
             height: 256,
             step: 0.5,
-            base_step: 1.0,
             early_termination: 0.99,
             shading: true,
-            ambient: 0.35,
         }
     }
 }
@@ -120,12 +119,12 @@ pub fn integrate<S: VolumeSampler>(
     while t <= t1 {
         let p = ray.at(t);
         let v = sampler.value(p);
-        let mut s = tf.sample(v, settings.step, settings.base_step);
+        let mut s = tf.sample(v, settings.step);
         if s[3] > 0.0 && settings.shading {
             if let Some(n) = normalize(sampler.gradient(p)) {
                 // Headlight: light comes from the eye.
                 let diffuse = vec3::dot(n, ray.dir).abs();
-                let shade = settings.ambient + (1.0 - settings.ambient) * diffuse;
+                let shade = AMBIENT + (1.0 - AMBIENT) * diffuse;
                 s[0] *= shade;
                 s[1] *= shade;
                 s[2] *= shade;

@@ -28,7 +28,9 @@
 use crate::camera::{vec3, Camera};
 use crate::image::{over, Rgba, RgbaImage};
 use crate::ray::Ray;
-use crate::raycast::{assert_step, normalize, BrickSampler, RenderSettings, VolumeSampler};
+use crate::raycast::{
+    assert_step, normalize, BrickSampler, RenderSettings, VolumeSampler, AMBIENT,
+};
 use crate::transfer::TransferFunction;
 use vizsched_volume::brick::Brick;
 use vizsched_volume::grid::Scalar;
@@ -267,7 +269,7 @@ pub fn render<T: Scalar>(
     let grid = brick.minmax_grid();
     let clear = clearance(grid, &transparent_blocks(grid, tf));
     let leap = Leap::new(grid, &voxels);
-    let lut = tf.premultiplied(settings.step, settings.base_step);
+    let lut = tf.premultiplied(settings.step);
     let rays = camera.rays(settings.width, settings.height);
 
     let mut img = RgbaImage::transparent(settings.width, settings.height);
@@ -293,7 +295,7 @@ pub fn render<T: Scalar>(
                     if s[3] > 0.0 && settings.shading {
                         if let Some(n) = normalize(voxels.gradient(p, x, y, z)) {
                             let diffuse = vec3::dot(n, ray.dir).abs();
-                            let shade = settings.ambient + (1.0 - settings.ambient) * diffuse;
+                            let shade = AMBIENT + (1.0 - AMBIENT) * diffuse;
                             s[0] *= shade;
                             s[1] *= shade;
                             s[2] *= shade;

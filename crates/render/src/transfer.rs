@@ -76,23 +76,23 @@ impl TransferFunction {
     }
 
     /// Classify and convert to a premultiplied sample with opacity
-    /// corrected for the integration `step` relative to `base_step` —
-    /// the standard `1 - (1 - α)^(step/base)` correction, so image opacity
-    /// is step-size invariant.
+    /// corrected for the integration `step` relative to one voxel —
+    /// the standard `1 - (1 - α)^step` correction, so image opacity is
+    /// step-size invariant.
     #[inline]
-    pub fn sample(&self, value: f32, step: f32, base_step: f32) -> Rgba {
+    pub fn sample(&self, value: f32, step: f32) -> Rgba {
         let c = self.classify(value);
-        let alpha = 1.0 - (1.0 - c[3]).powf(step / base_step);
+        let alpha = 1.0 - (1.0 - c[3]).powf(step);
         [c[0] * alpha, c[1] * alpha, c[2] * alpha, alpha]
     }
 
-    /// Every answer [`sample`](Self::sample) can give at one `step` and
-    /// `base_step`: `premultiplied(s, b)[table_index(v)]` is
-    /// `sample(v, s, b)` bit for bit, without a `powf` per sample.
-    pub fn premultiplied(&self, step: f32, base_step: f32) -> Vec<Rgba> {
+    /// Every answer [`sample`](Self::sample) can give at one `step`:
+    /// `premultiplied(s)[table_index(v)]` is `sample(v, s)` bit for bit,
+    /// without a `powf` per sample.
+    pub fn premultiplied(&self, step: f32) -> Vec<Rgba> {
         // Entry `i` was built from, and classifies back to, `i / 255`.
         let values = (0..Self::RESOLUTION).map(|i| i as f32 / (Self::RESOLUTION - 1) as f32);
-        values.map(|v| self.sample(v, step, base_step)).collect()
+        values.map(|v| self.sample(v, step)).collect()
     }
 
     /// The table entry [`classify`](Self::classify) picks for `value`: in
@@ -261,8 +261,8 @@ mod tests {
     fn opacity_correction_is_step_invariant() {
         let tf = ramp_tf();
         // Two half-steps composited should equal one full step.
-        let full = tf.sample(0.6, 1.0, 1.0);
-        let half = tf.sample(0.6, 0.5, 1.0);
+        let full = tf.sample(0.6, 1.0);
+        let half = tf.sample(0.6, 0.5);
         let two_halves = crate::image::over(half, half);
         for i in 0..4 {
             assert!(
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn premultiplied_table_reproduces_sample_bit_for_bit() {
         let tf = TransferFunction::preset(0);
-        let lut = tf.premultiplied(0.4, 1.0);
+        let lut = tf.premultiplied(0.4);
         // Dense sweep past both clamps, plus every rounding tie k + 0.5
         // and its neighbours one ulp away.
         let sweep = (-50..=2600).map(|i| i as f32 / 2550.0);
@@ -290,7 +290,7 @@ mod tests {
             let index = TransferFunction::table_index(v);
             assert_eq!(index, scaled.round() as usize, "index of {v}");
             let bits = |px: Rgba| px.map(f32::to_bits);
-            assert_eq!(bits(lut[index]), bits(tf.sample(v, 0.4, 1.0)), "at {v}");
+            assert_eq!(bits(lut[index]), bits(tf.sample(v, 0.4)), "at {v}");
         }
         for (i, entry) in lut.iter().enumerate() {
             assert_eq!(TransferFunction::table_index(i as f32 / 255.0), i);

@@ -212,7 +212,6 @@ proptest! {
             step,
             early_termination: early,
             shading,
-            ..RenderSettings::default()
         };
         let camera = camera(view, dims, angle);
         let tf = transfer_fn(tf);

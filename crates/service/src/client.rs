@@ -20,11 +20,6 @@ impl ServiceClient {
         ServiceClient { user, requests }
     }
 
-    /// The client's user id.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
     /// Submit one interactive frame (one step of a camera drag). Returns
     /// the channel on which the outcome — the finished frame, or a
     /// rejection/drop verdict under an active overload policy — arrives.

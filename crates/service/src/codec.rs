@@ -15,7 +15,7 @@
 //! both observable through [`Codec::stats`]:
 //!
 //! - **Pooled reads**: each frame's payload lands in a buffer recycled
-//!   from a small pool ([`BufferPool`]) once the previous frame's
+//!   from a pool of eight once the previous frame's
 //!   consumers drop it — steady-state decoding allocates nothing.
 //! - **Zero-copy payloads**: a decoded [`WireFrame`]'s pixels are a
 //!   [`Bytes`] slice *of the pooled read buffer* — never copied into a
@@ -55,32 +55,24 @@ pub struct CodecStats {
     pub payload_copies: u64,
 }
 
-/// A bounded pool of byte buffers recycled across frames. Freezing hands
-/// out an immutable [`Bytes`]; the allocation returns to the pool when
-/// every outstanding handle is dropped and a later [`BufferPool::take`]
-/// reclaims it.
-#[derive(Debug)]
-pub struct BufferPool {
+/// Byte buffers [`BufferPool`] keeps for reuse.
+const POOL_SLOTS: usize = 8;
+
+/// A pool of at most [`POOL_SLOTS`] byte buffers recycled across frames.
+/// Freezing hands out an immutable [`Bytes`]; the allocation returns to
+/// the pool when every outstanding handle is dropped and a later
+/// [`BufferPool::take`] reclaims it.
+#[derive(Debug, Default)]
+struct BufferPool {
     slots: Vec<Bytes>,
-    max_slots: usize,
     hits: u64,
     misses: u64,
 }
 
 impl BufferPool {
-    /// A pool retaining at most `max_slots` buffers.
-    pub fn new(max_slots: usize) -> BufferPool {
-        BufferPool {
-            slots: Vec::with_capacity(max_slots),
-            max_slots: max_slots.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// An empty `Vec` with at least `capacity` reserved, reusing a pooled
     /// allocation when one is free (its consumers dropped their handles).
-    pub fn take(&mut self, capacity: usize) -> Vec<u8> {
+    fn take(&mut self, capacity: usize) -> Vec<u8> {
         for i in 0..self.slots.len() {
             // Our handle plus nobody else's: the allocation is reclaimable.
             if self.slots[i].handle_count() == 1 {
@@ -98,26 +90,15 @@ impl BufferPool {
 
     /// Freeze a filled buffer into [`Bytes`], remembering the allocation
     /// for reuse once all reader handles are gone.
-    pub fn freeze(&mut self, buf: Vec<u8>) -> Bytes {
+    fn freeze(&mut self, buf: Vec<u8>) -> Bytes {
         let bytes = Bytes::from(buf);
-        if self.slots.len() == self.max_slots {
+        if self.slots.len() == POOL_SLOTS {
             // Forget the oldest handle; its allocation frees with its last
             // external reader instead of coming back to the pool.
             self.slots.remove(0);
         }
         self.slots.push(bytes.clone());
         bytes
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        BufferPool::new(8)
     }
 }
 
@@ -193,7 +174,7 @@ impl Default for Codec {
 }
 
 impl Codec {
-    /// A codec with the default pool size.
+    /// A codec with an empty buffer pool.
     pub fn new() -> Codec {
         Codec {
             pool: BufferPool::default(),
@@ -205,10 +186,9 @@ impl Codec {
 
     /// Allocation counters (pool stats folded in).
     pub fn stats(&self) -> CodecStats {
-        let (hits, misses) = self.pool.stats();
         CodecStats {
-            pool_hits: hits,
-            pool_misses: misses,
+            pool_hits: self.pool.hits,
+            pool_misses: self.pool.misses,
             ..self.stats
         }
     }

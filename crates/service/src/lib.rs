@@ -31,7 +31,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use client::ServiceClient;
-pub use codec::{BufferPool, Codec, CodecStats};
+pub use codec::{Codec, CodecStats};
 pub use head::{ServiceConfig, ServiceStats, VizService};
 pub use protocol::{
     FrameResult, RenderOutcome, RenderReply, RenderRequest, RenderTask, TaskDone, ToHead, ToNode,
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::tcp::{ClientOptions, RemoteClient, TcpServer};
     pub use crate::wire::{WireFrame, WireMessage, WireRequest, WireResponse};
     pub use vizsched_metrics::{
-        CollectingProbe, DropReason, JsonlProbe, NoopProbe, Probe, RejectReason, TraceEvent,
+        CollectingProbe, DropReason, NoopProbe, Probe, RejectReason, TraceEvent,
     };
     pub use vizsched_runtime::{FaultEvent, FaultKind, FaultPlan, OverloadPolicy, OverloadStats};
 }

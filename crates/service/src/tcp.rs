@@ -27,8 +27,8 @@
 //! ## Client
 //!
 //! [`RemoteClient`] connects with builder-style [`ClientOptions`] —
-//! retry/backoff on `Overloaded`, a per-call deadline, and a cap on
-//! in-flight requests — mirroring the `ServiceConfig` idiom. The blocking
+//! retries on `Overloaded` and resubmission after a head's restart —
+//! mirroring the `ServiceConfig` idiom. The blocking
 //! entry point is [`RemoteClient::render_interactive_blocking`]; the
 //! channel-returning [`RemoteClient::render_interactive`] remains for
 //! pipelined use. Dropping (or [`RemoteClient::close`]-ing) the client
@@ -39,7 +39,7 @@ use crate::codec::Codec;
 use crate::protocol::{RenderOutcome, RenderReply, RenderRequest};
 use crate::wire::{WireFrame, WireMessage, WireRequest, WireResponse};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use polling::{Events, Interest, Poller, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
@@ -552,41 +552,35 @@ impl EventLoop {
 /// and chain setters.
 ///
 /// ```
-/// use std::time::Duration;
 /// use vizsched_service::ClientOptions;
 ///
-/// let opts = ClientOptions::new()
-///     .retries(4)
-///     .backoff(Duration::from_millis(2), Duration::from_millis(200))
-///     .deadline(Duration::from_secs(5))
-///     .retry_disconnects(true);
+/// let opts = ClientOptions::new().retries(4).retry_disconnects(true);
 /// # let _ = opts;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClientOptions {
     retries: u32,
-    backoff_initial: Duration,
-    backoff_max: Duration,
-    deadline: Option<Duration>,
     retry_disconnects: bool,
 }
 
+/// The pause before the first `Overloaded` retry; each later one doubles
+/// it, up to [`BACKOFF_MAX`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(2);
+/// The longest pause between two `Overloaded` retries.
+const BACKOFF_MAX: Duration = Duration::from_millis(200);
+
 impl ClientOptions {
-    /// Defaults: no retries, 2 ms → 200 ms exponential backoff when
-    /// retries are enabled, no deadline, no reconnect on a dropped
-    /// connection.
+    /// Defaults: no retries, no reconnect on a dropped connection.
     pub fn new() -> ClientOptions {
         ClientOptions {
             retries: 0,
-            backoff_initial: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(200),
-            deadline: None,
             retry_disconnects: false,
         }
     }
 
     /// Resubmit up to `retries` times when the service answers
-    /// `Overloaded` (blocking calls only).
+    /// `Overloaded` (blocking calls only), after a pause of 2 ms that
+    /// doubles on each retry up to 200 ms.
     pub fn retries(mut self, retries: u32) -> ClientOptions {
         self.retries = retries;
         self
@@ -602,21 +596,6 @@ impl ClientOptions {
     /// rather than risk rendering the frame twice.
     pub fn retry_disconnects(mut self, on: bool) -> ClientOptions {
         self.retry_disconnects = on;
-        self
-    }
-
-    /// Exponential backoff between retries: starts at `initial`, doubles
-    /// up to `max`.
-    pub fn backoff(mut self, initial: Duration, max: Duration) -> ClientOptions {
-        self.backoff_initial = initial;
-        self.backoff_max = max.max(initial);
-        self
-    }
-
-    /// Overall per-call deadline for blocking calls, spanning all retries;
-    /// exceeding it returns `TimedOut`.
-    pub fn deadline(mut self, deadline: Duration) -> ClientOptions {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -773,9 +752,8 @@ impl RemoteClient {
         Ok(self.wait_for_epoch())
     }
 
-    fn submit_as(
+    fn submit(
         &self,
-        user: UserId,
         kind: JobKind,
         dataset: DatasetId,
         frame: FrameParams,
@@ -791,7 +769,7 @@ impl RemoteClient {
         lock(&self.pending).insert(request_id, tx);
         let req = WireRequest {
             request_id,
-            user,
+            user: self.user,
             kind,
             dataset,
             frame,
@@ -815,26 +793,14 @@ impl RemoteClient {
         dataset: DatasetId,
         frame: FrameParams,
     ) -> io::Result<Receiver<WireResponse>> {
-        self.render_interactive_as(self.user, action, dataset, frame)
-    }
-
-    /// [`RemoteClient::render_interactive`] on behalf of another user —
-    /// the server multiplexes many users over one connection, so a
-    /// gateway can fan a user population through a single socket.
-    pub fn render_interactive_as(
-        &self,
-        user: UserId,
-        action: ActionId,
-        dataset: DatasetId,
-        frame: FrameParams,
-    ) -> io::Result<Receiver<WireResponse>> {
-        self.submit_as(user, JobKind::Interactive { user, action }, dataset, frame)
+        let user = self.user;
+        self.submit(JobKind::Interactive { user, action }, dataset, frame)
     }
 
     /// Render one interactive frame and block for the terminal response,
     /// applying this client's [`ClientOptions`]: resubmit with exponential
-    /// backoff on `Overloaded` (up to the configured retries) and honor
-    /// the per-call deadline across all attempts. `Expired` verdicts are
+    /// backoff on `Overloaded` (up to the configured retries). `Expired`
+    /// verdicts are
     /// returned as-is — retrying a superseded frame is pointless, a newer
     /// one already rendered — and so is `Overloaded(unknown_dataset)`:
     /// backing off does not make a dataset exist.
@@ -847,16 +813,7 @@ impl RemoteClient {
         let options = &self.options;
         let user = self.user;
         let kind = JobKind::Interactive { user, action };
-        let deadline = options.deadline.map(|d| Instant::now() + d);
-        let timed_out =
-            || io::Error::new(io::ErrorKind::TimedOut, "deadline passed before a response");
-        let dropped = || {
-            io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "connection closed before a response arrived",
-            )
-        };
-        let mut backoff = options.backoff_initial;
+        let mut backoff = BACKOFF_INITIAL;
         let mut overloads_left = options.retries;
         let mut reconnects_left = if options.retry_disconnects {
             1 + options.retries
@@ -890,45 +847,28 @@ impl RemoteClient {
                     // resubmit (it would double-render the frame).
                     Err(err)
                 };
-            let rx = match self.submit_as(user, kind, dataset, frame) {
+            let rx = match self.submit(kind, dataset, frame) {
                 Ok(rx) => rx,
                 Err(err) => {
                     retry_disconnect(err, &mut reconnects_left)?;
                     continue;
                 }
             };
-            let received: io::Result<WireResponse> = match deadline {
-                None => rx.recv().map_err(|_| dropped()),
-                Some(at) => match at.checked_duration_since(Instant::now()) {
-                    None => Err(timed_out()),
-                    Some(left) => rx.recv_timeout(left).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => timed_out(),
-                        RecvTimeoutError::Disconnected => dropped(),
-                    }),
-                },
-            };
-            let response = match received {
-                Ok(response) => response,
-                Err(err) if err.kind() == io::ErrorKind::ConnectionAborted => {
-                    retry_disconnect(err, &mut reconnects_left)?;
-                    continue;
-                }
-                Err(err) => return Err(err),
+            let Ok(response) = rx.recv() else {
+                let dropped = io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "connection closed before a response arrived",
+                );
+                retry_disconnect(dropped, &mut reconnects_left)?;
+                continue;
             };
             match response {
                 WireResponse::Overloaded { reason, .. }
                     if overloads_left > 0 && reason != RejectReason::UnknownDataset =>
                 {
                     overloads_left -= 1;
-                    let mut pause = backoff;
-                    if let Some(at) = deadline {
-                        let left = at
-                            .checked_duration_since(Instant::now())
-                            .ok_or_else(timed_out)?;
-                        pause = pause.min(left);
-                    }
-                    std::thread::sleep(pause);
-                    backoff = (backoff * 2).min(options.backoff_max);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
                 other => return Ok(other),
             }
@@ -943,8 +883,7 @@ impl RemoteClient {
         dataset: DatasetId,
         frame: FrameParams,
     ) -> io::Result<Receiver<WireResponse>> {
-        self.submit_as(
-            self.user,
+        self.submit(
             JobKind::Batch {
                 user: self.user,
                 request,

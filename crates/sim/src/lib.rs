@@ -58,6 +58,6 @@ pub use vizsched_runtime::{
 pub mod prelude {
     pub use crate::engine::{SimConfig, Simulation};
     pub use crate::options::{RunOptions, SchedulerChoice};
-    pub use vizsched_metrics::{CollectingProbe, JsonlProbe, NoopProbe, Probe, TraceEvent};
+    pub use vizsched_metrics::{CollectingProbe, NoopProbe, Probe, TraceEvent};
     pub use vizsched_runtime::{FaultKind, FaultPlan, RuntimeOutcome};
 }

@@ -2,28 +2,31 @@
 //! level-triggered `Poller` / `Events` / `Token` / `Waker` surface the
 //! event-driven service plane needs, with no external dependencies.
 //!
-//! Backends, selected at compile time:
+//! One backend: Linux `epoll(7)` through hand-declared libc externs (the
+//! C library is already linked by `std`, so this needs no crates). Other
+//! targets fail to compile; they should use the crates.io `polling` crate
+//! instead (see `shims/README.md`).
 //!
-//! - **Linux**: `epoll(7)` through hand-declared libc externs (the C
-//!   library is already linked by `std`, so this needs no crates).
-//! - **Other unix**: `poll(2)`, rebuilding the descriptor array per call
-//!   from the registration table — O(n) per wait, fine at shim scale.
-//! - **Elsewhere**: a timed fallback that sleeps up to 1 ms and reports
-//!   every registered source as ready for its registered interests.
-//!   Spurious readiness is part of the API contract (consumers must
-//!   handle `WouldBlock`), so this degrades throughput, not correctness.
-//!
-//! All backends are level-triggered: an event repeats on every `poll`
-//! until the condition is consumed (bytes read, buffer drained). The
-//! [`Waker`] is the cross-thread nudge — `wake()` makes the next (or
-//! current) `poll` return an event carrying the waker's token; the
-//! consumer acknowledges with [`Waker::clear`] before draining whatever
-//! queue the wake announced.
+//! Events are level-triggered: an event repeats on every `poll` until
+//! the condition is consumed (bytes read, buffer drained). The [`Waker`]
+//! is the cross-thread nudge — `wake()` makes the next (or current)
+//! `poll` return an event carrying the waker's token; the consumer
+//! acknowledges with [`Waker::clear`] before draining whatever queue the
+//! wake announced.
 
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "the offline `polling` shim has an epoll(7) backend only: on this target, point the \
+     `polling` entry of [workspace.dependencies] at the crates.io `polling` crate"
+);
+
 use std::io;
+use std::os::raw::{c_int, c_void};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Caller-chosen identifier attached to a registration and echoed on its
@@ -132,82 +135,42 @@ impl<'a> IntoIterator for &'a Events {
     }
 }
 
-/// Sources that can be registered: anything exposing a raw descriptor.
-#[cfg(unix)]
-pub trait Source {
-    /// The raw file descriptor to watch.
-    fn raw(&self) -> std::os::unix::io::RawFd;
+// The kernel ABI packs epoll_event on x86; glibc mirrors that with
+// __EPOLL_PACKED, so the extern declarations below must match.
+#[repr(C)]
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-#[cfg(unix)]
-impl<T: std::os::unix::io::AsRawFd> Source for T {
-    fn raw(&self) -> std::os::unix::io::RawFd {
-        self.as_raw_fd()
-    }
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: u32, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn close(fd: c_int) -> c_int;
 }
 
-/// Sources that can be registered: anything exposing a raw socket.
-#[cfg(not(unix))]
-pub trait Source {
-    /// An identifier for the watched source (raw socket on Windows).
-    fn raw(&self) -> u64;
-}
+const EPOLL_CLOEXEC: c_int = 0x80000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x1;
+const EPOLLOUT: u32 = 0x4;
+const EPOLLERR: u32 = 0x8;
+const EPOLLHUP: u32 = 0x10;
+const EPOLLRDHUP: u32 = 0x2000;
+const EFD_CLOEXEC: c_int = 0x80000;
 
-#[cfg(all(not(unix), windows))]
-impl<T: std::os::windows::io::AsRawSocket> Source for T {
-    fn raw(&self) -> u64 {
-        self.as_raw_socket() as u64
-    }
-}
-
-/// The readiness poller.
-pub struct Poller {
-    sys: sys::Poller,
-}
-
-impl Poller {
-    /// Create a poller.
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            sys: sys::Poller::new()?,
-        })
-    }
-
-    /// Watch `source` for `interest`, tagging its events with `token`.
-    pub fn register(
-        &self,
-        source: &impl Source,
-        token: Token,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.sys.register(source.raw(), token, interest)
-    }
-
-    /// Change an existing registration's token or interest.
-    pub fn reregister(
-        &self,
-        source: &impl Source,
-        token: Token,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.sys.reregister(source.raw(), token, interest)
-    }
-
-    /// Stop watching `source`.
-    pub fn deregister(&self, source: &impl Source) -> io::Result<()> {
-        self.sys.deregister(source.raw())
-    }
-
-    /// Block until at least one event is ready, the timeout elapses, or a
-    /// [`Waker`] fires. `None` waits forever.
-    pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        events.inner.clear();
-        self.sys.poll(events, timeout)
-    }
-
-    /// Create a waker delivering `token` to this poller's `poll`.
-    pub fn waker(&self, token: Token) -> io::Result<Waker> {
-        Waker::new(self, token)
+fn cvt(ret: c_int) -> io::Result<c_int> {
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(ret)
     }
 }
 
@@ -221,9 +184,110 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Waker
-// ---------------------------------------------------------------------------
+/// The readiness poller: one epoll instance. It is `Send` and `Sync`:
+/// the kernel serializes `epoll_ctl` and `epoll_wait` on one descriptor,
+/// so the polling thread and registering threads may share it.
+pub struct Poller {
+    epfd: RawFd,
+}
+
+impl Poller {
+    /// Create a poller.
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: a system call with no pointer arguments.
+        let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Poller { epfd })
+    }
+
+    fn ctl(&self, op: c_int, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        let mut events = EPOLLRDHUP;
+        if interest.is_readable() {
+            events |= EPOLLIN;
+        }
+        if interest.is_writable() {
+            events |= EPOLLOUT;
+        }
+        let mut ev = EpollEvent {
+            events,
+            data: token.0 as u64,
+        };
+        // SAFETY: `ev` is a valid event that outlives the call.
+        cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(drop)
+    }
+
+    /// Watch `source` for `interest`, tagging its events with `token`.
+    pub fn register(
+        &self,
+        source: &impl AsRawFd,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, source.as_raw_fd(), token, interest)
+    }
+
+    /// Change an existing registration's token or interest.
+    pub fn reregister(
+        &self,
+        source: &impl AsRawFd,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, source.as_raw_fd(), token, interest)
+    }
+
+    /// Stop watching `source`.
+    pub fn deregister(&self, source: &impl AsRawFd) -> io::Result<()> {
+        // A dummy event keeps pre-2.6.9 kernels happy (NULL was EFAULT).
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`.
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, source.as_raw_fd(), &mut ev) }).map(drop)
+    }
+
+    /// Block until at least one event is ready, the timeout elapses, or a
+    /// [`Waker`] fires. `None` waits forever.
+    pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
+        events.inner.clear();
+        let mut buf = vec![EpollEvent { events: 0, data: 0 }; events.capacity];
+        let n = loop {
+            // SAFETY: the kernel writes at most `buf.len()` events into `buf`.
+            match cvt(unsafe {
+                epoll_wait(
+                    self.epfd,
+                    buf.as_mut_ptr(),
+                    buf.len() as c_int,
+                    timeout_ms(timeout),
+                )
+            }) {
+                Ok(n) => break n as usize,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        for raw in &buf[..n] {
+            let bits = { raw.events };
+            let closed = bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
+            events.inner.push(Event {
+                token: Token({ raw.data } as usize),
+                readable: bits & EPOLLIN != 0 || closed,
+                writable: bits & EPOLLOUT != 0,
+                closed,
+            });
+        }
+        Ok(())
+    }
+
+    /// Create a waker delivering `token` to this poller's `poll`.
+    pub fn waker(&self, token: Token) -> io::Result<Waker> {
+        Waker::new(self, token)
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: this value owns the descriptor and closes it once.
+        unsafe { close(self.epfd) };
+    }
+}
 
 /// A cross-thread nudge: `wake()` makes the paired poller return an event
 /// with the waker's token. Cheap when already pending (an atomic test).
@@ -231,28 +295,35 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 /// Single-consumer protocol: the polling thread, on receiving the waker's
 /// token, calls [`Waker::clear`] *before* draining the queue the wake
 /// announced; producers enqueue *before* calling `wake()`. That ordering
-/// makes lost wakeups impossible and bounds the underlying signal to one
-/// pending byte.
+/// makes lost wakeups impossible and bounds the eventfd to one pending
+/// signal.
 pub struct Waker {
-    sys: sys::Waker,
-    armed: std::sync::atomic::AtomicBool,
+    fd: RawFd,
+    armed: AtomicBool,
 }
 
 impl Waker {
-    /// Create a waker registered with `poller` under `token`.
+    /// Create a waker (an eventfd) registered with `poller` under `token`.
     pub fn new(poller: &Poller, token: Token) -> io::Result<Waker> {
-        Ok(Waker {
-            sys: sys::Waker::new(&poller.sys, token)?,
-            armed: std::sync::atomic::AtomicBool::new(false),
-        })
+        // SAFETY: a system call with no pointer arguments.
+        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC) })?;
+        let waker = Waker {
+            fd,
+            armed: AtomicBool::new(false),
+        };
+        poller.ctl(EPOLL_CTL_ADD, fd, token, Interest::READABLE)?;
+        Ok(waker)
     }
 
     /// Make the paired poller return (now or on its next `poll`) with this
     /// waker's token. Idempotent until [`Waker::clear`].
     pub fn wake(&self) -> io::Result<()> {
-        use std::sync::atomic::Ordering;
         if !self.armed.swap(true, Ordering::AcqRel) {
-            self.sys.signal()?;
+            let one: u64 = 1;
+            // SAFETY: `one` is 8 readable bytes.
+            if unsafe { write(self.fd, (&one as *const u64).cast(), 8) } != 8 {
+                return Err(io::Error::last_os_error());
+            }
         }
         Ok(())
     }
@@ -260,459 +331,19 @@ impl Waker {
     /// Acknowledge a delivered wake; the next [`Waker::wake`] signals
     /// again. Call from the polling thread when the waker's token arrives.
     pub fn clear(&self) {
-        use std::sync::atomic::Ordering;
-        self.sys.drain();
+        // Reset the eventfd counter. The armed flag bounds pending signals
+        // to one, so a single 8-byte read never blocks here.
+        let mut buf = [0u8; 8];
+        // SAFETY: `buf` is 8 writable bytes.
+        unsafe { read(self.fd, buf.as_mut_ptr().cast(), 8) };
         self.armed.store(false, Ordering::Release);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Linux backend: epoll
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::{timeout_ms, Event, Events, Interest, Token};
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    // The kernel ABI packs epoll_event on x86; glibc mirrors that with
-    // __EPOLL_PACKED, so the extern declarations below must match.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
-        fn eventfd(initval: u32, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    const EPOLL_CLOEXEC: c_int = 0x80000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x1;
-    const EPOLLOUT: u32 = 0x4;
-    const EPOLLERR: u32 = 0x8;
-    const EPOLLHUP: u32 = 0x10;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EFD_CLOEXEC: c_int = 0x80000;
-
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = EPOLLRDHUP;
-        if interest.is_readable() {
-            bits |= EPOLLIN;
-        }
-        if interest.is_writable() {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
-    fn cvt(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    pub struct Poller {
-        epfd: RawFd,
-    }
-
-    // The epoll fd is used from both the polling thread and registering
-    // threads; the kernel serializes epoll_ctl/epoll_wait internally.
-    unsafe impl Send for Poller {}
-    unsafe impl Sync for Poller {}
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: interest_bits(interest),
-                data: token.0 as u64,
-            };
-            cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(drop)
-        }
-
-        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            // A dummy event keeps pre-2.6.9 kernels happy (NULL was EFAULT).
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(drop)
-        }
-
-        pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-            let mut buf = vec![EpollEvent { events: 0, data: 0 }; events.capacity];
-            let n = loop {
-                match cvt(unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        buf.as_mut_ptr(),
-                        buf.len() as c_int,
-                        timeout_ms(timeout),
-                    )
-                }) {
-                    Ok(n) => break n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            };
-            for raw in &buf[..n] {
-                let bits = { raw.events };
-                let closed = bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
-                events.inner.push(Event {
-                    token: Token({ raw.data } as usize),
-                    readable: bits & EPOLLIN != 0 || closed,
-                    writable: bits & EPOLLOUT != 0,
-                    closed,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
-
-    pub struct Waker {
-        fd: RawFd,
-    }
-
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
-
-    impl Waker {
-        pub fn new(poller: &Poller, token: Token) -> io::Result<Waker> {
-            let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC) })?;
-            poller.register(fd, token, Interest::READABLE)?;
-            Ok(Waker { fd })
-        }
-
-        pub fn signal(&self) -> io::Result<()> {
-            let one: u64 = 1;
-            let n = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-            if n == 8 {
-                Ok(())
-            } else {
-                Err(io::Error::last_os_error())
-            }
-        }
-
-        /// Reset the eventfd counter. The armed flag bounds pending
-        /// signals to one, so a single 8-byte read never blocks here.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            unsafe { read(self.fd, buf.as_mut_ptr().cast(), 8) };
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Other unix backend: poll(2)
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{timeout_ms, Event, Events, Interest, Token};
-    use std::io;
-    use std::os::raw::{c_int, c_short, c_void};
-    use std::os::unix::io::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: usize, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    const POLLIN: c_short = 0x1;
-    const POLLOUT: c_short = 0x4;
-    const POLLERR: c_short = 0x8;
-    const POLLHUP: c_short = 0x10;
-
-    pub struct Poller {
-        registry: Mutex<Vec<(RawFd, Token, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registry: Mutex::new(Vec::new()),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap();
-            if reg.iter().any(|(f, ..)| *f == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            reg.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap();
-            for entry in reg.iter_mut() {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap();
-            let before = reg.len();
-            reg.retain(|(f, ..)| *f != fd);
-            if reg.len() == before {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-            }
-            Ok(())
-        }
-
-        pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-            let snapshot: Vec<(RawFd, Token, Interest)> = self.registry.lock().unwrap().clone();
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|&(fd, _, interest)| PollFd {
-                    fd,
-                    events: if interest.is_readable() { POLLIN } else { 0 }
-                        | if interest.is_writable() { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            let n = loop {
-                let ret = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
-                if ret >= 0 {
-                    break ret as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            if n == 0 {
-                return Ok(());
-            }
-            for (pollfd, &(_, token, _)) in fds.iter().zip(&snapshot) {
-                let bits = pollfd.revents;
-                if bits == 0 {
-                    continue;
-                }
-                let closed = bits & (POLLERR | POLLHUP) != 0;
-                events.inner.push(Event {
-                    token,
-                    readable: bits & POLLIN != 0 || closed,
-                    writable: bits & POLLOUT != 0,
-                    closed,
-                });
-                if events.inner.len() == events.capacity {
-                    break;
-                }
-            }
-            Ok(())
-        }
-    }
-
-    pub struct Waker {
-        read_fd: RawFd,
-        write_fd: RawFd,
-    }
-
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
-
-    impl Waker {
-        pub fn new(poller: &Poller, token: Token) -> io::Result<Waker> {
-            let mut fds = [0 as c_int; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            poller.register(fds[0], token, Interest::READABLE)?;
-            Ok(Waker {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
-
-        pub fn signal(&self) -> io::Result<()> {
-            let byte = 1u8;
-            let n = unsafe { write(self.write_fd, (&byte as *const u8).cast(), 1) };
-            if n == 1 {
-                Ok(())
-            } else {
-                Err(io::Error::last_os_error())
-            }
-        }
-
-        /// The armed flag bounds the pipe to one pending byte, so a single
-        /// one-byte read never blocks here.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 1];
-            unsafe { read(self.read_fd, buf.as_mut_ptr().cast(), 1) };
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Portable fallback: timed spurious readiness
-// ---------------------------------------------------------------------------
-
-#[cfg(not(unix))]
-mod sys {
-    use super::{Event, Events, Interest, Token};
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    /// No OS readiness facility: sleep briefly and report every
-    /// registration ready for its interests. Consumers already tolerate
-    /// spurious readiness (they handle `WouldBlock`), so this trades
-    /// efficiency, not correctness.
-    pub struct Poller {
-        registry: Mutex<Vec<(u64, Token, Interest)>>,
-        wakers: Mutex<Vec<(Arc<AtomicBool>, Token)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registry: Mutex::new(Vec::new()),
-                wakers: Mutex::new(Vec::new()),
-            })
-        }
-
-        pub fn register(&self, key: u64, token: Token, interest: Interest) -> io::Result<()> {
-            self.registry.lock().unwrap().push((key, token, interest));
-            Ok(())
-        }
-
-        pub fn reregister(&self, key: u64, token: Token, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap();
-            for entry in reg.iter_mut() {
-                if entry.0 == key {
-                    *entry = (key, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "source not registered",
-            ))
-        }
-
-        pub fn deregister(&self, key: u64) -> io::Result<()> {
-            self.registry.lock().unwrap().retain(|(k, ..)| *k != key);
-            Ok(())
-        }
-
-        pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-            let nap = timeout
-                .unwrap_or(Duration::from_millis(1))
-                .min(Duration::from_millis(1));
-            std::thread::sleep(nap);
-            for (pending, token) in self.wakers.lock().unwrap().iter() {
-                if pending.load(Ordering::Acquire) {
-                    events.inner.push(Event {
-                        token: *token,
-                        readable: true,
-                        writable: false,
-                        closed: false,
-                    });
-                }
-            }
-            for &(_, token, interest) in self.registry.lock().unwrap().iter() {
-                if events.inner.len() >= events.capacity {
-                    break;
-                }
-                events.inner.push(Event {
-                    token,
-                    readable: interest.is_readable(),
-                    writable: interest.is_writable(),
-                    closed: false,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    pub struct Waker {
-        pending: Arc<AtomicBool>,
-    }
-
-    impl Waker {
-        pub fn new(poller: &Poller, token: Token) -> io::Result<Waker> {
-            let pending = Arc::new(AtomicBool::new(false));
-            poller.wakers.lock().unwrap().push((pending.clone(), token));
-            Ok(Waker { pending })
-        }
-
-        pub fn signal(&self) -> io::Result<()> {
-            self.pending.store(true, Ordering::Release);
-            Ok(())
-        }
-
-        pub fn drain(&self) {
-            self.pending.store(false, Ordering::Release);
-        }
+impl Drop for Waker {
+    fn drop(&mut self) {
+        // SAFETY: this value owns the descriptor and closes it once.
+        unsafe { close(self.fd) };
     }
 }
 
@@ -736,12 +367,12 @@ mod tests {
             .register(&listener, LISTENER, Interest::READABLE)
             .unwrap();
 
-        // Nothing pending: a short poll times out empty (the portable
-        // fallback may report spuriously, which accept() then refutes).
+        // Nothing pending: a short poll times out empty.
         let mut events = Events::with_capacity(8);
         poller
             .poll(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
+        assert!(events.is_empty());
 
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -4,12 +4,13 @@
 //! record line kind, docs/OPERATORS_GUIDE.md must name every traffic
 //! shape, the top-level markdown documents (including the guides in
 //! docs/) must not carry dead intra-repo links, every CI `--check` must
-//! name a committed root `BENCH_*.json`, every root test and example must
-//! be a registered cargo target, the shim inventory must agree with
-//! itself, splitmix64 and the fault interpreter must each be written
-//! once, every simulator and policy setting must have a caller, and the
-//! trace-event count the guides quote must be the code's. Run by the CI
-//! docs job.
+//! name a committed root `BENCH_*.json`, every committed result but a
+//! shrinking named few must be named by a CI step, every root test and
+//! example must be a registered cargo target, the shim inventory must
+//! agree with itself, splitmix64 and the fault interpreter must each be
+//! written once, every simulator, policy, client and render setting must
+//! have a caller, and the trace-event count the guides quote must be the
+//! code's. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -390,6 +391,58 @@ fn ci_check_paths_are_root_bench_baselines() {
     }
 }
 
+/// Every committed result is checked: each file under `results/` is named
+/// by a step of the CI workflow (a comment does not count), except the
+/// ones in `UNCHECKED`, which no step regenerates yet. That set only
+/// shrinks: a file in it that a step starts to name, or that is deleted,
+/// fails here until it leaves the set.
+#[test]
+fn every_result_is_named_by_a_ci_step() {
+    const UNCHECKED: [&str; 5] = [
+        "ablation.txt",
+        "fig2.txt",
+        "fig8.txt",
+        "fig9.txt",
+        "scenario_all.txt",
+    ];
+    let steps: String = read(".github/workflows/ci.yml")
+        .lines()
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let results: Vec<String> = std::fs::read_dir(repo_root().join("results"))
+        .expect("read results/")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let mut wrong = Vec::new();
+    for file in &results {
+        let named = steps.contains(&format!("results/{file}"));
+        match (named, UNCHECKED.contains(&file.as_str())) {
+            (false, false) => wrong.push(format!("no CI step names results/{file}")),
+            (true, true) => wrong.push(format!(
+                "results/{file} is checked now: drop it from UNCHECKED"
+            )),
+            _ => {}
+        }
+    }
+    for file in UNCHECKED {
+        if !results.iter().any(|r| r == file) {
+            wrong.push(format!("results/{file} is gone: drop it from UNCHECKED"));
+        }
+    }
+    assert!(
+        results.len() > UNCHECKED.len(),
+        "results/ looks empty: {results:?}"
+    );
+    assert!(wrong.is_empty(), "{wrong:?}");
+}
+
 /// The offline shims are listed three times — the table in
 /// shims/README.md, the directories under shims/, and the `shims/` path
 /// entries of `[workspace.dependencies]` — and the three must be the same
@@ -437,19 +490,21 @@ fn shims_readme_dirs_and_workspace_entries_agree() {
     }
 }
 
+/// Every `.rs` file under `dir`, at any depth, appended to `out`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
 /// The `.rs` files under `crates/*/src` whose text satisfies `needle`, as
 /// sorted repo-relative paths.
 fn sources_containing(needle: impl Fn(&str) -> bool) -> Vec<String> {
-    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("read source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let root = repo_root();
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
@@ -487,8 +542,10 @@ fn splitmix64_is_written_once() {
 }
 
 /// One bench front end: `vizsched_bench::harness` alone reads the process
-/// arguments and loads a `--check` baseline; a bench binary asks its
-/// `Cli` for flags and hands `Cli::check` its gate list.
+/// arguments and loads a `--check` baseline; every bench binary parses
+/// its command line with `Cli::parse` (which refuses an argument the
+/// binary does not name), asks its `Cli` for flags and hands `Cli::check`
+/// its gate list.
 #[test]
 fn bench_binaries_leave_arguments_and_baselines_to_the_harness() {
     let dir = repo_root().join("crates/bench/src/bin");
@@ -502,6 +559,9 @@ fn bench_binaries_leave_arguments_and_baselines_to_the_harness() {
         }
         if text.contains("baseline()") || text.contains("\"--check\"") {
             offenders.push(format!("{name} loads a --check baseline"));
+        }
+        if !text.contains("Cli::parse(") {
+            offenders.push(format!("{name} never parses its command line"));
         }
     }
     offenders.sort();
@@ -649,7 +709,10 @@ fn sets_field(code: &str, ty: &str, field: &str) -> bool {
 /// binary, the live service or `SchedulerKind::build`; tests, examples,
 /// docs and the integration rig do not count. A value only they set is a
 /// constant in disguise, and the code only it reaches runs in no
-/// benchmark.
+/// benchmark. A `ClientOptions` setter and a `RenderSettings` field must
+/// each be set by Rust code outside the file that defines it, tests and
+/// examples included (they are `RemoteClient`'s only callers): one that
+/// nothing sets is a constant in disguise too.
 #[test]
 fn every_setting_has_a_caller() {
     let sources = sources_containing(|_| true);
@@ -707,5 +770,53 @@ fn every_setting_has_a_caller() {
     assert!(
         settings.len() > 5 && unset.is_empty(),
         "settings no bench binary, service or SchedulerKind::build sets: {unset:?}"
+    );
+
+    let outside = |defining: &str| -> String {
+        let mut files = Vec::new();
+        for dir in ["crates", "tests", "examples"] {
+            rust_files(&repo_root().join(dir), &mut files);
+        }
+        files
+            .iter()
+            .filter(|path| !path.ends_with(defining))
+            .map(|path| std::fs::read_to_string(path).expect("read source file"))
+            .collect()
+    };
+    let tcp = "crates/service/src/tcp.rs";
+    let (client, client_callers) = (code_of(tcp), outside(tcp));
+    let setters = client
+        .split("impl ClientOptions {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .expect("impl ClientOptions");
+    let mut knobs = Vec::new();
+    for decl in setters.split("pub fn ").skip(1) {
+        let (name, args) = decl.split_once('(').expect("fn arguments");
+        if args
+            .trim_start()
+            .trim_start_matches("mut ")
+            .starts_with("self")
+        {
+            knobs.push((
+                format!("ClientOptions::{name}"),
+                client_callers.contains(&format!(".{name}(")),
+            ));
+        }
+    }
+    let raycast = "crates/render/src/raycast.rs";
+    let render_callers = outside(raycast);
+    for field in struct_fields(&code_of(raycast), "RenderSettings") {
+        let set = sets_field(&render_callers, "RenderSettings", &field);
+        knobs.push((format!("RenderSettings::{field}"), set));
+    }
+    let unset: Vec<&String> = knobs
+        .iter()
+        .filter(|(_, set)| !set)
+        .map(|(knob, _)| knob)
+        .collect();
+    assert!(
+        knobs.len() > 5 && unset.is_empty(),
+        "client and render settings nothing outside their own file sets: {unset:?}"
     );
 }

@@ -8,14 +8,15 @@
 //! (hundreds of ms) against a burst submitted in microseconds — the same
 //! construction as the sim/service parity tests.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vizsched_core::prelude::*;
 use vizsched_integration::parity::{frame, Pair};
 use vizsched_metrics::{DropReason, NoopProbe, RejectReason};
 use vizsched_service::{
-    ClientOptions, OverloadPolicy, RemoteClient, RenderOutcome, RenderReply, ServiceClient,
-    ServiceStats, TcpServer, VizService, WireResponse,
+    ClientOptions, OverloadPolicy, RemoteClient, RenderOutcome, RenderReply, RenderRequest,
+    ServiceClient, ServiceStats, TcpServer, VizService, WireResponse,
 };
 
 const WIDE_CYCLE: SimDuration = SimDuration::from_millis(300);
@@ -274,29 +275,48 @@ fn tcp_retry_recovers_once_the_cap_drains() {
 /// malformed request, not a reason to lose the head: the service answers
 /// `Overloaded(UnknownDataset)` — at once, without spending the client's
 /// retries, since backing off does not make a dataset exist — and keeps
-/// serving the same connection.
+/// serving the same connection. The server's requests pass through a
+/// counting relay, so a single resubmission of the bad request fails the
+/// test, and every blocking call waits on a bound, so a head that dies
+/// instead of answering fails it too.
 #[test]
 fn unknown_dataset_is_rejected_and_the_head_keeps_serving() {
     let stats = policed(OverloadPolicy::default(), |service| {
-        let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
-        // The deadline only matters where the head dies instead of
-        // answering: it turns the wait on a dead head into a test failure.
-        let options = ClientOptions::new()
-            .retries(20)
-            .backoff(Duration::from_secs(2), Duration::from_secs(2))
-            .deadline(Duration::from_secs(20));
-        let client =
-            RemoteClient::connect_with(server.addr(), UserId(0), options).expect("connect");
+        let (relay, requests) = crossbeam::channel::unbounded::<RenderRequest>();
+        let head = service.request_sender();
+        let unknown_seen = Arc::new(AtomicUsize::new(0));
+        let seen = unknown_seen.clone();
+        let forwarder = std::thread::spawn(move || {
+            while let Ok(request) = requests.recv() {
+                if request.dataset == DatasetId(7) {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
+                let _ = head.send(request);
+            }
+        });
+        let server = TcpServer::start("127.0.0.1:0", relay).expect("bind");
+        let client = Arc::new(
+            RemoteClient::connect_with(server.addr(), UserId(0), ClientOptions::new().retries(20))
+                .expect("connect"),
+        );
+        let blocking = |action: u64, dataset: u32, at: f32| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(client.render_interactive_blocking(
+                    ActionId(action),
+                    DatasetId(dataset),
+                    frame(at),
+                ));
+            });
+            rx.recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("dataset {dataset}: no response: {e}"))
+        };
 
-        let good = client
-            .render_interactive_blocking(ActionId(0), DatasetId(0), frame(0.1))
-            .expect("submit");
+        let good = blocking(0, 0, 0.1).expect("submit");
         assert!(good.into_frame().is_some(), "the first frame renders");
 
-        let asked = std::time::Instant::now();
-        let bad = client
-            .render_interactive_blocking(ActionId(1), DatasetId(7), frame(0.2))
-            .expect("submit");
+        let bad = blocking(1, 7, 0.2).expect("submit");
         assert!(
             matches!(
                 bad,
@@ -307,18 +327,18 @@ fn unknown_dataset_is_rejected_and_the_head_keeps_serving() {
             ),
             "expected UnknownDataset, got {bad:?}"
         );
-        assert!(
-            asked.elapsed() < Duration::from_secs(2),
-            "the verdict must come back without a retry backoff"
+        assert_eq!(
+            unknown_seen.load(Ordering::SeqCst),
+            1,
+            "the verdict must come back without a retry"
         );
 
-        let again = client
-            .render_interactive_blocking(ActionId(2), DatasetId(1), frame(0.3))
-            .expect("the connection is still served");
+        let again = blocking(2, 1, 0.3).expect("the connection is still served");
         assert!(again.into_frame().is_some(), "the head survived");
 
-        drop(client);
+        client.close();
         server.stop();
+        forwarder.join().expect("relay thread");
     });
     assert_eq!(stats.jobs_completed, 2);
     assert_eq!(stats.overload.rejected, 0, "a boundary verdict, not a job");
