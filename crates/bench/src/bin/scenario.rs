@@ -72,7 +72,7 @@ fn main() {
         "--json <path>",
     ]);
     let which = cli.positional().unwrap_or("1");
-    let short: Option<u64> = cli.value("--short").and_then(|s| s.parse().ok());
+    let short: Option<u64> = cli.parsed("--short");
     let trace_path = cli.value("--trace");
     let policy_arg = cli
         .value("--policy")

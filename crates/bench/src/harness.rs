@@ -4,10 +4,11 @@
 //! [`Cli`] is the only reader of the process arguments. A binary names
 //! every argument it reads once, in [`Cli::parse`]: the shared `--json` /
 //! `--check` / `--quick` flags ([`Cli::json`], [`Cli::check`],
-//! [`Cli::quick`]), its own valued flags ([`Cli::value`], [`Cli::number`]),
-//! switches ([`Cli::flag`]) and `scenario`'s positional argument
-//! ([`Cli::positional`]). Any other argument exits 2, and reading one the
-//! binary did not name panics.
+//! [`Cli::quick`]), its own valued flags ([`Cli::value`], and
+//! [`Cli::parsed`] / [`Cli::number`] for numbers), switches ([`Cli::flag`])
+//! and `scenario`'s positional argument ([`Cli::positional`]). Any other
+//! argument, or a number whose value does not parse, exits 2, and reading
+//! one the binary did not name panics.
 //!
 //! [`Cli::check`] is the only regression check: it loads the `--check`
 //! baseline, judges every [`Gate`], prints one header line and one verdict
@@ -19,6 +20,8 @@ use vizsched_metrics::json::{fmt_f64, parse, Json};
 
 /// The process command line, parsed once.
 pub struct Cli {
+    /// The binary's file name, the prefix of every refusal line.
+    bin: String,
     /// The arguments the binary reads, as its usage shows them:
     /// `--name <what>` takes a value, a bare `--name` is a switch, and
     /// `<what>` is the one positional argument.
@@ -40,16 +43,15 @@ impl Cli {
     pub fn parse(accepted: &'static [&'static str]) -> Cli {
         let mut args = std::env::args();
         let bin = args.next().unwrap_or_default();
-        Cli::from_args(accepted, args).unwrap_or_else(|msg| {
-            let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
-            eprintln!("{}: {msg}", bin.to_string_lossy());
-            std::process::exit(2)
-        })
+        let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
+        let bin = bin.to_string_lossy().into_owned();
+        Cli::from_args(&bin, accepted, args).unwrap_or_else(|msg| refuse(&bin, &msg))
     }
 
-    /// [`Cli::parse`] over `args`, the arguments after the binary's name;
-    /// the error is the line to print.
+    /// [`Cli::parse`] over `args`, the arguments after the binary's name
+    /// `bin`; the error is the line to print.
     fn from_args(
+        bin: &str,
         accepted: &'static [&'static str],
         args: impl IntoIterator<Item = String>,
     ) -> Result<Cli, String> {
@@ -85,7 +87,11 @@ impl Cli {
             };
             given.push((entry, value));
         }
-        Ok(Cli { accepted, given })
+        Ok(Cli {
+            bin: bin.to_string(),
+            accepted,
+            given,
+        })
     }
 
     /// The first occurrence of `flag`'s entry (`<what>` for the positional
@@ -119,12 +125,19 @@ impl Cli {
         self.read(name).is_some()
     }
 
-    /// `flag`'s value parsed as a number; `default` when the flag is
-    /// absent or malformed.
+    /// `flag`'s value parsed as a number, if the flag was given. A value
+    /// that does not parse prints one line naming it and exits 2, as an
+    /// unknown argument does.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let s = self.value(flag)?;
+        let invalid = |_| refuse(&self.bin, &format!("invalid value `{s}` for {flag}"));
+        Some(s.parse().unwrap_or_else(invalid))
+    }
+
+    /// `flag`'s value as [`Cli::parsed`] reads it; `default` when the flag
+    /// is absent.
     pub fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        self.value(flag)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+        self.parsed(flag).unwrap_or(default)
     }
 
     /// `--json <path>`: where to write the fresh report.
@@ -183,6 +196,12 @@ impl Cli {
             std::process::exit(1);
         }
     }
+}
+
+/// Refuse the command line: one `<bin>: <msg>` line on stderr, exit 2.
+fn refuse(bin: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// The geometric mean of `ratios` (a log-mean fold); 1.0 when empty.
@@ -314,7 +333,7 @@ mod tests {
     use vizsched_metrics::json::obj;
 
     fn cli(accepted: &'static [&'static str], args: &[&str]) -> Result<Cli, String> {
-        Cli::from_args(accepted, args.iter().map(|a| a.to_string()))
+        Cli::from_args("bench", accepted, args.iter().map(|a| a.to_string()))
     }
 
     const SCENARIO: &[&str] = &["<scenario>", "--short <secs>", "--json <path>", "--quick"];
@@ -335,12 +354,14 @@ mod tests {
         assert_eq!(c.positional(), Some("2"));
         assert_eq!(c.value("--short"), Some("12"));
         assert_eq!(c.number("--short", 1u64), 12);
+        assert_eq!(c.parsed::<u32>("--short"), Some(12));
         assert_eq!(c.json(), Some("o.json"));
         assert!(c.quick() && c.flag("--quick"));
         let bare = cli(SCENARIO, &[]).unwrap();
         assert_eq!((bare.positional(), bare.json()), (None, None));
         assert!(!bare.quick());
         assert_eq!(bare.number("--short", 1u64), 1);
+        assert_eq!(bare.parsed::<u64>("--short"), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Every bench binary refuses an argument it does not read: an unknown,
 //! misspelt or retired flag, or any argument at all to a binary that reads
 //! none, exits 2 with one line on stderr that names the argument and lists
-//! the accepted ones — it is never silently ignored.
+//! the accepted ones — it is never silently ignored. A number flag's value
+//! that does not parse is refused the same way, never read as the default.
 
 use std::process::{Command, Output};
 
@@ -68,6 +69,34 @@ fn a_flag_another_binary_reads_is_refused() {
     );
 }
 
+#[test]
+fn a_malformed_number_is_refused() {
+    for (bin, args, line) in [
+        (
+            env!("CARGO_BIN_EXE_skew"),
+            &["--length", "abc"][..],
+            "skew: invalid value `abc` for --length",
+        ),
+        (
+            env!("CARGO_BIN_EXE_scenario"),
+            &["1", "--short", "x"],
+            "scenario: invalid value `x` for --short",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sched_hotpath"),
+            &["--samples", "1.5"],
+            "sched_hotpath: invalid value `1.5` for --samples",
+        ),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+        assert_eq!(stderr.trim_end(), line, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
+    }
+}
+
+/// A well-formed number (`--short 1`) still runs.
 #[test]
 fn accepted_flags_still_run() {
     let json = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_s1.json");

@@ -26,7 +26,7 @@ use crate::protocol::{
     FrameResult, RenderOutcome, RenderReply, RenderRequest, RenderTask, TaskDone, ToHead, ToNode,
 };
 use crate::storage::ChunkStore;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,7 +40,8 @@ use vizsched_core::job::{FrameParams, Job};
 use vizsched_core::sched::{Assignment, SchedulerKind};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
-use vizsched_metrics::{DropReason, NoopProbe, Probe, RejectReason};
+use vizsched_metrics::DropReason::{DeadlineExpired, Superseded};
+use vizsched_metrics::{NoopProbe, Probe, RejectReason};
 use vizsched_render::Layer;
 use vizsched_runtime::{
     Admission, Completion, FaultPlan, HeadRuntime, OverloadPolicy, RuntimeOutcome, ShardedRuntime,
@@ -461,6 +462,14 @@ fn head_loop(
     // entry fires at the first loop iteration at or after its time, and
     // the loop wakes for the next one.
     let mut plan = config.fault_plan.events().iter().peekable();
+    // What else wakes the loop, registered in arm order (0, 1, 2): when
+    // several are ready, the lowest is handled first. The head is each
+    // receiver's only consumer, so a ready one's `try_recv` finds its
+    // message or its disconnect.
+    let mut ready = Select::new();
+    ready.recv(&control);
+    ready.recv(&requests);
+    ready.recv(&from_nodes);
 
     loop {
         // Dispatches that bounced off a dead channel surface as faults.
@@ -479,11 +488,7 @@ fn head_loop(
         if runtime.next_cycle(t).is_some_and(|due| due <= t) {
             let outcome = runtime.on_cycle(&mut sub, t);
             for stale in outcome.expired {
-                shed(
-                    &mut sub,
-                    stale,
-                    RenderOutcome::Dropped(DropReason::DeadlineExpired),
-                );
+                shed(&mut sub, stale, RenderOutcome::Dropped(DeadlineExpired));
             }
         }
         if draining
@@ -494,7 +499,7 @@ fn head_loop(
         {
             break;
         }
-        // Sleep until a message arrives, the next cycle is due, or the
+        // Block until a message arrives, the next cycle is due, or the
         // next planned fault fires, whichever comes first.
         let t = now();
         let wake = runtime
@@ -505,13 +510,13 @@ fn head_loop(
         let timeout = wake.map_or(Duration::MAX, |at| {
             Duration::from_micros(at.saturating_since(t).as_micros())
         });
-        crossbeam::channel::select! {
-            recv(control) -> msg => match msg {
+        match ready.ready_timeout(timeout) {
+            Ok(0) => match control.try_recv() {
                 Ok(Control::Stop) | Err(_) => break,
                 Ok(Control::Drain) => draining = true,
             },
-            recv(requests) -> msg => {
-                let Ok(req) = msg else { break };
+            Ok(1) => {
+                let Ok(req) = requests.try_recv() else { break };
                 // The one intake point: a dataset outside the catalog is
                 // refused here, before it costs a job id or a pending
                 // entry (the runtime indexes the catalog unchecked).
@@ -530,44 +535,39 @@ fn head_loop(
                     frame: req.frame,
                 };
                 next_job += 1;
-                sub.pending.insert(job.id, PendingJob {
+                let pending = PendingJob {
                     reply: req.reply,
                     correlation: req.correlation,
                     frame: job.frame,
                     misses: 0,
                     layers: Vec::new(),
-                });
-                let t = job.issue_time;
+                };
+                sub.pending.insert(job.id, pending);
                 let id = job.id;
-                match runtime.on_job_arrival(&mut sub, t, job).1 {
+                match runtime.on_job_arrival(&mut sub, job.issue_time, job).1 {
                     Admission::Rejected(reason) => {
                         shed(&mut sub, id, RenderOutcome::Rejected(reason));
                     }
                     Admission::Buffered { superseded } => {
                         for stale in superseded {
-                            shed(&mut sub, stale,
-                                RenderOutcome::Dropped(DropReason::Superseded));
+                            shed(&mut sub, stale, RenderOutcome::Dropped(Superseded));
                         }
                     }
                     Admission::Scheduled => {}
                 }
             }
-            recv(from_nodes) -> msg => match msg {
+            Ok(_) => match from_nodes.try_recv() {
                 // A crashed incarnation's reports are stale: the runtime
                 // re-placed its work when it crashed.
-                Ok(ToHead::TaskDone(done)) => {
-                    if sub.is_current(done.node, done.epoch) {
-                        handle_task_done(done, &mut runtime, &mut sub, now());
-                    }
+                Ok(ToHead::TaskDone(done)) if sub.is_current(done.node, done.epoch) => {
+                    handle_task_done(done, &mut runtime, &mut sub, now());
                 }
-                Ok(ToHead::Stopped { node, epoch }) => {
-                    if sub.is_current(node, epoch) {
-                        sub.died(&mut runtime, now(), NodeId(node));
-                    }
+                Ok(ToHead::Stopped { node, epoch }) if sub.is_current(node, epoch) => {
+                    sub.died(&mut runtime, now(), NodeId(node));
                 }
-                Err(_) => {}
+                _ => {}
             },
-            default(timeout) => {}
+            Err(_) => {}
         }
     }
 

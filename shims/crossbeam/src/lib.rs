@@ -1,5 +1,5 @@
 //! Offline stand-in for `crossbeam`: MPMC channels with the subset of the
 //! `crossbeam-channel` API this workspace uses (`unbounded`, `bounded`,
-//! `select!` with a `default(timeout)` arm, timeouts).
+//! timeouts, and a blocking `Select` over several receivers).
 
 pub mod channel;
