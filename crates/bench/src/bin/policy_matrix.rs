@@ -1,27 +1,23 @@
-//! The overload sweep: a head-to-head race of the post-paper policy
-//! family against the paper's schedulers under admission control, with a
-//! machine-readable baseline for CI regression gating.
-//!
-//! Runs the dedicated overload scenario (8 nodes, 8 datasets, burst
-//! overlay over the middle half of the run; see EXPERIMENTS.md) for every
-//! policy in the matrix — OURS and FCFSL from the paper, MOBJ after
-//! Mamirov — at {1×, 2×, 4×, 10×} saturation, under the same admission
-//! policy. Each (policy, factor) cell is simulated once single-head, which
-//! gives its admission counters (offered, admitted, rejected, coalesced,
-//! expired, escalated, shed rate) and quality axes (completed-interactive
-//! p99, batch completion, the longest batch starvation gap), and once per
-//! twin shard count in {2, 4} on the same offered jobs, which gives the
-//! per-shard starvation/fragmentation view and the hottest-shard imbalance
-//! (hottest shard's executed tasks over the mean shard's). The sim is
-//! deterministic, so cells are exact — there is no sampling loop.
+//! The overload sweep: OURS and FCFSL from the paper and MOBJ after
+//! Mamirov race every load of one axis — the overload scenario (8 nodes,
+//! 8 datasets; see EXPERIMENTS.md) with a burst over the middle half of
+//! the run at {1×, 2×, 4×, 10×} saturation, and every traffic shape of
+//! `TrafficShape::demo_suite`, the flash crowd beside its crowd-free
+//! reference. Each load replays from its scenario record
+//! (`experiments::replay_of`) under its own admission policy. Each
+//! (load, policy) cell is simulated once single-head, which gives its
+//! admission counters, interactive p99 and mean, hit rate, batch
+//! completion and longest batch starvation gap, and once per twin shard
+//! count in {2, 4} on the same offered jobs, which gives the per-shard
+//! starvation/fragmentation view and the hottest-shard imbalance. The sim
+//! is deterministic, so cells are exact.
 //!
 //! The headline row is 4× saturation with the 2-shard twin (4 nodes per
 //! shard): wide enough that the placement scorer still has within-shard
-//! freedom. With 4 shards of 2 nodes the executed-task ratio is a
+//! freedom. On 4 shards of 2 nodes the executed-task ratio is a
 //! routing-tier property — a policy that sheds *less* of the hot shard's
-//! load executes more tasks there and loses the ratio for serving more
-//! work, so the 4-shard column is reported but not gated (see
-//! EXPERIMENTS.md).
+//! load executes more tasks there — so that column is reported but not
+//! gated (see EXPERIMENTS.md).
 //!
 //! ```text
 //! cargo run --release -p vizsched-bench --bin policy_matrix                 # print table
@@ -30,28 +26,25 @@
 //!     --check BENCH_policy.json --json bench-policy-fresh.json              # CI gate
 //! ```
 //!
-//! `--check <path>` reruns the matrix and compares the committed headline
-//! gains — OURS's longest batch starvation gap and hottest-shard
-//! imbalance over MOBJ's, both at 4× saturation with the 2-shard twin,
-//! the policy family's acceptance axes — against the fresh run: the run
-//! **fails** (exit 1) if a fresh gain falls below 75 % of the committed
-//! one or below 1.0 (MOBJ no longer beating OURS at all). Gains are
-//! within-run ratios, so the gate is robust to scenario-length tweaks.
-//! `--quick` shortens the scenario to 12 s for local iteration; the
-//! committed baseline and the CI check are full-length runs
-//! (deterministic, so the check reproduces the committed cells exactly —
-//! the 12 s horizon is too short for the imbalance axis to separate the
-//! policies).
+//! Every run fails (exit 1) if OURS' flash-crowd p99 leaves the
+//! `P99_ENVELOPE` of its crowd-free p99. `--check <path>` also fails it if
+//! a MOBJ-over-OURS gain at 4× on the 2-shard twin (OURS's longest batch
+//! starvation gap and hottest-shard imbalance over MOBJ's) falls below
+//! 75 % of the committed one or below 1.0, or if a traffic shape's OURS
+//! p99 exceeds 1.25× the committed one plus 1 ms. `--quick` shortens the
+//! overload scenario to 12 s for local iteration, too short for the
+//! imbalance axis to separate the policies.
 
 use vizsched_bench::experiments::{
-    hottest_shard_imbalance, overload_policy_for, overload_scenario, run_overload, OverloadCell,
-    OverloadReport, ShardLoad,
+    hottest_shard_imbalance, overload_scenario, run_cell, sweep_loads, Cell, Load, ShardLoad,
+    P99_ENVELOPE, TRAFFIC_SEED,
 };
 use vizsched_bench::harness::{summary, Cli, Gate};
 use vizsched_core::sched::SchedulerKind;
 use vizsched_core::time::SimDuration;
 use vizsched_metrics::json::{obj, Json};
 use vizsched_sim::OverloadPolicy;
+use vizsched_workload::{Scenario, TrafficShape};
 
 const POLICIES: [SchedulerKind; 3] = [
     SchedulerKind::Ours,
@@ -67,26 +60,17 @@ const TWINS: [usize; 2] = [2, 4];
 /// Fail `--check` when a fresh MOBJ-over-OURS gain drops below this
 /// fraction of the committed baseline (a >25 % regression).
 const TOLERANCE: f64 = 0.75;
+/// `--check` tolerance on each traffic shape's OURS p99 against the
+/// committed report: the sweep is deterministic, but leave headroom for
+/// cost-model retunes so only real regressions trip CI.
+const P99_TOLERANCE: f64 = 1.25;
 
-/// `kind`'s cell at saturation `factor`.
-fn cell(sweeps: &[OverloadReport], kind: SchedulerKind, factor: u32) -> &OverloadCell {
-    sweeps
-        .iter()
-        .find(|r| r.scheduler == kind)
-        .and_then(|r| r.cells.iter().find(|c| c.factor == factor))
+/// `kind`'s cell of the load named `load`.
+fn cell<'a>(rows: &'a [(Load, Vec<Cell>)], load: &str, kind: SchedulerKind) -> &'a Cell {
+    rows.iter()
+        .find(|(l, _)| l.name() == load)
+        .and_then(|(_, cells)| cells.iter().find(|c| c.scheduler == kind))
         .expect("full matrix")
-}
-
-/// The headline MOBJ-over-OURS gains at 4× saturation with the 2-shard
-/// twin — the two axes the policy family's acceptance bar holds the
-/// scorer to. A gain above 1.0 means MOBJ beats OURS on that axis.
-fn headline_gains(sweeps: &[OverloadReport]) -> (f64, f64) {
-    let ours = cell(sweeps, SchedulerKind::Ours, 4);
-    let mobj = cell(sweeps, SchedulerKind::Mobj, 4);
-    (
-        ours.max_batch_start_delay_ms / mobj.max_batch_start_delay_ms,
-        hottest_shard_imbalance(&ours.twins[0]) / hottest_shard_imbalance(&mobj.twins[0]),
-    )
 }
 
 fn shard_json(s: &ShardLoad) -> Json {
@@ -104,7 +88,7 @@ fn shard_json(s: &ShardLoad) -> Json {
     ])
 }
 
-fn cell_json(c: &OverloadCell) -> Json {
+fn cell_json(c: &Cell) -> Json {
     let twins = c.twins.iter().map(|twin| {
         obj([
             ("shards", Json::num(twin.len() as f64)),
@@ -119,19 +103,22 @@ fn cell_json(c: &OverloadCell) -> Json {
         ])
     });
     obj([
-        ("factor", Json::num(c.factor as f64)),
+        ("scheduler", Json::Str(c.scheduler.name().into())),
         ("offered_jobs", Json::num(c.offered_jobs as f64)),
         ("admitted", Json::num(c.overload.admitted as f64)),
         ("rejected", Json::num(c.overload.rejected as f64)),
         ("coalesced", Json::num(c.overload.coalesced as f64)),
         ("expired", Json::num(c.overload.expired as f64)),
         ("escalated", Json::num(c.overload.escalated as f64)),
+        ("shed", Json::num(c.overload.shed() as f64)),
         ("shed_rate", Json::num(c.shed_rate)),
         (
             "interactive_completed",
             Json::num(c.interactive_completed as f64),
         ),
         ("interactive_p99_ms", Json::num(c.interactive_p99_ms)),
+        ("interactive_mean_ms", Json::num(c.interactive_mean_ms)),
+        ("hit_rate", Json::num(c.hit_rate)),
         ("batch_admitted", Json::num(c.batch_admitted as f64)),
         ("batch_completed", Json::num(c.batch_completed as f64)),
         (
@@ -156,97 +143,135 @@ fn admission_json(p: &OverloadPolicy) -> Json {
     ])
 }
 
-fn to_json(sweeps: &[OverloadReport], secs: f64, nodes: usize, datasets: u32) -> Json {
-    let (starve_gain, imbalance_gain) = headline_gains(sweeps);
+/// The report's summary: the MOBJ-over-OURS gains at 4× saturation with
+/// the 2-shard twin — the two axes the policy family's acceptance bar
+/// holds the scorer to; above 1.0 MOBJ beats OURS — and OURS' flash-crowd
+/// p99 against its crowd-free reference.
+fn headline(rows: &[(Load, Vec<Cell>)]) -> [(&'static str, f64); 5] {
+    let (ours, mobj) = (
+        cell(rows, "4x", SchedulerKind::Ours),
+        cell(rows, "4x", SchedulerKind::Mobj),
+    );
+    let crowd = cell(rows, "flash_crowd", SchedulerKind::Ours).interactive_p99_ms;
+    let crowd_free = cell(rows, "crowd_free", SchedulerKind::Ours).interactive_p99_ms;
+    [
+        (
+            "mobj_starvation_gain_4x_2shards",
+            ours.max_batch_start_delay_ms / mobj.max_batch_start_delay_ms,
+        ),
+        (
+            "mobj_imbalance_gain_4x_2shards",
+            hottest_shard_imbalance(&ours.twins[0]) / hottest_shard_imbalance(&mobj.twins[0]),
+        ),
+        ("flash_crowd_unloaded_p99_ms", crowd_free),
+        ("flash_crowd_p99_ms", crowd),
+        (
+            "flash_crowd_slo_factor",
+            crowd / crowd_free.max(f64::EPSILON),
+        ),
+    ]
+}
+
+fn to_json(rows: &[(Load, Vec<Cell>)], scenario: &Scenario) -> Json {
     let nums = |xs: &[f64]| Json::Arr(xs.iter().map(|&x| Json::num(x)).collect());
+    let loads = rows.iter().map(|(load, cells)| {
+        obj([
+            ("load", Json::Str(load.name().into())),
+            ("shape", Json::Str(load.shape.name().into())),
+            ("admission", admission_json(&load.admission)),
+            ("cells", Json::Arr(cells.iter().map(cell_json).collect())),
+        ])
+    });
     obj([
         (
             "schema",
-            Json::Str("vizsched-bench/policy_matrix/v2".into()),
+            Json::Str("vizsched-bench/policy_matrix/v3".into()),
         ),
         (
             "config",
             obj([
                 ("scenario", Json::Str("overload".into())),
-                ("scenario_secs", Json::num(secs)),
-                ("nodes", Json::num(nodes as f64)),
-                ("datasets", Json::num(datasets as f64)),
+                (
+                    "scenario_secs",
+                    Json::num(scenario.workload.length.as_secs_f64()),
+                ),
+                ("nodes", Json::num(scenario.cluster.len() as f64)),
+                (
+                    "datasets",
+                    Json::num(scenario.workload.dataset_count as f64),
+                ),
                 ("factors", nums(&FACTORS.map(f64::from))),
+                ("traffic_seed", Json::num(TRAFFIC_SEED as f64)),
                 ("twin_shards", nums(&TWINS.map(|s| s as f64))),
             ]),
         ),
-        (
-            "sweeps",
-            Json::Arr(
-                sweeps
-                    .iter()
-                    .map(|r| {
-                        obj([
-                            ("scheduler", Json::Str(r.scheduler.name().into())),
-                            ("policy", admission_json(&r.policy)),
-                            ("unloaded_p99_ms", Json::num(r.unloaded_p99_ms)),
-                            ("cells", Json::Arr(r.cells.iter().map(cell_json).collect())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("loads", Json::Arr(loads.collect())),
         (
             "summary",
-            obj([
-                ("mobj_starvation_gain_4x_2shards", Json::num(starve_gain)),
-                ("mobj_imbalance_gain_4x_2shards", Json::num(imbalance_gain)),
-            ]),
+            obj(headline(rows).map(|(key, value)| (key, Json::num(value)))),
         ),
     ])
 }
 
-fn print_table(sweeps: &[OverloadReport], p: &OverloadPolicy) {
-    println!("== policy_matrix: the overload sweep by policy and saturation ==\n");
-    println!(
-        "admission: in-flight<={} per-user<={} deadline={} coalesce={} escalate>={}",
-        p.max_in_flight.map_or("inf".into(), |c| c.to_string()),
-        p.max_per_user.map_or("inf".into(), |c| c.to_string()),
-        p.deadline.map_or("never".into(), |d| d.to_string()),
-        p.coalesce_interactive,
-        p.batch_escalation_age
-            .map_or("never".into(), |d| d.to_string()),
-    );
-    println!("single-head run per row; hot-N is the N-shard twin's hottest-shard imbalance\n");
-    print!(
-        "{:>8} {:>6} {:>8} {:>9} {:>6} {:>9} {:>11} {:>13}",
-        "policy", "factor", "offered", "coalesced", "shed%", "p99-ms", "batch", "starve-ms"
-    );
+fn print_table(rows: &[(Load, Vec<Cell>)]) {
+    println!("== policy_matrix: the overload sweep by load and policy ==\n");
+    println!("admission by load:");
+    for (load, _) in rows {
+        let p = &load.admission;
+        println!(
+            "{:>13}  in-flight<={} per-user<={} deadline={} coalesce={} escalate>={}",
+            load.name(),
+            p.max_in_flight.map_or("inf".into(), |c| c.to_string()),
+            p.max_per_user.map_or("inf".into(), |c| c.to_string()),
+            p.deadline.map_or("never".into(), |d| d.to_string()),
+            p.coalesce_interactive,
+            p.batch_escalation_age
+                .map_or("never".into(), |d| d.to_string()),
+        );
+    }
+    println!("\nsingle-head run per row; hot-N is the N-shard twin's hottest-shard imbalance\n");
+    print!("         load policy offered    done coalesced  shed%    p99-ms   mean-ms   hit%       batch starve-ms");
     for shards in TWINS {
-        print!(" {:>8}", format!("hot-{shards}"));
+        print!(" {:>7}", format!("hot-{shards}"));
     }
     println!();
-    for factor in FACTORS {
-        for kind in POLICIES {
-            let c = cell(sweeps, kind, factor);
+    for (load, cells) in rows {
+        for c in cells {
             print!(
-                "{:>8} {:>5}x {:>8} {:>9} {:>5.1}% {:>9.1} {:>5}/{:<5} {:>13.1}",
-                kind.name(),
-                factor,
+                "{:>13} {:>6} {:>7} {:>7} {:>9} {:>5.1}% {:>9.1} {:>9.1} {:>5.1}% {:>5}/{:<5} {:>9.1}",
+                load.name(),
+                c.scheduler.name(),
                 c.offered_jobs,
+                c.interactive_completed,
                 c.overload.coalesced,
                 100.0 * c.shed_rate,
                 c.interactive_p99_ms,
+                c.interactive_mean_ms,
+                100.0 * c.hit_rate,
                 c.batch_completed,
                 c.batch_admitted,
                 c.max_batch_start_delay_ms,
             );
             for twin in &c.twins {
-                print!(" {:>8.4}", hottest_shard_imbalance(twin));
+                print!(" {:>7.4}", hottest_shard_imbalance(twin));
             }
             println!();
         }
     }
-    let (starve_gain, imbalance_gain) = headline_gains(sweeps);
-    println!(
-        "\nMOBJ over OURS at 4x / 2 shards: starvation gain {:.4}, imbalance gain {:.4}",
-        starve_gain, imbalance_gain
-    );
+}
+
+/// OURS' p99 for the load named `load` out of a report document.
+fn doc_ours_p99(doc: &Json, load: &str) -> Option<f64> {
+    doc.get("loads")?
+        .as_arr()?
+        .iter()
+        .find(|l| l.get("load").and_then(Json::as_str) == Some(load))?
+        .get("cells")?
+        .as_arr()?
+        .iter()
+        .find(|c| c.get("scheduler").and_then(Json::as_str) == Some("OURS"))?
+        .get("interactive_p99_ms")?
+        .as_f64()
 }
 
 fn main() {
@@ -256,45 +281,70 @@ fn main() {
     } else {
         overload_scenario()
     };
-    let policy = overload_policy_for(&scenario);
+    let loads = sweep_loads(&scenario, &FACTORS);
 
     eprintln!(
-        "policy_matrix: {:?} x {FACTORS:?} saturation, single head + {TWINS:?}-shard twins{}",
+        "policy_matrix: {:?} x {} loads, single head + {TWINS:?}-shard twins{}",
         POLICIES.map(|p| p.name()),
+        loads.len(),
         if cli.quick() { " (quick)" } else { "" }
     );
-    let sweeps: Vec<OverloadReport> = POLICIES
-        .iter()
-        .map(|&kind| {
-            eprintln!("  {}...", kind.name());
-            run_overload(&scenario, kind, &FACTORS, policy, &TWINS)
+    let rows: Vec<(Load, Vec<Cell>)> = loads
+        .into_iter()
+        .map(|load| {
+            eprintln!("  {}...", load.name());
+            let cells = POLICIES
+                .iter()
+                .map(|&kind| run_cell(&load, kind, &TWINS))
+                .collect();
+            (load, cells)
         })
         .collect();
-    print_table(&sweeps, &policy);
-    let doc = to_json(
-        &sweeps,
-        scenario.workload.length.as_secs_f64(),
-        scenario.cluster.len(),
-        scenario.workload.dataset_count,
+    print_table(&rows);
+    let doc = to_json(&rows, &scenario);
+    let [starve_gain, imbalance_gain, crowd_free, crowd, crowd_factor] =
+        headline(&rows).map(|(_, value)| value);
+    println!(
+        "\nMOBJ over OURS at 4x / 2 shards: starvation gain {starve_gain:.4}, imbalance gain {imbalance_gain:.4}"
+    );
+    println!(
+        "flash-crowd SLO: p99 {crowd:.1} ms vs crowd-free {crowd_free:.1} ms -> {crowd_factor:.2}x (bound {P99_ENVELOPE}x)"
     );
     cli.write_json(&doc);
 
+    // The flash-crowd bound is absolute and runs on every invocation; the
+    // gains and the per-shape p99s are held to the `--check` baseline.
+    let mut gates = vec![
+        Gate::floor(
+            "MOBJ 4x/2-shard starvation gain",
+            summary("mobj_starvation_gain_4x_2shards"),
+            TOLERANCE,
+            1.0,
+        ),
+        Gate::floor(
+            "MOBJ 4x/2-shard imbalance gain",
+            summary("mobj_imbalance_gain_4x_2shards"),
+            TOLERANCE,
+            1.0,
+        ),
+        Gate::ceiling(
+            "flash-crowd SLO factor",
+            summary("flash_crowd_slo_factor"),
+            0.0,
+            P99_ENVELOPE,
+        ),
+    ];
+    gates.extend(TrafficShape::NAMES.map(|name| {
+        Gate::ceiling(
+            format!("{name} OURS p99 ms"),
+            Box::new(move |doc: &Json| doc_ours_p99(doc, name)),
+            P99_TOLERANCE,
+            1.0,
+        )
+    }));
     cli.check(
         &doc,
-        &[
-            Gate::floor(
-                "MOBJ 4x/2-shard starvation gain",
-                summary("mobj_starvation_gain_4x_2shards"),
-                TOLERANCE,
-                1.0,
-            ),
-            Gate::floor(
-                "MOBJ 4x/2-shard imbalance gain",
-                summary("mobj_imbalance_gain_4x_2shards"),
-                TOLERANCE,
-                1.0,
-            ),
-        ],
-        "policy_matrix: policy-family gain regression beyond tolerance",
+        &gates,
+        "policy_matrix: policy-family gain regression, p99 regression or SLO violation",
     );
 }

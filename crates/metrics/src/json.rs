@@ -439,19 +439,26 @@ mod tests {
     }
 
     /// The writer did not move: every committed document `pretty()`
-    /// produced parses and re-serializes to its own bytes.
+    /// produced — each `BENCH_*.json` at the repo root — parses and
+    /// re-serializes to its own bytes.
     #[test]
     fn committed_reports_reparse_to_their_own_bytes() {
-        for name in [
-            "BENCH_chaos.json",
-            "BENCH_policy.json",
-            "BENCH_render.json",
-            "BENCH_sched.json",
-            "BENCH_service.json",
-            "BENCH_shard.json",
-            "BENCH_traffic.json",
-        ] {
-            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+        let mut names: Vec<String> = std::fs::read_dir(&root)
+            .unwrap_or_else(|e| panic!("{root}: {e}"))
+            .map(|entry| {
+                entry
+                    .expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        names.sort();
+        assert!(names.len() >= 6, "too few committed reports: {names:?}");
+        for name in names {
+            let path = format!("{root}/{name}");
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(doc.pretty() == text, "{name} does not round-trip");

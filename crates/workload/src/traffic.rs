@@ -1,11 +1,12 @@
 //! Non-Poisson traffic shapes: diurnal load curves, flash crowds pinned
-//! to one hot dataset, camera-path locality, mixed GPU tiers, and
-//! time-varying datasets with heterogeneous bricking.
+//! to one hot dataset, camera-path locality, mixed GPU tiers,
+//! time-varying datasets with heterogeneous bricking, and overload bursts
+//! over a session workload.
 //!
 //! Every robustness result before this module was made against
 //! Poisson-ish sessions over uniformly-bricked volumes. Real deployments
 //! are nastier in specific, nameable ways, and each shape here models one
-//! of them as a deterministic, seeded job-stream generator. All five
+//! of them as a deterministic, seeded job-stream generator. All six
 //! compose with the scenario record plane: [`TrafficShape::to_record`]
 //! serializes a shape's stream onto the same versioned JSONL format that
 //! live runs record to, so a synthetic flash crowd and a captured
@@ -34,22 +35,36 @@
 //!   one's cached chunks all go dead at once (the cache-invalidation
 //!   storm of in-situ visualization). Pair with
 //!   [`heterogeneous_catalog`] for non-uniform per-chunk costs.
+//! * [`BurstSpec`] — a base session workload with a window of extra
+//!   interactive users who request faster than the scheduling cycle `ω`:
+//!   the saturation the paper's sizing (§VI) rules out, for admission
+//!   control and stale-frame coalescing.
 
+use crate::arrival::uniform_duration;
 use crate::generator::{
     assemble, emit_action, ActionBehavior, BatchModel, DatasetChoice, InteractiveModel, Proto,
     WorkloadSpec,
 };
 use crate::record::{catalog_from_sizes, RecordHeader, ScenarioRecord};
+use crate::scenario::Scenario;
 use vizsched_core::cluster::{ClusterSpec, NodeSpec};
 use vizsched_core::data::{Catalog, DatasetDesc};
-use vizsched_core::ids::{ActionId, DatasetId, UserId};
-use vizsched_core::job::Job;
-use vizsched_core::rng::SplitMix64;
+use vizsched_core::ids::{ActionId, DatasetId, JobId, UserId};
+use vizsched_core::job::{FrameParams, Job, JobKind};
+use vizsched_core::rng::{SplitMix64, GAMMA};
 use vizsched_core::time::{SimDuration, SimTime};
 
 /// User-id offset for flash-crowd arrivals, keeping them disjoint from
 /// background slots (and from the burst overlay's 10 000 range).
 pub const CROWD_USER_OFFSET: u32 = 20_000;
+
+/// User-id offset separating burst users from base principals (base
+/// interactive users are small slot indices; base batch users start at
+/// 1000).
+const BURST_USER_OFFSET: u32 = 10_000;
+
+/// Action-id offset separating burst actions from base actions.
+const BURST_ACTION_OFFSET: u64 = 1_000_000;
 
 /// A diurnal load curve: the number of active user slots follows a
 /// raised cosine between `trough_frac · slots_peak` (at t = 0) and
@@ -417,6 +432,77 @@ impl TimeVaryingSpec {
     }
 }
 
+/// An overload burst: the `base` session workload plus `extra_slots`
+/// full-length interactive users, active only inside `[window_start,
+/// window_start + window)`, each requesting at its own `period`. Burst
+/// users and actions live in disjoint id ranges (`UserId` +10000,
+/// `ActionId` +1000000) so they never collide with the base's principals.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BurstSpec {
+    /// The workload the burst lands on.
+    pub base: WorkloadSpec,
+    /// Additional full-length interactive users during the window. Zero
+    /// is the identity overlay: the base workload alone.
+    pub extra_slots: u32,
+    /// When the burst begins, relative to the run start.
+    pub window_start: SimDuration,
+    /// How long the burst lasts.
+    pub window: SimDuration,
+    /// Request period of each burst user; faster than `ω`, same-action
+    /// frames queue up within one cycle and coalescing has work to do.
+    pub period: SimDuration,
+    /// RNG seed for per-action phase and request jitter.
+    pub seed: u64,
+}
+
+impl BurstSpec {
+    /// Generate the stream: the base's jobs plus burst slot `i` exploring
+    /// dataset `i mod dataset_count`, re-sorted with dense arrival-order
+    /// job ids.
+    pub fn generate(&self) -> Vec<Job> {
+        let mut proto = self.base.generate();
+        let end = SimTime::ZERO + self.window_start + self.window;
+        let max_jitter = self.period / 10;
+        for slot in 0..self.extra_slots {
+            let mut rng = SplitMix64::seeded(
+                self.seed
+                    .wrapping_mul(GAMMA)
+                    .wrapping_add(0xb0b5 + slot as u64),
+            );
+            let user = UserId(BURST_USER_OFFSET + slot);
+            let action = ActionId(BURST_ACTION_OFFSET + slot as u64);
+            let dataset = DatasetId(slot % self.base.dataset_count);
+            // Same arrival texture as the base generator: a per-action
+            // phase plus bounded per-request jitter, so burst users are
+            // not cycle-synchronized.
+            let phase = uniform_duration(&mut rng, SimDuration::ZERO, self.period);
+            let mut nominal = SimTime::ZERO + self.window_start + phase;
+            let mut frame = 0u32;
+            while nominal < end {
+                let t =
+                    (nominal + uniform_duration(&mut rng, SimDuration::ZERO, max_jitter)).min(end);
+                proto.push(Job {
+                    id: JobId(0), // reassigned below
+                    kind: JobKind::Interactive { user, action },
+                    dataset,
+                    issue_time: t,
+                    frame: FrameParams {
+                        azimuth: frame as f32 * 0.02,
+                        ..FrameParams::default()
+                    },
+                });
+                nominal += self.period;
+                frame += 1;
+            }
+        }
+        proto.sort_by_key(|j| j.issue_time);
+        for (i, job) in proto.iter_mut().enumerate() {
+            job.id = JobId(i as u64);
+        }
+        proto
+    }
+}
+
 /// A cluster of `nodes` nodes with `mem_quota` bytes of cache each and
 /// disk-speed factors cycling through `tiers` — the mixed-generation
 /// pool every real GPU cluster becomes after its second procurement
@@ -464,7 +550,7 @@ pub fn heterogeneous_catalog(count: u32, bytes: u64, chunk_max: u64, seed: u64) 
     catalog_from_sizes(datasets, &chunks)
 }
 
-/// One of the five traffic shapes, for sweeping them uniformly.
+/// One of the six traffic shapes, for sweeping them uniformly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrafficShape {
     /// Diurnal load curve.
@@ -477,17 +563,20 @@ pub enum TrafficShape {
     MixedTiers(MixedTiersSpec),
     /// Time-varying streamed dataset.
     TimeVarying(TimeVaryingSpec),
+    /// Overload burst over a session workload.
+    Burst(BurstSpec),
 }
 
 impl TrafficShape {
     /// The canonical shape names, in sweep order (pinned by
-    /// `BENCH_traffic.json` and the docs-consistency tests).
-    pub const NAMES: [&'static str; 5] = [
+    /// `BENCH_policy.json` and the docs-consistency tests).
+    pub const NAMES: [&'static str; 6] = [
         "diurnal",
         "flash_crowd",
         "camera_path",
         "mixed_tiers",
         "time_varying",
+        "burst",
     ];
 
     /// This shape's canonical name.
@@ -498,6 +587,7 @@ impl TrafficShape {
             TrafficShape::CameraPath(_) => "camera_path",
             TrafficShape::MixedTiers(_) => "mixed_tiers",
             TrafficShape::TimeVarying(_) => "time_varying",
+            TrafficShape::Burst(_) => "burst",
         }
     }
 
@@ -509,6 +599,7 @@ impl TrafficShape {
             TrafficShape::CameraPath(s) => s.generate(),
             TrafficShape::MixedTiers(s) => s.generate(),
             TrafficShape::TimeVarying(s) => s.generate(),
+            TrafficShape::Burst(s) => s.generate(),
         }
     }
 
@@ -519,8 +610,8 @@ impl TrafficShape {
     }
 
     /// One small instance of every shape (shared by the determinism
-    /// tests and the `traffic_sweep` bench): a few seconds of traffic
-    /// each, sized so a sweep over all five finishes in CI time.
+    /// tests and the `policy_matrix` bench): a few seconds of traffic
+    /// each, sized so a sweep over all six finishes in CI time.
     pub fn demo_suite(seed: u64) -> Vec<TrafficShape> {
         vec![
             TrafficShape::Diurnal(DiurnalSpec {
@@ -566,6 +657,27 @@ impl TrafficShape {
                 timesteps: 8,
                 interval: SimDuration::from_secs(2),
                 period: SimDuration::from_millis(30),
+                seed,
+            }),
+            // A 16 s miniature of the overload bursts at 4x: 8 burst users
+            // over the middle half, each requesting 3x as fast as a base user.
+            TrafficShape::Burst(BurstSpec {
+                base: Scenario::sweep(
+                    "burst",
+                    8,
+                    2 << 30,
+                    8,
+                    1 << 30,
+                    8,
+                    SimDuration::from_secs(16),
+                    2,
+                    seed,
+                )
+                .workload,
+                extra_slots: 8,
+                window_start: SimDuration::from_secs(4),
+                window: SimDuration::from_secs(8),
+                period: SimDuration::from_millis(10),
                 seed,
             }),
         ]
@@ -736,6 +848,96 @@ mod tests {
                 again.chunks_of(DatasetId(d))
             );
         }
+    }
+
+    fn burst() -> BurstSpec {
+        BurstSpec {
+            base: WorkloadSpec {
+                length: SimDuration::from_secs(4),
+                interactive: InteractiveModel {
+                    slots: 2,
+                    period: SimDuration::from_millis(30),
+                    behavior: ActionBehavior::FullLength,
+                },
+                batch: BatchModel {
+                    submissions: 1,
+                    frames_min: 4,
+                    frames_max: 4,
+                    window_frac: 0.5,
+                },
+                dataset_count: 2,
+                dataset_choice: DatasetChoice::Uniform,
+                seed: 5,
+            },
+            extra_slots: 6,
+            window_start: SimDuration::from_secs(1),
+            window: SimDuration::from_secs(2),
+            period: SimDuration::from_millis(10),
+            seed: 9,
+        }
+    }
+
+    #[test]
+    fn overlay_is_sorted_with_dense_ids_and_expected_count() {
+        let merged = burst().generate();
+        for (i, j) in merged.iter().enumerate() {
+            assert_eq!(j.id, JobId(i as u64));
+            if i > 0 {
+                assert!(j.issue_time >= merged[i - 1].issue_time);
+            }
+        }
+        let added = merged.len() - burst().base.generate().len();
+        // Each slot requests window/period times, up to one frame of
+        // phase loss.
+        let expected = 6.0 * 2.0 / 0.010;
+        assert!(
+            (added as f64 - expected).abs() <= 6.0,
+            "added {added}, expected about {expected}"
+        );
+    }
+
+    #[test]
+    fn burst_principals_are_disjoint_from_base() {
+        let base = burst().base.generate();
+        let merged = burst().generate();
+        let burst_jobs: Vec<&Job> = merged
+            .iter()
+            .filter(|j| j.kind.user().0 >= BURST_USER_OFFSET)
+            .collect();
+        assert!(!burst_jobs.is_empty());
+        for j in &burst_jobs {
+            let action = j.kind.action().expect("burst jobs are interactive");
+            assert!(action.0 >= BURST_ACTION_OFFSET);
+            let t = j.issue_time - SimTime::ZERO;
+            assert!(t >= SimDuration::from_secs(1) && t <= SimDuration::from_secs(3));
+        }
+        // Base principals never reach the burst ranges.
+        for j in &base {
+            assert!(j.kind.user().0 < BURST_USER_OFFSET);
+            if let Some(action) = j.kind.action() {
+                assert!(action.0 < BURST_ACTION_OFFSET);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_extra_slots_is_the_identity_overlay() {
+        let merged = BurstSpec {
+            extra_slots: 0,
+            ..burst()
+        }
+        .generate();
+        assert_eq!(merged, burst().base.generate());
+    }
+
+    #[test]
+    fn overlay_is_deterministic() {
+        assert_eq!(burst().generate(), burst().generate());
+        let other = BurstSpec {
+            seed: 10,
+            ..burst()
+        };
+        assert_ne!(other.generate(), burst().generate());
     }
 
     #[test]
